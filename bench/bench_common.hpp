@@ -207,11 +207,10 @@ class Recorder {
   [[nodiscard]] bool io_failed() const { return io_failed_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// Start a configuration: zero every counter and drop accumulated spans
-  /// and events so the emitted report/trace covers only this run.
+  /// Start a configuration: zero every counter and drop accumulated events
+  /// so the emitted report/trace covers only this run.
   void BeginConfig() const {
     if (enabled() || tracing()) iostat::Registry::Get().Reset();
-    if (tracing()) iostat::Registry::Get().SetSpansEnabled(true);
   }
 
   /// Finish a configuration: append its record line and rewrite the trace.

@@ -9,7 +9,7 @@
 #include "bench/bench_common.hpp"
 #include "bench/microbench.hpp"
 #include "bench/registry.hpp"
-#include "iostat/events.hpp"
+#include "iostat/observe.hpp"
 #include "simmpi/datatype.hpp"
 
 namespace {
@@ -88,44 +88,46 @@ void BM_ContiguousPackIsMemcpySpeed(benchmark::State& state) {
 }
 BENCHMARK(BM_ContiguousPackIsMemcpySpeed);
 
-// The iostat hot-path hook itself: Arg(0) measures PNC_IOSTAT_ADD with
-// counters disabled at runtime (the zero-overhead claim: one relaxed load
-// and a predictable branch), Arg(1) with counters enabled (one relaxed
-// fetch_add on a per-rank slot). With PNC_IOSTAT=OFF at configure time both
-// compile to nothing.
+// The instrumentation hot path for a counter-only observation: Arg(0)
+// measures PNC_OBSERVE with the counter sink disabled at runtime (the
+// zero-overhead claim: one relaxed load and a predictable branch), Arg(1)
+// with it enabled (the sink dispatch plus one relaxed fetch_add on a
+// per-rank slot). With PNC_IOSTAT=OFF at configure time both compile to
+// nothing.
 void BM_IostatCounterAdd(benchmark::State& state) {
 #if PNC_IOSTAT_ENABLED
-  iostat::Registry::Get().SetCountersEnabled(state.range(0) != 0);
+  iostat::SetSink(iostat::kSinkCounters, state.range(0) != 0);
 #endif
   for (auto _ : state) {
-    PNC_IOSTAT_ADD(kPfsReadOps, 1);
+    PNC_OBSERVE(kPfsRetry);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 #if PNC_IOSTAT_ENABLED
-  iostat::Registry::Get().SetCountersEnabled(true);
+  iostat::SetSink(iostat::kSinkCounters, true);
   iostat::Registry::Get().Reset();
 #endif
 }
 BENCHMARK(BM_IostatCounterAdd)->Arg(0)->Arg(1);
 
-// The flight-recorder hot path: Arg(0) measures PNC_IOSTAT_EVENT with the
-// recorder disabled at runtime (one relaxed load and a branch), Arg(1) with
-// it enabled (one fetch_add claiming a ring slot plus a fixed-size record
-// fill — the "~10 ns/event" always-on budget). With PNC_IOSTAT=OFF at
-// configure time both compile to nothing.
+// The flight-recorder hot path for a ring-only observation: Arg(0)
+// measures PNC_OBSERVE with the recorder disabled at runtime (one relaxed
+// load and a branch), Arg(1) with it enabled (the sink dispatch, one
+// fetch_add claiming a ring slot plus a fixed-size record fill — the
+// "~10 ns/event" always-on budget). With PNC_IOSTAT=OFF at configure time
+// both compile to nothing.
 void BM_FlightRecorderEvent(benchmark::State& state) {
 #if PNC_IOSTAT_ENABLED
   PNC_IOSTAT_BIND_RANK(0);
-  iostat::FlightRecorder::Get().SetEnabled(state.range(0) != 0);
+  iostat::SetSink(iostat::kSinkRing, state.range(0) != 0);
 #endif
   double t = 0.0;
   for (auto _ : state) {
-    PNC_IOSTAT_EVENT(kIoBegin, t, 0.0, 64, 1, nullptr);
+    PNC_OBSERVE(kIoBegin, .t_ns = t, .off = 64);
     t += 1.0;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 #if PNC_IOSTAT_ENABLED
-  iostat::FlightRecorder::Get().SetEnabled(true);
+  iostat::SetSink(iostat::kSinkRing, true);
   iostat::FlightRecorder::Get().Reset();
 #endif
 }

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "iostat/events.hpp"
+#include "iostat/observe.hpp"
 #include "util/crc32.hpp"
 #include "util/xdr.hpp"
 

@@ -4,8 +4,7 @@
 #include <array>
 #include <cstring>
 
-#include "iostat/events.hpp"
-#include "iostat/iostat.hpp"
+#include "iostat/observe.hpp"
 #include "util/crc32.hpp"
 #include "util/env.hpp"
 
@@ -262,10 +261,10 @@ pnc::Status VerifyReadRange(const ChunkSumMap& map, std::uint64_t offset,
                                 pnc::ByteSpan(chunk));
         !st.ok())
       return st;
-    PNC_IOSTAT_ADD(kNcSumChunksVerified, 1);
+    PNC_OBSERVE(kSumVerify);
     if (stats != nullptr) ++stats->chunks_verified;
     if (pnc::Crc32(chunk) == sum.crc) continue;
-    PNC_IOSTAT_ADD(kNcSumMismatch, 1);
+    PNC_OBSERVE(kSumMismatch);
     if (stats != nullptr) ++stats->mismatches;
     // Mismatch: re-read the whole chunk. A transient read-side flip (of
     // the original read *or* of the assembly reads above) heals here; an
@@ -279,14 +278,13 @@ pnc::Status VerifyReadRange(const ChunkSumMap& map, std::uint64_t offset,
       if (ov_end > ov_begin)
         std::memcpy(data.data() + (ov_begin - offset),
                     chunk.data() + (ov_begin - cstart), ov_end - ov_begin);
-      PNC_IOSTAT_ADD(kNcSumHealedRetries, 1);
+      PNC_OBSERVE(kSumHealed);
       if (stats != nullptr) ++stats->healed_retries;
       healed = true;
     }
     if (!healed) {
-      PNC_IOSTAT_EVENT(kDataCorrupt, t_ns, 0, /*a0=*/c,
-                       /*a1=*/static_cast<std::uint64_t>(heal_attempts),
-                       nullptr);
+      PNC_OBSERVE(kDataCorrupt, .t_ns = t_ns, .off = c,
+                  .n = static_cast<std::uint64_t>(heal_attempts));
       return pnc::Status(pnc::Err::kDataCorrupt,
                          "chunk " + std::to_string(c) +
                              " checksum mismatch persisted across " +

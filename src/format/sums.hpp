@@ -177,8 +177,8 @@ struct VerifyStats {
 /// clean re-read is spliced back into `data` (the read healed), a chunk
 /// still mismatching returns kDataCorrupt. `t_ns` timestamps the
 /// flight-recorder event on the corrupt path. Counters are recorded via
-/// the iostat macros; `stats` (optional) additionally accumulates them
-/// for the caller.
+/// PNC_OBSERVE; `stats` (optional) additionally accumulates them for the
+/// caller.
 [[nodiscard]] pnc::Status VerifyReadRange(const ChunkSumMap& map,
                                           std::uint64_t offset,
                                           pnc::ByteSpan data,

@@ -6,21 +6,13 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "util/json.hpp"
+
 namespace iostat {
 
+using pnc::json::AppendF;
+
 namespace {
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
 
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -2,27 +2,18 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace iostat {
 
+using pnc::json::AppendF;
+
 namespace {
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
 
 /// One rank's view of one collective op, rebuilt from its event stream.
 struct RankOp {

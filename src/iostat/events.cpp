@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "iostat/json_cursor.hpp"
 #include "iostat/schemas.hpp"
+#include "util/env.hpp"
 #include "util/json.hpp"
 
 namespace iostat {
+
+using pnc::json::AppendF;
 
 namespace {
 
@@ -27,13 +29,6 @@ thread_local ReqCtx tl_req;
 /// fresh rank threads).
 std::atomic<std::uint64_t> g_next_req[kMaxRanks];
 
-bool EnvFlag(const char* name, bool def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
 void CopyDetail(char (&dst)[24], const char* src) {
   if (src == nullptr) {
     dst[0] = '\0';
@@ -42,18 +37,6 @@ void CopyDetail(char (&dst)[24], const char* src) {
   std::size_t i = 0;
   for (; i + 1 < sizeof(dst) && src[i] != '\0'; ++i) dst[i] = src[i];
   dst[i] = '\0';
-}
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
 }
 
 }  // namespace
@@ -95,18 +78,13 @@ bool EvFromName(std::string_view name, Ev* out) {
   return false;
 }
 
-FlightRecorder::FlightRecorder() {
-  std::size_t cap = 4096;
-  if (const char* v = std::getenv("PNC_FLIGHT_EVENTS");
-      v != nullptr && *v != '\0') {
-    const unsigned long long n = std::strtoull(v, nullptr, 10);
-    cap = std::clamp<std::size_t>(static_cast<std::size_t>(n), 64,
-                                  std::size_t{1} << 20);
-  }
-  cap_ = cap;
-  on_.store(EnvFlag("PNC_IOSTAT", true) && EnvFlag("PNC_FLIGHT", true),
-            std::memory_order_relaxed);
+std::size_t FlightCapacityFromEnv() {
+  const std::int64_t n = pnc::util::EnvInt("PNC_FLIGHT_EVENTS", 4096);
+  return static_cast<std::size_t>(
+      std::clamp<std::int64_t>(n, 64, std::int64_t{1} << 20));
 }
+
+FlightRecorder::FlightRecorder() : cap_(FlightCapacityFromEnv()) {}
 
 FlightRecorder& FlightRecorder::Get() {
   static FlightRecorder* g = new FlightRecorder();  // leaked, like Registry
@@ -206,13 +184,11 @@ void FlightRecorder::Reset() {
 
 std::uint64_t CurrentRequestId() { return tl_req.id; }
 
-const char* CurrentRequestDetail() { return tl_req.detail; }
-
 ReqScope::ReqScope(const char* api, std::string_view var, double t_ns,
                    std::uint64_t bytes, std::uint64_t is_write) {
   saved_id_ = tl_req.id;
   std::memcpy(saved_detail_, tl_req.detail, sizeof(saved_detail_));
-  if (!FlightRecorder::on()) return;
+  if (!SinkOn(kSinkRing)) return;
   const int rank = Registry::rank();
   tl_req.id = g_next_req[rank].fetch_add(1, std::memory_order_relaxed) + 1;
   // detail = "api:var", truncated to the fixed record width.
@@ -350,13 +326,9 @@ pnc::Result<EventDump> ParseEventsJson(std::string_view text) {
                 if (!cur.ParseNumber(&v)) return fail("bad rank");
                 tail.rank = static_cast<int>(v);
               } else if (k2 == "recorded") {
-                double v = 0;
-                if (!cur.ParseNumber(&v)) return fail("bad recorded");
-                tail.recorded = static_cast<std::uint64_t>(v);
+                if (!cur.ParseU64(&tail.recorded)) return fail("bad recorded");
               } else if (k2 == "dropped") {
-                double v = 0;
-                if (!cur.ParseNumber(&v)) return fail("bad dropped");
-                tail.dropped = static_cast<std::uint64_t>(v);
+                if (!cur.ParseU64(&tail.dropped)) return fail("bad dropped");
               } else if (k2 == "events") {
                 if (!cur.Eat('[')) return fail("bad events");
                 if (!cur.Eat(']')) {

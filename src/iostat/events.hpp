@@ -24,16 +24,14 @@
 //    fault-injection tests stay quiet), and on demand via ncstat
 //    --blackbox.
 //
+// The ring is one sink of PNC_OBSERVE: observe.hpp turns each observation
+// into the event kind and a0/a1 payload documented below.
 // Cost discipline matches iostat.hpp: -DPNC_IOSTAT=OFF compiles every macro
-// below to nothing; at runtime a disabled event is one relaxed atomic load
-// and a branch, an enabled one is ~a slot claim plus a few stores (~10 ns).
+// to nothing; at runtime a disabled ring is one relaxed atomic load and a
+// branch, an enabled event is ~a slot claim plus a few stores (~10 ns).
 // Events never advance any virtual clock — timestamps are sampled by the
 // caller and passed in, so enabling/disabling tracing cannot change
 // simulated results.
-//
-// Production layers must use only the PNC_IOSTAT_* macros at the bottom of
-// this header — a grep lint (tests/CMakeLists.txt) rejects direct
-// references to the event API in those trees.
 #pragma once
 
 #include <cstdint>
@@ -106,11 +104,6 @@ class FlightRecorder {
  public:
   static FlightRecorder& Get();
 
-  /// Fast gate: true when events are recorded. OFF when PNC_IOSTAT=0 or
-  /// PNC_FLIGHT=0; ON otherwise ("always-on" flight recording).
-  static bool on() { return Get().on_.load(std::memory_order_relaxed); }
-  void SetEnabled(bool on) { on_.store(on, std::memory_order_relaxed); }
-
   /// Events each rank's ring retains (PNC_FLIGHT_EVENTS, default 4096).
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
@@ -154,15 +147,16 @@ class FlightRecorder {
 
   RankRing slots_[kMaxRanks];
   std::size_t cap_;
-  std::atomic<bool> on_;
 };
+
+/// Ring capacity from PNC_FLIGHT_EVENTS: 4096 when unset or malformed (a
+/// malformed value warns once), clamped into [64, 2^20].
+std::size_t FlightCapacityFromEnv();
 
 // ---- request context (thread-local; rank == thread under simmpi) ----
 
 /// The request ID bound to the calling thread, 0 if none.
 std::uint64_t CurrentRequestId();
-/// The "api:variable" detail of the calling thread's request ("" if none).
-const char* CurrentRequestDetail();
 
 /// RAII request scope: mints the next request ID for this rank, binds it
 /// (and an "api:variable" detail) to the thread, and records an ApiBegin
@@ -215,10 +209,10 @@ pnc::Result<EventDump> ParseEventsJson(std::string_view text);
 
 }  // namespace iostat
 
-// ---------------------------------------------------------------- macro API
-// The only event surface production layers may use (lint-enforced, like
-// PNC_IOSTAT_ADD/SPAN). Timestamps are always sampled by the caller from
-// its virtual clock — recording never advances simulated time.
+// ------------------------------------------------------- lifecycle macros
+// Request context and dumps. Events themselves are recorded through
+// PNC_OBSERVE (observe.hpp). Timestamps are always sampled by the caller
+// from its virtual clock — recording never advances simulated time.
 #if PNC_IOSTAT_ENABLED
 
 /// Mint a request ID for this API call and bind it (plus "api:var" detail)
@@ -230,18 +224,6 @@ pnc::Result<EventDump> ParseEventsJson(std::string_view text);
 
 /// The request ID bound to the calling thread (0 when none / disabled).
 #define PNC_IOSTAT_CURRENT_REQ() ::iostat::CurrentRequestId()
-
-/// Record one flight-recorder event. `kind` is the bare enumerator name
-/// (e.g. kPfsServer); `detail` is a short string or nullptr to inherit the
-/// current request's detail.
-#define PNC_IOSTAT_EVENT(kind, t_ns, d_ns, a0, a1, detail)                \
-  do {                                                                    \
-    if (::iostat::FlightRecorder::on())                                   \
-      ::iostat::FlightRecorder::Get().Record(                             \
-          ::iostat::Ev::kind, (t_ns), (d_ns),                             \
-          static_cast<std::uint64_t>(a0), static_cast<std::uint64_t>(a1), \
-          (detail));                                                      \
-  } while (0)
 
 /// Dump the flight-recorder tail (stderr + PNC_FLIGHT_DUMP). Watchdog use.
 #define PNC_IOSTAT_EVENT_DUMP(reason) ::iostat::DumpEvents(reason)
@@ -256,9 +238,6 @@ pnc::Result<EventDump> ParseEventsJson(std::string_view text);
   ((void)sizeof(api), (void)sizeof(var), (void)sizeof(t_ns),           \
    (void)sizeof(bytes), (void)sizeof(is_write))
 #define PNC_IOSTAT_CURRENT_REQ() (std::uint64_t{0})
-#define PNC_IOSTAT_EVENT(kind, t_ns, d_ns, a0, a1, detail)          \
-  ((void)sizeof(t_ns), (void)sizeof(d_ns), (void)sizeof(a0),        \
-   (void)sizeof(a1), (void)sizeof(detail))
 #define PNC_IOSTAT_EVENT_DUMP(reason) ((void)sizeof(reason))
 #define PNC_IOSTAT_EVENT_DUMP_HARD(reason) ((void)sizeof(reason))
 

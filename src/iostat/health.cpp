@@ -1,23 +1,17 @@
 #include "iostat/health.hpp"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-namespace iostat {
-namespace {
+#include "util/json.hpp"
 
-/// Append printf-formatted text to `out` (mirrors pattern.cpp's helper).
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  out += buf;
-}
+namespace iostat {
+
+using pnc::json::AppendF;
+
+namespace {
 
 /// Split `text` on `sep`, keeping empty fields (the rule syntax uses
 /// positional fields, so "bw_floor::50" has an empty tenant).

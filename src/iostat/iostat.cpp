@@ -9,6 +9,7 @@
 #include "iostat/pattern.hpp"
 #include "iostat/report.hpp"
 #include "iostat/timeline.hpp"
+#include "util/env.hpp"
 
 namespace iostat {
 
@@ -17,14 +18,17 @@ namespace {
 /// Rank slot bound to the calling thread (0 for unbound/serial threads).
 thread_local int tl_rank = 0;
 
-bool EnvFlag(const char* name, bool def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
 }  // namespace
+
+unsigned SinksFromEnv() {
+  using pnc::util::EnvFlag;
+  if (!EnvFlag("PNC_IOSTAT", true)) return 0;
+  // The timeline is opt-in: committed bench baselines embed the iostat
+  // report, and default-ON would change them.
+  return kSinkCounters | (EnvFlag("PNC_FLIGHT", true) ? kSinkRing : 0u) |
+         (EnvFlag("PNC_IOSTAT_PATTERN", true) ? kSinkPattern : 0u) |
+         (EnvFlag("PNC_IOSTAT_TIMELINE", false) ? kSinkTimeline : 0u);
+}
 
 const char* CtrName(Ctr c) {
   switch (c) {
@@ -72,11 +76,7 @@ const char* CtrName(Ctr c) {
   return "unknown";
 }
 
-Registry::Registry() : slots_(new RankSlot[kMaxRanks]) {
-  counters_on_.store(EnvFlag("PNC_IOSTAT", true), std::memory_order_relaxed);
-  spans_on_.store(EnvFlag("PNC_IOSTAT_SPANS", false),
-                  std::memory_order_relaxed);
-}
+Registry::Registry() : slots_(new RankSlot[kMaxRanks]) {}
 
 Registry& Registry::Get() {
   static Registry* g = new Registry();  // leaked: outlives rank threads
@@ -109,13 +109,6 @@ void Registry::Max(Ctr c, std::uint64_t n) {
   }
 }
 
-void Registry::AddSpan(const char* cat, const char* name, double start_ns,
-                       double end_ns) {
-  auto& slot = slots_[tl_rank];
-  std::lock_guard<std::mutex> lk(slot.span_mu);
-  slot.spans.push_back({cat, name, start_ns, end_ns});
-}
-
 int Registry::nranks() const {
   return max_rank_.load(std::memory_order_relaxed) + 1;
 }
@@ -126,21 +119,10 @@ std::uint64_t Registry::Value(int rank, Ctr c) const {
       std::memory_order_relaxed);
 }
 
-std::vector<Span> Registry::SpansOfRank(int rank) const {
-  if (rank < 0 || rank >= kMaxRanks) return {};
-  auto& slot = slots_[rank];
-  std::lock_guard<std::mutex> lk(slot.span_mu);
-  return slot.spans;
-}
-
 void Registry::Reset() {
   const int n = nranks();
-  for (int r = 0; r < n; ++r) {
-    auto& slot = slots_[r];
-    for (auto& a : slot.c) a.store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lk(slot.span_mu);
-    slot.spans.clear();
-  }
+  for (int r = 0; r < n; ++r)
+    for (auto& a : slots_[r].c) a.store(0, std::memory_order_relaxed);
   max_rank_.store(0, std::memory_order_relaxed);
   FlightRecorder::Get().Reset();
   PatternRegistry::Get().Reset();
@@ -150,7 +132,7 @@ void Registry::Reset() {
 void Registry::AutoReportAtClose() {
   const char* path = std::getenv("PNC_IOSTAT_REPORT");
   if (path == nullptr || *path == '\0') return;
-  if (!counters_on()) return;
+  if (!SinkOn(kSinkCounters)) return;
   const Report rep = BuildReport();
   const std::string json = ToJson(rep) + "\n";
   std::lock_guard<std::mutex> lk(report_mu_);

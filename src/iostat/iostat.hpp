@@ -1,11 +1,11 @@
-// Cross-layer I/O statistics and tracing (the observability subsystem).
+// Cross-layer I/O statistics (the observability subsystem).
 //
 // The paper's argument (§4–§5) is entirely about *where* I/O time goes —
 // header vs data bytes, independent vs collective paths, two-phase exchange
 // vs file access. This module makes those quantities observable: a
-// process-wide registry of per-rank counters plus opt-in virtual-time span
-// events, populated by instrumentation points in every layer (pfs, mpiio,
-// netcdf/pnetcdf, simmpi) and reduced into an iostat::Report
+// process-wide registry of per-rank counters, populated from the
+// observations every layer (pfs, mpiio, netcdf/pnetcdf, simmpi) makes
+// through PNC_OBSERVE (observe.hpp) and reduced into an iostat::Report
 // (min/max/sum/mean across ranks) at the end of a run.
 //
 // Layering: iostat sits at the very bottom of the dependency graph (it links
@@ -16,22 +16,21 @@
 //
 // Cost discipline:
 //   * Compile-time: building with -DPNC_IOSTAT_DISABLED (CMake option
-//     PNC_IOSTAT=OFF) expands every PNC_IOSTAT_* macro to nothing.
-//   * Runtime: counters are ON by default and disabled with PNC_IOSTAT=0 in
-//     the environment; spans are OFF by default and enabled with
-//     PNC_IOSTAT_SPANS=1. A disabled counter add is one relaxed atomic load
-//     and a branch; an enabled one adds one relaxed fetch_add.
+//     PNC_IOSTAT=OFF) expands every PNC_* instrumentation macro to nothing.
+//   * Runtime: the counter sink is ON by default and disabled with
+//     PNC_IOSTAT=0 in the environment. One mask (SinkMask) holds the gate of
+//     every sink; a disabled observation is one relaxed atomic load and a
+//     branch.
 //
-// Production layers must use only the PNC_IOSTAT_* macros below — a grep
-// lint (tests/CMakeLists.txt) rejects direct `iostat::` references and raw
-// stdout instrumentation in those trees.
+// Production layers include only iostat/observe.hpp and use only its macros
+// — a grep lint (tests/CMakeLists.txt) rejects any other reference to this
+// module in those trees.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #if defined(PNC_IOSTAT_DISABLED)
 #define PNC_IOSTAT_ENABLED 0
@@ -103,32 +102,39 @@ const char* CtrName(Ctr c);
 /// Most rank slots a process can address; BindRank clamps beyond this.
 inline constexpr int kMaxRanks = 1024;
 
-/// A closed span on one rank's virtual timeline.
-struct Span {
-  const char* cat;   ///< static string: layer ("mpiio", "pfs", "pnetcdf")
-  const char* name;  ///< static string: phase ("exchange", "io", "write")
-  double start_ns;
-  double end_ns;
+/// The sinks an observation (observe.hpp) can feed, as bits of SinkMask.
+enum Sink : unsigned {
+  kSinkCounters = 1u << 0,  ///< per-rank counters (PNC_IOSTAT, default on)
+  kSinkRing = 1u << 1,      ///< flight-recorder ring (PNC_FLIGHT, default on)
+  kSinkPattern = 1u << 2,   ///< access-pattern profiler (PNC_IOSTAT_PATTERN)
+  kSinkTimeline = 1u << 3,  ///< virtual-time timeline (PNC_IOSTAT_TIMELINE,
+                            ///< default off)
 };
+
+/// Enabled sinks as read from the environment. PNC_IOSTAT=0 turns every
+/// sink off; each sink's own variable then turns it on or off.
+unsigned SinksFromEnv();
+
+/// The one runtime gate of all instrumentation: the mask of enabled sinks,
+/// read from the environment on first use. SetSink flips sinks at runtime.
+inline std::atomic<unsigned>& SinkMask() {
+  static std::atomic<unsigned> mask{SinksFromEnv()};
+  return mask;
+}
+inline bool SinkOn(unsigned sink) {
+  return (SinkMask().load(std::memory_order_relaxed) & sink) != 0;
+}
+inline void SetSink(unsigned sink, bool on) {
+  if (on)
+    SinkMask().fetch_or(sink, std::memory_order_relaxed);
+  else
+    SinkMask().fetch_and(~sink, std::memory_order_relaxed);
+}
 
 class Registry {
  public:
   /// The process-wide registry.
   static Registry& Get();
-
-  // ---- runtime gates (cached once from PNC_IOSTAT / PNC_IOSTAT_SPANS) ----
-  static bool counters_on() {
-    return Get().counters_on_.load(std::memory_order_relaxed);
-  }
-  static bool spans_on() {
-    return Get().spans_on_.load(std::memory_order_relaxed);
-  }
-  void SetCountersEnabled(bool on) {
-    counters_on_.store(on, std::memory_order_relaxed);
-  }
-  void SetSpansEnabled(bool on) {
-    spans_on_.store(on, std::memory_order_relaxed);
-  }
 
   // ---- per-thread rank binding ----
   /// Bind the calling thread to a rank slot. The simmpi runtime binds every
@@ -136,22 +142,20 @@ class Registry {
   static void BindRank(int rank);
   [[nodiscard]] static int rank();
 
-  // ---- recording (hot paths; call through the macros) ----
+  // ---- recording (the counter sink of observe.hpp) ----
   void Add(Ctr c, std::uint64_t n);
   /// Raise counter `c` to at least `n` (a high-water gauge, e.g. the deepest
   /// server queue seen). CAS loop; still relaxed.
   void Max(Ctr c, std::uint64_t n);
-  void AddSpan(const char* cat, const char* name, double start_ns,
-               double end_ns);
 
   // ---- inspection ----
   /// Ranks observed so far (max bound rank + 1; at least 1).
   [[nodiscard]] int nranks() const;
   [[nodiscard]] std::uint64_t Value(int rank, Ctr c) const;
-  [[nodiscard]] std::vector<Span> SpansOfRank(int rank) const;
 
-  /// Zero every counter, drop every span, and forget bound ranks (slots stay
-  /// allocated). Benchmarks call this between configurations.
+  /// Zero every counter, drop every recorded event, pattern and timeline
+  /// cell, and forget bound ranks (slots stay allocated). Benchmarks call
+  /// this between configurations.
   void Reset();
 
   /// If PNC_IOSTAT_REPORT names a file (or "-" for stdout), write the JSON
@@ -165,48 +169,19 @@ class Registry {
 
   struct RankSlot {
     std::atomic<std::uint64_t> c[kNumCounters] = {};
-    std::mutex span_mu;
-    std::vector<Span> spans;
   };
 
   std::unique_ptr<RankSlot[]> slots_;
   std::atomic<int> max_rank_{0};
-  std::atomic<bool> counters_on_{true};
-  std::atomic<bool> spans_on_{false};
   std::mutex report_mu_;  ///< serializes AutoReportAtClose writers
 };
 
 }  // namespace iostat
 
-// ---------------------------------------------------------------- macro API
-// The only instrumentation surface production layers may use. `ctr` is the
-// bare enumerator name (e.g. kPfsBytesRead); the macro qualifies it.
+// ------------------------------------------------------- lifecycle macros
+// Recording goes through PNC_OBSERVE (observe.hpp); these two bind ranks and
+// emit the report.
 #if PNC_IOSTAT_ENABLED
-
-/// Add `n` to counter `ctr` (bare enumerator, e.g. kPfsBytesRead) on the
-/// calling thread's rank.
-#define PNC_IOSTAT_ADD(ctr, n)                                       \
-  do {                                                               \
-    if (::iostat::Registry::counters_on())                           \
-      ::iostat::Registry::Get().Add(::iostat::Ctr::ctr,              \
-                                    static_cast<std::uint64_t>(n));  \
-  } while (0)
-
-/// Record a [start_ns, end_ns] span on the calling thread's rank timeline.
-/// `cat`/`name` must be string literals (stored by pointer).
-#define PNC_IOSTAT_SPAN(cat, name, start_ns, end_ns)                     \
-  do {                                                                   \
-    if (::iostat::Registry::spans_on())                                  \
-      ::iostat::Registry::Get().AddSpan(cat, name, start_ns, end_ns);    \
-  } while (0)
-
-/// Raise counter `ctr` to at least `n` (high-water gauge, e.g. queue depth).
-#define PNC_IOSTAT_MAX(ctr, n)                                       \
-  do {                                                               \
-    if (::iostat::Registry::counters_on())                           \
-      ::iostat::Registry::Get().Max(::iostat::Ctr::ctr,              \
-                                    static_cast<std::uint64_t>(n));  \
-  } while (0)
 
 /// Bind the calling thread to rank `r` (simmpi runtime only).
 #define PNC_IOSTAT_BIND_RANK(r) ::iostat::Registry::BindRank(r)
@@ -215,13 +190,7 @@ class Registry {
 #define PNC_IOSTAT_AUTO_REPORT() ::iostat::Registry::Get().AutoReportAtClose()
 
 #else  // compiled out: zero cost, no iostat symbols referenced
-// sizeof keeps the operands syntactically alive (no unused-variable
-// warnings) without evaluating them.
 
-#define PNC_IOSTAT_ADD(ctr, n) ((void)sizeof(n))
-#define PNC_IOSTAT_MAX(ctr, n) ((void)sizeof(n))
-#define PNC_IOSTAT_SPAN(cat, name, start_ns, end_ns) \
-  ((void)sizeof(start_ns), (void)sizeof(end_ns))
 #define PNC_IOSTAT_BIND_RANK(r) ((void)sizeof(r))
 #define PNC_IOSTAT_AUTO_REPORT() ((void)0)
 

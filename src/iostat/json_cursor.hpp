@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -80,6 +81,12 @@ struct Cursor {
     *out = std::strtod(p, &after);
     if (after == p) return false;
     p = after;
+    return true;
+  }
+  bool ParseU64(std::uint64_t* out) {
+    double v = 0;
+    if (!ParseNumber(&v)) return false;
+    *out = static_cast<std::uint64_t>(v);
     return true;
   }
   bool SkipValue() {

@@ -3,59 +3,17 @@
 #include <algorithm>
 #include <bit>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "iostat/json_cursor.hpp"
 #include "iostat/schemas.hpp"
+#include "util/json.hpp"
 
 namespace iostat {
 
-namespace {
-
-// Same env convention as the counter gates in iostat.cpp: unset => `def`,
-// "0"/"off"/"false" => false, anything else => true.
-bool EnvFlag(const char* name, bool def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
-
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          AppendF(out, "\\u%04x", static_cast<unsigned>(c));
-        else
-          out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
-
-}  // namespace
+using pnc::json::AppendF;
 
 // ------------------------------------------------------------- PatternHist
 
@@ -83,10 +41,7 @@ PatternRegistry& PatternRegistry::Get() {
   return *g;
 }
 
-PatternRegistry::PatternRegistry() {
-  on_.store(EnvFlag("PNC_IOSTAT", true) && EnvFlag("PNC_IOSTAT_PATTERN", true),
-            std::memory_order_relaxed);
-}
+PatternRegistry::PatternRegistry() = default;
 
 PatternRegistry::VarAcc& PatternRegistry::VarSlot(std::string_view var) {
   auto it = vars_.find(var);
@@ -101,18 +56,17 @@ PatternRegistry::VarAcc& PatternRegistry::VarSlot(std::string_view var) {
 
 void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
                                    bool collective,
-                                   const std::vector<std::uint64_t>& offs,
-                                   const std::vector<std::uint64_t>& lens) {
-  if (offs.empty() || offs.size() != lens.size()) return;
+                                   std::span<const pnc::Extent> extents) {
+  if (extents.empty()) return;
   const int rank = Registry::rank();
   std::lock_guard<std::mutex> lk(mu_);
   VarAcc& acc = VarSlot(var.empty() ? std::string_view("*unnamed") : var);
   VarPattern& p = acc.pat;
   ++p.calls;
   std::uint64_t bytes = 0;
-  for (const std::uint64_t len : lens) {
-    p.extent_bytes.Add(len);
-    bytes += len;
+  for (const pnc::Extent& e : extents) {
+    p.extent_bytes.Add(e.len);
+    bytes += e.len;
   }
   if (is_write) {
     ++p.writes;
@@ -127,17 +81,15 @@ void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
     ++p.indep;
 
   SeqState& st = acc.seq[rank];
-  if (offs.size() > 1) {
+  if (extents.size() > 1) {
     // Within-call classification: constant length + constant start-to-start
     // stride = strided, anything irregular = random.
     bool regular = true;
-    for (std::size_t i = 1; i < lens.size(); ++i)
-      if (lens[i] != lens[0]) regular = false;
-    const std::uint64_t stride0 = offs[1] - offs[0];
-    for (std::size_t i = 1; i < offs.size(); ++i) {
-      const std::uint64_t s = offs[i] - offs[i - 1];
+    const std::uint64_t stride0 = extents[1].offset - extents[0].offset;
+    for (std::size_t i = 1; i < extents.size(); ++i) {
+      const std::uint64_t s = extents[i].offset - extents[i - 1].offset;
       p.stride_bytes.Add(s);
-      if (s != stride0) regular = false;
+      if (extents[i].len != extents[0].len || s != stride0) regular = false;
     }
     if (regular)
       ++p.strided;
@@ -150,7 +102,7 @@ void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
     if (!st.has_last) {
       ++p.contig;
     } else {
-      const std::int64_t gap = static_cast<std::int64_t>(offs[0]) -
+      const std::int64_t gap = static_cast<std::int64_t>(extents[0].offset) -
                                static_cast<std::int64_t>(st.last_end);
       if (gap == 0) {
         ++p.contig;
@@ -168,10 +120,10 @@ void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
     }
   }
   st.has_last = true;
-  st.last_end = offs.back() + lens.back();
+  st.last_end = extents.back().offset + extents.back().len;
 }
 
-void PatternRegistry::RecordTwophasePre(const std::vector<pnc::Extent>& segs) {
+void PatternRegistry::RecordTwophasePre(std::span<const pnc::Extent> segs) {
   std::lock_guard<std::mutex> lk(mu_);
   for (const auto& s : segs) twophase_pre_.Add(s.len);
 }
@@ -383,7 +335,7 @@ std::string PatternToJson(const PatternSummary& s) {
     const VarPattern& v = s.vars[i];
     if (i) out.push_back(',');
     out += "{\"var\":";
-    AppendJsonString(out, v.var);
+    pnc::json::AppendQuoted(out, v.var);
     AppendF(out,
             ",\"calls\":%" PRIu64 ",\"writes\":%" PRIu64 ",\"reads\":%" PRIu64
             ",\"indep\":%" PRIu64 ",\"coll\":%" PRIu64 ",\"contig\":%" PRIu64
@@ -444,13 +396,6 @@ namespace {
 
 using jsoncur::Cursor;
 
-bool ParseU64(Cursor& cur, std::uint64_t* out) {
-  double v = 0;
-  if (!cur.ParseNumber(&v)) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 bool ParseHist(Cursor& cur, PatternHist* h) {
   if (!cur.Eat('{')) return false;
   if (cur.Eat('}')) return true;
@@ -458,13 +403,13 @@ bool ParseHist(Cursor& cur, PatternHist* h) {
     std::string key;
     if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
     if (key == "count") {
-      if (!ParseU64(cur, &h->count)) return false;
+      if (!cur.ParseU64(&h->count)) return false;
     } else if (key == "sum") {
-      if (!ParseU64(cur, &h->sum)) return false;
+      if (!cur.ParseU64(&h->sum)) return false;
     } else if (key == "min") {
-      if (!ParseU64(cur, &h->min)) return false;
+      if (!cur.ParseU64(&h->min)) return false;
     } else if (key == "max") {
-      if (!ParseU64(cur, &h->max)) return false;
+      if (!cur.ParseU64(&h->max)) return false;
     } else if (key == "b") {
       if (!cur.Eat('[')) return false;
       if (!cur.Eat(']')) {
@@ -472,7 +417,7 @@ bool ParseHist(Cursor& cur, PatternHist* h) {
           double idx = 0;
           std::uint64_t n = 0;
           if (!cur.Eat('[') || !cur.ParseNumber(&idx) || !cur.Eat(',') ||
-              !ParseU64(cur, &n) || !cur.Eat(']'))
+              !cur.ParseU64(&n) || !cur.Eat(']'))
             return false;
           const int i = static_cast<int>(idx);
           if (i >= 0 && i < PatternHist::kBuckets) h->bucket[i] = n;
@@ -494,16 +439,16 @@ bool ParseVar(Cursor& cur, VarPattern* v) {
     if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
     bool ok = true;
     if (key == "var") ok = cur.ParseString(&v->var);
-    else if (key == "calls") ok = ParseU64(cur, &v->calls);
-    else if (key == "writes") ok = ParseU64(cur, &v->writes);
-    else if (key == "reads") ok = ParseU64(cur, &v->reads);
-    else if (key == "indep") ok = ParseU64(cur, &v->indep);
-    else if (key == "coll") ok = ParseU64(cur, &v->coll);
-    else if (key == "contig") ok = ParseU64(cur, &v->contig);
-    else if (key == "strided") ok = ParseU64(cur, &v->strided);
-    else if (key == "random") ok = ParseU64(cur, &v->random);
-    else if (key == "bytes_written") ok = ParseU64(cur, &v->bytes_written);
-    else if (key == "bytes_read") ok = ParseU64(cur, &v->bytes_read);
+    else if (key == "calls") ok = cur.ParseU64(&v->calls);
+    else if (key == "writes") ok = cur.ParseU64(&v->writes);
+    else if (key == "reads") ok = cur.ParseU64(&v->reads);
+    else if (key == "indep") ok = cur.ParseU64(&v->indep);
+    else if (key == "coll") ok = cur.ParseU64(&v->coll);
+    else if (key == "contig") ok = cur.ParseU64(&v->contig);
+    else if (key == "strided") ok = cur.ParseU64(&v->strided);
+    else if (key == "random") ok = cur.ParseU64(&v->random);
+    else if (key == "bytes_written") ok = cur.ParseU64(&v->bytes_written);
+    else if (key == "bytes_read") ok = cur.ParseU64(&v->bytes_read);
     else if (key == "extent") ok = ParseHist(cur, &v->extent_bytes);
     else if (key == "stride") ok = ParseHist(cur, &v->stride_bytes);
     else ok = cur.SkipValue();
@@ -519,8 +464,8 @@ bool ParseServer(Cursor& cur, ServerPattern* sv) {
     std::string key;
     if (!cur.ParseString(&key) || !cur.Eat(':')) return false;
     bool ok = true;
-    if (key == "grants") ok = ParseU64(cur, &sv->grants);
-    else if (key == "bytes") ok = ParseU64(cur, &sv->bytes);
+    if (key == "grants") ok = cur.ParseU64(&sv->grants);
+    else if (key == "bytes") ok = cur.ParseU64(&sv->bytes);
     else if (key == "busy_ns") ok = cur.ParseNumber(&sv->busy_ns);
     else if (key == "queue_wait_ns") ok = cur.ParseNumber(&sv->queue_wait_ns);
     else if (key == "offsets") ok = ParseHist(cur, &sv->offsets);
@@ -541,11 +486,11 @@ bool ParseCell(Cursor& cur, HeatCell* c) {
     if (key == "s") {
       ok = cur.ParseNumber(&v);
       c->server = static_cast<int>(v);
-    } else if (key == "t") ok = ParseU64(cur, &c->t_bucket);
+    } else if (key == "t") ok = cur.ParseU64(&c->t_bucket);
     else if (key == "busy_ns") ok = cur.ParseNumber(&c->busy_ns);
-    else if (key == "bytes") ok = ParseU64(cur, &c->bytes);
-    else if (key == "grants") ok = ParseU64(cur, &c->grants);
-    else if (key == "depth") ok = ParseU64(cur, &c->depth_max);
+    else if (key == "bytes") ok = cur.ParseU64(&c->bytes);
+    else if (key == "grants") ok = cur.ParseU64(&c->grants);
+    else if (key == "depth") ok = cur.ParseU64(&c->depth_max);
     else ok = cur.SkipValue();
     if (!ok) return false;
   } while (cur.Eat(','));
@@ -617,7 +562,7 @@ bool ParsePatternValue(jsoncur::Cursor& cur, PatternSummary* out) {
           std::string k2;
           if (!cur.ParseString(&k2) || !cur.Eat(':')) return false;
           std::uint64_t v = 0;
-          if (!ParseU64(cur, &v)) return false;
+          if (!cur.ParseU64(&v)) return false;
           if (k2 == "rd_windows") out->sieve_rd_windows = v;
           else if (k2 == "wr_windows") out->sieve_wr_windows = v;
           else if (k2 == "rd_wanted") out->sieve_rd_wanted = v;
@@ -635,7 +580,7 @@ bool ParsePatternValue(jsoncur::Cursor& cur, PatternSummary* out) {
           double rank = 0;
           std::uint64_t b = 0;
           if (!cur.Eat('[') || !cur.ParseNumber(&rank) || !cur.Eat(',') ||
-              !ParseU64(cur, &b) || !cur.Eat(']'))
+              !cur.ParseU64(&b) || !cur.Eat(']'))
             return false;
           out->agg_bytes.emplace_back(static_cast<int>(rank), b);
         } while (cur.Eat(','));

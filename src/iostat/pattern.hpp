@@ -9,9 +9,9 @@
 // byte imbalance). The rule-based advisor (advise.hpp) consumes the summary
 // and turns it into concrete tuning recommendations.
 //
-// Cost discipline mirrors the counter registry:
-//   * Compile-time: -DPNC_IOSTAT_DISABLED expands every
-//     PNC_IOSTAT_PATTERN_* macro to nothing.
+// The profiler is one sink of PNC_OBSERVE (observe.hpp). Cost discipline
+// mirrors the counter registry:
+//   * Compile-time: -DPNC_IOSTAT_DISABLED expands PNC_OBSERVE to nothing.
 //   * Runtime: recording is ON by default and gated off with PNC_IOSTAT=0 or
 //     PNC_IOSTAT_PATTERN=0. A disabled record is one relaxed atomic load and
 //     a branch. Enabled records take one short mutex-protected accumulate —
@@ -24,17 +24,13 @@
 // therefore produce the same snapshot regardless of thread interleaving,
 // which is what lets bench baselines freeze pattern-derived verdicts at zero
 // tolerance.
-//
-// Production layers must use only the PNC_IOSTAT_PATTERN_* macros below — a
-// grep lint (tests/CMakeLists.txt, lint.no_direct_pattern_in_production)
-// rejects direct PatternRegistry references in those trees.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -161,18 +157,13 @@ class PatternRegistry {
  public:
   static PatternRegistry& Get();
 
-  /// Runtime gate, cached once from PNC_IOSTAT && PNC_IOSTAT_PATTERN.
-  static bool on() { return Get().on_.load(std::memory_order_relaxed); }
-  void SetEnabled(bool on) { on_.store(on, std::memory_order_relaxed); }
-
   /// API-boundary capture (pnetcdf): one data-access call's flattened,
-  /// offset-sorted extents. `offs`/`lens` are parallel arrays.
+  /// offset-sorted extents.
   void RecordAccess(std::string_view var, bool is_write, bool collective,
-                    const std::vector<std::uint64_t>& offs,
-                    const std::vector<std::uint64_t>& lens);
+                    std::span<const pnc::Extent> extents);
 
   /// mpiio two-phase: per-rank fragment sizes entering the exchange.
-  void RecordTwophasePre(const std::vector<pnc::Extent>& segs);
+  void RecordTwophasePre(std::span<const pnc::Extent> segs);
   /// mpiio two-phase: one contiguous window span an aggregator moved at the
   /// file (attributed to the calling rank for the imbalance feature).
   void RecordAggWindow(std::uint64_t bytes);
@@ -225,7 +216,6 @@ class PatternRegistry {
   void CoarsenCellsLocked();
 
   mutable std::mutex mu_;
-  std::atomic<bool> on_{true};
   std::map<std::string, VarAcc, std::less<>> vars_;
   std::vector<ServerPattern> servers_;
   double cell_ns_ = kBaseCellNs;
@@ -254,67 +244,3 @@ bool ParsePatternValue(jsoncur::Cursor& cur, PatternSummary* out);
 std::string RenderHeatmap(const PatternSummary& s, int max_cols = 64);
 
 }  // namespace iostat
-
-// ---------------------------------------------------------------- macro API
-// The only pattern-recording surface production layers may use.
-#if PNC_IOSTAT_ENABLED
-
-/// pnetcdf API boundary: record one data-access call's flattened extents.
-#define PNC_IOSTAT_PATTERN_ACCESS(var, is_write, collective, offs, lens)     \
-  do {                                                                       \
-    if (::iostat::PatternRegistry::on())                                     \
-      ::iostat::PatternRegistry::Get().RecordAccess(var, is_write,           \
-                                                    collective, offs, lens); \
-  } while (0)
-
-/// mpiio: per-rank fragments entering the two-phase exchange.
-#define PNC_IOSTAT_PATTERN_TWOPHASE_PRE(segs)                 \
-  do {                                                        \
-    if (::iostat::PatternRegistry::on())                      \
-      ::iostat::PatternRegistry::Get().RecordTwophasePre(segs); \
-  } while (0)
-
-/// mpiio: one aggregator file window of `bytes` on the calling rank.
-#define PNC_IOSTAT_PATTERN_AGG(bytes)                     \
-  do {                                                    \
-    if (::iostat::PatternRegistry::on())                  \
-      ::iostat::PatternRegistry::Get().RecordAggWindow(   \
-          static_cast<std::uint64_t>(bytes));             \
-  } while (0)
-
-/// mpiio: one sieve window (wanted payload vs bytes at the file).
-#define PNC_IOSTAT_PATTERN_SIEVE(is_write, wanted, file_bytes, span_start, \
-                                 sieved)                                   \
-  do {                                                                     \
-    if (::iostat::PatternRegistry::on())                                   \
-      ::iostat::PatternRegistry::Get().RecordSieveWindow(                  \
-          is_write, static_cast<std::uint64_t>(wanted),                    \
-          static_cast<std::uint64_t>(file_bytes),                          \
-          static_cast<std::uint64_t>(span_start), sieved);                 \
-  } while (0)
-
-/// pfs: one per-server service grant (heatmap cell + server totals).
-#define PNC_IOSTAT_PATTERN_PFS(server, offset, bytes, begin_ns, done_ns, \
-                               depth, wait_ns)                           \
-  do {                                                                   \
-    if (::iostat::PatternRegistry::on())                                 \
-      ::iostat::PatternRegistry::Get().RecordPfsGrant(                   \
-          server, static_cast<std::uint64_t>(offset),                    \
-          static_cast<std::uint64_t>(bytes), begin_ns, done_ns,          \
-          static_cast<std::uint64_t>(depth), wait_ns);                   \
-  } while (0)
-
-#else  // compiled out: zero cost, no pattern symbols referenced
-
-#define PNC_IOSTAT_PATTERN_ACCESS(var, is_write, collective, offs, lens) \
-  ((void)sizeof(var), (void)sizeof(offs), (void)sizeof(lens))
-#define PNC_IOSTAT_PATTERN_TWOPHASE_PRE(segs) ((void)sizeof(segs))
-#define PNC_IOSTAT_PATTERN_AGG(bytes) ((void)sizeof(bytes))
-#define PNC_IOSTAT_PATTERN_SIEVE(is_write, wanted, file_bytes, span_start, \
-                                 sieved)                                   \
-  ((void)sizeof(wanted), (void)sizeof(file_bytes), (void)sizeof(span_start))
-#define PNC_IOSTAT_PATTERN_PFS(server, offset, bytes, begin_ns, done_ns, \
-                               depth, wait_ns)                           \
-  ((void)sizeof(server), (void)sizeof(bytes), (void)sizeof(depth))
-
-#endif  // PNC_IOSTAT_ENABLED

@@ -1,29 +1,15 @@
 #include "iostat/report.hpp"
 
-#include <cstdarg>
 #include <cinttypes>
 #include <cstdio>
 
 #include "iostat/json_cursor.hpp"
 #include "iostat/schemas.hpp"
+#include "util/json.hpp"
 
 namespace iostat {
 
-namespace {
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
-
-}  // namespace
+using pnc::json::AppendF;
 
 Report BuildReport() {
   const Registry& reg = Registry::Get();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,50 +11,13 @@
 #include "iostat/events.hpp"
 #include "iostat/json_cursor.hpp"
 #include "iostat/schemas.hpp"
+#include "util/json.hpp"
 
 namespace iostat {
 
+using pnc::json::AppendF;
+
 namespace {
-
-// Same env convention as the counter gates in iostat.cpp: unset => `def`,
-// "0"/"off"/"false" => false, anything else => true.
-bool EnvFlag(const char* name, bool def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
-
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          AppendF(out, "\\u%04x", static_cast<unsigned>(c));
-        else
-          out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
 
 /// Bucket-wise histogram merge — the property that makes per-bucket p99s
 /// survive coarsening exactly.
@@ -109,14 +71,7 @@ TimelineRegistry& TimelineRegistry::Get() {
   return *g;
 }
 
-TimelineRegistry::TimelineRegistry() {
-  // Unlike counters/pattern, the timeline is opt-in: committed bench
-  // baselines embed the iostat report, and default-ON would change them.
-  on_.store(
-      EnvFlag("PNC_IOSTAT", true) && EnvFlag("PNC_IOSTAT_TIMELINE", false),
-      std::memory_order_relaxed);
-  monitor_.SetRules(SloRulesFromEnv());
-}
+TimelineRegistry::TimelineRegistry() { monitor_.SetRules(SloRulesFromEnv()); }
 
 void TimelineRegistry::SetSloRules(std::vector<SloRule> rules) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -214,7 +169,7 @@ void TimelineRegistry::EvaluateRangeLocked(HealthMonitor& m,
       views[i] = v;
     }
     for (const HealthMonitor::Violation& v : m.OnBucketSealed(b, views)) {
-      if (!emit || !FlightRecorder::on()) continue;
+      if (!emit || !SinkOn(kSinkRing)) continue;
       FlightRecorder::Get().Record(
           Ev::kSloViolation, v.start_ns, v.end_ns - v.start_ns, v.bucket,
           static_cast<std::uint64_t>(std::max(0.0, v.observed)),
@@ -374,7 +329,7 @@ std::string TimelineToJson(const TimelineSummary& s) {
     const TlTenantCell& c = s.tenants[i];
     if (i) out.push_back(',');
     out.push_back('[');
-    AppendJsonString(out, c.tenant);
+    pnc::json::AppendQuoted(out, c.tenant);
     AppendF(out, ",%" PRIu64 ",%.17g,%.17g,%" PRIu64 ",%" PRIu64 ",%.17g]",
             c.bucket, c.bytes, c.wait_ns, c.grants, c.misses, c.p99_wait_ns);
   }
@@ -391,11 +346,11 @@ std::string TimelineToJson(const TimelineSummary& s) {
     const SloRuleStatus& r = s.health.rules[i];
     if (i) out.push_back(',');
     out += "{\"id\":";
-    AppendJsonString(out, r.rule.id);
+    pnc::json::AppendQuoted(out, r.rule.id);
     out += ",\"kind\":";
-    AppendJsonString(out, SloKindName(r.rule.kind));
+    pnc::json::AppendQuoted(out, SloKindName(r.rule.kind));
     out += ",\"tenant\":";
-    AppendJsonString(out, r.rule.tenant);
+    pnc::json::AppendQuoted(out, r.rule.tenant);
     AppendF(out,
             ",\"threshold\":%.17g,\"window\":%d,\"tripped\":%" PRIu64
             ",\"violations\":%" PRIu64 ",\"first_ns\":%.17g,\"worst\":%.17g}",
@@ -411,13 +366,6 @@ std::string TimelineToJson(const TimelineSummary& s) {
 namespace {
 
 using jsoncur::Cursor;
-
-bool ParseU64(Cursor& cur, std::uint64_t* out) {
-  double v = 0;
-  if (!cur.ParseNumber(&v)) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
 
 bool ParseRuleStatus(Cursor& cur, SloRuleStatus* r) {
   if (!cur.Eat('{')) return false;
@@ -436,8 +384,8 @@ bool ParseRuleStatus(Cursor& cur, SloRuleStatus* r) {
       double w = 1;
       ok = cur.ParseNumber(&w);
       r->rule.window = static_cast<int>(w);
-    } else if (key == "tripped") ok = ParseU64(cur, &r->tripped_buckets);
-    else if (key == "violations") ok = ParseU64(cur, &r->violations);
+    } else if (key == "tripped") ok = cur.ParseU64(&r->tripped_buckets);
+    else if (key == "violations") ok = cur.ParseU64(&r->violations);
     else if (key == "first_ns") ok = cur.ParseNumber(&r->first_violation_ns);
     else if (key == "worst") ok = cur.ParseNumber(&r->worst);
     else ok = cur.SkipValue();
@@ -458,7 +406,7 @@ bool ParseHealth(Cursor& cur, HealthStatus* h) {
       ok = cur.ParseNumber(&v);
       h->evaluated = v != 0;
     } else if (key == "violations") {
-      ok = ParseU64(cur, &h->total_violations);
+      ok = cur.ParseU64(&h->total_violations);
     } else if (key == "rules") {
       if (!cur.Eat('[')) return false;
       if (!cur.Eat(']')) {
@@ -500,12 +448,12 @@ bool ParseTimelineValue(jsoncur::Cursor& cur, TimelineSummary* out) {
         do {
           TlServerCell c;
           double sv = 0;
-          if (!cur.Eat('[') || !ParseU64(cur, &c.bucket) || !cur.Eat(',') ||
+          if (!cur.Eat('[') || !cur.ParseU64(&c.bucket) || !cur.Eat(',') ||
               !cur.ParseNumber(&sv) || !cur.Eat(',') ||
               !cur.ParseNumber(&c.bytes) || !cur.Eat(',') ||
               !cur.ParseNumber(&c.busy_ns) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.grants) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.depth_max) || !cur.Eat(']'))
+              !cur.ParseU64(&c.grants) || !cur.Eat(',') ||
+              !cur.ParseU64(&c.depth_max) || !cur.Eat(']'))
             return false;
           c.server = static_cast<int>(sv);
           out->servers.push_back(c);
@@ -518,11 +466,11 @@ bool ParseTimelineValue(jsoncur::Cursor& cur, TimelineSummary* out) {
         do {
           TlTenantCell c;
           if (!cur.Eat('[') || !cur.ParseString(&c.tenant) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.bucket) || !cur.Eat(',') ||
+              !cur.ParseU64(&c.bucket) || !cur.Eat(',') ||
               !cur.ParseNumber(&c.bytes) || !cur.Eat(',') ||
               !cur.ParseNumber(&c.wait_ns) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.grants) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.misses) || !cur.Eat(',') ||
+              !cur.ParseU64(&c.grants) || !cur.Eat(',') ||
+              !cur.ParseU64(&c.misses) || !cur.Eat(',') ||
               !cur.ParseNumber(&c.p99_wait_ns) || !cur.Eat(']'))
             return false;
           out->tenants.push_back(std::move(c));
@@ -536,7 +484,7 @@ bool ParseTimelineValue(jsoncur::Cursor& cur, TimelineSummary* out) {
           TlTrackCell c;
           double tr = 0;
           if (!cur.Eat('[') || !cur.ParseNumber(&tr) || !cur.Eat(',') ||
-              !ParseU64(cur, &c.bucket) || !cur.Eat(',') ||
+              !cur.ParseU64(&c.bucket) || !cur.Eat(',') ||
               !cur.ParseNumber(&c.value) || !cur.Eat(']'))
             return false;
           c.track = static_cast<int>(tr);

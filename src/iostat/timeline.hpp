@@ -10,9 +10,9 @@
 // an online SLO health monitor (health.hpp) at every sealed bucket
 // boundary.
 //
-// Cost discipline mirrors pattern.hpp:
-//   * Compile-time: -DPNC_IOSTAT=OFF expands every PNC_IOSTAT_TIMELINE_*
-//     macro to nothing.
+// The timeline is one sink of PNC_OBSERVE (observe.hpp). Cost discipline
+// mirrors pattern.hpp:
+//   * Compile-time: -DPNC_IOSTAT=OFF expands PNC_OBSERVE to nothing.
 //   * Runtime: OFF by default — PNC_IOSTAT_TIMELINE=1 opts in, so the
 //     iostat report JSON (and every committed bench baseline embedding it)
 //     is byte-identical when unset. A disabled record is one relaxed atomic
@@ -25,13 +25,8 @@
 // either cap is hit, neighbouring buckets merge pairwise and the cell width
 // doubles (pattern.cpp heatmap style), which is loss of resolution, never
 // of totals.
-//
-// Production layers must use only the PNC_IOSTAT_TIMELINE_* macros below —
-// a grep lint (tests/CMakeLists.txt, lint.no_direct_timeline_in_production)
-// rejects direct TimelineRegistry/HealthMonitor references in those trees.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -115,11 +110,6 @@ class TimelineRegistry {
  public:
   static TimelineRegistry& Get();
 
-  /// Runtime gate, cached once from PNC_IOSTAT && PNC_IOSTAT_TIMELINE
-  /// (timeline defaults OFF; everything else in iostat defaults ON).
-  static bool on() { return Get().on_.load(std::memory_order_relaxed); }
-  void SetEnabled(bool on) { on_.store(on, std::memory_order_relaxed); }
-
   /// Replace the SLO rule set (tests, ncstat --health). The constructor
   /// seeds from PNC_SLO / DefaultSloRules().
   void SetSloRules(std::vector<SloRule> rules);
@@ -177,7 +167,6 @@ class TimelineRegistry {
   void OnlineEvalLocked();
   std::size_t CellCountLocked() const;
 
-  std::atomic<bool> on_{false};
   std::mutex mu_;
   double cell_ns_ = kBaseCellNs;
   double high_water_ns_ = 0.0;
@@ -203,37 +192,3 @@ bool ParseTimelineValue(jsoncur::Cursor& cur, TimelineSummary* out);
 std::string RenderTimeline(const TimelineSummary& s, int max_cols = 64);
 
 }  // namespace iostat
-
-// ---------------------------------------------------------------- macro API
-// The only timeline-recording surface production layers may use.
-#if PNC_IOSTAT_ENABLED
-
-/// pfs: one per-server service grant with tenant attribution.
-#define PNC_IOSTAT_TIMELINE_PFS(server, tenant, bytes, begin_ns, done_ns, \
-                                depth, wait_ns, missed)                   \
-  do {                                                                    \
-    if (::iostat::TimelineRegistry::on())                                 \
-      ::iostat::TimelineRegistry::Get().RecordPfsGrant(                   \
-          server, tenant, static_cast<std::uint64_t>(bytes), begin_ns,    \
-          done_ns, static_cast<std::uint64_t>(depth), wait_ns, missed);   \
-  } while (0)
-
-/// Any layer: bump a global track (`track` is the bare enumerator name,
-/// e.g. kRetries) by `value` at virtual time `t_ns`.
-#define PNC_IOSTAT_TIMELINE_MARK(track, t_ns, value)               \
-  do {                                                             \
-    if (::iostat::TimelineRegistry::on())                          \
-      ::iostat::TimelineRegistry::Get().RecordMark(                \
-          ::iostat::TlTrack::track, (t_ns),                        \
-          static_cast<double>(value));                             \
-  } while (0)
-
-#else  // compiled out: zero cost, no timeline symbols referenced
-
-#define PNC_IOSTAT_TIMELINE_PFS(server, tenant, bytes, begin_ns, done_ns, \
-                                depth, wait_ns, missed)                   \
-  ((void)sizeof(server), (void)sizeof(bytes), (void)sizeof(depth))
-#define PNC_IOSTAT_TIMELINE_MARK(track, t_ns, value) \
-  ((void)sizeof(t_ns), (void)sizeof(value))
-
-#endif  // PNC_IOSTAT_ENABLED

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "iostat/events.hpp"
@@ -13,19 +13,9 @@
 
 namespace iostat {
 
+using pnc::json::AppendF;
+
 namespace {
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
 
 /// Flow-arrow binding ID linking a two-phase exchange send on the source
 /// rank to the aggregator piece it lands in: (src rank, window, dst rank)
@@ -38,8 +28,9 @@ std::uint64_t FlowId(std::uint64_t src_rank, std::uint64_t window,
 }  // namespace
 
 std::string ToChromeTrace(const TimelineSummary* timeline) {
-  const Registry& reg = Registry::Get();
-  const int nranks = reg.nranks();
+  const int nranks = Registry::Get().nranks();
+  const std::vector<std::vector<Event>> events =
+      FlightRecorder::Get().Collect();
 
   std::string out;
   out.reserve(4096);
@@ -52,20 +43,30 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
             first ? "" : ",", r, r);
     first = false;
   }
-  for (int r = 0; r < nranks; ++r) {
-    const std::vector<Span> spans = reg.SpansOfRank(r);
-    for (const Span& s : spans) {
-      // Trace-event timestamps are microseconds; spans carry virtual ns.
-      const double ts_us = s.start_ns / 1000.0;
-      const double dur_us = (s.end_ns - s.start_ns) / 1000.0;
-      AppendF(out, "%s{\"name\":\"", first ? "" : ",");
-      pnc::json::AppendEscaped(out, s.name);
-      out += "\",\"cat\":\"";
-      pnc::json::AppendEscaped(out, s.cat);
+  // Two-phase phases as slices: each exchange / aggregator-I/O phase spans
+  // its matched Begin/End ring events (same window). A phase whose Begin
+  // the ring already overwrote is not drawn.
+  for (std::size_t r = 0; r < events.size(); ++r) {
+    const Event* open_xchg = nullptr;
+    const Event* open_io = nullptr;
+    for (const Event& e : events[r]) {
+      const Event** open = nullptr;
+      const char* name = nullptr;
+      switch (e.kind) {
+        case Ev::kXchgBegin: open_xchg = &e; continue;
+        case Ev::kIoBegin: open_io = &e; continue;
+        case Ev::kXchgEnd: open = &open_xchg; name = "exchange"; break;
+        case Ev::kIoEnd: open = &open_io; name = "io"; break;
+        default: continue;
+      }
+      const Event* begin = std::exchange(*open, nullptr);
+      if (begin == nullptr || begin->a0 != e.a0) continue;
+      // Trace-event timestamps are microseconds; events carry virtual ns.
       AppendF(out,
-              "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,"
-              "\"tid\":%d}",
-              ts_us, dur_us, r);
+              "%s{\"name\":\"%s\",\"cat\":\"mpiio\",\"ph\":\"X\","
+              "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%zu}",
+              first ? "" : ",", name, begin->t_ns / 1000.0,
+              (e.t_ns - begin->t_ns) / 1000.0, r);
       first = false;
     }
   }
@@ -74,8 +75,6 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
   // exchange (request-ID linked send -> aggregator piece), per-request
   // instants at the API boundary, and pfs per-server service tracks
   // (pid 1, one row per server).
-  const std::vector<std::vector<Event>> events =
-      FlightRecorder::Get().Collect();
   int max_server = -1;
   // Service begin/end edges harvested from kPfsServer events, turned into
   // Chrome counter ("ph":"C") tracks after the main pass: per-server queue

@@ -1,7 +1,7 @@
-// Chrome trace-event (chrome://tracing / Perfetto) export of the span
-// timeline recorded in the iostat registry. Spans are keyed by virtual time
-// (simmpi::VirtualClock nanoseconds), so the exported timeline shows the
-// simulated schedule, not wall time.
+// Chrome trace-event (chrome://tracing / Perfetto) export of the flight
+// recorder's retained tail (PNC_FLIGHT_EVENTS events per rank). Events are
+// keyed by virtual time (simmpi::VirtualClock nanoseconds), so the exported
+// timeline shows the simulated schedule, not wall time.
 #pragma once
 
 #include <string>
@@ -12,13 +12,16 @@
 
 namespace iostat {
 
-/// Encode every recorded span as trace-event JSON:
-///   {"traceEvents":[{"name":..,"cat":..,"ph":"X","ts":..,"dur":..,
-///                    "pid":0,"tid":<rank>}, ...],
+/// Encode the ring's retained events as trace-event JSON:
+///   {"traceEvents":[{"name":"exchange"|"io","cat":"mpiio","ph":"X",
+///                    "ts":..,"dur":..,"pid":0,"tid":<rank>}, ...],
 ///    "displayTimeUnit":"ms"}
-/// One "M" thread_name metadata event per rank gives each rank a named
-/// track ("rank 0", "rank 1", ...). Timestamps are microseconds (trace-event
-/// convention), converted from virtual nanoseconds.
+/// Each two-phase exchange or aggregator-I/O phase is an "X" slice drawn
+/// from its matched Begin/End events; API requests, exchange flows and pfs
+/// service follow as overlays. One "M" thread_name metadata event per rank
+/// gives each rank a named track ("rank 0", "rank 1", ...). Timestamps are
+/// microseconds (trace-event convention), converted from virtual
+/// nanoseconds.
 ///
 /// When a timeline snapshot is supplied (and present), its buckets become
 /// additional Chrome counter ("ph":"C") tracks under the pfs process

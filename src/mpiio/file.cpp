@@ -5,10 +5,7 @@
 #include <cstring>
 #include <mutex>
 
-#include "iostat/events.hpp"
-#include "iostat/iostat.hpp"
-#include "iostat/pattern.hpp"
-#include "iostat/timeline.hpp"
+#include "iostat/observe.hpp"
 #include "mpiio/file_impl.hpp"
 
 namespace mpiio {
@@ -245,19 +242,14 @@ pnc::Status File::Impl::RawIo(bool is_write, std::uint64_t off,
                 : file.TryRead(off + done,
                                pnc::ByteSpan(data + done, len - done),
                                clk.now());
-        if (r.ok()) {
-          if (is_write)
-            PNC_IOSTAT_ADD(kMpiioBytesWritten, r.transferred);
-          else
-            PNC_IOSTAT_ADD(kMpiioBytesRead, r.transferred);
-        }
+        if (r.ok())
+          PNC_OBSERVE(kXfer, .len = r.transferred, .is_write = is_write);
         return r;
       },
       [&](int attempt, double backoff) {
-        PNC_IOSTAT_ADD(kMpiioRetries, 1);
-        PNC_IOSTAT_TIMELINE_MARK(kRetries, clk.now(), 1);
-        PNC_IOSTAT_EVENT(kRetry, clk.now(), backoff, is_write, attempt,
-                         nullptr);
+        PNC_OBSERVE(kIoRetry, .t_ns = clk.now(),
+                    .n = static_cast<std::uint64_t>(attempt),
+                    .wait_ns = backoff, .is_write = is_write);
         file.RecordRetry(is_write);
       });
 }
@@ -267,8 +259,9 @@ pnc::Status File::Impl::RetrySync() {
   return pnc::util::RetrySyncWithBackoff(
       retry, clk, [&] { return file.TrySync(clk.now()); },
       [&](int attempt, double backoff) {
-        PNC_IOSTAT_TIMELINE_MARK(kRetries, clk.now(), 1);
-        PNC_IOSTAT_EVENT(kRetry, clk.now(), backoff, 1, attempt, nullptr);
+        PNC_OBSERVE(kSyncRetry, .t_ns = clk.now(),
+                    .n = static_cast<std::uint64_t>(attempt),
+                    .wait_ns = backoff);
         file.RecordRetry(/*is_write=*/true);
       });
 }
@@ -301,14 +294,10 @@ pnc::Status File::IndependentIo(std::uint64_t offset_etypes, void* buf,
                                 const simmpi::Datatype& memtype,
                                 bool is_write) {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "io");
-  if (is_write)
-    PNC_IOSTAT_ADD(kMpiioIndepWrites, 1);
-  else
-    PNC_IOSTAT_ADD(kMpiioIndepReads, 1);
   auto& im = *impl_;
   const std::uint64_t bytes = count * memtype.size();
-  PNC_IOSTAT_EVENT(kIndep, im.comm.clock().now(), 0, bytes, is_write,
-                   nullptr);
+  PNC_OBSERVE(kIndep, .t_ns = im.comm.clock().now(), .len = bytes,
+              .is_write = is_write);
   if (bytes == 0) return pnc::Status::Ok();
   if (buf == nullptr) return pnc::Status(pnc::Err::kNullBuf, "io");
 
@@ -348,10 +337,8 @@ pnc::Status File::SievedTransfer(const std::vector<pnc::Extent>& segments,
   // same amount on the non-sieving paths, so amplification stays 1.0.)
   if (segments.size() == 1) {
     const auto& s = segments[0];
-    PNC_IOSTAT_ADD(kMpiioSieveBytesWanted, s.len);
-    PNC_IOSTAT_ADD(kMpiioSieveBytesFile, s.len);
-    PNC_IOSTAT_PATTERN_SIEVE(is_write, s.len, s.len, s.offset,
-                             /*sieved=*/false);
+    PNC_OBSERVE(kSieve, .off = s.offset, .len = s.len, .n = s.len,
+                .is_write = is_write);
     return im.RetryIo(is_write, s.offset, data, s.len);
   }
 
@@ -361,10 +348,8 @@ pnc::Status File::SievedTransfer(const std::vector<pnc::Extent>& segments,
     // related work (data sieving) exists to avoid.
     std::uint64_t dpos = 0;
     for (const auto& s : segments) {
-      PNC_IOSTAT_ADD(kMpiioSieveBytesWanted, s.len);
-      PNC_IOSTAT_ADD(kMpiioSieveBytesFile, s.len);
-      PNC_IOSTAT_PATTERN_SIEVE(is_write, s.len, s.len, s.offset,
-                               /*sieved=*/false);
+      PNC_OBSERVE(kSieve, .off = s.offset, .len = s.len, .n = s.len,
+                  .is_write = is_write);
       PNC_RETURN_IF_ERROR(im.RetryIo(is_write, s.offset, data + dpos, s.len));
       dpos += s.len;
     }
@@ -418,15 +403,12 @@ pnc::Status File::SievedTransfer(const std::vector<pnc::Extent>& segments,
     const std::uint64_t span_start = wstart;
     const std::uint64_t span_len = last - wstart;
     if (span_len == 0) break;
-    PNC_IOSTAT_ADD(kMpiioSieveBytesWanted, covered);
-    PNC_IOSTAT_ADD(kMpiioSieveBytesFile, span_len);
     const bool holes = covered != span_len;
-    // Window-level pattern sample: useful payload vs bytes at the file
-    // (writes with holes pre-read the whole span, doubling the file bytes —
-    // mirrors the counter accounting below).
-    PNC_IOSTAT_PATTERN_SIEVE(is_write, covered,
-                             is_write && holes ? 2 * span_len : span_len,
-                             span_start, /*sieved=*/true);
+    // Useful payload vs bytes at the file: writes with holes pre-read the
+    // whole span below, doubling the file bytes.
+    PNC_OBSERVE(kSieve, .off = span_start, .len = covered,
+                .n = is_write && holes ? 2 * span_len : span_len,
+                .is_write = is_write, .flag = true);
 
     if (is_write) {
       // ROMIO takes a file lock around sieved writes: the read-modify-write
@@ -435,7 +417,6 @@ pnc::Status File::SievedTransfer(const std::vector<pnc::Extent>& segments,
       std::unique_lock<std::mutex> rmw_lock;
       if (holes) {
         rmw_lock = im.file.LockForRmw();
-        PNC_IOSTAT_ADD(kMpiioSieveBytesFile, span_len);  // RMW pre-read
         PNC_RETURN_IF_ERROR(
             im.RetryIo(/*is_write=*/false, span_start, window.data(), span_len));
       }

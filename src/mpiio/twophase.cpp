@@ -17,10 +17,7 @@
 #include <cstring>
 #include <limits>
 
-#include "iostat/events.hpp"
-#include "iostat/iostat.hpp"
-#include "iostat/pattern.hpp"
-#include "iostat/timeline.hpp"
+#include "iostat/observe.hpp"
 #include "mpiio/file_impl.hpp"
 
 namespace mpiio {
@@ -43,7 +40,7 @@ int FtTag(std::uint64_t w, int phase) {
 /// died; the dead peers' slots in `out` are left empty.
 bool AlltoallFT(simmpi::Comm& c, std::vector<std::vector<std::byte>> send,
                 int tag, std::vector<std::vector<std::byte>>& out) {
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   const int p = c.size();
   const int rank = c.rank();
   out.assign(static_cast<std::size_t>(p), {});
@@ -133,10 +130,6 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
                                std::uint64_t count,
                                const simmpi::Datatype& memtype, bool is_write) {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "coll io");
-  if (is_write)
-    PNC_IOSTAT_ADD(kMpiioCollWrites, 1);
-  else
-    PNC_IOSTAT_ADD(kMpiioCollReads, 1);
   auto& im = *impl_;
   auto& comm = im.comm;
   auto& clk = comm.clock();
@@ -147,7 +140,8 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   if (bytes > 0 && buf == nullptr)
     return pnc::Status(pnc::Err::kNullBuf, "coll io");
 
-  PNC_IOSTAT_EVENT(kCollBegin, clk.now(), 0, bytes, is_write, nullptr);
+  PNC_OBSERVE(kCollBegin, .t_ns = clk.now(), .len = bytes,
+              .is_write = is_write);
   const std::uint64_t my_req = PNC_IOSTAT_CURRENT_REQ();
 
   const bool use_cb = is_write ? im.hints.cb_write : im.hints.cb_read;
@@ -160,20 +154,18 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
                                                 memtype, is_write);
     st = AgreeStatus(comm, st);
     comm.SyncClocksToMax();
-    PNC_IOSTAT_EVENT(kCollEnd, clk.now(), 0, st.ok() ? 1 : 0, is_write,
-                     nullptr);
+    PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write,
+                .flag = st.ok());
     return st;
   }
 
-  PNC_IOSTAT_ADD(kMpiioCollPayloadBytes, bytes);
-
-  // Flatten this rank's file access.
+  // Flatten this rank's file access. Its fragments are the "pre" extents
+  // entering the exchange; the aggregators' file windows below are the
+  // "post" side.
   std::vector<pnc::Extent> segs;
   if (bytes > 0)
     im.view.MapRange(offset_etypes * im.view.etype_size(), bytes, segs);
-  // Pattern: the per-rank fragment sizes entering the exchange ("pre"
-  // extents); the aggregators' file windows below are the "post" side.
-  PNC_IOSTAT_PATTERN_TWOPHASE_PRE(segs);
+  PNC_OBSERVE(kTwoPhase, .len = bytes, .extents = segs);
 
   // Stage noncontiguous memory through a packed buffer.
   std::vector<std::byte> staging;
@@ -231,18 +223,19 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     // The group shrank while setting up; skip the transfer and agree on the
     // failure so every survivor returns the identical status.
     const pnc::Status st = AgreeStatus(comm, pnc::Status::Ok());
-    PNC_IOSTAT_EVENT(kCollEnd, clk.now(), 0, 0, is_write, nullptr);
+    PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write);
     return st;
   }
   if (gmin >= gmax) {  // nothing to do anywhere
     if (ft) {
       const pnc::Status st = AgreeStatus(comm, pnc::Status::Ok());
-      PNC_IOSTAT_EVENT(kCollEnd, clk.now(), 0, st.ok() ? 1 : 0, is_write,
-                       nullptr);
+      PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write,
+                  .flag = st.ok());
       return st;
     }
     comm.SyncClocksToMax();
-    PNC_IOSTAT_EVENT(kCollEnd, clk.now(), 0, 1, is_write, nullptr);
+    PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write,
+                .flag = true);
     return pnc::Status::Ok();
   }
 
@@ -293,7 +286,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
 
   for (std::uint64_t w = 0; w < rounds; ++w) {
     const double exchange_start = clk.now();
-    PNC_IOSTAT_EVENT(kXchgBegin, exchange_start, 0, w, 0, nullptr);
+    PNC_OBSERVE(kXchgBegin, .t_ns = exchange_start, .off = w);
     // ---- build this round's per-aggregator messages ----
     // Message layout: u64 req (the sender's request ID, for causal
     // attribution of aggregator I/O), u64 n, then n * (u64 off, u64 len),
@@ -353,9 +346,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
 
     for (int r = 0; r < wp; ++r) {
       if (r != work.rank() && !sendbufs[static_cast<std::size_t>(r)].empty()) {
-        PNC_IOSTAT_ADD(kMpiioExchangeMsgs, 1);
-        PNC_IOSTAT_TIMELINE_MARK(kExchangeMsgs, exchange_start, 1);
-        PNC_IOSTAT_EVENT(kXchgSend, exchange_start, 0, w, r, nullptr);
+        PNC_OBSERVE(kXchgSend, .t_ns = exchange_start, .off = w, .peer = r);
       }
     }
     std::vector<std::vector<std::byte>> recvbufs;
@@ -366,11 +357,10 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     } else {
       recvbufs = comm.Alltoall(std::move(sendbufs));
     }
-    PNC_IOSTAT_ADD(kMpiioExchangeNs, clk.now() - exchange_start);
-    PNC_IOSTAT_SPAN("mpiio", "exchange", exchange_start, clk.now());
-    PNC_IOSTAT_EVENT(kXchgEnd, clk.now(), 0, w, 0, nullptr);
+    PNC_OBSERVE(kXchgEnd, .t_ns = exchange_start, .end_ns = clk.now(),
+                .off = w);
     const double io_start = clk.now();
-    PNC_IOSTAT_EVENT(kIoBegin, io_start, 0, w, 0, nullptr);
+    PNC_OBSERVE(kIoBegin, .t_ns = io_start, .off = w);
 
     // ---- aggregator services its window ----
     std::vector<std::vector<std::byte>> replies(static_cast<std::size_t>(wp));
@@ -388,9 +378,8 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
           std::memcpy(&src_req, msg.data(), 8);
           std::uint64_t n_ext = 0;
           std::memcpy(&n_ext, msg.data() + 8, 8);
-          PNC_IOSTAT_EVENT(kAggPiece, io_start, 0,
-                           (w << 32) | static_cast<std::uint64_t>(r), src_req,
-                           nullptr);
+          PNC_OBSERVE(kAggPiece, .t_ns = io_start, .off = w, .peer = r,
+                      .req = src_req);
           const std::byte* payload = msg.data() + 16 + 16 * n_ext;
           std::uint64_t dpos = 0;
           for (std::uint64_t e = 0; e < n_ext; ++e) {
@@ -426,8 +415,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
             const bool holes = covered < span_len;
             pnc::Status wst;
             if (holes && st.ok()) {
-              PNC_IOSTAT_ADD(kMpiioAggBytes, span_len);  // RMW pre-read
-              PNC_IOSTAT_PATTERN_AGG(span_len);
+              PNC_OBSERVE(kAggWindow, .len = span_len);  // RMW pre-read
               wst = im.RetryIo(/*is_write=*/false, span_start, window.data(),
                                span_len);
             }
@@ -436,8 +424,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
                 std::memcpy(window.data() + (pc.file_off - span_start), pc.src,
                             pc.len);
               clk.Advance(cost.CopyCost(covered));
-              PNC_IOSTAT_ADD(kMpiioAggBytes, span_len);
-              PNC_IOSTAT_PATTERN_AGG(span_len);
+              PNC_OBSERVE(kAggWindow, .len = span_len);
               wst = im.RetryIo(/*is_write=*/true, span_start, window.data(),
                                span_len);
             }
@@ -451,8 +438,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
                   reply_bytes[static_cast<std::size_t>(r)], std::byte{0});
             pnc::Status rst;
             if (st.ok()) {
-              PNC_IOSTAT_ADD(kMpiioAggBytes, span_len);
-              PNC_IOSTAT_PATTERN_AGG(span_len);
+              PNC_OBSERVE(kAggWindow, .len = span_len);
               rst = im.RetryIo(/*is_write=*/false, span_start, window.data(),
                                span_len);
             }
@@ -471,14 +457,12 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       }
     }
 
-    PNC_IOSTAT_ADD(kMpiioIoPhaseNs, clk.now() - io_start);
-    PNC_IOSTAT_SPAN("mpiio", "io", io_start, clk.now());
-    PNC_IOSTAT_EVENT(kIoEnd, clk.now(), 0, w, 0, nullptr);
+    PNC_OBSERVE(kIoEnd, .t_ns = io_start, .end_ns = clk.now(), .off = w);
 
     // ---- reads: ship the bytes back into each requester's packed buffer ----
     if (!is_write) {
       const double reply_start = clk.now();
-      PNC_IOSTAT_EVENT(kXchgBegin, reply_start, 0, w, 0, nullptr);
+      PNC_OBSERVE(kXchgBegin, .t_ns = reply_start, .off = w);
       std::vector<std::vector<std::byte>> returned;
       if (ft) {
         if (!AlltoallFT(work, std::move(replies), FtTag(w, 1), returned) &&
@@ -506,9 +490,8 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
         std::memcpy(data + round_data_start[d], blob.data(), n);
         clk.Advance(cost.CopyCost(n));
       }
-      PNC_IOSTAT_ADD(kMpiioExchangeNs, clk.now() - reply_start);
-      PNC_IOSTAT_SPAN("mpiio", "exchange", reply_start, clk.now());
-      PNC_IOSTAT_EVENT(kXchgEnd, clk.now(), 0, w, 0, nullptr);
+      PNC_OBSERVE(kXchgEnd, .t_ns = reply_start, .end_ns = clk.now(),
+                  .off = w);
     }
   }
 
@@ -527,11 +510,8 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   // idled waiting for the slowest rank — the straggler-wait timeline track.
   const double pre_sync_ns = clk.now();
   if (!ft) comm.SyncClocksToMax();
-  if (clk.now() > pre_sync_ns)
-    PNC_IOSTAT_TIMELINE_MARK(kStragglerWaitNs, clk.now(),
-                             clk.now() - pre_sync_ns);
-  PNC_IOSTAT_EVENT(kCollEnd, clk.now(), 0, st.ok() ? 1 : 0, is_write,
-                   nullptr);
+  PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .wait_ns = clk.now() - pre_sync_ns,
+              .is_write = is_write, .flag = st.ok());
   return st;
 }
 

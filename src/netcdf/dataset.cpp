@@ -7,8 +7,7 @@
 #include "format/commit_pfs.hpp"
 #include "format/header_io.hpp"
 #include "format/sums.hpp"
-#include "iostat/events.hpp"
-#include "iostat/iostat.hpp"
+#include "iostat/observe.hpp"
 #include "util/crc32.hpp"
 
 namespace netcdf {
@@ -231,7 +230,7 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
   }
   auto hdr = ncformat::ReadHeader(
       im.io.size(), [&im](std::uint64_t off, pnc::ByteSpan out) {
-        PNC_IOSTAT_ADD(kNcHeaderBytesRead, out.size());
+        PNC_OBSERVE(kHeaderRead, .len = out.size());
         return im.io.ReadAt(off, out);
       });
   if (!hdr.ok()) return hdr.status();
@@ -247,7 +246,7 @@ pnc::Status Dataset::Redef() {
   if (!im.writable) return pnc::Status(pnc::Err::kPermission);
   im.pre_redef = im.header;
   im.defining = true;
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
+  PNC_OBSERVE(kModeSwitch, .t_ns = im.clock.now());
   return pnc::Status::Ok();
 }
 
@@ -296,7 +295,7 @@ pnc::Status Dataset::EndDef() {
   im.defining = false;
   im.fresh = false;
   im.pre_redef.reset();
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
+  PNC_OBSERVE(kModeSwitch, .t_ns = im.clock.now());
   return pnc::Status::Ok();
 }
 
@@ -560,8 +559,7 @@ pnc::Status Dataset::PutExternal(int varid,
     }
   }
 
-  PNC_IOSTAT_ADD(kNcDataCalls, 1);
-  PNC_IOSTAT_ADD(kNcDataBytesWritten, external.size());
+  PNC_OBSERVE(kNcData, .len = external.size(), .is_write = true);
   std::vector<pnc::Extent> regions;
   ncformat::AccessRegions(h, varid, start, count, stride, regions);
   std::uint64_t pos = 0;
@@ -585,8 +583,7 @@ pnc::Status Dataset::GetExternal(int varid,
           : std::string_view();
   PNC_IOSTAT_REQ_SCOPE(stride.empty() ? "get_vara" : "get_vars", get_var,
                        im.clock.now(), external.size(), 0);
-  PNC_IOSTAT_ADD(kNcDataCalls, 1);
-  PNC_IOSTAT_ADD(kNcDataBytesRead, external.size());
+  PNC_OBSERVE(kNcData, .len = external.size());
   std::vector<pnc::Extent> regions;
   ncformat::AccessRegions(im.header, varid, start, count, stride, regions);
   std::uint64_t pos = 0;
@@ -619,7 +616,7 @@ pnc::Status Dataset::WriteHeader() {
   } else {
     PNC_RETURN_IF_ERROR(im.io.WriteAt(0, bytes));
   }
-  PNC_IOSTAT_ADD(kNcHeaderBytesWritten, bytes.size());
+  PNC_OBSERVE(kHeaderWrite, .len = bytes.size());
   im.numrecs_dirty = false;
   return pnc::Status::Ok();
 }
@@ -638,7 +635,7 @@ pnc::Status Dataset::WriteNumrecs() {
   const auto v = pnc::xdr::ToBig(static_cast<std::uint32_t>(im.header.numrecs));
   std::memcpy(buf, &v, 4);
   PNC_RETURN_IF_ERROR(im.io.WriteAt(4, pnc::ConstByteSpan(buf, 4)));
-  PNC_IOSTAT_ADD(kNcHeaderBytesWritten, 4);
+  PNC_OBSERVE(kHeaderWrite, .len = 4);
   if (im.journal) PNC_RETURN_IF_ERROR(im.io.Sync());
   im.numrecs_dirty = false;
   return pnc::Status::Ok();

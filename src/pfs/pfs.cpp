@@ -11,10 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "iostat/events.hpp"
-#include "iostat/iostat.hpp"
-#include "iostat/pattern.hpp"
-#include "iostat/timeline.hpp"
+#include "iostat/observe.hpp"
 
 namespace pfs {
 
@@ -170,12 +167,10 @@ IoResult File::TryRead(std::uint64_t offset, pnc::ByteSpan out,
                                     start_ns);
   }
   if (!oc.status.ok()) {
-    PNC_IOSTAT_ADD(kPfsFaultsInjected, 1);
-    PNC_IOSTAT_TIMELINE_MARK(kFaults, start_ns, 1);
     const bool transient = oc.status.code() == pnc::Err::kIoTransient;
-    PNC_IOSTAT_EVENT(kPfsFault, start_ns, 0, /*is_write=*/0, 0,
-                     transient ? "transient"
-                               : (fs_->crashed() ? "crash" : "permanent"));
+    PNC_OBSERVE(kPfsFault, .t_ns = start_ns, .is_write = false,
+                .detail = transient ? "transient"
+                                    : (fs_->crashed() ? "crash" : "permanent"));
     if (!transient) PNC_IOSTAT_EVENT_DUMP_HARD("pfs-hard-fault");
   }
   // A failed attempt still costs a (zero-payload) round trip: the request
@@ -219,12 +214,10 @@ IoResult File::TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
     }
   }
   if (!oc.status.ok()) {
-    PNC_IOSTAT_ADD(kPfsFaultsInjected, 1);
-    PNC_IOSTAT_TIMELINE_MARK(kFaults, start_ns, 1);
     const bool transient = oc.status.code() == pnc::Err::kIoTransient;
-    PNC_IOSTAT_EVENT(kPfsFault, start_ns, 0, /*is_write=*/1, 0,
-                     transient ? "transient"
-                               : (fs_->crashed() ? "crash" : "permanent"));
+    PNC_OBSERVE(kPfsFault, .t_ns = start_ns, .is_write = true,
+                .detail = transient ? "transient"
+                                    : (fs_->crashed() ? "crash" : "permanent"));
     if (!transient) PNC_IOSTAT_EVENT_DUMP_HARD("pfs-hard-fault");
   }
   const double done = fs_->ServeRequest(offset, oc.status.ok() ? oc.transferred
@@ -239,15 +232,13 @@ IoResult File::TrySync(double start_ns) {
   const double done =
       fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns, tenant_);
   if (d.kind != FaultDecision::Kind::kOk) {
-    PNC_IOSTAT_ADD(kPfsFaultsInjected, 1);
-    PNC_IOSTAT_TIMELINE_MARK(kFaults, start_ns, 1);
     const char* kind = "permanent";
     if (d.kind == FaultDecision::Kind::kTransient) kind = "transient";
     else if (d.kind == FaultDecision::Kind::kCrash) kind = "crash";
     else if (d.kind == FaultDecision::Kind::kShort) kind = "short";
     else if (d.kind == FaultDecision::Kind::kBitFlip) kind = "bitflip";
     else if (d.kind == FaultDecision::Kind::kAtRest) kind = "at_rest";
-    PNC_IOSTAT_EVENT(kPfsFault, start_ns, 0, /*is_write=*/1, 0, kind);
+    PNC_OBSERVE(kPfsFault, .t_ns = start_ns, .is_write = true, .detail = kind);
     if (d.kind == FaultDecision::Kind::kPermanent ||
         d.kind == FaultDecision::Kind::kCrash)
       PNC_IOSTAT_EVENT_DUMP_HARD("pfs-hard-fault");
@@ -508,7 +499,7 @@ int FileSystem::PrimaryServer(std::uint64_t offset) const {
 }
 
 void FileSystem::RecordRetry(bool is_write) {
-  PNC_IOSTAT_ADD(kPfsRetries, 1);
+  PNC_OBSERVE(kPfsRetry);
   std::lock_guard<std::mutex> lk(mu_);
   (is_write ? stats_.write_retries : stats_.read_retries) += 1;
 }
@@ -560,13 +551,9 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
                              client_ns_per_byte * static_cast<double>(len);
   const double arrival = start_ns + cfg_.client_request_ns;
 
-  if (is_write) {
-    PNC_IOSTAT_ADD(kPfsWriteOps, 1);
-    PNC_IOSTAT_ADD(kPfsBytesWritten, len);
-  } else {
-    PNC_IOSTAT_ADD(kPfsReadOps, 1);
-    PNC_IOSTAT_ADD(kPfsBytesRead, len);
-  }
+  PNC_OBSERVE(kPfsRequest, .len = len,
+              .n = static_cast<std::uint64_t>(cfg_.num_servers),
+              .is_write = is_write);
 
   double completion = client_done;
   {
@@ -574,17 +561,6 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
     if (tenant < 0 || tenant >= static_cast<int>(tenants_.size())) tenant = 0;
     const TenantClass& cls = tenants_[static_cast<std::size_t>(tenant)];
     TenantCounters& tc = tenant_ctrs_[static_cast<std::size_t>(tenant)];
-    // Flight-recorder details carry the tenant: "r"/"w"/"s" for the default
-    // tenant (the exact legacy strings), "r:<name>" etc. otherwise.
-    char detail[24];
-    if (tenant == 0) {
-      detail[0] = len == 0 ? 's' : (is_write ? 'w' : 'r');
-      detail[1] = '\0';
-    } else {
-      std::snprintf(detail, sizeof detail, "%c:%s",
-                    len == 0 ? 's' : (is_write ? 'w' : 'r'),
-                    cls.name.c_str());
-    }
     if (is_write) {
       stats_.bytes_written += len;
       stats_.write_requests += 1;
@@ -592,7 +568,6 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
       stats_.bytes_read += len;
       stats_.read_requests += 1;
     }
-    PNC_IOSTAT_MAX(kPfsServers, cfg_.num_servers);
     if (len == 0) {
       // Zero-length flush: a metadata round-trip to server 0 that does not
       // occupy the data pipeline. It observes the queue but must not extend
@@ -610,9 +585,8 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
       tc.queue_wait_ns += wait;
       if (tc.wait_samples.size() < TenantCounters::kMaxWaitSamples)
         tc.wait_samples.push_back(wait);
-      PNC_IOSTAT_ADD(kPfsQueueWaitNs, wait);
-      PNC_IOSTAT_EVENT(kPfsServer, begin, done - begin, 0,
-                       static_cast<std::uint64_t>(begin - arrival), detail);
+      PNC_OBSERVE(kPfsSync, .t_ns = begin, .end_ns = done, .wait_ns = wait,
+                  .tenant = cls.name.c_str());
       completion = std::max(completion, done);
     } else {
       // Admission control holds the whole request at the client until the
@@ -652,37 +626,23 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
         tc.service_ns += g.done_ns - g.begin_ns;
         if (paced) tc.paced_events += 1;
         if (g.backfilled) tc.backfilled_events += 1;
-        PNC_IOSTAT_ADD(kPfsQueueWaitNs, wait);
-        PNC_IOSTAT_ADD(kPfsBusyNs, g.done_ns - g.begin_ns);
-        PNC_IOSTAT_MAX(kPfsHorizonNs, sched_[s].horizon_ns());
-        PNC_IOSTAT_MAX(kPfsQueueDepthMax, g.depth);
-        // Queue wait (begin - arrival) vs service (done - begin), per
-        // server, attributed to the in-flight request via the thread's
-        // bound request ID.
-        PNC_IOSTAT_EVENT(kPfsServer, g.begin_ns, g.done_ns - g.begin_ns,
-                         (bytes_per_server[s] << 8) | (s & 0xff),
-                         static_cast<std::uint64_t>(g.begin_ns - arrival),
-                         detail);
-        // Pattern heatmap cell + per-server totals. `offset` is the
-        // request's start offset (each server of a striped request records
-        // the same one — "which region was hot", not exact chunk addresses).
-        PNC_IOSTAT_PATTERN_PFS(static_cast<int>(s), offset,
-                               bytes_per_server[s], g.begin_ns, g.done_ns,
-                               g.depth, wait);
-        // Timeline rate series. The deadline verdict is per server grant
-        // (did this chunk finish past the tenant's deadline), not per
-        // request: miss_rate then stays a ratio of like quantities
-        // (missed grants / grants) inside one bucket.
-        PNC_IOSTAT_TIMELINE_PFS(
-            static_cast<int>(s), cls.name.c_str(), bytes_per_server[s],
-            g.begin_ns, g.done_ns, g.depth, wait,
-            cls.deadline_ns > 0.0 && g.done_ns > start_ns + cls.deadline_ns);
+        // Every server of a striped request records the request's offset
+        // ("which region was hot"). The deadline verdict is per grant, so a
+        // timeline miss_rate stays missed grants / grants in one bucket.
+        PNC_OBSERVE(kPfsGrant, .t_ns = g.begin_ns, .end_ns = g.done_ns,
+                    .off = offset, .len = bytes_per_server[s],
+                    .server = static_cast<int>(s), .depth = g.depth,
+                    .wait_ns = wait, .horizon_ns = sched_[s].horizon_ns(),
+                    .is_write = is_write,
+                    .flag = cls.deadline_ns > 0.0 &&
+                            g.done_ns > start_ns + cls.deadline_ns,
+                    .tenant = cls.name.c_str());
       }
       if (tc.wait_samples.size() < TenantCounters::kMaxWaitSamples)
         tc.wait_samples.push_back(max_wait);
       if (cls.deadline_ns > 0.0 && completion > start_ns + cls.deadline_ns) {
         tc.deadline_misses += 1;
-        PNC_IOSTAT_ADD(kPfsDeadlineMisses, 1);
+        PNC_OBSERVE(kDeadlineMiss);
       }
       if (cls.max_outstanding_bytes > 0) {
         TenantFlow& flow = tenant_flows_[static_cast<std::size_t>(tenant)];

@@ -7,10 +7,7 @@
 #include "format/commit.hpp"
 #include "format/commit_pfs.hpp"
 #include "format/sums.hpp"
-#include "iostat/events.hpp"
-#include "iostat/iostat.hpp"
-#include "iostat/pattern.hpp"
-#include "iostat/timeline.hpp"
+#include "iostat/observe.hpp"
 #include "util/crc32.hpp"
 
 namespace pnetcdf {
@@ -544,7 +541,7 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
       bytes.assign(n, std::byte{0});
       pnc::Status rs =
           im.file.ReadAt(0, bytes.data(), n, simmpi::ByteType());
-      PNC_IOSTAT_ADD(kNcHeaderBytesRead, n);
+      PNC_OBSERVE(kHeaderRead, .len = n);
       if (!rs.ok()) {
         err = rs.raw();
         break;
@@ -592,8 +589,7 @@ pnc::Status Dataset::Redef() {
   if (im.indep) return pnc::Status(pnc::Err::kInIndep);
   im.pre_redef = im.header;
   im.defining = true;
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
-  PNC_IOSTAT_TIMELINE_MARK(kModeSwitches, im.comm.clock().now(), 1);
+  PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
   if (im.comm.FaultsArmed()) return FtBarrier(im);
   im.comm.Barrier();
   return pnc::Status::Ok();
@@ -631,7 +627,7 @@ pnc::Status Dataset::WriteHeaderCollective() {
     } else {
       st = im.file.WriteAt(0, bytes.data(), bytes.size(), simmpi::ByteType());
     }
-    if (st.ok()) PNC_IOSTAT_ADD(kNcHeaderBytesWritten, bytes.size());
+    if (st.ok()) PNC_OBSERVE(kHeaderWrite, .len = bytes.size());
     err = st.raw();
   }
   if (im.comm.FaultsArmed()) {
@@ -707,8 +703,7 @@ pnc::Status Dataset::EndDef() {
   im.defining = false;
   im.fresh = false;
   im.pre_redef.reset();
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
-  PNC_IOSTAT_TIMELINE_MARK(kModeSwitches, im.comm.clock().now(), 1);
+  PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
   return pnc::Status::Ok();
 }
 
@@ -802,8 +797,7 @@ pnc::Status Dataset::BeginIndepData() {
     im.comm.Barrier();
   }
   im.indep = true;
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
-  PNC_IOSTAT_TIMELINE_MARK(kModeSwitches, im.comm.clock().now(), 1);
+  PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
   return pnc::Status::Ok();
 }
 
@@ -812,8 +806,7 @@ pnc::Status Dataset::EndIndepData() {
   auto& im = *impl_;
   if (!im.indep) return pnc::Status(pnc::Err::kNotIndep);
   im.indep = false;
-  PNC_IOSTAT_ADD(kNcModeSwitches, 1);
-  PNC_IOSTAT_TIMELINE_MARK(kModeSwitches, im.comm.clock().now(), 1);
+  PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
   // Record counts may have diverged across ranks during independent writes;
   // converge on the maximum and persist it.
   PNC_RETURN_IF_ERROR(SyncNumrecs(im.header.numrecs, /*collective=*/true));
@@ -1037,11 +1030,10 @@ pnc::Status Dataset::MoveExternal(int varid,
                         : (stride.empty() ? "put_vara" : "put_vars"))
           : (collective ? (stride.empty() ? "get_vara_all" : "get_vars_all")
                         : (stride.empty() ? "get_vara" : "get_vars"));
-  const std::string_view varname =
+  const char* varname =
       varid >= 0 && varid < static_cast<int>(im.header.vars.size())
-          ? std::string_view(im.header.vars[static_cast<std::size_t>(varid)]
-                                 .name)
-          : std::string_view();
+          ? im.header.vars[static_cast<std::size_t>(varid)].name.c_str()
+          : "";
   PNC_IOSTAT_REQ_SCOPE(api, varname, im.comm.clock().now(), ext.size(),
                        is_write);
 
@@ -1058,17 +1050,10 @@ pnc::Status Dataset::MoveExternal(int varid,
     offs.push_back(r.offset);
     lens.push_back(r.len);
   }
-  // Pattern profiler: this call's flattened extents, tagged per variable.
-  // Same virtual timestamps as the req scope above — recording never
-  // advances clocks.
-  PNC_IOSTAT_PATTERN_ACCESS(varname, is_write, collective, offs, lens);
   auto filetype = simmpi::Datatype::Hindexed(lens, offs, simmpi::ByteType());
-
-  PNC_IOSTAT_ADD(kNcDataCalls, 1);
-  if (is_write)
-    PNC_IOSTAT_ADD(kNcDataBytesWritten, ext.size());
-  else
-    PNC_IOSTAT_ADD(kNcDataBytesRead, ext.size());
+  // The flattened extents feed the pattern profiler, tagged per variable.
+  PNC_OBSERVE(kNcData, .len = ext.size(), .is_write = is_write,
+              .flag = collective, .detail = varname, .extents = regions);
 
   pnc::Status io;
   if (collective) {
@@ -1152,7 +1137,7 @@ pnc::Status Dataset::SyncNumrecs(std::uint64_t local_numrecs, bool collective) {
       } else {
         st = im.file.WriteAt(4, buf, 4, simmpi::ByteType());
       }
-      if (st.ok()) PNC_IOSTAT_ADD(kNcHeaderBytesWritten, 4);
+      if (st.ok()) PNC_OBSERVE(kHeaderWrite, .len = 4);
       err = st.raw();
     }
     // Agree on the root's status so all ranks return the same result and the
@@ -1343,28 +1328,26 @@ pnc::Status Dataset::BatchAccess(std::span<BatchItem> items, bool is_write) {
                    });
 
   // Combined filetype + staging buffer in file order.
+  std::vector<pnc::Extent> regions;
   std::vector<std::uint64_t> lens, offs;
+  regions.reserve(pieces.size());
   lens.reserve(pieces.size());
   offs.reserve(pieces.size());
   std::vector<std::byte> staging(total);
   std::uint64_t pos = 0;
   for (const auto& p : pieces) {
+    regions.push_back(p.ext);
     offs.push_back(p.ext.offset);
     lens.push_back(p.ext.len);
     if (is_write) std::memcpy(staging.data() + pos, p.data, p.ext.len);
     pos += p.ext.len;
   }
   if (is_write && total > 0) clk.Advance(im.comm.cost().CopyCost(total));
-  // Pattern profiler: the coalesced nonblocking batch as one access — the
-  // merged extent list is exactly what wait_all hands the I/O engine.
-  PNC_IOSTAT_PATTERN_ACCESS("*batch", is_write, true, offs, lens);
   auto filetype = simmpi::Datatype::Hindexed(lens, offs, simmpi::ByteType());
-
-  PNC_IOSTAT_ADD(kNcDataCalls, 1);
-  if (is_write)
-    PNC_IOSTAT_ADD(kNcDataBytesWritten, total);
-  else
-    PNC_IOSTAT_ADD(kNcDataBytesRead, total);
+  // The coalesced nonblocking batch is one access to the pattern profiler:
+  // the merged extent list is exactly what wait_all hands the I/O engine.
+  PNC_OBSERVE(kNcData, .len = total, .is_write = is_write, .flag = true,
+              .detail = "*batch", .extents = regions);
 
   PNC_RETURN_IF_ERROR(Track(im, im.file.SetView(0, simmpi::ByteType(),
                                                 filetype)));

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 
-#include "iostat/iostat.hpp"
+#include "iostat/observe.hpp"
 
 namespace pnetcdf {
 
 pnc::Status NonblockingQueue::WaitAll(std::vector<pnc::Status>* per_request) {
-  PNC_IOSTAT_ADD(kNcReqsCoalesced, puts_.size() + gets_.size());
+  PNC_OBSERVE(kReqsCoalesced, .n = puts_.size() + gets_.size());
   // Collective on the dataset's communicator: every rank runs the combined
   // put phase and the combined get phase exactly once, pending or not.
   std::vector<Dataset::BatchItem> put_items;

@@ -7,8 +7,7 @@
 #include <cstdlib>
 #include <limits>
 
-#include "iostat/events.hpp"
-#include "iostat/iostat.hpp"
+#include "iostat/observe.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
@@ -172,8 +171,8 @@ void Comm::CrashSelf() {
   // Record while the request binding is still live: the crash event carries
   // the in-flight request ID, which is how ncstat --blackbox attributes a
   // dead rank's last act to the originating API call.
-  PNC_IOSTAT_EVENT(kRankCrash, clock().now(), 0,
-                   state_->rfault.ops[world_rank_], 0, nullptr);
+  PNC_OBSERVE(kRankCrash, .t_ns = clock().now(),
+              .off = state_->rfault.ops[world_rank_]);
   {
     std::lock_guard<std::mutex> lk(state_->rfault.mu);
     ++state_->rfault.counters.crashes;
@@ -192,8 +191,7 @@ void Comm::SendInternal(int dst, int tag, pnc::ConstByteSpan data) {
     for (const auto& s : rf.policy.stragglers)
       if (s.rank == world_rank_) cost_factor = s.send_delay_factor;
   }
-  PNC_IOSTAT_ADD(kMpiMessages, 1);
-  PNC_IOSTAT_ADD(kMpiMessageBytes, data.size());
+  PNC_OBSERVE(kMessage, .len = data.size());
   auto& clk = clock();
   clk.Advance(state_->cost.sw_overhead_ns);
   detail::Message msg;
@@ -207,8 +205,8 @@ void Comm::SendInternal(int dst, int tag, pnc::ConstByteSpan data) {
   if (state_->rfault.armed) {
     auto& rf = state_->rfault;
     if (cost_factor != 1.0) {
-      PNC_IOSTAT_EVENT(kRankStraggle, clk.now(), 0, data.size(),
-                       static_cast<std::uint64_t>(members_[dst]), nullptr);
+      PNC_OBSERVE(kStraggle, .t_ns = clk.now(), .len = data.size(),
+                  .peer = members_[dst]);
       std::lock_guard<std::mutex> lk(rf.mu);
       ++rf.counters.straggled_sends;
     }
@@ -224,8 +222,8 @@ void Comm::SendInternal(int dst, int tag, pnc::ConstByteSpan data) {
       drop = rng.NextDouble() < rf.policy.drop_prob;
     }
     if (drop) {
-      PNC_IOSTAT_EVENT(kMsgDrop, clk.now(), 0, data.size(),
-                       static_cast<std::uint64_t>(members_[dst]), nullptr);
+      PNC_OBSERVE(kMsgDrop, .t_ns = clk.now(), .len = data.size(),
+                  .peer = members_[dst]);
       std::lock_guard<std::mutex> lk(rf.mu);
       ++rf.counters.dropped_messages;
       return;  // vanished in transit; the sender already paid its costs
@@ -348,7 +346,7 @@ std::vector<std::byte> Comm::RecvInternal(int src, int tag) {
 
 void Comm::Barrier() {
   if (state_->rfault.armed && SelfDead()) return;
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   const int p = size();
   if (p == 1) return;
   // Dissemination barrier: log2(P) rounds of ring-distance exchanges. Clock
@@ -362,7 +360,7 @@ void Comm::Barrier() {
 
 void Comm::Bcast(pnc::ByteSpan buf, int root) {
   if (state_->rfault.armed && SelfDead()) return;
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   const int p = size();
   if (p == 1) return;
   const int r = (rank_ - root + p) % p;
@@ -387,7 +385,7 @@ void Comm::Bcast(pnc::ByteSpan buf, int root) {
 
 void Comm::Bcast(std::vector<std::byte>& buf, int root) {
   if (state_->rfault.armed && SelfDead()) return;
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   const int p = size();
   if (p == 1) return;
   const int r = (rank_ - root + p) % p;
@@ -409,7 +407,7 @@ void Comm::Bcast(std::vector<std::byte>& buf, int root) {
 std::vector<std::vector<std::byte>> Comm::Gather(pnc::ConstByteSpan mine,
                                                  int root) {
   if (state_->rfault.armed && SelfDead()) return {};
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   const int p = size();
   std::vector<std::vector<std::byte>> result;
   if (rank_ == root) {
@@ -427,7 +425,7 @@ std::vector<std::vector<std::byte>> Comm::Gather(pnc::ConstByteSpan mine,
 
 std::vector<std::vector<std::byte>> Comm::Allgather(pnc::ConstByteSpan mine) {
   if (state_->rfault.armed && SelfDead()) return {};
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   const int p = size();
   auto gathered = Gather(mine, 0);
   // Root frames all pieces into one buffer and broadcasts it.
@@ -471,7 +469,7 @@ std::vector<std::vector<std::byte>> Comm::Allgather(pnc::ConstByteSpan mine) {
 std::vector<std::byte> Comm::Scatter(
     std::vector<std::vector<std::byte>> pieces, int root) {
   if (state_->rfault.armed && SelfDead()) return {};
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   const int p = size();
   if (rank_ == root) {
     assert(static_cast<int>(pieces.size()) == p);
@@ -487,7 +485,7 @@ std::vector<std::byte> Comm::Scatter(
 std::vector<std::vector<std::byte>> Comm::Alltoall(
     std::vector<std::vector<std::byte>> send) {
   if (state_->rfault.armed && SelfDead()) return {};
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   const int p = size();
   assert(static_cast<int>(send.size()) == p);
   std::vector<std::vector<std::byte>> result(p);
@@ -504,7 +502,7 @@ std::vector<std::vector<std::byte>> Comm::Alltoall(
 
 void Comm::Reduce(pnc::ByteSpan inout, const ReduceFn& fn, int root) {
   if (state_->rfault.armed && SelfDead()) return;
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   const int p = size();
   if (p == 1) return;
   const int r = (rank_ - root + p) % p;
@@ -525,14 +523,14 @@ void Comm::Reduce(pnc::ByteSpan inout, const ReduceFn& fn, int root) {
 
 void Comm::Allreduce(pnc::ByteSpan inout, const ReduceFn& fn) {
   if (state_->rfault.armed && SelfDead()) return;
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   Reduce(inout, fn, 0);
   Bcast(inout, 0);
 }
 
 bool Comm::AllAgree(pnc::ConstByteSpan bytes) {
   if (state_->rfault.armed && SelfDead()) return false;
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   auto gathered = Gather(bytes, 0);
   std::uint8_t same = 1;
   if (rank_ == 0) {
@@ -625,7 +623,7 @@ AgreeOutcome Comm::AgreeFT(std::int64_t value) {
     return out;  // inert: no survivors visible to a dead rank
   }
   MaybeCrashSelf();
-  PNC_IOSTAT_ADD(kMpiCollectives, 1);
+  PNC_OBSERVE(kCollective);
   auto& rf = state_->rfault;
   const double t_arrive = clock().now();
   std::unique_lock<std::mutex> lk(rf.mu);
@@ -662,9 +660,9 @@ AgreeOutcome Comm::AgreeFT(std::int64_t value) {
   }
   lk.unlock();
   clock().AdvanceTo(t_done);
-  PNC_IOSTAT_EVENT(kAgreement, clock().now(), t_done - t_arrive,
-                   static_cast<std::uint64_t>(out.alive.size()),
-                   out.any_dead ? 1 : 0, nullptr);
+  PNC_OBSERVE(kAgreement, .t_ns = clock().now(),
+              .n = static_cast<std::uint64_t>(out.alive.size()),
+              .wait_ns = t_done - t_arrive, .flag = out.any_dead);
   return out;
 }
 

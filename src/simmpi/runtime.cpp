@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "iostat/iostat.hpp"
+#include "iostat/observe.hpp"
 
 namespace simmpi {
 

@@ -13,9 +13,9 @@
 //                                      through to it
 //
 // Either mode accepts --trace=PATH (a driver-level bench::Recorder flag):
-// span recording is enabled and PATH is rewritten after each configuration
-// with a Chrome trace-event timeline, so it ends holding the run's most
-// recent configuration.
+// PATH is rewritten after each configuration with a Chrome trace-event
+// timeline of the flight ring's retained tail, so it ends holding the run's
+// most recent configuration.
 //
 // Baseline gating (with --suite):
 //   --check --baseline=PATH [--tolerance=PCT]

@@ -46,7 +46,9 @@
 //   --op=write|read            measured operation (default write; read runs
 //                              a populating write first and resets counters)
 //   --json=PATH                also dump the report JSON ("-" = stdout)
-//   --trace=PATH               record spans, write a Chrome trace timeline
+//   --trace=PATH               write a Chrome trace timeline of the flight
+//                              recorder's retained tail (PNC_FLIGHT_EVENTS
+//                              events per rank)
 //   --blackbox=PATH            dump the flight recorder (pnc-events-v1)
 //   --critpath                 print the critical-path decomposition of the
 //                              workload's collective ops
@@ -382,12 +384,11 @@ int RunMode(nctools::Cli& cli) {
       (op != "write" && op != "read"))
     return Usage();
   const bool indep = mode == "indep";
-  if (!trace.empty()) iostat::Registry::Get().SetSpansEnabled(true);
   // Both views need the bucketed sampler; --health without --timeline still
   // records (the verdict is computed from the buckets) but prints only the
   // verdict. SLO rules come from PNC_SLO (SloRulesFromEnv default:
   // any deadline miss / any injected fault violates).
-  if (timeline || health) iostat::TimelineRegistry::Get().SetEnabled(true);
+  if (timeline || health) iostat::SetSink(iostat::kSinkTimeline, true);
 
   const std::uint64_t total_elems = (mb << 20) / 8;
   const std::uint64_t per =

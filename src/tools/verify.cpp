@@ -33,11 +33,11 @@ class NullCommitIo final : public ncformat::CommitIo {
 /// are exactly what an operator wants to see after a crash.
 void WalkExtents(const Header& h, std::uint64_t file_size,
                  std::vector<std::string>& notes) {
-  struct Span {
+  struct VarRange {
     std::uint64_t begin, end;
     const std::string* name;
   };
-  std::vector<Span> fixed;
+  std::vector<VarRange> fixed;
   std::uint64_t rec_begin = 0;
   bool has_rec = false;
   for (std::size_t i = 0; i < h.vars.size(); ++i) {
@@ -55,7 +55,9 @@ void WalkExtents(const Header& h, std::uint64_t file_size,
     }
   }
   std::sort(fixed.begin(), fixed.end(),
-            [](const Span& a, const Span& b) { return a.begin < b.begin; });
+            [](const VarRange& a, const VarRange& b) {
+              return a.begin < b.begin;
+            });
   for (std::size_t i = 1; i < fixed.size(); ++i) {
     if (fixed[i].begin < fixed[i - 1].end)
       notes.push_back("variables '" + *fixed[i - 1].name + "' and '" +

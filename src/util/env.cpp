@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <string>
@@ -65,6 +66,13 @@ std::int64_t EnvInt(const char* name, std::int64_t def) {
     return def;
   }
   return static_cast<std::int64_t>(parsed);
+}
+
+bool EnvFlag(const char* name, bool def) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return def;
+  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
+           std::strcmp(v, "false") == 0);
 }
 
 }  // namespace pnc::util

@@ -22,4 +22,8 @@ double EnvDouble(const char* name, double def);
 /// Same contract for integers (base 10).
 std::int64_t EnvInt(const char* name, std::int64_t def);
 
+/// On/off switch. Unset/empty -> `def`; "0", "off" and "false" -> false;
+/// any other value -> true.
+bool EnvFlag(const char* name, bool def);
+
 }  // namespace pnc::util

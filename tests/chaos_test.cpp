@@ -403,7 +403,7 @@ class ChaosTraceTest : public ::testing::Test {
     GTEST_SKIP() << "instrumentation compiled out (PNC_IOSTAT=OFF)";
 #endif
     Registry::Get().Reset();
-    Registry::Get().SetCountersEnabled(true);
+    iostat::SetSink(iostat::kSinkCounters, true);
   }
   void TearDown() override { Registry::Get().Reset(); }
 };
@@ -425,7 +425,7 @@ TEST_F(ChaosTraceTest, CrashInsidePutResolvesToOriginatingApiCall) {
   for (std::uint64_t op = 0; op < 4096 && !resolved; ++op) {
     SCOPED_TRACE("crash at op " + std::to_string(op));
     Registry::Get().Reset();
-    Registry::Get().SetCountersEnabled(true);
+    iostat::SetSink(iostat::kSinkCounters, true);
     pfs::FileSystem fs;
     const RunResult run = simmpi::Run(
         4,

@@ -553,7 +553,7 @@ TEST(Integrity, IostatCountersAndBlackboxEvent) {
   GTEST_SKIP() << "instrumentation compiled out (PNC_IOSTAT=OFF)";
 #else
   iostat::Registry::Get().Reset();
-  iostat::Registry::Get().SetCountersEnabled(true);
+  iostat::SetSink(iostat::kSinkCounters, true);
 
   pfs::FileSystem fs;
   MakePatternFile(fs, "c.nc", 64 * 1024);
@@ -585,7 +585,7 @@ TEST(Integrity, IostatCountersAndBlackboxEvent) {
   EXPECT_TRUE(iostat::EvFromName("data_corrupt", &kind));
   EXPECT_EQ(kind, iostat::Ev::kDataCorrupt);
 
-  iostat::Registry::Get().SetCountersEnabled(false);
+  iostat::SetSink(iostat::kSinkCounters, false);
   iostat::Registry::Get().Reset();
 #endif
 }
@@ -599,7 +599,7 @@ TEST(Integrity, IostatCountsHealedRetries) {
   bool healed = false;
   for (std::uint64_t seed = 1; seed <= 16 && !healed; ++seed) {
     iostat::Registry::Get().Reset();
-    iostat::Registry::Get().SetCountersEnabled(true);
+    iostat::SetSink(iostat::kSinkCounters, true);
     pfs::FileSystem fs;
     MakePatternFile(fs, "hh.nc", 64 * 1024);
     simmpi::Run(1, [&](Comm& c) {
@@ -624,7 +624,7 @@ TEST(Integrity, IostatCountsHealedRetries) {
       }
       (void)ds.Close();
     });
-    iostat::Registry::Get().SetCountersEnabled(false);
+    iostat::SetSink(iostat::kSinkCounters, false);
     iostat::Registry::Get().Reset();
   }
   EXPECT_TRUE(healed) << "no seed produced a healed flip";

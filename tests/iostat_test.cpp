@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "iostat/observe.hpp"
 #include "iostat/report.hpp"
 #include "iostat/trace.hpp"
 #include "mpiio/file.hpp"
@@ -35,18 +38,15 @@ class IostatTest : public ::testing::Test {
     GTEST_SKIP() << "instrumentation compiled out (PNC_IOSTAT=OFF)";
 #endif
     Registry::Get().Reset();
-    Registry::Get().SetCountersEnabled(true);
-    Registry::Get().SetSpansEnabled(true);
+    iostat::SetSink(iostat::kSinkCounters, true);
   }
-  void TearDown() override {
-    Registry::Get().SetSpansEnabled(false);
-    Registry::Get().Reset();
-  }
+  void TearDown() override { Registry::Get().Reset(); }
 };
 
 TEST_F(IostatTest, RegistryBindsRanksAndSumsCounters) {
   simmpi::Run(3, [&](Comm& c) {
-    for (int i = 0; i <= c.rank(); ++i) PNC_IOSTAT_ADD(kNcDataCalls, 10);
+    for (int i = 0; i <= c.rank(); ++i)
+      Registry::Get().Add(Ctr::kNcDataCalls, 10);
   });
   const auto rep = iostat::BuildReport();
   EXPECT_EQ(rep.nranks, 3);
@@ -57,9 +57,9 @@ TEST_F(IostatTest, RegistryBindsRanksAndSumsCounters) {
 }
 
 TEST_F(IostatTest, DisabledCountersRecordNothing) {
-  Registry::Get().SetCountersEnabled(false);
-  PNC_IOSTAT_ADD(kPfsReadOps, 5);
-  Registry::Get().SetCountersEnabled(true);
+  iostat::SetSink(iostat::kSinkCounters, false);
+  PNC_OBSERVE(kPfsRequest, .len = 5);
+  iostat::SetSink(iostat::kSinkCounters, true);
   EXPECT_EQ(Sum(iostat::BuildReport(), Ctr::kPfsReadOps), 0u);
 }
 
@@ -118,17 +118,80 @@ TEST_F(IostatTest, FourRankTwoPhaseWriteExactCounters) {
   EXPECT_GT(Sum(rep, Ctr::kMpiioIoPhaseNs), 0u);
   EXPECT_LE(Sum(rep, Ctr::kMpiioBytesWritten), Sum(rep, Ctr::kPfsBytesWritten));
 
-  // Spans landed on aggregator timelines with the right categories.
-  bool saw_exchange = false, saw_io = false;
+  // The Chrome trace draws both phases as slices from the ring's matched
+  // Begin/End events, never with a negative duration.
+  const std::string trace = iostat::ToChromeTrace();
+  EXPECT_NE(trace.find("\"name\":\"exchange\",\"cat\":\"mpiio\",\"ph\":\"X\""),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"io\",\"cat\":\"mpiio\",\"ph\":\"X\""),
+            std::string::npos);
+  EXPECT_EQ(trace.find("\"dur\":-"), std::string::npos);
+}
+
+// ------------------------------------------- one observation, four sinks
+
+// A 4-rank two-phase write over 4 servers with every sink on. Each pfs
+// grant is one observation, so wherever two sinks keep the same grant total
+// (grants and bytes per server, queue wait) the totals agree exactly.
+TEST_F(IostatTest, SinksAgreeOnPfsGrantTotals) {
+  constexpr std::uint64_t kBlock = 96 << 10;  // not stripe-aligned
+  pfs::Config cfg;
+  cfg.num_servers = 4;
+  cfg.stripe_size = 64 << 10;
+  pfs::FileSystem fs(cfg);
+  iostat::SetSink(iostat::kSinkPattern | iostat::kSinkTimeline, true);
+  simmpi::Run(4, [&](Comm& c) {
+    auto f = mpiio::File::Open(c, fs, "sinks.dat",
+                               mpiio::kCreate | mpiio::kRdWr,
+                               simmpi::NullInfo())
+                 .value();
+    std::vector<std::byte> mine(kBlock, std::byte{0x3C});
+    for (std::uint64_t k = 0; k < 3; ++k)
+      ASSERT_TRUE(f.WriteAtAll((4 * k + c.rank()) * kBlock, mine.data(),
+                               kBlock, simmpi::ByteType())
+                      .ok());
+    ASSERT_TRUE(f.Close().ok());
+  });
+  const iostat::Report rep = iostat::BuildReport();
+  iostat::SetSink(iostat::kSinkTimeline, false);
+  ASSERT_EQ(rep.pattern.servers.size(), 4u);
+
+  // Per server: [0] grants, [1] bytes; ring, pattern, timeline.
+  std::map<int, std::uint64_t> ring[2], pattern[2], timeline[2];
+  std::uint64_t ring_wait_ns = 0;  // whole ns, like the counter
   for (int r = 0; r < rep.nranks; ++r) {
-    for (const auto& s : Registry::Get().SpansOfRank(r)) {
-      if (std::strcmp(s.name, "exchange") == 0) saw_exchange = true;
-      if (std::strcmp(s.name, "io") == 0) saw_io = true;
-      EXPECT_GE(s.end_ns, s.start_ns);
+    const auto tail = iostat::FlightRecorder::Get().CollectRank(r);
+    ASSERT_EQ(tail.size(), iostat::FlightRecorder::Get().RecordedCount(r));
+    for (const iostat::Event& e : tail) {
+      if (e.kind != iostat::Ev::kPfsServer) continue;
+      ring_wait_ns += e.a1;
+      if (e.detail[0] == 's') continue;  // zero-length sync, not a grant
+      ++ring[0][static_cast<int>(e.a0 & 0xff)];
+      ring[1][static_cast<int>(e.a0 & 0xff)] += e.a0 >> 8;
     }
   }
-  EXPECT_TRUE(saw_exchange);
-  EXPECT_TRUE(saw_io);
+  double pattern_wait_ns = 0, timeline_wait_ns = 0;
+  for (int s = 0; s < 4; ++s) {
+    const auto& sp = rep.pattern.servers[static_cast<std::size_t>(s)];
+    pattern[0][s] = sp.grants;
+    pattern[1][s] = sp.bytes;
+    pattern_wait_ns += sp.queue_wait_ns;
+  }
+  for (const iostat::TlServerCell& cell : rep.timeline.servers) {
+    timeline[0][cell.server] += cell.grants;
+    timeline[1][cell.server] += static_cast<std::uint64_t>(cell.bytes);
+  }
+  for (const iostat::TlTenantCell& cell : rep.timeline.tenants)
+    timeline_wait_ns += cell.wait_ns;
+
+  EXPECT_GT(pattern[0][3], 0u);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(ring[k], pattern[k]);
+    EXPECT_EQ(ring[k], timeline[k]);
+  }
+  EXPECT_EQ(Sum(rep, Ctr::kPfsQueueWaitNs), ring_wait_ns);
+  EXPECT_GT(pattern_wait_ns, 0.0);
+  EXPECT_EQ(pattern_wait_ns, timeline_wait_ns);
 }
 
 // ------------------------------------------- strided independent read
@@ -201,9 +264,9 @@ TEST_F(IostatTest, StridedReadWithoutSievingIsPureOps) {
 // ----------------------------------------------------- exporters
 
 TEST_F(IostatTest, JsonRoundTripPreservesCountersAndDerived) {
-  PNC_IOSTAT_ADD(kPfsBytesWritten, 12345);
-  PNC_IOSTAT_ADD(kMpiioSieveBytesWanted, 100);
-  PNC_IOSTAT_ADD(kMpiioSieveBytesFile, 250);
+  Registry::Get().Add(Ctr::kPfsBytesWritten, 12345);
+  Registry::Get().Add(Ctr::kMpiioSieveBytesWanted, 100);
+  Registry::Get().Add(Ctr::kMpiioSieveBytesFile, 250);
   const auto rep = iostat::BuildReport();
   const std::string json = iostat::ToJson(rep);
   EXPECT_NE(json.find("\"schema\":\"pnc-iostat-v1\""), std::string::npos);
@@ -217,7 +280,7 @@ TEST_F(IostatTest, JsonRoundTripPreservesCountersAndDerived) {
 }
 
 TEST_F(IostatTest, ParseFindsReportEmbeddedInBenchRecord) {
-  PNC_IOSTAT_ADD(kNcDataCalls, 7);
+  Registry::Get().Add(Ctr::kNcDataCalls, 7);
   const std::string line = "{\"schema\":\"pnc-bench-v1\",\"bench\":\"x\","
                            "\"config\":{\"nprocs\":4},\"iostat\":" +
                            iostat::ToJson(iostat::BuildReport()) + "}";
@@ -234,16 +297,21 @@ TEST_F(IostatTest, ParseRejectsGarbage) {
 TEST_F(IostatTest, ChromeTraceHasPerRankTracks) {
   simmpi::Run(2, [&](Comm& c) {
     const double t0 = c.clock().now();
+    PNC_OBSERVE(kXchgBegin, .t_ns = t0);
     c.clock().Advance(1000.0);
-    PNC_IOSTAT_SPAN("mpiio", "exchange", t0, c.clock().now());
+    PNC_OBSERVE(kXchgEnd, .t_ns = t0, .end_ns = c.clock().now());
   });
   const std::string trace = iostat::ToChromeTrace();
   EXPECT_NE(trace.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"M\""), std::string::npos);
-  EXPECT_NE(trace.find("\"tid\":0"), std::string::npos);
-  EXPECT_NE(trace.find("\"tid\":1"), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"exchange\""), std::string::npos);
-  EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
+  // One 1 us exchange slice per rank, drawn from its Begin/End ring events.
+  for (const char* tid : {"0", "1"}) {
+    EXPECT_NE(trace.find(std::string("\"name\":\"exchange\",\"cat\":\"mpiio\","
+                                     "\"ph\":\"X\",\"ts\":0.000,\"dur\":1.000,"
+                                     "\"pid\":0,\"tid\":") + tid + "}"),
+              std::string::npos)
+        << "rank " << tid << "\n" << trace;
+  }
 }
 
 TEST_F(IostatTest, PrettyPrintShowsLayerSections) {

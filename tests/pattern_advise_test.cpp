@@ -23,6 +23,7 @@
 
 #include "iostat/advise.hpp"
 #include "iostat/iostat.hpp"
+#include "iostat/observe.hpp"
 #include "iostat/report.hpp"
 #include "pnetcdf/dataset.hpp"
 #include "simmpi/runtime.hpp"
@@ -35,6 +36,9 @@ using iostat::PatternRegistry;
 using iostat::PatternSummary;
 using iostat::Recommendation;
 
+/// A flattened extent list, as the pnetcdf layer hands it to the profiler.
+std::vector<pnc::Extent> X(std::initializer_list<pnc::Extent> e) { return e; }
+
 class PatternTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -42,10 +46,10 @@ class PatternTest : public ::testing::Test {
     GTEST_SKIP() << "instrumentation compiled out (PNC_IOSTAT=OFF)";
 #endif
     iostat::Registry::Get().Reset();  // also resets the PatternRegistry
-    PatternRegistry::Get().SetEnabled(true);
+    iostat::SetSink(iostat::kSinkPattern, true);
   }
   void TearDown() override {
-    PatternRegistry::Get().SetEnabled(true);
+    iostat::SetSink(iostat::kSinkPattern, true);
     iostat::Registry::Get().Reset();
   }
 };
@@ -79,11 +83,11 @@ TEST_F(PatternTest, WithinCallClassification) {
   auto& pr = PatternRegistry::Get();
   // Regular: constant length, constant start-to-start stride -> strided.
   pr.RecordAccess("v", /*is_write=*/true, /*collective=*/true,
-                  {0, 32, 64, 96}, {8, 8, 8, 8});
+                  X({{0, 8}, {32, 8}, {64, 8}, {96, 8}}));
   // Irregular lengths -> random.
-  pr.RecordAccess("v", true, true, {0, 32, 64}, {8, 16, 8});
+  pr.RecordAccess("v", true, true, X({{0, 8}, {32, 16}, {64, 8}}));
   // Irregular strides -> random.
-  pr.RecordAccess("v", true, true, {0, 32, 100}, {8, 8, 8});
+  pr.RecordAccess("v", true, true, X({{0, 8}, {32, 8}, {100, 8}}));
   const PatternSummary s = pr.Snapshot();
   ASSERT_EQ(s.vars.size(), 1u);
   EXPECT_EQ(s.vars[0].var, "v");
@@ -100,11 +104,11 @@ TEST_F(PatternTest, CrossCallGapClassification) {
   auto& pr = PatternRegistry::Get();
   // Sequential single-extent calls: first call and gap-0 continuations are
   // contig; a repeated nonzero gap is strided; a changing gap is random.
-  pr.RecordAccess("seq", false, false, {0}, {64});     // first -> contig
-  pr.RecordAccess("seq", false, false, {64}, {64});    // gap 0 -> contig
-  pr.RecordAccess("seq", false, false, {256}, {64});   // first gap -> strided
-  pr.RecordAccess("seq", false, false, {448}, {64});   // same gap -> strided
-  pr.RecordAccess("seq", false, false, {4096}, {64});  // new gap -> random
+  pr.RecordAccess("seq", false, false, X({{0, 64}}));     // first: contig
+  pr.RecordAccess("seq", false, false, X({{64, 64}}));    // gap 0: contig
+  pr.RecordAccess("seq", false, false, X({{256, 64}}));   // 1st gap: strided
+  pr.RecordAccess("seq", false, false, X({{448, 64}}));   // same gap: strided
+  pr.RecordAccess("seq", false, false, X({{4096, 64}}));  // new gap: random
   const PatternSummary s = pr.Snapshot();
   ASSERT_EQ(s.vars.size(), 1u);
   EXPECT_EQ(s.vars[0].contig, 2u);
@@ -118,8 +122,8 @@ TEST_F(PatternTest, CrossCallGapClassification) {
 
 TEST_F(PatternTest, ReportJsonRoundTripsPatternExactly) {
   auto& pr = PatternRegistry::Get();
-  pr.RecordAccess("m", true, false, {0, 32, 64, 96}, {8, 8, 8, 8});
-  pr.RecordTwophasePre({{0, 4096}, {8192, 4096}});
+  pr.RecordAccess("m", true, false, X({{0, 8}, {32, 8}, {64, 8}, {96, 8}}));
+  pr.RecordTwophasePre(X({{0, 4096}, {8192, 4096}}));
   pr.RecordAggWindow(65536);
   pr.RecordSieveWindow(true, 1024, 8192, 0, true);
   pr.RecordSieveWindow(false, 512, 512, 0, false);
@@ -162,13 +166,14 @@ TEST_F(PatternTest, ReportJsonRoundTripsPatternExactly) {
 }
 
 TEST_F(PatternTest, GateOffRecordsNothingAndOmitsJsonMember) {
-  PatternRegistry::Get().SetEnabled(false);
+  iostat::SetSink(iostat::kSinkPattern, false);
   // The macro surface is a no-op when the gate is off...
-  const std::vector<std::uint64_t> offs = {0, 64}, lens = {8, 8};
-  PNC_IOSTAT_PATTERN_ACCESS("gated", true, true, offs, lens);
-  PNC_IOSTAT_PATTERN_AGG(1234);
-  PNC_IOSTAT_PATTERN_SIEVE(true, 10, 20, 0, true);
-  PNC_IOSTAT_PATTERN_PFS(0, 0, 64, 0.0, 1.0, 1, 0.0);
+  const std::vector<pnc::Extent> ext = X({{0, 8}, {64, 8}});
+  PNC_OBSERVE(kNcData, .len = 16, .is_write = true, .flag = true,
+              .detail = "gated", .extents = ext);
+  PNC_OBSERVE(kAggWindow, .len = 1234);
+  PNC_OBSERVE(kSieve, .len = 10, .n = 20, .is_write = true, .flag = true);
+  PNC_OBSERVE(kPfsGrant, .end_ns = 1.0, .len = 64, .depth = 1);
   const iostat::Report rep = iostat::BuildReport();
   EXPECT_FALSE(rep.pattern.present);
   // ...and an absent pattern keeps the report JSON free of the member, the

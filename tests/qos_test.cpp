@@ -578,7 +578,7 @@ class QosTraceTest : public ::testing::Test {
     GTEST_SKIP() << "instrumentation compiled out (PNC_IOSTAT=OFF)";
 #endif
     iostat::Registry::Get().Reset();
-    iostat::Registry::Get().SetCountersEnabled(true);
+    iostat::SetSink(iostat::kSinkCounters, true);
   }
   void TearDown() override { iostat::Registry::Get().Reset(); }
 };

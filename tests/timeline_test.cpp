@@ -48,14 +48,14 @@ class TimelineTest : public ::testing::Test {
     GTEST_SKIP() << "instrumentation compiled out (PNC_IOSTAT=OFF)";
 #endif
     iostat::Registry::Get().Reset();  // also resets the timeline registry
-    iostat::Registry::Get().SetCountersEnabled(true);
-    TimelineRegistry::Get().SetEnabled(true);
+    iostat::SetSink(iostat::kSinkCounters, true);
+    iostat::SetSink(iostat::kSinkTimeline, true);
     TimelineRegistry::Get().SetSloRules({});
   }
   void TearDown() override {
-    TimelineRegistry::Get().SetEnabled(false);
+    iostat::SetSink(iostat::kSinkTimeline, false);
     TimelineRegistry::Get().SetSloRules(iostat::SloRulesFromEnv());
-    FlightRecorder::Get().SetEnabled(false);
+    iostat::SetSink(iostat::kSinkRing, false);
     iostat::Registry::Get().Reset();
   }
 };
@@ -203,7 +203,7 @@ double RunDeterministicWorkload(std::string* report_json) {
 
 TEST_F(TimelineTest, GateOffReportIsByteIdenticalModuloTimelineSection) {
   // Off first: the report must not even contain the key.
-  TimelineRegistry::Get().SetEnabled(false);
+  iostat::SetSink(iostat::kSinkTimeline, false);
   std::string off_json;
   const double off_end = RunDeterministicWorkload(&off_json);
   ASSERT_FALSE(off_json.empty());
@@ -211,8 +211,8 @@ TEST_F(TimelineTest, GateOffReportIsByteIdenticalModuloTimelineSection) {
 
   // Same workload with the timeline on.
   iostat::Registry::Get().Reset();
-  iostat::Registry::Get().SetCountersEnabled(true);
-  TimelineRegistry::Get().SetEnabled(true);
+  iostat::SetSink(iostat::kSinkCounters, true);
+  iostat::SetSink(iostat::kSinkTimeline, true);
   std::string on_json;
   const double on_end = RunDeterministicWorkload(&on_json);
 
@@ -252,12 +252,11 @@ struct StormTelemetry {
 /// separates the disciplines.
 StormTelemetry RunWatchedStorm(const pfs::QosPolicy& policy) {
   iostat::Registry::Get().Reset();
-  iostat::Registry::Get().SetCountersEnabled(true);
+  iostat::SetSink(iostat::kSinkCounters | iostat::kSinkTimeline, true);
   TimelineRegistry& reg = TimelineRegistry::Get();
-  reg.SetEnabled(true);
   reg.SetSloRules(
       {SloRule{SloRule::Kind::kP99WaitNs, "light-wait", "light", 5e7, 1}});
-  FlightRecorder::Get().SetEnabled(true);
+  iostat::SetSink(iostat::kSinkRing, true);
 
   pfs::FileSystem fs;
   const int heavy = fs.RegisterTenant({"heavy", 1.0 / 16.0, 0.0, 0});

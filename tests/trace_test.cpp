@@ -27,6 +27,7 @@
 
 #include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
+#include "iostat/observe.hpp"
 #include "iostat/timeline.hpp"
 #include "iostat/trace.hpp"
 #include "mpiio/file.hpp"
@@ -69,7 +70,7 @@ class TraceTest : public ::testing::Test {
     GTEST_SKIP() << "instrumentation compiled out (PNC_IOSTAT=OFF)";
 #endif
     Registry::Get().Reset();
-    Registry::Get().SetCountersEnabled(true);
+    iostat::SetSink(iostat::kSinkCounters, true);
   }
   void TearDown() override { Registry::Get().Reset(); }
 };
@@ -257,7 +258,7 @@ TEST_F(TraceTest, ChromeTraceRendersTimelineCounterTracksExactly) {
 // timeline armed — the exported trace must carry one "tl mbps" track per
 // pfs server next to the per-grant serve spans.
 TEST_F(TraceTest, FourRankTwoPhaseTraceCarriesTimelineTracks) {
-  iostat::TimelineRegistry::Get().SetEnabled(true);
+  iostat::SetSink(iostat::kSinkTimeline, true);
   constexpr std::uint64_t kBlock = 256 << 10;
   pfs::Config cfg;
   cfg.num_servers = 2;
@@ -275,7 +276,7 @@ TEST_F(TraceTest, FourRankTwoPhaseTraceCarriesTimelineTracks) {
     ASSERT_TRUE(f.Close().ok());
   });
   const iostat::TimelineSummary tl = iostat::TimelineRegistry::Get().Snapshot();
-  iostat::TimelineRegistry::Get().SetEnabled(false);
+  iostat::SetSink(iostat::kSinkTimeline, false);
   ASSERT_TRUE(tl.present);
   const std::string trace = iostat::ToChromeTrace(&tl);
   EXPECT_NE(trace.find("\"tl mbps s0\""), std::string::npos);
@@ -288,9 +289,10 @@ TEST_F(TraceTest, FourRankTwoPhaseTraceCarriesTimelineTracks) {
 
 TEST_F(TraceTest, EventsJsonRoundTripPreservesFields) {
   PNC_IOSTAT_BIND_RANK(0);
-  PNC_IOSTAT_EVENT(kPfsServer, 123.5, 800.25, (4096u << 8) | 3u, 77, "w");
-  PNC_IOSTAT_EVENT(kPfsFault, 1000, 0, 1, 0, "transient");
-  PNC_IOSTAT_EVENT(kXchgSend, 2000, 0, 5, 2, "needs \"escaping\"\n");
+  FlightRecorder& fr = FlightRecorder::Get();
+  fr.Record(Ev::kPfsServer, 123.5, 800.25, (4096u << 8) | 3u, 77, "w");
+  fr.Record(Ev::kPfsFault, 1000, 0, 1, 0, "transient");
+  fr.Record(Ev::kXchgSend, 2000, 0, 5, 2, "needs \"escaping\"\n");
 
   const std::string json = iostat::EventsToJson("round-trip");
   auto parsed = iostat::ParseEventsJson(json);
@@ -341,7 +343,7 @@ TEST_F(TraceTest, RingKeepsTailAndCountsDrops) {
   const std::size_t cap = FlightRecorder::Get().capacity();
   const std::size_t total = cap + 16;
   for (std::size_t i = 0; i < total; ++i)
-    PNC_IOSTAT_EVENT(kIndep, static_cast<double>(i), 0, i, 0, nullptr);
+    PNC_OBSERVE(kIndep, .t_ns = static_cast<double>(i), .len = i);
   const std::vector<Event> tail = FlightRecorder::Get().CollectRank(0);
   ASSERT_EQ(tail.size(), cap);
   // Oldest retained is the (total - cap + 1)-th recorded; newest is the last.
@@ -367,7 +369,8 @@ TEST_F(TraceTest, HangWatchdogDumpsEveryRanksTail) {
             [](Comm& c) {
               // Every rank leaves a fingerprint in its ring before rank 0
               // deadlocks waiting for a message rank 1 never sends.
-              PNC_IOSTAT_EVENT(kIndep, c.clock().now(), 0, 64, 1, "pre-hang");
+              PNC_OBSERVE(kIndep, .t_ns = c.clock().now(), .len = 64,
+                          .is_write = true, .detail = "pre-hang");
               if (c.rank() == 0) (void)c.Recv(/*src=*/1, /*tag=*/7);
             },
             cm);
@@ -524,9 +527,9 @@ TEST_F(TraceTest, TransientFaultAndRetryEventsCarryRequestAndVariable) {
 
 TEST_F(TraceTest, DisabledRecorderRecordsNothing) {
   PNC_IOSTAT_BIND_RANK(0);
-  FlightRecorder::Get().SetEnabled(false);
-  PNC_IOSTAT_EVENT(kIndep, 1.0, 0, 1, 1, nullptr);
-  FlightRecorder::Get().SetEnabled(true);
+  iostat::SetSink(iostat::kSinkRing, false);
+  PNC_OBSERVE(kIndep, .t_ns = 1.0, .len = 1, .is_write = true);
+  iostat::SetSink(iostat::kSinkRing, true);
   EXPECT_EQ(FlightRecorder::Get().RecordedCount(0), 0u);
   EXPECT_TRUE(FlightRecorder::Get().CollectRank(0).empty());
 }
@@ -551,6 +554,49 @@ TEST_F(TraceTest, ReqScopeNestsAndRestores) {
   EXPECT_EQ(tail[0].kind, Ev::kApiBegin);
   EXPECT_STREQ(tail[0].detail, "put_vara:outer");
   EXPECT_STREQ(tail[1].detail, "write_header");
+}
+
+// ------------------------------------------------------ environment knobs
+
+/// Set `name` to `value` (unset when nullptr), call `read`, then unset it.
+template <typename Read>
+auto WithEnv(const char* name, const char* value, Read read) {
+  if (value == nullptr)
+    unsetenv(name);
+  else
+    setenv(name, value, 1);
+  const auto got = read();
+  unsetenv(name);
+  return got;
+}
+
+// PNC_FLIGHT_EVENTS goes through the checked integer parser: malformed
+// values fall back to 4096 (with a warning), the rest clamp into [64, 2^20].
+TEST(FlightRecorderEnv, CapacityIsParsedCheckedAndClamped) {
+  const auto cap = [](const char* v) {
+    return WithEnv("PNC_FLIGHT_EVENTS", v, iostat::FlightCapacityFromEnv);
+  };
+  EXPECT_EQ(cap(nullptr), 4096u);
+  EXPECT_EQ(cap("10000"), 10000u);
+  EXPECT_EQ(cap("10"), 64u);
+  EXPECT_EQ(cap("99999999"), std::size_t{1} << 20);
+  EXPECT_EQ(cap("4k"), 4096u);    // malformed: trailing junk
+  EXPECT_EQ(cap("lots"), 4096u);  // malformed: no number
+  EXPECT_EQ(cap("-1"), 64u);      // clamps to the floor, does not wrap
+}
+
+// One environment reader sets every sink gate: "0"/"off"/"false" turn a
+// sink off, PNC_IOSTAT=0 turns all off, and the timeline is opt-in.
+TEST(SinkGates, ComeFromTheEnvironment) {
+  using namespace iostat;
+  const unsigned kDefault = kSinkCounters | kSinkRing | kSinkPattern;
+  EXPECT_EQ(SinksFromEnv(), kDefault);
+  EXPECT_EQ(WithEnv("PNC_IOSTAT", "0", SinksFromEnv), 0u);
+  EXPECT_EQ(WithEnv("PNC_FLIGHT", "off", SinksFromEnv), kDefault & ~kSinkRing);
+  EXPECT_EQ(WithEnv("PNC_IOSTAT_PATTERN", "false", SinksFromEnv),
+            kDefault & ~kSinkPattern);
+  EXPECT_EQ(WithEnv("PNC_IOSTAT_TIMELINE", "1", SinksFromEnv),
+            kDefault | kSinkTimeline);
 }
 
 }  // namespace
