@@ -45,20 +45,7 @@ pnc::Result<File> File::Open(simmpi::Comm comm, pfs::FileSystem& fs,
       err = r.status().raw();
     }
   }
-  if (comm.FaultsArmed()) {
-    // Error codes are negative, so a min-fold agreement with non-roots
-    // contributing 0 doubles as a fault-tolerant broadcast of rank 0's
-    // verdict. A comm with a dead member cannot produce a coherent
-    // collective handle — callers reopen on a LiveSubsetFT comm instead.
-    if (comm.SelfDead())
-      return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
-    const simmpi::AgreeOutcome o = comm.AgreeFT(err);
-    if (o.any_dead)
-      return pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-    err = static_cast<int>(o.min_value);
-  } else {
-    comm.BcastValue(err, 0);
-  }
+  PNC_RETURN_IF_ERROR(comm.TryBcastValue(err, 0));
   if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
   if (comm.rank() != 0) {
     auto r = fs.Open(path);
@@ -66,13 +53,9 @@ pnc::Result<File> File::Open(simmpi::Comm comm, pfs::FileSystem& fs,
     handle = std::move(r).value();
     handle->SetTenant(tenant);
   }
-  if (comm.FaultsArmed()) {
-    const simmpi::AgreeOutcome o = comm.AgreeFT(0);
-    if (o.any_dead)
-      return pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-  } else {
-    comm.Barrier();
-  }
+  // A comm with a dead member cannot produce a coherent collective handle:
+  // callers reopen on a LiveSubsetFT comm instead.
+  PNC_RETURN_IF_ERROR(comm.TryBarrier());
 
   File f;
   f.impl_ = std::make_shared<Impl>(std::move(comm), &fs, std::move(*handle),
@@ -84,14 +67,7 @@ pnc::Status File::SetView(std::uint64_t disp, const simmpi::Datatype& etype,
                           const simmpi::Datatype& filetype) {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "set_view");
   impl_->view = FileView(disp, etype, filetype);
-  if (impl_->comm.FaultsArmed()) {
-    const simmpi::AgreeOutcome o = impl_->comm.AgreeFT(0);
-    if (o.any_dead)
-      return pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-  } else {
-    impl_->comm.Barrier();
-  }
-  return pnc::Status::Ok();
+  return impl_->comm.TryBarrier();
 }
 
 pnc::Status File::SetViewLocal(std::uint64_t disp,
@@ -139,22 +115,11 @@ pnc::Status File::Sync() {
   // with a shared arrival time the queue delay is a deterministic function
   // of the request count, which is what lets single-writer benchmark
   // configurations produce byte-identical virtual-time results run to run
-  // (see bench/suites.cpp).
-  if (impl_->comm.FaultsArmed()) {
-    // The agreement rounds double as the rendezvous: each synchronizes
-    // survivor clocks to the latest arrival, and a death at any point turns
-    // into kRankFailed on every survivor instead of a hang. Survivors still
-    // flush their own data first.
-    if (impl_->comm.SelfDead())
-      return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
-    (void)impl_->comm.AgreeFT(0);
-    return AgreeStatus(impl_->comm, impl_->RetrySync());
-  }
-  impl_->comm.SyncClocksToMax();
-  pnc::Status st = impl_->RetrySync();
-  st = AgreeStatus(impl_->comm, st);
-  impl_->comm.SyncClocksToMax();
-  return st;
+  // (see bench/suites.cpp). Under an armed rank-fault policy a death at the
+  // rendezvous still lets the survivors flush their own data first; the
+  // closing agreement reports it.
+  (void)impl_->comm.TrySyncClocks();
+  return impl_->comm.AgreeStatus(impl_->RetrySync());
 }
 
 pnc::Status File::SyncLocal() {
@@ -165,14 +130,7 @@ pnc::Status File::SyncLocal() {
 pnc::Status File::SetSize(std::uint64_t size) {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "set_size");
   if (impl_->comm.rank() == 0) impl_->file.Truncate(size);
-  if (impl_->comm.FaultsArmed()) {
-    const simmpi::AgreeOutcome o = impl_->comm.AgreeFT(0);
-    if (o.any_dead)
-      return pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-  } else {
-    impl_->comm.Barrier();
-  }
-  return pnc::Status::Ok();
+  return impl_->comm.TryBarrier();
 }
 
 pnc::Result<std::uint64_t> File::GetSize() const {
@@ -182,21 +140,10 @@ pnc::Result<std::uint64_t> File::GetSize() const {
 
 pnc::Status File::Close() {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "close");
-  if (impl_->comm.FaultsArmed()) {
-    // Survivors rendezvous through the agreement monitor (a dead member can
-    // never arrive at a Barrier) and close their handles regardless of the
-    // outcome; the status reports whether the group was whole.
-    impl_->open = false;
-    if (impl_->comm.SelfDead())
-      return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
-    const simmpi::AgreeOutcome o = impl_->comm.AgreeFT(0);
-    return o.any_dead
-               ? pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed")
-               : pnc::Status::Ok();
-  }
-  impl_->comm.Barrier();
+  // Every rank releases its handle whatever the outcome; the status reports
+  // whether the group was whole.
   impl_->open = false;
-  return pnc::Status::Ok();
+  return impl_->comm.TryBarrier();
 }
 
 const Hints& File::hints() const { return impl_->hints; }
@@ -264,27 +211,6 @@ pnc::Status File::Impl::RetrySync() {
                     .wait_ns = backoff);
         file.RecordRetry(/*is_write=*/true);
       });
-}
-
-pnc::Status AgreeStatus(simmpi::Comm& comm, const pnc::Status& local) {
-  if (comm.FaultsArmed()) {
-    // Full failure agreement: the fold and the survivor set come from one
-    // agreement round, so every survivor returns the identical status and a
-    // peer's death outranks any I/O error.
-    if (comm.SelfDead())
-      return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
-    const simmpi::AgreeOutcome o = comm.AgreeFT(local.raw());
-    if (o.any_dead)
-      return pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-    if (o.min_value == 0) return pnc::Status::Ok();
-    if (local.raw() == o.min_value) return local;
-    return pnc::Status(static_cast<pnc::Err>(o.min_value),
-                       "I/O failed on a peer rank");
-  }
-  int agreed = comm.AllreduceMin(local.raw());
-  if (agreed == 0) return pnc::Status::Ok();
-  if (local.raw() == agreed) return local;
-  return pnc::Status(static_cast<pnc::Err>(agreed), "I/O failed on a peer rank");
 }
 
 // ------------------------------------------------------- independent path

@@ -53,9 +53,4 @@ struct File::Impl {
   pnc::Status RetrySync();
 };
 
-/// Collective error agreement: allreduce the most severe (most negative)
-/// status code so every rank of a collective returns the same status. Ranks
-/// that failed locally keep their own message; others report a peer failure.
-pnc::Status AgreeStatus(simmpi::Comm& comm, const pnc::Status& local);
-
 }  // namespace mpiio

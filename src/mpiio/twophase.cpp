@@ -24,40 +24,6 @@ namespace mpiio {
 
 namespace {
 
-// User-space tag block for the fault-tolerant exchange, kept far above any
-// tag application code plausibly uses on the same communicator. Each window
-// round uses two tags (requests, read replies) so a rank racing one round
-// ahead can never match a peer's still-pending receive.
-constexpr int kFtTagBase = 1 << 24;
-int FtTag(std::uint64_t w, int phase) {
-  return kFtTagBase + static_cast<int>(w) * 2 + phase;
-}
-
-/// Fault-tolerant personalized all-to-all: every live rank posts all its
-/// sends before draining any receive (buffered sends make that legal), so a
-/// rank dying mid-collective only leaves holes — observed via RecvFT — and
-/// never a live peer blocked on a live peer. Returns false when any peer
-/// died; the dead peers' slots in `out` are left empty.
-bool AlltoallFT(simmpi::Comm& c, std::vector<std::vector<std::byte>> send,
-                int tag, std::vector<std::vector<std::byte>>& out) {
-  PNC_OBSERVE(kCollective);
-  const int p = c.size();
-  const int rank = c.rank();
-  out.assign(static_cast<std::size_t>(p), {});
-  out[static_cast<std::size_t>(rank)] =
-      std::move(send[static_cast<std::size_t>(rank)]);
-  for (int i = 1; i < p; ++i) {
-    const int dst = (rank + i) % p;
-    c.Send(dst, tag, send[static_cast<std::size_t>(dst)]);
-  }
-  bool ok = true;
-  for (int i = 1; i < p; ++i) {
-    const int src = (rank - i + p) % p;
-    ok = c.RecvFT(src, tag, out[static_cast<std::size_t>(src)]) && ok;
-  }
-  return ok;
-}
-
 /// One rank's portion of a collective, split by aggregator domain: for each
 /// domain, the half-open range of `segs` indices plus the packed-data offset
 /// where that domain's bytes start (segments are file-sorted, so each
@@ -152,8 +118,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     pnc::Status st = bytes == 0 ? pnc::Status::Ok()
                                 : IndependentIo(offset_etypes, buf, count,
                                                 memtype, is_write);
-    st = AgreeStatus(comm, st);
-    comm.SyncClocksToMax();
+    st = comm.AgreeStatus(st);
     PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write,
                 .flag = st.ok());
     return st;
@@ -180,64 +145,37 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     data = staging.data();
   }
 
-  // --- rank-fault tolerance (armed chaos runs only) ---
-  // The exchange itself runs on `work`: normally an alias of the caller's
-  // comm, but under an armed policy the agreed survivor subset. Aggregator
+  // The exchange runs on `work`: this comm minus any member already dead
+  // (always the comm itself when no rank-fault policy is armed). Aggregator
   // duties of a rank that died before the collective are reassigned simply
   // because the domain mapping below is computed over `work` — the fallback
   // aggregator is deterministic (same formula, smaller comm). A death
-  // *during* the collective surfaces through the FT exchange/agreement and
-  // turns into kRankFailed on every survivor; either way, nobody hangs.
-  const bool ft = comm.FaultsArmed();
+  // *during* the collective surfaces through the exchange and the closing
+  // status agreement, and turns into kRankFailed on every survivor; either
+  // way, nobody hangs.
   simmpi::Comm work = comm;
-  bool degraded = false;  ///< a death was observed before the window loop
-  if (ft) {
-    if (comm.SelfDead())
-      return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
-    const simmpi::AgreeOutcome entry = comm.AgreeFT(0);
-    if (entry.any_dead) work = comm.LiveSubsetFT(entry);
-  }
+  PNC_RETURN_IF_ERROR(comm.TryShrink(work));
   const int wp = work.size();
 
-  // Global extent of the collective.
-  const std::uint64_t my_min = segs.empty() ? ~0ULL : segs.front().offset;
-  const std::uint64_t my_max = segs.empty() ? 0 : segs.back().end();
-  std::uint64_t gmin, gmax;
-  if (ft) {
-    // Min/max via the agreement monitor (an allreduce would abort if a
-    // participant died mid-round). Empty ranks contribute the identity.
-    constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
-    const simmpi::AgreeOutcome rmin = work.AgreeFT(
-        my_min == ~0ULL ? kI64Max : static_cast<std::int64_t>(my_min));
-    const simmpi::AgreeOutcome rmax =
-        work.AgreeFT(-static_cast<std::int64_t>(my_max));
-    degraded = rmin.any_dead || rmax.any_dead;
-    gmin = rmin.min_value == kI64Max ? ~0ULL
-                                     : static_cast<std::uint64_t>(rmin.min_value);
-    gmax = static_cast<std::uint64_t>(-rmax.min_value);
-  } else {
-    gmin = comm.AllreduceMin(my_min);
-    gmax = comm.AllreduceMax(my_max);
-  }
-  if (degraded) {
-    // The group shrank while setting up; skip the transfer and agree on the
-    // failure so every survivor returns the identical status.
-    const pnc::Status st = AgreeStatus(comm, pnc::Status::Ok());
-    PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write);
+  // Global extent of the collective. Empty ranks contribute the identity.
+  std::int64_t gmin_i =
+      segs.empty() ? std::numeric_limits<std::int64_t>::max()
+                   : static_cast<std::int64_t>(segs.front().offset);
+  std::int64_t gmax_i =
+      segs.empty() ? 0 : static_cast<std::int64_t>(segs.back().end());
+  const pnc::Status smin = work.TryAllreduceMin(gmin_i);
+  const pnc::Status smax = work.TryAllreduceMax(gmax_i);
+  if (!smin.ok() || !smax.ok() || gmin_i >= gmax_i) {
+    // Nothing to do anywhere, or the group shrank while setting up: skip
+    // the transfer and settle together, so every survivor returns the
+    // identical status.
+    const pnc::Status st = comm.TrySyncClocks();
+    PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write,
+                .flag = st.ok());
     return st;
   }
-  if (gmin >= gmax) {  // nothing to do anywhere
-    if (ft) {
-      const pnc::Status st = AgreeStatus(comm, pnc::Status::Ok());
-      PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write,
-                  .flag = st.ok());
-      return st;
-    }
-    comm.SyncClocksToMax();
-    PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write,
-                .flag = true);
-    return pnc::Status::Ok();
-  }
+  const auto gmin = static_cast<std::uint64_t>(gmin_i);
+  const auto gmax = static_cast<std::uint64_t>(gmax_i);
 
   // File domains: an even share per aggregator, with boundaries on absolute
   // stripe boundaries so two aggregators never touch one stripe and every
@@ -281,7 +219,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   // First error seen by this rank (local I/O as aggregator). Even after an
   // error, every rank keeps participating in every round's exchanges so the
   // collective protocol stays aligned; the statuses are reconciled once at
-  // the end with AgreeStatus.
+  // the end with Comm::AgreeStatus.
   pnc::Status st;
 
   for (std::uint64_t w = 0; w < rounds; ++w) {
@@ -350,13 +288,9 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       }
     }
     std::vector<std::vector<std::byte>> recvbufs;
-    if (ft) {
-      if (!AlltoallFT(work, std::move(sendbufs), FtTag(w, 0), recvbufs) &&
-          st.ok())
-        st = pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-    } else {
-      recvbufs = comm.Alltoall(std::move(sendbufs));
-    }
+    const pnc::Status xst =
+        work.TryAlltoall(std::move(sendbufs), 2 * w, recvbufs);
+    if (st.ok()) st = xst;
     PNC_OBSERVE(kXchgEnd, .t_ns = exchange_start, .end_ns = clk.now(),
                 .off = w);
     const double io_start = clk.now();
@@ -464,13 +398,9 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       const double reply_start = clk.now();
       PNC_OBSERVE(kXchgBegin, .t_ns = reply_start, .off = w);
       std::vector<std::vector<std::byte>> returned;
-      if (ft) {
-        if (!AlltoallFT(work, std::move(replies), FtTag(w, 1), returned) &&
-            st.ok())
-          st = pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-      } else {
-        returned = comm.Alltoall(std::move(replies));
-      }
+      const pnc::Status rxst =
+          work.TryAlltoall(std::move(replies), 2 * w + 1, returned);
+      if (st.ok()) st = rxst;
       for (std::size_t d = 0; d < naggs; ++d) {
         if (round_data_len[d] == 0) continue;
         const auto& blob = returned[static_cast<std::size_t>(agg_rank(d))];
@@ -497,19 +427,17 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
 
   // Collective error agreement: all ranks return the same status (most
   // severe code across the communicator), so no rank proceeds believing the
-  // collective succeeded while an aggregator failed.
-  st = AgreeStatus(comm, st);
-
-  if (st.ok() && !is_write && !contig_mem && bytes > 0) {
-    memtype.Unpack(staging.data(), count, static_cast<std::byte*>(buf));
-    clk.Advance(cost.CopyCost(bytes));
-  }
-  // Under FT the final agreement already synchronized survivor clocks; an
-  // allreduce here would abort if a participant died mid-collective.
-  // The jump this rank's clock takes at the barrier is exactly how long it
-  // idled waiting for the slowest rank — the straggler-wait timeline track.
-  const double pre_sync_ns = clk.now();
-  if (!ft) comm.SyncClocksToMax();
+  // collective succeeded while an aggregator failed. The jump this rank's
+  // clock takes as the clocks settle is exactly how long it idled waiting
+  // for the slowest rank — the straggler-wait timeline track.
+  double pre_sync_ns = 0.0;
+  st = comm.AgreeStatus(st, [&](const pnc::Status& agreed) {
+    if (agreed.ok() && !is_write && !contig_mem && bytes > 0) {
+      memtype.Unpack(staging.data(), count, static_cast<std::byte*>(buf));
+      clk.Advance(cost.CopyCost(bytes));
+    }
+    pre_sync_ns = clk.now();
+  });
   PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .wait_ns = clk.now() - pre_sync_ns,
               .is_write = is_write, .flag = st.ok());
   return st;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "format/commit.hpp"
 #include "format/commit_pfs.hpp"
@@ -80,89 +79,21 @@ std::vector<std::byte> EncodeHeader(const Header& h) {
   return bytes;
 }
 
-// ---------------------------------------------- rank-fault tolerance
-// Taken only when a rank-fault schedule is armed on the communicator: the
-// raw collectives (bcast/barrier/allreduce) abort on contact with a dead
-// peer, while the agreement protocol completes on the survivors and turns
-// the death into an agreed kRankFailed.
-
-constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
-
-/// User-tag window for the FT header broadcast, disjoint from the mpiio
-/// two-phase exchange tags (which live under 1 << 24).
-constexpr int kFtHeaderTag = 1 << 25;
-
-/// One fault-tolerant agreement round folding the minimum of `v` over the
-/// live ranks. A detected death marks the dataset degraded.
-pnc::Status FtAgreeMin(Dataset::Impl& im, std::int64_t v, std::int64_t* out) {
-  if (im.comm.SelfDead())
-    return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
-  const simmpi::AgreeOutcome o = im.comm.AgreeFT(v);
-  if (out) *out = o.min_value;
-  if (o.any_dead) {
-    im.rank_failed = true;
-    return pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
-  }
-  return pnc::Status::Ok();
-}
-
-pnc::Status FtBarrier(Dataset::Impl& im) { return FtAgreeMin(im, 0, nullptr); }
-
-/// Root-broadcast substitute for scalars: peers contribute the +inf
-/// sentinel, so the min-fold delivers the root's value verbatim.
-pnc::Status FtRootValue(Dataset::Impl& im, std::int64_t root_v,
-                        std::int64_t* out) {
-  return FtAgreeMin(im, im.comm.rank() == 0 ? root_v : kI64Max, out);
-}
-
-/// Max-fold via the negated min-fold.
-pnc::Status FtAgreeMax(Dataset::Impl& im, std::int64_t v, std::int64_t* out) {
-  std::int64_t neg = 0;
-  const pnc::Status st = FtAgreeMin(im, -v, &neg);
-  if (out) *out = -neg;
-  return st;
-}
-
-/// Root-broadcast of a byte buffer: plain sends from the root (a send to a
-/// dead destination is dropped, never blocks), fault-tolerant receives
-/// elsewhere, then an agreement so a mid-broadcast root death surfaces as
-/// kRankFailed on every survivor instead of an abort.
-pnc::Status FtBcastBytes(Dataset::Impl& im, std::vector<std::byte>& bytes) {
-  std::int64_t ok = 1;
-  if (im.comm.rank() == 0) {
-    for (int r = 1; r < im.comm.size(); ++r)
-      im.comm.Send(r, kFtHeaderTag,
-                   pnc::ConstByteSpan(bytes.data(), bytes.size()));
-  } else if (!im.comm.RecvFT(0, kFtHeaderTag, bytes)) {
-    ok = 0;
-  }
-  std::int64_t all_ok = 0;
-  PNC_RETURN_IF_ERROR(FtAgreeMin(im, ok, &all_ok));
-  if (all_ok == 0) {
-    im.rank_failed = true;
-    return pnc::Status(pnc::Err::kRankFailed, "root died mid-broadcast");
-  }
-  return pnc::Status::Ok();
-}
-
-/// 64-bit FNV-1a over a header image, for agreeing on definition-phase
-/// results without shipping the bytes. Shifted into the non-negative range
-/// so the min/max agreement folds never negate INT64_MIN.
-std::int64_t HashBytes(const std::vector<std::byte>& b) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::byte c : b) {
-    h ^= static_cast<std::uint64_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<std::int64_t>(h >> 1);
-}
-
-/// Sticky degradation for statuses coming back from the mpiio layer's own
-/// failure agreement (two-phase, Sync, SetView...).
+/// Sticky degradation for statuses coming back from a collective: the
+/// simmpi status collectives and the mpiio layer's own failure agreement
+/// (two-phase, Sync, SetView...).
 pnc::Status Track(Dataset::Impl& im, pnc::Status st) {
   if (st.code() == pnc::Err::kRankFailed) im.rank_failed = true;
   if (st.code() == pnc::Err::kDataCorrupt) im.data_corrupt = true;
   return st;
+}
+
+/// The root's status code, agreed, then a rendezvous: every rank returns
+/// the root's verdict, and the barrier is reached by everyone or no one.
+pnc::Status AgreeRootStatus(Dataset::Impl& im, int err, const char* what) {
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(err, 0)));
+  if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), what);
+  return Track(im, im.comm.TryBarrier());
 }
 
 /// First byte of the data region: the lowest variable begin offset.
@@ -298,10 +229,11 @@ pnc::Status Dataset::Impl::FlushSums(bool closing) {
     const std::size_t hi = du.size() * (r + 1) / P;
     std::vector<std::byte> buf;
     // Rank-ordered turns: the recompute reads are distributed across ranks
-    // but must not hit the pfs server queues concurrently — ServeRequest
-    // updates server_next_free_ in real-time arrival order, so racing
-    // ranks would make the virtual makespan depend on thread scheduling
-    // (the same reason the smoke suite pins cb_nodes=1).
+    // but must not hit the pfs server queues concurrently — each server's
+    // ServerSched::Admit places requests on its timeline in real-time
+    // arrival order, so racing ranks would make the virtual makespan depend
+    // on thread scheduling (the same reason the smoke suite pins
+    // cb_nodes=1).
     for (int turn = 0; turn < comm.size(); ++turn) {
       if (turn == comm.rank()) {
         std::size_t k = lo;
@@ -411,13 +343,7 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
       jerr = ncformat::FormatJournal(*im.journal).raw();
     }
   }
-  if (im.comm.FaultsArmed()) {
-    std::int64_t agreed = 0;
-    PNC_RETURN_IF_ERROR(FtRootValue(im, jerr, &agreed));
-    jerr = static_cast<int>(agreed);
-  } else {
-    im.comm.BcastValue(jerr, 0);
-  }
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(jerr, 0)));
   if (jerr != 0)
     return pnc::Status(static_cast<pnc::Err>(jerr), "commit journal create");
   im.journaled = true;
@@ -443,11 +369,7 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
     im.sums_on = true;
     im.file.AttachSums(&im.sums, /*verify=*/false);
   }
-  if (im.comm.FaultsArmed()) {
-    PNC_RETURN_IF_ERROR(FtBarrier(im));
-  } else {
-    im.comm.Barrier();
-  }
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBarrier()));
   return ds;
 }
 
@@ -507,18 +429,9 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
     }
     err = rst.raw();
   }
-  if (im.comm.FaultsArmed()) {
-    std::int64_t v = 0;
-    PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-    err = static_cast<int>(v);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-    PNC_RETURN_IF_ERROR(FtRootValue(im, journaled, &v));
-    journaled = static_cast<int>(v);
-  } else {
-    im.comm.BcastValue(err, 0);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-    im.comm.BcastValue(journaled, 0);
-  }
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(err, 0)));
+  if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(journaled, 0)));
   im.journaled = journaled != 0;
 
   // §4.2.1: the root process fetches the file header and broadcasts it; all
@@ -559,17 +472,9 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
       try_size *= 4;
     }
   }
-  if (im.comm.FaultsArmed()) {
-    std::int64_t v = 0;
-    PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-    err = static_cast<int>(v);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-    PNC_RETURN_IF_ERROR(FtBcastBytes(im, bytes));
-  } else {
-    im.comm.BcastValue(err, 0);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-    im.comm.Bcast(bytes, 0);
-  }
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(err, 0)));
+  if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcast(bytes, 0)));
   if (im.comm.rank() != 0) {
     auto hdr = Header::Decode(bytes);
     if (!hdr.ok()) return hdr.status();
@@ -590,9 +495,7 @@ pnc::Status Dataset::Redef() {
   im.pre_redef = im.header;
   im.defining = true;
   PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
-  if (im.comm.FaultsArmed()) return FtBarrier(im);
-  im.comm.Barrier();
-  return pnc::Status::Ok();
+  return Track(im, im.comm.TryBarrier());
 }
 
 pnc::Status Dataset::WriteHeaderCollective() {
@@ -630,19 +533,7 @@ pnc::Status Dataset::WriteHeaderCollective() {
     if (st.ok()) PNC_OBSERVE(kHeaderWrite, .len = bytes.size());
     err = st.raw();
   }
-  if (im.comm.FaultsArmed()) {
-    std::int64_t v = 0;
-    PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-    err = static_cast<int>(v);
-    if (err != 0)
-      return pnc::Status(static_cast<pnc::Err>(err), "header write failed");
-    return FtBarrier(im);
-  }
-  im.comm.BcastValue(err, 0);
-  if (err != 0)
-    return pnc::Status(static_cast<pnc::Err>(err), "header write failed");
-  im.comm.Barrier();
-  return pnc::Status::Ok();
+  return AgreeRootStatus(im, err, "header write failed");
 }
 
 pnc::Status Dataset::EndDef() {
@@ -664,18 +555,10 @@ pnc::Status Dataset::EndDef() {
   // §4.2.1: all define mode functions are collective and require identical
   // arguments on every process; verify before committing anything to disk.
   auto bytes = EncodeHeader(im.header);
-  if (im.comm.FaultsArmed()) {
-    // Agree on the image's hash instead of shipping it: identical headers
-    // iff the min and max of the hash coincide across the live ranks.
-    const std::int64_t h = HashBytes(bytes);
-    std::int64_t mn = 0, mx = 0;
-    PNC_RETURN_IF_ERROR(FtAgreeMin(im, h, &mn));
-    PNC_RETURN_IF_ERROR(FtAgreeMax(im, h, &mx));
-    if (mn != mx)
-      return pnc::Status(pnc::Err::kMultiDefine, "EndDef header mismatch");
-  } else if (!im.comm.AllAgree(bytes)) {
+  bool same = false;
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllAgree(bytes, same)));
+  if (!same)
     return pnc::Status(pnc::Err::kMultiDefine, "EndDef header mismatch");
-  }
 
   // Sum geometry follows the (possibly moved) data region; set it before
   // the relayout below so its writes mark chunks dirty in the new geometry.
@@ -722,7 +605,7 @@ pnc::Status Dataset::Sync() {
 pnc::Status Dataset::Close() {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
   auto& im = *impl_;
-  if (im.rank_failed || im.comm.SelfDead()) {
+  if (im.rank_failed) {
     // A participant died: the group can no longer agree on a record count,
     // so skip the collective numrecs commit — the journal keeps the last
     // committed header legal — and release the handle. mpiio's close is
@@ -766,17 +649,7 @@ pnc::Status Dataset::Abort() {
       }
       err = im.fs->Remove(im.path).raw();
     }
-    if (im.comm.FaultsArmed()) {
-      std::int64_t v = 0;
-      PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-      err = static_cast<int>(v);
-      if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), im.path);
-      return FtBarrier(im);
-    }
-    im.comm.BcastValue(err, 0);
-    if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), im.path);
-    im.comm.Barrier();
-    return pnc::Status::Ok();
+    return AgreeRootStatus(im, err, im.path.c_str());
   }
   if (im.defining && im.pre_redef) {
     im.header = *im.pre_redef;
@@ -791,11 +664,7 @@ pnc::Status Dataset::BeginIndepData() {
   auto& im = *impl_;
   if (im.defining) return pnc::Status(pnc::Err::kInDefine);
   if (im.indep) return pnc::Status(pnc::Err::kInIndep);
-  if (im.comm.FaultsArmed()) {
-    PNC_RETURN_IF_ERROR(FtBarrier(im));
-  } else {
-    im.comm.Barrier();
-  }
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBarrier()));
   im.indep = true;
   PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
   return pnc::Status::Ok();
@@ -998,16 +867,9 @@ pnc::Status Dataset::CheckDataMode(bool need_write, bool collective) const {
 pnc::Status Dataset::CollectiveCheck(pnc::Status st, bool collective) {
   if (!collective) return st;
   auto& im = *impl_;
-  if (im.comm.FaultsArmed()) {
-    std::int64_t mn = 0;
-    PNC_RETURN_IF_ERROR(FtAgreeMin(im, st.raw(), &mn));
-    if (mn == 0) return pnc::Status::Ok();
-    return st.ok() ? pnc::Status(pnc::Err::kMultiDefine,
-                                 "a peer process failed validation")
-                   : st;
-  }
-  const bool all_ok = im.comm.AllreduceAnd(st.ok());
-  if (all_ok) return pnc::Status::Ok();
+  std::uint8_t all_ok = st.ok() ? 1 : 0;
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllreduceMin(all_ok)));
+  if (all_ok != 0) return pnc::Status::Ok();
   return st.ok() ? pnc::Status(pnc::Err::kMultiDefine,
                                "a peer process failed validation")
                  : st;
@@ -1094,28 +956,15 @@ pnc::Status Dataset::SyncNumrecs(std::uint64_t local_numrecs, bool collective) {
     im.header.numrecs = std::max(im.header.numrecs, local_numrecs);
     return pnc::Status::Ok();
   }
-  const bool ft = im.comm.FaultsArmed();
-  std::uint64_t global;
-  bool changed;
-  if (ft) {
-    std::int64_t g = 0;
-    PNC_RETURN_IF_ERROR(
-        FtAgreeMax(im, static_cast<std::int64_t>(local_numrecs), &g));
-    global = static_cast<std::uint64_t>(g);
-    std::int64_t ch = 0;
-    PNC_RETURN_IF_ERROR(
-        FtAgreeMax(im, global != im.header.numrecs ? 1 : 0, &ch));
-    changed = ch != 0;
-  } else {
-    global = im.comm.AllreduceMax(local_numrecs);
-    // `changed` can differ across ranks (a rank that grew the records
-    // locally already holds the new count), so agree on it before the
-    // guarded collective section below.
-    changed = im.comm.AllreduceMax<std::uint8_t>(
-                  global != im.header.numrecs ? 1 : 0) != 0;
-  }
+  std::uint64_t global = local_numrecs;
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllreduceMax(global)));
+  // `changed` can differ across ranks (a rank that grew the records locally
+  // already holds the new count), so agree on it before the guarded
+  // collective section below.
+  std::uint8_t changed = global != im.header.numrecs ? 1 : 0;
+  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllreduceMax(changed)));
   im.header.numrecs = global;
-  if (changed && im.writable) {
+  if (changed != 0 && im.writable) {
     im.file.ClearView();
     // The record count grows only after the record data is durable on every
     // rank (all-old-or-all-new for a crash between data and count).
@@ -1140,20 +989,7 @@ pnc::Status Dataset::SyncNumrecs(std::uint64_t local_numrecs, bool collective) {
       if (st.ok()) PNC_OBSERVE(kHeaderWrite, .len = 4);
       err = st.raw();
     }
-    // Agree on the root's status so all ranks return the same result and the
-    // barrier below is reached by everyone or no one.
-    if (ft) {
-      std::int64_t v = 0;
-      PNC_RETURN_IF_ERROR(FtRootValue(im, err, &v));
-      err = static_cast<int>(v);
-      if (err != 0)
-        return pnc::Status(static_cast<pnc::Err>(err), "numrecs write failed");
-      return FtBarrier(im);
-    }
-    im.comm.BcastValue(err, 0);
-    if (err != 0)
-      return pnc::Status(static_cast<pnc::Err>(err), "numrecs write failed");
-    im.comm.Barrier();
+    return AgreeRootStatus(im, err, "numrecs write failed");
   }
   return pnc::Status::Ok();
 }
@@ -1433,14 +1269,8 @@ pnc::Status Dataset::RelayoutParallel(const Header& old_header) {
         }
       }
     }
-    int agreed;
-    if (im.comm.FaultsArmed()) {
-      std::int64_t mn = 0;
-      PNC_RETURN_IF_ERROR(FtAgreeMin(im, st.raw(), &mn));
-      agreed = static_cast<int>(mn);
-    } else {
-      agreed = im.comm.AllreduceMin(st.raw());
-    }
+    int agreed = st.raw();
+    PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllreduceMin(agreed)));
     if (agreed != 0)
       return st.raw() == agreed
                  ? st

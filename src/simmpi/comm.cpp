@@ -147,7 +147,28 @@ constexpr int kTagGather = -12;
 constexpr int kTagScatter = -13;
 constexpr int kTagAlltoall = -14;
 constexpr int kTagAgree = -15;
+constexpr int kTagTryBcast = -16;
 constexpr int kTagBarrierBase = -100;  ///< barrier phase k uses -100 - k
+/// TryAlltoall round r uses -1000 - r (mod 2^30), clear of the barrier tags.
+constexpr int kTagTryAlltoallBase = -1000;
+
+pnc::Status SelfCrashed() {
+  return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
+}
+pnc::Status PeerCrashed() {
+  return pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
+}
+
+/// 64-bit FNV-1a, shifted into the non-negative range so the max fold
+/// (a negated min fold) never negates INT64_MIN.
+std::int64_t HashBytes(pnc::ConstByteSpan b) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::byte c : b) {
+    h ^= static_cast<std::uint64_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return static_cast<std::int64_t>(h >> 1);
+}
 }  // namespace
 
 void Comm::Send(int dst, int tag, pnc::ConstByteSpan data) {
@@ -273,7 +294,7 @@ bool Comm::RecvImpl(int src, int tag, int* actual_src, int* actual_tag,
   detail::Message msg;
   auto matches = [&](const detail::Message& m) {
     return m.ctx == ctx_ && (src == kAnySource || m.world_src == src) &&
-           (tag == kAnyTag || m.tag == tag);
+           (tag == kAnyTag ? m.tag >= 0 : m.tag == tag);
   };
   // Under an armed fault policy, a dead source also ends the wait: the
   // queue is drained of anything it sent before dying first (the `matches`
@@ -677,6 +698,131 @@ Comm Comm::LiveSubsetFT(const AgreeOutcome& o) const {
   assert(new_rank >= 0 && "caller must be in the agreed survivor set");
   const int ctx = o.any_dead ? o.live_ctx : ctx_;
   return Comm(state_, ctx, std::move(new_members), new_rank);
+}
+
+// ------------------------------------------------------ status collectives
+
+pnc::Status Comm::FoldMinFT(std::int64_t& v) {
+  if (SelfDead()) return SelfCrashed();
+  const AgreeOutcome o = AgreeFT(v);
+  v = o.min_value;
+  return o.any_dead ? PeerCrashed() : pnc::Status::Ok();
+}
+
+pnc::Status Comm::TryBarrier() {
+  if (!FaultsArmed()) {
+    Barrier();
+    return pnc::Status::Ok();
+  }
+  std::int64_t zero = 0;
+  return FoldMinFT(zero);
+}
+
+pnc::Status Comm::TrySyncClocks() {
+  if (!FaultsArmed()) {
+    SyncClocksToMax();
+    return pnc::Status::Ok();
+  }
+  std::int64_t zero = 0;
+  return FoldMinFT(zero);
+}
+
+pnc::Status Comm::TryBcast(std::vector<std::byte>& buf, int root) {
+  if (!FaultsArmed()) {
+    Bcast(buf, root);
+    return pnc::Status::Ok();
+  }
+  // Plain sends from the root (a send to a dead peer is dropped, never
+  // blocks), fault-tolerant receives elsewhere, then an agreement so a
+  // mid-broadcast root death reaches every survivor, not just the peers
+  // that were still waiting.
+  std::int64_t received = 1;
+  if (rank_ == root) {
+    for (int r = 0; r < size(); ++r)
+      if (r != root) SendInternal(r, kTagTryBcast, buf);
+  } else if (!RecvImpl(root, kTagTryBcast, nullptr, nullptr, /*ft=*/true,
+                       buf)) {
+    received = 0;
+  }
+  PNC_RETURN_IF_ERROR(FoldMinFT(received));
+  if (received == 0)
+    return pnc::Status(pnc::Err::kRankFailed, "root died mid-broadcast");
+  return pnc::Status::Ok();
+}
+
+pnc::Status Comm::TryAllAgree(pnc::ConstByteSpan bytes, bool& same) {
+  if (!FaultsArmed()) {
+    same = AllAgree(bytes);
+    return pnc::Status::Ok();
+  }
+  const std::int64_t h = HashBytes(bytes);
+  std::int64_t min = h, neg_max = -h;
+  PNC_RETURN_IF_ERROR(FoldMinFT(min));
+  PNC_RETURN_IF_ERROR(FoldMinFT(neg_max));
+  same = min == -neg_max;
+  return pnc::Status::Ok();
+}
+
+pnc::Status Comm::TryAlltoall(std::vector<std::vector<std::byte>> send,
+                              std::uint64_t round,
+                              std::vector<std::vector<std::byte>>& out) {
+  if (!FaultsArmed()) {
+    out = Alltoall(std::move(send));
+    return pnc::Status::Ok();
+  }
+  if (SelfDead()) return SelfCrashed();
+  PNC_OBSERVE(kCollective);
+  const int tag =
+      kTagTryAlltoallBase - static_cast<int>(round % (std::uint64_t{1} << 30));
+  const int p = size();
+  out.assign(static_cast<std::size_t>(p), {});
+  out[static_cast<std::size_t>(rank_)] =
+      std::move(send[static_cast<std::size_t>(rank_)]);
+  // Every send goes out before any receive (buffered sends make that
+  // legal), so a dead rank leaves holes, never a live peer blocked on a
+  // live peer.
+  for (int i = 1; i < p; ++i) {
+    const int dst = (rank_ + i) % p;
+    SendInternal(dst, tag, send[static_cast<std::size_t>(dst)]);
+  }
+  bool ok = true;
+  for (int i = 1; i < p; ++i) {
+    const int src = (rank_ - i + p) % p;
+    ok = RecvImpl(src, tag, nullptr, nullptr, /*ft=*/true,
+                  out[static_cast<std::size_t>(src)]) &&
+         ok;
+  }
+  return ok ? pnc::Status::Ok() : PeerCrashed();
+}
+
+pnc::Status Comm::AgreeStatus(
+    const pnc::Status& local,
+    const std::function<void(const pnc::Status&)>& before_sync) {
+  std::int64_t code = local.raw();
+  pnc::Status st;
+  if (FaultsArmed()) {
+    // The fold and the survivor set come from one agreement round, so a
+    // peer's death outranks any I/O error on every survivor alike.
+    st = FoldMinFT(code);
+  } else {
+    code = AllreduceMin(local.raw());
+  }
+  if (st.ok() && code != 0)
+    st = code == local.raw() ? local
+                             : pnc::Status(static_cast<pnc::Err>(code),
+                                           "I/O failed on a peer rank");
+  if (before_sync) before_sync(st);
+  if (!FaultsArmed()) SyncClocksToMax();
+  return st;
+}
+
+pnc::Status Comm::TryShrink(Comm& live) {
+  live = *this;
+  if (!FaultsArmed()) return pnc::Status::Ok();
+  if (SelfDead()) return SelfCrashed();
+  const AgreeOutcome o = AgreeFT(0);
+  if (o.any_dead) live = LiveSubsetFT(o);
+  return pnc::Status::Ok();
 }
 
 }  // namespace simmpi

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,10 +26,12 @@
 #include "simmpi/clock.hpp"
 #include "simmpi/rankfault.hpp"
 #include "util/bytes.hpp"
+#include "util/status.hpp"
 
 namespace simmpi {
 
 constexpr int kAnySource = -1;
+/// Wildcard tag: matches any user tag (>= 0), never a collective's.
 constexpr int kAnyTag = -1;
 
 class Comm;
@@ -216,9 +219,93 @@ class Comm {
   /// Used by PnetCDF's collective define-mode consistency checks.
   bool AllAgree(pnc::ConstByteSpan bytes);
 
+  // --- status collectives ---
+  // The collectives the I/O layers are built on. Each one is the single
+  // place that decides how it survives a rank death. With no RankFaultPolicy
+  // armed it issues exactly the plain collective named in its comment and
+  // returns Ok. With a policy armed it runs the fault-tolerant equivalent
+  // over AgreeFT, and every survivor returns kRankFailed when a member has
+  // died (a crashed rank's own call returns kRankFailed at once). The two
+  // exceptions say so: TryAlltoall's status is local, TryShrink tolerates
+  // the death.
+
+  /// Barrier() | AgreeFT(0).
+  pnc::Status TryBarrier();
+  /// SyncClocksToMax() | AgreeFT(0).
+  pnc::Status TrySyncClocks();
+  /// BcastValue(v, root) | AgreeFT where peers contribute +inf, so the
+  /// min-fold is the root's value. T must be an integer that fits int64.
+  template <typename T>
+  pnc::Status TryBcastValue(T& v, int root) {
+    if (!FaultsArmed()) {
+      BcastValue(v, root);
+      return pnc::Status::Ok();
+    }
+    std::int64_t x = rank_ == root ? static_cast<std::int64_t>(v)
+                                   : std::numeric_limits<std::int64_t>::max();
+    PNC_RETURN_IF_ERROR(FoldMinFT(x));
+    v = static_cast<T>(x);
+    return pnc::Status::Ok();
+  }
+  /// Bcast(buf, root) | the root sends to every peer, peers RecvFT, then
+  /// AgreeFT on whether every peer received.
+  pnc::Status TryBcast(std::vector<std::byte>& buf, int root);
+  /// AllreduceMin(v) | AgreeFT(v). T must be an integer that fits int64.
+  template <typename T>
+  pnc::Status TryAllreduceMin(T& v) {
+    if (!FaultsArmed()) {
+      v = AllreduceMin(v);
+      return pnc::Status::Ok();
+    }
+    std::int64_t x = static_cast<std::int64_t>(v);
+    PNC_RETURN_IF_ERROR(FoldMinFT(x));
+    v = static_cast<T>(x);
+    return pnc::Status::Ok();
+  }
+  /// AllreduceMax(v) | AgreeFT(-v). T must be an integer that fits int64.
+  template <typename T>
+  pnc::Status TryAllreduceMax(T& v) {
+    if (!FaultsArmed()) {
+      v = AllreduceMax(v);
+      return pnc::Status::Ok();
+    }
+    std::int64_t x = -static_cast<std::int64_t>(v);
+    PNC_RETURN_IF_ERROR(FoldMinFT(x));
+    v = static_cast<T>(-x);
+    return pnc::Status::Ok();
+  }
+  /// AllAgree(bytes) | AgreeFT of the min, then the max, of a hash of
+  /// `bytes`: the images agree iff the two folds coincide.
+  pnc::Status TryAllAgree(pnc::ConstByteSpan bytes, bool& same);
+  /// Alltoall(send) | every send posted before any RecvFT, so a death only
+  /// leaves holes (the dead peers' slots of `out` stay empty). The status
+  /// is local: kRankFailed when this rank missed a dead peer's piece, Ok on
+  /// a survivor that got every piece before the death. Callers keep every
+  /// member in step through all their exchanges and settle with
+  /// AgreeStatus. `round` picks the armed exchange's internal tag:
+  /// consecutive exchanges pass distinct rounds, so a dropped message is
+  /// never mistaken for the next exchange's.
+  pnc::Status TryAlltoall(std::vector<std::vector<std::byte>> send,
+                          std::uint64_t round,
+                          std::vector<std::vector<std::byte>>& out);
+  /// One status for a collective operation: the most severe (most
+  /// negative) code across the members. A rank whose own code won keeps
+  /// its message; the others report a peer failure. `before_sync`, when
+  /// given, sees the agreed status before the clocks settle.
+  /// AllreduceMin(code) + SyncClocksToMax() | AgreeFT(code), which already
+  /// synchronizes survivor clocks.
+  pnc::Status AgreeStatus(
+      const pnc::Status& local,
+      const std::function<void(const pnc::Status&)>& before_sync = {});
+  /// `live` = this communicator minus its dead members.
+  /// *this | AgreeFT(0), then LiveSubsetFT when a member has died. A death
+  /// is tolerated here (Ok); only a crashed caller gets kRankFailed.
+  pnc::Status TryShrink(Comm& live);
+
   // --- rank-fault tolerance (see rankfault.hpp) ---
-  // These are meaningful only while a RankFaultPolicy is armed; with no
-  // policy armed FaultsArmed() is false and the *FT calls must not be used.
+  // The public shrink-and-reopen surface. These are meaningful only while a
+  // RankFaultPolicy is armed; with no policy armed FaultsArmed() is false
+  // and the *FT calls must not be used.
 
   /// True when a rank-fault schedule is armed for this world.
   [[nodiscard]] bool FaultsArmed() const { return state_->rfault.armed; }
@@ -287,6 +374,11 @@ class Comm {
 
   void SendInternal(int dst, int tag, pnc::ConstByteSpan data);
   std::vector<std::byte> RecvInternal(int src, int tag);
+
+  /// The armed half of the status collectives: one AgreeFT round folding
+  /// the min of `v` over the live members into `v`. kRankFailed when this
+  /// rank or a peer has died.
+  pnc::Status FoldMinFT(std::int64_t& v);
 
   /// Shared blocking-receive machinery. In FT mode a dead source (with no
   /// matching message queued) returns false; otherwise it aborts with a

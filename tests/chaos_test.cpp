@@ -249,6 +249,57 @@ TEST(Chaos, DeadAggregatorDutiesReassignedSurvivorDataLands) {
   }
 }
 
+// With collective buffering off, a collective is independent I/O plus a
+// closing status agreement. Rank 2 dies at that agreement (its ops 0 and 1
+// are the two agreements inside File::Open): the survivors must get
+// kRankFailed, not abort in a plain clock sync that waits on the dead rank.
+TEST(Chaos, CbDisabledCollectiveReturnsRankFailedOnSurvivors) {
+  constexpr std::uint64_t kBlock = 256;
+  for (const bool is_write : {true, false}) {
+    SCOPED_TRACE(is_write ? "WriteAtAll" : "ReadAtAll");
+    pfs::FileSystem fs;
+    simmpi::Run(4, [&](Comm& c) {  // the file to read, fault-free
+      auto f = mpiio::File::Open(c, fs, "cboff.dat",
+                                 mpiio::kCreate | mpiio::kRdWr,
+                                 simmpi::NullInfo());
+      ASSERT_TRUE(f.ok()) << f.status().message();
+      std::vector<std::byte> mine(kBlock, std::byte{0x5C});
+      ASSERT_TRUE(f.value()
+                      .WriteAtAll(static_cast<std::uint64_t>(c.rank()) * kBlock,
+                                  mine.data(), kBlock, simmpi::ByteType())
+                      .ok());
+      ASSERT_TRUE(f.value().Close().ok());
+    });
+
+    std::vector<int> status(4, 1);
+    const RunResult run = simmpi::Run(
+        4,
+        [&](Comm& c) {
+          simmpi::Info info;
+          info.Set(is_write ? "romio_cb_write" : "romio_cb_read", "disable");
+          auto f = mpiio::File::Open(c, fs, "cboff.dat", mpiio::kRdWr, info);
+          ASSERT_TRUE(f.ok()) << f.status().message();
+          std::vector<std::byte> buf(kBlock, std::byte{0x3A});
+          const std::uint64_t off =
+              static_cast<std::uint64_t>(c.rank()) * kBlock;
+          const pnc::Status st =
+              is_write ? f.value().WriteAtAll(off, buf.data(), kBlock,
+                                              simmpi::ByteType())
+                       : f.value().ReadAtAll(off, buf.data(), kBlock,
+                                             simmpi::ByteType());
+          status[static_cast<std::size_t>(c.rank())] = st.raw();
+        },
+        simmpi::CostModel{}, CrashAtOp(2, 2));
+
+    ASSERT_EQ(run.crashed_ranks, (std::vector<int>{2}));
+    for (int r : {0, 1, 3}) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      EXPECT_EQ(status[static_cast<std::size_t>(r)],
+                static_cast<int>(pnc::Err::kRankFailed));
+    }
+  }
+}
+
 // ------------------------------------------------------ pnetcdf datasets
 
 /// One full dataset lifecycle; each rank appends the raw status of every
@@ -394,6 +445,46 @@ TEST(Chaos, SurvivorsCloseShrinkReopenAndReadBack) {
   EXPECT_NE(vr.value().state, ncformat::FileState::kCorrupt);
 }
 
+// The fault-tolerant collectives' control traffic uses internal tags, never
+// the user's tag space: a user message pending on the communicator with any
+// tag must neither be consumed by an armed Dataset::Open nor receive the
+// header broadcast in its place.
+TEST(Chaos, ArmedOpenLeavesUserTagsAlone) {
+  pfs::FileSystem fs;
+  simmpi::Run(4, [&](Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Create(c, fs, "tags.nc", simmpi::NullInfo()).value();
+    ASSERT_TRUE(ds.DefDim("x", 4).ok());
+    ASSERT_TRUE(ds.EndDef().ok());
+    ASSERT_TRUE(ds.Close().ok());
+  });
+
+  constexpr int kUserTag = 1 << 25;
+  std::vector<int> open_status(4, 1);
+  std::vector<std::byte> user_got;
+  RankFaultPolicy never;
+  never.crashes.push_back({3, RankFaultPolicy::kNever, -1.0});
+  const RunResult run = simmpi::Run(
+      4,
+      [&](Comm& c) {
+        const std::vector<std::byte> user = {std::byte{0xAB}, std::byte{0xCD}};
+        if (c.rank() == 0) c.Send(1, kUserTag, user);
+        auto r = pnetcdf::Dataset::Open(c, fs, "tags.nc", false,
+                                        simmpi::NullInfo());
+        open_status[static_cast<std::size_t>(c.rank())] = r.status().raw();
+        if (c.rank() == 1) user_got = c.Recv(0, kUserTag);
+      },
+      simmpi::CostModel{}, never);
+
+  EXPECT_TRUE(run.crashed_ranks.empty());
+  for (int r = 0; r < 4; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(open_status[static_cast<std::size_t>(r)], 0);
+  }
+  EXPECT_EQ(user_got, (std::vector<std::byte>{std::byte{0xAB},
+                                              std::byte{0xCD}}));
+}
+
 // --------------------------------------------------------- observability
 
 class ChaosTraceTest : public ::testing::Test {
@@ -485,8 +576,8 @@ TEST_F(ChaosTraceTest, StragglerEventRecorded) {
       },
       simmpi::CostModel{}, p);
   EXPECT_EQ(run.fault_counters.straggled_sends, 1u);
-  const Event* ev =
-      Find(FlightRecorder::Get().CollectRank(0), Ev::kRankStraggle);
+  const std::vector<Event> rank0 = FlightRecorder::Get().CollectRank(0);
+  const Event* ev = Find(rank0, Ev::kRankStraggle);
   ASSERT_NE(ev, nullptr);
   EXPECT_EQ(ev->a0, 1u);  // payload bytes
   EXPECT_EQ(ev->a1, 1u);  // destination world rank
@@ -508,7 +599,8 @@ TEST_F(ChaosTraceTest, MessageDropRecorded) {
       },
       simmpi::CostModel{}, p);
   EXPECT_EQ(run.fault_counters.dropped_messages, 1u);
-  const Event* drop = Find(FlightRecorder::Get().CollectRank(0), Ev::kMsgDrop);
+  const std::vector<Event> rank0 = FlightRecorder::Get().CollectRank(0);
+  const Event* drop = Find(rank0, Ev::kMsgDrop);
   ASSERT_NE(drop, nullptr);
   EXPECT_EQ(drop->a0, 1u);  // payload bytes
   EXPECT_EQ(drop->a1, 1u);  // destination world rank

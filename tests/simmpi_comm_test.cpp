@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <string>
 
 #include "simmpi/runtime.hpp"
 
@@ -83,6 +85,35 @@ TEST(PointToPoint, Wildcards) {
       EXPECT_EQ(Str(m), "x");
     }
   });
+}
+
+// A wildcard tag matches user tags only. The broadcast root's message sits
+// in rank 0's mailbox ahead of the user message; a wildcard receive that
+// took it would leave the broadcast waiting on a message that never comes.
+// (The root of a broadcast returns as soon as its sends are buffered, so
+// rank 1 reaches its Send without rank 0 having joined.)
+TEST(PointToPoint, WildcardTagSkipsCollectiveTraffic) {
+  CostModel cm;
+  cm.hang_timeout_ms = 2000.0;
+  int src = -2, tag = -2, value = 0;
+  std::string got;
+  simmpi::Run(
+      2,
+      [&](Comm& c) {
+        if (c.rank() == 1) {
+          int v = 77;
+          c.BcastValue(v, 1);
+          c.Send(0, 5, Bytes("user"));
+        } else {
+          got = Str(c.Recv(kAnySource, kAnyTag, &src, &tag));
+          c.BcastValue(value, 1);
+        }
+      },
+      cm);
+  EXPECT_EQ(got, "user");
+  EXPECT_EQ(src, 1);
+  EXPECT_EQ(tag, 5);
+  EXPECT_EQ(value, 77);
 }
 
 TEST(PointToPoint, FifoPerPair) {
@@ -282,6 +313,267 @@ TEST(VirtualTime, SyncClocksToMax) {
     EXPECT_GE(c.clock().now(), 200.0);
   });
 }
+
+// ------------------------------------------------------ status collectives
+
+// One status collective next to the plain collective it issues when no
+// rank-fault policy is armed. Each records this rank's results in `out`.
+struct StatusCase {
+  const char* name;
+  std::function<void(Comm&, std::vector<std::int64_t>&)> plain;
+  std::function<pnc::Status(Comm&, std::vector<std::int64_t>&)> tried;
+  /// TryShrink tolerates a death (the survivors get the live subset).
+  bool tolerates_death = false;
+};
+
+void PushBytes(const std::vector<std::byte>& b, std::vector<std::int64_t>& out) {
+  out.push_back(static_cast<std::int64_t>(b.size()));
+  for (const std::byte x : b) out.push_back(static_cast<std::int64_t>(x));
+}
+
+std::vector<std::byte> AlltoallPayload(const Comm& c, int dst, int round) {
+  return std::vector<std::byte>(
+      static_cast<std::size_t>((c.rank() + 1) * (dst + 1)),
+      static_cast<std::byte>(16 * c.rank() + dst + round));
+}
+
+const std::vector<StatusCase>& StatusCases() {
+  static const std::vector<StatusCase> cases = {
+      {"TryBarrier", [](Comm& c, auto&) { c.Barrier(); },
+       [](Comm& c, auto&) { return c.TryBarrier(); }},
+      {"TrySyncClocks", [](Comm& c, auto&) { c.SyncClocksToMax(); },
+       [](Comm& c, auto&) { return c.TrySyncClocks(); }},
+      {"TryBcastValue",
+       [](Comm& c, auto& out) {
+         int v = c.rank() == c.size() - 1 ? 4242 : -1;
+         c.BcastValue(v, c.size() - 1);
+         out.push_back(v);
+       },
+       [](Comm& c, auto& out) {
+         int v = c.rank() == c.size() - 1 ? 4242 : -1;
+         const pnc::Status st = c.TryBcastValue(v, c.size() - 1);
+         out.push_back(v);
+         return st;
+       }},
+      {"TryBcast",
+       [](Comm& c, auto& out) {
+         std::vector<std::byte> b;
+         if (c.rank() == c.size() - 1) b = Bytes("header image bytes");
+         c.Bcast(b, c.size() - 1);
+         PushBytes(b, out);
+       },
+       [](Comm& c, auto& out) {
+         std::vector<std::byte> b;
+         if (c.rank() == c.size() - 1) b = Bytes("header image bytes");
+         const pnc::Status st = c.TryBcast(b, c.size() - 1);
+         PushBytes(b, out);
+         return st;
+       }},
+      {"TryAllreduceMin",
+       [](Comm& c, auto& out) {
+         out.push_back(c.AllreduceMin(10 * (c.size() - c.rank()) - 3));
+       },
+       [](Comm& c, auto& out) {
+         int v = 10 * (c.size() - c.rank()) - 3;
+         const pnc::Status st = c.TryAllreduceMin(v);
+         out.push_back(v);
+         return st;
+       }},
+      {"TryAllreduceMax",
+       [](Comm& c, auto& out) {
+         out.push_back(static_cast<std::int64_t>(
+             c.AllreduceMax<std::uint64_t>(1000 + 7 * c.rank())));
+       },
+       [](Comm& c, auto& out) {
+         std::uint64_t v = 1000 + 7 * c.rank();
+         const pnc::Status st = c.TryAllreduceMax(v);
+         out.push_back(static_cast<std::int64_t>(v));
+         return st;
+       }},
+      {"TryAllAgree",
+       [](Comm& c, auto& out) {
+         out.push_back(c.AllAgree(Bytes("same")));
+         out.push_back(c.AllAgree(Bytes(c.rank() == 0 ? "odd" : "even")));
+       },
+       [](Comm& c, auto& out) -> pnc::Status {
+         bool same = false;
+         PNC_RETURN_IF_ERROR(c.TryAllAgree(Bytes("same"), same));
+         out.push_back(same);
+         PNC_RETURN_IF_ERROR(
+             c.TryAllAgree(Bytes(c.rank() == 0 ? "odd" : "even"), same));
+         out.push_back(same);
+         return pnc::Status::Ok();
+       }},
+      // The exchange's own status is local (a survivor that got every
+      // piece before the death returns Ok), so, as in two-phase I/O, every
+      // round runs and one AgreeStatus settles the outcome.
+      {"TryAlltoall",
+       [](Comm& c, auto& out) {
+         for (int round = 0; round < 2; ++round) {
+           std::vector<std::vector<std::byte>> send;
+           for (int r = 0; r < c.size(); ++r)
+             send.push_back(AlltoallPayload(c, r, round));
+           for (const auto& b : c.Alltoall(std::move(send))) PushBytes(b, out);
+         }
+         out.push_back(c.AllreduceMin(0));
+         c.SyncClocksToMax();
+       },
+       [](Comm& c, auto& out) {
+         pnc::Status xst;
+         for (int round = 0; round < 2; ++round) {
+           std::vector<std::vector<std::byte>> send, recv;
+           for (int r = 0; r < c.size(); ++r)
+             send.push_back(AlltoallPayload(c, r, round));
+           const pnc::Status st = c.TryAlltoall(
+               std::move(send), static_cast<std::uint64_t>(round), recv);
+           if (xst.ok()) xst = st;
+           for (const auto& b : recv) PushBytes(b, out);
+         }
+         const pnc::Status st = c.AgreeStatus(xst);
+         out.push_back(st.raw());
+         return st;
+       }},
+      {"AgreeStatus",
+       [](Comm& c, auto& out) {
+         const int local = c.rank() == c.size() / 2
+                               ? static_cast<int>(pnc::Err::kIo)
+                               : 0;
+         out.push_back(c.AllreduceMin(local));
+         c.SyncClocksToMax();
+       },
+       [](Comm& c, auto& out) {
+         const pnc::Status local =
+             c.rank() == c.size() / 2 ? pnc::Status(pnc::Err::kIo, "local")
+                                      : pnc::Status::Ok();
+         const pnc::Status st = c.AgreeStatus(local);
+         out.push_back(st.raw());
+         // The agreed I/O error is this case's value, not a failure of the
+         // collective itself.
+         return st.code() == pnc::Err::kRankFailed ? st : pnc::Status::Ok();
+       }},
+      {"TryShrink",
+       [](Comm& c, auto& out) {
+         out.push_back(c.size());
+         out.push_back(c.rank());
+       },
+       [](Comm& c, auto& out) {
+         Comm live = c;
+         const pnc::Status st = c.TryShrink(live);
+         out.push_back(live.size());
+         out.push_back(live.rank());
+         return st;
+       },
+       /*tolerates_death=*/true},
+  };
+  return cases;
+}
+
+struct StatusRun {
+  RunResult run;
+  std::vector<std::vector<std::int64_t>> out;
+  std::vector<pnc::Status> status;
+};
+
+/// Run one case on `p` ranks whose clocks start skewed, so any difference
+/// in how the collective synchronizes them shows in the final clocks.
+StatusRun RunStatusCase(const StatusCase& sc, int p, bool use_plain,
+                        const RankFaultPolicy& faults = {}) {
+  StatusRun r;
+  r.out.resize(static_cast<std::size_t>(p));
+  r.status.resize(static_cast<std::size_t>(p));
+  r.run = simmpi::Run(
+      p,
+      [&](Comm& c) {
+        c.clock().Advance(1000.0 * ((3 * c.rank()) % 5 + 1));
+        const auto i = static_cast<std::size_t>(c.rank());
+        if (use_plain) {
+          sc.plain(c, r.out[i]);
+        } else {
+          r.status[i] = sc.tried(c, r.out[i]);
+        }
+      },
+      CostModel{}, faults);
+  return r;
+}
+
+RankFaultPolicy NeverFiringCrash() {
+  RankFaultPolicy p;
+  p.crashes.push_back({0, RankFaultPolicy::kNever, -1.0});
+  return p;
+}
+
+class StatusCollectiveP
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  const StatusCase& sc() const {
+    return StatusCases()[static_cast<std::size_t>(std::get<0>(GetParam()))];
+  }
+  int procs() const { return std::get<1>(GetParam()); }
+};
+
+// Unarmed, a status collective is the plain collective: the same values and
+// every rank's clock bit-equal.
+TEST_P(StatusCollectiveP, UnarmedMatchesPlainCollective) {
+  const StatusRun plain = RunStatusCase(sc(), procs(), /*use_plain=*/true);
+  const StatusRun tried = RunStatusCase(sc(), procs(), /*use_plain=*/false);
+  EXPECT_EQ(tried.out, plain.out);
+  EXPECT_EQ(tried.run.rank_times_ns, plain.run.rank_times_ns);
+  for (const pnc::Status& st : tried.status) EXPECT_TRUE(st.ok());
+}
+
+// Armed with a crash that never fires, the fault-tolerant path produces
+// the plain collective's values.
+TEST_P(StatusCollectiveP, ArmedWithoutDeathMatchesPlainValues) {
+  const StatusRun plain = RunStatusCase(sc(), procs(), /*use_plain=*/true);
+  const StatusRun armed = RunStatusCase(sc(), procs(), /*use_plain=*/false,
+                                        NeverFiringCrash());
+  EXPECT_TRUE(armed.run.crashed_ranks.empty());
+  EXPECT_EQ(armed.out, plain.out);
+  for (const pnc::Status& st : armed.status) EXPECT_TRUE(st.ok());
+}
+
+// A crash at every op inside the call: the run terminates (no hang, no
+// abort) and every survivor returns kRankFailed.
+TEST_P(StatusCollectiveP, CrashMidCallFailsEverySurvivor) {
+  const int p = procs();
+  if (p == 1) GTEST_SKIP() << "no survivor to observe a single rank's death";
+  const int dying = p - 1;  // the broadcast root, too
+  bool swept_past_call = false;
+  for (std::uint64_t op = 0; op < 64; ++op) {
+    SCOPED_TRACE("crash at op " + std::to_string(op));
+    RankFaultPolicy faults;
+    faults.crashes.push_back({dying, op, -1.0});
+    const StatusRun r = RunStatusCase(sc(), p, /*use_plain=*/false, faults);
+    if (r.run.crashed_ranks.empty()) {
+      swept_past_call = true;
+      break;
+    }
+    ASSERT_EQ(r.run.crashed_ranks, (std::vector<int>{dying}));
+    for (int rank = 0; rank < dying; ++rank) {
+      SCOPED_TRACE("rank " + std::to_string(rank));
+      const auto i = static_cast<std::size_t>(rank);
+      if (sc().tolerates_death) {
+        EXPECT_TRUE(r.status[i].ok());
+        EXPECT_EQ(r.out[i], (std::vector<std::int64_t>{p - 1, rank}));
+      } else {
+        EXPECT_EQ(r.status[i].code(), pnc::Err::kRankFailed);
+      }
+    }
+  }
+  EXPECT_TRUE(swept_past_call);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, StatusCollectiveP,
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(StatusCases().size())),
+        ::testing::Values(1, 3, 4, 8)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return std::string(StatusCases()[static_cast<std::size_t>(
+                             std::get<0>(info.param))]
+                             .name) +
+             "_p" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace simmpi
