@@ -4,6 +4,8 @@
 // hints tune performance, never semantics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "mpiio/file.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/rng.hpp"
@@ -51,8 +53,11 @@ std::vector<std::byte> RunWorkload(int nprocs, const simmpi::Info& info) {
   return bytes;
 }
 
+// nprocs is 64-bit so the struct has no padding: gtest prints the raw bytes
+// of the parameter into each listed test name, and uninitialized padding
+// would make those names differ from build to build.
 struct SweepCase {
-  int nprocs;
+  std::int64_t nprocs;
   const char* cb_nodes;
   const char* cb_buffer;
   const char* cb_write;
@@ -64,14 +69,15 @@ class HintSweepP : public ::testing::TestWithParam<SweepCase> {};
 TEST_P(HintSweepP, HintsNeverChangeFileContents) {
   const auto& p = GetParam();
   // Reference: defaults at the same process count.
-  const auto ref = RunWorkload(p.nprocs, simmpi::NullInfo());
+  const int nprocs = static_cast<int>(p.nprocs);
+  const auto ref = RunWorkload(nprocs, simmpi::NullInfo());
 
   simmpi::Info info;
   if (*p.cb_nodes) info.Set("cb_nodes", p.cb_nodes);
   if (*p.cb_buffer) info.Set("cb_buffer_size", p.cb_buffer);
   if (*p.cb_write) info.Set("romio_cb_write", p.cb_write);
   if (*p.ds_write) info.Set("romio_ds_write", p.ds_write);
-  const auto got = RunWorkload(p.nprocs, info);
+  const auto got = RunWorkload(nprocs, info);
   EXPECT_EQ(got, ref);
 }
 
