@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): netCDF classic header encode/decode
 // and layout computation as the schema grows — the costs behind open,
-// enddef, and the root's header broadcast.
+// enddef, and the root's header broadcast — plus the CRC-32 kernel that
+// checksums every data write for the chunk sums and every commit record.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -10,6 +11,7 @@
 #include "bench/microbench.hpp"
 #include "bench/registry.hpp"
 #include "format/header.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -79,15 +81,25 @@ void BM_VarIdLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_VarIdLookup)->Arg(8)->Arg(64)->Arg(512);
 
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::byte>(i * 131 + 7);
+  for (auto _ : state) benchmark::DoNotOptimize(pnc::Crc32(buf));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536)->Arg(4 << 20);
+
 int Run(const bench::Args& args, bench::Recorder& rec) {
   return bench::RunMicro(args, rec,
                          "BM_HeaderEncode|BM_HeaderDecode|BM_ComputeLayout|"
-                         "BM_VarIdLookup");
+                         "BM_VarIdLookup|BM_Crc32");
 }
 
 const bench::BenchDef kBench{
     "micro_header",
-    "netCDF header encode/decode/layout microbenchmarks",
+    "netCDF header encode/decode/layout and CRC-32 microbenchmarks",
     {"benchmark_*"},
     Run};
 

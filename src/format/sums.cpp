@@ -105,13 +105,173 @@ void ChunkSumMap::Clear() {
   dirty_.clear();
 }
 
+namespace {
+
+/// Append `f` to a chunk's fragments, joining it to the previous one when
+/// it continues it (the common case: one writer streaming through a chunk).
+void AddFragment(DirtyChunk& d, const Fragment& f) {
+  if (d.needs_read) return;  // the chunk is read back anyway
+  if (!d.frags.empty()) {
+    Fragment& last = d.frags.back();
+    if (last.off + last.len == f.off) {
+      last.crc = pnc::Crc32Combine(last.crc, f.crc, f.len);
+      last.len += f.len;
+      return;
+    }
+  }
+  d.frags.push_back(f);
+}
+
+/// Sort fragments by offset and join every pair that abuts. Overlapping
+/// fragments stay separate, so the tiling check still sees them.
+void Coalesce(std::vector<Fragment>& frags) {
+  std::sort(frags.begin(), frags.end(),
+            [](const Fragment& a, const Fragment& b) { return a.off < b.off; });
+  DirtyChunk out;
+  for (const Fragment& f : frags) AddFragment(out, f);
+  frags = std::move(out.frags);
+}
+
+}  // namespace
+
+void ChunkSumMap::RecordWrite(std::uint64_t offset, pnc::ConstByteSpan bytes,
+                              bool discarded) {
+  if (chunk_size_ == 0 || bytes.empty()) return;
+  const std::uint64_t end = offset + bytes.size();
+  if (end <= data_begin_) return;  // header-region write
+  for (std::uint64_t pos = std::max(offset, data_begin_); pos < end;) {
+    const std::uint64_t c = ChunkOf(pos);
+    const std::uint64_t cstart = ChunkStart(c);
+    const std::uint64_t n = std::min(end, cstart + chunk_size_) - pos;
+    const std::uint32_t crc =
+        discarded ? pnc::Crc32OfZeros(n)
+                  : pnc::Crc32(bytes.subspan(pos - offset, n));
+    AddFragment(dirty_[c], {static_cast<std::uint32_t>(pos - cstart),
+                            static_cast<std::uint32_t>(n), crc});
+    pos += n;
+  }
+}
+
 void ChunkSumMap::MarkDirtyRange(std::uint64_t offset, std::uint64_t len) {
   if (chunk_size_ == 0 || len == 0) return;
   const std::uint64_t end = offset + len;
   if (end <= data_begin_) return;  // header-region write
   const std::uint64_t begin = std::max(offset, data_begin_);
-  for (std::uint64_t c = ChunkOf(begin); c <= ChunkOf(end - 1); ++c)
-    dirty_.insert(c);
+  for (std::uint64_t c = ChunkOf(begin); c <= ChunkOf(end - 1); ++c) {
+    DirtyChunk& d = dirty_[c];
+    d.needs_read = true;
+    d.frags.clear();
+  }
+}
+
+std::vector<std::byte> ChunkSumMap::EncodeDirty() const {
+  // Per chunk: chunk u64 | needs_read u32 | n u32 | n x {off, len, crc} u32.
+  // The blob never leaves the process, so fields are in host byte order.
+  std::vector<std::byte> b;
+  for (const auto& [c, d] : dirty_) {
+    std::vector<Fragment> frags = d.frags;
+    Coalesce(frags);
+    const std::uint32_t head[] = {static_cast<std::uint32_t>(d.needs_read),
+                                  static_cast<std::uint32_t>(frags.size())};
+    const std::size_t at = b.size();
+    b.resize(at + 8 + sizeof head + frags.size() * sizeof(Fragment));
+    std::memcpy(b.data() + at, &c, 8);
+    std::memcpy(b.data() + at + 8, head, sizeof head);
+    if (!frags.empty())
+      std::memcpy(b.data() + at + 8 + sizeof head, frags.data(),
+                  frags.size() * sizeof(Fragment));
+  }
+  return b;
+}
+
+void ChunkSumMap::MergeDirty(pnc::ConstByteSpan blob) {
+  std::size_t k = 0;
+  while (k + 16 <= blob.size()) {
+    std::uint64_t c = 0;
+    std::uint32_t head[2] = {0, 0};
+    std::memcpy(&c, blob.data() + k, 8);
+    std::memcpy(head, blob.data() + k + 8, sizeof head);
+    k += 16;
+    DirtyChunk& d = dirty_[c];
+    if (head[0] != 0) {
+      d.needs_read = true;
+      d.frags.clear();
+    }
+    for (std::uint32_t i = 0;
+         i < head[1] && k + sizeof(Fragment) <= blob.size();
+         ++i, k += sizeof(Fragment)) {
+      Fragment f;
+      std::memcpy(&f, blob.data() + k, sizeof f);
+      if (!d.needs_read) d.frags.push_back(f);
+    }
+  }
+}
+
+pnc::Status ChunkSumMap::ResolveDirty(std::uint64_t file_size,
+                                      const RawRead& raw) {
+  using pnc::operator""_MiB;
+  if (chunk_size_ == 0) {  // no geometry yet: nothing was recorded
+    dirty_.clear();
+    return pnc::Status::Ok();
+  }
+  // Pass 1: combine every chunk whose fragments tile its extent; queue the
+  // rest for a read.
+  std::vector<std::pair<std::uint64_t, ChunkSum>> resolved;
+  std::vector<std::uint64_t> reads;
+  for (auto& [c, d] : dirty_) {
+    const std::uint64_t cstart = ChunkStart(c);
+    if (cstart >= file_size) continue;  // nothing to sum (yet)
+    const std::uint64_t clen = std::min(chunk_size_, file_size - cstart);
+    if (d.needs_read || d.frags.empty()) {
+      reads.push_back(c);
+      continue;
+    }
+    Coalesce(d.frags);
+    std::uint64_t pos = 0;
+    std::uint32_t crc = 0;
+    ChunkSum prefix;
+    if (d.frags.front().off != 0 && Lookup(c, &prefix) &&
+        prefix.len == d.frags.front().off) {
+      pos = prefix.len;  // appending after bytes summed at an earlier flush
+      crc = prefix.crc;
+    }
+    bool tiled = true;
+    for (const Fragment& f : d.frags) {
+      tiled = f.off == pos;  // else a hole or an overlap
+      if (!tiled) break;
+      crc = pnc::Crc32Combine(crc, f.crc, f.len);
+      pos += f.len;
+    }
+    if (tiled && pos == clen)
+      resolved.emplace_back(c, ChunkSum{static_cast<std::uint32_t>(clen), crc});
+    else
+      reads.push_back(c);
+  }
+  // Pass 2: read the rest, runs of adjacent chunks (up to 4 MiB) at a time.
+  const std::size_t max_run = std::max<std::uint64_t>(1, 4_MiB / chunk_size_);
+  std::vector<std::byte> buf;
+  for (std::size_t k = 0; k < reads.size();) {
+    std::size_t e = k + 1;
+    while (e < reads.size() && e - k < max_run && reads[e] == reads[e - 1] + 1)
+      ++e;
+    const std::uint64_t rstart = ChunkStart(reads[k]);
+    const std::uint64_t rlen = std::min<std::uint64_t>(
+        (reads[e - 1] - reads[k] + 1) * chunk_size_, file_size - rstart);
+    buf.resize(rlen);
+    PNC_RETURN_IF_ERROR(raw(rstart, pnc::ByteSpan(buf)));
+    for (std::size_t j = k; j < e; ++j) {
+      const std::uint64_t off = (reads[j] - reads[k]) * chunk_size_;
+      const std::uint64_t clen = std::min(chunk_size_, rlen - off);
+      resolved.emplace_back(
+          reads[j],
+          ChunkSum{static_cast<std::uint32_t>(clen),
+                   pnc::Crc32(pnc::ConstByteSpan(buf.data() + off, clen))});
+    }
+    k = e;
+  }
+  for (const auto& [c, sum] : resolved) entries_[c] = sum;
+  dirty_.clear();
+  return pnc::Status::Ok();
 }
 
 std::vector<std::byte> ChunkSumMap::EncodeTable() const {

@@ -27,6 +27,19 @@
 // therefore leaves the sidecar open, and later readers distrust the (now
 // possibly stale) sums instead of flagging freshly written data as corrupt.
 //
+// Sums come from the bytes being written, not from the file. Each data
+// write that lands in full records one (offset, length, CRC) fragment per
+// chunk it touches (ChunkSumMap::RecordWrite), computed while the bytes are
+// in memory; a failed or partial write marks its chunks with no fragment.
+// At Sync/Close, ResolveDirty combines (pnc::Crc32Combine) the fragments of
+// every dirty chunk that they tile — after its committed prefix entry, if
+// any — and reads back only the chunks they do not: overlaps, holes,
+// fragment-less marks, bytes from an earlier session. The parallel flush
+// gathers the ranks' fragments (EncodeDirty/MergeDirty) to the root, which
+// resolves and commits. Fault-free, the committed table is exactly what a
+// read-back would produce; under a write-path flip it still describes the
+// intended bytes, so the flip surfaces on the next verified read.
+//
 // Verify-on-read (VerifyReadRange) recomputes the CRC of every committed,
 // non-dirty chunk a physical read touches, re-reading neighbouring bytes
 // through the caller-supplied raw-read callback. A mismatch is retried
@@ -39,7 +52,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -74,10 +86,34 @@ struct ChunkSum {
   friend bool operator==(const ChunkSum&, const ChunkSum&) = default;
 };
 
+/// Raw byte reader for verification re-reads and flush fallback reads:
+/// must bypass verification (no recursion) but retain the caller's
+/// retry/cost discipline.
+using RawRead =
+    std::function<pnc::Status(std::uint64_t offset, pnc::ByteSpan out)>;
+
+/// One checksummed piece of a chunk written this session: `len` bytes at
+/// `off` from the chunk start, with their CRC as they left memory.
+struct Fragment {
+  std::uint32_t off = 0;
+  std::uint32_t len = 0;
+  std::uint32_t crc = 0;
+};
+
+/// What a session knows about a chunk it has written since the last flush.
+/// `needs_read` marks bytes that changed without a fragment (a failed or
+/// partial write, data moved by a relayout): the chunk can then only be
+/// summed from the file.
+struct DirtyChunk {
+  std::vector<Fragment> frags;
+  bool needs_read = false;
+};
+
 /// The in-memory chunk map one session (rank) maintains: committed entries
-/// plus the set of chunks this rank has dirtied since the last flush.
-/// Dirty chunks are exempt from verification (their committed sum is
-/// stale by construction) and are exactly the set a flush must recompute.
+/// plus the chunks this rank has dirtied since the last flush, each with
+/// the fragments its writes recorded. Dirty chunks are exempt from
+/// verification (their committed sum is stale by construction) and are
+/// exactly the set a flush must resolve.
 class ChunkSumMap {
  public:
   void SetGeometry(std::uint64_t chunk_size, std::uint64_t data_begin);
@@ -103,15 +139,41 @@ class ChunkSumMap {
   /// under a relayout — every old sum is meaningless at the new offsets).
   void Clear();
 
-  /// Mark every chunk overlapping file bytes [offset, offset+len) dirty.
-  /// Bytes below data_begin (header writes) are ignored.
+  /// Record a write that landed in full: [offset, offset + bytes.size())
+  /// is checksummed per chunk right here, while the bytes are in memory.
+  /// `discarded` is a store that keeps no bytes (reads return zeros), so
+  /// the fragment is the CRC of zeros. Bytes below data_begin (header
+  /// writes) are ignored.
+  void RecordWrite(std::uint64_t offset, pnc::ConstByteSpan bytes,
+                   bool discarded = false);
+  /// Mark every chunk overlapping [offset, offset+len) as changed without
+  /// a fragment (a failed or partial write, moved data): the flush reads
+  /// those chunks back.
   void MarkDirtyRange(std::uint64_t offset, std::uint64_t len);
   [[nodiscard]] bool IsDirty(std::uint64_t chunk) const {
     return dirty_.count(chunk) != 0;
   }
-  [[nodiscard]] const std::set<std::uint64_t>& dirty() const { return dirty_; }
-  void MarkDirtyChunk(std::uint64_t chunk) { dirty_.insert(chunk); }
+  [[nodiscard]] const std::map<std::uint64_t, DirtyChunk>& dirty() const {
+    return dirty_;
+  }
   void ClearDirty() { dirty_.clear(); }
+
+  /// The dirty chunks as a flat blob (fragments pre-combined), and its
+  /// inverse, which adds a blob's chunks to this map's dirty set. The
+  /// parallel flush gathers the ranks' blobs to the root this way.
+  [[nodiscard]] std::vector<std::byte> EncodeDirty() const;
+  void MergeDirty(pnc::ConstByteSpan blob);
+
+  /// Turn every dirty chunk into a committed entry covering its bytes up
+  /// to `file_size`, then clear the dirty set. A chunk whose fragments,
+  /// optionally after its committed prefix entry, tile
+  /// [start, start + min(chunk_size, file_size - start)) exactly is summed
+  /// by combining their CRCs; any other dirty chunk (holes, overlaps,
+  /// fragment-less marks, bytes from an earlier session) is read back
+  /// through `raw`. Chunks at or past EOF keep their entries. On a read
+  /// error the dirty set is left as it was.
+  [[nodiscard]] pnc::Status ResolveDirty(std::uint64_t file_size,
+                                         const RawRead& raw);
 
   /// Serialize / parse the table region (geometry + sparse entries).
   [[nodiscard]] std::vector<std::byte> EncodeTable() const;
@@ -122,7 +184,7 @@ class ChunkSumMap {
   std::uint64_t chunk_size_ = 0;
   std::uint64_t data_begin_ = 0;
   std::map<std::uint64_t, ChunkSum> entries_;
-  std::set<std::uint64_t> dirty_;
+  std::map<std::uint64_t, DirtyChunk> dirty_;
 };
 
 /// The committed slot state a writer threads through successive commits.
@@ -157,11 +219,6 @@ struct LoadedSums {
 /// untrusted. Only I/O errors are returned as bad status.
 [[nodiscard]] pnc::Result<LoadedSums> LoadSums(CommitIo& io,
                                                int reread_attempts = 4);
-
-/// Raw byte reader for verification re-reads: must bypass verification
-/// (no recursion) but retain the caller's retry/cost discipline.
-using RawRead =
-    std::function<pnc::Status(std::uint64_t offset, pnc::ByteSpan out)>;
 
 /// Verification telemetry, accumulated across calls by the owner.
 struct VerifyStats {

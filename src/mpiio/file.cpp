@@ -161,12 +161,18 @@ void File::AttachSums(ncformat::ChunkSumMap* sums, bool verify) {
 pnc::Status File::Impl::RetryIo(bool is_write, std::uint64_t off,
                                 std::byte* data, std::uint64_t len) {
   pnc::Status st = RawIo(is_write, off, data, len);
-  if (!st.ok() || sums == nullptr || len == 0) return st;
+  if (sums == nullptr || len == 0) return st;
   if (is_write) {
-    sums->MarkDirtyRange(off, len);
+    // Checksum the bytes while they are in memory; a write that did not
+    // land in full leaves its chunks to be read back at the flush.
+    if (st.ok())
+      sums->RecordWrite(off, pnc::ConstByteSpan(data, len),
+                        file.discards_data());
+    else
+      sums->MarkDirtyRange(off, len);
     return st;
   }
-  if (!sums_verify) return st;
+  if (!st.ok() || !sums_verify) return st;
   return ncformat::VerifyReadRange(
       *sums, off, pnc::ByteSpan(data, len), file.size(),
       [this](std::uint64_t o, pnc::ByteSpan out) {

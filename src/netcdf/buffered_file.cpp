@@ -29,12 +29,18 @@ void BufferedFile::AttachSums(ncformat::ChunkSumMap* sums, bool verify) {
 pnc::Status BufferedFile::RetryIo(bool is_write, std::uint64_t offset,
                                   std::byte* data, std::uint64_t len) {
   pnc::Status st = RawIo(is_write, offset, data, len);
-  if (!st.ok() || sums_ == nullptr || len == 0) return st;
+  if (sums_ == nullptr || len == 0) return st;
   if (is_write) {
-    sums_->MarkDirtyRange(offset, len);
+    // Checksum the bytes while they are in memory; a write that did not
+    // land in full leaves its chunks to be read back at the flush.
+    if (st.ok())
+      sums_->RecordWrite(offset, pnc::ConstByteSpan(data, len),
+                         file_.discards_data());
+    else
+      sums_->MarkDirtyRange(offset, len);
     return st;
   }
-  if (!sums_verify_) return st;
+  if (!st.ok() || !sums_verify_) return st;
   return ncformat::VerifyReadRange(
       *sums_, offset, pnc::ByteSpan(data, len), file_.size(),
       [this](std::uint64_t o, pnc::ByteSpan out) {
@@ -62,8 +68,16 @@ pnc::Status BufferedFile::RawIo(bool is_write, std::uint64_t offset,
 
 pnc::Status BufferedFile::LoadBlock(std::uint64_t block_start) {
   PNC_RETURN_IF_ERROR(Flush());
-  PNC_RETURN_IF_ERROR(
-      RetryIo(/*is_write=*/false, block_start, block_.data(), bufsize_));
+  // Bytes past EOF read as zeros, so fetch only the part the file holds: a
+  // block that starts at or past EOF (a fresh file, an append) costs no read.
+  const std::uint64_t fsize = file_.size();
+  const std::uint64_t n =
+      block_start < fsize ? std::min(bufsize_, fsize - block_start) : 0;
+  if (n > 0)
+    PNC_RETURN_IF_ERROR(
+        RetryIo(/*is_write=*/false, block_start, block_.data(), n));
+  std::fill(block_.begin() + static_cast<std::ptrdiff_t>(n), block_.end(),
+            std::byte{0});
   block_start_ = block_start;
   block_valid_ = true;
   dirty_lo_ = dirty_hi_ = 0;

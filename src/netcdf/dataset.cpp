@@ -8,7 +8,6 @@
 #include "format/header_io.hpp"
 #include "format/sums.hpp"
 #include "iostat/observe.hpp"
-#include "util/crc32.hpp"
 
 namespace netcdf {
 
@@ -74,28 +73,17 @@ std::uint64_t DataBeginOf(const Header& h) {
 
 }  // namespace
 
-/// Recompute every dirty chunk from the (durable) file bytes and commit the
-/// map through the `.ncsum` sidecar. `closing` clears the session-open
-/// marker, making the table trustworthy for later opens; a mid-session
-/// flush keeps it open so a later crash still degrades to "unsummed".
+/// Resolve every dirty chunk from the fragments its writes recorded (or,
+/// failing that, from the durable file bytes) and commit the map through
+/// the `.ncsum` sidecar. `closing` clears the session-open marker, making
+/// the table trustworthy for later opens; a mid-session flush keeps it open
+/// so a later crash still degrades to "unsummed".
 pnc::Status Dataset::Impl::FlushSums(bool closing) {
   if (!sums_on || !sums_io) return pnc::Status::Ok();
-  if (sums.chunk_size() != 0) {
-    const std::uint64_t fsize = io.size();
-    std::vector<std::byte> buf;
-    for (const std::uint64_t c : sums.dirty()) {
-      const std::uint64_t cstart = sums.ChunkStart(c);
-      if (cstart >= fsize) continue;
-      const std::uint64_t clen =
-          std::min<std::uint64_t>(sums.chunk_size(), fsize - cstart);
-      buf.resize(clen);
-      PNC_RETURN_IF_ERROR(io.ReadAt(cstart, pnc::ByteSpan(buf.data(), clen)));
-      sums.Set(c, ncformat::ChunkSum{
-                      static_cast<std::uint32_t>(clen),
-                      pnc::Crc32(pnc::ConstByteSpan(buf.data(), clen))});
-    }
-    sums.ClearDirty();
-  }
+  PNC_RETURN_IF_ERROR(sums.ResolveDirty(
+      io.size(), [this](std::uint64_t o, pnc::ByteSpan out) {
+        return io.ReadAt(o, out);
+      }));
   return ncformat::CommitSums(*sums_io, sums, /*open=*/!closing, &sums_state);
 }
 

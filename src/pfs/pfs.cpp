@@ -262,6 +262,8 @@ std::uint64_t File::size() const {
   return std::max(node_->store->size(), node_->discarded_size);
 }
 
+bool File::discards_data() const { return fs_->cfg_.discard_data; }
+
 void File::Truncate(std::uint64_t new_size) {
   std::lock_guard<std::mutex> lk(node_->mu);
   node_->store->Truncate(new_size);

@@ -221,6 +221,9 @@ class File {
 
   [[nodiscard]] std::uint64_t size() const;
   void Truncate(std::uint64_t new_size);
+  /// Config::discard_data: writes are accounted but not stored, and reads
+  /// return zeros.
+  [[nodiscard]] bool discards_data() const;
   /// Flush: charges one request round-trip per server. Harness variant of
   /// TrySync (never fails).
   double HarnessSync(double start_ns);

@@ -7,7 +7,6 @@
 #include "format/commit_pfs.hpp"
 #include "format/sums.hpp"
 #include "iostat/observe.hpp"
-#include "util/crc32.hpp"
 
 namespace pnetcdf {
 
@@ -188,102 +187,28 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
 }
 
 /// Root-committed sum flush. The data is already durable (callers sync
-/// first). The per-rank dirty sets are allgathered and unioned; each rank
-/// re-reads and checksums a round-robin stripe of the union (the recompute
-/// work is distributed instead of serializing on the root, though the
-/// reads take rank-ordered turns for virtual-time determinism — see the
-/// loop comment); the root merges the gathered entries and commits the table
-/// (still session-open unless closing), and the result is broadcast so
-/// every rank resumes from the identical committed map.
+/// first). Every rank's dirty chunks, with the CRC fragments its writes
+/// recorded, are gathered to the root, which resolves them (combining
+/// fragments that tile a chunk and reading back only the chunks they do
+/// not), commits the table (still session-open unless closing), and
+/// broadcasts it so every rank resumes from the identical committed map.
 pnc::Status Dataset::Impl::FlushSums(bool closing) {
   if (!sums_on || !writable) return pnc::Status::Ok();
-  std::vector<std::byte> local(sums.dirty().size() * 8);
-  std::size_t i = 0;
-  for (const std::uint64_t c : sums.dirty()) {
-    std::memcpy(local.data() + i * 8, &c, 8);
-    ++i;
-  }
-  auto all = comm.Allgather(pnc::ConstByteSpan(local.data(), local.size()));
-  std::set<std::uint64_t> dirty;
-  for (const auto& blob : all) {
-    for (std::size_t k = 0; k + 8 <= blob.size(); k += 8) {
-      std::uint64_t c = 0;
-      std::memcpy(&c, blob.data() + k, 8);
-      dirty.insert(c);
-    }
-  }
-  file.ClearView();
-  pnc::Status rst = pnc::Status::Ok();
-  std::vector<std::byte> entries;
-  if (sums.chunk_size() != 0 && !dirty.empty()) {
+  const std::vector<std::byte> local = sums.EncodeDirty();
+  auto gathered =
+      comm.Gather(pnc::ConstByteSpan(local.data(), local.size()), 0);
+  int err = 0;
+  if (comm.rank() == 0) {
+    sums.ClearDirty();  // the root's own chunks come back in gathered[0]
+    for (const auto& blob : gathered) sums.MergeDirty(blob);
+    file.ClearView();
     const std::uint64_t fsize =
         file.GetSize().ok() ? file.GetSize().value() : 0;
-    const std::uint64_t csize = sums.chunk_size();
-    // This rank's contiguous slice of the sorted union; runs of adjacent
-    // chunks are fetched in one large read (capped at 64 chunks) so the
-    // recompute I/O looks like the striped data I/O, not 64 KiB nibbles.
-    const std::vector<std::uint64_t> du(dirty.begin(), dirty.end());
-    const std::size_t P = static_cast<std::size_t>(comm.size());
-    const std::size_t r = static_cast<std::size_t>(comm.rank());
-    const std::size_t lo = du.size() * r / P;
-    const std::size_t hi = du.size() * (r + 1) / P;
-    std::vector<std::byte> buf;
-    // Rank-ordered turns: the recompute reads are distributed across ranks
-    // but must not hit the pfs server queues concurrently — each server's
-    // ServerSched::Admit places requests on its timeline in real-time
-    // arrival order, so racing ranks would make the virtual makespan depend
-    // on thread scheduling (the same reason the smoke suite pins
-    // cb_nodes=1).
-    for (int turn = 0; turn < comm.size(); ++turn) {
-      if (turn == comm.rank()) {
-        std::size_t k = lo;
-        while (k < hi && rst.ok()) {
-          std::size_t e = k + 1;
-          while (e < hi && e - k < 64 && du[e] == du[e - 1] + 1) ++e;
-          const std::uint64_t rstart = sums.ChunkStart(du[k]);
-          if (rstart >= fsize) break;  // du sorted: the rest is past EOF too
-          const std::uint64_t rlen =
-              std::min<std::uint64_t>((du[e - 1] - du[k] + 1) * csize,
-                                      fsize - rstart);
-          buf.resize(rlen);
-          rst = file.ReadAt(rstart, buf.data(), rlen, simmpi::ByteType());
-          if (!rst.ok()) break;
-          for (std::size_t j = k; j < e; ++j) {
-            const std::uint64_t off = (du[j] - du[k]) * csize;
-            if (off >= rlen) break;
-            const std::uint64_t clen =
-                std::min<std::uint64_t>(csize, rlen - off);
-            const std::uint32_t len32 = static_cast<std::uint32_t>(clen);
-            const std::uint32_t crc =
-                pnc::Crc32(pnc::ConstByteSpan(buf.data() + off, clen));
-            const std::size_t at = entries.size();
-            entries.resize(at + 16);
-            std::memcpy(entries.data() + at, &du[j], 8);
-            std::memcpy(entries.data() + at + 8, &len32, 4);
-            std::memcpy(entries.data() + at + 12, &crc, 4);
-          }
-          k = e;
-        }
-      }
-      comm.Barrier();
-    }
-  }
-  auto gathered =
-      comm.Gather(pnc::ConstByteSpan(entries.data(), entries.size()), 0);
-  int err = comm.AllreduceMin(rst.raw());
-  if (comm.rank() == 0 && err == 0) {
-    pnc::Status st = pnc::Status::Ok();
-    for (const auto& blob : gathered) {
-      for (std::size_t k = 0; k + 16 <= blob.size(); k += 16) {
-        std::uint64_t c = 0;
-        std::uint32_t len32 = 0, crc = 0;
-        std::memcpy(&c, blob.data() + k, 8);
-        std::memcpy(&len32, blob.data() + k + 8, 4);
-        std::memcpy(&crc, blob.data() + k + 12, 4);
-        sums.Set(c, ncformat::ChunkSum{len32, crc});
-      }
-    }
-    if (sums_io)
+    pnc::Status st = sums.ResolveDirty(
+        fsize, [this](std::uint64_t o, pnc::ByteSpan out) {
+          return file.ReadAt(o, out.data(), out.size(), simmpi::ByteType());
+        });
+    if (st.ok() && sums_io)
       st = ncformat::CommitSums(*sums_io, sums, /*open=*/!closing,
                                 &sums_state);
     err = st.raw();

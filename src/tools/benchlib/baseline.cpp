@@ -86,6 +86,8 @@ std::vector<std::pair<std::string, double>> ComparableMetrics(
     out.emplace_back("iostat.pfs_bytes",
                      sum(iostat::Ctr::kPfsBytesRead) +
                          sum(iostat::Ctr::kPfsBytesWritten));
+    out.emplace_back("iostat.pfs_bytes_read",
+                     sum(iostat::Ctr::kPfsBytesRead));
     out.emplace_back("iostat.pfs_ops", sum(iostat::Ctr::kPfsReadOps) +
                                            sum(iostat::Ctr::kPfsWriteOps));
     out.emplace_back("iostat.mpi_messages", sum(iostat::Ctr::kMpiMessages));

@@ -1,9 +1,9 @@
 // Baseline comparison engine behind `ncbench --check` and `ncstat --diff`:
 // matches pnc-bench-v1 records by (bench, config), compares every numeric
 // metric — bandwidth plus the iostat-derived health metrics (two-phase
-// exchange fraction, sieve/two-phase amplification, total pfs bytes, message
-// counts) — against a committed baseline, and renders a per-metric delta
-// table with the top regressions.
+// exchange fraction, sieve/two-phase amplification, total and read pfs
+// bytes, message counts) — against a committed baseline, and renders a
+// per-metric delta table with the top regressions.
 //
 // Exit-code contract (shared by ncbench and ncstat --diff, see
 // src/tools/cli.hpp): 0 = all records match within tolerance; 1 = at least

@@ -11,8 +11,11 @@
 // PNC_SUMS=0 determinism guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -418,6 +421,292 @@ TEST(Integrity, ParallelAtRestCorruptionSurfaces) {
               pnc::Status(pnc::Err::kDataCorrupt, "").raw());
     (void)ds.Close();
   });
+}
+
+// ------------------------------------- write-path bitflip property sweep
+
+// Write-side flips are the case a read-back of the file cannot catch: the
+// medium stores a flipped bit while the write reports success, so a sum
+// recomputed from the file bytes blesses the damage. Sums taken from the
+// bytes as they left memory do not. The sweep arms flips only while data is
+// written (after EndDef, cleared before Close), reopens read-only with no
+// faults, and demands: bytes on disk as written => the read is OK and
+// byte-perfect; a flip that landed in the data => kDataCorrupt.
+enum class WriteMode { kCollective, kIndependent, kSieved };
+
+const char* WriteModeName(WriteMode m) {
+  switch (m) {
+    case WriteMode::kCollective: return "collective(two-phase)";
+    case WriteMode::kIndependent: return "independent(contiguous)";
+    case WriteMode::kSieved: return "independent(sieved)";
+  }
+  return "?";
+}
+
+// 48 rows divide among 1, 3 and 4 ranks; an odd column count lets every
+// rank's stride-2 sieve window end on a written column, so the windows of
+// neighbouring row bands abut with no gap between them.
+constexpr std::uint64_t kSweepRows = 48, kSweepCols = 255;
+constexpr int kSweepSeeds = 60;
+
+/// The value a fully written sweep grid holds at (r, c). Sieved runs write
+/// the even columns only; the odd ones keep the zeros of a new file.
+signed char SweepCell(std::uint64_t r, std::uint64_t c, WriteMode m) {
+  if (m == WriteMode::kSieved && c % 2 != 0) return 0;
+  return static_cast<signed char>((r * 37 + c * 11 + 5) % 251 - 125);
+}
+
+std::vector<std::byte> SweepExpected(WriteMode m) {
+  std::vector<std::byte> b(kSweepRows * kSweepCols);
+  for (std::uint64_t r = 0; r < kSweepRows; ++r)
+    for (std::uint64_t c = 0; c < kSweepCols; ++c)
+      b[r * kSweepCols + c] = static_cast<std::byte>(SweepCell(r, c, m));
+  return b;
+}
+
+/// Write the sweep grid from `nprocs` ranks with flips armed only around
+/// the data calls.
+void WriteSweepParallel(pfs::FileSystem& fs, int nprocs, WriteMode mode,
+                        const pfs::FaultPolicy& pol) {
+  simmpi::Run(nprocs, [&](Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Create(c, fs, "w.nc", simmpi::NullInfo()).value();
+    const int y = ds.DefDim("y", kSweepRows).value();
+    const int x = ds.DefDim("x", kSweepCols).value();
+    const int v = ds.DefVar("d", NcType::kByte, {y, x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    c.Barrier();
+    if (c.rank() == 0) fs.SetFaultPolicy(pol);
+    c.Barrier();
+    const std::uint64_t P = static_cast<std::uint64_t>(c.size());
+    const std::uint64_t me = static_cast<std::uint64_t>(c.rank());
+    const std::uint64_t r0 = kSweepRows * me / P;
+    const std::uint64_t r1 = kSweepRows * (me + 1) / P;
+    std::vector<signed char> mine;
+    if (mode == WriteMode::kCollective) {
+      // Column bands: noncontiguous per rank, contiguous per aggregator.
+      const std::uint64_t c0 = kSweepCols * me / P;
+      const std::uint64_t c1 = kSweepCols * (me + 1) / P;
+      for (std::uint64_t r = 0; r < kSweepRows; ++r)
+        for (std::uint64_t cc = c0; cc < c1; ++cc)
+          mine.push_back(SweepCell(r, cc, mode));
+      const std::uint64_t st[] = {0, c0};
+      const std::uint64_t ct[] = {kSweepRows, c1 - c0};
+      ASSERT_TRUE(ds.PutVaraAll<signed char>(v, st, ct, mine).ok());
+    } else {
+      ASSERT_TRUE(ds.BeginIndepData().ok());
+      const std::uint64_t step = mode == WriteMode::kSieved ? 2 : 1;
+      for (std::uint64_t r = r0; r < r1; ++r)
+        for (std::uint64_t cc = 0; cc < kSweepCols; cc += step)
+          mine.push_back(SweepCell(r, cc, mode));
+      const std::uint64_t st[] = {r0, 0};
+      const std::uint64_t ct[] = {r1 - r0, (kSweepCols + step - 1) / step};
+      const std::uint64_t sd[] = {1, step};
+      ASSERT_TRUE(ds.PutVars<signed char>(v, st, ct, sd, mine).ok());
+      ASSERT_TRUE(ds.EndIndepData().ok());
+    }
+    c.Barrier();
+    if (c.rank() == 0) fs.SetFaultPolicy({});
+    c.Barrier();
+    ASSERT_TRUE(ds.Close().ok());
+  });
+}
+
+/// Serial-library twin: whole-variable puts go straight to the file in
+/// buffer-size pieces; row puts go through the (4 KiB) block cache, whose
+/// evictions write the data while flips are armed.
+void WriteSweepSerial(pfs::FileSystem& fs, bool by_row,
+                      const pfs::FaultPolicy& pol) {
+  auto ds = netcdf::Dataset::Create(fs, "w.nc", {.buffer_size = 4096}).value();
+  const int y = ds.DefDim("y", kSweepRows).value();
+  const int x = ds.DefDim("x", kSweepCols).value();
+  const int v = ds.DefVar("d", NcType::kByte, {y, x}).value();
+  ASSERT_TRUE(ds.EndDef().ok());
+  ASSERT_TRUE(ds.Sync().ok());  // the header leaves the block cache unarmed
+  fs.SetFaultPolicy(pol);
+  std::vector<signed char> all(kSweepRows * kSweepCols);
+  for (std::uint64_t r = 0; r < kSweepRows; ++r)
+    for (std::uint64_t c = 0; c < kSweepCols; ++c)
+      all[r * kSweepCols + c] = SweepCell(r, c, WriteMode::kIndependent);
+  if (by_row) {
+    for (std::uint64_t r = 0; r < kSweepRows; ++r) {
+      const std::uint64_t st[] = {r, 0};
+      const std::uint64_t ct[] = {1, kSweepCols};
+      ASSERT_TRUE(ds.PutVara<signed char>(
+                        v, st, ct,
+                        std::span<const signed char>(all).subspan(
+                            r * kSweepCols, kSweepCols))
+                      .ok());
+    }
+  } else {
+    ASSERT_TRUE(ds.PutVar<signed char>(v, all).ok());
+  }
+  fs.SetFaultPolicy({});
+  ASSERT_TRUE(ds.Close().ok());
+}
+
+struct SweepVerdict {
+  bool landed = false;  ///< the data region on disk differs from the intent
+  pnc::Status read;     ///< full-grid read after a fault-free reopen
+  bool bytes_ok = false;
+};
+
+SweepVerdict ReadSweep(pfs::FileSystem& fs, WriteMode mode) {
+  SweepVerdict out;
+  const std::vector<std::byte> want = SweepExpected(mode);
+  const std::vector<std::byte> disk = FileBytes(fs, "w.nc");
+  const std::uint64_t db = DataBegin(fs, "w.nc");
+  out.landed = disk.size() < db + want.size() ||
+               !std::equal(want.begin(), want.end(), disk.begin() + db);
+  auto ds = netcdf::Dataset::Open(fs, "w.nc", /*writable=*/false).value();
+  std::vector<signed char> got(kSweepRows * kSweepCols);
+  out.read = ds.GetVar<signed char>(ds.VarId("d").value(), got);
+  out.bytes_ok = std::equal(got.begin(), got.end(), want.begin(),
+                            [](signed char g, std::byte w) {
+                              return static_cast<std::byte>(g) == w;
+                            });
+  (void)ds.Close();
+  return out;
+}
+
+TEST(Integrity, WriteBitflipSweepNeverSilent) {
+  EnvGuard chunk("PNC_SUM_CHUNK", "4096");  // the grid spans 3 + 1 chunks
+  int runs = 0, landed = 0;
+  const auto check = [&](const std::string& label, pfs::FileSystem& fs,
+                         WriteMode mode, const pfs::FaultPolicy& pol) {
+    SCOPED_TRACE(label + " " + pnc_test::DescribePolicy(pol));
+    const SweepVerdict v = ReadSweep(fs, mode);
+    ++runs;
+    if (v.landed) {
+      ++landed;
+      EXPECT_EQ(v.read.code(), pnc::Err::kDataCorrupt)
+          << "a flipped data byte was read back with status "
+          << v.read.raw();
+    } else {
+      EXPECT_TRUE(v.read.ok()) << v.read.message();
+      EXPECT_TRUE(v.bytes_ok) << "OK read returned wrong bytes";
+    }
+  };
+  for (int seed = 1; seed <= kSweepSeeds; ++seed) {
+    pfs::FaultPolicy pol;
+    pol.seed = static_cast<std::uint64_t>(seed);
+    pol.bitflip_write_prob = 0.2;
+    for (const int nprocs : {1, 3, 4}) {
+      for (const WriteMode mode : {WriteMode::kCollective,
+                                   WriteMode::kIndependent,
+                                   WriteMode::kSieved}) {
+        pfs::FileSystem fs;
+        WriteSweepParallel(fs, nprocs, mode, pol);
+        check(std::to_string(nprocs) + " ranks " + WriteModeName(mode), fs,
+              mode, pol);
+      }
+    }
+    for (const bool by_row : {false, true}) {
+      pfs::FileSystem fs;
+      WriteSweepSerial(fs, by_row, pol);
+      check(by_row ? "serial rows" : "serial whole", fs,
+            WriteMode::kIndependent, pol);
+    }
+  }
+  // The sweep is only meaningful if flips really landed in the data.
+  std::printf("[ write sweep ] %d of %d runs landed a data flip\n", landed,
+              runs);
+  EXPECT_GT(landed, runs / 10);
+}
+
+// The full-lifecycle replay of the chaos matrix's record-append run (4
+// ranks, cb_nodes=1) with write flips armed from Create to Close, over 60
+// seeds. Here flips also hit the header, the commit journal and the sums
+// sidecar. Data flips must surface; a wrong value returned with status 0
+// may only come from a flip on the commit path: a damaged header or
+// numrecs, a primary left torn (a reopen then runs with sums off), or a
+// sidecar that no longer loads as trusted.
+TEST(Integrity, ChaosLifecycleWriteFlipsSurfaceUnlessCommitPathHit) {
+  int wrong_with_ok = 0, commit_path = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    pfs::FileSystem fs;
+    pfs::FaultPolicy pol;
+    pol.seed = seed;
+    pol.bitflip_write_prob = 0.2;
+    fs.SetFaultPolicy(pol);
+    simmpi::Info info;
+    info.Set("cb_nodes", "1");
+    simmpi::Run(4, [&](Comm& c) {
+      auto r = pnetcdf::Dataset::Create(c, fs, "chaos.nc", info);
+      if (!r.ok()) return;
+      auto ds = std::move(r).value();
+      const int t = ds.DefDim("time", pnetcdf::kUnlimited).value();
+      const int x = ds.DefDim("x", 8).value();
+      const int v = ds.DefVar("r", NcType::kInt, {t, x}).value();
+      pnc::Status st = ds.EndDef();
+      for (std::uint64_t rec = 0; rec < 2 && st.ok(); ++rec) {
+        const std::int32_t base =
+            static_cast<std::int32_t>(100 * rec + 10 * c.rank());
+        const std::vector<std::int32_t> mine = {base, base + 1};
+        const std::uint64_t start[] = {rec,
+                                       static_cast<std::uint64_t>(2 * c.rank())};
+        const std::uint64_t count[] = {1, 2};
+        st = ds.PutVaraAll<std::int32_t>(v, start, count, mine);
+      }
+      (void)ds.Close();
+    });
+    fs.SetFaultPolicy({});
+    if (!fs.Exists("chaos.nc")) continue;
+
+    std::vector<pnc::Status> got_st(4);
+    std::vector<bool> wrong(4, false);
+    simmpi::Run(4, [&](Comm& c) {
+      const std::size_t me = static_cast<std::size_t>(c.rank());
+      auto r = pnetcdf::Dataset::Open(c, fs, "chaos.nc", false, info);
+      if (!r.ok()) {
+        got_st[me] = r.status();
+        return;
+      }
+      auto ds = std::move(r).value();
+      std::vector<std::int32_t> mine(4, -1);
+      const std::uint64_t start[] = {0, static_cast<std::uint64_t>(2 * me)};
+      const std::uint64_t count[] = {2, 2};
+      const auto vid = ds.VarId("r");
+      got_st[me] = vid.ok() ? ds.GetVaraAll<std::int32_t>(vid.value(), start,
+                                                          count, mine)
+                            : vid.status();
+      for (std::int32_t rec = 0; rec < 2; ++rec)
+        for (std::int32_t k = 0; k < 2; ++k)
+          wrong[me] = wrong[me] ||
+                      mine[static_cast<std::size_t>(2 * rec + k)] !=
+                          100 * rec + 10 * c.rank() + k;
+      (void)ds.Close();
+    });
+    bool silent = false;
+    for (std::size_t k = 0; k < 4; ++k) silent |= got_st[k].ok() && wrong[k];
+    if (!silent) continue;
+    ++wrong_with_ok;
+    // Attribute it: the header must decode with both records, and the
+    // sidecar must still load as trusted, for the data path to be at fault.
+    const std::vector<std::byte> bytes = FileBytes(fs, "chaos.nc");
+    const auto h = ncformat::Header::Decode(bytes);
+    auto vr = nctools::VerifyFile(fs, "chaos.nc", {.data = true});
+    const bool torn =
+        !vr.ok() || vr.value().state != ncformat::FileState::kClean;
+    const bool sums_trusted = vr.ok() && vr.value().scrub.has_value() &&
+                              vr.value().scrub->trusted;
+    const bool header_hit = !h.ok() || h.value().numrecs != 2 ||
+                            h.value().vars.size() != 1;
+    const char* cause = header_hit ? "header/numrecs flip"
+                        : torn     ? "torn primary, sums off on reopen"
+                        : !sums_trusted ? "sums sidecar flip, untrusted"
+                                        : nullptr;
+    if (cause != nullptr) ++commit_path;
+    EXPECT_NE(cause, nullptr) << "seed " << seed
+                              << ": wrong values with status 0, header, "
+                              << "journal and sidecar intact";
+    std::printf("[ chaos seed %2llu ] wrong-with-OK: %s\n",
+                static_cast<unsigned long long>(seed),
+                cause != nullptr ? cause : "data path");
+  }
+  std::printf("[ chaos replay ] %d of 60 seeds wrong-with-OK, %d on the "
+              "commit path\n",
+              wrong_with_ok, commit_path);
 }
 
 // ------------------------------------------------------- offline scrub
