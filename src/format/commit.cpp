@@ -81,16 +81,11 @@ std::uint32_t HeaderCrc(pnc::ConstByteSpan header) {
   return crc;
 }
 
-pnc::Status FormatJournal(CommitIo& journal) {
-  std::vector<std::byte> prefix(kJournalShadowOffset);  // magic + zero slots
-  std::memcpy(prefix.data(), kMagic, kJournalMagicLen);
-  PNC_RETURN_IF_ERROR(journal.Write(0, prefix));
-  return journal.Sync();
-}
-
 pnc::Result<std::optional<CommitState>> ReadCommitState(CommitIo& journal) {
+  // Shorter than magic + slots: created, but the first commit's prefix
+  // write has not landed (in full). Nothing can have committed yet.
   if (journal.Size() < kJournalShadowOffset)
-    return pnc::Status(pnc::Err::kNotNc, "no commit journal");
+    return std::optional<CommitState>();
   std::vector<std::byte> head(kJournalShadowOffset);
   PNC_RETURN_IF_ERROR(journal.Read(0, head));
   if (std::memcmp(head.data(), kMagic, kJournalMagicLen) != 0)
@@ -119,8 +114,18 @@ pnc::Status CommitHeaderToJournal(CommitIo& journal, pnc::ConstByteSpan header,
 
   // Shadow first; it is worthless until the slot commits, so tearing it is
   // harmless (the previous commit's slot no longer references these bytes —
-  // its committed image lives in the primary by now).
-  PNC_RETURN_IF_ERROR(journal.Write(kJournalShadowOffset, header));
+  // its committed image lives in the primary by now). The first commit into
+  // a fresh journal writes the magic and both zeroed slots with it, from
+  // offset 0: a torn prefix still holds no valid slot.
+  if (prev) {
+    PNC_RETURN_IF_ERROR(journal.Write(kJournalShadowOffset, header));
+  } else {
+    std::vector<std::byte> image(kJournalShadowOffset + header.size());
+    std::memcpy(image.data(), kMagic, kJournalMagicLen);
+    std::memcpy(image.data() + kJournalShadowOffset, header.data(),
+                header.size());
+    PNC_RETURN_IF_ERROR(journal.Write(0, image));
+  }
   PNC_RETURN_IF_ERROR(journal.Sync());
   // The commit point: one small slot write, CRC-sealed.
   PNC_RETURN_IF_ERROR(
@@ -143,10 +148,12 @@ pnc::Status CommitNumrecsToJournal(CommitIo& journal, const CommitState& cur,
   return pnc::Status::Ok();
 }
 
-pnc::Result<VerifyReport> AnalyzeCommit(CommitIo& journal, CommitIo& primary) {
+pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
   VerifyReport r;
 
-  auto state = ReadCommitState(journal);
+  pnc::Result<std::optional<CommitState>> state =
+      pnc::Status(pnc::Err::kNotNc, "no commit journal");
+  if (journal) state = ReadCommitState(*journal);
   if (!state.ok()) {
     // No journal at all: a legacy / externally produced file. Classify by
     // whether the primary decodes.
@@ -170,7 +177,7 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo& journal, CommitIo& primary) {
   r.has_journal = true;
 
   if (!state.value()) {
-    // Journal formatted but nothing ever committed: a file that crashed
+    // Journal created but nothing ever committed: a file that crashed
     // before its first enddef. There is no old state to return to.
     std::vector<std::byte> probe(
         std::min<std::uint64_t>(primary.Size(), 64 * 1024));
@@ -204,7 +211,7 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo& journal, CommitIo& primary) {
   // reached the primary), else the primary body with the committed numrecs
   // patched back (a torn numrecs update, or a torn next shadow write).
   std::vector<std::byte> shadow(s.header_len);
-  PNC_RETURN_IF_ERROR(journal.Read(kJournalShadowOffset, shadow));
+  PNC_RETURN_IF_ERROR(journal->Read(kJournalShadowOffset, shadow));
   if (HeaderCrc(shadow) == s.header_crc) {
     PatchNumrecs(shadow, s.numrecs);
     r.committed_header = std::move(shadow);

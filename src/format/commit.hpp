@@ -14,6 +14,11 @@
 //   slot := seq u64 | header_len u64 | numrecs u64 | header_crc u32
 //           | rec_crc u32                        (all big-endian)
 //
+// Dataset creation only creates (truncates) the journal; nothing is written
+// until the first header commit, whose shadow write carries the magic and
+// two zeroed slots from offset 0. An empty or short journal therefore reads
+// as "present, nothing committed", exactly like one whose slots are zero.
+//
 // Header commit: write the shadow header, sync, then write one 32-byte slot
 // (alternating A/B so the previous commit survives a torn slot write), sync,
 // and only then update the primary file in place. Numrecs commit: the data
@@ -75,20 +80,17 @@ struct CommitState {
   int slot = 0;  ///< which slot (0 = A, 1 = B) held this commit
 };
 
-/// (Re)initialize a journal: magic + both slots zeroed. Called at dataset
-/// creation so a stale journal from a previous file at the same path can
-/// never be replayed.
-[[nodiscard]] pnc::Status FormatJournal(CommitIo& journal);
-
-/// Parse the journal. nullopt = journal present but no committed state yet.
-/// kNotNc if the magic is missing (not a journal / never formatted).
+/// Parse the journal. nullopt = journal present but no committed state yet
+/// (including an empty journal, or one whose first commit never landed in
+/// full). kNotNc if a full-length prefix lacks the magic (not a journal).
 [[nodiscard]] pnc::Result<std::optional<CommitState>> ReadCommitState(
     CommitIo& journal);
 
 /// Durably commit a full header image: shadow write, sync, slot write (the
 /// commit point), sync. The caller updates the primary file afterwards.
 /// `prev` is the current committed state (slot alternation + seq); `out`
-/// receives the new state.
+/// receives the new state. Without `prev` the shadow write starts at offset
+/// 0 and lays down the magic and both zeroed slots too.
 [[nodiscard]] pnc::Status CommitHeaderToJournal(
     CommitIo& journal, pnc::ConstByteSpan header, std::uint64_t numrecs,
     const std::optional<CommitState>& prev, CommitState* out);
@@ -123,7 +125,9 @@ struct VerifyReport {
 
 /// Classify the primary file against its journal and reconstruct the
 /// committed header if recovery is needed. Pure analysis: writes nothing.
-[[nodiscard]] pnc::Result<VerifyReport> AnalyzeCommit(CommitIo& journal,
+/// A null `journal` means the file has none (a legacy or externally
+/// produced file); an existing but empty journal is passed as itself.
+[[nodiscard]] pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal,
                                                       CommitIo& primary);
 
 /// Roll the primary back/forward to the committed state in `report`

@@ -62,7 +62,7 @@ std::optional<Slot> DecodeSlot(pnc::ConstByteSpan b) {
   s.table_len = GetU64(b.data() + 8);
   s.table_crc = GetU32(b.data() + 16);
   s.flags = GetU32(b.data() + 20);
-  if (s.seq == 0) return std::nullopt;  // formatted, never committed
+  if (s.seq == 0) return std::nullopt;  // never committed
   return s;
 }
 
@@ -310,25 +310,24 @@ pnc::Result<ChunkSumMap> ChunkSumMap::DecodeTable(pnc::ConstByteSpan table) {
 
 // ----------------------------------------------------------- sidecar I/O
 
-pnc::Status FormatSums(CommitIo& io) {
-  std::vector<std::byte> prefix(kSumsTableOffset, std::byte{0});
-  std::memcpy(prefix.data(), kSumsMagic, kSumsMagicLen);
-  if (auto st = io.Write(0, prefix); !st.ok()) return st;
-  return io.Sync();
-}
-
 pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map, bool open,
                        SumsState* state) {
   const std::vector<std::byte> table = map.EncodeTable();
-  if (auto st = io.Write(kSumsTableOffset, table); !st.ok()) return st;
-  if (auto st = io.Sync(); !st.ok()) return st;
   Slot s;
   s.seq = state->seq + 1;
   s.table_len = table.size();
   s.table_crc = pnc::Crc32(table);
   s.flags = open ? kSumsFlagOpen : 0;
+  // The slot and the table are contiguous: one write of [slot | table],
+  // led by the magic when this sidecar has never been committed.
+  const std::uint64_t at = state->seq == 0 ? 0 : kSumsSlotOffset;
+  std::vector<std::byte> image(kSumsTableOffset - at + table.size());
+  if (at == 0) std::memcpy(image.data(), kSumsMagic, kSumsMagicLen);
   const auto slot = EncodeSlot(s);
-  if (auto st = io.Write(kSumsSlotOffset, slot); !st.ok()) return st;
+  std::memcpy(image.data() + (kSumsSlotOffset - at), slot.data(), slot.size());
+  std::memcpy(image.data() + (kSumsTableOffset - at), table.data(),
+              table.size());
+  if (auto st = io.Write(at, image); !st.ok()) return st;
   if (auto st = io.Sync(); !st.ok()) return st;
   state->seq = s.seq;
   state->open = open;
@@ -337,7 +336,7 @@ pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map, bool open,
 
 pnc::Result<LoadedSums> LoadSums(CommitIo& io, int reread_attempts) {
   LoadedSums out;
-  if (io.Size() < kSumsTableOffset) return out;  // absent / never formatted
+  if (io.Size() < kSumsTableOffset) return out;  // never committed
   // A CRC failure may be a transient flip of the *sidecar read itself*;
   // re-read before giving up, so a flaky medium degrades to untrusted only
   // when the damage is persistent.
@@ -499,7 +498,6 @@ pnc::Status RebuildSums(CommitIo& io, std::uint64_t chunk_size,
     map.Set(map.ChunkOf(cstart),
             {static_cast<std::uint32_t>(clen), pnc::Crc32(chunk)});
   }
-  if (auto st = FormatSums(io); !st.ok()) return st;
   SumsState fresh;
   if (auto st = CommitSums(io, map, /*open=*/false, &fresh); !st.ok())
     return st;

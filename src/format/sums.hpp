@@ -18,14 +18,20 @@
 // an entry's `len` is the summed extent within the chunk (the tail chunk is
 // shorter than chunk_size). The table is sparse: only summed chunks appear.
 //
-// Commit discipline mirrors the header journal: write the table, sync,
-// then write the single CRC'd slot (the commit point), sync. A torn update
-// fails the slot or table CRC and simply degrades every chunk to
-// "unsummed" — a torn sidecar can never claim valid sums. `flags` bit 0 is
-// the OPEN marker: a writable session commits it set before mutating data,
-// and clears it only in the final flush at Close. A crash mid-session
-// therefore leaves the sidecar open, and later readers distrust the (now
-// possibly stale) sums instead of flagging freshly written data as corrupt.
+// A commit is one write of [slot | table] at offset 8 (from offset 0, with
+// the magic, while the sidecar has never been committed), then one sync.
+// The table is rewritten in place, so no ordering between it and the slot
+// could protect the previous commit anyway: a torn slot fails its rec_crc,
+// and a torn table — or a slot beside a table it does not describe — fails
+// table_crc. Either way every chunk degrades to "unsummed"; a torn sidecar
+// can never claim valid sums. Dataset creation only creates (truncates) the
+// sidecar; an empty one loads as untrusted until the first commit.
+//
+// `flags` bit 0 is the OPEN marker: a writable session commits it set
+// before mutating data, and clears it only in the final flush at Close. A
+// crash mid-session therefore leaves the sidecar open, and later readers
+// distrust the (now possibly stale) sums instead of flagging freshly
+// written data as corrupt.
 //
 // Sums come from the bytes being written, not from the file. Each data
 // write that lands in full records one (offset, length, CRC) fragment per
@@ -193,13 +199,9 @@ struct SumsState {
   bool open = false;
 };
 
-/// (Re)initialize a sidecar: magic + zeroed slot. Called at dataset
-/// creation so a stale sidecar from a previous file at the same path can
-/// never be replayed.
-[[nodiscard]] pnc::Status FormatSums(CommitIo& io);
-
-/// Durably commit the map: table write, sync, slot write (the commit
-/// point), sync. `open` set leaves the session-open marker in place.
+/// Durably commit the map: one [slot | table] write (led by the magic when
+/// `state->seq` is 0), then one sync. `open` set leaves the session-open
+/// marker in place.
 [[nodiscard]] pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map,
                                      bool open, SumsState* state);
 

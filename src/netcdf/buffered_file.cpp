@@ -167,6 +167,16 @@ pnc::Status BufferedFile::WriteAt(std::uint64_t offset,
   return pnc::Status::Ok();
 }
 
+pnc::Status BufferedFile::PatchAt(std::uint64_t offset,
+                                  pnc::ConstByteSpan data) {
+  const std::uint64_t bstart = offset / bufsize_ * bufsize_;
+  if (block_valid_ && block_start_ == bstart &&
+      offset + data.size() <= bstart + bufsize_)
+    return WriteAt(offset, data);
+  return RetryIo(/*is_write=*/true, offset,
+                 const_cast<std::byte*>(data.data()), data.size());
+}
+
 std::uint64_t BufferedFile::size() { return file_.size(); }
 
 pnc::Status BufferedFile::Truncate(std::uint64_t n) {

@@ -36,6 +36,11 @@ class BufferedFile {
   [[nodiscard]] pnc::Status ReadAt(std::uint64_t offset, pnc::ByteSpan out);
   [[nodiscard]] pnc::Status WriteAt(std::uint64_t offset,
                                     pnc::ConstByteSpan data);
+  /// Write a small patch (a header field) without moving the cache: into
+  /// the cached block when that block holds the bytes, otherwise straight
+  /// through the retrying write path, leaving the cached block in place.
+  [[nodiscard]] pnc::Status PatchAt(std::uint64_t offset,
+                                    pnc::ConstByteSpan data);
   /// Write back any dirty buffered block. On failure the block stays dirty
   /// (and the error retryable): call Flush/Sync again to retry.
   [[nodiscard]] pnc::Status Flush();

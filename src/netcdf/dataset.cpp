@@ -100,7 +100,6 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable) {
   if (!sf.ok()) return sf.status();
   sf.value().SetTenant(tenant);
   sums_io.emplace(std::move(sf).value(), &clock);
-  if (!existed) PNC_RETURN_IF_ERROR(ncformat::FormatSums(*sums_io));
   auto loaded = ncformat::LoadSums(*sums_io);
   if (!loaded.ok()) return loaded.status();
   sums_state = loaded.value().state;
@@ -147,22 +146,22 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
   im.header.version = opts.use_cdf2 ? 2 : 1;
   im.defining = true;
   im.fresh = true;
-  // Create-and-format the sidecar journal, truncating any stale one left by
-  // a previous file at this path so its commits can never be replayed.
+  // Create the sidecar journal empty, truncating any stale one left by a
+  // previous file at this path so its commits can never be replayed. The
+  // first EndDef's commit writes its magic.
   auto jf = fs.Create(ncformat::JournalPath(path), /*exclusive=*/false);
   if (!jf.ok()) return jf.status();
   jf.value().SetTenant(tenant);
   im.journal.emplace(std::move(jf).value(), &im.clock);
-  PNC_RETURN_IF_ERROR(ncformat::FormatJournal(*im.journal));
-  // Same for the chunk-sum sidecar: format (wiping any stale table) and
+  // Same for the chunk-sum sidecar: truncate (wiping any stale table) and
   // attach. No geometry yet — EndDef sets it once the data region exists.
-  // Nothing is committed before then, so a crash leaves it untrusted.
+  // Nothing is committed before the first flush, so a crash leaves it
+  // empty, which loads as untrusted.
   if (ncformat::SumsEnabled()) {
     auto sf = fs.Create(ncformat::SumsPath(path), /*exclusive=*/false);
     if (!sf.ok()) return sf.status();
     sf.value().SetTenant(tenant);
     im.sums_io.emplace(std::move(sf).value(), &im.clock);
-    PNC_RETURN_IF_ERROR(ncformat::FormatSums(*im.sums_io));
     im.sums_on = true;
     im.io.AttachSums(&im.sums, /*verify=*/true);
   }
@@ -192,7 +191,7 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
     jf.value().SetTenant(tenant);
     im.journal.emplace(std::move(jf).value(), &im.clock);
     ncformat::PfsCommitIo primary(f.value(), &im.clock);
-    auto rep = ncformat::AnalyzeCommit(*im.journal, primary);
+    auto rep = ncformat::AnalyzeCommit(&*im.journal, primary);
     if (!rep.ok()) return rep.status();
     const ncformat::VerifyReport& r = rep.value();
     if (r.has_commit) im.commit = r.committed;
@@ -622,7 +621,9 @@ pnc::Status Dataset::WriteNumrecs() {
   std::byte buf[4];
   const auto v = pnc::xdr::ToBig(static_cast<std::uint32_t>(im.header.numrecs));
   std::memcpy(buf, &v, 4);
-  PNC_RETURN_IF_ERROR(im.io.WriteAt(4, pnc::ConstByteSpan(buf, 4)));
+  // Patched past the cache: loading block 0 here would evict the tail block
+  // the next record append writes into.
+  PNC_RETURN_IF_ERROR(im.io.PatchAt(4, pnc::ConstByteSpan(buf, 4)));
   PNC_OBSERVE(kHeaderWrite, .len = 4);
   if (im.journal) PNC_RETURN_IF_ERROR(im.io.Sync());
   im.numrecs_dirty = false;

@@ -134,13 +134,6 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
       }
       sf.value().SetTenant(file.tenant());
       sums_io.emplace(std::move(sf).value(), &comm.clock());
-      if (!existed) {
-        const pnc::Status fst = ncformat::FormatSums(*sums_io);
-        if (!fst.ok()) {
-          err = fst.raw();
-          break;
-        }
-      }
       auto loaded = ncformat::LoadSums(*sums_io);
       if (!loaded.ok()) {
         err = loaded.status().raw();
@@ -252,9 +245,10 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
   // are interpreted by the library, the rest pass through to MPI-IO).
   im.header_align =
       static_cast<std::uint64_t>(im.info.GetInt("nc_header_align_size", 0));
-  // Create-and-format the sidecar commit journal on the root (truncating any
+  // Create the sidecar commit journal empty on the root (truncating any
   // stale one left by a previous file at this path so its commits can never
-  // be replayed); the result is agreed before anyone proceeds.
+  // be replayed; the first EndDef's commit writes its magic); the result is
+  // agreed before anyone proceeds.
   int jerr = 0;
   if (im.comm.rank() == 0) {
     auto jf = fs.Create(ncformat::JournalPath(path), /*exclusive=*/false);
@@ -265,16 +259,16 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
       pfs::File jfile = std::move(jf).value();
       jfile.SetTenant(im.file.tenant());
       im.journal.emplace(std::move(jfile), &im.comm.clock());
-      jerr = ncformat::FormatJournal(*im.journal).raw();
     }
   }
   PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(jerr, 0)));
   if (jerr != 0)
     return pnc::Status(static_cast<pnc::Err>(jerr), "commit journal create");
   im.journaled = true;
-  // Same for the chunk-sum sidecar: the root formats it (wiping any stale
+  // Same for the chunk-sum sidecar: the root truncates it (wiping any stale
   // table) and all ranks attach maintain-only. Geometry comes at EndDef;
-  // nothing is committed before then, so a crash leaves it untrusted.
+  // nothing is committed before the first flush, so a crash leaves it
+  // empty, which loads as untrusted.
   if (ncformat::SumsEnabled() && !im.comm.FaultsArmed()) {
     int serr = 0;
     if (im.comm.rank() == 0) {
@@ -285,7 +279,6 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
         pfs::File sfile = std::move(sf).value();
         sfile.SetTenant(im.file.tenant());
         im.sums_io.emplace(std::move(sfile), &im.comm.clock());
-        serr = ncformat::FormatSums(*im.sums_io).raw();
       }
     }
     im.comm.BcastValue(serr, 0);
@@ -335,7 +328,7 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
       pfile.SetTenant(im.file.tenant());
       im.journal.emplace(std::move(jfile), &im.comm.clock());
       ncformat::PfsCommitIo primary(std::move(pfile), &im.comm.clock());
-      auto rep = ncformat::AnalyzeCommit(*im.journal, primary);
+      auto rep = ncformat::AnalyzeCommit(&*im.journal, primary);
       if (!rep.ok()) {
         rst = rep.status();
       } else {

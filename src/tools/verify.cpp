@@ -13,20 +13,6 @@ namespace {
 using ncformat::FileState;
 using ncformat::Header;
 
-/// Stand-in journal for files that never had one: AnalyzeCommit sees an
-/// empty store and takes its no-journal classification path.
-class NullCommitIo final : public ncformat::CommitIo {
- public:
-  pnc::Status Read(std::uint64_t, pnc::ByteSpan) override {
-    return pnc::Status(pnc::Err::kIo, "no journal");
-  }
-  pnc::Status Write(std::uint64_t, pnc::ConstByteSpan) override {
-    return pnc::Status(pnc::Err::kIo, "no journal");
-  }
-  pnc::Status Sync() override { return pnc::Status::Ok(); }
-  std::uint64_t Size() override { return 0; }
-};
-
 /// Walk the variable extents the surviving header declares and note
 /// anything odd. None of these are corruption by themselves — pfs reads
 /// zero-fill past EOF, so a short file is a legal unwritten tail — but they
@@ -98,21 +84,18 @@ pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
   if (!pf.ok()) return pf.status();
   ncformat::PfsCommitIo primary(std::move(pf).value(), &clock);
 
-  ncformat::VerifyReport rep;
+  // A missing journal takes AnalyzeCommit's no-journal path; an existing
+  // one, even empty, is analyzed as a journal.
+  std::optional<ncformat::PfsCommitIo> journal;
   const std::string jpath = ncformat::JournalPath(path);
   if (fs.Exists(jpath)) {
     auto jf = fs.Open(jpath);
     if (!jf.ok()) return jf.status();
-    ncformat::PfsCommitIo journal(std::move(jf).value(), &clock);
-    auto r = ncformat::AnalyzeCommit(journal, primary);
-    if (!r.ok()) return r.status();
-    rep = std::move(r).value();
-  } else {
-    NullCommitIo none;
-    auto r = ncformat::AnalyzeCommit(none, primary);
-    if (!r.ok()) return r.status();
-    rep = std::move(r).value();
+    journal.emplace(std::move(jf).value(), &clock);
   }
+  auto r = ncformat::AnalyzeCommit(journal ? &*journal : nullptr, primary);
+  if (!r.ok()) return r.status();
+  const ncformat::VerifyReport rep = std::move(r).value();
 
   out.state = rep.state;
   out.has_journal = rep.has_journal;

@@ -125,8 +125,10 @@ constexpr std::uint64_t RoundUp4(std::uint64_t x) { return (x + 3) & ~3ULL; }
 
 /// Convert an array of host-order scalars to big-endian bytes (and back).
 /// These are the hot paths used when staging variable data for file I/O.
+/// An empty array touches neither pointer (a zero-count put may pass null).
 template <typename T>
 void EncodeArray(std::span<const T> in, std::byte* out) {
+  if (in.empty()) return;
   if constexpr (kHostIsBig || sizeof(T) == 1) {
     std::memcpy(out, in.data(), in.size_bytes());
   } else {
@@ -139,6 +141,7 @@ void EncodeArray(std::span<const T> in, std::byte* out) {
 
 template <typename T>
 void DecodeArray(const std::byte* in, std::span<T> out) {
+  if (out.empty()) return;
   if constexpr (kHostIsBig || sizeof(T) == 1) {
     std::memcpy(out.data(), in, out.size_bytes());
   } else {

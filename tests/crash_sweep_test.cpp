@@ -8,6 +8,7 @@
 // first t the sequence survives uncrashed, so every byte boundary is hit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -529,6 +530,187 @@ TEST(CrashSweep, TornSumSidecarSweepNeverReportsCorrupt) {
   // trusted closed table, mid-session crashes degrade to unsummed.
   EXPECT_GT(trusted_outcomes, 0);
   EXPECT_GT(untrusted_outcomes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The same .ncsum sweep through the parallel library at 3 ranks: the root
+// commits the gathered table as one [slot | table] write, and every crash
+// point must still leave a trusted table that matches the bytes or an
+// untrusted one — never a corruption verdict.
+TEST(CrashSweep, ParallelTornSumSidecarSweepNeverReportsCorrupt) {
+  auto put = [](pnetcdf::Dataset& ds, int v, int rank, double value) {
+    const std::vector<double> mine(8, value + rank);
+    const std::uint64_t st[] = {8 * static_cast<std::uint64_t>(rank)};
+    const std::uint64_t ct[] = {8};
+    return ds.PutVaraAll<double>(v, st, ct, mine);
+  };
+  int trusted_outcomes = 0, untrusted_outcomes = 0;
+  for (std::uint64_t t = 0; t < kSweepCeiling; ++t) {
+    pfs::FileSystem fs;
+    simmpi::Run(3, [&](simmpi::Comm& c) {  // sums committed by the close
+      auto ds =
+          pnetcdf::Dataset::Create(c, fs, "p.nc", simmpi::NullInfo()).value();
+      const int x = ds.DefDim("x", 24).value();
+      const int v = ds.DefVar("a", NcType::kDouble, {x}).value();
+      ASSERT_TRUE(ds.EndDef().ok());
+      ASSERT_TRUE(put(ds, v, c.rank(), 1.0).ok());
+      ASSERT_TRUE(ds.Close().ok());
+    });
+
+    const pfs::FaultPolicy pol = ArmCrash(fs, t);
+    SCOPED_TRACE("crash point t=" + std::to_string(t) + " " +
+                 pnc_test::DescribePolicy(pol));
+    simmpi::Run(3, [&](simmpi::Comm& c) {
+      auto r = pnetcdf::Dataset::Open(c, fs, "p.nc", true, simmpi::NullInfo());
+      if (!r.ok()) return;  // every rank sees the same broadcast verdict
+      auto ds = std::move(r).value();
+      const auto v = ds.VarId("a");
+      if (v.ok()) (void)put(ds, v.value(), c.rank(), 10.0);
+      (void)ds.Close();
+    });
+    const bool crashed = fs.crashed();
+    fs.SetFaultPolicy({});  // reboot
+
+    auto fixed = nctools::VerifyFile(fs, "p.nc", {.repair = true});
+    ASSERT_TRUE(fixed.ok()) << fixed.status().message();
+    ASSERT_NE(fixed.value().state, ncformat::FileState::kCorrupt)
+        << fixed.value().detail;
+    auto v = nctools::VerifyFile(fs, "p.nc", {.repair = false, .data = true});
+    ASSERT_TRUE(v.ok()) << v.status().message();
+    ASSERT_TRUE(v.value().scrub.has_value());
+    const ncformat::ScrubReport& s = *v.value().scrub;
+    ASSERT_EQ(s.corrupt, 0u) << "false corruption verdict after a crash";
+    if (s.trusted) {
+      EXPECT_EQ(s.unsummed, 0u);
+      EXPECT_GE(s.clean, 1u);
+      ++trusted_outcomes;
+    } else {
+      ++untrusted_outcomes;
+    }
+    if (!crashed) break;  // whole overwrite+flush sequence covered
+  }
+  EXPECT_GT(trusted_outcomes, 0);
+  EXPECT_GT(untrusted_outcomes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Fresh create through the first EndDef, serial (nprocs 0) and at 3 ranks.
+// Create writes nothing; the first journal commit lays down the magic, both
+// zeroed slots and the shadow in one write, then the slot. Every crash
+// point classifies as before: with no committed slot the file is corrupt
+// ("no committed state", since the journal — even an empty or torn one —
+// exists), and opens reject it; with a committed slot it is clean or
+// recoverable and opens with the defined schema. An EndDef that returned OK
+// never leaves a corrupt file.
+void FreshCreateThroughEndDefSweep(int nprocs) {
+  int committed = 0, uncommitted = 0;
+  for (std::uint64_t t = 0; t < kSweepCeiling; ++t) {
+    pfs::FileSystem fs;
+    const pfs::FaultPolicy pol = ArmCrash(fs, t);
+    SCOPED_TRACE("crash point t=" + std::to_string(t) + " " +
+                 pnc_test::DescribePolicy(pol));
+    bool enddef_ok = false;
+    if (nprocs == 0) {
+      auto ds = netcdf::Dataset::Create(fs, "f.nc");
+      if (ds.ok()) {
+        auto d = std::move(ds).value();
+        const int x = d.DefDim("x", 8).value();
+        (void)d.DefVar("a", NcType::kDouble, {x}).value();
+        enddef_ok = d.EndDef().ok();
+      }
+    } else {
+      std::vector<int> ok(static_cast<std::size_t>(nprocs), 0);
+      simmpi::Run(nprocs, [&](simmpi::Comm& c) {
+        auto r = pnetcdf::Dataset::Create(c, fs, "f.nc", simmpi::NullInfo());
+        if (!r.ok()) return;
+        auto ds = std::move(r).value();
+        const int x = ds.DefDim("x", 8).value();
+        (void)ds.DefVar("a", NcType::kDouble, {x}).value();
+        ok[static_cast<std::size_t>(c.rank())] = ds.EndDef().ok() ? 1 : 0;
+      });
+      enddef_ok = std::all_of(ok.begin(), ok.end(), [](int o) { return o; });
+      EXPECT_TRUE(enddef_ok || std::none_of(ok.begin(), ok.end(),
+                                            [](int o) { return o; }))
+          << "ranks disagree on EndDef";
+    }
+    const bool crashed = fs.crashed();
+    fs.SetFaultPolicy({});  // reboot
+
+    if (!fs.Exists("f.nc")) {
+      ASSERT_TRUE(crashed);
+      continue;
+    }
+    const bool journal = fs.Exists(ncformat::JournalPath("f.nc"));
+    auto vr = nctools::VerifyFile(fs, "f.nc");
+    ASSERT_TRUE(vr.ok()) << vr.status().message();
+    EXPECT_EQ(vr.value().has_journal, journal) << vr.value().detail;
+    if (vr.value().state == ncformat::FileState::kCorrupt) {
+      EXPECT_FALSE(enddef_ok) << "EndDef returned OK on an uncommitted file";
+      if (journal) {
+        EXPECT_EQ(vr.value().detail,
+                  "no committed state (crashed before first commit)");
+      }
+      EXPECT_FALSE(netcdf::Dataset::Open(fs, "f.nc", false).ok());
+      ++uncommitted;
+    } else {
+      ASSERT_TRUE(nctools::VerifyFile(fs, "f.nc", {.repair = true}).ok());
+      auto rd = netcdf::Dataset::Open(fs, "f.nc", false);
+      ASSERT_TRUE(rd.ok()) << rd.status().message();
+      EXPECT_EQ(rd.value().ndims(), 1);
+      EXPECT_TRUE(rd.value().VarId("a").ok());
+      ++committed;
+    }
+    if (!crashed) {
+      EXPECT_TRUE(enddef_ok);
+      break;  // whole create + first EndDef covered
+    }
+  }
+  EXPECT_GT(committed, 0);
+  EXPECT_GT(uncommitted, 0);
+}
+
+TEST(CrashSweep, FreshCreateThroughFirstEndDefSerial) {
+  FreshCreateThroughEndDefSweep(0);
+}
+
+TEST(CrashSweep, FreshCreateThroughFirstEndDefThreeRanks) {
+  FreshCreateThroughEndDefSweep(3);
+}
+
+// ---------------------------------------------------------------------------
+// A missing journal and an empty one are different things: the first is a
+// file written without the protocol (ncverify prints "(no commit journal)"),
+// the second a dataset whose first commit never happened.
+TEST(JournalPresence, MissingAndEmptyJournalsClassifyApart) {
+  pfs::FileSystem fs;
+  pnc_test::MakeValidFile(fs, "f.nc");
+  pnc_test::DropJournal(fs, "f.nc");
+  auto missing = nctools::VerifyFile(fs, "f.nc");
+  ASSERT_TRUE(missing.ok());
+  EXPECT_FALSE(missing.value().has_journal);
+  EXPECT_EQ(missing.value().state, ncformat::FileState::kClean);
+  EXPECT_EQ(missing.value().detail, "no journal; header decodes");
+
+  ASSERT_TRUE(fs.Create(ncformat::JournalPath("f.nc"), false).ok());
+  auto empty = nctools::VerifyFile(fs, "f.nc");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value().has_journal);
+  EXPECT_EQ(empty.value().state, ncformat::FileState::kClean);
+  EXPECT_EQ(empty.value().detail, "journal empty; header decodes");
+
+  // Created, never committed, no header: corrupt, "crashed before first
+  // commit" — not "no journal".
+  pfs::FileSystem fresh;
+  {
+    auto ds = netcdf::Dataset::Create(fresh, "g.nc").value();
+    EXPECT_EQ(fresh.Open(ncformat::JournalPath("g.nc")).value().size(), 0u);
+  }
+  auto never = nctools::VerifyFile(fresh, "g.nc");
+  ASSERT_TRUE(never.ok());
+  EXPECT_TRUE(never.value().has_journal);
+  EXPECT_EQ(never.value().state, ncformat::FileState::kCorrupt);
+  EXPECT_EQ(never.value().detail,
+            "no committed state (crashed before first commit)");
 }
 
 // ---------------------------------------------------------------------------

@@ -833,6 +833,267 @@ TEST(Integrity, ParallelSumsOffIsBitIdenticalAndSidecarFree) {
   EXPECT_EQ(with, without);
 }
 
+// ------------------------------------------------- sidecar traffic
+
+// Every sidecar commit is one write plus one sync, and Create writes
+// nothing to either sidecar. At the format level a counting store sees each
+// call; at the dataset level pfs::Stats deltas do (a sync is a zero-length
+// write request there), and the sidecar's share is isolated by running the
+// same lifecycle with PNC_SUMS=0.
+
+/// In-memory CommitIo that records every write and sync it is asked for.
+class CountingCommitIo final : public ncformat::CommitIo {
+ public:
+  struct Call {
+    std::uint64_t offset, len;
+  };
+  pnc::Status Read(std::uint64_t offset, pnc::ByteSpan out) override {
+    for (std::size_t i = 0; i < out.size(); ++i)
+      out[i] = offset + i < bytes.size() ? bytes[offset + i] : std::byte{0};
+    return pnc::Status::Ok();
+  }
+  pnc::Status Write(std::uint64_t offset, pnc::ConstByteSpan data) override {
+    writes.push_back({offset, data.size()});
+    if (bytes.size() < offset + data.size()) bytes.resize(offset + data.size());
+    std::copy(data.begin(), data.end(), bytes.begin() + offset);
+    return pnc::Status::Ok();
+  }
+  pnc::Status Sync() override {
+    ++syncs;
+    return pnc::Status::Ok();
+  }
+  std::uint64_t Size() override { return bytes.size(); }
+
+  std::vector<std::byte> bytes;
+  std::vector<Call> writes;
+  int syncs = 0;
+};
+
+TEST(SidecarTraffic, SumsCommitIsOneSlotAndTableWrite) {
+  CountingCommitIo io;
+  EXPECT_FALSE(ncformat::LoadSums(io).value().trusted);  // empty: untrusted
+  ncformat::ChunkSumMap map;
+  map.SetGeometry(4096, 128);
+  map.Set(0, {4096, 0x1234u});
+  ncformat::SumsState state;
+  ASSERT_TRUE(ncformat::CommitSums(io, map, /*open=*/true, &state).ok());
+  const std::uint64_t table1 = map.EncodeTable().size();
+  ASSERT_EQ(io.writes.size(), 1u);
+  EXPECT_EQ(io.syncs, 1);
+  // Never committed before: the write starts at 0 and carries the magic.
+  EXPECT_EQ(io.writes[0].offset, 0u);
+  EXPECT_EQ(io.writes[0].len, ncformat::kSumsTableOffset + table1);
+  EXPECT_FALSE(ncformat::LoadSums(io).value().trusted);  // still open
+
+  map.Set(1, {100, 0x5678u});
+  ASSERT_TRUE(ncformat::CommitSums(io, map, /*open=*/false, &state).ok());
+  ASSERT_EQ(io.writes.size(), 2u);
+  EXPECT_EQ(io.syncs, 2);
+  EXPECT_EQ(io.writes[1].offset, ncformat::kSumsSlotOffset);
+  EXPECT_EQ(io.writes[1].len,
+            ncformat::kSumsSlotSize + map.EncodeTable().size());
+  const ncformat::LoadedSums loaded = ncformat::LoadSums(io).value();
+  EXPECT_TRUE(loaded.trusted);
+  EXPECT_EQ(loaded.state.seq, 2u);
+  EXPECT_EQ(loaded.map.entries(), map.entries());
+}
+
+TEST(SidecarTraffic, FirstJournalCommitCarriesTheMagic) {
+  CountingCommitIo j;
+  // Present but empty: nothing committed (not "no journal").
+  auto none = ncformat::ReadCommitState(j);
+  ASSERT_TRUE(none.ok());
+  EXPECT_FALSE(none.value().has_value());
+
+  ncformat::Header h;
+  h.version = 2;
+  h.dims.push_back({"x", 8});
+  std::vector<std::byte> header;
+  h.Encode(header);
+  ncformat::CommitState c1, c2, c3;
+  ASSERT_TRUE(
+      ncformat::CommitHeaderToJournal(j, header, 0, std::nullopt, &c1).ok());
+  ASSERT_EQ(j.writes.size(), 2u);
+  EXPECT_EQ(j.syncs, 2);
+  EXPECT_EQ(j.writes[0].offset, 0u);  // magic + zero slots + shadow
+  EXPECT_EQ(j.writes[0].len, ncformat::kJournalShadowOffset + header.size());
+  EXPECT_EQ(j.writes[1].offset, ncformat::kJournalSlotOffset[0]);
+  EXPECT_EQ(j.writes[1].len, ncformat::kJournalSlotSize);
+  EXPECT_EQ(ncformat::ReadCommitState(j).value()->seq, 1u);
+
+  // Later commits are unchanged: shadow alone, then the other slot.
+  ASSERT_TRUE(ncformat::CommitHeaderToJournal(j, header, 0, c1, &c2).ok());
+  ASSERT_EQ(j.writes.size(), 4u);
+  EXPECT_EQ(j.syncs, 4);
+  EXPECT_EQ(j.writes[2].offset, ncformat::kJournalShadowOffset);
+  EXPECT_EQ(j.writes[2].len, header.size());
+  EXPECT_EQ(j.writes[3].offset, ncformat::kJournalSlotOffset[1]);
+  ASSERT_TRUE(ncformat::CommitNumrecsToJournal(j, c2, 5, &c3).ok());
+  ASSERT_EQ(j.writes.size(), 5u);
+  EXPECT_EQ(j.syncs, 5);
+  EXPECT_EQ(ncformat::ReadCommitState(j).value()->numrecs, 5u);
+}
+
+/// pfs write requests (syncs included) and bytes written during a step.
+struct Traffic {
+  std::uint64_t requests = 0;
+  std::uint64_t bytes = 0;
+};
+
+Traffic operator-(const Traffic& a, const Traffic& b) {
+  return {a.requests - b.requests, a.bytes - b.bytes};
+}
+
+/// The steps of a small lifecycle whose sidecar traffic is pinned.
+enum Step { kCreate, kEndDef, kSyncAfterPut, kSyncIdle, kClose, kSteps };
+
+struct Lifecycle {
+  Traffic step[kSteps];
+  std::uint64_t header_len = 0;
+  std::uint64_t journal_size = 0;
+  std::uint64_t sums_size = 0;  ///< 0 when the sidecar does not exist
+};
+
+std::uint64_t SizeOr0(pfs::FileSystem& fs, const std::string& path) {
+  return fs.Exists(path) ? fs.Open(path).value().size() : 0;
+}
+
+/// Serial (nprocs 0) or parallel: Create, define, EndDef, put, Sync, Sync,
+/// Close, with each step's pfs write traffic.
+Lifecycle RunLifecycle(int nprocs) {
+  pfs::FileSystem fs;
+  Lifecycle out;
+  const auto now = [&fs] {
+    const pfs::Stats s = fs.stats();
+    return Traffic{s.write_requests, s.bytes_written};
+  };
+  if (nprocs == 0) {
+    Traffic t0 = now();
+    auto ds = netcdf::Dataset::Create(fs, "t.nc").value();
+    out.step[kCreate] = now() - t0;
+    const int x = ds.DefDim("x", 64).value();
+    const int v = ds.DefVar("v", NcType::kDouble, {x}).value();
+    t0 = now();
+    EXPECT_TRUE(ds.EndDef().ok());
+    out.step[kEndDef] = now() - t0;
+    EXPECT_TRUE(ds.PutVar<double>(v, std::vector<double>(64, 1.5)).ok());
+    t0 = now();
+    EXPECT_TRUE(ds.Sync().ok());
+    out.step[kSyncAfterPut] = now() - t0;
+    t0 = now();
+    EXPECT_TRUE(ds.Sync().ok());
+    out.step[kSyncIdle] = now() - t0;
+    t0 = now();
+    EXPECT_TRUE(ds.Close().ok());
+    out.step[kClose] = now() - t0;
+  } else {
+    simmpi::Run(nprocs, [&](Comm& c) {
+      Traffic t0;
+      // Rank 0 reads the counters between barriers, so every rank's I/O of
+      // a step falls inside its window.
+      const auto begin = [&] {
+        c.Barrier();
+        if (c.rank() == 0) t0 = now();
+        c.Barrier();
+      };
+      const auto end = [&](Step s) {
+        c.Barrier();
+        if (c.rank() == 0) out.step[s] = now() - t0;
+        c.Barrier();
+      };
+      begin();
+      auto ds =
+          pnetcdf::Dataset::Create(c, fs, "t.nc", simmpi::NullInfo()).value();
+      end(kCreate);
+      const int x = ds.DefDim("x", 64).value();
+      const int v = ds.DefVar("v", NcType::kDouble, {x}).value();
+      begin();
+      EXPECT_TRUE(ds.EndDef().ok());
+      end(kEndDef);
+      const std::uint64_t share = 64 / static_cast<std::uint64_t>(c.size());
+      const std::uint64_t lo = share * static_cast<std::uint64_t>(c.rank());
+      const std::uint64_t n = c.rank() + 1 == c.size() ? 64 - lo : share;
+      const std::uint64_t st[] = {lo};
+      const std::uint64_t ct[] = {n};
+      EXPECT_TRUE(
+          ds.PutVaraAll<double>(v, st, ct, std::vector<double>(n, 1.5)).ok());
+      begin();
+      EXPECT_TRUE(ds.Sync().ok());
+      end(kSyncAfterPut);
+      begin();
+      EXPECT_TRUE(ds.Sync().ok());
+      end(kSyncIdle);
+      begin();
+      EXPECT_TRUE(ds.Close().ok());
+      end(kClose);
+    });
+  }
+  out.header_len = HeaderOf(fs, "t.nc").EncodedSize();
+  out.journal_size = SizeOr0(fs, ncformat::JournalPath("t.nc"));
+  out.sums_size = SizeOr0(fs, ncformat::SumsPath("t.nc"));
+  return out;
+}
+
+class SidecarTrafficP : public ::testing::TestWithParam<int> {};
+
+TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
+  const int nprocs = GetParam();
+  const Lifecycle on = RunLifecycle(nprocs);
+  Lifecycle off;
+  {
+    EnvGuard no_sums("PNC_SUMS", "0");
+    off = RunLifecycle(nprocs);
+  }
+  ASSERT_EQ(off.sums_size, 0u);
+  const std::uint64_t h = on.header_len;
+
+  // Create writes nothing. The only request is the parallel library's
+  // charged open round trip on the primary (a zero-length sync).
+  const std::uint64_t open_trip = nprocs == 0 ? 0 : 1;
+  EXPECT_EQ(on.step[kCreate].requests, open_trip);
+  EXPECT_EQ(on.step[kCreate].bytes, 0u);
+  EXPECT_EQ(off.step[kCreate].requests, open_trip);
+
+  // The first EndDef: the primary header (H bytes) plus a journal commit of
+  // two writes — [magic | zero slots | shadow] and one slot — and two
+  // syncs. The data syncs around it are the same with sums on or off, and
+  // the sums sidecar is not touched.
+  EXPECT_EQ(on.journal_size, ncformat::kJournalShadowOffset + h);
+  EXPECT_EQ(on.step[kEndDef].bytes,
+            h + (ncformat::kJournalShadowOffset + h) +
+                ncformat::kJournalSlotSize);
+  EXPECT_EQ(on.step[kEndDef].requests, off.step[kEndDef].requests);
+  EXPECT_EQ(on.step[kEndDef].bytes, off.step[kEndDef].bytes);
+  // Serial: data sync; journal write, sync, slot write, sync; header write
+  // and sync. Parallel: one data sync per rank; the root's journal commit,
+  // header write and local sync.
+  const std::uint64_t data_syncs =
+      nprocs == 0 ? 1 : static_cast<std::uint64_t>(nprocs);
+  EXPECT_EQ(on.step[kEndDef].requests, data_syncs + 4 + 2);
+
+  // Every sums flush is exactly one sidecar write plus one sync. The first
+  // starts at offset 0 with the magic; later ones rewrite [slot | table].
+  const std::uint64_t table = on.sums_size - ncformat::kSumsTableOffset;
+  const Traffic first = on.step[kSyncAfterPut] - off.step[kSyncAfterPut];
+  EXPECT_EQ(first.requests, 2u);
+  EXPECT_EQ(first.bytes, ncformat::kSumsTableOffset + table);
+  const Traffic idle = on.step[kSyncIdle] - off.step[kSyncIdle];
+  EXPECT_EQ(idle.requests, 2u);
+  EXPECT_EQ(idle.bytes, ncformat::kSumsSlotSize + table);
+  // A summed parallel Close first syncs the data on every rank, which an
+  // unsummed one leaves to the file close; the serial Close syncs it either
+  // way.
+  const Traffic close = on.step[kClose] - off.step[kClose];
+  EXPECT_EQ(close.requests, (nprocs == 0 ? 0 : data_syncs) + 2);
+  EXPECT_EQ(close.bytes, ncformat::kSumsSlotSize + table);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, SidecarTrafficP, ::testing::Values(0, 3, 4),
+                         [](const ::testing::TestParamInfo<int>& i) {
+                           return i.param == 0 ? std::string("serial")
+                                               : "p" + std::to_string(i.param);
+                         });
+
 // ------------------------------------- telemetry: counters + black box
 
 // The verification counters and the flight-recorder data_corrupt event (the

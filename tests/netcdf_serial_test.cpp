@@ -395,6 +395,44 @@ TEST_F(SerialDataset, SyncPersistsNumrecs) {
   EXPECT_EQ(rd.numrecs(), 1u);
 }
 
+// Sync after every record append: the numrecs patch at offset 4 must not
+// evict the cached tail block, so the appends read nothing back from pfs
+// (the sidecar sums combine with the committed prefix and read nothing
+// either), and the reopened file holds every record that was written.
+TEST_F(SerialDataset, SyncPerStepAppendReadsNothing) {
+  CreateOptions opts;
+  opts.buffer_size = 4096;  // the file outgrows one block after 4 steps
+  auto ds = Dataset::Create(fs_, "append.nc", opts).value();
+  const int t = ds.DefDim("t", kUnlimited).value();
+  const int x = ds.DefDim("x", 125).value();
+  const int v = ds.DefVar("v", NcType::kDouble, {t, x}).value();
+  ASSERT_TRUE(ds.EndDef().ok());
+  constexpr std::uint64_t kSteps = 24;
+  fs_.ResetStats();
+  for (std::uint64_t rec = 0; rec < kSteps; ++rec) {
+    const std::uint64_t st[] = {rec, 0};
+    const std::uint64_t ct[] = {1, 125};
+    const auto row = Seq(125, 1000.0 * static_cast<double>(rec));
+    ASSERT_TRUE(ds.PutVara<double>(v, st, ct, row).ok());
+    ASSERT_TRUE(ds.Sync().ok());
+  }
+  EXPECT_EQ(fs_.stats().bytes_read, 0u);
+  EXPECT_EQ(fs_.stats().read_requests, 0u);
+  ASSERT_TRUE(ds.Close().ok());
+  EXPECT_EQ(fs_.stats().bytes_read, 0u);
+  EXPECT_GT(fs_.Open("append.nc").value().size(), 4 * opts.buffer_size);
+
+  auto rd = Dataset::Open(fs_, "append.nc", /*writable=*/false).value();
+  ASSERT_EQ(rd.numrecs(), kSteps);
+  for (std::uint64_t rec = 0; rec < kSteps; ++rec) {
+    std::vector<double> got(125);
+    const std::uint64_t st[] = {rec, 0};
+    const std::uint64_t ct[] = {1, 125};
+    ASSERT_TRUE(rd.GetVara<double>(v, st, ct, got).ok());
+    EXPECT_EQ(got, Seq(125, 1000.0 * static_cast<double>(rec))) << rec;
+  }
+}
+
 TEST_F(SerialDataset, LargeVariableChecksCdf1Limit) {
   CreateOptions opts;
   opts.use_cdf2 = false;

@@ -195,6 +195,42 @@ TEST(BufferedFile, ReadModifyWriteWithinBlock) {
   EXPECT_EQ(out[103], std::byte{0xAB});
 }
 
+// A rank with nothing to write still joins the collective put, with an
+// empty (null-data) buffer. For one-byte types the encoder copies the
+// buffer as-is, and it must not hand the null pointer to memcpy.
+TEST(ZeroCount, CharAndSCharCollectivePutsWithEmptyBuffers) {
+  pfs::FileSystem fs;
+  simmpi::Run(3, [&](simmpi::Comm& c) {
+    auto ds = pnetcdf::Dataset::Create(c, fs, "z.nc", simmpi::NullInfo())
+                  .value();
+    const int x = ds.DefDim("x", 8).value();
+    const int vc = ds.DefVar("c", NcType::kChar, {x}).value();
+    const int vs = ds.DefVar("s", NcType::kByte, {x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    // Rank 1 writes nothing; ranks 0 and 2 write the two halves.
+    const std::uint64_t lo = c.rank() == 2 ? 4 : 0;
+    const std::uint64_t n = c.rank() == 1 ? 0 : 4;
+    const std::vector<char> text(n, static_cast<char>('a' + c.rank()));
+    const std::vector<signed char> bytes(n,
+                                         static_cast<signed char>(c.rank()));
+    const std::uint64_t st[] = {lo};
+    const std::uint64_t ct[] = {n};
+    ASSERT_TRUE(ds.PutVaraAll<char>(vc, st, ct, text).ok());
+    ASSERT_TRUE(ds.PutVaraAll<signed char>(vs, st, ct, bytes).ok());
+    std::vector<char> none;
+    const std::uint64_t zero[] = {0};
+    ASSERT_TRUE(ds.PutVaraAll<char>(vc, st, zero, none).ok());
+    ASSERT_TRUE(ds.Close().ok());
+  });
+  auto rd = netcdf::Dataset::Open(fs, "z.nc", false).value();
+  std::vector<char> text(8);
+  ASSERT_TRUE(rd.GetVar<char>(rd.VarId("c").value(), text).ok());
+  EXPECT_EQ(std::string(text.begin(), text.end()), "aaaacccc");
+  std::vector<signed char> bytes(8);
+  ASSERT_TRUE(rd.GetVar<signed char>(rd.VarId("s").value(), bytes).ok());
+  EXPECT_EQ(bytes, (std::vector<signed char>{0, 0, 0, 0, 2, 2, 2, 2}));
+}
+
 TEST(Discard, TimingPreservedWithoutStorage) {
   // discard_data must not change completion times, only storage.
   pfs::Config a, b;

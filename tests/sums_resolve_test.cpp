@@ -575,6 +575,35 @@ TEST(SumsOracle, PartialTailChunk) {
   EXPECT_EQ(Committed(fs, "t.nc").map.entries().at(3).len, 100u);
 }
 
+// A rank with nothing to write joins each collective put with an empty
+// (null-data) char buffer: it records no fragment, the others' fragments
+// still tile every chunk, and the committed table matches the file.
+TEST(SumsOracle, ZeroCountCharPutsAt3Ranks) {
+  EnvGuard chunk("PNC_SUM_CHUNK", "4096");
+  constexpr std::uint64_t kN = 3 * 4096 + 100;
+  pfs::FileSystem fs;
+  std::uint64_t read_at_close = 0;
+  simmpi::Run(3, [&](Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Create(c, fs, "z.nc", simmpi::NullInfo()).value();
+    const int x = ds.DefDim("x", kN).value();
+    const int v = ds.DefVar("t", NcType::kChar, {x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    // Rank 1 writes nothing; ranks 0 and 2 write the two halves.
+    const std::uint64_t lo = c.rank() == 2 ? kN / 2 : 0;
+    const std::uint64_t n = c.rank() == 1 ? 0 : kN / 2;
+    const std::vector<char> mine(n, static_cast<char>('a' + c.rank()));
+    const std::uint64_t st[] = {lo};
+    const std::uint64_t ct[] = {n};
+    ASSERT_TRUE(ds.PutVaraAll<char>(v, st, ct, mine).ok());
+    const std::uint64_t n0 =
+        BytesReadDuring(c, fs, [&] { ASSERT_TRUE(ds.Close().ok()); });
+    if (c.rank() == 0) read_at_close = n0;
+  });
+  EXPECT_EQ(read_at_close, 0u);
+  ExpectTableMatchesFile(fs, "z.nc");
+}
+
 // Rewriting bytes already written this session overlaps a fragment, and
 // two ranks' interleaved sieve windows overlap each other: neither can be
 // combined, so the flush reads those chunks and still matches the oracle.
