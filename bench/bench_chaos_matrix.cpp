@@ -4,11 +4,12 @@
 // benches, the numbers recorded here are *invariants of the failure
 // semantics*: the agreed status every survivor returns, the survivor count,
 // the ncverify classification of the interrupted file, the data-scrub
-// verdict against the .ncsum sidecar, and the deterministic virtual
-// completion time. The committed baseline (bench/baselines/chaos.json)
-// freezes all of them at zero tolerance, so any change to failure
-// agreement, aggregator reassignment, retry/backoff, or checksum behavior
-// that shifts an outcome trips `ncbench --suite=chaos --check`.
+// verdict against the chunk-sum table the journal committed, and the
+// deterministic virtual completion time. The committed baseline
+// (bench/baselines/chaos.json) freezes all of them at zero tolerance, so
+// any change to failure agreement, aggregator reassignment, retry/backoff,
+// or checksum behavior that shifts an outcome trips
+// `ncbench --suite=chaos --check`.
 //
 // Determinism: cb_nodes=1 keeps file I/O single-writer (see the smoke
 // suite note in suites.cpp); crashes are scripted by op index or virtual
@@ -18,8 +19,8 @@
 //
 // The bitflip/decay schedules exercise the integrity subsystem end to end:
 //   bitflip_writes_p20   flips bits in write payloads during the write run;
-//                        the post-run scrub records what the sidecar can
-//                        still vouch for.
+//                        the post-run scrub records what the committed
+//                        table can still vouch for.
 //   bitflip_readback_p25 writes cleanly, then re-reads through the
 //                        verify-on-read path under heavy transient read
 //                        flips; `rdst` is the worst per-rank status (0 =
@@ -108,7 +109,7 @@ struct Outcome {
   std::uint64_t write_flips = 0;  ///< pfs write-payload bitflips injected
   std::uint64_t read_flips = 0;   ///< pfs transient read bitflips injected
   std::uint64_t decay_hits = 0;   ///< persisted at-rest corruptions injected
-  int scrub_trusted = -1;         ///< sidecar trusted by the scrub; -1 = n/a
+  int scrub_trusted = -1;         ///< table trusted by the scrub; -1 = n/a
   std::uint64_t scrub_clean = 0;
   std::uint64_t scrub_corrupt = 0;
   std::uint64_t scrub_unsummed = 0;
@@ -319,7 +320,7 @@ int Run(const bench::Args& args, bench::Recorder& rec) {
               "verify: 0 clean,\n1 torn-recoverable, 2 corrupt, -1 no file. "
               "rdst: worst read-back status\n(0 healed/clean, -1006 "
               "kDataCorrupt surfaced). tr/cln/bad/uns: scrub verdict\n"
-              "(sidecar trusted, chunks clean/corrupt/unsummed). All columns "
+              "(table trusted, chunks clean/corrupt/unsummed). All columns "
               "are deterministic\ninvariants backed by "
               "bench/baselines/chaos.json at zero tolerance.\n");
   return 0;

@@ -1,5 +1,6 @@
 #include "format/commit.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "iostat/observe.hpp"
@@ -12,7 +13,7 @@ namespace {
 
 constexpr std::byte kMagic[kJournalMagicLen] = {
     std::byte{'N'}, std::byte{'C'}, std::byte{'J'}, std::byte{'L'},
-    std::byte{'0'}, std::byte{'1'}, std::byte{0},   std::byte{0}};
+    std::byte{'0'}, std::byte{'2'}, std::byte{0},   std::byte{0}};
 
 void PutU32(std::byte* p, std::uint32_t v) {
   const std::uint32_t big = pnc::xdr::ToBig(v);
@@ -33,26 +34,33 @@ std::uint64_t GetU64(const std::byte* p) {
   return pnc::xdr::FromBig(v);
 }
 
-/// Encode a slot: rec_crc covers the first 28 bytes.
-std::vector<std::byte> EncodeSlot(const CommitState& s) {
-  std::vector<std::byte> b(kJournalSlotSize);
-  PutU64(b.data(), s.seq);
-  PutU64(b.data() + 8, s.header_len);
-  PutU64(b.data() + 16, s.numrecs);
-  PutU32(b.data() + 24, s.header_crc);
-  PutU32(b.data() + 28, pnc::Crc32(pnc::ConstByteSpan(b.data(), 28)));
-  return b;
+constexpr std::size_t kSlotCrcAt = kJournalSlotSize - 4;
+
+/// Encode a slot into `b`: rec_crc covers the bytes before it.
+void EncodeSlot(const CommitState& s, std::byte* b) {
+  PutU64(b, s.seq);
+  PutU64(b + 8, s.header_len);
+  PutU64(b + 16, s.numrecs);
+  PutU64(b + 24, s.table_len);
+  PutU32(b + 32, s.header_crc);
+  PutU32(b + 36, s.table_crc);
+  PutU32(b + 40, s.flags);
+  PutU32(b + kSlotCrcAt, pnc::Crc32(pnc::ConstByteSpan(b, kSlotCrcAt)));
 }
 
 /// Decode a slot if its CRC holds and it is non-empty (seq 0 = never used).
 std::optional<CommitState> DecodeSlot(pnc::ConstByteSpan b, int slot) {
   if (b.size() < kJournalSlotSize) return std::nullopt;
-  if (GetU32(b.data() + 28) != pnc::Crc32(b.first(28))) return std::nullopt;
+  if (GetU32(b.data() + kSlotCrcAt) != pnc::Crc32(b.first(kSlotCrcAt)))
+    return std::nullopt;
   CommitState s;
   s.seq = GetU64(b.data());
   s.header_len = GetU64(b.data() + 8);
   s.numrecs = GetU64(b.data() + 16);
-  s.header_crc = GetU32(b.data() + 24);
+  s.table_len = GetU64(b.data() + 24);
+  s.header_crc = GetU32(b.data() + 32);
+  s.table_crc = GetU32(b.data() + 36);
+  s.flags = GetU32(b.data() + 40);
   s.slot = slot;
   if (s.seq == 0 || s.header_len == 0) return std::nullopt;
   return s;
@@ -81,12 +89,23 @@ std::uint32_t HeaderCrc(pnc::ConstByteSpan header) {
   return crc;
 }
 
-pnc::Result<std::optional<CommitState>> ReadCommitState(CommitIo& journal) {
+std::uint64_t SumsDataBegin(const Header& h) {
+  std::uint64_t db = 0;
+  bool first = true;
+  for (const auto& v : h.vars) {
+    if (first || v.begin < db) db = v.begin;
+    first = false;
+  }
+  return first ? 0 : db;
+}
+
+pnc::Result<std::optional<CommitState>> ReadCommitState(
+    CommitIo& journal, std::vector<std::byte>* prefix) {
   // Shorter than magic + slots: created, but the first commit's prefix
   // write has not landed (in full). Nothing can have committed yet.
-  if (journal.Size() < kJournalShadowOffset)
-    return std::optional<CommitState>();
-  std::vector<std::byte> head(kJournalShadowOffset);
+  const std::uint64_t size = journal.Size();
+  if (size < kJournalShadowOffset) return std::optional<CommitState>();
+  std::vector<std::byte> head(std::min(size, kJournalProbeBytes));
   PNC_RETURN_IF_ERROR(journal.Read(0, head));
   if (std::memcmp(head.data(), kMagic, kJournalMagicLen) != 0)
     return pnc::Status(pnc::Err::kNotNc, "bad commit journal magic");
@@ -98,54 +117,89 @@ pnc::Result<std::optional<CommitState>> ReadCommitState(CommitIo& journal) {
         slot);
     if (s && (!best || s->seq > best->seq)) best = s;
   }
+  if (prefix != nullptr) *prefix = std::move(head);
   return best;
 }
 
-pnc::Status CommitHeaderToJournal(CommitIo& journal, pnc::ConstByteSpan header,
-                                  std::uint64_t numrecs,
-                                  const std::optional<CommitState>& prev,
-                                  CommitState* out) {
+pnc::Status Commit(CommitIo& journal, pnc::ConstByteSpan header,
+                   std::uint64_t numrecs, const ChunkSumMap* sums, bool open,
+                   std::optional<CommitState>& state) {
+  const std::optional<CommitState>& prev = state;
+  // Only a closing commit carries the table: an OPEN one is never trusted,
+  // so it commits none (table_len 0).
+  const std::vector<std::byte> table = sums != nullptr && !open
+                                           ? sums->EncodeTable()
+                                           : std::vector<std::byte>();
   CommitState next;
   next.seq = prev ? prev->seq + 1 : 1;
   next.slot = prev ? 1 - prev->slot : 0;
   next.header_len = header.size();
   next.numrecs = numrecs;
   next.header_crc = HeaderCrc(header);
+  next.table_len = table.size();
+  next.table_crc = pnc::Crc32(table);
+  next.flags = sums != nullptr && open ? kCommitFlagOpen : 0;
 
-  // Shadow first; it is worthless until the slot commits, so tearing it is
-  // harmless (the previous commit's slot no longer references these bytes —
-  // its committed image lives in the primary by now). The first commit into
-  // a fresh journal writes the magic and both zeroed slots with it, from
-  // offset 0: a torn prefix still holds no valid slot.
-  if (prev) {
-    PNC_RETURN_IF_ERROR(journal.Write(kJournalShadowOffset, header));
+  // The image from `at` through the table end: the slots (data commits
+  // only), the shadow and the table.
+  const bool data_commit = prev && prev->header_len == next.header_len &&
+                           prev->header_crc == next.header_crc;
+  const std::uint64_t at = data_commit ? kJournalSlotOffset[0]
+                           : prev      ? kJournalShadowOffset
+                                       : 0;
+  std::vector<std::byte> image(kJournalShadowOffset - at + header.size() +
+                               table.size());
+  std::byte* shadow = image.data() + (kJournalShadowOffset - at);
+  std::memcpy(shadow, header.data(), header.size());
+  if (!table.empty())
+    std::memcpy(shadow + header.size(), table.data(), table.size());
+  if (!prev) std::memcpy(image.data(), kMagic, kJournalMagicLen);
+
+  if (data_commit) {
+    // The commit point is the new slot inside this one write; the other
+    // slot, the shadow and everything before the tear point keep their
+    // committed meaning (see the file comment).
+    EncodeSlot(*prev, image.data() + (kJournalSlotOffset[prev->slot] - at));
+    EncodeSlot(next, image.data() + (kJournalSlotOffset[next.slot] - at));
+    PNC_RETURN_IF_ERROR(journal.Write(at, image));
+    PNC_RETURN_IF_ERROR(journal.Sync());
   } else {
-    std::vector<std::byte> image(kJournalShadowOffset + header.size());
-    std::memcpy(image.data(), kMagic, kJournalMagicLen);
-    std::memcpy(image.data() + kJournalShadowOffset, header.data(),
-                header.size());
-    PNC_RETURN_IF_ERROR(journal.Write(0, image));
+    // Shadow and table first; they are worthless until the slot commits,
+    // so tearing them is harmless. The first commit into a fresh journal
+    // carries the magic and both zeroed slots: a torn prefix still holds
+    // no valid slot.
+    PNC_RETURN_IF_ERROR(journal.Write(at, image));
+    PNC_RETURN_IF_ERROR(journal.Sync());
+    std::byte slot[kJournalSlotSize] = {};
+    EncodeSlot(next, slot);
+    PNC_RETURN_IF_ERROR(journal.Write(kJournalSlotOffset[next.slot],
+                                      pnc::ConstByteSpan(slot)));
+    PNC_RETURN_IF_ERROR(journal.Sync());
   }
-  PNC_RETURN_IF_ERROR(journal.Sync());
-  // The commit point: one small slot write, CRC-sealed.
-  PNC_RETURN_IF_ERROR(
-      journal.Write(kJournalSlotOffset[next.slot], EncodeSlot(next)));
-  PNC_RETURN_IF_ERROR(journal.Sync());
-  if (out) *out = next;
+  state = next;
   return pnc::Status::Ok();
 }
 
-pnc::Status CommitNumrecsToJournal(CommitIo& journal, const CommitState& cur,
-                                   std::uint64_t numrecs, CommitState* out) {
-  CommitState next = cur;
-  next.seq = cur.seq + 1;
-  next.slot = 1 - cur.slot;
-  next.numrecs = numrecs;
-  PNC_RETURN_IF_ERROR(
-      journal.Write(kJournalSlotOffset[next.slot], EncodeSlot(next)));
-  PNC_RETURN_IF_ERROR(journal.Sync());
-  if (out) *out = next;
-  return pnc::Status::Ok();
+pnc::Result<std::optional<ChunkSumMap>> ReadCommittedSums(
+    CommitIo& journal, const CommitState& s, pnc::ConstByteSpan prefix,
+    int reread_attempts) {
+  // An OPEN commit (a session that may have crashed after it) carries no
+  // table; neither does one committed without sums.
+  if (s.table_len == 0 || (s.flags & kCommitFlagOpen) != 0)
+    return std::optional<ChunkSumMap>();
+  std::vector<std::byte> table(s.table_len);
+  for (int attempt = 0; attempt < std::max(1, reread_attempts); ++attempt) {
+    if (attempt == 0 && prefix.size() >= s.table_offset() + s.table_len) {
+      const auto at = prefix.subspan(s.table_offset(), s.table_len);
+      std::copy(at.begin(), at.end(), table.begin());
+    } else {
+      PNC_RETURN_IF_ERROR(journal.Read(s.table_offset(), table));
+    }
+    if (pnc::Crc32(table) != s.table_crc) continue;  // torn, or a read flip
+    auto m = ChunkSumMap::DecodeTable(table);
+    if (m.ok()) return std::optional<ChunkSumMap>(std::move(m).value());
+  }
+  return std::optional<ChunkSumMap>();  // persistent damage: all unsummed
 }
 
 pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
@@ -153,7 +207,7 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
 
   pnc::Result<std::optional<CommitState>> state =
       pnc::Status(pnc::Err::kNotNc, "no commit journal");
-  if (journal) state = ReadCommitState(*journal);
+  if (journal) state = ReadCommitState(*journal, &r.journal_prefix);
   if (!state.ok()) {
     // No journal at all: a legacy / externally produced file. Classify by
     // whether the primary decodes.
@@ -201,6 +255,7 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
       prim.size() >= 8 &&
       GetU32(prim.data() + 4) == static_cast<std::uint32_t>(s.numrecs);
   if (prim_crc_ok && prim_numrecs_ok) {
+    r.committed_header = std::move(prim);
     r.state = FileState::kClean;
     r.detail = "primary matches committed state (seq " +
                std::to_string(s.seq) + ")";
@@ -211,7 +266,12 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
   // reached the primary), else the primary body with the committed numrecs
   // patched back (a torn numrecs update, or a torn next shadow write).
   std::vector<std::byte> shadow(s.header_len);
-  PNC_RETURN_IF_ERROR(journal->Read(kJournalShadowOffset, shadow));
+  if (r.journal_prefix.size() >= kJournalShadowOffset + s.header_len) {
+    std::copy_n(r.journal_prefix.begin() + kJournalShadowOffset,
+                s.header_len, shadow.begin());
+  } else {
+    PNC_RETURN_IF_ERROR(journal->Read(kJournalShadowOffset, shadow));
+  }
   if (HeaderCrc(shadow) == s.header_crc) {
     PatchNumrecs(shadow, s.numrecs);
     r.committed_header = std::move(shadow);

@@ -1,39 +1,65 @@
-// Atomic header/numrecs commit protocol (crash consistency).
+// Atomic commit protocol: header, record count and chunk-sum table.
 //
 // A netCDF writer mutates two tiny metadata regions in place: the header
 // (offset 0) and the record count (`numrecs`, offset 4). A crash mid-write
-// tears either one, and every open path then trusts the torn bytes. This
-// module makes both updates atomic with a write-ordered sidecar journal,
-// `<path>.nccommit`:
+// tears either one, and every open path then trusts the torn bytes. The
+// data region's chunk checksums (sums.hpp) must persist together with the
+// record count they describe. This module commits all of it through one
+// write-ordered sidecar journal, `<path>.nccommit`:
 //
-//   offset  0  magic "NCJL01\0\0"
-//   offset  8  commit slot A (32 bytes)
-//   offset 40  commit slot B (32 bytes)
-//   offset 72  shadow header bytes
+//   offset   0  magic "NCJL02\0\0"
+//   offset   8  commit slot A (48 bytes)
+//   offset  56  commit slot B (48 bytes)
+//   offset 104  shadow header (header_len bytes)
+//   then        chunk-sum table (table_len bytes; sums.hpp EncodeTable)
 //
-//   slot := seq u64 | header_len u64 | numrecs u64 | header_crc u32
-//           | rec_crc u32                        (all big-endian)
+//   slot := seq u64 | header_len u64 | numrecs u64 | table_len u64
+//           | header_crc u32 | table_crc u32 | flags u32 | rec_crc u32
+//                                                    (all big-endian)
+//
+// A slot is valid when its rec_crc holds; the valid slot with the highest
+// seq is the commit in force. `header_crc` is computed with the numrecs
+// field zeroed, so the slot's `numrecs` is the authoritative record count.
+// `flags` bit 0 is the session-OPEN marker: a writable session commits it
+// set before any data write lands and clears it only in its closing commit.
+// Only that closing commit carries the chunk-sum table; every OPEN commit
+// has table_len 0, so a session that crashes after its open leaves no
+// table to trust, only "unsummed".
 //
 // Dataset creation only creates (truncates) the journal; nothing is written
-// until the first header commit, whose shadow write carries the magic and
-// two zeroed slots from offset 0. An empty or short journal therefore reads
-// as "present, nothing committed", exactly like one whose slots are zero.
+// until the first commit, which writes the magic and two zeroed slots along
+// with the shadow. An empty or short journal therefore reads as "present,
+// nothing committed", exactly like one whose slots are zero.
 //
-// Header commit: write the shadow header, sync, then write one 32-byte slot
-// (alternating A/B so the previous commit survives a torn slot write), sync,
-// and only then update the primary file in place. Numrecs commit: the data
-// writes land and sync first, then a new slot re-referencing the unchanged
-// shadow carries the grown count, then the primary's 4-byte numrecs field.
-// The commit point is the slot write — a single small write whose CRC makes
-// tearing detectable. `header_crc` is computed with the numrecs field zeroed
-// so numrecs-only commits do not invalidate it; the slot's `numrecs` is the
-// authoritative record count.
+// A commit takes one of two shapes. pfs tears a write as a prefix, and the
+// tear argument for each shape is:
 //
-// Recovery (open / ncverify): pick the valid slot with the highest seq. If
-// the primary's header prefix matches `header_crc` and its numrecs field
-// matches the slot, the file is clean. Otherwise the committed header is
-// reconstructed from whichever of shadow/primary matches the CRC, with the
-// slot's numrecs patched in — all-old or all-new, never a hybrid.
+//   header commit (the header changed, or nothing is committed yet): write
+//     [shadow | table], sync, write the new slot in the alternate A/B
+//     position, sync; the caller then rewrites the primary header. A tear
+//     before the slot lands leaves the previous slot in force: its header
+//     body is still in the primary (every header commit syncs the primary
+//     before returning), and its table — overwritten — fails table_crc and
+//     reads as unsummed. With sums on, header commits only happen in
+//     writable sessions, whose previous slot is already OPEN and carries
+//     no table, so no trusted table is lost.
+//   data commit (same header, new numrecs/table/flags): one write from
+//     offset 8 through the table end, [slot A | slot B | shadow | table]
+//     (no table for an OPEN commit: then just the slots and the shadow),
+//     with the new slot in the alternate position and every other byte as
+//     committed, then one sync; the caller then patches the primary
+//     numrecs. A tear inside the new slot leaves the old slot and its
+//     table intact (nothing after the tear was written, and the bytes
+//     before it are unchanged). A tear after the new slot leaves the new
+//     numrecs in force with a table that fails table_crc: unsummed, never
+//     wrong. The shadow bytes rewritten in between differ from the
+//     committed ones at most in the numrecs field, which header_crc skips.
+//
+// Recovery (open / ncverify): take the commit in force. If the primary's
+// header prefix matches `header_crc` and its numrecs field matches the
+// slot, the file is clean. Otherwise the committed header is reconstructed
+// from whichever of shadow/primary matches the CRC, with the slot's numrecs
+// patched in — all-old or all-new, never a hybrid.
 #pragma once
 
 #include <optional>
@@ -41,6 +67,7 @@
 #include <vector>
 
 #include "format/header.hpp"
+#include "format/sums.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
 
@@ -59,10 +86,11 @@ class CommitIo {
 };
 
 constexpr std::uint64_t kJournalMagicLen = 8;
-constexpr std::uint64_t kJournalSlotSize = 32;
-constexpr std::uint64_t kJournalSlotOffset[2] = {8, 40};
+constexpr std::uint64_t kJournalSlotSize = 48;
+constexpr std::uint64_t kJournalSlotOffset[2] = {8, 56};
 constexpr std::uint64_t kJournalShadowOffset =
-    kJournalMagicLen + 2 * kJournalSlotSize;  // 72
+    kJournalMagicLen + 2 * kJournalSlotSize;  // 104
+constexpr std::uint32_t kCommitFlagOpen = 1u;
 
 /// The sidecar journal's path for a dataset path.
 [[nodiscard]] std::string JournalPath(const std::string& path);
@@ -71,38 +99,66 @@ constexpr std::uint64_t kJournalShadowOffset =
 /// treated as zero.
 [[nodiscard]] std::uint32_t HeaderCrc(pnc::ConstByteSpan header);
 
+/// First byte of the data region as the chunk-sum table anchors it: the
+/// lowest variable begin offset (alignment hints can push it past the
+/// encoded header). 0 when no variables exist.
+[[nodiscard]] std::uint64_t SumsDataBegin(const Header& h);
+
 /// A decoded, CRC-valid commit slot.
 struct CommitState {
   std::uint64_t seq = 0;
   std::uint64_t header_len = 0;
   std::uint64_t numrecs = 0;
+  std::uint64_t table_len = 0;
   std::uint32_t header_crc = 0;
+  std::uint32_t table_crc = 0;
+  std::uint32_t flags = 0;
   int slot = 0;  ///< which slot (0 = A, 1 = B) held this commit
+
+  [[nodiscard]] std::uint64_t table_offset() const {
+    return kJournalShadowOffset + header_len;
+  }
 };
+
+/// How much of the journal a reader fetches in its first request. The
+/// slots, the shadow and a small table all fit, so an open reads the
+/// journal once, not once per piece.
+constexpr std::uint64_t kJournalProbeBytes = 8 * 1024;
 
 /// Parse the journal. nullopt = journal present but no committed state yet
 /// (including an empty journal, or one whose first commit never landed in
 /// full). kNotNc if a full-length prefix lacks the magic (not a journal).
+/// Reads the first kJournalProbeBytes in one request; `prefix`, if given,
+/// receives them.
 [[nodiscard]] pnc::Result<std::optional<CommitState>> ReadCommitState(
-    CommitIo& journal);
+    CommitIo& journal, std::vector<std::byte>* prefix = nullptr);
 
-/// Durably commit a full header image: shadow write, sync, slot write (the
-/// commit point), sync. The caller updates the primary file afterwards.
-/// `prev` is the current committed state (slot alternation + seq); `out`
-/// receives the new state. Without `prev` the shadow write starts at offset
-/// 0 and lays down the magic and both zeroed slots too.
-[[nodiscard]] pnc::Status CommitHeaderToJournal(
-    CommitIo& journal, pnc::ConstByteSpan header, std::uint64_t numrecs,
-    const std::optional<CommitState>& prev, CommitState* out);
+/// Durably commit `header` (its numrecs field is ignored) and the record
+/// count `numrecs`. With `sums` given, an `open` commit sets the
+/// session-OPEN flag and carries no table; a closing one (`!open`) carries
+/// the encoded table. `state` is the commit in force (empty:
+/// nothing committed yet) and becomes the new one once the commit point is
+/// durable. A data commit when `state` committed the same header, else a
+/// header commit (see the file comment); a header commit from nothing
+/// starts at offset 0 and lays down the magic and both zeroed slots too.
+[[nodiscard]] pnc::Status Commit(CommitIo& journal, pnc::ConstByteSpan header,
+                                 std::uint64_t numrecs,
+                                 const ChunkSumMap* sums, bool open,
+                                 std::optional<CommitState>& state);
 
-/// Durably commit a new record count against the already-committed header.
-/// The caller must have synced the record data writes first ("record-count
-/// grows only after data writes land") and updates the primary's numrecs
-/// field afterwards.
-[[nodiscard]] pnc::Status CommitNumrecsToJournal(CommitIo& journal,
-                                                 const CommitState& cur,
-                                                 std::uint64_t numrecs,
-                                                 CommitState* out);
+/// The trusted chunk-sum table committed with `s`, or nullopt when there
+/// is none to trust: the commit carries no table (sums off, or an OPEN
+/// commit), or the table fails table_crc on every one of `reread_attempts`
+/// reads (a transient read-side flip must not silently disable
+/// verification, so a mismatch is re-read before degrading). No trusted
+/// table means every chunk is "unsummed": verification quietly off, never a
+/// false corruption verdict. Only I/O errors are returned as bad status.
+/// The first attempt uses `prefix` (the journal's first bytes, as
+/// ReadCommitState read them) when it covers the table; re-reads go to
+/// `journal`.
+[[nodiscard]] pnc::Result<std::optional<ChunkSumMap>> ReadCommittedSums(
+    CommitIo& journal, const CommitState& s, pnc::ConstByteSpan prefix = {},
+    int reread_attempts = 4);
 
 /// Verification verdict for one dataset + journal pair.
 enum class FileState {
@@ -118,9 +174,13 @@ struct VerifyReport {
   bool has_commit = false;
   std::string detail;
   CommitState committed;
-  /// The committed header bytes (slot numrecs patched in). Empty when there
-  /// is nothing to restore from.
+  /// The committed header bytes (slot numrecs patched in): reconstructed
+  /// when torn, the primary's own bytes when clean, so an open need not
+  /// read them again. Empty when nothing is committed, or kCorrupt.
   std::vector<std::byte> committed_header;
+  /// The journal's first bytes as read (ReadCommitState), for
+  /// ReadCommittedSums.
+  std::vector<std::byte> journal_prefix;
 };
 
 /// Classify the primary file against its journal and reconstruct the

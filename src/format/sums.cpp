@@ -1,7 +1,6 @@
 #include "format/sums.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 
 #include "iostat/observe.hpp"
@@ -11,9 +10,6 @@
 namespace ncformat {
 
 namespace {
-
-constexpr char kSumsMagic[kSumsMagicLen] = {'N', 'C', 'S', 'M',
-                                            '0', '1', '\0', '\0'};
 
 void PutU32(std::byte* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
@@ -34,41 +30,7 @@ std::uint64_t GetU64(const std::byte* p) {
   return v;
 }
 
-/// The raw slot contents (before trust decisions).
-struct Slot {
-  std::uint64_t seq = 0;
-  std::uint64_t table_len = 0;
-  std::uint32_t table_crc = 0;
-  std::uint32_t flags = 0;
-};
-
-std::array<std::byte, kSumsSlotSize> EncodeSlot(const Slot& s) {
-  std::array<std::byte, kSumsSlotSize> b{};
-  PutU64(b.data(), s.seq);
-  PutU64(b.data() + 8, s.table_len);
-  PutU32(b.data() + 16, s.table_crc);
-  PutU32(b.data() + 20, s.flags);
-  PutU32(b.data() + 24, 0);
-  PutU32(b.data() + 28, pnc::Crc32(pnc::ConstByteSpan(b.data(), 28)));
-  return b;
-}
-
-/// nullopt = slot torn or never written.
-std::optional<Slot> DecodeSlot(pnc::ConstByteSpan b) {
-  if (b.size() < kSumsSlotSize) return std::nullopt;
-  if (GetU32(b.data() + 28) != pnc::Crc32(b.first(28))) return std::nullopt;
-  Slot s;
-  s.seq = GetU64(b.data());
-  s.table_len = GetU64(b.data() + 8);
-  s.table_crc = GetU32(b.data() + 16);
-  s.flags = GetU32(b.data() + 20);
-  if (s.seq == 0) return std::nullopt;  // never committed
-  return s;
-}
-
 }  // namespace
-
-std::string SumsPath(const std::string& path) { return path + ".ncsum"; }
 
 bool SumsEnabled() { return pnc::util::EnvInt("PNC_SUMS", 1) != 0; }
 
@@ -308,64 +270,6 @@ pnc::Result<ChunkSumMap> ChunkSumMap::DecodeTable(pnc::ConstByteSpan table) {
   return m;
 }
 
-// ----------------------------------------------------------- sidecar I/O
-
-pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map, bool open,
-                       SumsState* state) {
-  const std::vector<std::byte> table = map.EncodeTable();
-  Slot s;
-  s.seq = state->seq + 1;
-  s.table_len = table.size();
-  s.table_crc = pnc::Crc32(table);
-  s.flags = open ? kSumsFlagOpen : 0;
-  // The slot and the table are contiguous: one write of [slot | table],
-  // led by the magic when this sidecar has never been committed.
-  const std::uint64_t at = state->seq == 0 ? 0 : kSumsSlotOffset;
-  std::vector<std::byte> image(kSumsTableOffset - at + table.size());
-  if (at == 0) std::memcpy(image.data(), kSumsMagic, kSumsMagicLen);
-  const auto slot = EncodeSlot(s);
-  std::memcpy(image.data() + (kSumsSlotOffset - at), slot.data(), slot.size());
-  std::memcpy(image.data() + (kSumsTableOffset - at), table.data(),
-              table.size());
-  if (auto st = io.Write(at, image); !st.ok()) return st;
-  if (auto st = io.Sync(); !st.ok()) return st;
-  state->seq = s.seq;
-  state->open = open;
-  return pnc::Status::Ok();
-}
-
-pnc::Result<LoadedSums> LoadSums(CommitIo& io, int reread_attempts) {
-  LoadedSums out;
-  if (io.Size() < kSumsTableOffset) return out;  // never committed
-  // A CRC failure may be a transient flip of the *sidecar read itself*;
-  // re-read before giving up, so a flaky medium degrades to untrusted only
-  // when the damage is persistent.
-  for (int attempt = 0; attempt < std::max(1, reread_attempts); ++attempt) {
-    std::array<std::byte, kSumsTableOffset> head{};
-    if (auto st = io.Read(0, head); !st.ok()) return st;
-    if (std::memcmp(head.data(), kSumsMagic, kSumsMagicLen) != 0)
-      continue;  // not a sidecar — or a flipped magic read; retry
-    const auto slot =
-        DecodeSlot(pnc::ConstByteSpan(head.data() + kSumsSlotOffset,
-                                      kSumsSlotSize));
-    if (!slot.has_value()) continue;  // torn or never committed
-    std::vector<std::byte> table(slot->table_len);
-    if (auto st = io.Read(kSumsTableOffset, table); !st.ok()) return st;
-    if (pnc::Crc32(table) != slot->table_crc) continue;  // torn table
-    auto m = ChunkSumMap::DecodeTable(table);
-    if (!m.ok()) continue;
-    out.map = std::move(m).value();
-    out.state.seq = slot->seq;
-    out.state.open = (slot->flags & kSumsFlagOpen) != 0;
-    // An open sidecar is a crashed writable session: its sums may be
-    // stale against data written after the last flush. Load the map (the
-    // geometry is still right) but never trust it for verification.
-    out.trusted = !out.state.open;
-    return out;
-  }
-  return LoadedSums{};  // persistent damage: every chunk unsummed
-}
-
 // ------------------------------------------------------- verify-on-read
 
 namespace {
@@ -484,9 +388,10 @@ pnc::Result<ScrubReport> ScrubData(const ChunkSumMap& map, bool trusted,
   return rep;
 }
 
-pnc::Status RebuildSums(CommitIo& io, std::uint64_t chunk_size,
-                        std::uint64_t data_begin, std::uint64_t file_size,
-                        const RawRead& raw, SumsState* state) {
+pnc::Result<ChunkSumMap> RecomputeSums(std::uint64_t chunk_size,
+                                       std::uint64_t data_begin,
+                                       std::uint64_t file_size,
+                                       const RawRead& raw) {
   ChunkSumMap map;
   map.SetGeometry(chunk_size, data_begin);
   std::vector<std::byte> chunk;
@@ -494,15 +399,11 @@ pnc::Status RebuildSums(CommitIo& io, std::uint64_t chunk_size,
        cstart += chunk_size) {
     const std::uint64_t clen = std::min(chunk_size, file_size - cstart);
     chunk.resize(clen);
-    if (auto st = raw(cstart, pnc::ByteSpan(chunk)); !st.ok()) return st;
+    PNC_RETURN_IF_ERROR(raw(cstart, pnc::ByteSpan(chunk)));
     map.Set(map.ChunkOf(cstart),
             {static_cast<std::uint32_t>(clen), pnc::Crc32(chunk)});
   }
-  SumsState fresh;
-  if (auto st = CommitSums(io, map, /*open=*/false, &fresh); !st.ok())
-    return st;
-  *state = fresh;
-  return pnc::Status::Ok();
+  return map;
 }
 
 }  // namespace ncformat

@@ -1,37 +1,24 @@
 // End-to-end data integrity: per-chunk CRC32 map over the data region.
 //
 // The commit journal (commit.hpp) CRC-protects the header and numrecs, but
-// the data region has no integrity story: a pfs bit flip sails through
-// mpiio, pnetcdf, and the C API undetected. This module closes that hole
-// with a chunked checksum map persisted in a `<path>.ncsum` sidecar:
+// the data region needs its own integrity story: a pfs bit flip would
+// otherwise sail through mpiio, pnetcdf, and the C API undetected. This
+// module keeps a chunked checksum map, and the journal's closing commit
+// carries its encoded table, right after the shadow header:
 //
-//   offset  0  magic "NCSM01\0\0"
-//   offset  8  commit slot (32 bytes)
-//   offset 40  sum table bytes (the shadow region the slot commits)
-//
-//   slot  := seq u64 | table_len u64 | table_crc u32 | flags u32
-//            | pad u32 (zero) | rec_crc u32             (all big-endian)
 //   table := chunk_size u64 | data_begin u64 | entry_count u64
 //            | entry_count x { chunk u64 | len u32 | crc u32 }
+//                                                    (all big-endian)
 //
 // Chunk i covers file bytes [data_begin + i*chunk_size, .. + chunk_size);
 // an entry's `len` is the summed extent within the chunk (the tail chunk is
 // shorter than chunk_size). The table is sparse: only summed chunks appear.
-//
-// A commit is one write of [slot | table] at offset 8 (from offset 0, with
-// the magic, while the sidecar has never been committed), then one sync.
-// The table is rewritten in place, so no ordering between it and the slot
-// could protect the previous commit anyway: a torn slot fails its rec_crc,
-// and a torn table — or a slot beside a table it does not describe — fails
-// table_crc. Either way every chunk degrades to "unsummed"; a torn sidecar
-// can never claim valid sums. Dataset creation only creates (truncates) the
-// sidecar; an empty one loads as untrusted until the first commit.
-//
-// `flags` bit 0 is the OPEN marker: a writable session commits it set
-// before mutating data, and clears it only in the final flush at Close. A
-// crash mid-session therefore leaves the sidecar open, and later readers
-// distrust the (now possibly stale) sums instead of flagging freshly
-// written data as corrupt.
+// The commit slot carries table_len and table_crc: a torn table, or a slot
+// beside a table it does not describe, fails table_crc and every chunk
+// degrades to "unsummed". A writable session's commits before its closing
+// one carry the slot's OPEN flag and no table, so a crash mid-session
+// leaves later readers no (possibly stale) sums to trust instead of
+// flagging freshly written data as corrupt.
 //
 // Sums come from the bytes being written, not from the file. Each data
 // write that lands in full records one (offset, length, CRC) fragment per
@@ -40,20 +27,21 @@
 // At Sync/Close, ResolveDirty combines (pnc::Crc32Combine) the fragments of
 // every dirty chunk that they tile — after its committed prefix entry, if
 // any — and reads back only the chunks they do not: overlaps, holes,
-// fragment-less marks, bytes from an earlier session. The parallel flush
+// fragment-less marks, bytes from an earlier session. The parallel commit
 // gathers the ranks' fragments (EncodeDirty/MergeDirty) to the root, which
-// resolves and commits. Fault-free, the committed table is exactly what a
-// read-back would produce; under a write-path flip it still describes the
-// intended bytes, so the flip surfaces on the next verified read.
+// resolves them and commits the table. Fault-free, the committed table is
+// exactly what a read-back would produce; under a write-path flip it still
+// describes the intended bytes, so the flip surfaces on the next verified
+// read.
 //
 // Verify-on-read (VerifyReadRange) recomputes the CRC of every committed,
 // non-dirty chunk a physical read touches, re-reading neighbouring bytes
 // through the caller-supplied raw-read callback. A mismatch is retried
 // (healing transient read-side flips) before surfacing kDataCorrupt; the
 // sticky at-rest case keeps mismatching and is reported, never returned
-// silently. All of this is armed-only: with PNC_SUMS=0 no sidecar is
-// created, no verification runs, and runs are bit-identical to a build
-// without this module.
+// silently. All of this is armed-only: with PNC_SUMS=0 commits carry no
+// table, no verification runs, and the primary file is bit-identical to
+// one written with sums on.
 #pragma once
 
 #include <functional>
@@ -61,29 +49,19 @@
 #include <string>
 #include <vector>
 
-#include "format/commit.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
 
 namespace ncformat {
 
-/// The sidecar path for a dataset path.
-[[nodiscard]] std::string SumsPath(const std::string& path);
-
 /// PNC_SUMS gate (default on; "0" disables the whole subsystem).
 [[nodiscard]] bool SumsEnabled();
 
 /// Chunk size: PNC_SUM_CHUNK bytes, default 64 KiB, clamped to
-/// [4 KiB, 16 MiB]. 64 KiB keeps the sidecar tiny (16 B per 64 KiB of
+/// [4 KiB, 16 MiB]. 64 KiB keeps the table tiny (16 B per 64 KiB of
 /// data, 0.02%) while bounding the heal re-read amplification of a
 /// one-byte access to one chunk.
 [[nodiscard]] std::uint64_t SumChunkSize();
-
-constexpr std::uint64_t kSumsMagicLen = 8;
-constexpr std::uint64_t kSumsSlotOffset = 8;
-constexpr std::uint64_t kSumsSlotSize = 32;
-constexpr std::uint64_t kSumsTableOffset = kSumsSlotOffset + kSumsSlotSize;
-constexpr std::uint32_t kSumsFlagOpen = 1u;
 
 /// One committed chunk checksum: `len` bytes from the chunk start.
 struct ChunkSum {
@@ -193,35 +171,6 @@ class ChunkSumMap {
   std::map<std::uint64_t, DirtyChunk> dirty_;
 };
 
-/// The committed slot state a writer threads through successive commits.
-struct SumsState {
-  std::uint64_t seq = 0;
-  bool open = false;
-};
-
-/// Durably commit the map: one [slot | table] write (led by the magic when
-/// `state->seq` is 0), then one sync. `open` set leaves the session-open
-/// marker in place.
-[[nodiscard]] pnc::Status CommitSums(CommitIo& io, const ChunkSumMap& map,
-                                     bool open, SumsState* state);
-
-/// A loaded sidecar. `trusted` is false when the sidecar is missing,
-/// torn, or was left open by a crashed session — the map is then empty
-/// and every chunk is "unsummed" (verification quietly off, never a
-/// false corruption verdict).
-struct LoadedSums {
-  ChunkSumMap map;
-  SumsState state;
-  bool trusted = false;
-};
-
-/// Parse the sidecar. A CRC-invalid slot/table is re-read up to
-/// `reread_attempts` times (a transient read-side flip of the sidecar
-/// itself must not silently disable verification) before degrading to
-/// untrusted. Only I/O errors are returned as bad status.
-[[nodiscard]] pnc::Result<LoadedSums> LoadSums(CommitIo& io,
-                                               int reread_attempts = 4);
-
 /// Verification telemetry, accumulated across calls by the owner.
 struct VerifyStats {
   std::uint64_t chunks_verified = 0;
@@ -254,7 +203,7 @@ enum class ChunkVerdict {
 };
 
 struct ScrubReport {
-  bool trusted = false;  ///< sidecar had a committed, closed, valid table
+  bool trusted = false;  ///< the journal held a committed, closed, valid table
   std::uint64_t clean = 0;
   std::uint64_t corrupt = 0;
   std::uint64_t unsummed = 0;
@@ -263,20 +212,20 @@ struct ScrubReport {
 };
 
 /// Walk [map.data_begin, file_size) chunk by chunk, recompute every CRC
-/// through `raw`, and classify. `map` is typically LoadSums().map; an
-/// untrusted load yields an all-unsummed report.
+/// through `raw`, and classify. `map` is typically the committed one; an
+/// untrusted table (ReadCommittedSums) yields an all-unsummed report.
 [[nodiscard]] pnc::Result<ScrubReport> ScrubData(const ChunkSumMap& map,
                                                  bool trusted,
                                                  std::uint64_t file_size,
                                                  const RawRead& raw);
 
-/// Rebuild the map from the current file bytes: recompute every chunk of
-/// [data_begin, file_size) and commit the result closed (open=0). The
-/// caller vouches for the data (e.g. it still passes compare-level ground
-/// truth); after this the current bytes are the integrity baseline.
-[[nodiscard]] pnc::Status RebuildSums(CommitIo& io, std::uint64_t chunk_size,
-                                      std::uint64_t data_begin,
-                                      std::uint64_t file_size,
-                                      const RawRead& raw, SumsState* state);
+/// Sum every chunk of [data_begin, file_size) from the current bytes: the
+/// table a flush of the whole region would commit. `ncverify --repair
+/// --data` commits it closed as the new integrity baseline — the caller
+/// vouches for the data.
+[[nodiscard]] pnc::Result<ChunkSumMap> RecomputeSums(std::uint64_t chunk_size,
+                                                     std::uint64_t data_begin,
+                                                     std::uint64_t file_size,
+                                                     const RawRead& raw);
 
 }  // namespace ncformat

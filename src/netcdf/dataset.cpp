@@ -24,7 +24,6 @@ struct Dataset::Impl {
   pfs::FileSystem* fs;
   std::string path;
   bool writable;
-  int tenant = 0;  ///< pfs tenant index (from PNC_TENANT/PNC_QOS_*)
   simmpi::VirtualClock clock;
   BufferedFile io;
 
@@ -36,93 +35,73 @@ struct Dataset::Impl {
   std::optional<Header> pre_redef;  ///< snapshot for Abort/relayout
 
   // Crash consistency: the sidecar commit journal and the last committed
-  // state (see format/commit.hpp). Absent for legacy files opened without a
-  // journal — those keep the pre-journal in-place update behaviour.
+  // state (see format/commit.hpp). Absent for a legacy file (one without a
+  // journal) opened read-only or with PNC_SUMS=0; such a session keeps the
+  // pre-journal in-place update behaviour. A writable open with sums on
+  // starts a journal (SetupOpenSums).
   std::optional<ncformat::PfsCommitIo> journal;
   std::optional<ncformat::CommitState> commit;
 
-  // Data integrity (format/sums.hpp): the chunk-sum map attached to `io`
-  // plus the `.ncsum` sidecar it is committed through. Armed only when
-  // PNC_SUMS is on (the default); disarmed, none of this exists and runs
-  // are bit-identical to a build without the subsystem. The serial
-  // library is single-writer, so verify-on-read is safe even in writable
-  // sessions: this session's own writes are exactly the dirty set.
-  std::optional<ncformat::PfsCommitIo> sums_io;
+  // Data integrity (format/sums.hpp): the chunk-sum map attached to `io`,
+  // whose table the closing journal commit carries, so it needs a journal.
+  // Armed only when PNC_SUMS is on (the default); disarmed, commits carry
+  // no table and the primary file is bit-identical. The serial library is
+  // single-writer, so verify-on-read is safe even in writable sessions:
+  // this session's own writes are exactly the dirty set.
   ncformat::ChunkSumMap sums;
-  ncformat::SumsState sums_state;
   bool sums_on = false;
   bool data_corrupt = false;  ///< sticky: a read surfaced kDataCorrupt
 
-  pnc::Status FlushSums(bool closing);
-  pnc::Status SetupOpenSums(bool open_writable);
+  pnc::Status SetupOpenSums(int tenant, pnc::ConstByteSpan journal_prefix);
+  /// Commit the current header (as `header_bytes`), record count and, with
+  /// sums on and `!open`, the chunk-sum table through the journal.
+  pnc::Status CommitToJournal(pnc::ConstByteSpan header_bytes, bool open) {
+    return ncformat::Commit(*journal, header_bytes, header.numrecs,
+                            sums_on ? &sums : nullptr, open, commit);
+  }
 };
 
-namespace {
-
-/// First byte of the data region: the lowest variable begin offset.
-/// 0 when no variables exist (the file has no data region yet).
-std::uint64_t DataBeginOf(const Header& h) {
-  std::uint64_t db = 0;
-  bool first = true;
-  for (const auto& v : h.vars) {
-    if (first || v.begin < db) db = v.begin;
-    first = false;
-  }
-  return first ? 0 : db;
-}
-
-}  // namespace
-
-/// Resolve every dirty chunk from the fragments its writes recorded (or,
-/// failing that, from the durable file bytes) and commit the map through
-/// the `.ncsum` sidecar. `closing` clears the session-open marker, making
-/// the table trustworthy for later opens; a mid-session flush keeps it open
-/// so a later crash still degrades to "unsummed".
-pnc::Status Dataset::Impl::FlushSums(bool closing) {
-  if (!sums_on || !sums_io) return pnc::Status::Ok();
-  PNC_RETURN_IF_ERROR(sums.ResolveDirty(
-      io.size(), [this](std::uint64_t o, pnc::ByteSpan out) {
-        return io.ReadAt(o, out);
-      }));
-  return ncformat::CommitSums(*sums_io, sums, /*open=*/!closing, &sums_state);
-}
-
 /// Arm the integrity subsystem for an opened (not freshly created) dataset.
-/// Writable opens mark the sidecar session-open *before* any data write can
+/// Writable opens commit the session-OPEN flag *before* any data write can
 /// land; read-only opens attach verification only when a trusted, closed
-/// table exists whose geometry matches the live header.
-pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable) {
+/// table exists whose geometry matches the live header. The table rides the
+/// journal, so a writable open of a file without one (a legacy file) starts
+/// one, billed to `tenant`; that OPEN commit is its first. `journal_prefix`
+/// holds the journal bytes the recovery check read; a table inside it is
+/// not read again.
+pnc::Status Dataset::Impl::SetupOpenSums(int tenant,
+                                         pnc::ConstByteSpan journal_prefix) {
   if (!ncformat::SumsEnabled()) return pnc::Status::Ok();
-  const std::string spath = ncformat::SumsPath(path);
-  const bool existed = fs->Exists(spath);
-  if (!existed && !open_writable) return pnc::Status::Ok();
-  auto sf = existed ? fs->Open(spath) : fs->Create(spath, /*exclusive=*/false);
-  if (!sf.ok()) return sf.status();
-  sf.value().SetTenant(tenant);
-  sums_io.emplace(std::move(sf).value(), &clock);
-  auto loaded = ncformat::LoadSums(*sums_io);
-  if (!loaded.ok()) return loaded.status();
-  sums_state = loaded.value().state;
-  const std::uint64_t db = DataBeginOf(header);
-  // A sidecar whose recorded geometry disagrees with the live header (e.g.
+  if (!journal) {
+    if (!writable) return pnc::Status::Ok();
+    auto jf = fs->Create(ncformat::JournalPath(path), /*exclusive=*/false);
+    if (!jf.ok()) return jf.status();
+    jf.value().SetTenant(tenant);
+    journal.emplace(std::move(jf).value(), &clock);
+  }
+  std::optional<ncformat::ChunkSumMap> loaded;
+  if (commit) {
+    PNC_ASSIGN_OR_RETURN(loaded, ncformat::ReadCommittedSums(
+                                     *journal, *commit, journal_prefix));
+  }
+  const std::uint64_t db = ncformat::SumsDataBegin(header);
+  // A table whose recorded geometry disagrees with the live header (e.g.
   // stale after an out-of-band rewrite of the primary) is discarded rather
   // than risking false corruption verdicts.
-  const bool trusted =
-      loaded.value().trusted && loaded.value().map.data_begin() == db;
+  const bool trusted = loaded && loaded->data_begin() == db;
+  if (!writable && !trusted) return pnc::Status::Ok();  // nothing to verify
   if (trusted) {
-    sums = std::move(loaded.value().map);
+    sums = *std::move(loaded);
   } else {
     sums.Clear();
     sums.SetGeometry(ncformat::SumChunkSize(), db);
   }
-  if (open_writable) {
-    PNC_RETURN_IF_ERROR(
-        ncformat::CommitSums(*sums_io, sums, /*open=*/true, &sums_state));
-  } else if (!trusted) {
-    sums_io.reset();  // nothing trustworthy to verify against
-    return pnc::Status::Ok();
-  }
   sums_on = true;
+  if (writable) {
+    std::vector<std::byte> bytes;
+    header.Encode(bytes);
+    PNC_RETURN_IF_ERROR(CommitToJournal(bytes, /*open=*/true));
+  }
   io.AttachSums(&sums, /*verify=*/true);
   return pnc::Status::Ok();
 }
@@ -142,7 +121,6 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
   ds.impl_ = std::make_shared<Impl>(&fs, std::move(f).value(), path,
                                     /*writable=*/true, opts.buffer_size);
   auto& im = *ds.impl_;
-  im.tenant = tenant;
   im.header.version = opts.use_cdf2 ? 2 : 1;
   im.defining = true;
   im.fresh = true;
@@ -153,15 +131,9 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
   if (!jf.ok()) return jf.status();
   jf.value().SetTenant(tenant);
   im.journal.emplace(std::move(jf).value(), &im.clock);
-  // Same for the chunk-sum sidecar: truncate (wiping any stale table) and
-  // attach. No geometry yet — EndDef sets it once the data region exists.
-  // Nothing is committed before the first flush, so a crash leaves it
-  // empty, which loads as untrusted.
+  // The chunk-sum table rides the journal's commits. No geometry yet —
+  // EndDef sets it once the data region exists.
   if (ncformat::SumsEnabled()) {
-    auto sf = fs.Create(ncformat::SumsPath(path), /*exclusive=*/false);
-    if (!sf.ok()) return sf.status();
-    sf.value().SetTenant(tenant);
-    im.sums_io.emplace(std::move(sf).value(), &im.clock);
     im.sums_on = true;
     im.io.AttachSums(&im.sums, /*verify=*/true);
   }
@@ -178,13 +150,14 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
   ds.impl_ = std::make_shared<Impl>(&fs, f.value(), path, writable,
                                     buffer_size);
   auto& im = *ds.impl_;
-  im.tenant = tenant;
 
   // Crash recovery before anything trusts the on-disk header: if a journal
   // exists and holds a committed state the primary does not match, roll the
   // primary back/forward to it (in place when writable; in memory only for a
   // read-only open).
   std::optional<Header> recovered;
+  std::vector<std::byte> committed;  ///< the committed header image, if any
+  std::vector<std::byte> journal_prefix;
   if (fs.Exists(ncformat::JournalPath(path))) {
     auto jf = fs.Open(ncformat::JournalPath(path));
     if (!jf.ok()) return jf.status();
@@ -193,7 +166,7 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
     ncformat::PfsCommitIo primary(f.value(), &im.clock);
     auto rep = ncformat::AnalyzeCommit(&*im.journal, primary);
     if (!rep.ok()) return rep.status();
-    const ncformat::VerifyReport& r = rep.value();
+    ncformat::VerifyReport& r = rep.value();
     if (r.has_commit) im.commit = r.committed;
     if (r.state == ncformat::FileState::kCorrupt && r.has_commit)
       return pnc::Status(pnc::Err::kNotNc, "unrecoverable: " + r.detail);
@@ -206,6 +179,8 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
         recovered = std::move(h).value();
       }
     }
+    committed = std::move(r.committed_header);
+    journal_prefix = std::move(r.journal_prefix);
   }
 
   if (recovered) {
@@ -215,14 +190,16 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
     im.header = *std::move(recovered);
     return ds;
   }
-  auto hdr = ncformat::ReadHeader(
-      im.io.size(), [&im](std::uint64_t off, pnc::ByteSpan out) {
-        PNC_OBSERVE(kHeaderRead, .len = out.size());
-        return im.io.ReadAt(off, out);
-      });
+  // The recovery check above already read the committed header.
+  const auto read_at = [&im](std::uint64_t off, pnc::ByteSpan out) {
+    PNC_OBSERVE(kHeaderRead, .len = out.size());
+    return im.io.ReadAt(off, out);
+  };
+  auto hdr = committed.empty() ? ncformat::ReadHeader(im.io.size(), read_at)
+                               : Header::Decode(committed);
   if (!hdr.ok()) return hdr.status();
   im.header = std::move(hdr).value();
-  PNC_RETURN_IF_ERROR(im.SetupOpenSums(writable));
+  PNC_RETURN_IF_ERROR(im.SetupOpenSums(tenant, journal_prefix));
   return ds;
 }
 
@@ -258,7 +235,7 @@ pnc::Status Dataset::EndDef() {
   // geometry; when the region moved, every committed sum is stale, so
   // re-sum all existing bytes at the next flush.
   if (im.sums_on) {
-    const std::uint64_t db = DataBeginOf(im.header);
+    const std::uint64_t db = ncformat::SumsDataBegin(im.header);
     if (im.sums.chunk_size() == 0 || im.sums.data_begin() != db) {
       const std::uint64_t cs = im.sums.chunk_size() != 0
                                    ? im.sums.chunk_size()
@@ -288,25 +265,18 @@ pnc::Status Dataset::EndDef() {
 
 pnc::Status Dataset::Sync() {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  auto& im = *impl_;
-  if (im.defining) return pnc::Status(pnc::Err::kInDefine);
-  if (im.numrecs_dirty) PNC_RETURN_IF_ERROR(WriteNumrecs());
-  PNC_RETURN_IF_ERROR(im.io.Sync());
-  // Data durable first, then the sums describing it (still session-open).
-  return im.FlushSums(/*closing=*/false);
+  if (impl_->defining) return pnc::Status(pnc::Err::kInDefine);
+  return CommitData(/*closing=*/false);
 }
 
 pnc::Status Dataset::Close() {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
   auto& im = *impl_;
   if (im.defining) PNC_RETURN_IF_ERROR(EndDef());
-  if (im.numrecs_dirty) PNC_RETURN_IF_ERROR(WriteNumrecs());
-  PNC_RETURN_IF_ERROR(im.journal ? im.io.Sync() : im.io.Flush());
-  // Final flush commits the table closed: only a session that reached this
-  // point hands trustworthy sums to the next open. A sticky corrupt read
-  // is re-reported here so a caller that ignored the data call cannot
-  // mistake the dataset for healthy.
-  PNC_RETURN_IF_ERROR(im.FlushSums(/*closing=*/true));
+  // Only a session that reaches this closing commit hands trustworthy sums
+  // to the next open. A sticky corrupt read is re-reported here so a caller
+  // that ignored the data call cannot mistake the dataset for healthy.
+  PNC_RETURN_IF_ERROR(CommitData(/*closing=*/true));
   if (im.data_corrupt)
     return pnc::Status(pnc::Err::kDataCorrupt,
                        "dataset read corrupt data this session");
@@ -318,7 +288,6 @@ pnc::Status Dataset::Abort() {
   auto& im = *impl_;
   if (im.defining && im.fresh) {
     (void)im.fs->Remove(ncformat::JournalPath(im.path));
-    if (im.sums_io) (void)im.fs->Remove(ncformat::SumsPath(im.path));
     return im.fs->Remove(im.path);
   }
   if (im.defining && im.pre_redef) {
@@ -590,16 +559,13 @@ pnc::Status Dataset::WriteHeader() {
   std::vector<std::byte> bytes;
   im.header.Encode(bytes);
   if (im.journal) {
-    // Data before metadata, then the journal commit (shadow, sync, slot,
-    // sync), and only then the primary — which must itself be durable
-    // before the *next* commit may overwrite the shadow it relies on.
+    // Data before metadata, then the journal commit, and only then the
+    // primary — which must itself be durable before the *next* commit may
+    // overwrite the shadow it relies on.
     PNC_RETURN_IF_ERROR(im.io.Sync());
-    ncformat::CommitState next;
-    PNC_RETURN_IF_ERROR(ncformat::CommitHeaderToJournal(
-        *im.journal, bytes, im.header.numrecs, im.commit, &next));
+    PNC_RETURN_IF_ERROR(im.CommitToJournal(bytes, /*open=*/true));
     PNC_RETURN_IF_ERROR(im.io.WriteAt(0, bytes));
     PNC_RETURN_IF_ERROR(im.io.Sync());
-    im.commit = next;
   } else {
     PNC_RETURN_IF_ERROR(im.io.WriteAt(0, bytes));
   }
@@ -608,26 +574,42 @@ pnc::Status Dataset::WriteHeader() {
   return pnc::Status::Ok();
 }
 
-pnc::Status Dataset::WriteNumrecs() {
+pnc::Status Dataset::CommitData(bool closing) {
   auto& im = *impl_;
-  if (im.journal && im.commit) {
-    // The record count grows only after the record data is durable.
-    PNC_RETURN_IF_ERROR(im.io.Sync());
-    ncformat::CommitState next;
-    PNC_RETURN_IF_ERROR(ncformat::CommitNumrecsToJournal(
-        *im.journal, *im.commit, im.header.numrecs, &next));
-    im.commit = next;
+  const bool grew = im.numrecs_dirty;
+  const auto patch_numrecs = [&im] {
+    std::byte buf[4];
+    const auto v =
+        pnc::xdr::ToBig(static_cast<std::uint32_t>(im.header.numrecs));
+    std::memcpy(buf, &v, 4);
+    // Patched past the cache: loading block 0 here would evict the tail
+    // block the next record append writes into.
+    PNC_RETURN_IF_ERROR(im.io.PatchAt(4, pnc::ConstByteSpan(buf, 4)));
+    PNC_OBSERVE(kHeaderWrite, .len = 4);
+    im.numrecs_dirty = false;
+    return pnc::Status::Ok();
+  };
+  if (!im.journal) {  // a legacy file: numrecs in place, no sums
+    if (grew) PNC_RETURN_IF_ERROR(patch_numrecs());
+    return closing ? im.io.Flush() : im.io.Sync();
   }
-  std::byte buf[4];
-  const auto v = pnc::xdr::ToBig(static_cast<std::uint32_t>(im.header.numrecs));
-  std::memcpy(buf, &v, 4);
-  // Patched past the cache: loading block 0 here would evict the tail block
-  // the next record append writes into.
-  PNC_RETURN_IF_ERROR(im.io.PatchAt(4, pnc::ConstByteSpan(buf, 4)));
-  PNC_OBSERVE(kHeaderWrite, .len = 4);
-  if (im.journal) PNC_RETURN_IF_ERROR(im.io.Sync());
-  im.numrecs_dirty = false;
-  return pnc::Status::Ok();
+  // Data durable first; then one journal commit of the record count and
+  // the sums describing that data (still session-OPEN unless closing);
+  // then the primary's numrecs field.
+  PNC_RETURN_IF_ERROR(im.io.Sync());
+  if (!im.writable || (!im.sums_on && !grew)) return pnc::Status::Ok();
+  if (im.sums_on) {
+    PNC_RETURN_IF_ERROR(im.sums.ResolveDirty(
+        im.io.size(), [&im](std::uint64_t o, pnc::ByteSpan out) {
+          return im.io.ReadAt(o, out);
+        }));
+  }
+  std::vector<std::byte> bytes;
+  im.header.Encode(bytes);
+  PNC_RETURN_IF_ERROR(im.CommitToJournal(bytes, /*open=*/!closing));
+  if (!grew) return pnc::Status::Ok();
+  PNC_RETURN_IF_ERROR(patch_numrecs());
+  return im.io.Sync();
 }
 
 // ------------------------------------------------------------- relayout

@@ -164,7 +164,10 @@ class Dataset {
                           std::span<const std::uint64_t> stride,
                           pnc::ByteSpan external);
   pnc::Status WriteHeader();
-  pnc::Status WriteNumrecs();
+  /// The Sync/Close commit: data durable, then one journal commit of the
+  /// record count and chunk-sum table (closed when `closing`), then the
+  /// primary's numrecs field when the records grew.
+  pnc::Status CommitData(bool closing);
   pnc::Status MoveDataForRelayout(const ncformat::Header& old_header);
   pnc::Status FillVariable(int varid, std::uint64_t rec_from,
                            std::uint64_t rec_to);

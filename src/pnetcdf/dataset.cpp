@@ -37,37 +37,53 @@ struct Dataset::Impl {
   // Crash consistency (§4.2.1 pattern: the root performs the metadata I/O).
   // `journaled` is agreed on all ranks so the collective syncs that order
   // data before metadata stay aligned; the journal handle and committed
-  // state live on rank 0 only. Absent for legacy files opened without a
-  // journal — those keep the pre-journal in-place update behaviour.
+  // state live on rank 0 only. Absent for a legacy file (one without a
+  // journal) opened read-only or with PNC_SUMS=0; such a session keeps the
+  // pre-journal in-place update behaviour. A writable open with sums on
+  // starts a journal (SetupOpenSums).
   bool journaled = false;
   std::optional<ncformat::PfsCommitIo> journal;
   std::optional<ncformat::CommitState> commit;
 
   // Sticky degradation under an armed rank-fault schedule: once any
   // collective on this dataset observed a peer death, further data-mode
-  // calls refuse with kRankFailed and Close skips the collective numrecs
-  // commit (the journal keeps the last committed header legal). Survivors
-  // shrink the communicator (Comm::AgreeFT + LiveSubsetFT) and reopen.
+  // calls refuse with kRankFailed and Close skips the collective commit
+  // (the journal keeps the last committed state legal: session-OPEN, with
+  // no table to trust). Survivors shrink the communicator (Comm::AgreeFT +
+  // LiveSubsetFT) and reopen.
   bool rank_failed = false;
 
-  // Data integrity (format/sums.hpp). Mirrors the journal: the sidecar
-  // handle and committed state live on rank 0, `sums_on` is agreed on all
-  // ranks, and every rank holds an identical committed map plus its own
-  // dirty set. Verification is attached only for read-only opens: in a
-  // writable parallel session a peer's write invalidates chunks this rank
-  // cannot see, so inline verification would flag fresh peer data as
-  // corrupt. Writable sessions maintain the map only; scrub and later
-  // read-only opens get the protection. Disabled under an armed rank-fault
-  // schedule (the flush gather is not fault tolerant) — the sidecar then
-  // stays session-open, i.e. untrusted, never wrong.
+  // Data integrity (format/sums.hpp), committed through the journal, so it
+  // needs one. `sums_on` is agreed on all ranks; every rank holds the
+  // geometry and the chunks its own writes dirtied. The root also holds the
+  // committed entries: it alone resolves the gathered dirty chunks against
+  // them and commits the table. Verification is attached only for
+  // read-only opens, whose ranks all get the committed table: in a writable
+  // parallel session a peer's write invalidates chunks this rank cannot
+  // see, so inline verification would flag fresh peer data as corrupt.
+  // Writable sessions maintain the map only; scrub and later read-only
+  // opens get the protection.
   bool sums_on = false;
   ncformat::ChunkSumMap sums;
-  std::optional<ncformat::PfsCommitIo> sums_io;  ///< rank 0 only
-  ncformat::SumsState sums_state;                ///< rank 0 only
   bool data_corrupt = false;  ///< sticky: a read surfaced kDataCorrupt
 
-  pnc::Status SetupOpenSums(bool open_writable, bool root_torn);
-  pnc::Status FlushSums(bool closing);
+  /// What a collective commit is for: a write that may have grown the
+  /// records, or a Sync/Close, which also resolves the chunk sums (and, at
+  /// Close, commits their table).
+  enum class Flush { kGrowth, kSync, kClose };
+
+  pnc::Status SetupOpenSums(bool root_torn,
+                            pnc::ConstByteSpan journal_prefix);
+  pnc::Status CommitCollective(std::uint64_t local_numrecs, Flush flush);
+  pnc::Status RootCommit(const std::vector<std::vector<std::byte>>& dirty,
+                         bool resolve, bool grew, Flush flush);
+  /// Root only: commit the current header (as `header_bytes`), record
+  /// count and, with sums on and `!open`, the root's table through the
+  /// journal.
+  pnc::Status CommitToJournal(pnc::ConstByteSpan header_bytes, bool open) {
+    return ncformat::Commit(*journal, header_bytes, header.numrecs,
+                            sums_on ? &sums : nullptr, open, commit);
+  }
 };
 
 namespace {
@@ -95,130 +111,156 @@ pnc::Status AgreeRootStatus(Dataset::Impl& im, int err, const char* what) {
   return Track(im, im.comm.TryBarrier());
 }
 
-/// First byte of the data region: the lowest variable begin offset.
-/// 0 when no variables exist (the file has no data region yet).
-std::uint64_t DataBeginOf(const Header& h) {
-  std::uint64_t db = 0;
-  bool first = true;
-  for (const auto& v : h.vars) {
-    if (first || v.begin < db) db = v.begin;
-    first = false;
-  }
-  return first ? 0 : db;
-}
-
 }  // namespace
 
-/// Arm the integrity subsystem at Open. The root loads (or creates, when
-/// writable) the sidecar, decides trust, marks a writable session open
-/// *before* any data write can land, and broadcasts the committed table so
-/// every rank starts from the identical map. An empty table broadcast means
-/// the subsystem stays off (read-only with nothing trustworthy, or a torn
-/// primary whose in-memory repair does not match the on-disk bytes).
-pnc::Status Dataset::Impl::SetupOpenSums(bool open_writable, bool root_torn) {
-  if (!ncformat::SumsEnabled() || comm.FaultsArmed()) return pnc::Status::Ok();
+/// Arm the integrity subsystem at Open. The root reads the committed table
+/// from the journal and decides trust; a writable session then commits the
+/// OPEN flag before any data write can land. The root broadcasts what the
+/// other ranks need: for a writable session only the geometry, for a
+/// read-only one, which verifies, the whole committed table. An empty
+/// broadcast means the subsystem stays off (read-only with nothing
+/// trustworthy, or a torn primary whose in-memory repair does not match the
+/// on-disk bytes). The table rides the journal, so a writable open of a
+/// file without one (a legacy file) starts one on the root; that OPEN
+/// commit is its first. `journal_prefix` holds the journal bytes the
+/// recovery check read; a table inside it is not read again.
+pnc::Status Dataset::Impl::SetupOpenSums(bool root_torn,
+                                         pnc::ConstByteSpan journal_prefix) {
+  if (!ncformat::SumsEnabled() || (!journaled && !writable))
+    return pnc::Status::Ok();
   int err = 0;
-  int verify = 0;
   std::vector<std::byte> table;
-  if (comm.rank() == 0) {
-    const std::string spath = ncformat::SumsPath(path);
-    const bool existed = fs->Exists(spath);
-    do {
-      if (root_torn) break;
-      if (!existed && !open_writable) break;
-      auto sf =
-          existed ? fs->Open(spath) : fs->Create(spath, /*exclusive=*/false);
-      if (!sf.ok()) {
-        err = sf.status().raw();
-        break;
+  if (comm.rank() == 0 && !journal) {
+    auto jf = fs->Create(ncformat::JournalPath(path), /*exclusive=*/false);
+    if (jf.ok()) {
+      pfs::File jfile = std::move(jf).value();
+      jfile.SetTenant(file.tenant());
+      journal.emplace(std::move(jfile), &comm.clock());
+    } else {
+      err = jf.status().raw();
+    }
+  }
+  if (comm.rank() == 0 && err == 0 && !root_torn) {
+    std::optional<ncformat::ChunkSumMap> loaded;
+    if (commit) {
+      auto l = ncformat::ReadCommittedSums(*journal, *commit, journal_prefix);
+      if (l.ok()) {
+        loaded = std::move(l).value();
+      } else {
+        err = l.status().raw();
       }
-      sf.value().SetTenant(file.tenant());
-      sums_io.emplace(std::move(sf).value(), &comm.clock());
-      auto loaded = ncformat::LoadSums(*sums_io);
-      if (!loaded.ok()) {
-        err = loaded.status().raw();
-        break;
-      }
-      sums_state = loaded.value().state;
-      const std::uint64_t db = DataBeginOf(header);
-      // A sidecar whose recorded geometry disagrees with the live header is
-      // discarded rather than risking false corruption verdicts.
-      const bool trusted =
-          loaded.value().trusted && loaded.value().map.data_begin() == db;
+    }
+    const std::uint64_t db = ncformat::SumsDataBegin(header);
+    // A table whose recorded geometry disagrees with the live header is
+    // discarded rather than risking false corruption verdicts.
+    const bool trusted = loaded && loaded->data_begin() == db;
+    if (err == 0 && (writable || trusted)) {
       if (trusted) {
-        sums = std::move(loaded.value().map);
+        sums = *std::move(loaded);
       } else {
         sums.Clear();
         sums.SetGeometry(ncformat::SumChunkSize(), db);
       }
-      if (open_writable) {
-        err = ncformat::CommitSums(*sums_io, sums, /*open=*/true, &sums_state)
-                  .raw();
-        if (err != 0) break;
-      } else if (!trusted) {
-        sums_io.reset();
-        break;
+      sums_on = true;
+      if (writable) {
+        err = CommitToJournal(EncodeHeader(header), /*open=*/true).raw();
+        ncformat::ChunkSumMap geometry;
+        geometry.SetGeometry(sums.chunk_size(), sums.data_begin());
+        table = geometry.EncodeTable();
+      } else {
+        table = sums.EncodeTable();
       }
-      verify = !open_writable && trusted ? 1 : 0;
-      table = sums.EncodeTable();
-    } while (false);
+    }
   }
-  comm.BcastValue(err, 0);
+  PNC_RETURN_IF_ERROR(Track(*this, comm.TryBcastValue(err, 0)));
   if (err != 0)
-    return pnc::Status(static_cast<pnc::Err>(err), "sum sidecar open");
-  comm.Bcast(table, 0);
+    return pnc::Status(static_cast<pnc::Err>(err), "chunk-sum table open");
+  journaled = true;
+  PNC_RETURN_IF_ERROR(Track(*this, comm.TryBcast(table, 0)));
   if (table.empty()) return pnc::Status::Ok();
   if (comm.rank() != 0) {
     auto m = ncformat::ChunkSumMap::DecodeTable(table);
     if (!m.ok()) return m.status();
     sums = std::move(m).value();
   }
-  comm.BcastValue(verify, 0);
   sums_on = true;
-  file.AttachSums(&sums, verify != 0);
+  file.AttachSums(&sums, /*verify=*/!writable);
   return pnc::Status::Ok();
 }
 
-/// Root-committed sum flush. The data is already durable (callers sync
-/// first). Every rank's dirty chunks, with the CRC fragments its writes
-/// recorded, are gathered to the root, which resolves them (combining
-/// fragments that tile a chunk and reading back only the chunks they do
-/// not), commits the table (still session-open unless closing), and
-/// broadcasts it so every rank resumes from the identical committed map.
-pnc::Status Dataset::Impl::FlushSums(bool closing) {
-  if (!sums_on || !writable) return pnc::Status::Ok();
-  const std::vector<std::byte> local = sums.EncodeDirty();
-  auto gathered =
-      comm.Gather(pnc::ConstByteSpan(local.data(), local.size()), 0);
+/// The collective commit. Record counts converge first. A growth commit
+/// (after a record-growing write) commits only when the count grew. A Sync
+/// or Close commit makes every rank's data durable with one collective
+/// sync, gathers each rank's dirty chunks to the root, and the root
+/// resolves them and makes one journal commit: session-OPEN at Sync,
+/// closed and carrying the table at Close. The primary
+/// numrecs patch follows when the records grew, and one status agreement
+/// ends it.
+pnc::Status Dataset::Impl::CommitCollective(std::uint64_t local_numrecs,
+                                            Flush flush) {
+  std::uint64_t global = local_numrecs;
+  PNC_RETURN_IF_ERROR(Track(*this, comm.TryAllreduceMax(global)));
+  // `changed` can differ across ranks (a rank that grew the records locally
+  // already holds the new count), so agree on it before the guarded
+  // collective section below.
+  std::uint8_t changed = global != header.numrecs ? 1 : 0;
+  PNC_RETURN_IF_ERROR(Track(*this, comm.TryAllreduceMax(changed)));
+  header.numrecs = global;
+  const bool resolve = sums_on && writable && flush != Flush::kGrowth;
+  const bool commit_now = writable && (changed != 0 || resolve);
+  // The record count grows, and sums are committed, only after the data
+  // they describe is durable on every rank (all-old-or-all-new for a crash
+  // between data and count). A Sync makes the data durable regardless.
+  if (flush == Flush::kSync || (commit_now && journaled))
+    PNC_RETURN_IF_ERROR(Track(*this, file.Sync()));
+  if (!commit_now) return pnc::Status::Ok();
+  file.ClearView();
+  std::vector<std::vector<std::byte>> dirty;
+  if (resolve) {
+    const std::vector<std::byte> local = sums.EncodeDirty();
+    PNC_RETURN_IF_ERROR(Track(
+        *this, comm.TryGather(pnc::ConstByteSpan(local.data(), local.size()),
+                              0, dirty)));
+  }
   int err = 0;
-  if (comm.rank() == 0) {
-    sums.ClearDirty();  // the root's own chunks come back in gathered[0]
-    for (const auto& blob : gathered) sums.MergeDirty(blob);
-    file.ClearView();
+  if (comm.rank() == 0)
+    err = RootCommit(dirty, resolve, changed != 0, flush).raw();
+  PNC_RETURN_IF_ERROR(AgreeRootStatus(*this, err, "commit failed"));
+  if (resolve) sums.ClearDirty();
+  return pnc::Status::Ok();
+}
+
+/// The root's half of a collective commit: resolve the gathered dirty
+/// chunks (combining fragments that tile a chunk, reading back only the
+/// chunks they do not), commit through the journal, then patch the
+/// primary's numrecs field when the records grew. The patch is synced when
+/// a journal commit relies on it (the next commit may overwrite the shadow)
+/// and at Sync/Close; a journal-less file's growth patch is not.
+pnc::Status Dataset::Impl::RootCommit(
+    const std::vector<std::vector<std::byte>>& dirty, bool resolve, bool grew,
+    Flush flush) {
+  if (resolve) {
+    sums.ClearDirty();  // the root's own chunks come back in dirty[0]
+    for (const auto& blob : dirty) sums.MergeDirty(blob);
     const std::uint64_t fsize =
         file.GetSize().ok() ? file.GetSize().value() : 0;
-    pnc::Status st = sums.ResolveDirty(
+    PNC_RETURN_IF_ERROR(sums.ResolveDirty(
         fsize, [this](std::uint64_t o, pnc::ByteSpan out) {
           return file.ReadAt(o, out.data(), out.size(), simmpi::ByteType());
-        });
-    if (st.ok() && sums_io)
-      st = ncformat::CommitSums(*sums_io, sums, /*open=*/!closing,
-                                &sums_state);
-    err = st.raw();
+        }));
   }
-  comm.BcastValue(err, 0);
-  if (err != 0)
-    return pnc::Status(static_cast<pnc::Err>(err), "sum flush failed");
-  std::vector<std::byte> table;
-  if (comm.rank() == 0) table = sums.EncodeTable();
-  comm.Bcast(table, 0);
-  if (comm.rank() != 0 && !table.empty()) {
-    auto m = ncformat::ChunkSumMap::DecodeTable(table);
-    if (!m.ok()) return m.status();
-    sums = std::move(m).value();
+  if (journal) {
+    PNC_RETURN_IF_ERROR(
+        CommitToJournal(EncodeHeader(header), flush != Flush::kClose));
   }
-  sums.ClearDirty();
-  comm.Barrier();
+  if (!grew) return pnc::Status::Ok();
+  std::byte buf[4];
+  const auto v = pnc::xdr::ToBig(static_cast<std::uint32_t>(header.numrecs));
+  std::memcpy(buf, &v, 4);
+  PNC_RETURN_IF_ERROR(file.WriteAt(4, buf, 4, simmpi::ByteType()));
+  if (journal || flush != Flush::kGrowth)
+    PNC_RETURN_IF_ERROR(file.SyncLocal());
+  PNC_OBSERVE(kHeaderWrite, .len = 4);
   return pnc::Status::Ok();
 }
 
@@ -265,25 +307,9 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
   if (jerr != 0)
     return pnc::Status(static_cast<pnc::Err>(jerr), "commit journal create");
   im.journaled = true;
-  // Same for the chunk-sum sidecar: the root truncates it (wiping any stale
-  // table) and all ranks attach maintain-only. Geometry comes at EndDef;
-  // nothing is committed before the first flush, so a crash leaves it
-  // empty, which loads as untrusted.
-  if (ncformat::SumsEnabled() && !im.comm.FaultsArmed()) {
-    int serr = 0;
-    if (im.comm.rank() == 0) {
-      auto sf = fs.Create(ncformat::SumsPath(path), /*exclusive=*/false);
-      if (!sf.ok()) {
-        serr = sf.status().raw();
-      } else {
-        pfs::File sfile = std::move(sf).value();
-        sfile.SetTenant(im.file.tenant());
-        im.sums_io.emplace(std::move(sfile), &im.comm.clock());
-      }
-    }
-    im.comm.BcastValue(serr, 0);
-    if (serr != 0)
-      return pnc::Status(static_cast<pnc::Err>(serr), "sum sidecar create");
+  // The chunk-sum table rides the journal's commits. All ranks attach
+  // maintain-only; the geometry comes at EndDef.
+  if (ncformat::SumsEnabled()) {
     im.sums_on = true;
     im.file.AttachSums(&im.sums, /*verify=*/false);
   }
@@ -311,7 +337,9 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   int err = 0;
   std::vector<std::byte> bytes;
   int journaled = 0;
-  std::vector<std::byte> recovered;  ///< committed header image, if torn
+  std::vector<std::byte> committed;  ///< the committed header image, if any
+  bool root_torn = false;  ///< torn, and recovered in memory only
+  std::vector<std::byte> journal_prefix;
   if (im.comm.rank() == 0 && fs.Exists(ncformat::JournalPath(path))) {
     journaled = 1;
     pnc::Status rst = pnc::Status::Ok();
@@ -332,7 +360,7 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
       if (!rep.ok()) {
         rst = rep.status();
       } else {
-        const ncformat::VerifyReport& r = rep.value();
+        ncformat::VerifyReport& r = rep.value();
         if (r.has_commit) im.commit = r.committed;
         if (r.state == ncformat::FileState::kCorrupt && r.has_commit) {
           rst = pnc::Status(pnc::Err::kNotNc, "unrecoverable: " + r.detail);
@@ -340,9 +368,11 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
           if (writable) {
             rst = ncformat::RepairFromReport(r, primary);
           } else {
-            recovered = r.committed_header;
+            root_torn = true;
           }
         }
+        committed = std::move(r.committed_header);
+        journal_prefix = std::move(r.journal_prefix);
       }
     }
     err = rst.raw();
@@ -353,9 +383,10 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   im.journaled = journaled != 0;
 
   // §4.2.1: the root process fetches the file header and broadcasts it; all
-  // processes then hold an identical local copy until close.
-  if (im.comm.rank() == 0 && !recovered.empty()) {
-    auto hdr = Header::Decode(recovered);
+  // processes then hold an identical local copy until close. The recovery
+  // check above already read (or reconstructed) the committed header.
+  if (im.comm.rank() == 0 && !committed.empty()) {
+    auto hdr = Header::Decode(committed);
     if (hdr.ok()) {
       im.header = std::move(hdr).value();
       bytes = EncodeHeader(im.header);
@@ -400,7 +431,7 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   }
   im.header_align =
       static_cast<std::uint64_t>(im.info.GetInt("nc_header_align_size", 0));
-  PNC_RETURN_IF_ERROR(im.SetupOpenSums(writable, !recovered.empty()));
+  PNC_RETURN_IF_ERROR(im.SetupOpenSums(root_torn, journal_prefix));
   return ds;
 }
 
@@ -431,23 +462,13 @@ pnc::Status Dataset::WriteHeaderCollective() {
   // result (and nobody blocks in a barrier a failed root never reaches).
   int err = 0;
   if (im.comm.rank() == 0) {
-    pnc::Status st;
-    if (im.journal) {
-      // Journal commit (shadow, sync, slot, sync), then the primary in
-      // place, then a local sync so the primary is durable before the next
-      // commit may reuse the shadow.
-      ncformat::CommitState next;
-      st = ncformat::CommitHeaderToJournal(*im.journal, bytes,
-                                           im.header.numrecs, im.commit,
-                                           &next);
-      if (st.ok())
-        st = im.file.WriteAt(0, bytes.data(), bytes.size(),
-                             simmpi::ByteType());
-      if (st.ok()) st = im.file.SyncLocal();
-      if (st.ok()) im.commit = next;
-    } else {
+    // Journal commit, then the primary in place, then a local sync so the
+    // primary is durable before the next commit may reuse the shadow.
+    pnc::Status st = im.journal ? im.CommitToJournal(bytes, /*open=*/true)
+                                : pnc::Status::Ok();
+    if (st.ok())
       st = im.file.WriteAt(0, bytes.data(), bytes.size(), simmpi::ByteType());
-    }
+    if (st.ok() && im.journal) st = im.file.SyncLocal();
     if (st.ok()) PNC_OBSERVE(kHeaderWrite, .len = bytes.size());
     err = st.raw();
   }
@@ -483,7 +504,7 @@ pnc::Status Dataset::EndDef() {
   // When the region moved, every committed sum is stale: the root marks all
   // existing data dirty so the next flush re-sums it.
   if (im.sums_on) {
-    const std::uint64_t db = DataBeginOf(im.header);
+    const std::uint64_t db = ncformat::SumsDataBegin(im.header);
     if (im.sums.chunk_size() == 0 || im.sums.data_begin() != db) {
       const std::uint64_t cs = im.sums.chunk_size() != 0
                                    ? im.sums.chunk_size()
@@ -514,10 +535,7 @@ pnc::Status Dataset::Sync() {
   if (im.defining) return pnc::Status(pnc::Err::kInDefine);
   if (im.rank_failed)
     return pnc::Status(pnc::Err::kRankFailed, "dataset degraded by a failure");
-  PNC_RETURN_IF_ERROR(SyncNumrecs(im.header.numrecs, /*collective=*/true));
-  PNC_RETURN_IF_ERROR(Track(im, im.file.Sync()));
-  // Data durable first, then the sums describing it (still session-open).
-  return im.FlushSums(/*closing=*/false);
+  return im.CommitCollective(im.header.numrecs, Impl::Flush::kSync);
 }
 
 pnc::Status Dataset::Close() {
@@ -533,13 +551,10 @@ pnc::Status Dataset::Close() {
     return pnc::Status(pnc::Err::kRankFailed, "closed after a rank failure");
   }
   if (im.defining) PNC_RETURN_IF_ERROR(EndDef());
-  PNC_RETURN_IF_ERROR(SyncNumrecs(im.header.numrecs, /*collective=*/true));
-  if (im.sums_on && im.writable) {
-    // Final flush commits the table closed: only a session that reaches
-    // this point hands trustworthy sums to the next open.
-    PNC_RETURN_IF_ERROR(Track(im, im.file.Sync()));
-    PNC_RETURN_IF_ERROR(im.FlushSums(/*closing=*/true));
-  }
+  // Only a session that reaches this closing commit hands trustworthy sums
+  // to the next open.
+  PNC_RETURN_IF_ERROR(
+      im.CommitCollective(im.header.numrecs, Impl::Flush::kClose));
   pnc::Status st = Track(im, im.file.Close());
   // The collective close barrier has passed: every rank's counters are
   // final, so the reduction in the report is well defined.
@@ -561,10 +576,6 @@ pnc::Status Dataset::Abort() {
     if (im.comm.rank() == 0) {
       im.journal.reset();
       (void)im.fs->Remove(ncformat::JournalPath(im.path));
-      if (im.sums_io) {
-        im.sums_io.reset();
-        (void)im.fs->Remove(ncformat::SumsPath(im.path));
-      }
       err = im.fs->Remove(im.path).raw();
     }
     return AgreeRootStatus(im, err, im.path.c_str());
@@ -874,42 +885,7 @@ pnc::Status Dataset::SyncNumrecs(std::uint64_t local_numrecs, bool collective) {
     im.header.numrecs = std::max(im.header.numrecs, local_numrecs);
     return pnc::Status::Ok();
   }
-  std::uint64_t global = local_numrecs;
-  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllreduceMax(global)));
-  // `changed` can differ across ranks (a rank that grew the records locally
-  // already holds the new count), so agree on it before the guarded
-  // collective section below.
-  std::uint8_t changed = global != im.header.numrecs ? 1 : 0;
-  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllreduceMax(changed)));
-  im.header.numrecs = global;
-  if (changed != 0 && im.writable) {
-    im.file.ClearView();
-    // The record count grows only after the record data is durable on every
-    // rank (all-old-or-all-new for a crash between data and count).
-    if (im.journaled) PNC_RETURN_IF_ERROR(Track(im, im.file.Sync()));
-    int err = 0;
-    if (im.comm.rank() == 0) {
-      std::byte buf[4];
-      const auto v =
-          pnc::xdr::ToBig(static_cast<std::uint32_t>(im.header.numrecs));
-      std::memcpy(buf, &v, 4);
-      pnc::Status st;
-      if (im.journal && im.commit) {
-        ncformat::CommitState next;
-        st = ncformat::CommitNumrecsToJournal(*im.journal, *im.commit,
-                                              im.header.numrecs, &next);
-        if (st.ok()) st = im.file.WriteAt(4, buf, 4, simmpi::ByteType());
-        if (st.ok()) st = im.file.SyncLocal();
-        if (st.ok()) im.commit = next;
-      } else {
-        st = im.file.WriteAt(4, buf, 4, simmpi::ByteType());
-      }
-      if (st.ok()) PNC_OBSERVE(kHeaderWrite, .len = 4);
-      err = st.raw();
-    }
-    return AgreeRootStatus(im, err, "numrecs write failed");
-  }
-  return pnc::Status::Ok();
+  return im.CommitCollective(local_numrecs, Impl::Flush::kGrowth);
 }
 
 // --------------------------------------------------------------- flexible

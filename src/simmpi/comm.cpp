@@ -148,6 +148,7 @@ constexpr int kTagScatter = -13;
 constexpr int kTagAlltoall = -14;
 constexpr int kTagAgree = -15;
 constexpr int kTagTryBcast = -16;
+constexpr int kTagTryGather = -17;
 constexpr int kTagBarrierBase = -100;  ///< barrier phase k uses -100 - k
 /// TryAlltoall round r uses -1000 - r (mod 2^30), clear of the barrier tags.
 constexpr int kTagTryAlltoallBase = -1000;
@@ -747,6 +748,34 @@ pnc::Status Comm::TryBcast(std::vector<std::byte>& buf, int root) {
   PNC_RETURN_IF_ERROR(FoldMinFT(received));
   if (received == 0)
     return pnc::Status(pnc::Err::kRankFailed, "root died mid-broadcast");
+  return pnc::Status::Ok();
+}
+
+pnc::Status Comm::TryGather(pnc::ConstByteSpan mine, int root,
+                            std::vector<std::vector<std::byte>>& out) {
+  if (!FaultsArmed()) {
+    out = Gather(mine, root);
+    return pnc::Status::Ok();
+  }
+  if (SelfDead()) return SelfCrashed();
+  // Plain sends to the root, fault-tolerant receives there, then an
+  // agreement so a peer that died before sending reaches every survivor.
+  std::int64_t received = 1;
+  out.clear();
+  if (rank_ == root) {
+    out.resize(static_cast<std::size_t>(size()));
+    out[static_cast<std::size_t>(root)].assign(mine.begin(), mine.end());
+    for (int r = 0; r < size(); ++r)
+      if (r != root &&
+          !RecvImpl(r, kTagTryGather, nullptr, nullptr, /*ft=*/true,
+                    out[static_cast<std::size_t>(r)]))
+        received = 0;
+  } else {
+    SendInternal(root, kTagTryGather, mine);
+  }
+  PNC_RETURN_IF_ERROR(FoldMinFT(received));
+  if (received == 0)
+    return pnc::Status(pnc::Err::kRankFailed, "a peer died mid-gather");
   return pnc::Status::Ok();
 }
 

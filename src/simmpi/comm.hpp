@@ -250,6 +250,11 @@ class Comm {
   /// Bcast(buf, root) | the root sends to every peer, peers RecvFT, then
   /// AgreeFT on whether every peer received.
   pnc::Status TryBcast(std::vector<std::byte>& buf, int root);
+  /// Gather(mine, root) into `out` | every peer sends to the root, the root
+  /// RecvFTs each piece, then AgreeFT on whether the root received them
+  /// all. `out` is valid (size()==P) only at the root.
+  pnc::Status TryGather(pnc::ConstByteSpan mine, int root,
+                        std::vector<std::vector<std::byte>>& out);
   /// AllreduceMin(v) | AgreeFT(v). T must be an integer that fits int64.
   template <typename T>
   pnc::Status TryAllreduceMin(T& v) {

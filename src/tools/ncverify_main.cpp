@@ -3,10 +3,12 @@
 //
 // Usage: ncverify [--repair] [--data] [-q] file.nc
 //   --repair  roll a torn file back to its last committed state, in place;
-//             with --data, also rebuild the checksum sidecar from the
-//             current bytes (the new baseline)
-//   --data    scrub the data region against the <file>.ncsum chunk-checksum
-//             sidecar: every chunk is classified clean / corrupt / unsummed
+//             with --data, also commit a chunk-checksum table rebuilt from
+//             the current bytes (the new baseline; a file without a journal
+//             gets a fresh one)
+//   --data    scrub the data region against the chunk-checksum table the
+//             journal committed: every chunk is classified clean / corrupt
+//             / unsummed
 //   -q        quiet: no per-file report, exit status only
 //
 // Exit status (the shared tool contract, src/tools/cli.hpp): 0 clean (or
@@ -39,22 +41,14 @@ int main(int argc, char** argv) {
   }
   const std::string jpath = ncformat::JournalPath(path);
   std::error_code ec;
-  if (std::filesystem::exists(jpath, ec) &&
-      !fs.AttachDisk(jpath, jpath).ok()) {
-    std::fprintf(stderr, "ncverify: cannot open %s\n", jpath.c_str());
-    return nctools::kExitError;
-  }
-  if (opts.data) {
-    const std::string spath = ncformat::SumsPath(path);
-    if (std::filesystem::exists(spath, ec)) {
-      if (!fs.AttachDisk(spath, spath).ok()) {
-        std::fprintf(stderr, "ncverify: cannot open %s\n", spath.c_str());
-        return nctools::kExitError;
-      }
-    } else if (opts.repair && !fs.CreateOnDisk(spath, spath).ok()) {
-      std::fprintf(stderr, "ncverify: cannot create %s\n", spath.c_str());
+  if (std::filesystem::exists(jpath, ec)) {
+    if (!fs.AttachDisk(jpath, jpath).ok()) {
+      std::fprintf(stderr, "ncverify: cannot open %s\n", jpath.c_str());
       return nctools::kExitError;
     }
+  } else if (opts.repair && opts.data && !fs.CreateOnDisk(jpath, jpath).ok()) {
+    std::fprintf(stderr, "ncverify: cannot create %s\n", jpath.c_str());
+    return nctools::kExitError;
   }
 
   auto r = nctools::VerifyFile(fs, path, opts);
@@ -80,12 +74,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(s.clean),
                   static_cast<unsigned long long>(s.corrupt),
                   static_cast<unsigned long long>(s.unsummed),
-                  s.trusted ? "sidecar trusted" : "sidecar untrusted");
+                  s.trusted ? "table trusted" : "table untrusted");
       for (const std::uint64_t c : s.corrupt_chunks)
         std::printf("  corrupt chunk %llu\n",
                     static_cast<unsigned long long>(c));
       if (v.sums_rebuilt)
-        std::printf("  checksum sidecar rebuilt from current bytes\n");
+        std::printf("  checksum table rebuilt from current bytes\n");
       else if (s.corrupt > 0)
         std::printf(
             "  restore the data, then run --data --repair to re-baseline\n");

@@ -59,19 +59,6 @@ void WalkExtents(const Header& h, std::uint64_t file_size,
                     "(unwritten tail reads as fill)");
 }
 
-/// First byte of the data region as the integrity layer anchors it: the
-/// lowest variable begin offset (alignment hints can push it past the
-/// encoded header size). 0 when no variables exist.
-std::uint64_t MinVarBegin(const Header& h) {
-  std::uint64_t db = 0;
-  bool first = true;
-  for (const auto& v : h.vars) {
-    if (first || v.begin < db) db = v.begin;
-    first = false;
-  }
-  return first ? 0 : db;
-}
-
 }  // namespace
 
 pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
@@ -129,52 +116,61 @@ pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
   }
   if (h) WalkExtents(*h, primary.Size(), out.notes);
 
-  // Data scrub: classify every chunk of the data region against the .ncsum
-  // sidecar. An untrusted sidecar (missing, torn, or left session-open by a
-  // crash) yields an all-unsummed report — degraded coverage is reported,
-  // never a false corruption verdict.
+  // Data scrub: classify every chunk of the data region against the table
+  // the journal committed. An untrusted table (none, torn, or left
+  // session-OPEN by a crash) yields an all-unsummed report — degraded
+  // coverage is reported, never a false corruption verdict.
   if (opts.data) {
-    const std::string spath = ncformat::SumsPath(path);
-    std::optional<ncformat::PfsCommitIo> sio;
-    ncformat::LoadedSums loaded;
-    if (fs.Exists(spath)) {
-      auto sf = fs.Open(spath);
-      if (!sf.ok()) return sf.status();
-      sio.emplace(std::move(sf).value(), &clock);
-      auto l = ncformat::LoadSums(*sio);
-      if (!l.ok()) return l.status();
-      loaded = std::move(l).value();
+    std::optional<ncformat::ChunkSumMap> loaded;
+    if (rep.has_commit) {
+      PNC_ASSIGN_OR_RETURN(
+          loaded, ncformat::ReadCommittedSums(*journal, rep.committed,
+                                              rep.journal_prefix));
     }
-    const std::uint64_t db = h ? MinVarBegin(*h) : loaded.map.data_begin();
-    if (loaded.trusted && h && loaded.map.data_begin() != db) {
-      loaded.trusted = false;
+    const std::uint64_t db = h         ? ncformat::SumsDataBegin(*h)
+                             : loaded ? loaded->data_begin()
+                                      : 0;
+    if (loaded && loaded->data_begin() != db) {
+      loaded.reset();
       out.notes.push_back(
-          "sum sidecar geometry disagrees with the header (stale sidecar?)");
+          "chunk-sum table geometry disagrees with the header (stale table?)");
     }
-    if (!loaded.trusted || loaded.map.chunk_size() == 0) {
-      loaded.map.Clear();
-      loaded.map.SetGeometry(ncformat::SumChunkSize(), db);
+    const bool trusted = loaded.has_value();
+    ncformat::ChunkSumMap map =
+        trusted ? *std::move(loaded) : ncformat::ChunkSumMap();
+    if (map.chunk_size() == 0) {
+      map.Clear();
+      map.SetGeometry(ncformat::SumChunkSize(), db);
     }
     const auto raw = [&primary](std::uint64_t off, pnc::ByteSpan b) {
       return primary.Read(off, b);
     };
-    auto sr = ncformat::ScrubData(loaded.map, loaded.trusted, primary.Size(),
-                                  raw);
+    auto sr = ncformat::ScrubData(map, trusted, primary.Size(), raw);
     if (!sr.ok()) return sr.status();
     out.scrub = std::move(sr).value();
 
     // Rebuild: recompute every chunk from the current bytes and commit the
     // table closed — the caller vouches for the data; after this the
-    // current bytes are the integrity baseline.
+    // current bytes are the integrity baseline. The commit re-references
+    // the committed header, or, for a file without a journal (or with
+    // nothing committed), starts a fresh journal from the primary's header
+    // and record count.
     if (opts.repair && h) {
-      if (!sio) {
-        auto sf = fs.Create(spath, /*exclusive=*/false);
-        if (!sf.ok()) return sf.status();
-        sio.emplace(std::move(sf).value(), &clock);
+      PNC_ASSIGN_OR_RETURN(
+          map, ncformat::RecomputeSums(map.chunk_size(), db, primary.Size(),
+                                       raw));
+      if (!journal) {
+        auto jf = fs.Create(jpath, /*exclusive=*/false);
+        if (!jf.ok()) return jf.status();
+        journal.emplace(std::move(jf).value(), &clock);
       }
-      ncformat::SumsState state;
-      PNC_RETURN_IF_ERROR(ncformat::RebuildSums(
-          *sio, loaded.map.chunk_size(), db, primary.Size(), raw, &state));
+      std::optional<ncformat::CommitState> state;
+      if (rep.has_commit) state = rep.committed;
+      std::vector<std::byte> header(
+          state ? state->header_len : h->EncodedSize());
+      PNC_RETURN_IF_ERROR(primary.Read(0, header));
+      PNC_RETURN_IF_ERROR(ncformat::Commit(*journal, header, h->numrecs, &map,
+                                           /*open=*/false, state));
       out.sums_rebuilt = true;
     }
   }

@@ -7,15 +7,15 @@
 #include <vector>
 
 #include "format/commit.hpp"
-#include "format/sums.hpp"
 #include "pfs/pfs.hpp"
 
 namespace nctools {
 
 struct VerifyOptions {
   bool repair = false;  ///< roll a torn primary back to the committed state
-                        ///< (and, with `data`, rebuild the sum sidecar)
-  bool data = false;    ///< scrub the data region against the .ncsum sidecar
+                        ///< (and, with `data`, commit a rebuilt sum table)
+  bool data = false;    ///< scrub the data region against the committed
+                        ///< chunk-sum table
 };
 
 struct VerifyResult {
@@ -25,9 +25,10 @@ struct VerifyResult {
   std::string detail;      ///< classification rationale
   std::vector<std::string> notes;  ///< extent-walk observations (non-fatal)
   /// Data scrub outcome (set only with opts.data): every chunk of the data
-  /// region classified clean / corrupt / unsummed against the sidecar.
+  /// region classified clean / corrupt / unsummed against the committed
+  /// chunk-sum table.
   std::optional<ncformat::ScrubReport> scrub;
-  bool sums_rebuilt = false;  ///< --repair --data recomputed the sidecar
+  bool sums_rebuilt = false;  ///< --repair --data committed a recomputed table
 };
 
 /// Classify `path` against its sidecar commit journal: kClean (primary

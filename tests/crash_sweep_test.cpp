@@ -472,14 +472,15 @@ TEST(CrashSweep, ParallelRecordAppendFourRanksUnderTransients) {
 }
 
 // ---------------------------------------------------------------------------
-// .ncsum torn-write sweep: power loss at every byte boundary of a data
-// overwrite + close, which rewrites the data bytes, re-sums the dirty
-// chunk, and commits the checksum sidecar closed. Invariant: the offline
-// scrub NEVER reports corruption afterwards. Every crash point must leave
-// either a trusted sidecar whose sums match the bytes (crash before the
-// session-open commit, when data and sums are both still old, or after the
-// closing commit, when both are new) or a distrusted sidecar — torn, or
-// left session-open — that honestly degrades every chunk to "unsummed".
+// Torn chunk-sum table sweep: power loss at every byte boundary of a data
+// overwrite + close, which commits the session-OPEN flag, rewrites the data
+// bytes, re-sums the dirty chunk, and commits the table closed through the
+// journal. Invariant: the offline scrub NEVER reports corruption
+// afterwards. Every crash point must leave either a trusted table whose
+// sums match the bytes (crash before the session-open commit, when data and
+// sums are both still old, or after the closing commit, when both are new)
+// or a distrusted one — torn, or left session-open — that honestly
+// degrades every chunk to "unsummed".
 TEST(CrashSweep, TornSumSidecarSweepNeverReportsCorrupt) {
   int trusted_outcomes = 0, untrusted_outcomes = 0;
   for (std::uint64_t t = 0; t < kSweepCeiling; ++t) {
@@ -504,8 +505,8 @@ TEST(CrashSweep, TornSumSidecarSweepNeverReportsCorrupt) {
     const bool crashed = fs.crashed();
     fs.SetFaultPolicy({});  // reboot
 
-    // The header journal's own guarantee still holds around the new
-    // sidecar traffic; repair the primary, then scrub the data region.
+    // The journal's header guarantee still holds around the table it now
+    // carries; repair the primary, then scrub the data region.
     auto fixed = nctools::VerifyFile(fs, "f.nc", {.repair = true});
     ASSERT_TRUE(fixed.ok()) << fixed.status().message();
     ASSERT_NE(fixed.value().state, ncformat::FileState::kCorrupt)
@@ -533,10 +534,10 @@ TEST(CrashSweep, TornSumSidecarSweepNeverReportsCorrupt) {
 }
 
 // ---------------------------------------------------------------------------
-// The same .ncsum sweep through the parallel library at 3 ranks: the root
-// commits the gathered table as one [slot | table] write, and every crash
-// point must still leave a trusted table that matches the bytes or an
-// untrusted one — never a corruption verdict.
+// The same table sweep through the parallel library at 3 ranks: the root
+// commits the gathered table in the journal's one [slots | shadow | table]
+// write, and every crash point must still leave a trusted table that
+// matches the bytes or an untrusted one — never a corruption verdict.
 TEST(CrashSweep, ParallelTornSumSidecarSweepNeverReportsCorrupt) {
   auto put = [](pnetcdf::Dataset& ds, int v, int rank, double value) {
     const std::vector<double> mine(8, value + rank);
@@ -591,6 +592,160 @@ TEST(CrashSweep, ParallelTornSumSidecarSweepNeverReportsCorrupt) {
   }
   EXPECT_GT(trusted_outcomes, 0);
   EXPECT_GT(untrusted_outcomes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The one commit of a record-growing Sync and of Close, swept at every byte,
+// serial (nprocs 0) and at 3 ranks. Committed state: two records, closed,
+// with a trusted table. The mutation reopens, appends record 2, Syncs,
+// appends record 3 and Closes; the parallel ranks write independently, so
+// the Sync and the Close are the commits that grow the record count. Every
+// crash point must reopen as one of the three commits (2, 3 or 4 records,
+// each matching its reference exactly), read back without kDataCorrupt,
+// and scrub clean under a trusted table or all-unsummed under an untrusted
+// one — never corrupt, never trusted while stale.
+constexpr std::uint64_t kRecWidth = 6;
+
+std::int32_t RecValue(std::uint64_t rec, std::uint64_t i) {
+  return static_cast<std::int32_t>(100 * rec + i);
+}
+
+/// Write record `rec` (this rank's slice of it in parallel), independently.
+template <typename Ds>
+pnc::Status PutRecord(Ds& ds, std::uint64_t rec, int rank, int nprocs) {
+  const std::uint64_t share = nprocs == 0 ? kRecWidth : 2;
+  const std::uint64_t lo = share * static_cast<std::uint64_t>(rank);
+  std::vector<std::int32_t> vals(share);
+  for (std::uint64_t i = 0; i < share; ++i) vals[i] = RecValue(rec, lo + i);
+  const std::uint64_t st[] = {rec, lo};
+  const std::uint64_t ct[] = {1, share};
+  return ds.template PutVara<std::int32_t>(ds.VarId("r").value(), st, ct,
+                                           vals);
+}
+
+/// A dataset of `nrecs` records, created and closed by `nprocs` ranks
+/// (0 = the serial library).
+void MakeRecords(pfs::FileSystem& fs, const std::string& path,
+                 std::uint64_t nrecs, int nprocs) {
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Create(fs, path).value();
+    const int time = ds.DefDim("time", 0).value();
+    const int x = ds.DefDim("x", kRecWidth).value();
+    (void)ds.DefVar("r", NcType::kInt, {time, x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    for (std::uint64_t rec = 0; rec < nrecs; ++rec)
+      ASSERT_TRUE(PutRecord(ds, rec, 0, 0).ok());
+    ASSERT_TRUE(ds.Close().ok());
+    return;
+  }
+  simmpi::Run(nprocs, [&](simmpi::Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Create(c, fs, path, simmpi::NullInfo()).value();
+    const int time = ds.DefDim("time", pnetcdf::kUnlimited).value();
+    const int x = ds.DefDim("x", kRecWidth).value();
+    (void)ds.DefVar("r", NcType::kInt, {time, x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    ASSERT_TRUE(ds.BeginIndepData().ok());
+    for (std::uint64_t rec = 0; rec < nrecs; ++rec)
+      ASSERT_TRUE(PutRecord(ds, rec, c.rank(), nprocs).ok());
+    ASSERT_TRUE(ds.EndIndepData().ok());
+    ASSERT_TRUE(ds.Close().ok());
+  });
+}
+
+void RecordAppendCommitSweep(int nprocs) {
+  ASSERT_TRUE(nprocs == 0 || 2 * static_cast<std::uint64_t>(nprocs) ==
+                                 kRecWidth);
+  pfs::FileSystem ref_fs;
+  for (std::uint64_t n = 2; n <= 4; ++n)
+    MakeRecords(ref_fs, "ref" + std::to_string(n) + ".nc", n, nprocs);
+
+  int outcomes[5] = {};
+  int trusted = 0, untrusted = 0;
+  for (std::uint64_t t = 0; t < kSweepCeiling; ++t) {
+    pfs::FileSystem fs;
+    MakeRecords(fs, "f.nc", 2, nprocs);  // committed pre-crash state
+
+    const pfs::FaultPolicy pol = ArmCrash(fs, t);
+    SCOPED_TRACE("crash point t=" + std::to_string(t) + " " +
+                 pnc_test::DescribePolicy(pol));
+    if (nprocs == 0) {
+      auto ds = netcdf::Dataset::Open(fs, "f.nc", true);
+      if (ds.ok()) {
+        auto d = std::move(ds).value();
+        if (PutRecord(d, 2, 0, 0).ok() && d.Sync().ok())
+          (void)PutRecord(d, 3, 0, 0);
+        (void)d.Close();
+      }
+    } else {
+      simmpi::Run(nprocs, [&](simmpi::Comm& c) {
+        auto r =
+            pnetcdf::Dataset::Open(c, fs, "f.nc", true, simmpi::NullInfo());
+        if (!r.ok()) return;  // every rank sees the same broadcast verdict
+        auto ds = std::move(r).value();
+        if (ds.BeginIndepData().ok()) {
+          (void)PutRecord(ds, 2, c.rank(), nprocs);
+          if (ds.Sync().ok()) (void)PutRecord(ds, 3, c.rank(), nprocs);
+        }
+        (void)ds.Close();
+      });
+    }
+    const bool crashed = fs.crashed();
+    fs.SetFaultPolicy({});  // reboot
+
+    VerifyAndRepair(fs, "f.nc");
+    std::uint64_t n = 0;
+    {
+      auto rd = netcdf::Dataset::Open(fs, "f.nc", false);
+      ASSERT_TRUE(rd.ok()) << rd.status().message();
+      auto d = std::move(rd).value();
+      n = d.numrecs();
+      ASSERT_TRUE(n >= 2 && n <= 4) << "numrecs " << n << " is no commit";
+      std::vector<std::int32_t> got(n * kRecWidth);
+      const std::uint64_t st[] = {0, 0};
+      const std::uint64_t ct[] = {n, kRecWidth};
+      const pnc::Status rs = d.GetVara<std::int32_t>(d.VarId("r").value(), st,
+                                                    ct, got);
+      ASSERT_TRUE(rs.ok()) << rs.message();  // never kDataCorrupt
+      for (std::uint64_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], RecValue(i / kRecWidth, i % kRecWidth)) << i;
+    }
+    ExpectMatchesRef(fs, "f.nc", ref_fs, "ref" + std::to_string(n) + ".nc");
+
+    auto v = nctools::VerifyFile(fs, "f.nc", {.repair = false, .data = true});
+    ASSERT_TRUE(v.ok()) << v.status().message();
+    ASSERT_TRUE(v.value().scrub.has_value());
+    const ncformat::ScrubReport& s = *v.value().scrub;
+    ASSERT_EQ(s.corrupt, 0u) << "false corruption verdict after a crash";
+    if (s.trusted) {
+      EXPECT_EQ(s.unsummed, 0u);
+      EXPECT_GE(s.clean, 1u);
+      ++trusted;
+    } else {
+      EXPECT_EQ(s.clean, 0u);
+      ++untrusted;
+    }
+    ++outcomes[n];
+
+    if (!crashed) {
+      EXPECT_EQ(n, 4u);
+      EXPECT_TRUE(s.trusted);
+      break;  // the whole reopen + Sync + Close sequence is covered
+    }
+  }
+  EXPECT_GT(outcomes[2], 0);
+  EXPECT_GT(outcomes[3], 0);
+  EXPECT_GT(outcomes[4], 0);
+  EXPECT_GT(trusted, 0);
+  EXPECT_GT(untrusted, 0);
+}
+
+TEST(CrashSweep, RecordAppendCommitEveryByteSerial) {
+  RecordAppendCommitSweep(0);
+}
+
+TEST(CrashSweep, RecordAppendCommitEveryByteThreeRanks) {
+  RecordAppendCommitSweep(3);
 }
 
 // ---------------------------------------------------------------------------

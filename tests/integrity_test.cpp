@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "format/commit_pfs.hpp"
 #include "format/header.hpp"
 #include "format/sums.hpp"
 #include "iostat/events.hpp"
@@ -96,6 +97,16 @@ void FlipByteAt(pfs::FileSystem& fs, const std::string& path,
                 std::uint64_t offset) {
   const std::byte old = pnc_test::ByteAt(fs, path, offset);
   pnc_test::CorruptByte(fs, path, offset, old ^ std::byte{0xFF});
+}
+
+/// The commit in force in `path`'s journal (the file must have one).
+ncformat::CommitState CommittedState(pfs::FileSystem& fs,
+                                     const std::string& path) {
+  simmpi::VirtualClock clk;
+  ncformat::PfsCommitIo io(fs.Open(ncformat::JournalPath(path)).value(), &clk);
+  const auto state = ncformat::ReadCommitState(io).value();
+  EXPECT_TRUE(state.has_value()) << path << ": nothing committed";
+  return state.value_or(ncformat::CommitState{});
 }
 
 // --------------------------------------------------------- serial fixture
@@ -616,11 +627,11 @@ TEST(Integrity, WriteBitflipSweepNeverSilent) {
 
 // The full-lifecycle replay of the chaos matrix's record-append run (4
 // ranks, cb_nodes=1) with write flips armed from Create to Close, over 60
-// seeds. Here flips also hit the header, the commit journal and the sums
-// sidecar. Data flips must surface; a wrong value returned with status 0
-// may only come from a flip on the commit path: a damaged header or
-// numrecs, a primary left torn (a reopen then runs with sums off), or a
-// sidecar that no longer loads as trusted.
+// seeds. Here flips also hit the header and the commit journal with its
+// chunk-sum table. Data flips must surface; a wrong value returned with
+// status 0 may only come from a flip on the commit path: a damaged header
+// or numrecs, a primary left torn (a reopen then runs with sums off), or a
+// table that no longer loads as trusted.
 TEST(Integrity, ChaosLifecycleWriteFlipsSurfaceUnlessCommitPathHit) {
   int wrong_with_ok = 0, commit_path = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
@@ -682,7 +693,7 @@ TEST(Integrity, ChaosLifecycleWriteFlipsSurfaceUnlessCommitPathHit) {
     if (!silent) continue;
     ++wrong_with_ok;
     // Attribute it: the header must decode with both records, and the
-    // sidecar must still load as trusted, for the data path to be at fault.
+    // table must still load as trusted, for the data path to be at fault.
     const std::vector<std::byte> bytes = FileBytes(fs, "chaos.nc");
     const auto h = ncformat::Header::Decode(bytes);
     auto vr = nctools::VerifyFile(fs, "chaos.nc", {.data = true});
@@ -694,12 +705,12 @@ TEST(Integrity, ChaosLifecycleWriteFlipsSurfaceUnlessCommitPathHit) {
                             h.value().vars.size() != 1;
     const char* cause = header_hit ? "header/numrecs flip"
                         : torn     ? "torn primary, sums off on reopen"
-                        : !sums_trusted ? "sums sidecar flip, untrusted"
+                        : !sums_trusted ? "sums table flip, untrusted"
                                         : nullptr;
     if (cause != nullptr) ++commit_path;
     EXPECT_NE(cause, nullptr) << "seed " << seed
                               << ": wrong values with status 0, header, "
-                              << "journal and sidecar intact";
+                              << "journal and table intact";
     std::printf("[ chaos seed %2llu ] wrong-with-OK: %s\n",
                 static_cast<unsigned long long>(seed),
                 cause != nullptr ? cause : "data path");
@@ -748,7 +759,7 @@ TEST(Integrity, ScrubDetectsEveryInjectedCorruption) {
   EXPECT_EQ(v.value().scrub->corrupt, 3u);
 }
 
-// --repair --data re-baselines: the rebuilt sidecar covers every chunk and
+// --repair --data re-baselines: the rebuilt table covers every chunk and
 // a follow-up scrub is clean (the operator vouched for the current bytes).
 TEST(Integrity, ScrubRepairRebuildsBaseline) {
   EnvGuard chunk("PNC_SUM_CHUNK", "4096");
@@ -776,12 +787,13 @@ TEST(Integrity, ScrubRepairRebuildsBaseline) {
   EXPECT_EQ(s.clean, 4u);
 }
 
-// A missing sidecar degrades to honest "unsummed" coverage, never to a
-// false corruption verdict (and never to a false clean one).
+// A missing journal — the one sidecar, which carries the chunk-sum table —
+// degrades to honest "unsummed" coverage, never to a false corruption
+// verdict (and never to a false clean one).
 TEST(Integrity, ScrubWithoutSidecarReportsUnsummed) {
   pfs::FileSystem fs;
   MakePatternFile(fs, "u.nc");
-  ASSERT_TRUE(fs.Remove(ncformat::SumsPath("u.nc")).ok());
+  pnc_test::DropJournal(fs, "u.nc");
   auto v = nctools::VerifyFile(fs, "u.nc", {.repair = false, .data = true});
   ASSERT_TRUE(v.ok()) << v.status().message();
   ASSERT_TRUE(v.value().scrub.has_value());
@@ -790,26 +802,111 @@ TEST(Integrity, ScrubWithoutSidecarReportsUnsummed) {
   EXPECT_EQ(s.corrupt, 0u);
   EXPECT_EQ(s.clean, 0u);
   EXPECT_GT(s.unsummed, 0u);
+
+  // --repair --data on a file without a journal starts a fresh one whose
+  // closed table covers every chunk.
+  auto rebuilt =
+      nctools::VerifyFile(fs, "u.nc", {.repair = true, .data = true});
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
+  EXPECT_TRUE(rebuilt.value().sums_rebuilt);
+  auto after = nctools::VerifyFile(fs, "u.nc", {.repair = false, .data = true});
+  ASSERT_TRUE(after.ok()) << after.status().message();
+  EXPECT_TRUE(after.value().has_journal);
+  EXPECT_EQ(after.value().state, ncformat::FileState::kClean);
+  EXPECT_TRUE(after.value().scrub->trusted);
+  EXPECT_EQ(after.value().scrub->unsummed, 0u);
+  EXPECT_EQ(after.value().scrub->clean, s.unsummed);
+}
+
+// The table rides the journal, so a writable open of a file without one
+// (a legacy file) starts one: the session's closing commit then covers what
+// it wrote, and scrub catches a later flip. With PNC_SUMS=0 no journal is
+// created and the file keeps its legacy, journal-less life.
+TEST(Integrity, WritableOpenOfJournalLessFileStartsJournal) {
+  for (const int nprocs : {0, 3}) {
+    SCOPED_TRACE(nprocs == 0 ? "serial" : "3 ranks");
+    pfs::FileSystem fs;
+    MakePatternFile(fs, "l.nc");
+    pnc_test::DropJournal(fs, "l.nc");
+    std::vector<signed char> vals(kSerialElems);
+    for (std::uint64_t i = 0; i < kSerialElems; ++i)
+      vals[i] = static_cast<signed char>(PatternAt(i) + 1);
+    if (nprocs == 0) {
+      auto ds = netcdf::Dataset::Open(fs, "l.nc", /*writable=*/true).value();
+      ASSERT_TRUE(ds.PutVar<signed char>(ds.VarId("d").value(), vals).ok());
+      ASSERT_TRUE(ds.Close().ok());
+    } else {
+      simmpi::Run(nprocs, [&](Comm& c) {
+        auto ds = pnetcdf::Dataset::Open(c, fs, "l.nc", /*writable=*/true,
+                                         simmpi::NullInfo())
+                      .value();
+        const std::uint64_t r = static_cast<std::uint64_t>(c.rank());
+        const std::uint64_t n = static_cast<std::uint64_t>(nprocs);
+        const std::uint64_t lo = kSerialElems * r / n;
+        const std::uint64_t hi = kSerialElems * (r + 1) / n;
+        const std::uint64_t st[] = {lo};
+        const std::uint64_t ct[] = {hi - lo};
+        ASSERT_TRUE(ds.PutVaraAll<signed char>(
+                          ds.VarId("d").value(), st, ct,
+                          std::span<const signed char>(vals).subspan(lo,
+                                                                     hi - lo))
+                        .ok());
+        ASSERT_TRUE(ds.Close().ok());
+      });
+    }
+    auto v = nctools::VerifyFile(fs, "l.nc", {.repair = false, .data = true});
+    ASSERT_TRUE(v.ok()) << v.status().message();
+    EXPECT_TRUE(v.value().has_journal);
+    EXPECT_EQ(v.value().state, ncformat::FileState::kClean);
+    EXPECT_TRUE(v.value().scrub->trusted);
+    EXPECT_EQ(v.value().scrub->unsummed, 0u);
+    EXPECT_EQ(v.value().scrub->corrupt, 0u);
+    EXPECT_GT(v.value().scrub->clean, 0u);
+    FlipByteAt(fs, "l.nc", DataBegin(fs, "l.nc") + 7);
+    auto flipped =
+        nctools::VerifyFile(fs, "l.nc", {.repair = false, .data = true});
+    ASSERT_TRUE(flipped.ok());
+    EXPECT_EQ(flipped.value().scrub->corrupt, 1u);
+  }
+
+  EnvGuard no_sums("PNC_SUMS", "0");
+  pfs::FileSystem fs;
+  MakePatternFile(fs, "l.nc");
+  pnc_test::DropJournal(fs, "l.nc");
+  {
+    auto ds = netcdf::Dataset::Open(fs, "l.nc", /*writable=*/true).value();
+    ASSERT_TRUE(ds.Close().ok());
+  }
+  simmpi::Run(3, [&](Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Open(c, fs, "l.nc", /*writable=*/true,
+                               simmpi::NullInfo())
+            .value();
+    ASSERT_TRUE(ds.Close().ok());
+  });
+  EXPECT_FALSE(fs.Exists(ncformat::JournalPath("l.nc")));
 }
 
 // ------------------------------------------------- determinism guard
 
-// PNC_SUMS=0 switches the whole subsystem off: no sidecar exists, and the
-// primary file is bit-identical to one written with checksums on — the
-// integrity layer never perturbs the netCDF bytes themselves.
+// PNC_SUMS=0 switches the whole subsystem off: the journal commits no
+// chunk-sum table, no second sidecar ever exists, and the primary file is
+// bit-identical to one written with checksums on — the integrity layer
+// never perturbs the netCDF bytes themselves.
 TEST(Integrity, SumsOffIsBitIdenticalAndSidecarFree) {
   std::vector<std::byte> with, without;
   {
     pfs::FileSystem fs;
     MakePatternFile(fs, "d.nc");
-    EXPECT_TRUE(fs.Exists(ncformat::SumsPath("d.nc")));
+    EXPECT_GT(CommittedState(fs, "d.nc").table_len, 0u);
     with = FileBytes(fs, "d.nc");
   }
   {
     EnvGuard off("PNC_SUMS", "0");
     pfs::FileSystem fs;
     MakePatternFile(fs, "d.nc");
-    EXPECT_FALSE(fs.Exists(ncformat::SumsPath("d.nc")));
+    EXPECT_EQ(CommittedState(fs, "d.nc").table_len, 0u);
+    EXPECT_FALSE(fs.Exists("d.nc.ncsum"));
     without = FileBytes(fs, "d.nc");
   }
   EXPECT_EQ(with, without);
@@ -820,14 +917,15 @@ TEST(Integrity, ParallelSumsOffIsBitIdenticalAndSidecarFree) {
   {
     pfs::FileSystem fs;
     CreateGrid(fs);
-    EXPECT_TRUE(fs.Exists(ncformat::SumsPath("g.nc")));
+    EXPECT_GT(CommittedState(fs, "g.nc").table_len, 0u);
     with = FileBytes(fs, "g.nc");
   }
   {
     EnvGuard off("PNC_SUMS", "0");
     pfs::FileSystem fs;
     CreateGrid(fs);
-    EXPECT_FALSE(fs.Exists(ncformat::SumsPath("g.nc")));
+    EXPECT_EQ(CommittedState(fs, "g.nc").table_len, 0u);
+    EXPECT_FALSE(fs.Exists("g.nc.ncsum"));
     without = FileBytes(fs, "g.nc");
   }
   EXPECT_EQ(with, without);
@@ -835,11 +933,12 @@ TEST(Integrity, ParallelSumsOffIsBitIdenticalAndSidecarFree) {
 
 // ------------------------------------------------- sidecar traffic
 
-// Every sidecar commit is one write plus one sync, and Create writes
-// nothing to either sidecar. At the format level a counting store sees each
-// call; at the dataset level pfs::Stats deltas do (a sync is a zero-length
-// write request there), and the sidecar's share is isolated by running the
-// same lifecycle with PNC_SUMS=0.
+// The journal is the only sidecar, and every Sync/Close commit is one
+// journal write plus one sync: [slot A | slot B | shadow | table] from
+// offset 8. Create writes nothing. At the format level a counting store
+// sees each call; at the dataset level pfs::Stats deltas do (a sync is a
+// zero-length write request there), and the table's share is isolated by
+// running the same lifecycle with PNC_SUMS=0.
 
 /// In-memory CommitIo that records every write and sync it is asked for.
 class CountingCommitIo final : public ncformat::CommitIo {
@@ -869,33 +968,54 @@ class CountingCommitIo final : public ncformat::CommitIo {
   int syncs = 0;
 };
 
+std::vector<std::byte> EncodedHeader(int ndims) {
+  ncformat::Header h;
+  h.version = 2;
+  for (int d = 0; d < ndims; ++d)
+    h.dims.push_back({"d" + std::to_string(d), 8});
+  std::vector<std::byte> bytes;
+  h.Encode(bytes);
+  return bytes;
+}
+
 TEST(SidecarTraffic, SumsCommitIsOneSlotAndTableWrite) {
   CountingCommitIo io;
-  EXPECT_FALSE(ncformat::LoadSums(io).value().trusted);  // empty: untrusted
+  const std::vector<std::byte> header = EncodedHeader(1);
   ncformat::ChunkSumMap map;
   map.SetGeometry(4096, 128);
   map.Set(0, {4096, 0x1234u});
-  ncformat::SumsState state;
-  ASSERT_TRUE(ncformat::CommitSums(io, map, /*open=*/true, &state).ok());
-  const std::uint64_t table1 = map.EncodeTable().size();
-  ASSERT_EQ(io.writes.size(), 1u);
-  EXPECT_EQ(io.syncs, 1);
-  // Never committed before: the write starts at 0 and carries the magic.
-  EXPECT_EQ(io.writes[0].offset, 0u);
-  EXPECT_EQ(io.writes[0].len, ncformat::kSumsTableOffset + table1);
-  EXPECT_FALSE(ncformat::LoadSums(io).value().trusted);  // still open
-
-  map.Set(1, {100, 0x5678u});
-  ASSERT_TRUE(ncformat::CommitSums(io, map, /*open=*/false, &state).ok());
+  std::optional<ncformat::CommitState> state;
+  // The first commit lays the journal down: [magic | zero slots | shadow],
+  // sync, slot, sync. It is session-OPEN, so it carries no table: nothing
+  // to trust.
+  ASSERT_TRUE(ncformat::Commit(io, header, 0, &map, /*open=*/true, state).ok());
   ASSERT_EQ(io.writes.size(), 2u);
   EXPECT_EQ(io.syncs, 2);
-  EXPECT_EQ(io.writes[1].offset, ncformat::kSumsSlotOffset);
-  EXPECT_EQ(io.writes[1].len,
-            ncformat::kSumsSlotSize + map.EncodeTable().size());
-  const ncformat::LoadedSums loaded = ncformat::LoadSums(io).value();
-  EXPECT_TRUE(loaded.trusted);
-  EXPECT_EQ(loaded.state.seq, 2u);
-  EXPECT_EQ(loaded.map.entries(), map.entries());
+  EXPECT_EQ(io.writes[0].offset, 0u);
+  EXPECT_EQ(io.writes[0].len, ncformat::kJournalShadowOffset + header.size());
+  EXPECT_EQ(state->table_len, 0u);
+  EXPECT_EQ(state->flags, ncformat::kCommitFlagOpen);
+  EXPECT_FALSE(ncformat::ReadCommittedSums(io, *state).value().has_value());
+
+  // A data commit with a grown table and record count, closed: one write
+  // from offset 8 through the table end, one sync.
+  map.Set(1, {100, 0x5678u});
+  ASSERT_TRUE(
+      ncformat::Commit(io, header, 3, &map, /*open=*/false, state).ok());
+  ASSERT_EQ(io.writes.size(), 3u);
+  EXPECT_EQ(io.syncs, 3);
+  EXPECT_EQ(io.writes[2].offset, ncformat::kJournalSlotOffset[0]);
+  EXPECT_EQ(io.writes[2].len, 2 * ncformat::kJournalSlotSize + header.size() +
+                                  map.EncodeTable().size());
+  const auto read = ncformat::ReadCommitState(io).value();
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->seq, 2u);
+  EXPECT_EQ(read->slot, 1);
+  EXPECT_EQ(read->numrecs, 3u);
+  const std::optional<ncformat::ChunkSumMap> loaded =
+      ncformat::ReadCommittedSums(io, *read).value();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->entries(), map.entries());
 }
 
 TEST(SidecarTraffic, FirstJournalCommitCarriesTheMagic) {
@@ -905,14 +1025,9 @@ TEST(SidecarTraffic, FirstJournalCommitCarriesTheMagic) {
   ASSERT_TRUE(none.ok());
   EXPECT_FALSE(none.value().has_value());
 
-  ncformat::Header h;
-  h.version = 2;
-  h.dims.push_back({"x", 8});
-  std::vector<std::byte> header;
-  h.Encode(header);
-  ncformat::CommitState c1, c2, c3;
-  ASSERT_TRUE(
-      ncformat::CommitHeaderToJournal(j, header, 0, std::nullopt, &c1).ok());
+  const std::vector<std::byte> header = EncodedHeader(1);
+  std::optional<ncformat::CommitState> state;
+  ASSERT_TRUE(ncformat::Commit(j, header, 0, nullptr, false, state).ok());
   ASSERT_EQ(j.writes.size(), 2u);
   EXPECT_EQ(j.syncs, 2);
   EXPECT_EQ(j.writes[0].offset, 0u);  // magic + zero slots + shadow
@@ -921,17 +1036,77 @@ TEST(SidecarTraffic, FirstJournalCommitCarriesTheMagic) {
   EXPECT_EQ(j.writes[1].len, ncformat::kJournalSlotSize);
   EXPECT_EQ(ncformat::ReadCommitState(j).value()->seq, 1u);
 
-  // Later commits are unchanged: shadow alone, then the other slot.
-  ASSERT_TRUE(ncformat::CommitHeaderToJournal(j, header, 0, c1, &c2).ok());
+  // A later header commit: the shadow alone, then the other slot.
+  const std::vector<std::byte> grown = EncodedHeader(2);
+  ASSERT_TRUE(ncformat::Commit(j, grown, 0, nullptr, false, state).ok());
   ASSERT_EQ(j.writes.size(), 4u);
   EXPECT_EQ(j.syncs, 4);
   EXPECT_EQ(j.writes[2].offset, ncformat::kJournalShadowOffset);
-  EXPECT_EQ(j.writes[2].len, header.size());
+  EXPECT_EQ(j.writes[2].len, grown.size());
   EXPECT_EQ(j.writes[3].offset, ncformat::kJournalSlotOffset[1]);
-  ASSERT_TRUE(ncformat::CommitNumrecsToJournal(j, c2, 5, &c3).ok());
+  // Same header again: a data commit, one write and one sync.
+  ASSERT_TRUE(ncformat::Commit(j, grown, 5, nullptr, false, state).ok());
   ASSERT_EQ(j.writes.size(), 5u);
   EXPECT_EQ(j.syncs, 5);
   EXPECT_EQ(ncformat::ReadCommitState(j).value()->numrecs, 5u);
+}
+
+// The tear argument of a data commit, byte by byte: pfs tears a write as a
+// prefix, so land every prefix of the one write over a committed journal.
+// The journal must read as the old commit with its table intact, or the
+// new commit with its table intact or unsummed — whichever slot is new.
+TEST(SidecarTraffic, DataCommitEveryPrefixIsOldOrNew) {
+  const std::vector<std::byte> header = EncodedHeader(1);
+  for (int first_slot = 0; first_slot < 2; ++first_slot) {
+    CountingCommitIo base;
+    ncformat::ChunkSumMap map;
+    map.SetGeometry(4096, 128);
+    map.Set(0, {4096, 0x1111u});
+    std::optional<ncformat::CommitState> old;
+    for (int k = 0; k <= first_slot; ++k)  // the old commit sits in A or B
+      ASSERT_TRUE(ncformat::Commit(base, header, 1, &map, false, old).ok());
+    ASSERT_EQ(old->slot, first_slot);
+    const auto old_entries = map.entries();
+    map.Set(1, {4096, 0x2222u});
+    map.Set(2, {17, 0x3333u});
+    CountingCommitIo full = base;
+    std::optional<ncformat::CommitState> next = old;
+    ASSERT_TRUE(ncformat::Commit(full, header, 2, &map, false, next).ok());
+    const CountingCommitIo::Call w = full.writes.back();
+    int old_seen = 0, new_seen = 0, new_unsummed = 0;
+    for (std::uint64_t n = 0; n <= w.len; ++n) {
+      SCOPED_TRACE("slot " + std::to_string(first_slot) + " prefix " +
+                   std::to_string(n));
+      CountingCommitIo torn = base;
+      torn.bytes.resize(std::max<std::uint64_t>(torn.bytes.size(),
+                                                w.offset + n));
+      const auto at = static_cast<std::ptrdiff_t>(w.offset);
+      std::copy_n(full.bytes.begin() + at, n, torn.bytes.begin() + at);
+      const auto st = ncformat::ReadCommitState(torn).value();
+      ASSERT_TRUE(st.has_value());
+      ASSERT_EQ(ncformat::HeaderCrc(header), st->header_crc);
+      const std::optional<ncformat::ChunkSumMap> sums =
+          ncformat::ReadCommittedSums(torn, *st).value();
+      if (st->seq == old->seq) {
+        EXPECT_EQ(st->numrecs, 1u);
+        ASSERT_TRUE(sums.has_value());
+        EXPECT_EQ(sums->entries(), old_entries);
+        ++old_seen;
+      } else {
+        ASSERT_EQ(st->seq, next->seq);
+        EXPECT_EQ(st->numrecs, 2u);
+        if (sums) {
+          EXPECT_EQ(sums->entries(), map.entries());
+          ++new_seen;
+        } else {
+          ++new_unsummed;
+        }
+      }
+    }
+    EXPECT_GT(old_seen, 0);
+    EXPECT_GT(new_unsummed, 0);
+    EXPECT_GT(new_seen, 0);
+  }
 }
 
 /// pfs write requests (syncs included) and bytes written during a step.
@@ -944,19 +1119,16 @@ Traffic operator-(const Traffic& a, const Traffic& b) {
   return {a.requests - b.requests, a.bytes - b.bytes};
 }
 
-/// The steps of a small lifecycle whose sidecar traffic is pinned.
+/// The steps of a small lifecycle whose journal traffic is pinned.
 enum Step { kCreate, kEndDef, kSyncAfterPut, kSyncIdle, kClose, kSteps };
 
 struct Lifecycle {
   Traffic step[kSteps];
   std::uint64_t header_len = 0;
   std::uint64_t journal_size = 0;
-  std::uint64_t sums_size = 0;  ///< 0 when the sidecar does not exist
+  std::uint64_t table_len = 0;  ///< the committed chunk-sum table's size
+  bool second_sidecar = false;  ///< anything but the journal beside t.nc
 };
-
-std::uint64_t SizeOr0(pfs::FileSystem& fs, const std::string& path) {
-  return fs.Exists(path) ? fs.Open(path).value().size() : 0;
-}
 
 /// Serial (nprocs 0) or parallel: Create, define, EndDef, put, Sync, Sync,
 /// Close, with each step's pfs write traffic.
@@ -1029,8 +1201,9 @@ Lifecycle RunLifecycle(int nprocs) {
     });
   }
   out.header_len = HeaderOf(fs, "t.nc").EncodedSize();
-  out.journal_size = SizeOr0(fs, ncformat::JournalPath("t.nc"));
-  out.sums_size = SizeOr0(fs, ncformat::SumsPath("t.nc"));
+  out.journal_size = fs.Open(ncformat::JournalPath("t.nc")).value().size();
+  out.table_len = CommittedState(fs, "t.nc").table_len;
+  out.second_sidecar = fs.Exists("t.nc.ncsum");
   return out;
 }
 
@@ -1044,8 +1217,15 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
     EnvGuard no_sums("PNC_SUMS", "0");
     off = RunLifecycle(nprocs);
   }
-  ASSERT_EQ(off.sums_size, 0u);
+  EXPECT_FALSE(on.second_sidecar);
+  EXPECT_FALSE(off.second_sidecar);
+  EXPECT_EQ(off.table_len, 0u);
   const std::uint64_t h = on.header_len;
+  const std::uint64_t table = on.table_len;
+  ASSERT_GT(table, 0u);
+  // The journal ends with the table, right after the shadow header.
+  EXPECT_EQ(on.journal_size, ncformat::kJournalShadowOffset + h + table);
+  EXPECT_EQ(off.journal_size, ncformat::kJournalShadowOffset + h);
 
   // Create writes nothing. The only request is the parallel library's
   // charged open round trip on the primary (a zero-length sync).
@@ -1056,14 +1236,13 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
 
   // The first EndDef: the primary header (H bytes) plus a journal commit of
   // two writes — [magic | zero slots | shadow] and one slot — and two
-  // syncs. The data syncs around it are the same with sums on or off, and
-  // the sums sidecar is not touched.
-  EXPECT_EQ(on.journal_size, ncformat::kJournalShadowOffset + h);
-  EXPECT_EQ(on.step[kEndDef].bytes,
+  // syncs. With sums on it is session-OPEN and carries no table, so bytes
+  // and requests are the same with sums on or off.
+  EXPECT_EQ(on.step[kEndDef].bytes, off.step[kEndDef].bytes);
+  EXPECT_EQ(off.step[kEndDef].bytes,
             h + (ncformat::kJournalShadowOffset + h) +
                 ncformat::kJournalSlotSize);
   EXPECT_EQ(on.step[kEndDef].requests, off.step[kEndDef].requests);
-  EXPECT_EQ(on.step[kEndDef].bytes, off.step[kEndDef].bytes);
   // Serial: data sync; journal write, sync, slot write, sync; header write
   // and sync. Parallel: one data sync per rank; the root's journal commit,
   // header write and local sync.
@@ -1071,21 +1250,30 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
       nprocs == 0 ? 1 : static_cast<std::uint64_t>(nprocs);
   EXPECT_EQ(on.step[kEndDef].requests, data_syncs + 4 + 2);
 
-  // Every sums flush is exactly one sidecar write plus one sync. The first
-  // starts at offset 0 with the magic; later ones rewrite [slot | table].
-  const std::uint64_t table = on.sums_size - ncformat::kSumsTableOffset;
-  const Traffic first = on.step[kSyncAfterPut] - off.step[kSyncAfterPut];
-  EXPECT_EQ(first.requests, 2u);
-  EXPECT_EQ(first.bytes, ncformat::kSumsTableOffset + table);
-  const Traffic idle = on.step[kSyncIdle] - off.step[kSyncIdle];
-  EXPECT_EQ(idle.requests, 2u);
-  EXPECT_EQ(idle.bytes, ncformat::kSumsSlotSize + table);
+  // Every Sync with sums is exactly one journal write plus one sync on top
+  // of the data sync an unsummed Sync does anyway: [slot A | slot B |
+  // shadow] from offset 8 (a session-OPEN commit carries no table). In
+  // parallel that data sync is one collective sync, one request per rank,
+  // and nothing else.
+  const std::uint64_t commit_bytes = 2 * ncformat::kJournalSlotSize + h;
+  for (const Step s : {kSyncAfterPut, kSyncIdle}) {
+    SCOPED_TRACE(s == kSyncIdle ? "idle Sync" : "Sync after a put");
+    const Traffic d = on.step[s] - off.step[s];
+    EXPECT_EQ(d.requests, 2u);
+    EXPECT_EQ(d.bytes, commit_bytes);
+    if (nprocs != 0) {
+      EXPECT_EQ(on.step[s].requests, data_syncs + 2);
+      EXPECT_EQ(off.step[s].requests, data_syncs);
+    }
+  }
+  EXPECT_EQ(on.step[kSyncIdle].bytes, commit_bytes);
   // A summed parallel Close first syncs the data on every rank, which an
   // unsummed one leaves to the file close; the serial Close syncs it either
-  // way.
+  // way. Then one journal write, now closed and carrying the table, and one
+  // sync.
   const Traffic close = on.step[kClose] - off.step[kClose];
   EXPECT_EQ(close.requests, (nprocs == 0 ? 0 : data_syncs) + 2);
-  EXPECT_EQ(close.bytes, ncformat::kSumsSlotSize + table);
+  EXPECT_EQ(close.bytes, commit_bytes + table);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, SidecarTrafficP, ::testing::Values(0, 3, 4),

@@ -397,7 +397,7 @@ TEST_F(SerialDataset, SyncPersistsNumrecs) {
 
 // Sync after every record append: the numrecs patch at offset 4 must not
 // evict the cached tail block, so the appends read nothing back from pfs
-// (the sidecar sums combine with the committed prefix and read nothing
+// (the committed sums combine with the committed prefix and read nothing
 // either), and the reopened file holds every record that was written.
 TEST_F(SerialDataset, SyncPerStepAppendReadsNothing) {
   CreateOptions opts;

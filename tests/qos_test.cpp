@@ -564,8 +564,8 @@ TEST(TenantIdentity, PnetcdfDatasetBillsAllIoToTheHintedTenant) {
   EXPECT_DOUBLE_EQ(sc.cls.weight, 0.5);  // hint carried into the class
   EXPECT_GT(sc.ctr.server_events, 0u);
   EXPECT_GT(sc.ctr.served_bytes, 0u);
-  // Every byte — header commit, data, journal, sums sidecar — lands on the
-  // tenant; nothing leaks to the default tenant.
+  // Every byte — header commit, data, journal with its sum table — lands
+  // on the tenant; nothing leaks to the default tenant.
   EXPECT_EQ(snap[0].ctr.served_bytes, 0u);
 }
 

@@ -464,6 +464,19 @@ const std::vector<StatusCase>& StatusCases() {
          return st;
        },
        /*tolerates_death=*/true},
+      // New cases go last: test names carry each case's index.
+      {"TryGather",
+       [](Comm& c, auto& out) {
+         const auto mine = Bytes(std::string(c.rank() + 1, 'g'));
+         for (const auto& b : c.Gather(mine, c.size() - 1)) PushBytes(b, out);
+       },
+       [](Comm& c, auto& out) {
+         std::vector<std::vector<std::byte>> got;
+         const pnc::Status st = c.TryGather(
+             Bytes(std::string(c.rank() + 1, 'g')), c.size() - 1, got);
+         for (const auto& b : got) PushBytes(b, out);
+         return st;
+       }},
   };
   return cases;
 }

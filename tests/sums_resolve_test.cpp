@@ -5,7 +5,7 @@
 // Sync/Close combines those fragments into the chunk's committed sum instead
 // of reading the file back. The oracle below checks, after each scenario,
 // that the committed table is exactly what a recompute from the file bytes
-// (ncformat::RebuildSums / ScrubData) gives, and that the scenarios whose
+// (ncformat::RecomputeSums / ScrubData) gives, and that the scenarios whose
 // fragments tile their chunks read nothing at all during Sync and Close.
 // Scenarios that cannot tile (overlapping rewrites, overlapping sieve
 // windows, a relayout) must still match the oracle through a fallback read.
@@ -253,36 +253,35 @@ TEST(ChunkFragments, EncodeMergeAcrossRanks) {
 
 // ------------------------------------------------- end-to-end oracle
 
-/// The committed table of `path`, loaded as a reader would.
-ncformat::LoadedSums Committed(pfs::FileSystem& fs, const std::string& path) {
+/// The committed, trusted table of `path`, loaded from its journal as a
+/// reader would; nullopt when there is none to trust.
+std::optional<ncformat::ChunkSumMap> Committed(pfs::FileSystem& fs,
+                                               const std::string& path) {
   simmpi::VirtualClock clk;
-  ncformat::PfsCommitIo io(fs.Open(ncformat::SumsPath(path)).value(), &clk);
-  return ncformat::LoadSums(io).value();
+  ncformat::PfsCommitIo io(fs.Open(ncformat::JournalPath(path)).value(), &clk);
+  const auto state = ncformat::ReadCommitState(io).value();
+  EXPECT_TRUE(state.has_value()) << path << ": nothing committed";
+  if (!state) return {};
+  return ncformat::ReadCommittedSums(io, *state).value();
 }
 
-/// Recompute `path`'s table from its bytes (RebuildSums into a scratch
-/// sidecar) and demand the committed one equals it, entry for entry, and
-/// that a scrub of the committed table finds nothing corrupt.
+/// Recompute `path`'s table from its bytes (RecomputeSums) and demand the
+/// committed one equals it, entry for entry, and that a scrub of the
+/// committed table finds nothing corrupt.
 void ExpectTableMatchesFile(pfs::FileSystem& fs, const std::string& path) {
-  const ncformat::LoadedSums got = Committed(fs, path);
-  ASSERT_TRUE(got.trusted) << path << ": sidecar not closed/trusted";
+  const std::optional<ncformat::ChunkSumMap> got = Committed(fs, path);
+  ASSERT_TRUE(got.has_value()) << path << ": table not closed/trusted";
   auto primary = fs.Open(path).value();
   const std::uint64_t fsize = primary.size();
   const ncformat::RawRead raw = [&](std::uint64_t off, pnc::ByteSpan out) {
     primary.HarnessRead(off, out, 0.0);
     return pnc::Status::Ok();
   };
-  simmpi::VirtualClock clk;
-  ncformat::PfsCommitIo oracle_io(
-      fs.Create("oracle.ncsum", /*exclusive=*/false).value(), &clk);
-  ncformat::SumsState st;
-  ASSERT_TRUE(ncformat::RebuildSums(oracle_io, got.map.chunk_size(),
-                                    got.map.data_begin(), fsize, raw, &st)
-                  .ok());
-  const ncformat::LoadedSums want = ncformat::LoadSums(oracle_io).value();
-  (void)fs.Remove("oracle.ncsum");
-  EXPECT_EQ(got.map.entries(), want.map.entries()) << path;
-  auto scrub = ncformat::ScrubData(got.map, true, fsize, raw).value();
+  auto want = ncformat::RecomputeSums(got->chunk_size(), got->data_begin(),
+                                      fsize, raw);
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  EXPECT_EQ(got->entries(), want.value().entries()) << path;
+  auto scrub = ncformat::ScrubData(*got, true, fsize, raw).value();
   EXPECT_EQ(scrub.corrupt, 0u) << path;
 }
 
@@ -377,14 +376,14 @@ TEST(SumsOracle, ChunkSizes4KiBAnd16MiB) {
     pfs::FileSystem fs;
     EXPECT_EQ(PartitionRun(fs, 4, 7u), 0u);
     ExpectTableMatchesFile(fs, "p.nc");
-    EXPECT_EQ(Committed(fs, "p.nc").map.chunk_size(),
+    EXPECT_EQ(Committed(fs, "p.nc").value().chunk_size(),
               std::strtoull(cs, nullptr, 10));
   }
 }
 
 // Benchmark mode: the store keeps nothing and reads return zeros, so the
 // fragments are CRCs of zeros and must equal what a read-back of the (zero)
-// file commits. The sidecar is discarded too, so the tables are compared
+// file commits. The journal is discarded too, so the tables are compared
 // at the mpiio funnel: fragments recorded by 4 ranks' collective writes
 // against a forced read-back of every chunk.
 TEST(SumsOracle, DiscardDataSumsZeros) {
@@ -572,7 +571,7 @@ TEST(SumsOracle, PartialTailChunk) {
   });
   EXPECT_EQ(read_at_close, 0u);
   ExpectTableMatchesFile(fs, "t.nc");
-  EXPECT_EQ(Committed(fs, "t.nc").map.entries().at(3).len, 100u);
+  EXPECT_EQ(Committed(fs, "t.nc").value().entries().at(3).len, 100u);
 }
 
 // A rank with nothing to write joins each collective put with an empty
@@ -679,7 +678,8 @@ TEST(SumsOracle, RedefThatMovesTheDataRegion) {
       AppendRecords(c, ds, 0, 2, fs, &ignored);
       ASSERT_TRUE(ds.Close().ok());
     });
-    const std::uint64_t db_before = Committed(fs, "rec.nc").map.data_begin();
+    const std::uint64_t db_before =
+        Committed(fs, "rec.nc").value().data_begin();
     simmpi::Run(4, [&](Comm& c) {
       auto ds = pnetcdf::Dataset::Open(c, fs, "rec.nc", /*writable=*/true,
                                        simmpi::NullInfo())
@@ -691,7 +691,7 @@ TEST(SumsOracle, RedefThatMovesTheDataRegion) {
       AppendRecords(c, ds, 2, 3, fs, &ignored);
       ASSERT_TRUE(ds.Close().ok());
     });
-    EXPECT_GT(Committed(fs, "rec.nc").map.data_begin(), db_before);
+    EXPECT_GT(Committed(fs, "rec.nc").value().data_begin(), db_before);
     ExpectTableMatchesFile(fs, "rec.nc");
   }
   {
