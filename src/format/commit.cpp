@@ -272,6 +272,7 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
   } else {
     PNC_RETURN_IF_ERROR(journal->Read(kJournalShadowOffset, shadow));
   }
+  r.numrecs_only = prim_crc_ok;
   if (HeaderCrc(shadow) == s.header_crc) {
     PatchNumrecs(shadow, s.numrecs);
     r.committed_header = std::move(shadow);

@@ -178,6 +178,9 @@ struct VerifyReport {
   /// when torn, the primary's own bytes when clean, so an open need not
   /// read them again. Empty when nothing is committed, or kCorrupt.
   std::vector<std::byte> committed_header;
+  /// Torn only in numrecs (bytes [4, 8)): the primary's header body matches
+  /// the committed image, so its data region and sums are exact.
+  bool numrecs_only = false;
   /// The journal's first bytes as read (ReadCommitState), for
   /// ReadCommittedSums.
   std::vector<std::byte> journal_prefix;

@@ -155,7 +155,7 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
   // exists and holds a committed state the primary does not match, roll the
   // primary back/forward to it (in place when writable; in memory only for a
   // read-only open).
-  std::optional<Header> recovered;
+  bool body_torn = false;  ///< header body recovered in memory only
   std::vector<std::byte> committed;  ///< the committed header image, if any
   std::vector<std::byte> journal_prefix;
   if (fs.Exists(ncformat::JournalPath(path))) {
@@ -174,22 +174,13 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
       if (writable) {
         PNC_RETURN_IF_ERROR(ncformat::RepairFromReport(r, primary));
       } else {
-        auto h = Header::Decode(r.committed_header);
-        if (!h.ok()) return h.status();
-        recovered = std::move(h).value();
+        body_torn = !r.numrecs_only;
       }
     }
     committed = std::move(r.committed_header);
     journal_prefix = std::move(r.journal_prefix);
   }
 
-  if (recovered) {
-    // Torn primary, recovered in memory only: the on-disk bytes do not
-    // match what this session sees, so attaching sums (written against the
-    // repaired view) could only mislead. Run without them.
-    im.header = *std::move(recovered);
-    return ds;
-  }
   // The recovery check above already read the committed header.
   const auto read_at = [&im](std::uint64_t off, pnc::ByteSpan out) {
     PNC_OBSERVE(kHeaderRead, .len = out.size());
@@ -199,6 +190,11 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
                                : Header::Decode(committed);
   if (!hdr.ok()) return hdr.status();
   im.header = std::move(hdr).value();
+  // A torn header body, recovered in memory only: the on-disk bytes do not
+  // match what this session sees, so attaching sums (written against the
+  // repaired view) could only mislead. Run without them. A torn numrecs
+  // alone leaves the summed data region exact.
+  if (body_torn) return ds;
   PNC_RETURN_IF_ERROR(im.SetupOpenSums(tenant, journal_prefix));
   return ds;
 }

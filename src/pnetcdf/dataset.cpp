@@ -67,16 +67,16 @@ struct Dataset::Impl {
   ncformat::ChunkSumMap sums;
   bool data_corrupt = false;  ///< sticky: a read surfaced kDataCorrupt
 
-  /// What a collective commit is for: a write that may have grown the
-  /// records, or a Sync/Close, which also resolves the chunk sums (and, at
-  /// Close, commits their table).
-  enum class Flush { kGrowth, kSync, kClose };
+  // The record count of the last commit (Open, a header write, Sync, Close),
+  // the same on every rank. Collective writes converge `header.numrecs` in
+  // memory only; a commit that finds it past this count patches the primary.
+  std::uint64_t committed_numrecs = 0;
 
   pnc::Status SetupOpenSums(bool root_torn,
                             pnc::ConstByteSpan journal_prefix);
-  pnc::Status CommitCollective(std::uint64_t local_numrecs, Flush flush);
+  pnc::Status CommitCollective(bool closing);
   pnc::Status RootCommit(const std::vector<std::vector<std::byte>>& dirty,
-                         bool resolve, bool grew, Flush flush);
+                         bool resolve, bool grew, bool closing);
   /// Root only: commit the current header (as `header_bytes`), record
   /// count and, with sums on and `!open`, the root's table through the
   /// journal.
@@ -119,8 +119,8 @@ pnc::Status AgreeRootStatus(Dataset::Impl& im, int err, const char* what) {
 /// other ranks need: for a writable session only the geometry, for a
 /// read-only one, which verifies, the whole committed table. An empty
 /// broadcast means the subsystem stays off (read-only with nothing
-/// trustworthy, or a torn primary whose in-memory repair does not match the
-/// on-disk bytes). The table rides the journal, so a writable open of a
+/// trustworthy, or a torn header body whose in-memory repair does not match
+/// the on-disk bytes). The table rides the journal, so a writable open of a
 /// file without one (a legacy file) starts one on the root; that OPEN
 /// commit is its first. `journal_prefix` holds the journal bytes the
 /// recovery check read; a table inside it is not read again.
@@ -188,30 +188,24 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool root_torn,
   return pnc::Status::Ok();
 }
 
-/// The collective commit. Record counts converge first. A growth commit
-/// (after a record-growing write) commits only when the count grew. A Sync
-/// or Close commit makes every rank's data durable with one collective
-/// sync, gathers each rank's dirty chunks to the root, and the root
-/// resolves them and makes one journal commit: session-OPEN at Sync,
-/// closed and carrying the table at Close. The primary
-/// numrecs patch follows when the records grew, and one status agreement
-/// ends it.
-pnc::Status Dataset::Impl::CommitCollective(std::uint64_t local_numrecs,
-                                            Flush flush) {
-  std::uint64_t global = local_numrecs;
+/// The collective commit of a Sync or Close. Record counts converge first.
+/// It makes every rank's data durable with one collective sync, gathers
+/// each rank's dirty chunks to the root, and the root resolves them and
+/// makes one journal commit: session-OPEN at Sync, closed and carrying the
+/// table at Close. The primary numrecs patch follows when the records grew
+/// since the last commit, and one status agreement ends it.
+pnc::Status Dataset::Impl::CommitCollective(bool closing) {
+  std::uint64_t global = header.numrecs;
   PNC_RETURN_IF_ERROR(Track(*this, comm.TryAllreduceMax(global)));
-  // `changed` can differ across ranks (a rank that grew the records locally
-  // already holds the new count), so agree on it before the guarded
-  // collective section below.
-  std::uint8_t changed = global != header.numrecs ? 1 : 0;
-  PNC_RETURN_IF_ERROR(Track(*this, comm.TryAllreduceMax(changed)));
   header.numrecs = global;
-  const bool resolve = sums_on && writable && flush != Flush::kGrowth;
-  const bool commit_now = writable && (changed != 0 || resolve);
+  // Both counts are the same on every rank, so `grew` needs no agreement.
+  const bool grew = global != committed_numrecs;
+  const bool resolve = sums_on && writable;
+  const bool commit_now = writable && (grew || resolve);
   // The record count grows, and sums are committed, only after the data
   // they describe is durable on every rank (all-old-or-all-new for a crash
   // between data and count). A Sync makes the data durable regardless.
-  if (flush == Flush::kSync || (commit_now && journaled))
+  if (!closing || (commit_now && journaled))
     PNC_RETURN_IF_ERROR(Track(*this, file.Sync()));
   if (!commit_now) return pnc::Status::Ok();
   file.ClearView();
@@ -223,22 +217,21 @@ pnc::Status Dataset::Impl::CommitCollective(std::uint64_t local_numrecs,
                               0, dirty)));
   }
   int err = 0;
-  if (comm.rank() == 0)
-    err = RootCommit(dirty, resolve, changed != 0, flush).raw();
+  if (comm.rank() == 0) err = RootCommit(dirty, resolve, grew, closing).raw();
   PNC_RETURN_IF_ERROR(AgreeRootStatus(*this, err, "commit failed"));
   if (resolve) sums.ClearDirty();
+  committed_numrecs = global;
   return pnc::Status::Ok();
 }
 
 /// The root's half of a collective commit: resolve the gathered dirty
 /// chunks (combining fragments that tile a chunk, reading back only the
-/// chunks they do not), commit through the journal, then patch the
-/// primary's numrecs field when the records grew. The patch is synced when
-/// a journal commit relies on it (the next commit may overwrite the shadow)
-/// and at Sync/Close; a journal-less file's growth patch is not.
+/// chunks they do not), commit through the journal, then patch and sync the
+/// primary's numrecs field when the records grew (the next commit may
+/// overwrite the shadow the patch relies on).
 pnc::Status Dataset::Impl::RootCommit(
     const std::vector<std::vector<std::byte>>& dirty, bool resolve, bool grew,
-    Flush flush) {
+    bool closing) {
   if (resolve) {
     sums.ClearDirty();  // the root's own chunks come back in dirty[0]
     for (const auto& blob : dirty) sums.MergeDirty(blob);
@@ -249,17 +242,14 @@ pnc::Status Dataset::Impl::RootCommit(
           return file.ReadAt(o, out.data(), out.size(), simmpi::ByteType());
         }));
   }
-  if (journal) {
-    PNC_RETURN_IF_ERROR(
-        CommitToJournal(EncodeHeader(header), flush != Flush::kClose));
-  }
+  if (journal)
+    PNC_RETURN_IF_ERROR(CommitToJournal(EncodeHeader(header), !closing));
   if (!grew) return pnc::Status::Ok();
   std::byte buf[4];
   const auto v = pnc::xdr::ToBig(static_cast<std::uint32_t>(header.numrecs));
   std::memcpy(buf, &v, 4);
   PNC_RETURN_IF_ERROR(file.WriteAt(4, buf, 4, simmpi::ByteType()));
-  if (journal || flush != Flush::kGrowth)
-    PNC_RETURN_IF_ERROR(file.SyncLocal());
+  PNC_RETURN_IF_ERROR(file.SyncLocal());
   PNC_OBSERVE(kHeaderWrite, .len = 4);
   return pnc::Status::Ok();
 }
@@ -338,7 +328,7 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   std::vector<std::byte> bytes;
   int journaled = 0;
   std::vector<std::byte> committed;  ///< the committed header image, if any
-  bool root_torn = false;  ///< torn, and recovered in memory only
+  bool root_torn = false;  ///< header body torn, recovered in memory only
   std::vector<std::byte> journal_prefix;
   if (im.comm.rank() == 0 && fs.Exists(ncformat::JournalPath(path))) {
     journaled = 1;
@@ -368,7 +358,7 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
           if (writable) {
             rst = ncformat::RepairFromReport(r, primary);
           } else {
-            root_torn = true;
+            root_torn = !r.numrecs_only;
           }
         }
         committed = std::move(r.committed_header);
@@ -429,6 +419,7 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
     if (!hdr.ok()) return hdr.status();
     im.header = std::move(hdr).value();
   }
+  im.committed_numrecs = im.header.numrecs;
   im.header_align =
       static_cast<std::uint64_t>(im.info.GetInt("nc_header_align_size", 0));
   PNC_RETURN_IF_ERROR(im.SetupOpenSums(root_torn, journal_prefix));
@@ -472,7 +463,9 @@ pnc::Status Dataset::WriteHeaderCollective() {
     if (st.ok()) PNC_OBSERVE(kHeaderWrite, .len = bytes.size());
     err = st.raw();
   }
-  return AgreeRootStatus(im, err, "header write failed");
+  PNC_RETURN_IF_ERROR(AgreeRootStatus(im, err, "header write failed"));
+  im.committed_numrecs = im.header.numrecs;
+  return pnc::Status::Ok();
 }
 
 pnc::Status Dataset::EndDef() {
@@ -535,7 +528,7 @@ pnc::Status Dataset::Sync() {
   if (im.defining) return pnc::Status(pnc::Err::kInDefine);
   if (im.rank_failed)
     return pnc::Status(pnc::Err::kRankFailed, "dataset degraded by a failure");
-  return im.CommitCollective(im.header.numrecs, Impl::Flush::kSync);
+  return im.CommitCollective(/*closing=*/false);
 }
 
 pnc::Status Dataset::Close() {
@@ -543,9 +536,10 @@ pnc::Status Dataset::Close() {
   auto& im = *impl_;
   if (im.rank_failed) {
     // A participant died: the group can no longer agree on a record count,
-    // so skip the collective numrecs commit — the journal keeps the last
-    // committed header legal — and release the handle. mpiio's close is
-    // itself fault tolerant, so the survivors complete here together.
+    // so skip the collective commit — the journal keeps the last committed
+    // header and count (the last Sync's) legal — and release the handle.
+    // mpiio's close is itself fault tolerant, so the survivors complete here
+    // together.
     (void)im.file.Close();
     if (im.comm.rank() == 0) PNC_IOSTAT_AUTO_REPORT();
     return pnc::Status(pnc::Err::kRankFailed, "closed after a rank failure");
@@ -553,8 +547,7 @@ pnc::Status Dataset::Close() {
   if (im.defining) PNC_RETURN_IF_ERROR(EndDef());
   // Only a session that reaches this closing commit hands trustworthy sums
   // to the next open.
-  PNC_RETURN_IF_ERROR(
-      im.CommitCollective(im.header.numrecs, Impl::Flush::kClose));
+  PNC_RETURN_IF_ERROR(im.CommitCollective(/*closing=*/true));
   pnc::Status st = Track(im, im.file.Close());
   // The collective close barrier has passed: every rank's counters are
   // final, so the reduction in the report is well defined.
@@ -606,9 +599,8 @@ pnc::Status Dataset::EndIndepData() {
   im.indep = false;
   PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
   // Record counts may have diverged across ranks during independent writes;
-  // converge on the maximum and persist it.
-  PNC_RETURN_IF_ERROR(SyncNumrecs(im.header.numrecs, /*collective=*/true));
-  return pnc::Status::Ok();
+  // converge on the maximum (Sync or Close persists it).
+  return ConvergeNumrecs(im.header.numrecs, /*collective=*/true);
 }
 
 // ----------------------------------------------------------- define mode
@@ -715,6 +707,10 @@ pnc::Status Dataset::PutAtt(int varid, Attr att) {
     if (att.type != old.type || att.data.size() > old.data.size())
       return pnc::Status(pnc::Err::kNotInDefine, att.name);
     (*attrs)[static_cast<std::size_t>(existing)] = std::move(att);
+    // Independent writers may hold different record counts, and the header
+    // write commits one: converge first.
+    if (im.indep)
+      PNC_RETURN_IF_ERROR(ConvergeNumrecs(im.header.numrecs, true));
     return WriteHeaderCollective();
   }
   if (existing >= 0) {
@@ -863,29 +859,30 @@ pnc::Status Dataset::MoveExternal(int varid,
   im.file.ClearView();
   PNC_RETURN_IF_ERROR(Track(im, io));
 
-  // Record growth: converge numrecs across ranks for collective access;
-  // independent writers converge later (EndIndepData / Sync / Close). Every
-  // rank of a collective takes this path even with a zero-sized count, so
-  // the embedded allreduce stays aligned.
+  // Record growth: converge numrecs in memory across ranks for collective
+  // access; independent writers converge later (EndIndepData / Sync /
+  // Close). Every rank of a collective takes this path even with a
+  // zero-sized count, so the embedded allreduce stays aligned.
   if (is_write && im.header.IsRecordVar(varid)) {
     std::uint64_t last = 0;
     if (!count.empty() && count[0] > 0) {
       const std::uint64_t st0 = stride.empty() ? 1 : stride[0];
       last = start[0] + (count[0] - 1) * st0 + 1;
     }
-    PNC_RETURN_IF_ERROR(
-        SyncNumrecs(std::max(im.header.numrecs, last), collective));
+    return ConvergeNumrecs(std::max(im.header.numrecs, last), collective);
   }
   return pnc::Status::Ok();
 }
 
-pnc::Status Dataset::SyncNumrecs(std::uint64_t local_numrecs, bool collective) {
+pnc::Status Dataset::ConvergeNumrecs(std::uint64_t local_numrecs,
+                                     bool collective) {
   auto& im = *impl_;
-  if (!collective) {
-    im.header.numrecs = std::max(im.header.numrecs, local_numrecs);
-    return pnc::Status::Ok();
-  }
-  return im.CommitCollective(local_numrecs, Impl::Flush::kGrowth);
+  // In memory only, as PnetCDF outside NC_SHARE: Sync, Close, EndDef and a
+  // data-mode PutAtt commit the count.
+  if (collective)
+    PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllreduceMax(local_numrecs)));
+  im.header.numrecs = std::max(im.header.numrecs, local_numrecs);
+  return pnc::Status::Ok();
 }
 
 // --------------------------------------------------------------- flexible
@@ -1096,10 +1093,9 @@ pnc::Status Dataset::BatchAccess(std::span<BatchItem> items, bool is_write) {
       pos += p.ext.len;
     }
     if (total > 0) clk.Advance(im.comm.cost().CopyCost(total));
-  } else {
-    PNC_RETURN_IF_ERROR(SyncNumrecs(max_recs, /*collective=*/true));
+    return pnc::Status::Ok();
   }
-  return pnc::Status::Ok();
+  return ConvergeNumrecs(max_recs, /*collective=*/true);
 }
 
 // ------------------------------------------------------------- relayout

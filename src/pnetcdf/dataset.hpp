@@ -300,7 +300,7 @@ class Dataset {
                            std::span<const std::uint64_t> count,
                            std::span<const std::uint64_t> stride,
                            pnc::ByteSpan ext, bool is_write, bool collective);
-  pnc::Status SyncNumrecs(std::uint64_t local_numrecs, bool collective);
+  pnc::Status ConvergeNumrecs(std::uint64_t local_numrecs, bool collective);
   /// In collective context, agree on per-rank validation results so that a
   /// failing rank cannot strand its peers inside collective I/O: if any rank
   /// failed, every rank returns an error (its own, or kMultiDefine).

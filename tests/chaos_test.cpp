@@ -445,6 +445,73 @@ TEST(Chaos, SurvivorsCloseShrinkReopenAndReadBack) {
   EXPECT_NE(vr.value().state, ncformat::FileState::kCorrupt);
 }
 
+// A collective write that grows the records converges the count in memory
+// only. A rank that dies after such a write, before the next Sync, leaves
+// the survivors unable to commit it (Close returns kRankFailed), so they
+// reopen at the last Sync's count with its data intact.
+TEST(Chaos, GrowthThenRankCrashReopensAtLastSyncCount) {
+  pfs::FileSystem fs;
+  std::vector<int> reopened(4, -1);
+  const RunResult run = simmpi::Run(
+      4,
+      [&](Comm& c) {
+        auto ds =
+            pnetcdf::Dataset::Create(c, fs, "g.nc", simmpi::NullInfo())
+                .value();
+        const int time = ds.DefDim("time", pnetcdf::kUnlimited).value();
+        const int x = ds.DefDim("x", 8).value();
+        const int v = ds.DefVar("r", NcType::kInt, {time, x}).value();
+        ASSERT_TRUE(ds.EndDef().ok());
+        const auto put = [&](std::uint64_t rec) {
+          const std::int32_t base =
+              static_cast<std::int32_t>(100 * rec + 10 * c.rank());
+          const std::vector<std::int32_t> mine = {base, base + 1};
+          const std::uint64_t st[] = {
+              rec, static_cast<std::uint64_t>(2 * c.rank())};
+          const std::uint64_t ct[] = {1, 2};
+          return ds.PutVaraAll<std::int32_t>(v, st, ct, mine);
+        };
+        ASSERT_TRUE(put(0).ok());
+        ASSERT_TRUE(ds.Sync().ok());
+        ASSERT_TRUE(put(1).ok());
+        EXPECT_EQ(ds.numrecs(), 2u);
+        // Rank 3 dies at its next collective entry.
+        c.clock().AdvanceTo(2e12);
+        EXPECT_EQ(put(2).code(), pnc::Err::kRankFailed);
+        EXPECT_EQ(ds.Close().code(), pnc::Err::kRankFailed);
+
+        const AgreeOutcome o = c.AgreeFT(0);
+        ASSERT_TRUE(o.any_dead);
+        Comm live = c.LiveSubsetFT(o);
+        auto r2 =
+            pnetcdf::Dataset::Open(live, fs, "g.nc", false, simmpi::NullInfo());
+        ASSERT_TRUE(r2.ok()) << r2.status().message();
+        auto ds2 = std::move(r2).value();
+        reopened[static_cast<std::size_t>(c.rank())] =
+            static_cast<int>(ds2.numrecs());
+        std::vector<std::int32_t> got(8);
+        const std::uint64_t rst[] = {0, 0};
+        const std::uint64_t rct[] = {1, 8};
+        ASSERT_TRUE(ds2.GetVaraAll<std::int32_t>(ds2.VarId("r").value(), rst,
+                                                 rct, got)
+                        .ok());
+        for (int rr = 0; rr < 4; ++rr) {
+          EXPECT_EQ(got[static_cast<std::size_t>(2 * rr)], 10 * rr);
+          EXPECT_EQ(got[static_cast<std::size_t>(2 * rr + 1)], 10 * rr + 1);
+        }
+        EXPECT_TRUE(ds2.Close().ok());
+      },
+      simmpi::CostModel{}, CrashAtTime(3, 1e12));
+
+  ASSERT_EQ(run.crashed_ranks, (std::vector<int>{3}));
+  for (int r = 0; r < 3; ++r)
+    EXPECT_EQ(reopened[static_cast<std::size_t>(r)], 1) << "rank " << r;
+  auto vr = nctools::VerifyFile(fs, "g.nc");
+  ASSERT_TRUE(vr.ok());
+  EXPECT_EQ(vr.value().state, ncformat::FileState::kClean)
+      << vr.value().detail;
+}
+
 // The fault-tolerant collectives' control traffic uses internal tags, never
 // the user's tag space: a user message pending on the communicator with any
 // tag must neither be consumed by an armed Dataset::Open nor receive the

@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "netcdf/dataset.hpp"
 #include "pnetcdf/dataset.hpp"
+#include "pnetcdf/nonblocking.hpp"
 #include "simmpi/runtime.hpp"
 #include "test_support.hpp"
 #include "tools/compare.hpp"
@@ -596,10 +598,12 @@ TEST(CrashSweep, ParallelTornSumSidecarSweepNeverReportsCorrupt) {
 
 // ---------------------------------------------------------------------------
 // The one commit of a record-growing Sync and of Close, swept at every byte,
-// serial (nprocs 0) and at 3 ranks. Committed state: two records, closed,
+// serial (nprocs 0) and in parallel. Committed state: two records, closed,
 // with a trusted table. The mutation reopens, appends record 2, Syncs,
-// appends record 3 and Closes; the parallel ranks write independently, so
-// the Sync and the Close are the commits that grow the record count. Every
+// appends record 3 and Closes; the parallel ranks write independently at 3
+// ranks, and collectively (PutVaraAll, then IputVara + WaitAll) at 3 and 4.
+// Either way the Sync and the Close are the commits that grow the record
+// count: a collective write converges it in memory only. Every
 // crash point must reopen as one of the three commits (2, 3 or 4 records,
 // each matching its reference exactly), read back without kDataCorrupt,
 // and scrub clean under a trusted table or all-unsummed under an untrusted
@@ -610,17 +614,36 @@ std::int32_t RecValue(std::uint64_t rec, std::uint64_t i) {
   return static_cast<std::int32_t>(100 * rec + i);
 }
 
-/// Write record `rec` (this rank's slice of it in parallel), independently.
+/// How a record is written: independently, with PutVaraAll, or with
+/// IputVara + WaitAll.
+enum class RecWrite { kIndep, kPutAll, kWaitAll };
+
+/// Write record `rec` (this rank's slice of it in parallel; the last rank
+/// takes the remainder).
 template <typename Ds>
-pnc::Status PutRecord(Ds& ds, std::uint64_t rec, int rank, int nprocs) {
-  const std::uint64_t share = nprocs == 0 ? kRecWidth : 2;
+pnc::Status PutRecord(Ds& ds, std::uint64_t rec, int rank, int nprocs,
+                      RecWrite how = RecWrite::kIndep) {
+  const std::uint64_t share =
+      nprocs == 0 ? kRecWidth : kRecWidth / static_cast<std::uint64_t>(nprocs);
   const std::uint64_t lo = share * static_cast<std::uint64_t>(rank);
-  std::vector<std::int32_t> vals(share);
-  for (std::uint64_t i = 0; i < share; ++i) vals[i] = RecValue(rec, lo + i);
+  const std::uint64_t n = rank + 1 == std::max(nprocs, 1) ? kRecWidth - lo
+                                                          : share;
+  std::vector<std::int32_t> vals(n);
+  for (std::uint64_t i = 0; i < n; ++i) vals[i] = RecValue(rec, lo + i);
   const std::uint64_t st[] = {rec, lo};
-  const std::uint64_t ct[] = {1, share};
-  return ds.template PutVara<std::int32_t>(ds.VarId("r").value(), st, ct,
-                                           vals);
+  const std::uint64_t ct[] = {1, n};
+  const int v = ds.VarId("r").value();
+  if constexpr (std::is_same_v<Ds, pnetcdf::Dataset>) {
+    if (how == RecWrite::kPutAll)
+      return ds.template PutVaraAll<std::int32_t>(v, st, ct, vals);
+    if (how == RecWrite::kWaitAll) {
+      pnetcdf::NonblockingQueue q(ds);
+      PNC_RETURN_IF_ERROR(
+          q.IputVara<std::int32_t>(v, st, ct, std::span(vals)).status());
+      return q.WaitAll();
+    }
+  }
+  return ds.template PutVara<std::int32_t>(v, st, ct, vals);
 }
 
 /// A dataset of `nrecs` records, created and closed by `nprocs` ranks
@@ -653,9 +676,10 @@ void MakeRecords(pfs::FileSystem& fs, const std::string& path,
   });
 }
 
-void RecordAppendCommitSweep(int nprocs) {
-  ASSERT_TRUE(nprocs == 0 || 2 * static_cast<std::uint64_t>(nprocs) ==
-                                 kRecWidth);
+/// `collective`: the parallel ranks append record 2 with PutVaraAll and
+/// record 3 with IputVara + WaitAll, neither of which commits; the Sync and
+/// the Close are still the only commits.
+void RecordAppendCommitSweep(int nprocs, bool collective = false) {
   pfs::FileSystem ref_fs;
   for (std::uint64_t n = 2; n <= 4; ++n)
     MakeRecords(ref_fs, "ref" + std::to_string(n) + ".nc", n, nprocs);
@@ -683,7 +707,11 @@ void RecordAppendCommitSweep(int nprocs) {
             pnetcdf::Dataset::Open(c, fs, "f.nc", true, simmpi::NullInfo());
         if (!r.ok()) return;  // every rank sees the same broadcast verdict
         auto ds = std::move(r).value();
-        if (ds.BeginIndepData().ok()) {
+        if (collective) {
+          if (PutRecord(ds, 2, c.rank(), nprocs, RecWrite::kPutAll).ok() &&
+              ds.Sync().ok())
+            (void)PutRecord(ds, 3, c.rank(), nprocs, RecWrite::kWaitAll);
+        } else if (ds.BeginIndepData().ok()) {
           (void)PutRecord(ds, 2, c.rank(), nprocs);
           if (ds.Sync().ok()) (void)PutRecord(ds, 3, c.rank(), nprocs);
         }
@@ -746,6 +774,14 @@ TEST(CrashSweep, RecordAppendCommitEveryByteSerial) {
 
 TEST(CrashSweep, RecordAppendCommitEveryByteThreeRanks) {
   RecordAppendCommitSweep(3);
+}
+
+TEST(CrashSweep, RecordAppendCommitEveryByteCollectiveThreeRanks) {
+  RecordAppendCommitSweep(3, /*collective=*/true);
+}
+
+TEST(CrashSweep, RecordAppendCommitEveryByteCollectiveFourRanks) {
+  RecordAppendCommitSweep(4, /*collective=*/true);
 }
 
 // ---------------------------------------------------------------------------

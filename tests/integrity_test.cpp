@@ -13,13 +13,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "format/commit_pfs.hpp"
 #include "format/header.hpp"
 #include "format/sums.hpp"
 #include "iostat/events.hpp"
@@ -27,6 +27,7 @@
 #include "iostat/report.hpp"
 #include "netcdf/dataset.hpp"
 #include "pnetcdf/dataset.hpp"
+#include "pnetcdf/nonblocking.hpp"
 #include "simmpi/runtime.hpp"
 #include "test_support.hpp"
 #include "tools/verify.hpp"
@@ -36,29 +37,8 @@ namespace {
 using ncformat::NcType;
 using simmpi::Comm;
 
-/// RAII environment override; restores the previous value on scope exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = ::getenv(name)) old_ = old;
-    if (value)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (old_)
-      ::setenv(name_, old_->c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
+using pnc_test::CommittedState;
+using pnc_test::EnvGuard;
 
 /// Decode `path`'s header through the harness (fault-free) read path.
 ncformat::Header HeaderOf(pfs::FileSystem& fs, const std::string& path) {
@@ -97,16 +77,6 @@ void FlipByteAt(pfs::FileSystem& fs, const std::string& path,
                 std::uint64_t offset) {
   const std::byte old = pnc_test::ByteAt(fs, path, offset);
   pnc_test::CorruptByte(fs, path, offset, old ^ std::byte{0xFF});
-}
-
-/// The commit in force in `path`'s journal (the file must have one).
-ncformat::CommitState CommittedState(pfs::FileSystem& fs,
-                                     const std::string& path) {
-  simmpi::VirtualClock clk;
-  ncformat::PfsCommitIo io(fs.Open(ncformat::JournalPath(path)).value(), &clk);
-  const auto state = ncformat::ReadCommitState(io).value();
-  EXPECT_TRUE(state.has_value()) << path << ": nothing committed";
-  return state.value_or(ncformat::CommitState{});
 }
 
 // --------------------------------------------------------- serial fixture
@@ -433,6 +403,92 @@ TEST(Integrity, ParallelAtRestCorruptionSurfaces) {
     (void)ds.Close();
   });
 }
+
+// A flip in the closing numrecs patch (primary bytes [4, 8)) leaves the
+// primary torn only in its record count. A read-only open recovers the
+// count in memory; the header body and the data region still match what
+// the closing commit summed, so verification stays on and a data flip from
+// the same session surfaces as kDataCorrupt instead of wrong values.
+class TornNumrecsP : public ::testing::TestWithParam<int> {};
+
+TEST_P(TornNumrecsP, ReadOnlyOpenStillVerifiesData) {
+  constexpr std::uint64_t kRecs = 2, kWidth = 12;
+  const int nprocs = GetParam();
+  const auto value = [](std::uint64_t i) {
+    return static_cast<std::int32_t>(1000 + 7 * i);
+  };
+  pfs::FileSystem fs;
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Create(fs, "n.nc").value();
+    const int t = ds.DefDim("time", netcdf::kUnlimited).value();
+    const int x = ds.DefDim("x", kWidth).value();
+    const int v = ds.DefVar("r", NcType::kInt, {t, x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    std::vector<std::int32_t> vals(kRecs * kWidth);
+    for (std::uint64_t i = 0; i < vals.size(); ++i) vals[i] = value(i);
+    const std::uint64_t st[] = {0, 0};
+    const std::uint64_t ct[] = {kRecs, kWidth};
+    ASSERT_TRUE(ds.PutVara<std::int32_t>(v, st, ct, vals).ok());
+    ASSERT_TRUE(ds.Close().ok());
+  } else {
+    simmpi::Run(nprocs, [&](Comm& c) {
+      auto ds =
+          pnetcdf::Dataset::Create(c, fs, "n.nc", simmpi::NullInfo()).value();
+      const int t = ds.DefDim("time", pnetcdf::kUnlimited).value();
+      const int x = ds.DefDim("x", kWidth).value();
+      const int v = ds.DefVar("r", NcType::kInt, {t, x}).value();
+      ASSERT_TRUE(ds.EndDef().ok());
+      const std::uint64_t share = kWidth / static_cast<std::uint64_t>(nprocs);
+      const std::uint64_t lo = share * static_cast<std::uint64_t>(c.rank());
+      std::vector<std::int32_t> mine;
+      for (std::uint64_t rec = 0; rec < kRecs; ++rec)
+        for (std::uint64_t i = lo; i < lo + share; ++i)
+          mine.push_back(value(rec * kWidth + i));
+      const std::uint64_t st[] = {0, lo};
+      const std::uint64_t ct[] = {kRecs, share};
+      ASSERT_TRUE(ds.PutVaraAll<std::int32_t>(v, st, ct, mine).ok());
+      ASSERT_TRUE(ds.Close().ok());
+    });
+  }
+  FlipByteAt(fs, "n.nc", 7);  // the low byte of the closing numrecs patch
+  FlipByteAt(fs, "n.nc", DataBegin(fs, "n.nc") + 5);
+  auto vr = nctools::VerifyFile(fs, "n.nc");
+  ASSERT_TRUE(vr.ok()) << vr.status().message();
+  ASSERT_EQ(vr.value().state, ncformat::FileState::kTornRecoverable)
+      << vr.value().detail;
+
+  const std::uint64_t st[] = {0, 0};
+  const std::uint64_t ct[] = {kRecs, kWidth};
+  const auto check = [&](std::uint64_t numrecs, pnc::Status rs,
+                         const std::vector<std::int32_t>& got) {
+    EXPECT_EQ(numrecs, kRecs);
+    EXPECT_EQ(rs.code(), pnc::Err::kDataCorrupt) << rs.message();
+    if (!rs.ok()) return;
+    for (std::uint64_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], value(i)) << "silent corruption at element " << i;
+  };
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Open(fs, "n.nc", false).value();
+    std::vector<std::int32_t> got(kRecs * kWidth);
+    const pnc::Status rs = ds.GetVara<std::int32_t>(0, st, ct, got);
+    check(ds.numrecs(), rs, got);
+    return;
+  }
+  simmpi::Run(nprocs, [&](Comm& c) {
+    auto ds = pnetcdf::Dataset::Open(c, fs, "n.nc", false, simmpi::NullInfo())
+                  .value();
+    std::vector<std::int32_t> got(kRecs * kWidth);
+    const pnc::Status rs = ds.GetVaraAll<std::int32_t>(0, st, ct, got);
+    check(ds.numrecs(), rs, got);
+    (void)ds.Close();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, TornNumrecsP, ::testing::Values(0, 3),
+                         [](const ::testing::TestParamInfo<int>& i) {
+                           return i.param == 0 ? std::string("serial")
+                                               : "p" + std::to_string(i.param);
+                         });
 
 // ------------------------------------- write-path bitflip property sweep
 
@@ -1119,45 +1175,86 @@ Traffic operator-(const Traffic& a, const Traffic& b) {
   return {a.requests - b.requests, a.bytes - b.bytes};
 }
 
-/// The steps of a small lifecycle whose journal traffic is pinned.
-enum Step { kCreate, kEndDef, kSyncAfterPut, kSyncIdle, kClose, kSteps };
+/// The steps of a small lifecycle whose journal traffic is pinned. The
+/// growth steps write a record that extends the record count; each is
+/// followed by the same write again, which does not.
+enum Step {
+  kCreate,
+  kEndDef,
+  kSyncAfterPut,
+  kSyncIdle,
+  kGrowPut,
+  kRewritePut,
+  kSyncAfterGrowth,
+  kGrowWait,
+  kRewriteWait,
+  kSyncAfterWait,
+  kSyncIdleAfterGrowth,
+  kClose,
+  kSteps
+};
 
 struct Lifecycle {
   Traffic step[kSteps];
+  std::uint32_t disk_numrecs[kSteps] = {};  ///< primary bytes [4, 8) after
+  std::uint64_t journal_seq[kSteps] = {};   ///< the commit in force after
   std::uint64_t header_len = 0;
   std::uint64_t journal_size = 0;
   std::uint64_t table_len = 0;  ///< the committed chunk-sum table's size
   bool second_sidecar = false;  ///< anything but the journal beside t.nc
 };
 
-/// Serial (nprocs 0) or parallel: Create, define, EndDef, put, Sync, Sync,
-/// Close, with each step's pfs write traffic.
+/// Serial (nprocs 0) or parallel: Create, define a fixed and a record
+/// variable of the same size, EndDef, put, Sync, Sync, then two growth
+/// rounds (a put, and in parallel an IputVara + WaitAll; each repeated
+/// without growth, then a Sync), an idle Sync and Close, with each step's
+/// pfs write traffic.
 Lifecycle RunLifecycle(int nprocs) {
+  constexpr std::uint64_t kLen = 64;
   pfs::FileSystem fs;
   Lifecycle out;
   const auto now = [&fs] {
     const pfs::Stats s = fs.stats();
     return Traffic{s.write_requests, s.bytes_written};
   };
+  const auto record = [&](Step s, Traffic t0) {
+    out.step[s] = now() - t0;
+    if (s == kCreate) return;
+    out.disk_numrecs[s] = pnc_test::DiskNumrecs(fs, "t.nc");
+    out.journal_seq[s] = CommittedState(fs, "t.nc").seq;
+  };
+  const std::vector<double> vals(kLen, 1.5);
   if (nprocs == 0) {
     Traffic t0 = now();
     auto ds = netcdf::Dataset::Create(fs, "t.nc").value();
-    out.step[kCreate] = now() - t0;
-    const int x = ds.DefDim("x", 64).value();
+    record(kCreate, t0);
+    const int time = ds.DefDim("time", netcdf::kUnlimited).value();
+    const int x = ds.DefDim("x", kLen).value();
     const int v = ds.DefVar("v", NcType::kDouble, {x}).value();
-    t0 = now();
-    EXPECT_TRUE(ds.EndDef().ok());
-    out.step[kEndDef] = now() - t0;
-    EXPECT_TRUE(ds.PutVar<double>(v, std::vector<double>(64, 1.5)).ok());
-    t0 = now();
-    EXPECT_TRUE(ds.Sync().ok());
-    out.step[kSyncAfterPut] = now() - t0;
-    t0 = now();
-    EXPECT_TRUE(ds.Sync().ok());
-    out.step[kSyncIdle] = now() - t0;
-    t0 = now();
-    EXPECT_TRUE(ds.Close().ok());
-    out.step[kClose] = now() - t0;
+    const int r = ds.DefVar("r", NcType::kDouble, {time, x}).value();
+    const auto step = [&](Step s, auto&& fn) {
+      const Traffic t = now();
+      EXPECT_TRUE(fn().ok()) << s;
+      record(s, t);
+    };
+    const auto put_rec = [&](std::uint64_t rec) {
+      const std::uint64_t st[] = {rec, 0};
+      const std::uint64_t ct[] = {1, kLen};
+      return ds.PutVara<double>(r, st, ct, vals);
+    };
+    const auto sync = [&] { return ds.Sync(); };
+    step(kEndDef, [&] { return ds.EndDef(); });
+    EXPECT_TRUE(ds.PutVar<double>(v, vals).ok());
+    step(kSyncAfterPut, sync);
+    step(kSyncIdle, sync);
+    step(kGrowPut, [&] { return put_rec(0); });
+    step(kRewritePut, [&] { return put_rec(0); });
+    step(kSyncAfterGrowth, sync);
+    step(kGrowWait, [&] { return put_rec(1); });
+    step(kRewriteWait, [&] { return put_rec(1); });
+    step(kSyncAfterWait, sync);
+    step(kSyncIdleAfterGrowth, sync);
+    step(kClose, [&] { return ds.Close(); });
   } else {
     simmpi::Run(nprocs, [&](Comm& c) {
       Traffic t0;
@@ -1170,34 +1267,53 @@ Lifecycle RunLifecycle(int nprocs) {
       };
       const auto end = [&](Step s) {
         c.Barrier();
-        if (c.rank() == 0) out.step[s] = now() - t0;
+        if (c.rank() == 0) record(s, t0);
         c.Barrier();
       };
       begin();
       auto ds =
           pnetcdf::Dataset::Create(c, fs, "t.nc", simmpi::NullInfo()).value();
       end(kCreate);
-      const int x = ds.DefDim("x", 64).value();
+      const int time = ds.DefDim("time", pnetcdf::kUnlimited).value();
+      const int x = ds.DefDim("x", kLen).value();
       const int v = ds.DefVar("v", NcType::kDouble, {x}).value();
-      begin();
-      EXPECT_TRUE(ds.EndDef().ok());
-      end(kEndDef);
-      const std::uint64_t share = 64 / static_cast<std::uint64_t>(c.size());
+      const int r = ds.DefVar("r", NcType::kDouble, {time, x}).value();
+      const auto step = [&](Step s, auto&& fn) {
+        begin();
+        EXPECT_TRUE(fn().ok()) << s;
+        end(s);
+      };
+      const std::uint64_t share = kLen / static_cast<std::uint64_t>(c.size());
       const std::uint64_t lo = share * static_cast<std::uint64_t>(c.rank());
-      const std::uint64_t n = c.rank() + 1 == c.size() ? 64 - lo : share;
+      const std::uint64_t n = c.rank() + 1 == c.size() ? kLen - lo : share;
+      const std::span<const double> mine(vals.data(), n);
+      const auto put_rec = [&](std::uint64_t rec) {
+        const std::uint64_t st[] = {rec, lo};
+        const std::uint64_t ct[] = {1, n};
+        return ds.PutVaraAll<double>(r, st, ct, mine);
+      };
+      const auto wait_rec = [&](std::uint64_t rec) {
+        pnetcdf::NonblockingQueue q(ds);
+        const std::uint64_t st[] = {rec, lo};
+        const std::uint64_t ct[] = {1, n};
+        EXPECT_TRUE(q.IputVara<double>(r, st, ct, mine).ok());
+        return q.WaitAll();
+      };
+      const auto sync = [&] { return ds.Sync(); };
+      step(kEndDef, [&] { return ds.EndDef(); });
       const std::uint64_t st[] = {lo};
       const std::uint64_t ct[] = {n};
-      EXPECT_TRUE(
-          ds.PutVaraAll<double>(v, st, ct, std::vector<double>(n, 1.5)).ok());
-      begin();
-      EXPECT_TRUE(ds.Sync().ok());
-      end(kSyncAfterPut);
-      begin();
-      EXPECT_TRUE(ds.Sync().ok());
-      end(kSyncIdle);
-      begin();
-      EXPECT_TRUE(ds.Close().ok());
-      end(kClose);
+      EXPECT_TRUE(ds.PutVaraAll<double>(v, st, ct, mine).ok());
+      step(kSyncAfterPut, sync);
+      step(kSyncIdle, sync);
+      step(kGrowPut, [&] { return put_rec(0); });
+      step(kRewritePut, [&] { return put_rec(0); });
+      step(kSyncAfterGrowth, sync);
+      step(kGrowWait, [&] { return wait_rec(1); });
+      step(kRewriteWait, [&] { return wait_rec(1); });
+      step(kSyncAfterWait, sync);
+      step(kSyncIdleAfterGrowth, sync);
+      step(kClose, [&] { return ds.Close(); });
     });
   }
   out.header_len = HeaderOf(fs, "t.nc").EncodedSize();
@@ -1256,8 +1372,8 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
   // parallel that data sync is one collective sync, one request per rank,
   // and nothing else.
   const std::uint64_t commit_bytes = 2 * ncformat::kJournalSlotSize + h;
-  for (const Step s : {kSyncAfterPut, kSyncIdle}) {
-    SCOPED_TRACE(s == kSyncIdle ? "idle Sync" : "Sync after a put");
+  for (const Step s : {kSyncAfterPut, kSyncIdle, kSyncIdleAfterGrowth}) {
+    SCOPED_TRACE(s == kSyncAfterPut ? "Sync after a put" : "idle Sync");
     const Traffic d = on.step[s] - off.step[s];
     EXPECT_EQ(d.requests, 2u);
     EXPECT_EQ(d.bytes, commit_bytes);
@@ -1267,6 +1383,53 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
     }
   }
   EXPECT_EQ(on.step[kSyncIdle].bytes, commit_bytes);
+  // An idle Sync after the growth commits patches nothing.
+  EXPECT_EQ(on.step[kSyncIdleAfterGrowth].bytes, commit_bytes);
+  EXPECT_EQ(off.step[kSyncIdleAfterGrowth].bytes, 0u);
+
+  // A write that grows the records converges the count in memory only: a
+  // collective put, or an IputVara + WaitAll, makes exactly the I/O of the
+  // same write repeated without growth — no journal request, no data sync,
+  // no numrecs patch — and neither the journal nor the primary's count
+  // moves until the next Sync.
+  for (const Lifecycle* l : {&on, static_cast<const Lifecycle*>(&off)}) {
+    SCOPED_TRACE(l == &on ? "sums on" : "sums off");
+    for (const auto& [grow, same, before, recs] :
+         {std::tuple{kGrowPut, kRewritePut, kSyncIdle, 0u},
+          std::tuple{kGrowWait, kRewriteWait, kSyncAfterGrowth, 1u}}) {
+      if (nprocs != 0) {
+        EXPECT_GT(l->step[grow].bytes, 0u);
+      }
+      EXPECT_EQ(l->step[grow].requests, l->step[same].requests);
+      EXPECT_EQ(l->step[grow].bytes, l->step[same].bytes);
+      EXPECT_EQ(l->journal_seq[grow], l->journal_seq[before]);
+      EXPECT_EQ(l->journal_seq[same], l->journal_seq[before]);
+      EXPECT_EQ(l->disk_numrecs[grow], recs);
+      EXPECT_EQ(l->disk_numrecs[same], recs);
+    }
+    // The Sync after each growth round commits the grown count: exactly the
+    // Sync after a put of as many bytes, plus the 4-byte numrecs patch and
+    // its sync (without sums, also the journal commit that an unsummed
+    // Sync without growth skips).
+    const std::uint64_t commit = l == &on ? 0 : 2;
+    const std::uint64_t cbytes = l == &on ? 0 : commit_bytes;
+    for (const auto& [s, prev] : {std::pair{kSyncAfterGrowth, kSyncIdle},
+                                  std::pair{kSyncAfterWait, kSyncAfterGrowth}}) {
+      SCOPED_TRACE(s == kSyncAfterGrowth ? "Sync after a put"
+                                         : "Sync after a WaitAll");
+      EXPECT_EQ(l->step[s].requests,
+                l->step[kSyncAfterPut].requests + commit + 2);
+      EXPECT_EQ(l->step[s].bytes, l->step[kSyncAfterPut].bytes + cbytes + 4);
+      EXPECT_EQ(l->journal_seq[s], l->journal_seq[prev] + 1);
+      if (nprocs != 0) {
+        EXPECT_EQ(l->step[s].requests, data_syncs + 4);
+      }
+    }
+    EXPECT_EQ(l->disk_numrecs[kSyncAfterGrowth], 1u);
+    EXPECT_EQ(l->disk_numrecs[kSyncAfterWait], 2u);
+    EXPECT_EQ(l->disk_numrecs[kClose], 2u);
+  }
+
   // A summed parallel Close first syncs the data on every rank, which an
   // unsummed one leaves to the file close; the serial Close syncs it either
   // way. Then one journal write, now closed and carrying the table, and one

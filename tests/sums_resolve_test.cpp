@@ -11,7 +11,6 @@
 // windows, a relayout) must still match the oracle through a fallback read.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -24,6 +23,7 @@
 #include "netcdf/dataset.hpp"
 #include "pnetcdf/dataset.hpp"
 #include "simmpi/runtime.hpp"
+#include "test_support.hpp"
 #include "tools/verify.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -34,26 +34,7 @@ using ncformat::ChunkSumMap;
 using ncformat::NcType;
 using simmpi::Comm;
 
-/// RAII environment override; restores the previous value on scope exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = ::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (old_)
-      ::setenv(name_, old_->c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
+using pnc_test::EnvGuard;
 
 // ------------------------------------------------------------ CRC kernel
 

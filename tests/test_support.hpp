@@ -4,14 +4,41 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "format/commit.hpp"
+#include "format/commit_pfs.hpp"
 #include "netcdf/dataset.hpp"
 #include "pfs/pfs.hpp"
 
 namespace pnc_test {
+
+/// RAII environment override; restores the previous value on scope exit.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    if (const char* old = ::getenv(name)) old_ = old;
+    if (value)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~EnvGuard() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
 
 /// One-line reproduction recipe for a fault/crash schedule, for use in
 /// failure messages (SCOPED_TRACE / assertion <<): a failing seeded or swept
@@ -104,6 +131,25 @@ inline std::byte ByteAt(pfs::FileSystem& fs, const std::string& path,
   std::byte b{};
   f.HarnessRead(offset, pnc::ByteSpan(&b, 1), 0.0);
   return b;
+}
+
+/// The record count in `path`'s primary header as on disk (bytes [4, 8),
+/// harness path).
+inline std::uint32_t DiskNumrecs(pfs::FileSystem& fs, const std::string& path) {
+  std::uint32_t n = 0;
+  for (std::uint64_t i = 4; i < 8; ++i)
+    n = n << 8 | std::to_integer<std::uint32_t>(ByteAt(fs, path, i));
+  return n;
+}
+
+/// The commit in force in `path`'s journal (the file must have one).
+inline ncformat::CommitState CommittedState(pfs::FileSystem& fs,
+                                            const std::string& path) {
+  simmpi::VirtualClock clk;
+  ncformat::PfsCommitIo io(fs.Open(ncformat::JournalPath(path)).value(), &clk);
+  const auto state = ncformat::ReadCommitState(io).value();
+  EXPECT_TRUE(state.has_value()) << path << ": nothing committed";
+  return state.value_or(ncformat::CommitState{});
 }
 
 }  // namespace pnc_test
