@@ -10,7 +10,10 @@
 //                    I/O (arriving late, or blocked on the final clock
 //                    sync waiting for slower ranks);
 //   exchange       = time inside the two-phase exchange windows;
-//   file-io        = time inside aggregator file-domain I/O.
+//   file-io        = time inside the two-phase I/O phase: the rank's issue
+//                    cost plus its waits on the aggregator's I/O channel
+//                    (transfers the channel runs while the rank exchanges
+//                    are hidden, and counted as mpiio.io_overlap_ns).
 //
 // The three segments tile each rank's [op begin, depart] interval exactly.
 // Departures are clock-synced at the end of the collective, but the sync

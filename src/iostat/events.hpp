@@ -53,8 +53,9 @@ enum class Ev : std::uint16_t {
   kCollEnd,       ///< collective op left (post clock sync): a0=ok(1)/failed(0)
   kXchgBegin,     ///< two-phase exchange phase begins: a0=window
   kXchgEnd,       ///< two-phase exchange phase ends: a0=window
-  kIoBegin,       ///< aggregator file-domain I/O begins: a0=window
-  kIoEnd,         ///< aggregator file-domain I/O ends: a0=window
+  kIoBegin,       ///< two-phase I/O phase begins (issue cost plus waits
+                  ///< on the aggregator's I/O channel): a0=window
+  kIoEnd,         ///< two-phase I/O phase ends: a0=window
   kXchgSend,      ///< exchange message posted: a0=window, a1=dest rank
   kAggPiece,      ///< aggregator adopted a piece: a0=(window<<32)|src rank,
                   ///< a1=source rank's request ID

@@ -58,6 +58,7 @@ const char* CtrName(Ctr c) {
     case Ctr::kMpiioExchangeNs: return "mpiio.exchange_ns";
     case Ctr::kMpiioIoPhaseNs: return "mpiio.io_phase_ns";
     case Ctr::kMpiioRetries: return "mpiio.retries";
+    case Ctr::kMpiioIoOverlapNs: return "mpiio.io_overlap_ns";
     case Ctr::kNcDataCalls: return "nc.data_calls";
     case Ctr::kNcHeaderBytesRead: return "nc.header_bytes_read";
     case Ctr::kNcHeaderBytesWritten: return "nc.header_bytes_written";

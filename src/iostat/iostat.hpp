@@ -72,6 +72,8 @@ enum class Ctr : unsigned {
   kMpiioExchangeNs,       ///< two-phase exchange-phase virtual time
   kMpiioIoPhaseNs,        ///< two-phase aggregator I/O-phase virtual time
   kMpiioRetries,          ///< transient-fault retries consumed by RetryIo
+  kMpiioIoOverlapNs,      ///< two-phase I/O-channel time hidden behind
+                          ///< the exchanges (channel busy, rank not waiting)
 
   // --- netcdf/pnetcdf: the library layer (serial + parallel share keys) ---
   kNcDataCalls,           ///< data-access API calls reaching the I/O engine

@@ -60,11 +60,14 @@ enum class ObsKind : std::uint8_t {
   kXchgBegin,     ///< exchange phase begins: t_ns, off = window
   kXchgSend,      ///< exchange message posted: t_ns, off = window, peer
   kXchgEnd,       ///< exchange phase ends: t_ns..end_ns, off = window
-  kIoBegin,       ///< aggregator I/O phase begins: t_ns, off = window
+  kIoBegin,       ///< I/O phase begins (the rank's issue cost plus its
+                  ///< waits on the I/O channel): t_ns, off = window
   kAggPiece,      ///< aggregator adopted a piece: t_ns, off = window, peer,
                   ///< req = the source's request ID
   kAggWindow,     ///< aggregator moved one window at the file: len
   kIoEnd,         ///< aggregator I/O phase ends: t_ns..end_ns, off = window
+  kIoOverlap,     ///< I/O-channel time one collective hid behind its
+                  ///< exchanges: wait_ns = the time no rank waited for
   kCollEnd,       ///< collective left: t_ns, wait_ns = straggler wait,
                   ///< is_write, flag = ok
   // format, netcdf, pnetcdf
@@ -155,6 +158,9 @@ inline std::uint64_t Ns(double ns) { return static_cast<std::uint64_t>(ns); }
     case ObsKind::kAggWindow: add(Ctr::kMpiioAggBytes, o.len); break;
     case ObsKind::kIoEnd:
       add(Ctr::kMpiioIoPhaseNs, Ns(o.end_ns - o.t_ns));
+      break;
+    case ObsKind::kIoOverlap:
+      add(Ctr::kMpiioIoOverlapNs, Ns(o.wait_ns));
       break;
     case ObsKind::kNcData:
       add(Ctr::kNcDataCalls, 1);

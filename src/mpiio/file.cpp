@@ -159,8 +159,10 @@ void File::AttachSums(ncformat::ChunkSumMap* sums, bool verify) {
 // ------------------------------------------------------------ fault path
 
 pnc::Status File::Impl::RetryIo(bool is_write, std::uint64_t off,
-                                std::byte* data, std::uint64_t len) {
-  pnc::Status st = RawIo(is_write, off, data, len);
+                                std::byte* data, std::uint64_t len,
+                                simmpi::VirtualClock* clk) {
+  if (clk == nullptr) clk = &comm.clock();
+  pnc::Status st = RawIo(is_write, off, data, len, *clk);
   if (sums == nullptr || len == 0) return st;
   if (is_write) {
     // Checksum the bytes while they are in memory; a write that did not
@@ -175,15 +177,15 @@ pnc::Status File::Impl::RetryIo(bool is_write, std::uint64_t off,
   if (!st.ok() || !sums_verify) return st;
   return ncformat::VerifyReadRange(
       *sums, off, pnc::ByteSpan(data, len), file.size(),
-      [this](std::uint64_t o, pnc::ByteSpan out) {
-        return RawIo(/*is_write=*/false, o, out.data(), out.size());
+      [this, clk](std::uint64_t o, pnc::ByteSpan out) {
+        return RawIo(/*is_write=*/false, o, out.data(), out.size(), *clk);
       },
-      std::max(1, retry.max_attempts), comm.clock().now(), nullptr);
+      std::max(1, retry.max_attempts), clk->now(), nullptr);
 }
 
 pnc::Status File::Impl::RawIo(bool is_write, std::uint64_t off,
-                              std::byte* data, std::uint64_t len) {
-  auto& clk = comm.clock();
+                              std::byte* data, std::uint64_t len,
+                              simmpi::VirtualClock& clk) {
   return pnc::util::RetryWithBackoff(
       retry, clk, len,
       [&](std::uint64_t done) {

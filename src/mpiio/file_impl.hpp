@@ -43,12 +43,14 @@ struct File::Impl {
   /// RawIo this maintains the attached chunk-sum map: dirty marking on
   /// writes, verify/heal on reads (every read path — independent, sieving
   /// windows, RMW pre-reads, and two-phase aggregator I/O — funnels here).
+  /// The transfer, its retries and their backoff advance `clk`: the rank
+  /// clock when null, or a two-phase aggregator's I/O channel.
   pnc::Status RetryIo(bool is_write, std::uint64_t off, std::byte* data,
-                      std::uint64_t len);
+                      std::uint64_t len, simmpi::VirtualClock* clk = nullptr);
   /// The transfer itself, with no integrity hooks (verification re-reads
   /// use this directly to avoid recursion).
   pnc::Status RawIo(bool is_write, std::uint64_t off, std::byte* data,
-                    std::uint64_t len);
+                    std::uint64_t len, simmpi::VirtualClock& clk);
   /// Same policy for a sync barrier (zero-length faultable op).
   pnc::Status RetrySync();
 };

@@ -9,6 +9,16 @@
 // requests of up to cb_buffer_size bytes, using read-modify-write when the
 // union of pieces leaves holes in a window.
 //
+// The two phases are pipelined, as in ROMIO's threaded GPFS I/O path and
+// Sehrish et al.'s pipelined collective I/O: an aggregator's file transfers
+// run on its own I/O channel clock, so window w's write is in flight while
+// the rank clock runs window w+1's exchange, and window w+1's read is in
+// flight while window w's replies go out. The aggregator holds two windows;
+// the rank waits on the channel only to reuse a window buffer, to get a
+// read's bytes, and before the closing status agreement, so no collective
+// returns with a transfer in flight. A one-window collective keeps the
+// sequential schedule exactly.
+//
 // This is the optimization the paper leans on: "All processes in combination
 // can make a single MPI-IO request to transfer large contiguous data as a
 // whole" (§4.2.2). The per-request latency of the PFS makes the win visible.
@@ -16,6 +26,7 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include "iostat/observe.hpp"
 #include "mpiio/file_impl.hpp"
@@ -24,63 +35,20 @@ namespace mpiio {
 
 namespace {
 
-/// One rank's portion of a collective, split by aggregator domain: for each
-/// domain, the half-open range of `segs` indices plus the packed-data offset
-/// where that domain's bytes start (segments are file-sorted, so each
-/// domain's bytes form one contiguous slice of the packed buffer).
-struct DomainSlices {
-  struct Slice {
-    std::size_t first_seg = 0, last_seg = 0;  // [first, last)
-    std::uint64_t first_seg_skip = 0;  ///< bytes of segs[first] before domain
-    std::uint64_t data_off = 0;
-    std::uint64_t bytes = 0;
-  };
-  std::vector<Slice> per_domain;
-};
-
 std::uint64_t DivCeil(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;
 }
 
-/// Offset -> owning domain index, given domain size.
-std::size_t DomainOf(std::uint64_t off, std::uint64_t gmin,
-                     std::uint64_t domain_size, std::size_t naggs) {
-  return std::min<std::size_t>((off - gmin) / domain_size, naggs - 1);
-}
-
-DomainSlices SplitByDomain(const std::vector<pnc::Extent>& segs,
-                           std::uint64_t gmin, std::uint64_t domain_size,
-                           std::size_t naggs) {
-  DomainSlices ds;
-  ds.per_domain.resize(naggs);
-  for (auto& s : ds.per_domain) s.first_seg = segs.size();
-
-  std::uint64_t data_off = 0;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    std::uint64_t off = segs[i].offset;
-    std::uint64_t remaining = segs[i].len;
-    std::uint64_t consumed = 0;
-    while (remaining > 0) {
-      const std::size_t d = DomainOf(off, gmin, domain_size, naggs);
-      const std::uint64_t dom_end =
-          (d + 1 == naggs) ? ~0ULL : gmin + (d + 1) * domain_size;
-      const std::uint64_t n = std::min(remaining, dom_end - off);
-      auto& slice = ds.per_domain[d];
-      if (slice.bytes == 0) {
-        slice.first_seg = i;
-        slice.first_seg_skip = consumed;
-        slice.data_off = data_off + consumed;
-      }
-      slice.last_seg = i + 1;
-      slice.bytes += n;
-      off += n;
-      consumed += n;
-      remaining -= n;
-    }
-    data_off += segs[i].len;
-  }
-  return ds;
-}
+/// This rank's share of one window of one file domain: its extents there
+/// (file-sorted, split at window boundaries) and where their bytes sit in
+/// the packed buffer. Segments are file-sorted, so a share's bytes form one
+/// contiguous slice of the packed buffer.
+struct Share {
+  std::size_t domain = 0;
+  std::uint64_t window = 0;
+  std::size_t first_ext = 0, n_ext = 0;  ///< range of the flat extent list
+  std::uint64_t data_off = 0, bytes = 0;
+};
 
 struct Piece {
   std::uint64_t file_off = 0;
@@ -88,7 +56,93 @@ struct Piece {
   const std::byte* src = nullptr;  ///< for writes
   int src_rank = 0;                ///< for reads: who wants these bytes
   std::uint64_t reply_off = 0;     ///< for reads: offset in the reply blob
+  std::uint64_t window = 0;        ///< for reads: which window holds it
 };
+
+/// An aggregator's I/O channel: file transfers run on their own virtual
+/// clock, one at a time, while the rank clock goes on with the exchanges.
+class IoChannel {
+ public:
+  /// Run `io(clock)` on the channel, starting once the channel is free and
+  /// no earlier than `issue_ns`, the rank-clock time it is issued at.
+  template <typename Fn>
+  pnc::Status Issue(double issue_ns, Fn&& io) {
+    clock_.AdvanceTo(issue_ns);
+    const double begin = clock_.now();
+    const pnc::Status st = io(clock_);
+    busy_ns_ += clock_.now() - begin;
+    return st;
+  }
+  /// When everything issued so far has completed.
+  [[nodiscard]] double idle_ns() const { return clock_.now(); }
+  /// Hold the rank clock until channel time `t`.
+  void WaitUntil(simmpi::VirtualClock& rank, double t) {
+    if (t <= rank.now()) return;
+    waited_ns_ += t - rank.now();
+    rank.AdvanceTo(t);
+  }
+  void Drain(simmpi::VirtualClock& rank) { WaitUntil(rank, clock_.now()); }
+  /// Channel time the rank never waited for: hidden behind its exchanges.
+  /// Every wait falls inside busy time, because transfers are issued no
+  /// later than the rank's clock and then run back to back.
+  [[nodiscard]] double hidden_ns() const { return busy_ns_ - waited_ns_; }
+
+ private:
+  simmpi::VirtualClock clock_;
+  double busy_ns_ = 0.0, waited_ns_ = 0.0;
+};
+
+/// Fill `msg` with an exchange request: u64 req (the sender's request ID,
+/// for causal attribution of aggregator I/O), u64 n, n * (u64 off, u64
+/// len), then `payload` (writes; for reads the extents alone form the
+/// request).
+void PackRequest(std::vector<std::byte>& msg, std::uint64_t req,
+                 std::span<const pnc::Extent> ext,
+                 std::span<const std::byte> payload) {
+  const std::uint64_t n_ext = ext.size();
+  const std::size_t header = 16 + 16 * ext.size();
+  msg.resize(header + payload.size());
+  std::memcpy(msg.data(), &req, 8);
+  std::memcpy(msg.data() + 8, &n_ext, 8);
+  std::memcpy(msg.data() + 16, ext.data(), 16 * ext.size());
+  if (!payload.empty())
+    std::memcpy(msg.data() + header, payload.data(), payload.size());
+}
+
+/// Walk one request in PackRequest's layout: `fn(req, e, extent,
+/// payload_off)` for its e-th extent, whose bytes (writes) start
+/// `payload_off` bytes into `msg`.
+template <typename Fn>
+void ForEachExtent(const std::vector<std::byte>& msg, Fn&& fn) {
+  std::uint64_t req = 0, n_ext = 0;
+  std::memcpy(&req, msg.data(), 8);
+  std::memcpy(&n_ext, msg.data() + 8, 8);
+  std::uint64_t payload_off = 16 + 16 * n_ext;
+  for (std::uint64_t e = 0; e < n_ext; ++e) {
+    pnc::Extent x;
+    std::memcpy(&x, msg.data() + 16 + 16 * e, 16);
+    fn(req, e, x, payload_off);
+    payload_off += x.len;
+  }
+}
+
+/// Span of `pieces` (file-sorted): its start, its length, and the bytes the
+/// pieces cover (less than the length when the union has holes).
+struct Span {
+  std::uint64_t start = 0, len = 0, covered = 0;
+};
+Span SpanOf(std::span<const Piece> pieces) {
+  Span sp;
+  if (pieces.empty()) return sp;
+  sp.start = pieces.front().file_off;
+  std::uint64_t end = 0;
+  for (const auto& pc : pieces) {
+    end = std::max(end, pc.file_off + pc.len);
+    sp.covered += pc.len;
+  }
+  sp.len = end - sp.start;
+  return sp;
+}
 
 }  // namespace
 
@@ -178,9 +232,12 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   const auto gmax = static_cast<std::uint64_t>(gmax_i);
 
   // File domains: an even share per aggregator, with boundaries on absolute
-  // stripe boundaries so two aggregators never touch one stripe and every
-  // interior window write is stripe-aligned (ROMIO aligns its domains to
-  // file system lock/block boundaries for exactly this reason).
+  // stripe boundaries so two aggregators never touch one stripe. Windows of
+  // a stripe or more are rounded down to a stripe multiple (as ROMIO's
+  // Lustre module does), so every window write but a domain's last starts
+  // and ends on a stripe boundary and pfs never read-modify-writes a stripe
+  // a window boundary cuts. ROMIO aligns its domains to file system
+  // lock/block boundaries for exactly this reason.
   const auto naggs = std::min(static_cast<std::size_t>(im.hints.cb_nodes),
                               static_cast<std::size_t>(wp));
   const std::uint64_t stripe = im.fs->config().stripe_size;
@@ -188,6 +245,11 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   std::uint64_t domain_size =
       DivCeil(DivCeil(gmax - gmin_aligned, naggs), stripe) * stripe;
   domain_size = std::max(domain_size, stripe);
+  std::uint64_t cb = im.hints.cb_buffer_size;
+  if (cb >= stripe) cb = cb / stripe * stripe;
+  // Every rank iterates the same number of rounds; round w covers
+  // [dom_start + w*cb, dom_start + (w+1)*cb) of every domain.
+  const std::uint64_t rounds = DivCeil(domain_size, cb);
   // Aggregators are spread across the (surviving) communicator.
   auto agg_rank = [&](std::size_t d) {
     return static_cast<int>(d * static_cast<std::size_t>(wp) / naggs);
@@ -195,26 +257,56 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   std::size_t my_domain = naggs;  // "not an aggregator"
   for (std::size_t d = 0; d < naggs; ++d)
     if (agg_rank(d) == work.rank()) my_domain = d;
+  const std::uint64_t my_dom_start = gmin_aligned + my_domain * domain_size;
+  const std::uint64_t my_dom_end =
+      std::min(gmax, my_dom_start + domain_size);
 
-  const DomainSlices ds = SplitByDomain(segs, gmin_aligned, domain_size, naggs);
-
-  // Window loop: every rank iterates the same number of rounds; round w
-  // covers [dom_start + w*cb, dom_start + (w+1)*cb) of every domain.
-  const std::uint64_t cb = im.hints.cb_buffer_size;
-  const std::uint64_t rounds = DivCeil(domain_size, cb);
-
-  // Per-domain cursors into this rank's segments.
-  struct Cursor {
-    std::size_t seg;
-    std::uint64_t seg_skip;  ///< bytes of segs[seg] already consumed
-    std::uint64_t data_off;
+  // Split this rank's segments at domain and window boundaries. Shares come
+  // out ordered by (domain, window), each domain's extents contiguous in
+  // `ext`.
+  std::vector<pnc::Extent> ext;
+  std::vector<Share> shares;
+  {
+    std::uint64_t data_off = 0;
+    for (const auto& sg : segs) {
+      std::uint64_t off = sg.offset;
+      const std::uint64_t end = sg.end();
+      while (off < end) {
+        const std::size_t d = std::min<std::size_t>(
+            (off - gmin_aligned) / domain_size, naggs - 1);
+        const std::uint64_t dom_start = gmin_aligned + d * domain_size;
+        const std::uint64_t dom_end =
+            d + 1 == naggs ? end : dom_start + domain_size;
+        const std::uint64_t w = (off - dom_start) / cb;
+        const std::uint64_t n =
+            std::min({end, dom_end, dom_start + (w + 1) * cb}) - off;
+        if (shares.empty() || shares.back().domain != d ||
+            shares.back().window != w)
+          shares.push_back({d, w, ext.size(), 0, data_off, 0});
+        ext.push_back({off, n});
+        shares.back().n_ext += 1;
+        shares.back().bytes += n;
+        off += n;
+        data_off += n;
+      }
+    }
+  }
+  // next[d]: this rank's first share of domain d not yet exchanged.
+  std::vector<std::size_t> next(naggs, shares.size());
+  for (std::size_t i = shares.size(); i-- > 0;) next[shares[i].domain] = i;
+  const auto share_at = [&](std::size_t d, std::uint64_t w) -> const Share* {
+    const std::size_t i = next[d];
+    if (i < shares.size() && shares[i].domain == d && shares[i].window == w) {
+      ++next[d];
+      return &shares[i];
+    }
+    return nullptr;
   };
-  std::vector<Cursor> cur(naggs);
-  for (std::size_t d = 0; d < naggs; ++d)
-    cur[d] = {ds.per_domain[d].first_seg, ds.per_domain[d].first_seg_skip,
-              ds.per_domain[d].data_off};
 
+  // The host keeps one window buffer: pfs transfers complete synchronously,
+  // so the second buffer of the pipeline exists only in virtual time.
   std::vector<std::byte> window(cb);
+  IoChannel chan;
 
   // First error seen by this rank (local I/O as aggregator). Even after an
   // error, every rank keeps participating in every round's exchanges so the
@@ -222,187 +314,217 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   // the end with Comm::AgreeStatus.
   pnc::Status st;
 
-  for (std::uint64_t w = 0; w < rounds; ++w) {
-    const double exchange_start = clk.now();
-    PNC_OBSERVE(kXchgBegin, .t_ns = exchange_start, .off = w);
-    // ---- build this round's per-aggregator messages ----
-    // Message layout: u64 req (the sender's request ID, for causal
-    // attribution of aggregator I/O), u64 n, then n * (u64 off, u64 len),
-    // then the bytes (writes only; for reads the extents alone form the
-    // request).
-    std::vector<std::vector<std::byte>> sendbufs(
-        static_cast<std::size_t>(wp));
-    // For reads: where in the packed buffer this round's slice of each
-    // domain starts (the reply from the aggregator lands there verbatim,
-    // because extents are requested in packed-data order).
-    std::vector<std::uint64_t> round_data_start(naggs, 0);
-    std::vector<std::uint64_t> round_data_len(naggs, 0);
-    for (std::size_t d = 0; d < naggs; ++d) {
-      const std::uint64_t dom_start = gmin_aligned + d * domain_size;
-      const std::uint64_t dom_end = std::min(gmax, dom_start + domain_size);
-      const std::uint64_t w0 = dom_start + w * cb;
-      if (w0 >= dom_end) continue;
-      const std::uint64_t w1 = std::min(dom_end, w0 + cb);
-
-      // Collect extents of mine inside [w0, w1).
-      std::vector<pnc::Extent> ext;
-      std::uint64_t data_start = cur[d].data_off;
-      std::uint64_t data_len = 0;
-      auto& c = cur[d];
-      while (c.seg < ds.per_domain[d].last_seg) {
-        const std::uint64_t s_off = segs[c.seg].offset + c.seg_skip;
-        if (s_off >= w1) break;
-        const std::uint64_t n =
-            std::min(segs[c.seg].len - c.seg_skip, w1 - s_off);
-        ext.push_back({s_off, n});
-        data_len += n;
-        c.seg_skip += n;
-        c.data_off += n;
-        if (c.seg_skip == segs[c.seg].len) {
-          ++c.seg;
-          c.seg_skip = 0;
-        } else {
-          break;  // window boundary split this segment
+  if (is_write) {
+    // Channel time at which each of the two modelled window buffers is free.
+    double buf_free[2] = {0.0, 0.0};
+    std::uint64_t filled = 0;
+    for (std::uint64_t w = 0; w < rounds; ++w) {
+      const double exchange_start = clk.now();
+      PNC_OBSERVE(kXchgBegin, .t_ns = exchange_start, .off = w);
+      std::vector<std::vector<std::byte>> sendbufs(
+          static_cast<std::size_t>(wp));
+      for (std::size_t d = 0; d < naggs; ++d) {
+        const Share* sh = share_at(d, w);
+        if (sh == nullptr) continue;
+        PackRequest(sendbufs[static_cast<std::size_t>(agg_rank(d))], my_req,
+                    std::span(ext).subspan(sh->first_ext, sh->n_ext),
+                    std::span(data + sh->data_off, sh->bytes));
+        clk.Advance(cost.CopyCost(sh->bytes));
+      }
+      for (int r = 0; r < wp; ++r) {
+        if (r != work.rank() &&
+            !sendbufs[static_cast<std::size_t>(r)].empty()) {
+          PNC_OBSERVE(kXchgSend, .t_ns = exchange_start, .off = w, .peer = r);
         }
       }
-      if (ext.empty()) continue;
-      round_data_start[d] = data_start;
-      round_data_len[d] = data_len;
+      std::vector<std::vector<std::byte>> recvbufs;
+      const pnc::Status xst =
+          work.TryAlltoall(std::move(sendbufs), w, recvbufs);
+      if (st.ok()) st = xst;
+      PNC_OBSERVE(kXchgEnd, .t_ns = exchange_start, .end_ns = clk.now(),
+                  .off = w);
 
-      auto& msg = sendbufs[static_cast<std::size_t>(agg_rank(d))];
-      const std::uint64_t n_ext = ext.size();
-      const std::size_t header = 16 + 16 * ext.size();
-      msg.resize(header + (is_write ? data_len : 0));
-      std::memcpy(msg.data(), &my_req, 8);
-      std::memcpy(msg.data() + 8, &n_ext, 8);
-      std::memcpy(msg.data() + 16, ext.data(), 16 * ext.size());
-      if (is_write) {
-        std::memcpy(msg.data() + header, data + data_start, data_len);
-        clk.Advance(cost.CopyCost(data_len));
-      }
-    }
-
-    for (int r = 0; r < wp; ++r) {
-      if (r != work.rank() && !sendbufs[static_cast<std::size_t>(r)].empty()) {
-        PNC_OBSERVE(kXchgSend, .t_ns = exchange_start, .off = w, .peer = r);
-      }
-    }
-    std::vector<std::vector<std::byte>> recvbufs;
-    const pnc::Status xst =
-        work.TryAlltoall(std::move(sendbufs), 2 * w, recvbufs);
-    if (st.ok()) st = xst;
-    PNC_OBSERVE(kXchgEnd, .t_ns = exchange_start, .end_ns = clk.now(),
-                .off = w);
-    const double io_start = clk.now();
-    PNC_OBSERVE(kIoBegin, .t_ns = io_start, .off = w);
-
-    // ---- aggregator services its window ----
-    std::vector<std::vector<std::byte>> replies(static_cast<std::size_t>(wp));
-    if (my_domain < naggs) {
-      const std::uint64_t dom_start = gmin_aligned + my_domain * domain_size;
-      const std::uint64_t dom_end = std::min(gmax, dom_start + domain_size);
-      const std::uint64_t w0 = dom_start + w * cb;
-      if (w0 < dom_end) {
-        std::vector<Piece> pieces;
-        std::vector<std::uint64_t> reply_bytes(static_cast<std::size_t>(wp), 0);
+      // ---- aggregator fills its window and hands it to the channel ----
+      const double io_start = clk.now();
+      PNC_OBSERVE(kIoBegin, .t_ns = io_start, .off = w);
+      std::vector<Piece> pieces;
+      if (my_domain < naggs && my_dom_start + w * cb < my_dom_end) {
         for (int r = 0; r < wp; ++r) {
           const auto& msg = recvbufs[static_cast<std::size_t>(r)];
           if (msg.empty()) continue;
-          std::uint64_t src_req = 0;
-          std::memcpy(&src_req, msg.data(), 8);
-          std::uint64_t n_ext = 0;
-          std::memcpy(&n_ext, msg.data() + 8, 8);
-          PNC_OBSERVE(kAggPiece, .t_ns = io_start, .off = w, .peer = r,
-                      .req = src_req);
-          const std::byte* payload = msg.data() + 16 + 16 * n_ext;
-          std::uint64_t dpos = 0;
-          for (std::uint64_t e = 0; e < n_ext; ++e) {
-            pnc::Extent x;
-            std::memcpy(&x, msg.data() + 16 + 16 * e, 16);
-            Piece pc;
-            pc.file_off = x.offset;
-            pc.len = x.len;
-            pc.src = is_write ? payload + dpos : nullptr;
-            pc.src_rank = r;
-            pc.reply_off = reply_bytes[static_cast<std::size_t>(r)];
-            pieces.push_back(pc);
-            dpos += x.len;
-            reply_bytes[static_cast<std::size_t>(r)] += x.len;
-          }
+          ForEachExtent(msg, [&](std::uint64_t req, std::uint64_t e,
+                                 const pnc::Extent& x, std::uint64_t at) {
+            if (e == 0)
+              PNC_OBSERVE(kAggPiece, .t_ns = io_start, .off = w, .peer = r,
+                          .req = req);
+            pieces.push_back(
+                {.file_off = x.offset, .len = x.len, .src = msg.data() + at});
+          });
         }
-        if (!pieces.empty()) {
-          std::sort(pieces.begin(), pieces.end(),
-                    [](const Piece& a, const Piece& b) {
-                      return a.file_off < b.file_off;
-                    });
-          const std::uint64_t span_start = pieces.front().file_off;
-          std::uint64_t span_end = 0;
-          std::uint64_t covered = 0;
-          for (const auto& pc : pieces) {
-            span_end = std::max(span_end, pc.file_off + pc.len);
-            covered += pc.len;
-          }
-          const std::uint64_t span_len = span_end - span_start;
-          assert(span_len <= cb);
-
-          if (is_write) {
-            const bool holes = covered < span_len;
-            pnc::Status wst;
-            if (holes && st.ok()) {
-              PNC_OBSERVE(kAggWindow, .len = span_len);  // RMW pre-read
-              wst = im.RetryIo(/*is_write=*/false, span_start, window.data(),
-                               span_len);
-            }
-            if (wst.ok() && st.ok()) {
-              for (const auto& pc : pieces)
-                std::memcpy(window.data() + (pc.file_off - span_start), pc.src,
-                            pc.len);
-              clk.Advance(cost.CopyCost(covered));
-              PNC_OBSERVE(kAggWindow, .len = span_len);
-              wst = im.RetryIo(/*is_write=*/true, span_start, window.data(),
-                               span_len);
-            }
-            if (st.ok() && !wst.ok()) st = wst;
-          } else {
-            // Replies are always sized to what each requester expects, even
-            // on failure (zero-filled), so the return Alltoall stays aligned
-            // and the error is reported via status agreement, not a hang.
-            for (int r = 0; r < wp; ++r)
-              replies[static_cast<std::size_t>(r)].assign(
-                  reply_bytes[static_cast<std::size_t>(r)], std::byte{0});
-            pnc::Status rst;
-            if (st.ok()) {
-              PNC_OBSERVE(kAggWindow, .len = span_len);
-              rst = im.RetryIo(/*is_write=*/false, span_start, window.data(),
-                               span_len);
-            }
-            if (rst.ok() && st.ok()) {
-              for (const auto& pc : pieces)
-                std::memcpy(
-                    replies[static_cast<std::size_t>(pc.src_rank)].data() +
-                        pc.reply_off,
-                    window.data() + (pc.file_off - span_start), pc.len);
-              clk.Advance(cost.CopyCost(covered));
-            } else if (st.ok()) {
-              st = rst;
-            }
-          }
+        std::sort(pieces.begin(), pieces.end(),
+                  [](const Piece& a, const Piece& b) {
+                    return a.file_off < b.file_off;
+                  });
+      }
+      if (!pieces.empty() && st.ok()) {
+        const Span sp = SpanOf(pieces);
+        assert(sp.len <= cb);
+        double& buf = buf_free[filled++ % 2];
+        pnc::Status wst;
+        if (sp.covered < sp.len) {
+          // Read-modify-write: the pre-read queues behind the channel's
+          // writes (so the buffer is free when it lands), and the rank
+          // waits for its bytes.
+          PNC_OBSERVE(kAggWindow, .len = sp.len);
+          wst = chan.Issue(clk.now(), [&](simmpi::VirtualClock& c) {
+            return im.RetryIo(/*is_write=*/false, sp.start, window.data(),
+                              sp.len, &c);
+          });
+          chan.Drain(clk);
+        } else {
+          chan.WaitUntil(clk, buf);
         }
+        if (wst.ok()) {
+          for (const auto& pc : pieces)
+            std::memcpy(window.data() + (pc.file_off - sp.start), pc.src,
+                        pc.len);
+          clk.Advance(cost.CopyCost(sp.covered));
+          PNC_OBSERVE(kAggWindow, .len = sp.len);
+          wst = chan.Issue(clk.now(), [&](simmpi::VirtualClock& c) {
+            return im.RetryIo(/*is_write=*/true, sp.start, window.data(),
+                              sp.len, &c);
+          });
+          buf = chan.idle_ns();
+        }
+        st = wst;
+      }
+      if (w + 1 == rounds) chan.Drain(clk);
+      PNC_OBSERVE(kIoEnd, .t_ns = io_start, .end_ns = clk.now(), .off = w);
+    }
+  } else {
+    // ---- reads: one request exchange carries every window's extents ----
+    const double exchange_start = clk.now();
+    PNC_OBSERVE(kXchgBegin, .t_ns = exchange_start, .off = 0);
+    std::vector<std::vector<std::byte>> sendbufs(static_cast<std::size_t>(wp));
+    for (std::size_t d = 0; d < naggs; ++d) {
+      // Domain d's shares are contiguous, and so are their extents.
+      std::size_t n_ext = 0;
+      for (std::size_t i = next[d];
+           i < shares.size() && shares[i].domain == d; ++i)
+        n_ext += shares[i].n_ext;
+      if (n_ext == 0) continue;
+      PackRequest(sendbufs[static_cast<std::size_t>(agg_rank(d))], my_req,
+                  std::span(ext).subspan(shares[next[d]].first_ext, n_ext),
+                  {});
+    }
+    for (int r = 0; r < wp; ++r) {
+      if (r != work.rank() && !sendbufs[static_cast<std::size_t>(r)].empty()) {
+        PNC_OBSERVE(kXchgSend, .t_ns = exchange_start, .off = 0, .peer = r);
       }
     }
+    std::vector<std::vector<std::byte>> recvbufs;
+    const pnc::Status xst = work.TryAlltoall(std::move(sendbufs), 0, recvbufs);
+    if (st.ok()) st = xst;
+    PNC_OBSERVE(kXchgEnd, .t_ns = exchange_start, .end_ns = clk.now(),
+                .off = 0);
 
-    PNC_OBSERVE(kIoEnd, .t_ns = io_start, .end_ns = clk.now(), .off = w);
+    // The aggregator's pieces, ordered by (window, file offset); each
+    // requester's reply for a window concatenates its extents there in
+    // request order.
+    std::vector<Piece> pieces;
+    if (my_domain < naggs) {
+      for (int r = 0; r < wp; ++r) {
+        const auto& msg = recvbufs[static_cast<std::size_t>(r)];
+        if (msg.empty()) continue;
+        std::uint64_t reply_off = 0;
+        ForEachExtent(msg, [&](std::uint64_t req, std::uint64_t e,
+                               const pnc::Extent& x, std::uint64_t) {
+          const std::uint64_t w = (x.offset - my_dom_start) / cb;
+          if (e == 0 || w != pieces.back().window) {
+            reply_off = 0;
+            PNC_OBSERVE(kAggPiece, .t_ns = clk.now(), .off = w, .peer = r,
+                        .req = req);
+          }
+          pieces.push_back({.file_off = x.offset, .len = x.len,
+                            .src_rank = r, .reply_off = reply_off,
+                            .window = w});
+          reply_off += x.len;
+        });
+      }
+      std::sort(pieces.begin(), pieces.end(),
+                [](const Piece& a, const Piece& b) {
+                  return a.window != b.window ? a.window < b.window
+                                              : a.file_off < b.file_off;
+                });
+    }
 
-    // ---- reads: ship the bytes back into each requester's packed buffer ----
-    if (!is_write) {
+    // The window in flight on the channel: its pieces [first, last), its
+    // span and its read's status.
+    struct Pending {
+      std::size_t first = 0, last = 0;
+      Span span;
+      pnc::Status st;
+    } pending;
+    const auto issue_read = [&](std::uint64_t w, double issue_ns) {
+      pending.first = pending.last;
+      while (pending.last < pieces.size() && pieces[pending.last].window == w)
+        ++pending.last;
+      const auto win = std::span(pieces).subspan(
+          pending.first, pending.last - pending.first);
+      pending.span = SpanOf(win);
+      pending.st = pnc::Status::Ok();
+      if (win.empty() || !st.ok()) return;
+      assert(pending.span.len <= cb);
+      PNC_OBSERVE(kAggWindow, .len = pending.span.len);
+      pending.st = chan.Issue(issue_ns, [&](simmpi::VirtualClock& c) {
+        return im.RetryIo(/*is_write=*/false, pending.span.start,
+                          window.data(), pending.span.len, &c);
+      });
+    };
+
+    for (std::uint64_t w = 0; w < rounds; ++w) {
+      const double io_start = clk.now();
+      PNC_OBSERVE(kIoBegin, .t_ns = io_start, .off = w);
+      if (w == 0) issue_read(0, clk.now());
+      // Replies are always sized to what each requester expects, even on
+      // failure (zero-filled), so the reply exchange stays aligned and the
+      // error is reported via status agreement, not a hang.
+      std::vector<std::vector<std::byte>> replies(
+          static_cast<std::size_t>(wp));
+      const auto win = std::span(pieces).subspan(
+          pending.first, pending.last - pending.first);
+      for (const auto& pc : win)
+        replies[static_cast<std::size_t>(pc.src_rank)].resize(
+            pc.reply_off + pc.len);
+      bool copied = false;
+      if (!win.empty()) {
+        chan.Drain(clk);
+        if (st.ok()) st = pending.st;
+        if (st.ok()) {
+          for (const auto& pc : win)
+            std::memcpy(
+                replies[static_cast<std::size_t>(pc.src_rank)].data() +
+                    pc.reply_off,
+                window.data() + (pc.file_off - pending.span.start), pc.len);
+          copied = true;
+        }
+      }
+      // The next window's read goes out at this virtual time, before this
+      // window's replies.
+      const double next_issue_ns = clk.now();
+      if (copied) clk.Advance(cost.CopyCost(pending.span.covered));
+      PNC_OBSERVE(kIoEnd, .t_ns = io_start, .end_ns = clk.now(), .off = w);
+
+      // ---- ship the bytes back into each requester's packed buffer ----
       const double reply_start = clk.now();
       PNC_OBSERVE(kXchgBegin, .t_ns = reply_start, .off = w);
       std::vector<std::vector<std::byte>> returned;
       const pnc::Status rxst =
-          work.TryAlltoall(std::move(replies), 2 * w + 1, returned);
+          work.TryAlltoall(std::move(replies), w + 1, returned);
       if (st.ok()) st = rxst;
       for (std::size_t d = 0; d < naggs; ++d) {
-        if (round_data_len[d] == 0) continue;
+        const Share* sh = share_at(d, w);
+        if (sh == nullptr) continue;
         const auto& blob = returned[static_cast<std::size_t>(agg_rank(d))];
         // The reply concatenates my requested extents in request order,
         // which is packed-data order, so it lands in one slice. When one
@@ -411,19 +533,24 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
         // (agg_rank is injective for d < naggs <= p). A shorter-than-expected
         // blob means the aggregator failed; record it and let the final
         // agreement surface the real cause.
-        if (blob.size() != round_data_len[d]) {
-          if (st.ok())
-            st = pnc::Status(pnc::Err::kInternal, "collective reply truncated");
-        }
-        const std::uint64_t n =
-            std::min<std::uint64_t>(blob.size(), round_data_len[d]);
-        std::memcpy(data + round_data_start[d], blob.data(), n);
+        if (blob.size() != sh->bytes && st.ok())
+          st = pnc::Status(pnc::Err::kInternal, "collective reply truncated");
+        const std::uint64_t n = std::min<std::uint64_t>(blob.size(), sh->bytes);
+        std::memcpy(data + sh->data_off, blob.data(), n);
         clk.Advance(cost.CopyCost(n));
       }
       PNC_OBSERVE(kXchgEnd, .t_ns = reply_start, .end_ns = clk.now(),
                   .off = w);
+      // The host makes that read only now, after the reply exchange, by
+      // which every aggregator has made its read of window w. pfs serves
+      // requests in call order, so this keeps each server's queue in window
+      // order, as the virtual times have it; called earlier, one
+      // aggregator's read-ahead could queue ahead of another's earlier read.
+      if (w + 1 < rounds) issue_read(w + 1, next_issue_ns);
     }
   }
+  if (chan.hidden_ns() > 0)
+    PNC_OBSERVE(kIoOverlap, .wait_ns = chan.hidden_ns());
 
   // Collective error agreement: all ranks return the same status (most
   // severe code across the communicator), so no rank proceeds believing the

@@ -4,7 +4,9 @@
 //   1. The 4-rank two-phase collective write of iostat_test, re-checked at
 //      the event level: exact per-rank event counts for every kind the path
 //      emits, and the critical-path decomposition attributing >= 95% of the
-//      op's virtual wall time to named (rank, phase) segments.
+//      op's virtual wall time to named (rank, phase) segments; then the
+//      same layout with four pipelined windows, written and read, still
+//      tiling every rank's interval exactly.
 //   2. pnc-events-v1 round trip: EventsToJson -> ParseEventsJson preserves
 //      every field; garbage and unknown kinds are rejected.
 //   3. The hang-watchdog abort dumps each rank's flight-recorder tail as
@@ -204,6 +206,96 @@ TEST_F(TraceTest, FourRankTwoPhaseWriteExactEvents) {
   EXPECT_NE(text.find("exchange"), std::string::npos);
   EXPECT_NE(text.find("file-io"), std::string::npos);
   EXPECT_NE(text.find("server 0:"), std::string::npos);
+}
+
+// The same 4-rank layout with 128 KiB windows: four window rounds per
+// domain, so each aggregator's file I/O runs on its I/O channel while the
+// next window's exchange (writes) or the last window's replies (reads) run
+// on the rank clock. The I/O phase is the rank's issue cost plus its waits
+// on the channel, so the three critical-path segments still tile every
+// rank's interval exactly, and the channel time no rank waited for shows
+// up as mpiio.io_overlap_ns on the aggregators.
+void CheckPipelinedOpTiles(bool is_write) {
+  constexpr std::uint64_t kBlock = 256 << 10;
+  constexpr std::uint64_t kRounds = 4;  // 512 KiB domains / 64 KiB windows
+  pfs::Config cfg;
+  cfg.num_servers = 2;
+  cfg.stripe_size = kBlock;
+  pfs::FileSystem fs(cfg);
+
+  std::vector<std::vector<Event>> snap;
+  std::vector<std::uint64_t> overlap(4, 0);
+  simmpi::Run(4, [&](Comm& c) {
+    simmpi::Info info;
+    info.Set("cb_buffer_size", std::to_string(2 * kBlock / kRounds));
+    auto f = mpiio::File::Open(c, fs, "tp.dat", mpiio::kCreate | mpiio::kRdWr,
+                               info)
+                 .value();
+    std::vector<std::byte> mine(kBlock, std::byte{0x5A});
+    const std::uint64_t off = static_cast<std::uint64_t>(c.rank()) * kBlock;
+    if (!is_write) {
+      ASSERT_TRUE(f.WriteAtAll(off, mine.data(), kBlock, simmpi::ByteType())
+                      .ok());
+    }
+    c.Barrier();
+    if (c.rank() == 0) Registry::Get().Reset();
+    c.Barrier();
+    PNC_IOSTAT_BIND_RANK(c.rank());
+    const pnc::Status st =
+        is_write ? f.WriteAtAll(off, mine.data(), kBlock, simmpi::ByteType())
+                 : f.ReadAtAll(off, mine.data(), kBlock, simmpi::ByteType());
+    ASSERT_TRUE(st.ok());
+    c.Barrier();
+    if (c.rank() == 0) snap = FlightRecorder::Get().Collect();
+    overlap[static_cast<std::size_t>(c.rank())] =
+        Registry::Get().Value(c.rank(), iostat::Ctr::kMpiioIoOverlapNs);
+    c.Barrier();
+    ASSERT_TRUE(f.Close().ok());
+  });
+  ASSERT_EQ(snap.size(), 4u);
+
+  for (int r = 0; r < 4; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const auto& ev = snap[static_cast<std::size_t>(r)];
+    const bool agg = r == 0 || r == 2;
+    // Writes exchange once per window; reads exchange every window's
+    // requests once, then one reply round per window.
+    EXPECT_EQ(Count(ev, Ev::kXchgBegin), is_write ? kRounds : kRounds + 1);
+    EXPECT_EQ(Count(ev, Ev::kIoBegin), kRounds);
+    EXPECT_EQ(Count(ev, Ev::kIoEnd), kRounds);
+    EXPECT_EQ(Count(ev, Ev::kPfsServer), agg ? kRounds : 0u);
+    if (agg)
+      EXPECT_GT(overlap[static_cast<std::size_t>(r)], 0u);
+    else
+      EXPECT_EQ(overlap[static_cast<std::size_t>(r)], 0u);
+  }
+
+  const iostat::CritPath cp = iostat::AnalyzeCritPath(snap);
+  ASSERT_EQ(cp.ops.size(), 1u);
+  const auto& op = cp.ops[0];
+  EXPECT_EQ(op.is_write, is_write);
+  EXPECT_TRUE(op.ok);
+  ASSERT_EQ(op.ranks.size(), 4u);
+  EXPECT_LE(op.attributed_frac(), 1.0 + 1e-9);
+  for (const auto& seg : op.ranks) {
+    SCOPED_TRACE("rank " + std::to_string(seg.rank));
+    const bool agg = seg.rank == 0 || seg.rank == 2;
+    EXPECT_GT(seg.exchange_ns, 0.0);
+    if (agg) {
+      EXPECT_GT(seg.io_ns, 0.0);
+    }
+    EXPECT_GE(seg.wait_ns, 0.0);
+    EXPECT_NEAR(seg.wait_ns + seg.exchange_ns + seg.io_ns,
+                seg.depart_ns - op.begin_ns, 1e-6);
+  }
+}
+
+TEST_F(TraceTest, FourRankPipelinedWriteTilesEveryRank) {
+  CheckPipelinedOpTiles(/*is_write=*/true);
+}
+
+TEST_F(TraceTest, FourRankPipelinedReadTilesEveryRank) {
+  CheckPipelinedOpTiles(/*is_write=*/false);
 }
 
 // ------------------------------------------ timeline counter tracks
