@@ -140,10 +140,17 @@ pnc::Status Commit(CommitIo& journal, pnc::ConstByteSpan header,
   next.table_crc = pnc::Crc32(table);
   next.flags = sums != nullptr && open ? kCommitFlagOpen : 0;
 
-  // The image from `at` through the table end: the slots (data commits
-  // only), the shadow and the table.
   const bool data_commit = prev && prev->header_len == next.header_len &&
                            prev->header_crc == next.header_crc;
+  // A restatement of the commit in force writes nothing: that commit is
+  // already durable, and with no table on either side there is nothing to
+  // refresh (see the file comment).
+  if (data_commit && prev->numrecs == next.numrecs &&
+      prev->flags == next.flags && prev->table_len == 0 && table.empty())
+    return pnc::Status::Ok();
+
+  // The image from `at` through the table end: the slots (data commits
+  // only), the shadow and the table.
   const std::uint64_t at = data_commit ? kJournalSlotOffset[0]
                            : prev      ? kJournalShadowOffset
                                        : 0;

@@ -55,6 +55,15 @@
 //     wrong. The shadow bytes rewritten in between differ from the
 //     committed ones at most in the numrecs field, which header_crc skips.
 //
+// A commit that restates the commit in force (the same header_len,
+// header_crc, numrecs and flags, with no table on either side) writes
+// nothing. That commit is already synced, and its header is already in the
+// primary, so "a Sync that returns OK survives a reopen" needs no new
+// write. With sums on, an OPEN commit carries no table, so there is nothing
+// to refresh either: an idle Sync (no record grew) makes its data durable
+// and commits nothing new. A caller that rewrites the primary after such a
+// commit writes the bytes already there, which no tear can change.
+//
 // Recovery (open / ncverify): take the commit in force. If the primary's
 // header prefix matches `header_crc` and its numrecs field matches the
 // slot, the file is clean. Otherwise the committed header is reconstructed
@@ -140,7 +149,9 @@ constexpr std::uint64_t kJournalProbeBytes = 8 * 1024;
 /// nothing committed yet) and becomes the new one once the commit point is
 /// durable. A data commit when `state` committed the same header, else a
 /// header commit (see the file comment); a header commit from nothing
-/// starts at offset 0 and lays down the magic and both zeroed slots too.
+/// starts at offset 0 and lays down the magic and both zeroed slots too. A
+/// restatement of `state` with no table on either side writes nothing and
+/// leaves `state` as it was.
 [[nodiscard]] pnc::Status Commit(CommitIo& journal, pnc::ConstByteSpan header,
                                  std::uint64_t numrecs,
                                  const ChunkSumMap* sums, bool open,

@@ -785,6 +785,161 @@ TEST(CrashSweep, RecordAppendCommitEveryByteCollectiveFourRanks) {
 }
 
 // ---------------------------------------------------------------------------
+// An idle Sync (no record grew) restates the commit in force, so it writes
+// no journal commit. Its promise rests on that commit alone: EndDef's,
+// session-OPEN, with no table. Serial (nprocs 0) and at 1, 3 and 4 ranks,
+// with an int variable "v" of kIdleLen elements inside one sum chunk.
+constexpr std::uint64_t kIdleLen = 96;
+
+std::int32_t IdleValue(std::int32_t base, std::uint64_t i) {
+  return base + static_cast<std::int32_t>(i);
+}
+
+/// Write elements [0, n) of "v" as IdleValue(base, i): the serial library
+/// in one put, parallel ranks each a contiguous slice (the last takes the
+/// remainder) in one collective put.
+template <typename Ds>
+pnc::Status PutPrefix(Ds& ds, std::uint64_t n, std::int32_t base, int rank,
+                      int nprocs) {
+  const int parts = std::max(nprocs, 1);
+  const std::uint64_t share = n / static_cast<std::uint64_t>(parts);
+  const std::uint64_t lo = share * static_cast<std::uint64_t>(rank);
+  const std::uint64_t len = rank + 1 == parts ? n - lo : share;
+  std::vector<std::int32_t> vals(len);
+  for (std::uint64_t i = 0; i < len; ++i) vals[i] = IdleValue(base, lo + i);
+  const std::uint64_t st[] = {lo};
+  const std::uint64_t ct[] = {len};
+  const int v = ds.VarId("v").value();
+  if constexpr (std::is_same_v<Ds, pnetcdf::Dataset>)
+    return ds.template PutVaraAll<std::int32_t>(v, st, ct, vals);
+  return ds.template PutVara<std::int32_t>(v, st, ct, vals);
+}
+
+/// Create "f.nc" with "v" defined, then run `body(ds, rank, barrier)` on
+/// the serial library (rank 0, a no-op barrier) or on every rank.
+template <typename Body>
+void IdleSyncSession(pfs::FileSystem& fs, int nprocs, Body&& body) {
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Create(fs, "f.nc").value();
+    const int x = ds.DefDim("x", kIdleLen).value();
+    (void)ds.DefVar("v", NcType::kInt, {x}).value();
+    body(ds, 0, [] {});
+    return;
+  }
+  simmpi::Run(nprocs, [&](simmpi::Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Create(c, fs, "f.nc", simmpi::NullInfo()).value();
+    const int x = ds.DefDim("x", kIdleLen).value();
+    (void)ds.DefVar("v", NcType::kInt, {x}).value();
+    body(ds, c.rank(), [&c] { c.Barrier(); });
+  });
+}
+
+/// The reopened "f.nc" holds IdleValue(base, i) in every element.
+void ExpectIdleValues(pfs::FileSystem& fs, std::int32_t base) {
+  auto rd = netcdf::Dataset::Open(fs, "f.nc", false);
+  ASSERT_TRUE(rd.ok()) << rd.status().message();
+  std::vector<std::int32_t> got(kIdleLen);
+  const pnc::Status st =
+      rd.value().GetVar<std::int32_t>(rd.value().VarId("v").value(), got);
+  ASSERT_TRUE(st.ok()) << st.message();
+  for (std::uint64_t i = 0; i < kIdleLen; ++i)
+    ASSERT_EQ(got[i], IdleValue(base, i)) << i;
+}
+
+class IdleSyncP : public ::testing::TestWithParam<int> {};
+
+// Power fails at the first write after an idle Sync returned 0. The reopen
+// returns the synced bytes with status 0, and the commit in force is still
+// EndDef's: session-OPEN, unsummed.
+TEST_P(IdleSyncP, CrashAfterIdleSyncReopensWithTheSyncedBytes) {
+  const int nprocs = GetParam();
+  pfs::FileSystem fs;
+  std::uint64_t enddef_seq = 0;
+  IdleSyncSession(fs, nprocs, [&](auto& ds, int rank, auto&& barrier) {
+    EXPECT_TRUE(ds.EndDef().ok());
+    if (rank == 0) enddef_seq = pnc_test::CommittedState(fs, "f.nc").seq;
+    EXPECT_TRUE(PutPrefix(ds, kIdleLen, 0, rank, nprocs).ok());
+    EXPECT_TRUE(ds.Sync().ok());
+    barrier();
+    if (rank == 0) {
+      EXPECT_EQ(pnc_test::CommittedState(fs, "f.nc").seq, enddef_seq);
+      ArmCrash(fs, 0);
+    }
+    barrier();
+    (void)PutPrefix(ds, kIdleLen, 1000, rank, nprocs);
+    (void)ds.Close();
+  });
+  ASSERT_TRUE(fs.crashed());
+  fs.SetFaultPolicy({});  // reboot
+
+  auto vr = nctools::VerifyFile(fs, "f.nc");
+  ASSERT_TRUE(vr.ok()) << vr.status().message();
+  EXPECT_EQ(vr.value().state, ncformat::FileState::kClean)
+      << vr.value().detail;
+  const ncformat::CommitState s = pnc_test::CommittedState(fs, "f.nc");
+  EXPECT_EQ(s.seq, enddef_seq);
+  EXPECT_EQ(s.flags, ncformat::kCommitFlagOpen);
+  EXPECT_EQ(s.table_len, 0u);
+  ExpectIdleValues(fs, 0);
+
+  auto v = nctools::VerifyFile(fs, "f.nc", {.repair = false, .data = true});
+  ASSERT_TRUE(v.ok()) << v.status().message();
+  ASSERT_TRUE(v.value().scrub.has_value());
+  EXPECT_FALSE(v.value().scrub->trusted);
+  EXPECT_EQ(v.value().scrub->corrupt, 0u);
+}
+
+// Part of the chunk, an idle Sync, then a rewrite from the start through the
+// end that overlaps it, and Close. The idle Sync still resolves the chunk's
+// fragments (the first write tiles the chunk's extent then), so Close's
+// rewrite tiles it again and nothing is read back. Left unresolved, the two
+// overlapping fragments would force Close to read the chunk back. The
+// closed file verifies clean under a trusted table.
+TEST_P(IdleSyncP, RewriteAcrossAnIdleSyncKeepsTheTableTrusted) {
+  const int nprocs = GetParam();
+  const auto run = [nprocs](pfs::FileSystem& fs) {
+    IdleSyncSession(fs, nprocs, [&](auto& ds, int rank, auto&&) {
+      EXPECT_TRUE(ds.EndDef().ok());
+      EXPECT_TRUE(PutPrefix(ds, 2 * kIdleLen / 3, 0, rank, nprocs).ok());
+      EXPECT_TRUE(ds.Sync().ok());
+      EXPECT_TRUE(PutPrefix(ds, kIdleLen, 1000, rank, nprocs).ok());
+      EXPECT_TRUE(ds.Close().ok());
+    });
+    return fs.stats().bytes_read;
+  };
+  pfs::FileSystem fs;
+  const std::uint64_t read_on = run(fs);
+  std::uint64_t read_off = 0;
+  {
+    pnc_test::EnvGuard no_sums("PNC_SUMS", "0");
+    pfs::FileSystem unsummed;
+    read_off = run(unsummed);
+  }
+  EXPECT_EQ(read_on - read_off, 0u) << "sum read-back bytes";
+
+  auto vr = nctools::VerifyFile(fs, "f.nc");
+  ASSERT_TRUE(vr.ok()) << vr.status().message();
+  EXPECT_EQ(vr.value().state, ncformat::FileState::kClean)
+      << vr.value().detail;
+  ExpectIdleValues(fs, 1000);
+  auto v = nctools::VerifyFile(fs, "f.nc", {.repair = false, .data = true});
+  ASSERT_TRUE(v.ok()) << v.status().message();
+  ASSERT_TRUE(v.value().scrub.has_value());
+  const ncformat::ScrubReport& s = *v.value().scrub;
+  EXPECT_TRUE(s.trusted);
+  EXPECT_GE(s.clean, 1u);
+  EXPECT_EQ(s.unsummed, 0u);
+  EXPECT_EQ(s.corrupt, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, IdleSyncP, ::testing::Values(0, 1, 3, 4),
+                         [](const ::testing::TestParamInfo<int>& i) {
+                           return i.param == 0 ? std::string("serial")
+                                               : "p" + std::to_string(i.param);
+                         });
+
+// ---------------------------------------------------------------------------
 // Fresh create through the first EndDef, serial (nprocs 0) and at 3 ranks.
 // Create writes nothing; the first journal commit lays down the magic, both
 // zeroed slots and the shadow in one write, then the slot. Every crash

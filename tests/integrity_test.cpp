@@ -1107,6 +1107,86 @@ TEST(SidecarTraffic, FirstJournalCommitCarriesTheMagic) {
   EXPECT_EQ(ncformat::ReadCommitState(j).value()->numrecs, 5u);
 }
 
+// A commit that restates the commit in force (same header, record count and
+// flags, no table on either side) writes and syncs nothing and leaves the
+// state as it was. A change to any one of those, or a table on either side,
+// still commits: one write and one sync, or the two of a header commit.
+TEST(SidecarTraffic, RestatementWritesNothing) {
+  const std::vector<std::byte> header = EncodedHeader(1);
+  ncformat::ChunkSumMap map;
+  map.SetGeometry(4096, 128);
+  map.Set(0, {4096, 0x1234u});
+  struct Case {
+    const char* what;
+    std::vector<std::byte> header;
+    std::uint64_t numrecs;
+    const ncformat::ChunkSumMap* sums;
+    bool open;
+    std::size_t writes;  ///< and as many syncs
+  };
+  // Over an OPEN commit of `header`, 2 records and no table.
+  const Case over_open[] = {
+      {"restated OPEN", header, 2, &map, true, 0},
+      {"numrecs", header, 3, &map, true, 1},
+      {"flags", header, 2, nullptr, false, 1},
+      {"header", EncodedHeader(2), 2, &map, true, 2},
+  };
+  // Over a closed commit of `header`, 2 records and no table (sums off).
+  const Case over_closed[] = {
+      {"restated closed", header, 2, nullptr, false, 0},
+      {"table", header, 2, &map, false, 1},
+  };
+  for (const bool open_base : {true, false}) {
+    CountingCommitIo base;
+    std::optional<ncformat::CommitState> in_force;
+    // Records 1, then 2: seq 2 in slot B, which a skip must not flip.
+    for (std::uint64_t recs = 1; recs <= 2; ++recs)
+      ASSERT_TRUE(ncformat::Commit(base, header, recs,
+                                   open_base ? &map : nullptr, open_base,
+                                   in_force)
+                      .ok());
+    ASSERT_EQ(in_force->seq, 2u);
+    ASSERT_EQ(in_force->table_len, 0u);
+    for (const Case& c : open_base ? std::span<const Case>(over_open)
+                                   : std::span<const Case>(over_closed)) {
+      SCOPED_TRACE(c.what);
+      CountingCommitIo io = base;
+      io.writes.clear();
+      io.syncs = 0;
+      std::optional<ncformat::CommitState> state = in_force;
+      ASSERT_TRUE(
+          ncformat::Commit(io, c.header, c.numrecs, c.sums, c.open, state)
+              .ok());
+      EXPECT_EQ(io.writes.size(), c.writes);
+      EXPECT_EQ(io.syncs, static_cast<int>(c.writes));
+      const auto read = ncformat::ReadCommitState(io).value();
+      ASSERT_TRUE(read.has_value());
+      EXPECT_EQ(read->seq, state->seq);
+      if (c.writes == 0) {
+        EXPECT_EQ(io.bytes, base.bytes);
+        EXPECT_EQ(state->seq, in_force->seq);
+        EXPECT_EQ(state->slot, in_force->slot);
+      } else {
+        EXPECT_EQ(state->seq, in_force->seq + 1);
+        EXPECT_EQ(state->slot, 1 - in_force->slot);
+      }
+    }
+  }
+
+  // A closing commit that restates a table still writes it: only a commit
+  // with no table on either side is a restatement.
+  CountingCommitIo io;
+  std::optional<ncformat::CommitState> state;
+  ASSERT_TRUE(ncformat::Commit(io, header, 2, &map, false, state).ok());
+  ASSERT_GT(state->table_len, 0u);
+  io.writes.clear();
+  io.syncs = 0;
+  ASSERT_TRUE(ncformat::Commit(io, header, 2, &map, false, state).ok());
+  EXPECT_EQ(io.writes.size(), 1u);
+  EXPECT_EQ(io.syncs, 1);
+  EXPECT_EQ(state->seq, 2u);
+}
+
 // The tear argument of a data commit, byte by byte: pfs tears a write as a
 // prefix, so land every prefix of the one write over a committed journal.
 // The journal must read as the old commit with its table intact, or the
@@ -1366,26 +1446,31 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
       nprocs == 0 ? 1 : static_cast<std::uint64_t>(nprocs);
   EXPECT_EQ(on.step[kEndDef].requests, data_syncs + 4 + 2);
 
-  // Every Sync with sums is exactly one journal write plus one sync on top
-  // of the data sync an unsummed Sync does anyway: [slot A | slot B |
-  // shadow] from offset 8 (a session-OPEN commit carries no table). In
-  // parallel that data sync is one collective sync, one request per rank,
-  // and nothing else.
-  const std::uint64_t commit_bytes = 2 * ncformat::kJournalSlotSize + h;
-  for (const Step s : {kSyncAfterPut, kSyncIdle, kSyncIdleAfterGrowth}) {
+  // A Sync that grows no records restates the commit in force (same
+  // header, record count and session-OPEN flag, no table), so with sums it
+  // commits nothing: exactly the requests and bytes of the unsummed Sync,
+  // the data sync alone (in parallel one collective sync, one request per
+  // rank), and the journal's seq does not move.
+  for (const auto& [s, prev] :
+       {std::pair{kSyncAfterPut, kEndDef}, std::pair{kSyncIdle, kSyncAfterPut},
+        std::pair{kSyncIdleAfterGrowth, kSyncAfterWait}}) {
     SCOPED_TRACE(s == kSyncAfterPut ? "Sync after a put" : "idle Sync");
-    const Traffic d = on.step[s] - off.step[s];
-    EXPECT_EQ(d.requests, 2u);
-    EXPECT_EQ(d.bytes, commit_bytes);
+    EXPECT_EQ(on.step[s].requests, off.step[s].requests);
+    EXPECT_EQ(on.step[s].bytes, off.step[s].bytes);
+    EXPECT_EQ(on.journal_seq[s], on.journal_seq[prev]);
     if (nprocs != 0) {
-      EXPECT_EQ(on.step[s].requests, data_syncs + 2);
-      EXPECT_EQ(off.step[s].requests, data_syncs);
+      EXPECT_EQ(on.step[s].requests, data_syncs);
+      EXPECT_EQ(on.step[s].bytes, 0u);
     }
   }
-  EXPECT_EQ(on.step[kSyncIdle].bytes, commit_bytes);
-  // An idle Sync after the growth commits patches nothing.
-  EXPECT_EQ(on.step[kSyncIdleAfterGrowth].bytes, commit_bytes);
-  EXPECT_EQ(off.step[kSyncIdleAfterGrowth].bytes, 0u);
+  // An idle Sync writes no byte, serial included: the put before it is
+  // flushed by the Sync after the put, and the commit is a restatement.
+  for (const Step s : {kSyncIdle, kSyncIdleAfterGrowth}) {
+    SCOPED_TRACE("idle Sync");
+    EXPECT_EQ(on.step[s].bytes, 0u);
+    EXPECT_EQ(off.step[s].bytes, 0u);
+  }
+  const std::uint64_t commit_bytes = 2 * ncformat::kJournalSlotSize + h;
 
   // A write that grows the records converges the count in memory only: a
   // collective put, or an IputVara + WaitAll, makes exactly the I/O of the
@@ -1408,18 +1493,16 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
       EXPECT_EQ(l->disk_numrecs[same], recs);
     }
     // The Sync after each growth round commits the grown count: exactly the
-    // Sync after a put of as many bytes, plus the 4-byte numrecs patch and
-    // its sync (without sums, also the journal commit that an unsummed
-    // Sync without growth skips).
-    const std::uint64_t commit = l == &on ? 0 : 2;
-    const std::uint64_t cbytes = l == &on ? 0 : commit_bytes;
+    // Sync after a put of as many bytes, plus one journal write of [slot A
+    // | slot B | shadow] from offset 8 and its sync (a session-OPEN commit
+    // carries no table), and the 4-byte numrecs patch and its sync.
     for (const auto& [s, prev] : {std::pair{kSyncAfterGrowth, kSyncIdle},
                                   std::pair{kSyncAfterWait, kSyncAfterGrowth}}) {
       SCOPED_TRACE(s == kSyncAfterGrowth ? "Sync after a put"
                                          : "Sync after a WaitAll");
-      EXPECT_EQ(l->step[s].requests,
-                l->step[kSyncAfterPut].requests + commit + 2);
-      EXPECT_EQ(l->step[s].bytes, l->step[kSyncAfterPut].bytes + cbytes + 4);
+      EXPECT_EQ(l->step[s].requests, l->step[kSyncAfterPut].requests + 4);
+      EXPECT_EQ(l->step[s].bytes,
+                l->step[kSyncAfterPut].bytes + commit_bytes + 4);
       EXPECT_EQ(l->journal_seq[s], l->journal_seq[prev] + 1);
       if (nprocs != 0) {
         EXPECT_EQ(l->step[s].requests, data_syncs + 4);
