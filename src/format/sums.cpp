@@ -274,76 +274,62 @@ pnc::Result<ChunkSumMap> ChunkSumMap::DecodeTable(pnc::ConstByteSpan table) {
 
 namespace {
 
-/// Assemble the summed extent of chunk `c` into `buf`: overlap bytes come
-/// from the caller's freshly read `data`, the remainder through `raw`.
-pnc::Status AssembleChunk(const ChunkSumMap& map, std::uint64_t c,
-                          std::uint64_t clen, std::uint64_t offset,
-                          pnc::ByteSpan data, const RawRead& raw,
-                          pnc::ByteSpan buf) {
+/// Whether a read of [begin, end) can check chunk `c` against its committed
+/// sum (returned in `sum`): the chunk is committed, not dirty, its summed
+/// extent still exists in full, and that extent overlaps the range. A file
+/// shorter than the extent means the sum covers bytes that are gone (treat
+/// as unsummed, not corrupt).
+bool Verifiable(const ChunkSumMap& map, std::uint64_t c, std::uint64_t begin,
+                std::uint64_t end, std::uint64_t file_size, ChunkSum* sum) {
+  if (!map.Lookup(c, sum) || map.IsDirty(c)) return false;
   const std::uint64_t cstart = map.ChunkStart(c);
-  const std::uint64_t cend = cstart + clen;
-  const std::uint64_t ov_begin = std::max(cstart, offset);
-  const std::uint64_t ov_end = std::min(cend, offset + data.size());
-  if (ov_begin > cstart) {
-    if (auto st = raw(cstart, buf.first(ov_begin - cstart)); !st.ok())
-      return st;
-  }
-  if (ov_end > ov_begin)
-    std::memcpy(buf.data() + (ov_begin - cstart), data.data() +
-                (ov_begin - offset), ov_end - ov_begin);
-  if (cend > ov_end) {
-    if (auto st = raw(ov_end, buf.subspan(ov_end - cstart)); !st.ok())
-      return st;
-  }
-  return pnc::Status::Ok();
+  return cstart + sum->len <= file_size && cstart + sum->len > begin &&
+         cstart < end;
 }
 
 }  // namespace
 
-pnc::Status VerifyReadRange(const ChunkSumMap& map, std::uint64_t offset,
-                            pnc::ByteSpan data, std::uint64_t file_size,
-                            const RawRead& raw, int heal_attempts,
-                            double t_ns, VerifyStats* stats) {
-  if (map.chunk_size() == 0 || map.empty() || data.empty())
-    return pnc::Status::Ok();
-  const std::uint64_t end = offset + data.size();
-  if (end <= map.data_begin()) return pnc::Status::Ok();
-  const std::uint64_t begin = std::max(offset, map.data_begin());
-  std::vector<std::byte> chunk;
-  for (std::uint64_t c = map.ChunkOf(begin); c <= map.ChunkOf(end - 1); ++c) {
-    ChunkSum sum;
-    if (!map.Lookup(c, &sum) || map.IsDirty(c)) continue;
+pnc::Status VerifiedRead(const ChunkSumMap& map, std::uint64_t offset,
+                         pnc::ByteSpan out, std::uint64_t file_size,
+                         const RawRead& raw, int heal_attempts, double t_ns) {
+  const std::uint64_t end = offset + out.size();
+  if (map.chunk_size() == 0 || map.empty() || out.empty() ||
+      end <= map.data_begin())
+    return raw(offset, out);
+  const std::uint64_t first = map.ChunkOf(std::max(offset, map.data_begin()));
+  const std::uint64_t last = map.ChunkOf(end - 1);
+
+  // The cover: the range widened to the summed extents of its verifiable
+  // boundary chunks, so one request fetches every byte the checked CRCs
+  // span. Interior chunks lie inside the range already.
+  std::uint64_t lo = offset, hi = end;
+  ChunkSum sum;
+  if (Verifiable(map, first, offset, end, file_size, &sum))
+    lo = std::min(lo, map.ChunkStart(first));
+  if (Verifiable(map, last, offset, end, file_size, &sum))
+    hi = std::max(hi, map.ChunkStart(last) + sum.len);
+  std::vector<std::byte> staging;
+  pnc::ByteSpan cover = out;
+  if (lo != offset || hi != end) {
+    staging.resize(hi - lo);
+    cover = pnc::ByteSpan(staging);
+  }
+  PNC_RETURN_IF_ERROR(raw(lo, cover));
+
+  for (std::uint64_t c = first; c <= last; ++c) {
+    if (!Verifiable(map, c, offset, end, file_size, &sum)) continue;
     const std::uint64_t cstart = map.ChunkStart(c);
-    // The summed extent must still exist in full; a shorter file means the
-    // sum covers bytes that are gone (treat as unsummed, not corrupt).
-    if (cstart + sum.len > file_size) continue;
-    if (cstart + sum.len <= offset || cstart >= end)
-      continue;  // accessed bytes lie beyond the summed extent
-    chunk.resize(sum.len);
-    if (auto st = AssembleChunk(map, c, sum.len, offset, data, raw,
-                                pnc::ByteSpan(chunk));
-        !st.ok())
-      return st;
+    const pnc::ByteSpan bytes = cover.subspan(cstart - lo, sum.len);
     PNC_OBSERVE(kSumVerify);
-    if (stats != nullptr) ++stats->chunks_verified;
-    if (pnc::Crc32(chunk) == sum.crc) continue;
+    if (pnc::Crc32(bytes) == sum.crc) continue;
     PNC_OBSERVE(kSumMismatch);
-    if (stats != nullptr) ++stats->mismatches;
-    // Mismatch: re-read the whole chunk. A transient read-side flip (of
-    // the original read *or* of the assembly reads above) heals here; an
-    // at-rest flip keeps mismatching and surfaces as kDataCorrupt.
+    // Mismatch: re-read the whole chunk in place. A transient read-side
+    // flip heals here, wherever in the cover it landed; an at-rest flip
+    // keeps mismatching and surfaces as kDataCorrupt.
     bool healed = false;
     for (int a = 0; a < heal_attempts && !healed; ++a) {
-      if (auto st = raw(cstart, pnc::ByteSpan(chunk)); !st.ok()) return st;
-      if (pnc::Crc32(chunk) != sum.crc) continue;
-      const std::uint64_t ov_begin = std::max(cstart, offset);
-      const std::uint64_t ov_end = std::min(cstart + sum.len, end);
-      if (ov_end > ov_begin)
-        std::memcpy(data.data() + (ov_begin - offset),
-                    chunk.data() + (ov_begin - cstart), ov_end - ov_begin);
-      PNC_OBSERVE(kSumHealed);
-      if (stats != nullptr) ++stats->healed_retries;
-      healed = true;
+      PNC_RETURN_IF_ERROR(raw(cstart, bytes));
+      healed = pnc::Crc32(bytes) == sum.crc;
     }
     if (!healed) {
       PNC_OBSERVE(kDataCorrupt, .t_ns = t_ns, .off = c,
@@ -353,7 +339,10 @@ pnc::Status VerifyReadRange(const ChunkSumMap& map, std::uint64_t offset,
                              " checksum mismatch persisted across " +
                              std::to_string(heal_attempts) + " re-reads");
     }
+    PNC_OBSERVE(kSumHealed);
   }
+  if (!staging.empty())
+    std::memcpy(out.data(), staging.data() + (offset - lo), out.size());
   return pnc::Status::Ok();
 }
 

@@ -34,14 +34,16 @@
 // describes the intended bytes, so the flip surfaces on the next verified
 // read.
 //
-// Verify-on-read (VerifyReadRange) recomputes the CRC of every committed,
-// non-dirty chunk a physical read touches, re-reading neighbouring bytes
-// through the caller-supplied raw-read callback. A mismatch is retried
-// (healing transient read-side flips) before surfacing kDataCorrupt; the
-// sticky at-rest case keeps mismatching and is reported, never returned
-// silently. All of this is armed-only: with PNC_SUMS=0 commits carry no
-// table, no verification runs, and the primary file is bit-identical to
-// one written with sums on.
+// Verify-on-read (VerifiedRead) recomputes the CRC of every committed,
+// non-dirty chunk a physical read touches. The chunk grid starts at
+// data_begin while reads start on stripe or block boundaries, so a read
+// usually begins and ends inside a chunk; VerifiedRead widens it to the
+// boundary chunks' summed extents and fetches that cover in the one request
+// the read makes anyway. A mismatch is retried (healing transient
+// read-side flips) before surfacing kDataCorrupt; the sticky at-rest case
+// keeps mismatching and is reported, never returned silently. All of this
+// is armed-only: with PNC_SUMS=0 commits carry no table, no verification
+// runs, and the primary file is bit-identical to one written with sums on.
 #pragma once
 
 #include <functional>
@@ -70,9 +72,9 @@ struct ChunkSum {
   friend bool operator==(const ChunkSum&, const ChunkSum&) = default;
 };
 
-/// Raw byte reader for verification re-reads and flush fallback reads:
-/// must bypass verification (no recursion) but retain the caller's
-/// retry/cost discipline.
+/// Raw byte reader for verified reads and flush fallback reads: must
+/// bypass verification (no recursion) but retain the caller's retry/cost
+/// discipline.
 using RawRead =
     std::function<pnc::Status(std::uint64_t offset, pnc::ByteSpan out)>;
 
@@ -171,29 +173,22 @@ class ChunkSumMap {
   std::map<std::uint64_t, DirtyChunk> dirty_;
 };
 
-/// Verification telemetry, accumulated across calls by the owner.
-struct VerifyStats {
-  std::uint64_t chunks_verified = 0;
-  std::uint64_t mismatches = 0;
-  std::uint64_t healed_retries = 0;
-};
-
-/// Verify the freshly read buffer `data` (file bytes [offset,
-/// offset+len)) against every committed, non-dirty chunk it overlaps.
-/// Chunk bytes outside the buffer are fetched through `raw`. On CRC
-/// mismatch the whole chunk is re-read up to `heal_attempts` times; a
-/// clean re-read is spliced back into `data` (the read healed), a chunk
-/// still mismatching returns kDataCorrupt. `t_ns` timestamps the
-/// flight-recorder event on the corrupt path. Counters are recorded via
-/// PNC_OBSERVE; `stats` (optional) additionally accumulates them for the
-/// caller.
-[[nodiscard]] pnc::Status VerifyReadRange(const ChunkSumMap& map,
-                                          std::uint64_t offset,
-                                          pnc::ByteSpan data,
-                                          std::uint64_t file_size,
-                                          const RawRead& raw,
-                                          int heal_attempts, double t_ns,
-                                          VerifyStats* stats);
+/// Read file bytes [offset, offset + out.size()) into `out` through `raw`,
+/// checked against every committed, non-dirty chunk they overlap whose
+/// summed extent lies within `file_size`. The read is one request for the
+/// cover: the range widened to the summed extents of its first and last
+/// verifiable chunks (never below data_begin, never past a summed end), so
+/// every checked chunk comes from that one request. A chunk that mismatches
+/// is re-read whole up to `heal_attempts` times; a clean re-read heals it,
+/// a chunk still mismatching returns kDataCorrupt, with a flight-recorder
+/// event stamped `t_ns` (the read's issue time). Counters are recorded via
+/// PNC_OBSERVE. With nothing to verify the cover is the range itself.
+[[nodiscard]] pnc::Status VerifiedRead(const ChunkSumMap& map,
+                                       std::uint64_t offset,
+                                       pnc::ByteSpan out,
+                                       std::uint64_t file_size,
+                                       const RawRead& raw, int heal_attempts,
+                                       double t_ns);
 
 /// Offline scrub verdict for one chunk-sized piece of the data region.
 enum class ChunkVerdict {

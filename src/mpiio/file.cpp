@@ -162,25 +162,23 @@ pnc::Status File::Impl::RetryIo(bool is_write, std::uint64_t off,
                                 std::byte* data, std::uint64_t len,
                                 simmpi::VirtualClock* clk) {
   if (clk == nullptr) clk = &comm.clock();
+  if (!is_write && sums_verify && len != 0)
+    return ncformat::VerifiedRead(
+        *sums, off, pnc::ByteSpan(data, len), file.size(),
+        [this, clk](std::uint64_t o, pnc::ByteSpan out) {
+          return RawIo(/*is_write=*/false, o, out.data(), out.size(), *clk);
+        },
+        std::max(1, retry.max_attempts), clk->now());
   pnc::Status st = RawIo(is_write, off, data, len, *clk);
-  if (sums == nullptr || len == 0) return st;
-  if (is_write) {
-    // Checksum the bytes while they are in memory; a write that did not
-    // land in full leaves its chunks to be read back at the flush.
-    if (st.ok())
-      sums->RecordWrite(off, pnc::ConstByteSpan(data, len),
-                        file.discards_data());
-    else
-      sums->MarkDirtyRange(off, len);
-    return st;
-  }
-  if (!st.ok() || !sums_verify) return st;
-  return ncformat::VerifyReadRange(
-      *sums, off, pnc::ByteSpan(data, len), file.size(),
-      [this, clk](std::uint64_t o, pnc::ByteSpan out) {
-        return RawIo(/*is_write=*/false, o, out.data(), out.size(), *clk);
-      },
-      std::max(1, retry.max_attempts), clk->now(), nullptr);
+  if (!is_write || sums == nullptr || len == 0) return st;
+  // Checksum the bytes while they are in memory; a write that did not land
+  // in full leaves its chunks to be read back at the flush.
+  if (st.ok())
+    sums->RecordWrite(off, pnc::ConstByteSpan(data, len),
+                      file.discards_data());
+  else
+    sums->MarkDirtyRange(off, len);
+  return st;
 }
 
 pnc::Status File::Impl::RawIo(bool is_write, std::uint64_t off,

@@ -41,14 +41,16 @@ struct File::Impl {
   /// (charged to the virtual clock, counted in pfs::Stats). A transient
   /// error that survives the retry budget is reported as kIo. On top of
   /// RawIo this maintains the attached chunk-sum map: dirty marking on
-  /// writes, verify/heal on reads (every read path — independent, sieving
-  /// windows, RMW pre-reads, and two-phase aggregator I/O — funnels here).
+  /// writes; on reads a verified read (ncformat::VerifiedRead) that fetches
+  /// whole boundary chunks in the same request (every read path —
+  /// independent, sieving windows, RMW pre-reads, and two-phase aggregator
+  /// I/O — funnels here).
   /// The transfer, its retries and their backoff advance `clk`: the rank
   /// clock when null, or a two-phase aggregator's I/O channel.
   pnc::Status RetryIo(bool is_write, std::uint64_t off, std::byte* data,
                       std::uint64_t len, simmpi::VirtualClock* clk = nullptr);
-  /// The transfer itself, with no integrity hooks (verification re-reads
-  /// use this directly to avoid recursion).
+  /// The transfer itself, with no integrity hooks (the verified read
+  /// issues its cover and heal re-reads through this, avoiding recursion).
   pnc::Status RawIo(bool is_write, std::uint64_t off, std::byte* data,
                     std::uint64_t len, simmpi::VirtualClock& clk);
   /// Same policy for a sync barrier (zero-length faultable op).

@@ -28,25 +28,23 @@ void BufferedFile::AttachSums(ncformat::ChunkSumMap* sums, bool verify) {
 
 pnc::Status BufferedFile::RetryIo(bool is_write, std::uint64_t offset,
                                   std::byte* data, std::uint64_t len) {
+  if (!is_write && sums_verify_ && len != 0)
+    return ncformat::VerifiedRead(
+        *sums_, offset, pnc::ByteSpan(data, len), file_.size(),
+        [this](std::uint64_t o, pnc::ByteSpan out) {
+          return RawIo(/*is_write=*/false, o, out.data(), out.size());
+        },
+        std::max(1, retry_.max_attempts), clock_->now());
   pnc::Status st = RawIo(is_write, offset, data, len);
-  if (sums_ == nullptr || len == 0) return st;
-  if (is_write) {
-    // Checksum the bytes while they are in memory; a write that did not
-    // land in full leaves its chunks to be read back at the flush.
-    if (st.ok())
-      sums_->RecordWrite(offset, pnc::ConstByteSpan(data, len),
-                         file_.discards_data());
-    else
-      sums_->MarkDirtyRange(offset, len);
-    return st;
-  }
-  if (!st.ok() || !sums_verify_) return st;
-  return ncformat::VerifyReadRange(
-      *sums_, offset, pnc::ByteSpan(data, len), file_.size(),
-      [this](std::uint64_t o, pnc::ByteSpan out) {
-        return RawIo(/*is_write=*/false, o, out.data(), out.size());
-      },
-      std::max(1, retry_.max_attempts), clock_->now(), nullptr);
+  if (!is_write || sums_ == nullptr || len == 0) return st;
+  // Checksum the bytes while they are in memory; a write that did not land
+  // in full leaves its chunks to be read back at the flush.
+  if (st.ok())
+    sums_->RecordWrite(offset, pnc::ConstByteSpan(data, len),
+                       file_.discards_data());
+  else
+    sums_->MarkDirtyRange(offset, len);
+  return st;
 }
 
 pnc::Status BufferedFile::RawIo(bool is_write, std::uint64_t offset,

@@ -64,8 +64,8 @@ class BufferedFile {
   /// the integrity hooks of the attached chunk-sum map.
   pnc::Status RetryIo(bool is_write, std::uint64_t offset, std::byte* data,
                       std::uint64_t len);
-  /// The transfer alone, no integrity hooks (used by verification
-  /// re-reads to avoid recursion).
+  /// The transfer alone, no integrity hooks (the verified read issues its
+  /// cover and heal re-reads through this, avoiding recursion).
   pnc::Status RawIo(bool is_write, std::uint64_t offset, std::byte* data,
                     std::uint64_t len);
 

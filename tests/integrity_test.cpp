@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -38,6 +39,7 @@ using ncformat::NcType;
 using simmpi::Comm;
 
 using pnc_test::CommittedState;
+using pnc_test::CommittedSums;
 using pnc_test::EnvGuard;
 
 /// Decode `path`'s header through the harness (fault-free) read path.
@@ -1527,6 +1529,579 @@ INSTANTIATE_TEST_SUITE_P(Ranks, SidecarTrafficP, ::testing::Values(0, 3, 4),
                            return i.param == 0 ? std::string("serial")
                                                : "p" + std::to_string(i.param);
                          });
+
+// ------------------------------------ verified reads: one request per range
+
+// The chunk grid starts at data_begin, but two-phase windows start on
+// stripe or window boundaries and serial buffer blocks on block
+// boundaries, so a physical read usually begins and ends inside a chunk.
+// A verified read fetches its boundary chunks whole in the one request it
+// makes anyway. Per call, through every read funnel: the same pfs read
+// requests as the unsummed read, the boundary chunks' slack as the only
+// extra bytes, and one CRC check per committed chunk each physical read
+// overlaps.
+
+signed char VCell(std::uint64_t i) {
+  return static_cast<signed char>((i * 131 + 17) % 251 - 125);
+}
+
+/// A rows x cols byte grid "d", written serially and closed with sums,
+/// whose 1001-byte history attribute puts data_begin off every chunk,
+/// stripe and buffer-block boundary.
+void CreateOffGridFile(pfs::FileSystem& fs, const std::string& path,
+                       std::uint64_t rows, std::uint64_t cols) {
+  auto ds = netcdf::Dataset::Create(fs, path).value();
+  ASSERT_TRUE(
+      ds.PutAttText(netcdf::kGlobal, "history", std::string(1001, 'h')).ok());
+  const int y = ds.DefDim("y", rows).value();
+  const int x = ds.DefDim("x", cols).value();
+  const int v = ds.DefVar("d", NcType::kByte, {y, x}).value();
+  ASSERT_TRUE(ds.EndDef().ok());
+  std::vector<signed char> vals(rows * cols);
+  for (std::uint64_t i = 0; i < vals.size(); ++i) vals[i] = VCell(i);
+  ASSERT_TRUE(ds.PutVar<signed char>(v, vals).ok());
+  ASSERT_TRUE(ds.Close().ok());
+}
+
+/// One physical read, [off, end).
+struct Range {
+  std::uint64_t off = 0, end = 0;
+};
+
+/// What verifying the physical read `r` adds to the unsummed read: the
+/// slack bytes its cover fetches and the chunks it checks — every
+/// committed chunk whose summed extent overlaps `r` and lies within the
+/// file.
+struct CoverCost {
+  std::uint64_t slack = 0, chunks = 0;
+};
+
+CoverCost CostOf(const ncformat::ChunkSumMap& m, std::uint64_t fsize,
+                 Range r) {
+  CoverCost cc;
+  if (r.end <= m.data_begin()) return cc;
+  const std::uint64_t first = m.ChunkOf(std::max(r.off, m.data_begin()));
+  for (std::uint64_t c = first; c <= m.ChunkOf(r.end - 1); ++c) {
+    ncformat::ChunkSum sum;
+    const std::uint64_t start = m.ChunkStart(c);
+    if (!m.Lookup(c, &sum) || start + sum.len > fsize ||
+        start + sum.len <= r.off)
+      continue;
+    ++cc.chunks;
+    if (start < r.off) cc.slack += r.off - start;
+    if (start + sum.len > r.end) cc.slack += start + sum.len - r.end;
+  }
+  return cc;
+}
+
+/// pfs read traffic, and chunk CRCs checked (all ranks).
+struct ReadTraffic {
+  std::uint64_t requests = 0, bytes = 0, verified = 0;
+};
+
+ReadTraffic ReadTrafficNow(pfs::FileSystem& fs) {
+  const pfs::Stats s = fs.stats();
+  ReadTraffic t{s.read_requests, s.bytes_read, 0};
+#if PNC_IOSTAT_ENABLED
+  const auto& reg = iostat::Registry::Get();
+  for (int r = 0; r < reg.nranks(); ++r)
+    t.verified += reg.Value(r, iostat::Ctr::kNcSumChunksVerified);
+#endif
+  return t;
+}
+
+ReadTraffic operator-(const ReadTraffic& a, const ReadTraffic& b) {
+  return {a.requests - b.requests, a.bytes - b.bytes, a.verified - b.verified};
+}
+
+constexpr std::uint64_t kVRows = 1024, kVCols = 1000;  // 15 chunks + 40960 B
+constexpr std::uint64_t kVBlock = 128 * 1024;  // serial buffer size
+constexpr std::uint64_t kVWindow = 100000;     // two-phase cb_buffer_size
+constexpr int kVAggs = 2;                      // cb_nodes
+
+/// The serial calls of the traffic test: rows [r0, r1) of "d".
+struct SerialCall {
+  const char* name;
+  std::uint64_t r0, r1;
+};
+const SerialCall kSerialCalls[] = {{"block load", 200, 203},
+                                   {"two block loads", 500, 620},
+                                   {"large-request bypass", 700, 1000},
+                                   {"bypass to the short last chunk", 1, kVRows}};
+/// The parallel calls, one per read funnel.
+const ReadMode kParallelCalls[] = {ReadMode::kCollective,
+                                   ReadMode::kIndependent, ReadMode::kSieved};
+
+/// Rows [r0, r1) of the collective read on `rank` of `nprocs`.
+std::pair<std::uint64_t, std::uint64_t> CollectiveRows(int rank, int nprocs) {
+  const std::uint64_t lo = 3, hi = kVRows - 5;
+  const std::uint64_t q = (hi - lo) / static_cast<std::uint64_t>(nprocs);
+  const std::uint64_t r0 = lo + q * static_cast<std::uint64_t>(rank);
+  return {r0, rank + 1 == nprocs ? hi : r0 + q};
+}
+std::uint64_t IndependentRow(int rank) {
+  return 37 + 211 * static_cast<std::uint64_t>(rank);
+}
+constexpr std::uint64_t kIndependentRowCount = 150;
+std::uint64_t SievedCol(int rank) {
+  return 13 + 240 * static_cast<std::uint64_t>(rank);
+}
+constexpr std::uint64_t kSievedColCount = 200;
+
+/// The physical reads each call makes with PNC_SUMS=0: buffer blocks (or
+/// bufsize pieces of a large request) serially; in parallel one read per
+/// independent request or sieve window, and one per two-phase window,
+/// following the file-domain rule of mpiio/twophase.cpp.
+std::vector<std::vector<Range>> UnsummedReads(int nprocs, std::uint64_t db,
+                                              std::uint64_t fsize,
+                                              std::uint64_t stripe) {
+  std::vector<std::vector<Range>> calls;
+  if (nprocs == 0) {
+    std::uint64_t cached = ~0ull;  // block 0 holds the header read
+    for (const auto& [name, r0, r1] : kSerialCalls) {
+      std::vector<Range> reads;
+      const std::uint64_t a = db + r0 * kVCols, e = db + r1 * kVCols;
+      if (e - a >= kVBlock) {
+        for (std::uint64_t p = a; p < e; p += kVBlock)
+          reads.push_back({p, std::min(e, p + kVBlock)});
+        cached = ~0ull;
+      } else {
+        for (std::uint64_t b = a / kVBlock; b <= (e - 1) / kVBlock; ++b) {
+          if (b != cached)
+            reads.push_back({b * kVBlock, std::min(fsize, (b + 1) * kVBlock)});
+          cached = b;
+        }
+      }
+      calls.push_back(reads);
+    }
+    return calls;
+  }
+  const auto p = static_cast<std::uint64_t>(nprocs);
+  // Two-phase: contiguous [gmin, gmax) split into stripe-aligned domains.
+  std::vector<Range> coll;
+  const std::uint64_t gmin = db + CollectiveRows(0, nprocs).first * kVCols;
+  const std::uint64_t gmax =
+      db + CollectiveRows(nprocs - 1, nprocs).second * kVCols;
+  if (nprocs == 1) {
+    coll.push_back({gmin, gmax});  // a one-rank collective is independent
+  } else {
+    const std::uint64_t naggs = std::min<std::uint64_t>(kVAggs, p);
+    const std::uint64_t base = gmin / stripe * stripe;
+    const std::uint64_t per = (gmax - base + naggs - 1) / naggs;
+    const std::uint64_t dsize =
+        std::max(stripe, (per + stripe - 1) / stripe * stripe);
+    for (std::uint64_t d = 0; d < naggs; ++d) {
+      const std::uint64_t ds = base + d * dsize;
+      const std::uint64_t de = d + 1 == naggs ? gmax : std::min(gmax, ds + dsize);
+      for (std::uint64_t w = ds; w < de; w += kVWindow) {
+        const Range r{std::max(gmin, w), std::min(de, w + kVWindow)};
+        if (r.off < r.end) coll.push_back(r);
+      }
+    }
+  }
+  calls.push_back(coll);
+  std::vector<Range> indep, sieved;
+  for (int r = 0; r < nprocs; ++r) {
+    const std::uint64_t a = db + IndependentRow(r) * kVCols;
+    indep.push_back({a, a + kIndependentRowCount * kVCols});
+    sieved.push_back({db + SievedCol(r),
+                      db + (kVRows - 1) * kVCols + SievedCol(r) +
+                          kSievedColCount});
+  }
+  calls.push_back(indep);
+  calls.push_back(sieved);
+  return calls;
+}
+
+/// Make every call on a read-only open of `path` and return each call's
+/// traffic; every call must return the written bytes.
+std::vector<ReadTraffic> ReadCallTraffic(pfs::FileSystem& fs,
+                                         const std::string& path,
+                                         int nprocs) {
+  std::vector<ReadTraffic> out;
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Open(fs, path, false, kVBlock).value();
+    const int v = ds.VarId("d").value();
+    for (const auto& [name, r0, r1] : kSerialCalls) {
+      std::vector<signed char> got((r1 - r0) * kVCols);
+      const std::uint64_t st[] = {r0, 0};
+      const std::uint64_t ct[] = {r1 - r0, kVCols};
+      const ReadTraffic t0 = ReadTrafficNow(fs);
+      EXPECT_TRUE(ds.GetVara<signed char>(v, st, ct, got).ok());
+      out.push_back(ReadTrafficNow(fs) - t0);
+      std::uint64_t wrong = 0;
+      for (std::uint64_t i = 0; i < got.size(); ++i)
+        wrong += got[i] != VCell(r0 * kVCols + i);
+      EXPECT_EQ(wrong, 0u) << "rows from " << r0;
+    }
+    EXPECT_TRUE(ds.Close().ok());
+    return out;
+  }
+  simmpi::Run(nprocs, [&](Comm& c) {
+    simmpi::Info info;
+    info.Set("cb_buffer_size", std::to_string(kVWindow));
+    info.Set("cb_nodes", std::to_string(kVAggs));
+    auto ds = pnetcdf::Dataset::Open(c, fs, path, false, info).value();
+    const int v = ds.VarId("d").value();
+    ReadTraffic t0;
+    for (const ReadMode mode : kParallelCalls) {
+      const bool indep = mode != ReadMode::kCollective;
+      if (indep) {
+        ASSERT_TRUE(ds.BeginIndepData().ok());
+      }
+      std::uint64_t st[2], ct[2];
+      if (mode == ReadMode::kCollective) {
+        const auto [r0, r1] = CollectiveRows(c.rank(), c.size());
+        st[0] = r0, st[1] = 0, ct[0] = r1 - r0, ct[1] = kVCols;
+      } else if (mode == ReadMode::kIndependent) {
+        st[0] = IndependentRow(c.rank()), st[1] = 0;
+        ct[0] = kIndependentRowCount, ct[1] = kVCols;
+      } else {
+        st[0] = 0, st[1] = SievedCol(c.rank());
+        ct[0] = kVRows, ct[1] = kSievedColCount;
+      }
+      std::vector<signed char> got(ct[0] * ct[1]);
+      c.Barrier();
+      if (c.rank() == 0) t0 = ReadTrafficNow(fs);
+      c.Barrier();
+      const pnc::Status rs = indep
+                                 ? ds.GetVara<signed char>(v, st, ct, got)
+                                 : ds.GetVaraAll<signed char>(v, st, ct, got);
+      c.Barrier();
+      if (c.rank() == 0) out.push_back(ReadTrafficNow(fs) - t0);
+      c.Barrier();
+      EXPECT_TRUE(rs.ok()) << ModeName(mode) << ": " << rs.message();
+      for (std::uint64_t i = 0; i < ct[0]; ++i)
+        for (std::uint64_t j = 0; j < ct[1]; ++j)
+          ASSERT_EQ(got[i * ct[1] + j],
+                    VCell((st[0] + i) * kVCols + st[1] + j))
+              << ModeName(mode) << ", rank " << c.rank();
+      if (indep) {
+        ASSERT_TRUE(ds.EndIndepData().ok());
+      }
+    }
+    EXPECT_TRUE(ds.Close().ok());
+  });
+  return out;
+}
+
+class VerifiedReadP : public ::testing::TestWithParam<int> {};
+
+TEST_P(VerifiedReadP, OneRequestPerRange) {
+  const int nprocs = GetParam();
+  pfs::FileSystem fs;
+  CreateOffGridFile(fs, "v.nc", kVRows, kVCols);
+  const std::optional<ncformat::ChunkSumMap> sums = CommittedSums(fs, "v.nc");
+  ASSERT_TRUE(sums.has_value());
+  const std::uint64_t db = DataBegin(fs, "v.nc");
+  const std::uint64_t fsize = fs.Open("v.nc").value().size();
+  const std::uint64_t stripe = fs.config().stripe_size;
+  const std::uint64_t cs = sums->chunk_size();
+  ASSERT_EQ(sums->data_begin(), db);
+  ASSERT_EQ(fsize, db + kVRows * kVCols);
+  ASSERT_EQ(sums->entries().size(), (fsize - db + cs - 1) / cs);
+  // Off the grid: no stripe, window, block or chunk boundary is a chunk's.
+  ASSERT_NE(db % cs, 0u);
+  ASSERT_NE(db % stripe, 0u);
+  ASSERT_NE(db % kVBlock, 0u);
+
+#if PNC_IOSTAT_ENABLED
+  iostat::Registry::Get().Reset();
+  iostat::SetSink(iostat::kSinkCounters, true);
+#endif
+  const std::vector<ReadTraffic> on = ReadCallTraffic(fs, "v.nc", nprocs);
+  std::vector<ReadTraffic> off;
+  {
+    EnvGuard no_sums("PNC_SUMS", "0");
+    off = ReadCallTraffic(fs, "v.nc", nprocs);
+  }
+#if PNC_IOSTAT_ENABLED
+  iostat::SetSink(iostat::kSinkCounters, false);
+  iostat::Registry::Get().Reset();
+#endif
+
+  const auto reads = UnsummedReads(nprocs, db, fsize, stripe);
+  ASSERT_EQ(on.size(), reads.size());
+  ASSERT_EQ(off.size(), reads.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    SCOPED_TRACE(nprocs == 0 ? kSerialCalls[i].name
+                             : ModeName(kParallelCalls[i]));
+    // The unsummed traffic is exactly the modelled reads.
+    std::uint64_t bytes = 0;
+    CoverCost cost;
+    for (const Range& r : reads[i]) {
+      bytes += r.end - r.off;
+      const CoverCost rc = CostOf(*sums, fsize, r);
+      EXPECT_LT(rc.slack, 2 * cs) << "[" << r.off << ", " << r.end << ")";
+      cost.slack += rc.slack;
+      cost.chunks += rc.chunks;
+    }
+    EXPECT_EQ(off[i].requests, reads[i].size());
+    EXPECT_EQ(off[i].bytes, bytes);
+    EXPECT_EQ(off[i].verified, 0u);
+    EXPECT_GT(cost.slack, 0u) << "the call's reads end on chunk boundaries";
+    // Verified: not one request more, only the boundary chunks' slack.
+    EXPECT_EQ(on[i].requests, off[i].requests);
+    EXPECT_EQ(on[i].bytes, off[i].bytes + cost.slack);
+#if PNC_IOSTAT_ENABLED
+    EXPECT_EQ(on[i].verified, cost.chunks);
+#endif
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, VerifiedReadP, ::testing::Values(0, 1, 3, 4),
+                         [](const ::testing::TestParamInfo<int>& i) {
+                           return i.param == 0 ? std::string("serial")
+                                               : "p" + std::to_string(i.param);
+                         });
+
+// ------------------------------------------- read-fault property sweep
+
+// Read-side faults (transient flips, short reads) armed after a read-only
+// open, swept over seeds, rank counts and every read funnel. A zero status
+// is a promise: each rank's read either returns the written bytes or fails
+// with kDataCorrupt. The sweep must also heal — including flips that land
+// in a cover's slack, outside the caller's bytes — and an at-rest flip in
+// a boundary chunk's slack must surface kDataCorrupt.
+
+constexpr std::uint64_t kSRows = 256, kSCols = 250;  // 64000 B: 15.6 chunks
+constexpr std::uint64_t kSBlock = 8192;   // serial buffer size
+
+/// A read whose result a sweep checks: `got` against rows/cols of "d".
+struct SweepRead {
+  std::uint64_t st[2] = {0, 0}, ct[2] = {0, 0}, stride[2] = {1, 1};
+  std::vector<signed char> got;
+  [[nodiscard]] bool Matches() const {
+    for (std::uint64_t i = 0; i < ct[0]; ++i)
+      for (std::uint64_t j = 0; j < ct[1]; ++j)
+        if (got[i * ct[1] + j] !=
+            VCell((st[0] + i * stride[0]) * kSCols + st[1] + j * stride[1]))
+          return false;
+    return true;
+  }
+};
+
+SweepRead SweepReadFor(ReadMode mode, int rank, int nprocs) {
+  SweepRead r;
+  const auto p = static_cast<std::uint64_t>(std::max(nprocs, 1));
+  const auto k = static_cast<std::uint64_t>(rank);
+  if (mode == ReadMode::kSieved) {
+    const std::uint64_t w = kSCols / p;
+    r.st[0] = 0, r.st[1] = 3 + w * k;
+    r.ct[0] = kSRows, r.ct[1] = w - 3;
+    if (nprocs == 0) r.stride[0] = 3, r.ct[0] = kSRows / 3, r.ct[1] = 40;
+  } else if (nprocs == 0) {
+    // Serial: one large request (the buffer bypass) or a short one that
+    // goes through the block cache.
+    r.st[0] = mode == ReadMode::kCollective ? 1 : 90;
+    r.ct[0] = mode == ReadMode::kCollective ? kSRows - 1 : 20;
+    r.ct[1] = kSCols;
+  } else {
+    const std::uint64_t band = kSRows / p;
+    r.st[0] = band * k;
+    r.ct[0] = k + 1 == p ? kSRows - r.st[0] : band;
+    r.ct[1] = kSCols;
+  }
+  r.got.resize(r.ct[0] * r.ct[1]);
+  return r;
+}
+
+/// Outcomes of one sweep cell.
+struct SweepTally {
+  int ok = 0, corrupt = 0, silent = 0, other = 0;
+  void Add(const pnc::Status& st, bool matches) {
+    if (st.ok())
+      matches ? ++ok : ++silent;
+    else
+      st.code() == pnc::Err::kDataCorrupt ? ++corrupt : ++other;
+  }
+};
+
+/// One read of `mode` on a read-only open of s.nc with `pol` armed after
+/// the open; every rank's outcome lands in `tally`.
+void SweepOnce(pfs::FileSystem& fs, int nprocs, ReadMode mode,
+               const pfs::FaultPolicy& pol, SweepTally& tally) {
+  std::mutex mu;
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Open(fs, "s.nc", false, kSBlock).value();
+    fs.SetFaultPolicy(pol);
+    SweepRead r = SweepReadFor(mode, 0, 0);
+    const pnc::Status rs = ds.GetVars<signed char>(
+        ds.VarId("d").value(), r.st, r.ct, r.stride, r.got);
+    fs.SetFaultPolicy({});
+    tally.Add(rs, r.Matches());
+    const pnc::Status cs = ds.Close();
+    EXPECT_EQ(cs.code(), rs.ok() ? pnc::Err::kNoErr : pnc::Err::kDataCorrupt);
+    return;
+  }
+  simmpi::Run(nprocs, [&](Comm& c) {
+    simmpi::Info info;
+    info.Set("cb_buffer_size", "8192");  // several two-phase windows
+    auto ds = pnetcdf::Dataset::Open(c, fs, "s.nc", false, info).value();
+    if (c.rank() == 0) fs.SetFaultPolicy(pol);
+    c.Barrier();
+    const int v = ds.VarId("d").value();
+    SweepRead r = SweepReadFor(mode, c.rank(), nprocs);
+    pnc::Status rs;
+    if (mode == ReadMode::kCollective) {
+      rs = ds.GetVaraAll<signed char>(v, r.st, r.ct, r.got);
+    } else {
+      EXPECT_TRUE(ds.BeginIndepData().ok());
+      rs = ds.GetVara<signed char>(v, r.st, r.ct, r.got);
+      EXPECT_TRUE(ds.EndIndepData().ok());
+    }
+    c.Barrier();
+    if (c.rank() == 0) fs.SetFaultPolicy({});
+    c.Barrier();
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      tally.Add(rs, r.Matches());
+    }
+    const pnc::Status cs = ds.Close();
+    EXPECT_EQ(cs.code(), rs.ok() ? pnc::Err::kNoErr : pnc::Err::kDataCorrupt)
+        << "rank " << c.rank();
+  });
+}
+
+/// A verified read straight over the faulted pfs file: [lo, hi) straddles
+/// a chunk boundary, so most of its cover is slack. The raw reader locates
+/// flips in the cover request against the harness bytes. True when a flip
+/// landed in the slack and the read still returned the right bytes.
+bool SlackFlipHealed(pfs::FileSystem& fs, const ncformat::ChunkSumMap& sums,
+                     std::uint64_t lo, std::uint64_t hi) {
+  auto f = fs.Open("s.nc").value();
+  bool first = true, slack_flip = false;
+  const ncformat::RawRead raw = [&](std::uint64_t off, pnc::ByteSpan out) {
+    for (std::uint64_t done = 0; done < out.size();) {
+      const pfs::IoResult r = f.TryRead(off + done, out.subspan(done), 0.0);
+      if (!r.ok()) return r.status;
+      done += r.transferred;
+    }
+    if (first) {
+      std::vector<std::byte> truth(out.size());
+      f.HarnessRead(off, truth, 0.0);
+      for (std::uint64_t i = 0; i < out.size(); ++i)
+        slack_flip |= out[i] != truth[i] && (off + i < lo || off + i >= hi);
+      first = false;
+    }
+    return pnc::Status::Ok();
+  };
+  std::vector<std::byte> got(hi - lo), want(hi - lo);
+  f.HarnessRead(lo, want, 0.0);
+  const pnc::Status st =
+      ncformat::VerifiedRead(sums, lo, pnc::ByteSpan(got), f.size(), raw,
+                             /*heal_attempts=*/4, 0.0);
+  if (st.ok()) {
+    EXPECT_EQ(got, want) << "silent corruption";
+  } else {
+    EXPECT_EQ(st.code(), pnc::Err::kDataCorrupt) << st.message();
+  }
+  return st.ok() && slack_flip;
+}
+
+/// Rank 0 reads rows [10, 50) (serially as a buffer bypass, in parallel
+/// independently) after a byte just past the range, in its last chunk's
+/// slack, decayed at rest.
+pnc::Status ReadPastAtRestSlackFlip(pfs::FileSystem& fs, int nprocs) {
+  SweepRead r;
+  r.st[0] = 10, r.ct[0] = 40, r.ct[1] = kSCols;
+  r.got.resize(r.ct[0] * r.ct[1]);
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Open(fs, "s.nc", false, kSBlock).value();
+    const pnc::Status rs =
+        ds.GetVara<signed char>(ds.VarId("d").value(), r.st, r.ct, r.got);
+    (void)ds.Close();
+    return rs;
+  }
+  pnc::Status rank0;
+  simmpi::Run(nprocs, [&](Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Open(c, fs, "s.nc", false, simmpi::NullInfo())
+            .value();
+    EXPECT_TRUE(ds.BeginIndepData().ok());
+    if (c.rank() == 0)
+      rank0 = ds.GetVara<signed char>(ds.VarId("d").value(), r.st, r.ct,
+                                      r.got);
+    EXPECT_TRUE(ds.EndIndepData().ok());
+    (void)ds.Close();
+  });
+  return rank0;
+}
+
+TEST(Integrity, ReadFaultSweepHealsOrSurfaces) {
+  pfs::FileSystem fs;
+  {
+    EnvGuard chunk("PNC_SUM_CHUNK", "4096");
+    CreateOffGridFile(fs, "s.nc", kSRows, kSCols);
+  }
+  const std::optional<ncformat::ChunkSumMap> sums = CommittedSums(fs, "s.nc");
+  ASSERT_TRUE(sums.has_value());
+  const std::uint64_t db = sums->data_begin(), cs = sums->chunk_size();
+  ASSERT_EQ(cs, 4096u);
+  ASSERT_NE(db % cs, 0u);
+#if PNC_IOSTAT_ENABLED
+  iostat::Registry::Get().Reset();
+  iostat::SetSink(iostat::kSinkCounters, true);
+#endif
+
+  int slack_heals = 0;
+  std::uint64_t flips = 0, shorts = 0;
+  for (const int nprocs : {0, 1, 3, 4, 8}) {
+    for (const ReadMode mode :
+         {ReadMode::kCollective, ReadMode::kIndependent, ReadMode::kSieved}) {
+      SweepTally tally;
+      for (int seed = 1; seed <= kSweepSeeds; ++seed) {
+        pfs::FaultPolicy pol;
+        pol.bitflip_read_prob = 0.25;
+        pol.short_read_prob = 0.2;
+        pol.seed = 0x5EEDull * static_cast<std::uint64_t>(seed) +
+                   (static_cast<std::uint64_t>(nprocs) << 40) +
+                   (static_cast<std::uint64_t>(mode) << 48);
+        SCOPED_TRACE(std::to_string(nprocs) + " ranks, " + ModeName(mode) +
+                     ", " + pnc_test::DescribePolicy(pol));
+        fs.ResetStats();
+        SweepOnce(fs, nprocs, mode, pol, tally);
+        flips += fs.stats().bitflips;
+        shorts += fs.stats().short_reads;
+        if (mode == ReadMode::kCollective) {
+          // The same policy, straight through VerifiedRead: where did the
+          // cover's flip land?
+          fs.SetFaultPolicy(pol);
+          const std::uint64_t c = 1 + static_cast<std::uint64_t>(seed) % 13;
+          slack_heals += SlackFlipHealed(fs, *sums, sums->ChunkStart(c) - 40,
+                                         sums->ChunkStart(c) + 60);
+          fs.SetFaultPolicy({});
+        }
+      }
+      SCOPED_TRACE(std::to_string(nprocs) + " ranks, " + ModeName(mode));
+      EXPECT_EQ(tally.silent, 0) << "OK with wrong bytes";
+      EXPECT_EQ(tally.other, 0) << "a status other than 0 or kDataCorrupt";
+      EXPECT_GT(tally.ok, 0);
+    }
+
+    // At-rest damage in a boundary chunk's slack, outside the bytes asked
+    // for, still fails the read: its chunk is checked whole.
+    const std::uint64_t past = db + 50 * kSCols + 100;
+    ASSERT_EQ(sums->ChunkOf(past), sums->ChunkOf(past - 100));
+    FlipByteAt(fs, "s.nc", past);
+    EXPECT_EQ(ReadPastAtRestSlackFlip(fs, nprocs).code(),
+              pnc::Err::kDataCorrupt)
+        << nprocs << " ranks";
+    FlipByteAt(fs, "s.nc", past);  // restore it for the next rank count
+  }
+  EXPECT_GT(flips, 0u);
+  EXPECT_GT(shorts, 0u);
+  EXPECT_GT(slack_heals, 0) << "no flip landed in a cover's slack and healed";
+#if PNC_IOSTAT_ENABLED
+  std::uint64_t healed = 0;
+  const auto& reg = iostat::Registry::Get();
+  for (int r = 0; r < reg.nranks(); ++r)
+    healed += reg.Value(r, iostat::Ctr::kNcSumHealedRetries);
+  EXPECT_GT(healed, 0u);
+  iostat::SetSink(iostat::kSinkCounters, false);
+  iostat::Registry::Get().Reset();
+#endif
+}
 
 // ------------------------------------- telemetry: counters + black box
 

@@ -30,10 +30,12 @@
 
 namespace {
 
+using ncformat::ChunkSum;
 using ncformat::ChunkSumMap;
 using ncformat::NcType;
 using simmpi::Comm;
 
+using pnc_test::CommittedSums;
 using pnc_test::EnvGuard;
 
 // ------------------------------------------------------------ CRC kernel
@@ -232,25 +234,184 @@ TEST(ChunkFragments, EncodeMergeAcrossRanks) {
   ExpectEntriesMatch(root, img);
 }
 
-// ------------------------------------------------- end-to-end oracle
+// ------------------------------------------------ verified reads, unit level
 
-/// The committed, trusted table of `path`, loaded from its journal as a
-/// reader would; nullopt when there is none to trust.
-std::optional<ncformat::ChunkSumMap> Committed(pfs::FileSystem& fs,
-                                               const std::string& path) {
-  simmpi::VirtualClock clk;
-  ncformat::PfsCommitIo io(fs.Open(ncformat::JournalPath(path)).value(), &clk);
-  const auto state = ncformat::ReadCommitState(io).value();
-  EXPECT_TRUE(state.has_value()) << path << ": nothing committed";
-  if (!state) return {};
-  return ncformat::ReadCommittedSums(io, *state).value();
+/// A file image whose reader logs every request it serves, and can flip one
+/// bit of the byte at `flip_at` in the next `transient_flips` requests that
+/// cover it (a read-side flip: the image itself stays intact).
+struct LoggedImage {
+  std::vector<std::byte> bytes;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> requests;  ///< [off, end)
+  std::uint64_t flip_at = ~0ull;
+  int transient_flips = 0;
+  ncformat::RawRead Reader() {
+    return [this](std::uint64_t off, pnc::ByteSpan out) {
+      std::memcpy(out.data(), bytes.data() + off, out.size());
+      requests.emplace_back(off, off + out.size());
+      if (transient_flips > 0 && flip_at >= off && flip_at < off + out.size()) {
+        out[flip_at - off] ^= std::byte{0x10};
+        --transient_flips;
+      }
+      return pnc::Status::Ok();
+    };
+  }
+};
+
+/// `data_bytes` random bytes after a kDb-byte header, with every chunk of
+/// size `chunk` summed as a closing commit would leave it.
+LoggedImage SummedImage(std::uint64_t data_bytes, ChunkSumMap& m,
+                        std::uint64_t chunk = kCs) {
+  LoggedImage img;
+  img.bytes = RandomBytes(kDb + data_bytes, 5);
+  m = ncformat::RecomputeSums(chunk, kDb, img.bytes.size(), img.Reader())
+          .value();
+  img.requests.clear();
+  return img;
 }
+
+/// VerifiedRead of [off, end) over `img`; the bytes must equal the image's.
+pnc::Status ReadRange(const ChunkSumMap& m, LoggedImage& img,
+                      std::uint64_t off, std::uint64_t end,
+                      std::uint64_t file_size = 0) {
+  std::vector<std::byte> out(end - off);
+  const pnc::Status st = ncformat::VerifiedRead(
+      m, off, pnc::ByteSpan(out),
+      file_size != 0 ? file_size : img.bytes.size(), img.Reader(),
+      /*heal_attempts=*/4, 0.0);
+  if (st.ok()) {
+    EXPECT_EQ(0, std::memcmp(out.data(), img.bytes.data() + off, out.size()))
+        << "wrong bytes for [" << off << ", " << end << ")";
+  }
+  return st;
+}
+
+using Req = std::pair<std::uint64_t, std::uint64_t>;
+using Reqs = std::vector<Req>;
+
+// A range inside one chunk is read as that whole chunk, in one request.
+TEST(VerifiedReadCover, RangeInsideOneChunkReadsTheChunk) {
+  ChunkSumMap m;
+  LoggedImage img = SummedImage(4 * kCs, m);
+  ASSERT_TRUE(ReadRange(m, img, kDb + kCs + 10, kDb + kCs + 110).ok());
+  EXPECT_EQ(img.requests, (Reqs{{kDb + kCs, kDb + 2 * kCs}}));
+}
+
+// A range spanning several chunks widens only at its two ends.
+TEST(VerifiedReadCover, StraddlingRangeWidensBothEnds) {
+  ChunkSumMap m;
+  LoggedImage img = SummedImage(4 * kCs, m);
+  ASSERT_TRUE(ReadRange(m, img, kDb + 100, kDb + 3 * kCs - 5).ok());
+  EXPECT_EQ(img.requests, (Reqs{{kDb, kDb + 3 * kCs}}));
+}
+
+TEST(VerifiedReadCover, ChunkAlignedRangeIsNotWidened) {
+  ChunkSumMap m;
+  LoggedImage img = SummedImage(4 * kCs, m);
+  ASSERT_TRUE(ReadRange(m, img, kDb + kCs, kDb + 3 * kCs).ok());
+  EXPECT_EQ(img.requests, (Reqs{{kDb + kCs, kDb + 3 * kCs}}));
+}
+
+// Header bytes below data_begin belong to no chunk: the start stays put.
+TEST(VerifiedReadCover, RangeFromTheHeaderIsNotWidenedDown) {
+  ChunkSumMap m;
+  LoggedImage img = SummedImage(4 * kCs, m);
+  ASSERT_TRUE(ReadRange(m, img, 40, kDb + 10).ok());
+  EXPECT_EQ(img.requests, (Reqs{{40, kDb + kCs}}));
+  img.requests.clear();
+  ASSERT_TRUE(ReadRange(m, img, 0, kDb).ok());  // header only
+  EXPECT_EQ(img.requests, (Reqs{{0, kDb}}));
+}
+
+// The tail chunk is summed up to the file's end, so the cover ends there.
+TEST(VerifiedReadCover, ShortLastChunkCoversItsSummedExtent) {
+  ChunkSumMap m;
+  LoggedImage img = SummedImage(3 * kCs + 1000, m);
+  ChunkSum tail;
+  ASSERT_TRUE(m.Lookup(3, &tail));
+  ASSERT_EQ(tail.len, 1000u);
+  ASSERT_TRUE(ReadRange(m, img, kDb + 3 * kCs + 10, kDb + 3 * kCs + 30).ok());
+  EXPECT_EQ(img.requests, (Reqs{{kDb + 3 * kCs, kDb + 3 * kCs + 1000}}));
+}
+
+// A boundary chunk that cannot be verified (dirty this session, or with no
+// committed sum) is not widened to; its verifiable neighbour still is.
+TEST(VerifiedReadCover, DirtyOrUnsummedBoundaryChunkIsNotWidened) {
+  ChunkSumMap m;
+  LoggedImage img = SummedImage(4 * kCs, m);
+  m.MarkDirtyRange(kDb + kCs + 1, 1);  // chunk 1
+  ASSERT_TRUE(ReadRange(m, img, kDb + kCs + 500, kDb + 2 * kCs + 7).ok());
+  EXPECT_EQ(img.requests, (Reqs{{kDb + kCs + 500, kDb + 3 * kCs}}));
+
+  ChunkSumMap partial;  // chunk 2 unsummed, chunk 1 summed
+  partial.SetGeometry(kCs, kDb);
+  ChunkSum s1;
+  ASSERT_TRUE(m.Lookup(1, &s1));
+  partial.Set(1, s1);
+  img.requests.clear();
+  ASSERT_TRUE(ReadRange(partial, img, kDb + kCs + 500, kDb + 2 * kCs + 7).ok());
+  EXPECT_EQ(img.requests, (Reqs{{kDb + kCs, kDb + 2 * kCs + 7}}));
+}
+
+// A summed extent past the file's end describes bytes that are gone: the
+// chunk is treated as unsummed, never widened to, never flagged corrupt.
+TEST(VerifiedReadCover, SummedExtentPastFileSizeIsNotWidened) {
+  ChunkSumMap m;
+  LoggedImage img = SummedImage(4 * kCs, m);
+  const std::uint64_t short_size = kDb + 2 * kCs + 100;  // truncated file
+  ASSERT_TRUE(
+      ReadRange(m, img, kDb + 2 * kCs + 10, kDb + 2 * kCs + 50, short_size)
+          .ok());
+  EXPECT_EQ(img.requests, (Reqs{{kDb + 2 * kCs + 10, kDb + 2 * kCs + 50}}));
+  // The chunk before it still widens the start.
+  img.requests.clear();
+  ASSERT_TRUE(
+      ReadRange(m, img, kDb + kCs + 10, kDb + 2 * kCs + 50, short_size).ok());
+  EXPECT_EQ(img.requests, (Reqs{{kDb + kCs, kDb + 2 * kCs + 50}}));
+}
+
+TEST(VerifiedReadCover, ChunkSizes4KiBAnd16MiB) {
+  for (const char* cs : {"4096", "16777216"}) {
+    SCOPED_TRACE(std::string("PNC_SUM_CHUNK=") + cs);
+    EnvGuard chunk("PNC_SUM_CHUNK", cs);
+    const std::uint64_t c = ncformat::SumChunkSize();
+    ASSERT_EQ(c, std::strtoull(cs, nullptr, 10));
+    ChunkSumMap m;
+    LoggedImage img = SummedImage(2 * c + 7, m, c);
+    ASSERT_TRUE(ReadRange(m, img, kDb + c / 2, kDb + c + c / 2).ok());
+    EXPECT_EQ(img.requests, (Reqs{{kDb, kDb + 2 * c}}));
+  }
+}
+
+// A transient flip in the cover's slack fails its chunk's CRC like any
+// other; the whole-chunk re-read heals it and the caller's bytes are right.
+TEST(VerifiedReadCover, FlipInSlackHealsWithOneChunkReread) {
+  ChunkSumMap m;
+  LoggedImage img = SummedImage(4 * kCs, m);
+  img.flip_at = kDb + 2 * kCs + 3000;  // chunk 2, past the range's end
+  img.transient_flips = 1;
+  ASSERT_TRUE(ReadRange(m, img, kDb + 100, kDb + 2 * kCs + 50).ok());
+  EXPECT_EQ(img.requests,
+            (Reqs{{kDb, kDb + 3 * kCs}, {kDb + 2 * kCs, kDb + 3 * kCs}}));
+}
+
+// The same flip at rest keeps mismatching: kDataCorrupt after the heal
+// budget, although the damaged byte lies outside the caller's range.
+TEST(VerifiedReadCover, AtRestFlipInSlackSurfacesDataCorrupt) {
+  ChunkSumMap m;
+  LoggedImage img = SummedImage(4 * kCs, m);
+  img.bytes[kDb + 2 * kCs + 3000] ^= std::byte{0x01};
+  EXPECT_EQ(ReadRange(m, img, kDb + 100, kDb + 2 * kCs + 50).code(),
+            pnc::Err::kDataCorrupt);
+  EXPECT_EQ(img.requests.size(), 1u + 4u);  // the cover, then 4 re-reads
+}
+
+// ------------------------------------------------- end-to-end oracle
 
 /// Recompute `path`'s table from its bytes (RecomputeSums) and demand the
 /// committed one equals it, entry for entry, and that a scrub of the
 /// committed table finds nothing corrupt.
 void ExpectTableMatchesFile(pfs::FileSystem& fs, const std::string& path) {
-  const std::optional<ncformat::ChunkSumMap> got = Committed(fs, path);
+  const std::optional<ncformat::ChunkSumMap> got = CommittedSums(fs, path);
   ASSERT_TRUE(got.has_value()) << path << ": table not closed/trusted";
   auto primary = fs.Open(path).value();
   const std::uint64_t fsize = primary.size();
@@ -357,7 +518,7 @@ TEST(SumsOracle, ChunkSizes4KiBAnd16MiB) {
     pfs::FileSystem fs;
     EXPECT_EQ(PartitionRun(fs, 4, 7u), 0u);
     ExpectTableMatchesFile(fs, "p.nc");
-    EXPECT_EQ(Committed(fs, "p.nc").value().chunk_size(),
+    EXPECT_EQ(CommittedSums(fs, "p.nc").value().chunk_size(),
               std::strtoull(cs, nullptr, 10));
   }
 }
@@ -552,7 +713,7 @@ TEST(SumsOracle, PartialTailChunk) {
   });
   EXPECT_EQ(read_at_close, 0u);
   ExpectTableMatchesFile(fs, "t.nc");
-  EXPECT_EQ(Committed(fs, "t.nc").value().entries().at(3).len, 100u);
+  EXPECT_EQ(CommittedSums(fs, "t.nc").value().entries().at(3).len, 100u);
 }
 
 // A rank with nothing to write joins each collective put with an empty
@@ -660,7 +821,7 @@ TEST(SumsOracle, RedefThatMovesTheDataRegion) {
       ASSERT_TRUE(ds.Close().ok());
     });
     const std::uint64_t db_before =
-        Committed(fs, "rec.nc").value().data_begin();
+        CommittedSums(fs, "rec.nc").value().data_begin();
     simmpi::Run(4, [&](Comm& c) {
       auto ds = pnetcdf::Dataset::Open(c, fs, "rec.nc", /*writable=*/true,
                                        simmpi::NullInfo())
@@ -672,7 +833,7 @@ TEST(SumsOracle, RedefThatMovesTheDataRegion) {
       AppendRecords(c, ds, 2, 3, fs, &ignored);
       ASSERT_TRUE(ds.Close().ok());
     });
-    EXPECT_GT(Committed(fs, "rec.nc").value().data_begin(), db_before);
+    EXPECT_GT(CommittedSums(fs, "rec.nc").value().data_begin(), db_before);
     ExpectTableMatchesFile(fs, "rec.nc");
   }
   {

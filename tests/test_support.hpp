@@ -152,4 +152,16 @@ inline ncformat::CommitState CommittedState(pfs::FileSystem& fs,
   return state.value_or(ncformat::CommitState{});
 }
 
+/// The committed, trusted chunk-sum table of `path`, loaded from its
+/// journal as a reader would; nullopt when there is none to trust.
+inline std::optional<ncformat::ChunkSumMap> CommittedSums(
+    pfs::FileSystem& fs, const std::string& path) {
+  simmpi::VirtualClock clk;
+  ncformat::PfsCommitIo io(fs.Open(ncformat::JournalPath(path)).value(), &clk);
+  const auto state = ncformat::ReadCommitState(io).value();
+  EXPECT_TRUE(state.has_value()) << path << ": nothing committed";
+  if (!state) return std::nullopt;
+  return ncformat::ReadCommittedSums(io, *state).value();
+}
+
 }  // namespace pnc_test
