@@ -9,13 +9,18 @@
 // `advised_not_faster` (applying the advice must improve virtual time).
 // bench/baselines/advise.json freezes all of them at zero tolerance.
 //
-// Determinism: the mistuned phase's concurrent independent writes are
-// issued in rank order behind an IssueToken (the bench_tenants.cpp
-// technique — process-level synchronization only, so virtual clocks are
-// untouched and the requests still overlap in virtual time, the axis the
-// pfs actually arbitrates). The advised phase is collective with cb_nodes
-// pinned to 1 (the smoke-suite single-writer rule); the advisor's cb_nodes
-// hint, if any, is deliberately not applied for that reason.
+// Determinism: the pfs grants requests in real-time call order, so the
+// mistuned phase's concurrent independent writes are issued in rank order
+// behind an IssueToken — plain process-level synchronization, no simmpi
+// messages, so rank clocks are untouched and the requests still overlap in
+// *virtual* time, the axis the servers actually arbitrate. Racing the rank
+// threads instead would let host scheduling pick which rank eats which
+// queue slot: one logical write expands into several sequential pfs
+// requests (sieve read-modify-write windows, checksum chunks), and once
+// per-rank clocks diverge mid-batch the grant order is no longer a multiset
+// invariant. The advised phase is collective with cb_nodes pinned to 1 (the
+// smoke-suite single-writer rule); the advisor's cb_nodes hint, if any, is
+// deliberately not applied for that reason.
 //
 // Usage: advise [--procs=4] [--hints=k=v,...]
 #include <condition_variable>
@@ -40,7 +45,7 @@ void Accumulate(int* errors, const pnc::Status& st) {
 }
 
 /// Rank-order issuance for concurrent independent calls (see the
-/// determinism note atop bench_tenants.cpp).
+/// determinism note at the top of this file).
 struct IssueToken {
   std::mutex mu;
   std::condition_variable cv;

@@ -46,14 +46,6 @@ std::vector<Suite> BuildSuites() {
            {"chaos_matrix", {"--procs=4", kDet}},
        }});
   s.push_back(
-      {"tenants",
-       "multi-tenant QoS fairness invariants: steady readback vs checkpoint "
-       "storm under fcfs/wfq/edf/admission (backs "
-       "bench/baselines/tenants.json)",
-       {
-           {"tenants", {"--procs=4", kDet}},
-       }});
-  s.push_back(
       {"advise",
        "I/O tuning advisor closed loop: mistuned workload -> recommendations "
        "-> advised rerun (backs bench/baselines/advise.json)",

@@ -200,8 +200,8 @@ std::vector<Recommendation> Advise(const Report& rep) {
     r.rule = "queue-contention";
     r.score = Clamp(80.0 * rep.pfs_queue_wait_frac, 0.0, 75.0);
     r.action =
-        "reduce in-flight concurrency: stagger writers, or cap a tenant's "
-        "outstanding bytes (PNC_QOS_CAP_BYTES) so servers stop queueing";
+        "reduce in-flight concurrency: stagger writers, or spread the file "
+        "over more I/O servers so fewer requests queue at each one";
     r.evidence = Format(
         "%.0f%% of pfs server time is queue wait (%.1f ms queued vs %.1f ms "
         "busy)",

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <utility>
 
@@ -121,26 +120,21 @@ CritPath AnalyzeCritPath(const std::vector<std::vector<Event>>& ranks) {
     // Per-server decomposition: pfs service events whose start falls in the
     // op window (independent traffic in the window counts too — it holds
     // the same servers busy).
-    // Keyed by (server, tenant): QoS-tagged traffic ("r:<name>" details)
-    // gets its own row so per-tenant queue wait is visible per server.
-    std::map<std::pair<int, std::string>, CritPath::ServerSeg> servers;
+    std::map<int, CritPath::ServerSeg> servers;
     for (const auto& evs : ranks) {
       for (const Event& e : evs) {
         if (e.kind != Ev::kPfsServer) continue;
         if (e.t_ns < op.begin_ns || e.t_ns > op.end_ns) continue;
         const int server = static_cast<int>(e.a0 & 0xff);
-        const char* colon = std::strchr(e.detail, ':');
-        std::string tenant = colon != nullptr ? colon + 1 : "";
-        CritPath::ServerSeg& s = servers[{server, tenant}];
+        CritPath::ServerSeg& s = servers[server];
         s.server = server;
-        s.tenant = std::move(tenant);
         s.ops += 1;
         s.bytes += e.a0 >> 8;
         s.queue_ns += static_cast<double>(e.a1);
         s.service_ns += e.d_ns;
       }
     }
-    for (const auto& [key, seg] : servers) op.servers.push_back(seg);
+    for (const auto& [server, seg] : servers) op.servers.push_back(seg);
     cp.ops.push_back(std::move(op));
   }
   return cp;
@@ -177,10 +171,9 @@ std::string PrettyPrintCritPath(const CritPath& cp) {
     }
     for (const CritPath::ServerSeg& s : op.servers) {
       AppendF(out,
-              "  server %d%s%s: %" PRIu64 " req(s), %" PRIu64
+              "  server %d: %" PRIu64 " req(s), %" PRIu64
               " B, queue %.0f ns, service %.0f ns\n",
-              s.server, s.tenant.empty() ? "" : " tenant ",
-              s.tenant.c_str(), s.ops, s.bytes, s.queue_ns, s.service_ns);
+              s.server, s.ops, s.bytes, s.queue_ns, s.service_ns);
     }
   }
   return out;

@@ -47,7 +47,6 @@ struct CritPath {
   };
   struct ServerSeg {
     int server = 0;
-    std::string tenant;         ///< "" = default tenant ("r:<name>" details)
     std::uint64_t ops = 0;
     std::uint64_t bytes = 0;
     double queue_ns = 0;        ///< summed queue wait behind earlier work

@@ -75,9 +75,6 @@ enum class Ev : std::uint16_t {
   kDataCorrupt,   ///< chunk checksum mismatch survived heal retries:
                   ///< a0=chunk index, a1=heal attempts; req = the read
                   ///< that surfaced kDataCorrupt
-  kSloViolation,  ///< online health monitor tripped an SLO rule: t=start of
-                  ///< the violating window, d=window length, a0=timeline
-                  ///< bucket, a1=observed value, detail=rule id
 };
 
 /// Stable wire name for an event kind (e.g. "pfs_server").

@@ -43,7 +43,6 @@ const char* CtrName(Ctr c) {
     case Ctr::kPfsHorizonNs: return "pfs.horizon_ns";
     case Ctr::kPfsServers: return "pfs.servers";
     case Ctr::kPfsQueueDepthMax: return "pfs.queue_depth_max";
-    case Ctr::kPfsDeadlineMisses: return "pfs.deadline_misses";
     case Ctr::kMpiioIndepReads: return "mpiio.indep_reads";
     case Ctr::kMpiioIndepWrites: return "mpiio.indep_writes";
     case Ctr::kMpiioCollReads: return "mpiio.coll_reads";

@@ -55,7 +55,6 @@ enum class Ctr : unsigned {
   kPfsHorizonNs,          ///< latest server-schedule completion (max gauge)
   kPfsServers,            ///< servers in the pool (max gauge)
   kPfsQueueDepthMax,      ///< deepest server queue observed (max gauge)
-  kPfsDeadlineMisses,     ///< requests completing past their QoS deadline
 
   // --- mpiio: the MPI-IO subset ---
   kMpiioIndepReads,       ///< ReadAt calls entering the independent path

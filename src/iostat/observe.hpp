@@ -2,13 +2,11 @@
 //
 // Every production layer says what happened with one call carrying one
 // typed record, e.g.
-//   PNC_OBSERVE(kPfsGrant, .t_ns = g.begin_ns, .end_ns = g.done_ns, ...);
+//   PNC_OBSERVE(kPfsGrant, .t_ns = begin, .end_ns = done, ...);
 // and this header decides what the record feeds. Observe() folds it, in
 // order, into the counters (iostat.hpp), the flight ring (events.hpp; the
 // a0/a1 packing lives here), the access-pattern profiler (pattern.hpp) and
-// the timeline (timeline.hpp). Timeline marks go before the ring event and
-// grants after it, so the slo_violation events the timeline emits keep
-// their place in the ring.
+// the timeline (timeline.hpp).
 //
 // Cost: -DPNC_IOSTAT=OFF expands PNC_OBSERVE to an unevaluated sizeof. At
 // runtime the one gate is SinkMask (iostat.hpp): with every sink off an
@@ -24,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
 
 #include "iostat/events.hpp"
@@ -40,13 +37,10 @@ enum class ObsKind : std::uint8_t {
   // pfs
   kPfsRequest,    ///< request reached the servers: len, is_write, n = servers
   kPfsGrant,      ///< a server served its share: t_ns..end_ns, off = request
-                  ///< offset, len, server, depth, wait_ns, horizon_ns,
-                  ///< is_write, flag = past the tenant deadline, tenant
-  kPfsSync,       ///< zero-length flush at server 0: t_ns..end_ns, wait_ns,
-                  ///< tenant
+                  ///< offset, len, server, depth, wait_ns, is_write
+  kPfsSync,       ///< zero-length flush at server 0: t_ns..end_ns, wait_ns
   kPfsFault,      ///< injected fault: t_ns, is_write, detail = fault class
   kPfsRetry,      ///< a client layer retried a pfs request
-  kDeadlineMiss,  ///< a request completed past its tenant deadline
   // mpiio
   kIndep,         ///< independent-path call: t_ns, len, is_write
   kSieve,         ///< sieve window or pass-through segment: off, len = wanted,
@@ -104,11 +98,9 @@ struct Obs {
   int peer = 0;             ///< the other rank
   std::uint64_t depth = 0;  ///< server queue depth at the grant
   double wait_ns = 0;       ///< queue wait, retry backoff or straggler wait
-  double horizon_ns = 0;    ///< server schedule horizon after the grant
   std::uint64_t req = 0;    ///< a peer's request ID
   bool is_write = false;
   bool flag = false;        ///< the kind's yes/no verdict
-  const char* tenant = "";  ///< QoS class name ("" = default tenant)
   const char* detail = nullptr;  ///< short label (nullptr: the request's)
   std::span<const pnc::Extent> extents = {};
 };
@@ -129,13 +121,12 @@ inline std::uint64_t Ns(double ns) { return static_cast<std::uint64_t>(ns); }
     case ObsKind::kPfsGrant:
       add(Ctr::kPfsQueueWaitNs, Ns(o.wait_ns));
       add(Ctr::kPfsBusyNs, Ns(o.end_ns - o.t_ns));
-      max(Ctr::kPfsHorizonNs, Ns(o.horizon_ns));
+      max(Ctr::kPfsHorizonNs, Ns(o.end_ns));
       max(Ctr::kPfsQueueDepthMax, o.depth);
       break;
     case ObsKind::kPfsSync: add(Ctr::kPfsQueueWaitNs, Ns(o.wait_ns)); break;
     case ObsKind::kPfsFault: add(Ctr::kPfsFaultsInjected, 1); break;
     case ObsKind::kPfsRetry: add(Ctr::kPfsRetries, 1); break;
-    case ObsKind::kDeadlineMiss: add(Ctr::kPfsDeadlineMisses, 1); break;
     case ObsKind::kIndep:
       add(w ? Ctr::kMpiioIndepWrites : Ctr::kMpiioIndepReads, 1);
       break;
@@ -182,36 +173,22 @@ inline std::uint64_t Ns(double ns) { return static_cast<std::uint64_t>(ns); }
   }
 }
 
-/// The ring detail of pfs service: "r"/"w"/"s" for the default tenant,
-/// "r:<tenant>" etc. otherwise.
-inline const char* PfsDetail(char op, const char* tenant, char (&buf)[24]) {
-  if (*tenant == '\0') {
-    buf[0] = op;
-    buf[1] = '\0';
-  } else {
-    std::snprintf(buf, sizeof buf, "%c:%s", op, tenant);
-  }
-  return buf;
-}
-
 [[gnu::always_inline]] inline void RingSink(const Obs& o) {
   const auto rec = [&o](Ev ev, double t, double d, std::uint64_t a0,
                         std::uint64_t a1) {
     FlightRecorder::Get().Record(ev, t, d, a0, a1, o.detail);
   };
   const auto peer = static_cast<std::uint64_t>(o.peer);
-  char buf[24];
   switch (o.kind) {
     case ObsKind::kPfsGrant:
       FlightRecorder::Get().Record(
           Ev::kPfsServer, o.t_ns, o.end_ns - o.t_ns,
           (o.len << 8) | (static_cast<std::uint64_t>(o.server) & 0xff),
-          Ns(o.wait_ns), PfsDetail(o.is_write ? 'w' : 'r', o.tenant, buf));
+          Ns(o.wait_ns), o.is_write ? "w" : "r");
       break;
     case ObsKind::kPfsSync:
       FlightRecorder::Get().Record(Ev::kPfsServer, o.t_ns, o.end_ns - o.t_ns,
-                                   0, Ns(o.wait_ns),
-                                   PfsDetail('s', o.tenant, buf));
+                                   0, Ns(o.wait_ns), "s");
       break;
     case ObsKind::kPfsFault:
       rec(Ev::kPfsFault, o.t_ns, 0, o.is_write, 0);
@@ -280,9 +257,8 @@ inline const char* PfsDetail(char op, const char* tenant, char (&buf)[24]) {
   };
   switch (o.kind) {
     case ObsKind::kPfsGrant:
-      TimelineRegistry::Get().RecordPfsGrant(o.server, o.tenant, o.len,
-                                             o.t_ns, o.end_ns, o.depth,
-                                             o.wait_ns, o.flag);
+      TimelineRegistry::Get().RecordPfsGrant(o.server, o.len, o.t_ns,
+                                             o.end_ns, o.depth);
       break;
     case ObsKind::kPfsFault: mark(TlTrack::kFaults, o.t_ns, 1); break;
     case ObsKind::kIoRetry:
@@ -298,12 +274,10 @@ inline const char* PfsDetail(char op, const char* tenant, char (&buf)[24]) {
 
 /// Fold `o` into the sinks whose bits are set in `sinks`.
 [[gnu::always_inline]] inline void Observe(unsigned sinks, const Obs& o) {
-  const bool grant = o.kind == ObsKind::kPfsGrant;
   if (sinks & kSinkCounters) CountSink(o);
-  if ((sinks & kSinkTimeline) && !grant) TimelineSink(o);
   if (sinks & kSinkRing) RingSink(o);
   if (sinks & kSinkPattern) PatternSink(o);
-  if ((sinks & kSinkTimeline) && grant) TimelineSink(o);
+  if (sinks & kSinkTimeline) TimelineSink(o);
 }
 
 }  // namespace iostat

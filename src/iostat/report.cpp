@@ -258,16 +258,10 @@ std::string PrettyPrint(const Report& rep) {
     AppendF(out, "  [timeline]\n");
     AppendF(out,
             "    %-24s %.3f ms horizon, %.3f ms cells (%zu server / %zu "
-            "tenant / %zu track cells)\n",
+            "track cells)\n",
             "buckets", rep.timeline.horizon_ns / 1e6,
             rep.timeline.cell_ns / 1e6, rep.timeline.servers.size(),
-            rep.timeline.tenants.size(), rep.timeline.tracks.size());
-    const HealthStatus& h = rep.timeline.health;
-    if (h.evaluated)
-      AppendF(out, "    %-24s %" PRIu64 " violation%s across %zu rule%s\n",
-              "health", h.total_violations,
-              h.total_violations == 1 ? "" : "s", h.rules.size(),
-              h.rules.size() == 1 ? "" : "s");
+            rep.timeline.tracks.size());
   }
   return out;
 }

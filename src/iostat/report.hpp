@@ -42,8 +42,7 @@ struct Report {
   /// busy_ns / (servers * horizon_ns). How loaded the server pool was.
   double pfs_busy_frac = 0.0;
   /// Share of server-side time requests spent queued rather than served:
-  /// queue_wait / (queue_wait + busy). The contention signal the QoS
-  /// disciplines (pfs/sched.hpp) exist to shape.
+  /// queue_wait / (queue_wait + busy): how contended the servers were.
   double pfs_queue_wait_frac = 0.0;
 
   /// Access-pattern profile (pattern.hpp). `pattern.present` is false when

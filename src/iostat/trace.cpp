@@ -77,14 +77,12 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
   // (pid 1, one row per server).
   int max_server = -1;
   // Service begin/end edges harvested from kPfsServer events, turned into
-  // Chrome counter ("ph":"C") tracks after the main pass: per-server queue
-  // depth and per-tenant in-flight bytes.
+  // per-server queue-depth Chrome counter ("ph":"C") tracks after the main
+  // pass.
   struct CounterEdge {
     double ts_us;
     int server;
     int depth_delta;
-    std::int64_t byte_delta;
-    std::string tenant;
   };
   std::vector<CounterEdge> edges;
   for (std::size_t r = 0; r < events.size(); ++r) {
@@ -130,13 +128,8 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
           // Zero-length flushes ('s') observe the queue without occupying
           // it; everything else feeds the counter tracks below.
           if (e.detail[0] != 's') {
-            const char* tenant =
-                e.detail[1] == ':' ? e.detail + 2 : "default";
-            const std::int64_t bytes =
-                static_cast<std::int64_t>(e.a0 >> 8);
-            edges.push_back({e.t_ns / 1000.0, server, +1, bytes, tenant});
-            edges.push_back(
-                {(e.t_ns + e.d_ns) / 1000.0, server, -1, -bytes, tenant});
+            edges.push_back({e.t_ns / 1000.0, server, +1});
+            edges.push_back({(e.t_ns + e.d_ns) / 1000.0, server, -1});
           }
           AppendF(out,
                   "%s{\"name\":\"serve\",\"cat\":\"pfs\",\"ph\":\"X\","
@@ -153,16 +146,15 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
       }
     }
   }
-  // Counter tracks: queue depth per server and in-flight bytes per tenant,
-  // as Chrome "ph":"C" events (a sample per service begin/end). Ends sort
-  // before begins at equal timestamps so back-to-back grants do not spike.
+  // Counter tracks: queue depth per server, as Chrome "ph":"C" events (a
+  // sample per service begin/end). Ends sort before begins at equal
+  // timestamps so back-to-back grants do not spike.
   std::stable_sort(edges.begin(), edges.end(),
                    [](const CounterEdge& a, const CounterEdge& b) {
                      if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
                      return a.depth_delta < b.depth_delta;
                    });
   std::map<int, std::int64_t> depth_by_server;
-  std::map<std::string, std::int64_t> inflight_by_tenant;
   for (const CounterEdge& e : edges) {
     const std::int64_t depth = depth_by_server[e.server] += e.depth_delta;
     AppendF(out,
@@ -171,13 +163,6 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
             "}}",
             first ? "" : ",", e.server, e.ts_us, e.server, depth);
     first = false;
-    const std::int64_t inflight = inflight_by_tenant[e.tenant] += e.byte_delta;
-    AppendF(out, "%s{\"name\":\"inflight bytes ", first ? "" : ",");
-    pnc::json::AppendEscaped(out, e.tenant.c_str());
-    AppendF(out,
-            "\",\"cat\":\"pfs\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,"
-            "\"tid\":0,\"args\":{\"bytes\":%" PRId64 "}}",
-            e.ts_us, inflight);
   }
   for (int s = 0; s <= max_server; ++s) {
     AppendF(out,
@@ -201,16 +186,6 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
               "\"args\":{\"mbps\":%.3f}}",
               first ? "" : ",", c.server,
               static_cast<double>(c.bucket) * cell_us, c.server, mbps);
-      first = false;
-    }
-    for (const TlTenantCell& c : timeline->tenants) {
-      AppendF(out, "%s{\"name\":\"tl p99 wait us ", first ? "" : ",");
-      pnc::json::AppendEscaped(out, c.tenant.c_str());
-      AppendF(out,
-              "\",\"cat\":\"timeline\",\"ph\":\"C\",\"ts\":%.3f,"
-              "\"pid\":1,\"tid\":0,\"args\":{\"us\":%.3f}}",
-              static_cast<double>(c.bucket) * cell_us,
-              static_cast<double>(c.p99_wait_ns) / 1000.0);
       first = false;
     }
     for (const TlTrackCell& c : timeline->tracks) {

@@ -25,9 +25,8 @@ namespace iostat {
 ///
 /// When a timeline snapshot is supplied (and present), its buckets become
 /// additional Chrome counter ("ph":"C") tracks under the pfs process
-/// (pid 1): per-server bandwidth ("tl mbps s<N>"), per-tenant p99 queue
-/// wait ("tl p99 wait us <tenant>"), and the global rate tracks
-/// ("tl <track name>"). One sample per bucket, at the bucket's start time.
+/// (pid 1): per-server bandwidth ("tl mbps s<N>") and the global rate
+/// tracks ("tl <track name>"). One sample per bucket, at the bucket's start time.
 std::string ToChromeTrace(const TimelineSummary* timeline = nullptr);
 
 /// ToChromeTrace() written to `path`. Fails only on file-system errors.

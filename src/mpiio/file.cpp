@@ -15,15 +15,6 @@ pnc::Result<File> File::Open(simmpi::Comm comm, pfs::FileSystem& fs,
                              const simmpi::Info& info) {
   Hints hints = Hints::Parse(info, comm.size(), fs.config().num_servers);
 
-  // Tenant identity is minted here, at dataset open: hints override the
-  // PNC_TENANT / PNC_QOS_* environment, and the resolved class is interned
-  // with the file system so every pfs request this handle issues carries the
-  // tenant (alongside the per-request ID). The default tenant (empty name)
-  // registers as index 0 and changes nothing.
-  const pfs::TenantClass tenant_cls =
-      hints.ResolveTenant(info, pfs::TenantClassFromEnv());
-  const int tenant = fs.RegisterTenant(tenant_cls);
-
   // Rank 0 performs the namespace operation; the result is broadcast so all
   // ranks agree before anyone touches the file (paper §4.2.1: dataset
   // functions manage interprocess communication and file synchronization).
@@ -35,7 +26,6 @@ pnc::Result<File> File::Open(simmpi::Comm comm, pfs::FileSystem& fs,
                          : fs.Open(path);
     if (r.ok()) {
       handle = std::move(r).value();
-      handle->SetTenant(tenant);
       // Charge one request round trip for the open/create itself — and let a
       // fault on it surface as an open failure instead of being swallowed.
       const pfs::IoResult s = handle->TrySync(comm.clock().now());
@@ -51,7 +41,6 @@ pnc::Result<File> File::Open(simmpi::Comm comm, pfs::FileSystem& fs,
     auto r = fs.Open(path);
     if (!r.ok()) return r.status();
     handle = std::move(r).value();
-    handle->SetTenant(tenant);
   }
   // A comm with a dead member cannot produce a coherent collective handle:
   // callers reopen on a LiveSubsetFT comm instead.
@@ -148,7 +137,6 @@ pnc::Status File::Close() {
 
 const Hints& File::hints() const { return impl_->hints; }
 simmpi::Comm& File::comm() { return impl_->comm; }
-int File::tenant() const { return impl_ ? impl_->file.tenant() : 0; }
 
 void File::AttachSums(ncformat::ChunkSumMap* sums, bool verify) {
   if (!impl_) return;

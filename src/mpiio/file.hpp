@@ -90,11 +90,6 @@ class File {
 
   [[nodiscard]] const Hints& hints() const;
   [[nodiscard]] simmpi::Comm& comm();
-  /// The pfs tenant index this handle's I/O is billed to (0 = default).
-  /// Minted at Open from hints/environment; layers creating sidecar pfs
-  /// handles (journal, sums) tag them with this so a dataset's whole I/O
-  /// footprint lands on one tenant.
-  [[nodiscard]] int tenant() const;
 
   /// Attach a chunk-sum map (format/sums.hpp) owned by the caller (the
   /// dataset layer), which must outlive the file. Writes then mark their

@@ -8,9 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 
-#include "pfs/sched.hpp"
 #include "simmpi/info.hpp"
 
 namespace mpiio {
@@ -35,15 +33,6 @@ struct Hints {
   // transient error is reported as a permanent pnc::Err::kIo.
   int retry_max = 4;                 ///< pnc_retry_max
   double retry_backoff_ns = 1e6;     ///< pnc_retry_backoff_ns
-
-  // Tenant identity / QoS class (see pfs/sched.hpp). An empty tenant name
-  // means the default tenant; the other fields are then ignored. The hint
-  // path overrides the PNC_TENANT / PNC_QOS_* environment at File::Open.
-  std::string tenant;                   ///< pnc_tenant
-  double qos_weight = 1.0;              ///< pnc_qos_weight, clamped to
-                                        ///< [TenantClass::kMinWeight, kMax]
-  double qos_deadline_ns = 0.0;         ///< pnc_qos_deadline_ns, >= 0
-  std::uint64_t qos_cap_bytes = 0;      ///< pnc_qos_cap_bytes, >= 0
 
   // Documented clamp bounds. Buffer-size hints are clamped into
   // [kMinBufferSize, kMaxBufferSize] — zero and negative values count as
@@ -86,41 +75,7 @@ struct Hints {
     h.retry_backoff_ns = static_cast<double>(info.GetInt(
         "pnc_retry_backoff_ns", static_cast<std::int64_t>(h.retry_backoff_ns)));
     if (h.retry_backoff_ns < 0) h.retry_backoff_ns = 0;
-    if (auto t = info.Get("pnc_tenant")) h.tenant = *t;
-    // Doubles parse like GetInt: the whole value or the default (MPI
-    // implementations ignore hints they cannot parse).
-    const auto get_double = [&info](const char* key, double def) {
-      const auto v = info.Get(key);
-      if (!v) return def;
-      try {
-        std::size_t used = 0;
-        const double d = std::stod(*v, &used);
-        return used == v->size() ? d : def;
-      } catch (...) {
-        return def;
-      }
-    };
-    h.qos_weight =
-        std::clamp(get_double("pnc_qos_weight", h.qos_weight),
-                   pfs::TenantClass::kMinWeight, pfs::TenantClass::kMaxWeight);
-    h.qos_deadline_ns =
-        std::max(0.0, get_double("pnc_qos_deadline_ns", h.qos_deadline_ns));
-    h.qos_cap_bytes = static_cast<std::uint64_t>(std::max<std::int64_t>(
-        0, info.GetInt("pnc_qos_cap_bytes",
-                       static_cast<std::int64_t>(h.qos_cap_bytes))));
     return h;
-  }
-
-  /// The pfs tenant class this Hints object describes, merged over `env`
-  /// (the PNC_TENANT/PNC_QOS_* identity): a hint present in the Info wins
-  /// field by field; otherwise the environment's value stands.
-  [[nodiscard]] pfs::TenantClass ResolveTenant(const simmpi::Info& info,
-                                               pfs::TenantClass env) const {
-    if (!tenant.empty()) env.name = tenant;
-    if (info.Get("pnc_qos_weight")) env.weight = qos_weight;
-    if (info.Get("pnc_qos_deadline_ns")) env.deadline_ns = qos_deadline_ns;
-    if (info.Get("pnc_qos_cap_bytes")) env.max_outstanding_bytes = qos_cap_bytes;
-    return env;
   }
 };
 

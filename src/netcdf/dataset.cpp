@@ -52,7 +52,7 @@ struct Dataset::Impl {
   bool sums_on = false;
   bool data_corrupt = false;  ///< sticky: a read surfaced kDataCorrupt
 
-  pnc::Status SetupOpenSums(int tenant, pnc::ConstByteSpan journal_prefix);
+  pnc::Status SetupOpenSums(pnc::ConstByteSpan journal_prefix);
   /// Commit the current header (as `header_bytes`), record count and, with
   /// sums on and `!open`, the chunk-sum table through the journal.
   pnc::Status CommitToJournal(pnc::ConstByteSpan header_bytes, bool open) {
@@ -66,17 +66,14 @@ struct Dataset::Impl {
 /// land; read-only opens attach verification only when a trusted, closed
 /// table exists whose geometry matches the live header. The table rides the
 /// journal, so a writable open of a file without one (a legacy file) starts
-/// one, billed to `tenant`; that OPEN commit is its first. `journal_prefix`
-/// holds the journal bytes the recovery check read; a table inside it is
-/// not read again.
-pnc::Status Dataset::Impl::SetupOpenSums(int tenant,
-                                         pnc::ConstByteSpan journal_prefix) {
+/// one; that OPEN commit is its first. `journal_prefix` holds the journal
+/// bytes the recovery check read; a table inside it is not read again.
+pnc::Status Dataset::Impl::SetupOpenSums(pnc::ConstByteSpan journal_prefix) {
   if (!ncformat::SumsEnabled()) return pnc::Status::Ok();
   if (!journal) {
     if (!writable) return pnc::Status::Ok();
     auto jf = fs->Create(ncformat::JournalPath(path), /*exclusive=*/false);
     if (!jf.ok()) return jf.status();
-    jf.value().SetTenant(tenant);
     journal.emplace(std::move(jf).value(), &clock);
   }
   std::optional<ncformat::ChunkSumMap> loaded;
@@ -113,10 +110,6 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
                                      const CreateOptions& opts) {
   auto f = fs.Create(path, /*exclusive=*/!opts.clobber);
   if (!f.ok()) return f.status();
-  // The serial library has no Info path, so tenant identity comes from the
-  // environment alone (PNC_TENANT/PNC_QOS_*); sidecars bill to it too.
-  const int tenant = fs.RegisterTenant(pfs::TenantClassFromEnv());
-  f.value().SetTenant(tenant);
   Dataset ds;
   ds.impl_ = std::make_shared<Impl>(&fs, std::move(f).value(), path,
                                     /*writable=*/true, opts.buffer_size);
@@ -129,7 +122,6 @@ pnc::Result<Dataset> Dataset::Create(pfs::FileSystem& fs,
   // first EndDef's commit writes its magic.
   auto jf = fs.Create(ncformat::JournalPath(path), /*exclusive=*/false);
   if (!jf.ok()) return jf.status();
-  jf.value().SetTenant(tenant);
   im.journal.emplace(std::move(jf).value(), &im.clock);
   // The chunk-sum table rides the journal's commits. No geometry yet —
   // EndDef sets it once the data region exists.
@@ -144,8 +136,6 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
                                    bool writable, std::uint64_t buffer_size) {
   auto f = fs.Open(path);
   if (!f.ok()) return f.status();
-  const int tenant = fs.RegisterTenant(pfs::TenantClassFromEnv());
-  f.value().SetTenant(tenant);
   Dataset ds;
   ds.impl_ = std::make_shared<Impl>(&fs, f.value(), path, writable,
                                     buffer_size);
@@ -161,7 +151,6 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
   if (fs.Exists(ncformat::JournalPath(path))) {
     auto jf = fs.Open(ncformat::JournalPath(path));
     if (!jf.ok()) return jf.status();
-    jf.value().SetTenant(tenant);
     im.journal.emplace(std::move(jf).value(), &im.clock);
     ncformat::PfsCommitIo primary(f.value(), &im.clock);
     auto rep = ncformat::AnalyzeCommit(&*im.journal, primary);
@@ -195,7 +184,7 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
   // repaired view) could only mislead. Run without them. A torn numrecs
   // alone leaves the summed data region exact.
   if (body_torn) return ds;
-  PNC_RETURN_IF_ERROR(im.SetupOpenSums(tenant, journal_prefix));
+  PNC_RETURN_IF_ERROR(im.SetupOpenSums(journal_prefix));
   return ds;
 }
 

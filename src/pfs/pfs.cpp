@@ -5,10 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "iostat/observe.hpp"
@@ -140,7 +137,7 @@ double File::HarnessRead(std::uint64_t offset, pnc::ByteSpan out,
     node_->store->Read(offset, out);
   }
   return fs_->ServeRequest(offset, out.size(), /*is_write=*/false,
-                           start_ns, tenant_);
+                           start_ns);
 }
 
 double File::HarnessWrite(std::uint64_t offset, pnc::ConstByteSpan data,
@@ -155,7 +152,7 @@ double File::HarnessWrite(std::uint64_t offset, pnc::ConstByteSpan data,
     }
   }
   return fs_->ServeRequest(offset, data.size(), /*is_write=*/true,
-                           start_ns, tenant_);
+                           start_ns);
 }
 
 IoResult File::TryRead(std::uint64_t offset, pnc::ByteSpan out,
@@ -177,7 +174,7 @@ IoResult File::TryRead(std::uint64_t offset, pnc::ByteSpan out,
   // reached the servers before the error came back.
   const double done = fs_->ServeRequest(offset, oc.status.ok() ? oc.transferred
                                                                : 0,
-                                        /*is_write=*/false, start_ns, tenant_);
+                                        /*is_write=*/false, start_ns);
   return {oc.status, oc.transferred, done};
 }
 
@@ -222,7 +219,7 @@ IoResult File::TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
   }
   const double done = fs_->ServeRequest(offset, oc.status.ok() ? oc.transferred
                                                                : 0,
-                                        /*is_write=*/true, start_ns, tenant_);
+                                        /*is_write=*/true, start_ns);
   return {oc.status, oc.transferred, done};
 }
 
@@ -230,7 +227,7 @@ IoResult File::TrySync(double start_ns) {
   const FaultDecision d =
       fs_->injector_->Decide(/*is_write=*/true, 0, /*server=*/0, start_ns);
   const double done =
-      fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns, tenant_);
+      fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns);
   if (d.kind != FaultDecision::Kind::kOk) {
     const char* kind = "permanent";
     if (d.kind == FaultDecision::Kind::kTransient) kind = "transient";
@@ -271,7 +268,7 @@ void File::Truncate(std::uint64_t new_size) {
 
 double File::HarnessSync(double start_ns) {
   // A sync is a zero-payload round trip to the servers.
-  return fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns, tenant_);
+  return fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns);
 }
 
 std::unique_lock<std::mutex> File::LockForRmw() {
@@ -284,27 +281,8 @@ const std::string& File::path() const { return node_->path; }
 
 FileSystem::FileSystem(Config cfg)
     : cfg_(cfg),
-      injector_(std::make_shared<FaultInjector>(cfg.faults)),
-      qos_(cfg.qos) {
-  sched_.assign(static_cast<std::size_t>(cfg_.num_servers), ServerSched{});
-  tenants_.push_back(TenantClass{});  // index 0: the default tenant
-  tenant_ctrs_.emplace_back();
-  tenant_flows_.emplace_back();
-  tenant_pacers_.emplace_back();
-  if (const char* d = std::getenv("PNC_QOS_DISCIPLINE");
-      d != nullptr && *d != '\0') {
-    if (auto parsed = ParseQosDiscipline(d)) {
-      qos_.discipline = *parsed;
-    } else {
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true))
-        std::fprintf(stderr,
-                     "pnc: PNC_QOS_DISCIPLINE=\"%s\" is not fcfs|wfq|edf; "
-                     "keeping %s\n",
-                     d, QosDisciplineName(qos_.discipline));
-    }
-  }
-}
+      servers_(static_cast<std::size_t>(cfg.num_servers)),
+      injector_(std::make_shared<FaultInjector>(cfg.faults)) {}
 
 FileSystem::~FileSystem() = default;
 
@@ -395,96 +373,8 @@ void FileSystem::ResetStats() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stats_ = Stats{};
-    for (TenantCounters& tc : tenant_ctrs_) tc = TenantCounters{};
   }
   injector_->ResetCounters();
-}
-
-void FileSystem::ResetTenantCounters() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (TenantCounters& tc : tenant_ctrs_) tc = TenantCounters{};
-}
-
-int FileSystem::RegisterTenant(const TenantClass& cls) {
-  if (cls.name.empty()) return 0;  // the default tenant's class is fixed
-  TenantClass c = cls;
-  c.weight =
-      std::clamp(c.weight, TenantClass::kMinWeight, TenantClass::kMaxWeight);
-  if (c.deadline_ns < 0.0) c.deadline_ns = 0.0;
-  // Flight-recorder details carry "r:<name>"; keep names within the field.
-  if (c.name.size() > 20) c.name.resize(20);
-  std::lock_guard<std::mutex> lk(mu_);
-  for (std::size_t i = 1; i < tenants_.size(); ++i) {
-    if (tenants_[i].name == c.name) {
-      tenants_[i] = c;
-      return static_cast<int>(i);
-    }
-  }
-  tenants_.push_back(std::move(c));
-  tenant_ctrs_.emplace_back();
-  tenant_flows_.emplace_back();
-  tenant_pacers_.emplace_back();
-  return static_cast<int>(tenants_.size()) - 1;
-}
-
-int FileSystem::FindTenant(const std::string& name) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (std::size_t i = 1; i < tenants_.size(); ++i)
-    if (tenants_[i].name == name) return static_cast<int>(i);
-  return 0;
-}
-
-void FileSystem::SetQosPolicy(const QosPolicy& policy) {
-  std::lock_guard<std::mutex> lk(mu_);
-  qos_ = policy;
-}
-
-QosPolicy FileSystem::qos_policy() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return qos_;
-}
-
-std::vector<TenantUsage> FileSystem::TenantUsageSnapshot() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<TenantUsage> out;
-  out.reserve(tenants_.size());
-  for (std::size_t i = 0; i < tenants_.size(); ++i)
-    out.push_back(TenantUsage{tenants_[i], tenant_ctrs_[i]});
-  return out;
-}
-
-double FileSystem::AdmissionEligible(int tenant, std::uint64_t len,
-                                     double arrival_ns) {
-  const TenantClass& cls = tenants_[static_cast<std::size_t>(tenant)];
-  if (cls.max_outstanding_bytes == 0) return arrival_ns;
-  TenantFlow& flow = tenant_flows_[static_cast<std::size_t>(tenant)];
-  double eligible = arrival_ns;
-  // Retire in-flight requests that completed before this arrival.
-  while (!flow.inflight.empty() &&
-         flow.inflight.begin()->first <= eligible) {
-    flow.bytes -= flow.inflight.begin()->second;
-    flow.inflight.erase(flow.inflight.begin());
-  }
-  // Hold the request until enough of the tenant's bytes drain under the cap;
-  // the wait surfaces as queue time, never as an error.
-  while (flow.bytes + len > cls.max_outstanding_bytes &&
-         !flow.inflight.empty()) {
-    eligible = std::max(eligible, flow.inflight.begin()->first);
-    flow.bytes -= flow.inflight.begin()->second;
-    flow.inflight.erase(flow.inflight.begin());
-  }
-  return eligible;
-}
-
-ServerSched::PolicyContext FileSystem::PolicyCtx() const {
-  ServerSched::PolicyContext ctx;
-  ctx.discipline = qos_.discipline;
-  ctx.edf_background_share = qos_.edf_background_share;
-  for (const TenantClass& t : tenants_) {
-    ctx.max_weight = std::max(ctx.max_weight, t.weight);
-    if (t.deadline_ns > 0.0) ctx.any_deadline = true;
-  }
-  return ctx;
 }
 
 void FileSystem::SetFaultPolicy(const FaultPolicy& policy) {
@@ -508,16 +398,11 @@ void FileSystem::RecordRetry(bool is_write) {
 
 void FileSystem::ResetTime() {
   std::lock_guard<std::mutex> lk(mu_);
-  for (ServerSched& s : sched_) s.Reset();
-  for (TenantFlow& f : tenant_flows_) {
-    f.inflight.clear();
-    f.bytes = 0;
-  }
-  for (TenantPacer& p : tenant_pacers_) p.Reset();
+  for (ServerQueue& q : servers_) q = ServerQueue{};
 }
 
 double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
-                                bool is_write, double start_ns, int tenant) {
+                                bool is_write, double start_ns) {
   const double per_byte =
       is_write ? cfg_.server_write_ns_per_byte : cfg_.server_read_ns_per_byte;
 
@@ -560,9 +445,6 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
   double completion = client_done;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (tenant < 0 || tenant >= static_cast<int>(tenants_.size())) tenant = 0;
-    const TenantClass& cls = tenants_[static_cast<std::size_t>(tenant)];
-    TenantCounters& tc = tenant_ctrs_[static_cast<std::size_t>(tenant)];
     if (is_write) {
       stats_.bytes_written += len;
       stats_.write_requests += 1;
@@ -576,80 +458,33 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
       // it — collective flushes arrive concurrently from every rank, and a
       // request that mutated the server timeline would make the makespan
       // depend on real-time arrival order (nondeterministic virtual time).
-      // Under an armed discipline it may observe a pacing gap instead of the
-      // timeline head (a starved tenant's open/sync must not wait behind a
-      // paced bulk writer), and the wait it observes is billed to the tenant
-      // — this is where a backlogged server surfaces in open/close latency.
-      const double begin =
-          sched_[0].FlushBeginAt(arrival, cfg_.server_request_ns);
+      const double begin = std::max(arrival, servers_[0].next_free);
       const double done = begin + cfg_.server_request_ns;
-      const double wait = begin - arrival;
-      tc.queue_wait_ns += wait;
-      if (tc.wait_samples.size() < TenantCounters::kMaxWaitSamples)
-        tc.wait_samples.push_back(wait);
-      PNC_OBSERVE(kPfsSync, .t_ns = begin, .end_ns = done, .wait_ns = wait,
-                  .tenant = cls.name.c_str());
+      PNC_OBSERVE(kPfsSync, .t_ns = begin, .end_ns = done,
+                  .wait_ns = begin - arrival);
       completion = std::max(completion, done);
     } else {
-      // Admission control holds the whole request at the client until the
-      // tenant's in-flight bytes fit under its cap.
-      const double admitted = AdmissionEligible(tenant, len, arrival);
-      if (admitted > arrival) tc.admission_wait_ns += admitted - arrival;
-      const ServerSched::PolicyContext ctx = PolicyCtx();
-      // Pacing is a per-request decision, charged with the request's total
-      // service across its servers: every chunk of a striped request then
-      // carries the same artificial delay, so each touched server records a
-      // backfillable gap (per-server clocks would pace only the first).
-      double eligible = admitted;
-      bool paced = false;
-      if (ctx.discipline != QosDiscipline::kFcfs) {
-        double total_service_ns = 0.0;
-        for (const std::uint64_t b : bytes_per_server)
-          if (b != 0)
-            total_service_ns +=
-                cfg_.server_request_ns + per_byte * static_cast<double>(b);
-        eligible = tenant_pacers_[static_cast<std::size_t>(tenant)].Release(
-            admitted, total_service_ns, QosShare(cls, ctx));
-        paced = eligible > admitted;
-      }
-      double max_wait = 0.0;
       for (std::size_t s = 0; s < bytes_per_server.size(); ++s) {
         if (bytes_per_server[s] == 0) continue;
-        const double payload_ns =
-            per_byte * static_cast<double>(bytes_per_server[s]);
-        const ServerSched::Grant g = sched_[s].Admit(
-            ctx, arrival, eligible, cfg_.server_request_ns, payload_ns);
-        completion = std::max(completion, g.done_ns);
-        const double wait = g.begin_ns - arrival;
-        max_wait = std::max(max_wait, wait);
-        tc.server_events += 1;
-        tc.served_bytes += bytes_per_server[s];
-        tc.queue_wait_ns += wait;
-        tc.service_ns += g.done_ns - g.begin_ns;
-        if (paced) tc.paced_events += 1;
-        if (g.backfilled) tc.backfilled_events += 1;
+        ServerQueue& q = servers_[s];
+        // Completions the arrival has already passed leave the queue; what
+        // remains, plus this event, is the depth it observed.
+        std::erase_if(q.outstanding,
+                      [arrival](double d) { return d <= arrival; });
+        const auto depth = static_cast<std::uint64_t>(q.outstanding.size()) + 1;
+        const double begin = std::max(arrival, q.next_free);
+        const double done = begin + cfg_.server_request_ns +
+                            per_byte * static_cast<double>(bytes_per_server[s]);
+        q.next_free = done;
+        if (q.outstanding.size() < kMaxOutstanding)
+          q.outstanding.push_back(done);
+        completion = std::max(completion, done);
         // Every server of a striped request records the request's offset
-        // ("which region was hot"). The deadline verdict is per grant, so a
-        // timeline miss_rate stays missed grants / grants in one bucket.
-        PNC_OBSERVE(kPfsGrant, .t_ns = g.begin_ns, .end_ns = g.done_ns,
-                    .off = offset, .len = bytes_per_server[s],
-                    .server = static_cast<int>(s), .depth = g.depth,
-                    .wait_ns = wait, .horizon_ns = sched_[s].horizon_ns(),
-                    .is_write = is_write,
-                    .flag = cls.deadline_ns > 0.0 &&
-                            g.done_ns > start_ns + cls.deadline_ns,
-                    .tenant = cls.name.c_str());
-      }
-      if (tc.wait_samples.size() < TenantCounters::kMaxWaitSamples)
-        tc.wait_samples.push_back(max_wait);
-      if (cls.deadline_ns > 0.0 && completion > start_ns + cls.deadline_ns) {
-        tc.deadline_misses += 1;
-        PNC_OBSERVE(kDeadlineMiss);
-      }
-      if (cls.max_outstanding_bytes > 0) {
-        TenantFlow& flow = tenant_flows_[static_cast<std::size_t>(tenant)];
-        flow.inflight.emplace(completion, len);
-        flow.bytes += len;
+        // ("which region was hot").
+        PNC_OBSERVE(kPfsGrant, .t_ns = begin, .end_ns = done, .off = offset,
+                    .len = bytes_per_server[s], .server = static_cast<int>(s),
+                    .depth = depth, .wait_ns = begin - arrival,
+                    .is_write = is_write);
       }
     }
   }

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "pfs/fault.hpp"
-#include "pfs/sched.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
 
@@ -66,12 +65,6 @@ struct Config {
   /// Initial fault-injection schedule (see fault.hpp). Default: no faults.
   /// Can be replaced at runtime with FileSystem::SetFaultPolicy.
   FaultPolicy faults;
-
-  /// Initial server queue discipline (see sched.hpp). Default: FCFS — no
-  /// policy armed, bit-identical legacy virtual times. Overridable at
-  /// construction by PNC_QOS_DISCIPLINE=fcfs|wfq|edf and at runtime with
-  /// FileSystem::SetQosPolicy.
-  QosPolicy qos;
 };
 
 /// Aggregate traffic counters, useful for tests and the hints example.
@@ -239,19 +232,12 @@ class File {
 
   [[nodiscard]] const std::string& path() const;
 
-  /// Bind this handle's I/O to a tenant registered with the FileSystem
-  /// (FileSystem::RegisterTenant). Per-handle, not per-file: distinct tenants
-  /// may hold handles on the same path. Index 0 is the default tenant.
-  void SetTenant(int tenant) { tenant_ = tenant; }
-  [[nodiscard]] int tenant() const { return tenant_; }
-
  private:
   friend class FileSystem;
   struct Node;
   File(FileSystem* fs, std::shared_ptr<Node> node) : fs_(fs), node_(std::move(node)) {}
   FileSystem* fs_;
   std::shared_ptr<Node> node_;
-  int tenant_ = 0;
 };
 
 /// The cluster: a namespace of files plus the shared server timelines.
@@ -290,29 +276,13 @@ class FileSystem {
   /// True after a crash point fired and before the next SetFaultPolicy.
   [[nodiscard]] bool crashed() const;
 
-  // --- tenants & QoS (see sched.hpp) ---
-
-  /// Intern a tenant by name and install/update its QoS class; returns the
-  /// tenant index to pass to File::SetTenant. The empty name is the default
-  /// tenant (index 0) whose class is fixed. Idempotent per name.
-  int RegisterTenant(const TenantClass& cls);
-  /// Index of a registered tenant; 0 (default) when unknown.
-  [[nodiscard]] int FindTenant(const std::string& name) const;
-  /// Arm/replace the server queue discipline. kFcfs = nothing armed.
-  void SetQosPolicy(const QosPolicy& policy);
-  [[nodiscard]] QosPolicy qos_policy() const;
-  /// Per-tenant classes and service counters (index 0 = default tenant).
-  [[nodiscard]] std::vector<TenantUsage> TenantUsageSnapshot() const;
-  /// Zero tenant counters only (ResetStats does this too).
-  void ResetTenantCounters();
-
  private:
   friend class File;
 
-  /// Decide per-server grants for one contiguous request via the armed
-  /// discipline and return the request's completion time.
+  /// Queue one contiguous request's per-server service events FCFS and
+  /// return the request's completion time.
   double ServeRequest(std::uint64_t offset, std::uint64_t len, bool is_write,
-                      double start_ns, int tenant);
+                      double start_ns);
   /// The server owning the first stripe of [offset, ...): where a request's
   /// fate is decided under per-server outage windows.
   [[nodiscard]] int PrimaryServer(std::uint64_t offset) const;
@@ -322,30 +292,23 @@ class FileSystem {
   static std::shared_ptr<File::Node> MakeNode(
       const std::string& path, std::unique_ptr<ByteStore> decorated);
 
-  /// Tenant flow state for admission control: completion times of in-flight
-  /// requests (ordered) and their byte total.
-  struct TenantFlow {
-    std::multimap<double, std::uint64_t> inflight;  ///< done_ns -> bytes
-    std::uint64_t bytes = 0;
+  /// One server's FCFS timeline. A data event begins at
+  /// max(arrival, next_free) and pushes next_free to its completion;
+  /// `outstanding` holds completion times no arrival has passed yet, for the
+  /// queue-depth gauge.
+  struct ServerQueue {
+    double next_free = 0.0;
+    std::vector<double> outstanding;
   };
-
-  /// Admission control: the eligible time (>= arrival) at which `tenant` may
-  /// issue `len` more bytes under its outstanding-bytes cap. Under mu_.
-  double AdmissionEligible(int tenant, std::uint64_t len, double arrival_ns);
-  [[nodiscard]] ServerSched::PolicyContext PolicyCtx() const;  ///< under mu_
+  /// Completion times kept per server for the queue-depth gauge.
+  static constexpr std::size_t kMaxOutstanding = 4096;
 
   Config cfg_;
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<File::Node>> files_;
-  std::vector<ServerSched> sched_;  ///< one schedule per server
+  std::vector<ServerQueue> servers_;  ///< one FCFS timeline per server
   Stats stats_;
   std::shared_ptr<FaultInjector> injector_;
-
-  QosPolicy qos_;
-  std::vector<TenantClass> tenants_;        ///< index 0 = default tenant
-  std::vector<TenantCounters> tenant_ctrs_; ///< parallel to tenants_
-  std::vector<TenantFlow> tenant_flows_;    ///< parallel to tenants_
-  std::vector<TenantPacer> tenant_pacers_;  ///< parallel to tenants_
 };
 
 }  // namespace pfs

@@ -133,9 +133,7 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool root_torn,
   if (comm.rank() == 0 && !journal) {
     auto jf = fs->Create(ncformat::JournalPath(path), /*exclusive=*/false);
     if (jf.ok()) {
-      pfs::File jfile = std::move(jf).value();
-      jfile.SetTenant(file.tenant());
-      journal.emplace(std::move(jfile), &comm.clock());
+      journal.emplace(std::move(jf).value(), &comm.clock());
     } else {
       err = jf.status().raw();
     }
@@ -287,10 +285,7 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
     if (!jf.ok()) {
       jerr = jf.status().raw();
     } else {
-      // Sidecar I/O bills to the dataset's tenant, like the primary file.
-      pfs::File jfile = std::move(jf).value();
-      jfile.SetTenant(im.file.tenant());
-      im.journal.emplace(std::move(jfile), &im.comm.clock());
+      im.journal.emplace(std::move(jf).value(), &im.comm.clock());
     }
   }
   PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(jerr, 0)));
@@ -340,12 +335,8 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
     } else if (!pf.ok()) {
       rst = pf.status();
     } else {
-      pfs::File jfile = std::move(jf).value();
-      jfile.SetTenant(im.file.tenant());
-      pfs::File pfile = std::move(pf).value();
-      pfile.SetTenant(im.file.tenant());
-      im.journal.emplace(std::move(jfile), &im.comm.clock());
-      ncformat::PfsCommitIo primary(std::move(pfile), &im.comm.clock());
+      im.journal.emplace(std::move(jf).value(), &im.comm.clock());
+      ncformat::PfsCommitIo primary(std::move(pf).value(), &im.comm.clock());
       auto rep = ncformat::AnalyzeCommit(&*im.journal, primary);
       if (!rep.ok()) {
         rst = rep.status();

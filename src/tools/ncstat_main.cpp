@@ -25,11 +25,8 @@
 //                          utilization grid of every report in FILE
 //   ncstat --timeline=FILE render the pnc-timeline-v1 bucketed rate
 //                          timelines (per-server bandwidth / queue depth,
-//                          per-tenant bandwidth / p99 wait, global rate
-//                          tracks) of every report in FILE as sparklines
-//   ncstat --health=FILE   print the SLO health verdict embedded in every
-//                          report in FILE; exits 1 when any rule was
-//                          violated
+//                          global rate tracks) of every report in FILE as
+//                          sparklines
 //   ncstat --trend=FILE    cross-run trend over a bench history log
 //                          (`ncbench --history=PATH`): per-metric
 //                          trajectories across runs, drift beyond
@@ -57,9 +54,6 @@
 //   --heatmap                  print the pfs server x time utilization grid
 //   --timeline                 record and print the bucketed rate timelines
 //                              (enables PNC_IOSTAT_TIMELINE for the run)
-//   --health                   evaluate SLO rules (PNC_SLO, default
-//                              miss/fault rate > 0) over the run's timeline
-//                              and print the verdict; exit 1 on violation
 //
 // Exit status: 0 success, 1 --diff found differences, 2 usage/IO/parse
 // error. See src/tools/cli.hpp and docs/API.md for the contract shared with
@@ -76,7 +70,6 @@
 #include "iostat/advise.hpp"
 #include "iostat/critpath.hpp"
 #include "iostat/events.hpp"
-#include "iostat/health.hpp"
 #include "iostat/iostat.hpp"
 #include "iostat/pattern.hpp"
 #include "iostat/report.hpp"
@@ -100,14 +93,13 @@ int Usage() {
                "              [--json=PATH] [--trace=PATH]\n"
                "              [--blackbox=PATH] [--critpath]\n"
                "              [--advise] [--heatmap]\n"
-               "              [--timeline] [--health]\n"
+               "              [--timeline]\n"
                "       ncstat --diff A B [--tolerance=PCT]\n"
                "       ncstat --blackbox=FILE\n"
                "       ncstat --critpath=FILE\n"
                "       ncstat --advise=FILE\n"
                "       ncstat --heatmap=FILE\n"
                "       ncstat --timeline=FILE\n"
-               "       ncstat --health=FILE\n"
                "       ncstat --trend=FILE [--tolerance=PCT]\n");
   return nctools::kExitError;
 }
@@ -303,12 +295,9 @@ int AdviseFileMode(const std::string& path, bool do_advise, bool do_heatmap) {
   return nctools::kExitOk;
 }
 
-/// `--timeline=FILE` / `--health=FILE`: render the embedded pnc-timeline-v1
-/// section (sparkline timelines and/or the SLO verdict) of every iostat
-/// report found in FILE. Returns kExitCondition when --health finds a
-/// violated rule in any report.
-int TimelineFileMode(const std::string& path, bool do_timeline,
-                     bool do_health) {
+/// `--timeline=FILE`: render the embedded pnc-timeline-v1 section of every
+/// iostat report found in FILE as sparkline timelines.
+int TimelineFileMode(const std::string& path) {
   std::string text;
   if (!ReadAll(path, &text)) return nctools::kExitError;
   std::vector<iostat::Report> reports;
@@ -327,20 +316,13 @@ int TimelineFileMode(const std::string& path, bool do_timeline,
                  path.c_str());
     return nctools::kExitError;
   }
-  bool violated = false;
   for (std::size_t i = 0; i < reports.size(); ++i) {
     if (reports.size() > 1)
       std::printf("%s--- record %zu of %zu ---\n", i ? "\n" : "", i + 1,
                   reports.size());
-    if (do_timeline)
-      std::fputs(iostat::RenderTimeline(reports[i].timeline).c_str(), stdout);
-    if (do_health) {
-      std::fputs(iostat::RenderHealth(reports[i].timeline.health).c_str(),
-                 stdout);
-      if (reports[i].timeline.health.total_violations > 0) violated = true;
-    }
+    std::fputs(iostat::RenderTimeline(reports[i].timeline).c_str(), stdout);
   }
-  return do_health && violated ? nctools::kExitCondition : nctools::kExitOk;
+  return nctools::kExitOk;
 }
 
 /// `--trend=FILE`: per-metric trajectories across the runs of a bench
@@ -378,17 +360,12 @@ int RunMode(nctools::Cli& cli) {
   const bool advise = cli.Flag("--advise");
   const bool heatmap = cli.Flag("--heatmap");
   const bool timeline = cli.Flag("--timeline");
-  const bool health = cli.Flag("--health");
   if ((pattern != "contig" && pattern != "strided" && pattern != "random") ||
       (mode != "coll" && mode != "indep") ||
       (op != "write" && op != "read"))
     return Usage();
   const bool indep = mode == "indep";
-  // Both views need the bucketed sampler; --health without --timeline still
-  // records (the verdict is computed from the buckets) but prints only the
-  // verdict. SLO rules come from PNC_SLO (SloRulesFromEnv default:
-  // any deadline miss / any injected fault violates).
-  if (timeline || health) iostat::SetSink(iostat::kSinkTimeline, true);
+  if (timeline) iostat::SetSink(iostat::kSinkTimeline, true);
 
   const std::uint64_t total_elems = (mb << 20) / 8;
   const std::uint64_t per =
@@ -499,8 +476,6 @@ int RunMode(nctools::Cli& cli) {
   if (heatmap) std::fputs(iostat::RenderHeatmap(rep.pattern).c_str(), stdout);
   if (timeline)
     std::fputs(iostat::RenderTimeline(rep.timeline).c_str(), stdout);
-  if (health)
-    std::fputs(iostat::RenderHealth(rep.timeline.health).c_str(), stdout);
   if (advise)
     std::fputs(iostat::PrettyPrintAdvice(iostat::Advise(rep)).c_str(), stdout);
 
@@ -546,8 +521,6 @@ int RunMode(nctools::Cli& cli) {
     }
     std::fputs(iostat::PrettyPrintCritPath(cp).c_str(), stdout);
   }
-  if (health && rep.timeline.health.total_violations > 0)
-    return nctools::kExitCondition;
   return nctools::kExitOk;
 }
 
@@ -573,7 +546,7 @@ int main(int argc, char** argv) {
     for (const char* k :
          {"--procs", "--size", "--pattern", "--mode", "--op", "--json",
           "--trace", "--blackbox", "--critpath", "--advise", "--heatmap",
-          "--timeline", "--health"})
+          "--timeline"})
       (void)cli.Has(k);
     if (!cli.Unknown().empty() || !cli.positionals().empty()) return Usage();
     return RunMode(cli);
@@ -605,15 +578,11 @@ int main(int argc, char** argv) {
                           !heatmap.empty());
   }
   const std::string timeline = cli.Value("--timeline", "");
-  const std::string health = cli.Value("--health", "");
-  if (!timeline.empty() || !health.empty()) {
-    // Same combination rule as --advise/--heatmap: one dump, both views.
+  if (!timeline.empty()) {
     if (!report.empty() || !cli.Unknown().empty() ||
-        !cli.positionals().empty() ||
-        (!timeline.empty() && !health.empty() && timeline != health))
+        !cli.positionals().empty())
       return Usage();
-    return TimelineFileMode(timeline.empty() ? health : timeline,
-                            !timeline.empty(), !health.empty());
+    return TimelineFileMode(timeline);
   }
   const std::string trend = cli.Value("--trend", "");
   if (!trend.empty()) {

@@ -1,10 +1,7 @@
 // Hints::Parse hardening: buffer sizes clamp into the documented
 // [kMinBufferSize, kMaxBufferSize] range (negative values must not wrap into
 // huge unsigned sizes), retry counts clamp into [0, kMaxRetries], and
-// unknown keys pass through untouched for higher layers. Tenant/QoS keys
-// (pnc_tenant, pnc_qos_weight, pnc_qos_deadline_ns, pnc_qos_cap_bytes) parse
-// checked and clamped, and ResolveTenant merges hints over the environment
-// identity field by field.
+// unknown keys pass through untouched for higher layers.
 #include <gtest/gtest.h>
 
 #include "mpiio/hints.hpp"
@@ -98,100 +95,6 @@ TEST(HintsParse, MalformedIntFallsBackToDefault) {
   EXPECT_EQ(h.cb_buffer_size, 4ULL << 20);
 }
 
-TEST(HintsParse, TenantQosDefaults) {
-  const Hints h = Hints::Parse(simmpi::NullInfo(), 4, 2);
-  EXPECT_TRUE(h.tenant.empty());
-  EXPECT_EQ(h.qos_weight, 1.0);
-  EXPECT_EQ(h.qos_deadline_ns, 0.0);
-  EXPECT_EQ(h.qos_cap_bytes, 0u);
-}
-
-TEST(HintsParse, TenantQosKeysParse) {
-  simmpi::Info info;
-  info.Set("pnc_tenant", "climate");
-  info.Set("pnc_qos_weight", "0.5");
-  info.Set("pnc_qos_deadline_ns", "2.5e9");
-  info.Set("pnc_qos_cap_bytes", "1048576");
-  const Hints h = Hints::Parse(info, 4, 2);
-  EXPECT_EQ(h.tenant, "climate");
-  EXPECT_DOUBLE_EQ(h.qos_weight, 0.5);
-  EXPECT_DOUBLE_EQ(h.qos_deadline_ns, 2.5e9);
-  EXPECT_EQ(h.qos_cap_bytes, 1048576u);
-}
-
-TEST(HintsParse, QosWeightClampsToDocumentedRange) {
-  simmpi::Info info;
-  info.Set("pnc_qos_weight", "1e9");
-  EXPECT_DOUBLE_EQ(Hints::Parse(info, 4, 2).qos_weight,
-                   pfs::TenantClass::kMaxWeight);
-  info.Set("pnc_qos_weight", "0");
-  EXPECT_DOUBLE_EQ(Hints::Parse(info, 4, 2).qos_weight,
-                   pfs::TenantClass::kMinWeight);
-  info.Set("pnc_qos_weight", "-3.5");
-  EXPECT_DOUBLE_EQ(Hints::Parse(info, 4, 2).qos_weight,
-                   pfs::TenantClass::kMinWeight);
-}
-
-TEST(HintsParse, QosDeadlineAndCapClampAtZero) {
-  simmpi::Info info;
-  info.Set("pnc_qos_deadline_ns", "-1e6");
-  info.Set("pnc_qos_cap_bytes", "-4096");
-  const Hints h = Hints::Parse(info, 4, 2);
-  EXPECT_EQ(h.qos_deadline_ns, 0.0);
-  EXPECT_EQ(h.qos_cap_bytes, 0u);
-}
-
-TEST(HintsParse, MalformedQosValuesFallBackToDefaults) {
-  simmpi::Info info;
-  info.Set("pnc_qos_weight", "heavy");
-  info.Set("pnc_qos_weight", "2.0x");  // trailing junk is not a number
-  info.Set("pnc_qos_deadline_ns", "soon");
-  const Hints h = Hints::Parse(info, 4, 2);
-  EXPECT_DOUBLE_EQ(h.qos_weight, 1.0);
-  EXPECT_EQ(h.qos_deadline_ns, 0.0);
-}
-
-TEST(HintsResolveTenant, HintsOverrideEnvironmentFieldByField) {
-  // The env minted a full identity; the Info only overrides the weight, so
-  // name/deadline/cap must survive from the environment value.
-  pfs::TenantClass env;
-  env.name = "from-env";
-  env.weight = 4.0;
-  env.deadline_ns = 7e9;
-  env.max_outstanding_bytes = 512;
-  simmpi::Info info;
-  info.Set("pnc_qos_weight", "2.0");
-  const Hints h = Hints::Parse(info, 4, 2);
-  const pfs::TenantClass r = h.ResolveTenant(info, env);
-  EXPECT_EQ(r.name, "from-env");
-  EXPECT_DOUBLE_EQ(r.weight, 2.0);
-  EXPECT_DOUBLE_EQ(r.deadline_ns, 7e9);
-  EXPECT_EQ(r.max_outstanding_bytes, 512u);
-}
-
-TEST(HintsResolveTenant, HintNameReplacesEnvName) {
-  pfs::TenantClass env;
-  env.name = "from-env";
-  simmpi::Info info;
-  info.Set("pnc_tenant", "from-hint");
-  info.Set("pnc_qos_deadline_ns", "1e6");
-  const Hints h = Hints::Parse(info, 4, 2);
-  const pfs::TenantClass r = h.ResolveTenant(info, env);
-  EXPECT_EQ(r.name, "from-hint");
-  EXPECT_DOUBLE_EQ(r.deadline_ns, 1e6);
-  EXPECT_DOUBLE_EQ(r.weight, 1.0);  // untouched default
-}
-
-TEST(HintsResolveTenant, NoHintsPreserveEnvIdentity) {
-  pfs::TenantClass env;
-  env.name = "solo";
-  env.weight = 0.25;
-  const Hints h = Hints::Parse(simmpi::NullInfo(), 4, 2);
-  const pfs::TenantClass r = h.ResolveTenant(simmpi::NullInfo(), env);
-  EXPECT_EQ(r.name, "solo");
-  EXPECT_DOUBLE_EQ(r.weight, 0.25);
-}
-
 TEST(HintsParse, UnknownKeysPassThroughUntouched) {
   simmpi::Info info;
   info.Set("nc_header_align_size", "1024");     // PnetCDF-level hint
@@ -203,6 +106,28 @@ TEST(HintsParse, UnknownKeysPassThroughUntouched) {
   EXPECT_EQ(info.Get("nc_header_align_size").value_or(""), "1024");
   EXPECT_EQ(info.Get("my_custom_future_hint").value_or(""), "whatever");
   EXPECT_EQ(info.Get("cb_buffer_size").value_or(""), "8192");
+}
+
+TEST(HintsParse, LeftoverTenantHintIsAnUnknownKey) {
+  // pnc_tenant once named a pfs QoS class; the servers are plain FCFS now,
+  // so a caller that still sets it gets what any unknown key gets: no
+  // effect on the parse, and the key left in the Info.
+  simmpi::Info info;
+  info.Set("pnc_tenant", "climate");
+  const Hints h = Hints::Parse(info, 4, 2);
+  const Hints d = Hints::Parse(simmpi::NullInfo(), 4, 2);
+  EXPECT_EQ(h.cb_buffer_size, d.cb_buffer_size);
+  EXPECT_EQ(h.cb_nodes, d.cb_nodes);
+  EXPECT_EQ(h.cb_read, d.cb_read);
+  EXPECT_EQ(h.cb_write, d.cb_write);
+  EXPECT_EQ(h.ds_read, d.ds_read);
+  EXPECT_EQ(h.ds_write, d.ds_write);
+  EXPECT_EQ(h.ind_rd_buffer_size, d.ind_rd_buffer_size);
+  EXPECT_EQ(h.ind_wr_buffer_size, d.ind_wr_buffer_size);
+  EXPECT_EQ(h.retry_max, d.retry_max);
+  EXPECT_EQ(h.retry_backoff_ns, d.retry_backoff_ns);
+  EXPECT_EQ(info.entries().size(), 1u);
+  EXPECT_EQ(info.Get("pnc_tenant").value_or(""), "climate");
 }
 
 }  // namespace

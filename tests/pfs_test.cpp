@@ -194,6 +194,64 @@ TEST(TimeModel, CompletionMonotoneInStartTime) {
   EXPECT_GE(t2, 5e6);
 }
 
+// The FCFS timeline, hand-computed from the default Config (12 servers of
+// 256 KiB stripes): a write, a write, a read and a Sync, each issued when
+// the one before completed. Every request reaches the servers
+// client_request_ns after it is issued; each server serves its share at
+// max(arrival, next_free) for server_request_ns plus its bytes at the
+// per-byte rate, a partial-stripe write paying for the whole stripe; the
+// request completes when its last server, or its client link, is done.
+// A zero-length Sync is one round trip at server 0 that reads next_free
+// but never extends it.
+TEST(TimeModel, FcfsTimelineMatchesHandComputedTimes) {
+  const Config cfg;
+  FileSystem fs(cfg);
+  auto f = fs.Create("t", false).value();
+  std::vector<std::byte> buf(300 << 10, std::byte{0x5A});
+  const double req = cfg.client_request_ns;
+  const double srv = cfg.server_request_ns;
+  const auto stripe = static_cast<double>(cfg.stripe_size);
+
+  // 64 KiB at offset 0: one partial stripe on server 0.
+  const double w1 =
+      f.HarnessWrite(0, pnc::ConstByteSpan(buf.data(), 64 << 10), 0.0);
+  EXPECT_EQ(w1, req + srv + cfg.server_write_ns_per_byte * stripe);
+
+  // 300 KiB at 256 KiB: a whole stripe on server 1 and a partial one on
+  // server 2, served in parallel on idle servers.
+  const double w2 = f.HarnessWrite(
+      256 << 10, pnc::ConstByteSpan(buf.data(), 300 << 10), w1);
+  EXPECT_EQ(w2, w1 + req + srv + cfg.server_write_ns_per_byte * stripe);
+
+  // 128 KiB read at offset 0, issued 100 us later: server 0 is idle again.
+  const double r_start = w2 + 1e5;
+  const double r = f.HarnessRead(0, pnc::ByteSpan(buf.data(), 128 << 10),
+                                 r_start);
+  EXPECT_EQ(r, r_start + req + srv +
+                   cfg.server_read_ns_per_byte * static_cast<double>(128 << 10));
+
+  // Sync on an idle server 0: one round trip from its arrival.
+  const double s = f.HarnessSync(r);
+  EXPECT_EQ(s, r + req + srv);
+
+  // Now queue behind a write: both issued at r, so they arrive together.
+  // The write begins at its arrival (server 0 is free since r); the Sync
+  // waits for the write to finish, but does not extend the timeline, so a
+  // third request arriving at the same time begins where the write ended,
+  // not where the Sync did.
+  const double arrival = r + req;
+  const double w3 =
+      f.HarnessWrite(0, pnc::ConstByteSpan(buf.data(), 4096), r);
+  const double w3_done = arrival + srv + cfg.server_write_ns_per_byte * stripe;
+  EXPECT_EQ(w3, w3_done);
+  const double s2 = f.HarnessSync(r);
+  EXPECT_EQ(s2, w3_done + srv);
+  const double w4 =
+      f.HarnessWrite(0, pnc::ConstByteSpan(buf.data(), 4096), r);
+  EXPECT_EQ(w4, w3_done + srv + cfg.server_write_ns_per_byte * stripe);
+  EXPECT_LT(w4, s2 + srv + cfg.server_write_ns_per_byte * stripe);
+}
+
 TEST(TimeModel, DataIntegrityUnderConcurrentDisjointWrites) {
   FileSystem fs(FastConfig());
   auto f = fs.Create("t", false).value();

@@ -1,20 +1,14 @@
-// Time-resolved telemetry (iostat/timeline.hpp + iostat/health.hpp).
+// Time-resolved telemetry (iostat/timeline.hpp).
 //
-// Five areas, mirroring DESIGN.md and the observability contract:
-//   1. Histogram p99 upper bounds: the power-of-two bucket bound the
-//      timeline reports for a tenant's wait distribution, hand-computed.
-//   2. Serialization: a populated timeline embedded in the iostat report
+// Three areas, mirroring DESIGN.md and the observability contract:
+//   1. Serialization: a populated timeline embedded in the iostat report
 //      round-trips through ToJson -> ParseReportJson bit-exactly enough to
-//      compare every cell, rule verdict, and header field.
-//   3. The gate: with PNC_IOSTAT_TIMELINE off (the default) a run's iostat
+//      compare every cell and header field.
+//   2. The gate: with PNC_IOSTAT_TIMELINE off (the default) a run's iostat
 //      report is byte-identical to the same run with the timeline on minus
 //      the "timeline" section, and virtual completion times match exactly —
 //      recording never advances clocks or perturbs counters.
-//   4. Online SLO health: the qos_test tenant storm replayed with a p99
-//      wait rule on the light tenant emits an slo_violation flight event
-//      mid-run under FCFS and none under WFQ, and the sealed verdict in the
-//      snapshot agrees with the online emission.
-//   5. Coarsening: samples spread over a horizon far beyond the bucket cap
+//   3. Coarsening: samples spread over a horizon far beyond the bucket cap
 //      widen cells instead of growing cell count, preserving byte totals.
 #include "iostat/timeline.hpp"
 
@@ -24,19 +18,14 @@
 #include <string>
 #include <vector>
 
-#include "iostat/events.hpp"
-#include "iostat/health.hpp"
 #include "iostat/iostat.hpp"
 #include "iostat/report.hpp"
 #include "pfs/pfs.hpp"
-#include "pfs/sched.hpp"
 #include "pnetcdf/dataset.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace {
 
-using iostat::FlightRecorder;
-using iostat::SloRule;
 using iostat::TimelineRegistry;
 using iostat::TimelineSummary;
 using iostat::TlTrack;
@@ -50,59 +39,23 @@ class TimelineTest : public ::testing::Test {
     iostat::Registry::Get().Reset();  // also resets the timeline registry
     iostat::SetSink(iostat::kSinkCounters, true);
     iostat::SetSink(iostat::kSinkTimeline, true);
-    TimelineRegistry::Get().SetSloRules({});
   }
   void TearDown() override {
     iostat::SetSink(iostat::kSinkTimeline, false);
-    TimelineRegistry::Get().SetSloRules(iostat::SloRulesFromEnv());
-    iostat::SetSink(iostat::kSinkRing, false);
     iostat::Registry::Get().Reset();
   }
 };
 
-// ------------------------------------------------ p99 upper bound
-
-TEST_F(TimelineTest, HistP99UpperBoundIsPowerOfTwoBucketEdgeClampedToMax) {
-  iostat::PatternHist h{};
-  // Empty histogram: no samples, bound is 0.
-  EXPECT_EQ(iostat::HistP99UpperBound(h), 0u);
-
-  // 100 samples of 5 ns land in bucket [4,7]; p99 bound is the bucket's
-  // upper edge clamped to the observed max.
-  for (int i = 0; i < 100; ++i) h.Add(5);
-  EXPECT_EQ(iostat::HistP99UpperBound(h), 5u);
-
-  // A single outlier among 101 samples is within the top 1% (100/101 =
-  // 99.01% of the mass is already below it), so the bound stays at the
-  // cheap bucket's edge.
-  h.Add(1000);
-  EXPECT_EQ(iostat::HistP99UpperBound(h), 7u);
-
-  // A second outlier pushes the cheap mass below 99% (100/102): the bound
-  // must now cover the outlier bucket [512,1023], clamped to the observed
-  // max of 1000.
-  h.Add(1000);
-  EXPECT_EQ(iostat::HistP99UpperBound(h), 1000u);
-
-  // Many outliers land the p99 in their bucket even before clamping.
-  for (int i = 0; i < 50; ++i) h.Add(900);
-  const std::uint64_t ub = iostat::HistP99UpperBound(h);
-  EXPECT_GE(ub, 900u);
-  EXPECT_LE(ub, 1023u);
-}
-
 // ------------------------------------------------ serialization
 
-TEST_F(TimelineTest, ReportJsonRoundTripPreservesEveryCellAndVerdict) {
+TEST_F(TimelineTest, ReportJsonRoundTripPreservesEveryCell) {
   TimelineRegistry& reg = TimelineRegistry::Get();
-  reg.SetSloRules({SloRule{SloRule::Kind::kMissRate, "miss", "light",
-                           0.0, 1}});
 
-  // Two servers, two tenants, several cells apart; one deadline miss.
+  // Two servers, several cells apart; one grant spans three cells.
   const double ms = 1e6;
-  reg.RecordPfsGrant(0, "light", 4096, 0.5 * ms, 0.9 * ms, 1, 1000.0, false);
-  reg.RecordPfsGrant(1, "heavy", 65536, 0.2 * ms, 2.5 * ms, 3, 2e6, true);
-  reg.RecordPfsGrant(0, "heavy", 1024, 5.1 * ms, 5.4 * ms, 2, 0.0, false);
+  reg.RecordPfsGrant(0, 4096, 0.5 * ms, 0.9 * ms, 1);
+  reg.RecordPfsGrant(1, 65536, 0.2 * ms, 2.5 * ms, 3);
+  reg.RecordPfsGrant(0, 1024, 5.1 * ms, 5.4 * ms, 2);
   reg.RecordMark(TlTrack::kRetries, 1.1 * ms, 1.0);
   reg.RecordMark(TlTrack::kStragglerWaitNs, 3.3 * ms, 4.5e5);
 
@@ -130,16 +83,6 @@ TEST_F(TimelineTest, ReportJsonRoundTripPreservesEveryCellAndVerdict) {
     EXPECT_EQ(a.servers[i].grants, b.servers[i].grants);
     EXPECT_EQ(a.servers[i].depth_max, b.servers[i].depth_max);
   }
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-    EXPECT_EQ(a.tenants[i].bucket, b.tenants[i].bucket);
-    EXPECT_EQ(a.tenants[i].tenant, b.tenants[i].tenant);
-    EXPECT_DOUBLE_EQ(a.tenants[i].bytes, b.tenants[i].bytes);
-    EXPECT_DOUBLE_EQ(a.tenants[i].wait_ns, b.tenants[i].wait_ns);
-    EXPECT_EQ(a.tenants[i].grants, b.tenants[i].grants);
-    EXPECT_EQ(a.tenants[i].misses, b.tenants[i].misses);
-    EXPECT_EQ(a.tenants[i].p99_wait_ns, b.tenants[i].p99_wait_ns);
-  }
   ASSERT_EQ(a.tracks.size(), b.tracks.size());
   for (std::size_t i = 0; i < a.tracks.size(); ++i) {
     EXPECT_EQ(a.tracks[i].track, b.tracks[i].track);
@@ -147,24 +90,17 @@ TEST_F(TimelineTest, ReportJsonRoundTripPreservesEveryCellAndVerdict) {
     EXPECT_DOUBLE_EQ(a.tracks[i].value, b.tracks[i].value);
   }
 
-  // Health verdicts ride inside the timeline section: the "heavy" miss does
-  // not trip a rule scoped to "light", and the scoped rule's identity and
-  // counts survive the round trip.
-  ASSERT_EQ(a.health.rules.size(), 1u);
-  ASSERT_EQ(b.health.rules.size(), 1u);
-  EXPECT_EQ(b.health.rules[0].rule.id, "miss");
-  EXPECT_EQ(b.health.rules[0].rule.tenant, "light");
-  EXPECT_EQ(a.health.total_violations, b.health.total_violations);
-  EXPECT_EQ(a.health.rules[0].violations, b.health.rules[0].violations);
-  EXPECT_EQ(b.health.total_violations, 0u);
+  // The section carries servers and tracks only.
+  EXPECT_EQ(json.find("\"tenants\""), std::string::npos);
+  EXPECT_EQ(json.find("\"health\""), std::string::npos);
 
-  // Rendering is smoke-checked here (exact text is a tool concern): both
-  // the timeline sparklines and the health table must mention our data.
+  // Rendering is smoke-checked here (exact text is a tool concern): the
+  // sparklines must mention both servers and the non-empty tracks.
   const std::string tl = iostat::RenderTimeline(a);
-  EXPECT_NE(tl.find("s0"), std::string::npos);
-  EXPECT_NE(tl.find("heavy"), std::string::npos);
-  const std::string hp = iostat::RenderHealth(a.health);
-  EXPECT_NE(hp.find("miss"), std::string::npos);
+  EXPECT_NE(tl.find("s00 MB/s"), std::string::npos);
+  EXPECT_NE(tl.find("s01 queue depth"), std::string::npos);
+  EXPECT_NE(tl.find("retries"), std::string::npos);
+  EXPECT_NE(tl.find("straggler_wait_ns"), std::string::npos);
 }
 
 // ------------------------------------------------ the gate
@@ -236,86 +172,6 @@ TEST_F(TimelineTest, GateOffReportIsByteIdenticalModuloTimelineSection) {
   EXPECT_EQ(excised, off_json);
 }
 
-// ------------------------------------------------ online SLO health
-
-struct StormTelemetry {
-  std::vector<iostat::Event> violations;
-  iostat::HealthStatus health;
-  double light_p99_wait_ns = 0.0;
-};
-
-/// The qos_test tenant storm, watched: 20 x 64 KiB writes from a heavy
-/// tenant at weight 1/16 swamp one 4 KiB read from a light tenant holding a
-/// 20 ms deadline, all submitted at t=0 under `policy`. A p99-wait SLO rule
-/// (50 ms) guards the light tenant while the storm runs: FCFS starves the
-/// read for ~226 ms, WFQ paces it down to ~11 ms, so the rule cleanly
-/// separates the disciplines.
-StormTelemetry RunWatchedStorm(const pfs::QosPolicy& policy) {
-  iostat::Registry::Get().Reset();
-  iostat::SetSink(iostat::kSinkCounters | iostat::kSinkTimeline, true);
-  TimelineRegistry& reg = TimelineRegistry::Get();
-  reg.SetSloRules(
-      {SloRule{SloRule::Kind::kP99WaitNs, "light-wait", "light", 5e7, 1}});
-  iostat::SetSink(iostat::kSinkRing, true);
-
-  pfs::FileSystem fs;
-  const int heavy = fs.RegisterTenant({"heavy", 1.0 / 16.0, 0.0, 0});
-  const int light = fs.RegisterTenant({"light", 1.0, 20e6, 0});
-  fs.SetQosPolicy(policy);
-
-  auto fh = fs.Create("storm.dat", false).value();
-  fh.SetTenant(heavy);
-  auto fl = fs.Create("steady.dat", false).value();
-  fl.SetTenant(light);
-
-  std::vector<std::byte> buf(64 << 10, std::byte{2});
-  for (int i = 0; i < 20; ++i)
-    fh.HarnessWrite(0, pnc::ConstByteSpan(buf.data(), buf.size()), 0.0);
-  fl.HarnessRead(0, pnc::ByteSpan(buf.data(), 4096), 0.0);
-
-  StormTelemetry out;
-  const auto snap = fs.TenantUsageSnapshot();
-  out.light_p99_wait_ns = pfs::WaitPercentile(
-      snap[static_cast<std::size_t>(light)].ctr.wait_samples, 99.0);
-  // Snapshot seals the tail buckets (emitting any still-pending online
-  // violations) and re-evaluates the whole horizon for the verdict.
-  out.health = reg.Snapshot().health;
-  for (const auto& rank_events : FlightRecorder::Get().Collect())
-    for (const iostat::Event& e : rank_events)
-      if (e.kind == iostat::Ev::kSloViolation) out.violations.push_back(e);
-  return out;
-}
-
-TEST_F(TimelineTest, StormTripsP99WaitSloUnderFcfsAndNotUnderWfq) {
-  const StormTelemetry fcfs = RunWatchedStorm(pfs::QosPolicy{});
-
-  // Starved behind the storm: wait blows through the 50 ms rule, the run
-  // emits slo_violation flight events while still in flight, and the
-  // sealed verdict agrees.
-  EXPECT_GT(fcfs.light_p99_wait_ns, 1e8);
-  ASSERT_FALSE(fcfs.violations.empty());
-  for (const iostat::Event& e : fcfs.violations) {
-    EXPECT_STREQ(e.detail, "light-wait");  // rule id rides in the detail
-    EXPECT_GE(e.t_ns, 0.0);
-    EXPECT_GT(e.d_ns, 0.0);  // episode spans at least one bucket
-  }
-  EXPECT_TRUE(fcfs.health.evaluated);
-  EXPECT_GT(fcfs.health.total_violations, 0u);
-  ASSERT_EQ(fcfs.health.rules.size(), 1u);
-  EXPECT_GE(fcfs.health.rules[0].first_violation_ns, 0.0);
-  EXPECT_GT(fcfs.health.rules[0].worst, 5e7);
-
-  // WFQ pacing collapses the light tenant's wait below the rule: no events,
-  // clean verdict.
-  pfs::QosPolicy wfq;
-  wfq.discipline = pfs::QosDiscipline::kWfq;
-  const StormTelemetry paced = RunWatchedStorm(wfq);
-  EXPECT_LT(paced.light_p99_wait_ns * 5, fcfs.light_p99_wait_ns);
-  EXPECT_TRUE(paced.violations.empty());
-  EXPECT_TRUE(paced.health.evaluated);
-  EXPECT_EQ(paced.health.total_violations, 0u);
-}
-
 // ------------------------------------------------ coarsening
 
 TEST_F(TimelineTest, CoarseningWidensCellsAndPreservesTotalsOverLongHorizon) {
@@ -327,7 +183,7 @@ TEST_F(TimelineTest, CoarseningWidensCellsAndPreservesTotalsOverLongHorizon) {
   const int n = 2 * static_cast<int>(TimelineRegistry::kMaxCells);
   for (int i = 0; i < n; ++i) {
     const double t = (static_cast<double>(i) + 0.25) * cell;
-    reg.RecordPfsGrant(0, "t", 1024, t, t + 1000.0, 1, 0.0, false);
+    reg.RecordPfsGrant(0, 1024, t, t + 1000.0, 1);
   }
   TimelineSummary s = reg.Snapshot();
   ASSERT_TRUE(s.present);
@@ -345,12 +201,12 @@ TEST_F(TimelineTest, CoarseningWidensCellsAndPreservesTotalsOverLongHorizon) {
 
   // A very sparse, very long horizon coarsens by bucket range too: one
   // early and one extremely late sample must not leave cell_ns at base
-  // (the bucket index cap bounds the health sweep).
+  // (the bucket index cap bounds the renderers' column sweep).
   reg.Reset();
-  reg.RecordPfsGrant(0, "t", 1, 0.0, 10.0, 1, 0.0, false);
+  reg.RecordPfsGrant(0, 1, 0.0, 10.0, 1);
   const double far =
       cell * static_cast<double>(TimelineRegistry::kMaxBuckets) * 4.0;
-  reg.RecordPfsGrant(0, "t", 1, far, far + 10.0, 1, 0.0, false);
+  reg.RecordPfsGrant(0, 1, far, far + 10.0, 1);
   s = reg.Snapshot();
   EXPECT_GE(s.cell_ns * static_cast<double>(TimelineRegistry::kMaxBuckets),
             s.horizon_ns);

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -303,8 +304,8 @@ TEST_F(TraceTest, FourRankPipelinedReadTilesEveryRank) {
 // The Chrome-trace exporter's timeline overlay, pinned byte-exactly on a
 // synthetic summary: one counter sample per bucket per series, pid 1,
 // ts = bucket * cell width in microseconds. "tl mbps sN" rides the server's
-// own tid (aligning with its "pfs server N" row); tenant/track counters
-// share tid 0.
+// own tid (aligning with its "pfs server N" row); track counters share
+// tid 0.
 TEST_F(TraceTest, ChromeTraceRendersTimelineCounterTracksExactly) {
   iostat::TimelineSummary s;
   s.present = true;
@@ -313,11 +314,6 @@ TEST_F(TraceTest, ChromeTraceRendersTimelineCounterTracksExactly) {
   // 1 MB in bucket 0 of server 0: 1e6 bytes / 2e6 ns * 1e3 = 500 MB/s.
   s.servers.push_back({0, 0, 1e6, 1.5e6, 3, 2});
   s.servers.push_back({2, 1, 5e5, 1e6, 1, 1});
-  iostat::TlTenantCell t;
-  t.bucket = 1;
-  t.tenant = "steady";
-  t.p99_wait_ns = 4500;
-  s.tenants.push_back(t);
   s.tracks.push_back(
       {static_cast<int>(iostat::TlTrack::kExchangeMsgs), 2, 6.0});
 
@@ -329,10 +325,6 @@ TEST_F(TraceTest, ChromeTraceRendersTimelineCounterTracksExactly) {
   EXPECT_NE(trace.find("{\"name\":\"tl mbps s1\",\"cat\":\"timeline\","
                        "\"ph\":\"C\",\"ts\":4000.000,\"pid\":1,\"tid\":1,"
                        "\"args\":{\"mbps\":250.000}}"),
-            std::string::npos);
-  EXPECT_NE(trace.find("{\"name\":\"tl p99 wait us steady\","
-                       "\"cat\":\"timeline\",\"ph\":\"C\",\"ts\":2000.000,"
-                       "\"pid\":1,\"tid\":0,\"args\":{\"us\":4.500}}"),
             std::string::npos);
   EXPECT_NE(trace.find("{\"name\":\"tl exchange_msgs\",\"cat\":\"timeline\","
                        "\"ph\":\"C\",\"ts\":4000.000,\"pid\":1,\"tid\":0,"
@@ -375,6 +367,36 @@ TEST_F(TraceTest, FourRankTwoPhaseTraceCarriesTimelineTracks) {
   EXPECT_NE(trace.find("\"tl mbps s1\""), std::string::npos);
   // The bucketed exchange track observed both non-aggregators' sends.
   EXPECT_NE(trace.find("\"tl exchange_msgs\""), std::string::npos);
+}
+
+// A write, a read and the sync round trips of open and close: every
+// pfs_server event's detail is exactly the one-letter op, "w", "r" or "s",
+// and the exported trace draws only per-server queue-depth counters for
+// them (no per-client in-flight tracks).
+TEST_F(TraceTest, PfsServerEventsCarryExactlyTheOpLetter) {
+  pfs::FileSystem fs;
+  simmpi::Run(1, [&](Comm& c) {
+    auto f = mpiio::File::Open(c, fs, "d.dat", mpiio::kCreate | mpiio::kRdWr,
+                               simmpi::NullInfo())
+                 .value();
+    PNC_IOSTAT_BIND_RANK(c.rank());
+    std::vector<std::byte> b(4096, std::byte{1});
+    ASSERT_TRUE(f.WriteAt(0, b.data(), b.size(), simmpi::ByteType()).ok());
+    ASSERT_TRUE(f.ReadAt(0, b.data(), b.size(), simmpi::ByteType()).ok());
+    ASSERT_TRUE(f.Close().ok());
+  });
+  std::map<std::string, std::size_t> by_detail;
+  for (const auto& ev : FlightRecorder::Get().Collect())
+    for (const auto& e : ev)
+      if (e.kind == Ev::kPfsServer) ++by_detail[e.detail];
+  EXPECT_GT(by_detail["w"], 0u);
+  EXPECT_GT(by_detail["r"], 0u);
+  EXPECT_GT(by_detail["s"], 0u);
+  EXPECT_EQ(by_detail.size(), 3u);  // nothing but the three letters
+
+  const std::string trace = iostat::ToChromeTrace();
+  EXPECT_NE(trace.find("\"queue depth s0\""), std::string::npos);
+  EXPECT_EQ(trace.find("inflight bytes"), std::string::npos);
 }
 
 // ---------------------------------------------- pnc-events-v1 round trip
