@@ -260,8 +260,7 @@ class Recorder {
       }
     }
     if (tracing()) {
-      const pnc::Status ts =
-          iostat::WriteChromeTrace(trace_path_, &rep.timeline);
+      const pnc::Status ts = iostat::WriteChromeTrace(trace_path_);
       if (!ts.ok()) {
         std::fprintf(stderr, "bench: %s\n", ts.message().c_str());
         io_failed_ = true;

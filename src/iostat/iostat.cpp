@@ -8,7 +8,6 @@
 #include "iostat/events.hpp"
 #include "iostat/pattern.hpp"
 #include "iostat/report.hpp"
-#include "iostat/timeline.hpp"
 #include "util/env.hpp"
 
 namespace iostat {
@@ -23,11 +22,8 @@ thread_local int tl_rank = 0;
 unsigned SinksFromEnv() {
   using pnc::util::EnvFlag;
   if (!EnvFlag("PNC_IOSTAT", true)) return 0;
-  // The timeline is opt-in: committed bench baselines embed the iostat
-  // report, and default-ON would change them.
   return kSinkCounters | (EnvFlag("PNC_FLIGHT", true) ? kSinkRing : 0u) |
-         (EnvFlag("PNC_IOSTAT_PATTERN", true) ? kSinkPattern : 0u) |
-         (EnvFlag("PNC_IOSTAT_TIMELINE", false) ? kSinkTimeline : 0u);
+         (EnvFlag("PNC_IOSTAT_PATTERN", true) ? kSinkPattern : 0u);
 }
 
 const char* CtrName(Ctr c) {
@@ -126,7 +122,6 @@ void Registry::Reset() {
   max_rank_.store(0, std::memory_order_relaxed);
   FlightRecorder::Get().Reset();
   PatternRegistry::Get().Reset();
-  TimelineRegistry::Get().Reset();
 }
 
 void Registry::AutoReportAtClose() {

@@ -107,9 +107,8 @@ inline constexpr int kMaxRanks = 1024;
 enum Sink : unsigned {
   kSinkCounters = 1u << 0,  ///< per-rank counters (PNC_IOSTAT, default on)
   kSinkRing = 1u << 1,      ///< flight-recorder ring (PNC_FLIGHT, default on)
-  kSinkPattern = 1u << 2,   ///< access-pattern profiler (PNC_IOSTAT_PATTERN)
-  kSinkTimeline = 1u << 3,  ///< virtual-time timeline (PNC_IOSTAT_TIMELINE,
-                            ///< default off)
+  kSinkPattern = 1u << 2,   ///< access-pattern profiler (PNC_IOSTAT_PATTERN,
+                            ///< default on)
 };
 
 /// Enabled sinks as read from the environment. PNC_IOSTAT=0 turns every
@@ -154,9 +153,9 @@ class Registry {
   [[nodiscard]] int nranks() const;
   [[nodiscard]] std::uint64_t Value(int rank, Ctr c) const;
 
-  /// Zero every counter, drop every recorded event, pattern and timeline
-  /// cell, and forget bound ranks (slots stay allocated). Benchmarks call
-  /// this between configurations.
+  /// Zero every counter, drop every recorded event and pattern cell, and
+  /// forget bound ranks (slots stay allocated). Benchmarks call this between
+  /// configurations.
   void Reset();
 
   /// If PNC_IOSTAT_REPORT names a file (or "-" for stdout), write the JSON

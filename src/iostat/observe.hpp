@@ -5,8 +5,8 @@
 //   PNC_OBSERVE(kPfsGrant, .t_ns = begin, .end_ns = done, ...);
 // and this header decides what the record feeds. Observe() folds it, in
 // order, into the counters (iostat.hpp), the flight ring (events.hpp; the
-// a0/a1 packing lives here), the access-pattern profiler (pattern.hpp) and
-// the timeline (timeline.hpp).
+// a0/a1 packing lives here) and the access-pattern profiler (pattern.hpp),
+// whose server × time cells also back `ncstat --timeline`.
 //
 // Cost: -DPNC_IOSTAT=OFF expands PNC_OBSERVE to an unevaluated sizeof. At
 // runtime the one gate is SinkMask (iostat.hpp): with every sink off an
@@ -27,7 +27,6 @@
 #include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
 #include "iostat/pattern.hpp"
-#include "iostat/timeline.hpp"
 #include "util/bytes.hpp"
 
 namespace iostat {
@@ -62,14 +61,13 @@ enum class ObsKind : std::uint8_t {
   kIoEnd,         ///< aggregator I/O phase ends: t_ns..end_ns, off = window
   kIoOverlap,     ///< I/O-channel time one collective hid behind its
                   ///< exchanges: wait_ns = the time no rank waited for
-  kCollEnd,       ///< collective left: t_ns, wait_ns = straggler wait,
-                  ///< is_write, flag = ok
+  kCollEnd,       ///< collective left: t_ns, is_write, flag = ok
   // format, netcdf, pnetcdf
   kNcData,        ///< data call: len, is_write, flag = collective, detail =
                   ///< variable, extents (parallel API only)
   kHeaderRead,    ///< header bytes read: len
   kHeaderWrite,   ///< header bytes written: len
-  kModeSwitch,    ///< define/data/independent mode transition: t_ns
+  kModeSwitch,    ///< define/data/independent mode transition
   kReqsCoalesced, ///< nonblocking requests merged by WaitAll: n
   kSumVerify,     ///< a read recomputed one chunk CRC
   kSumMismatch,   ///< a chunk CRC mismatched (before healing)
@@ -97,7 +95,7 @@ struct Obs {
   int server = 0;           ///< pfs server
   int peer = 0;             ///< the other rank
   std::uint64_t depth = 0;  ///< server queue depth at the grant
-  double wait_ns = 0;       ///< queue wait, retry backoff or straggler wait
+  double wait_ns = 0;       ///< queue wait, retry backoff or agreement wait
   std::uint64_t req = 0;    ///< a peer's request ID
   bool is_write = false;
   bool flag = false;        ///< the kind's yes/no verdict
@@ -251,33 +249,11 @@ inline std::uint64_t Ns(double ns) { return static_cast<std::uint64_t>(ns); }
   }
 }
 
-[[gnu::always_inline]] inline void TimelineSink(const Obs& o) {
-  const auto mark = [](TlTrack track, double t_ns, double value) {
-    TimelineRegistry::Get().RecordMark(track, t_ns, value);
-  };
-  switch (o.kind) {
-    case ObsKind::kPfsGrant:
-      TimelineRegistry::Get().RecordPfsGrant(o.server, o.len, o.t_ns,
-                                             o.end_ns, o.depth);
-      break;
-    case ObsKind::kPfsFault: mark(TlTrack::kFaults, o.t_ns, 1); break;
-    case ObsKind::kIoRetry:
-    case ObsKind::kSyncRetry: mark(TlTrack::kRetries, o.t_ns, 1); break;
-    case ObsKind::kXchgSend: mark(TlTrack::kExchangeMsgs, o.t_ns, 1); break;
-    case ObsKind::kModeSwitch: mark(TlTrack::kModeSwitches, o.t_ns, 1); break;
-    case ObsKind::kCollEnd:
-      if (o.wait_ns > 0) mark(TlTrack::kStragglerWaitNs, o.t_ns, o.wait_ns);
-      break;
-    default: break;
-  }
-}
-
 /// Fold `o` into the sinks whose bits are set in `sinks`.
 [[gnu::always_inline]] inline void Observe(unsigned sinks, const Obs& o) {
   if (sinks & kSinkCounters) CountSink(o);
   if (sinks & kSinkRing) RingSink(o);
   if (sinks & kSinkPattern) PatternSink(o);
-  if (sinks & kSinkTimeline) TimelineSink(o);
 }
 
 }  // namespace iostat

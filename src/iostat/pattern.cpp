@@ -599,7 +599,37 @@ bool ParsePatternValue(jsoncur::Cursor& cur, PatternSummary* out) {
   return true;
 }
 
-// ------------------------------------------------------------ ASCII heatmap
+// ------------------------------------------------------- ASCII renderers
+
+namespace {
+
+/// One glyph ramp for every grid and sparkline: index 0 is empty, 9 full.
+constexpr const char kGlyphs[] = " .:-=+*#%@";
+
+/// Column grouping of a server x time grid: `group` base cells per column,
+/// `ncols` columns (at most `max_cols`) covering buckets [0, max_bucket].
+struct Columns {
+  std::uint64_t group = 1;
+  std::uint64_t ncols = 1;
+  double col_ns = 0.0;
+};
+
+Columns ColumnsFor(const PatternSummary& s, int max_cols) {
+  std::uint64_t max_bucket = 0;
+  for (const HeatCell& c : s.cells)
+    max_bucket = std::max(max_bucket, c.t_bucket);
+  const std::uint64_t m =
+      static_cast<std::uint64_t>(std::max(8, max_cols));
+  Columns cols;
+  // Ceiling division on the cell count max_bucket + 1, written so a bucket
+  // near 2^64 cannot overflow.
+  cols.group = max_bucket / m + 1;
+  cols.ncols = max_bucket / cols.group + 1;
+  cols.col_ns = s.cell_ns * static_cast<double>(cols.group);
+  return cols;
+}
+
+}  // namespace
 
 std::string RenderHeatmap(const PatternSummary& s, int max_cols) {
   std::string out;
@@ -608,14 +638,9 @@ std::string RenderHeatmap(const PatternSummary& s, int max_cols) {
           "run did no pfs I/O)\n";
     return out;
   }
-  max_cols = std::max(8, max_cols);
-  std::uint64_t max_bucket = 0;
-  for (const HeatCell& c : s.cells) max_bucket = std::max(max_bucket, c.t_bucket);
-  const std::uint64_t group =
-      (max_bucket + static_cast<std::uint64_t>(max_cols)) /
-      static_cast<std::uint64_t>(max_cols);
-  const std::uint64_t ncols = max_bucket / std::max<std::uint64_t>(group, 1) + 1;
-  const double col_ns = s.cell_ns * static_cast<double>(std::max<std::uint64_t>(group, 1));
+  const Columns cols = ColumnsFor(s, max_cols);
+  const std::uint64_t ncols = cols.ncols;
+  const double col_ns = cols.col_ns;
 
   const int nservers = static_cast<int>(s.servers.size());
   std::vector<std::vector<double>> busy(
@@ -623,10 +648,8 @@ std::string RenderHeatmap(const PatternSummary& s, int max_cols) {
       std::vector<double>(static_cast<std::size_t>(ncols), 0.0));
   for (const HeatCell& c : s.cells) {
     if (c.server < 0 || c.server >= nservers) continue;
-    const std::uint64_t col = c.t_bucket / std::max<std::uint64_t>(group, 1);
-    if (col < ncols)
-      busy[static_cast<std::size_t>(c.server)][static_cast<std::size_t>(col)] +=
-          c.busy_ns;
+    busy[static_cast<std::size_t>(c.server)]
+        [static_cast<std::size_t>(c.t_bucket / cols.group)] += c.busy_ns;
   }
 
   std::uint64_t total_bytes = 0;
@@ -636,7 +659,6 @@ std::string RenderHeatmap(const PatternSummary& s, int max_cols) {
           "pfs server x virtual-time heatmap (%d servers, %" PRIu64
           " cols, col = %.3f ms, glyph = busy fraction)\n",
           nservers, ncols, col_ns / 1e6);
-  static const char kGlyphs[] = " .:-=+*#%@";
   for (int sv = 0; sv < nservers; ++sv) {
     AppendF(out, "  s%02d |", sv);
     for (std::uint64_t col = 0; col < ncols; ++col) {
@@ -659,6 +681,60 @@ std::string RenderHeatmap(const PatternSummary& s, int max_cols) {
   if (hottest >= 0)
     AppendF(out, "  hottest: server %d carries %.0f%% of pfs bytes\n", hottest,
             100.0 * share);
+  return out;
+}
+
+namespace {
+
+/// One sparkline: glyph = value relative to the row's own peak, which the
+/// right margin prints times `scale`.
+void RenderSparkline(std::string& out, const char* label,
+                     const std::vector<double>& cols, double scale,
+                     const char* unit) {
+  double mx = 0;
+  for (const double v : cols) mx = std::max(mx, v);
+  AppendF(out, "  %-22s |", label);
+  for (const double v : cols) {
+    const int g =
+        (mx <= 0 || v <= 0) ? 0
+                            : std::min(9, 1 + static_cast<int>(v / mx * 8.999));
+    out.push_back(kGlyphs[g]);
+  }
+  AppendF(out, "| peak=%.4g%s\n", mx * scale, unit);
+}
+
+}  // namespace
+
+std::string RenderTimeline(const PatternSummary& s, int max_cols) {
+  std::string out;
+  if (s.cells.empty() || s.cell_ns <= 0) {
+    out = "timeline: no pfs grants recorded (PNC_IOSTAT_PATTERN off, or the "
+          "run did no pfs I/O)\n";
+    return out;
+  }
+  const Columns cols = ColumnsFor(s, max_cols);
+  AppendF(out,
+          "virtual-time timeline (%.3f ms in %" PRIu64 " cols of %.3f ms)\n",
+          static_cast<double>(cols.ncols) * cols.col_ns / 1e6, cols.ncols,
+          cols.col_ns / 1e6);
+
+  std::set<int> server_ids;
+  for (const HeatCell& c : s.cells) server_ids.insert(c.server);
+  for (const int sv : server_ids) {
+    std::vector<double> bytes(static_cast<std::size_t>(cols.ncols), 0.0);
+    std::vector<double> depth(bytes.size(), 0.0);
+    for (const HeatCell& c : s.cells) {
+      if (c.server != sv) continue;
+      const std::size_t col = static_cast<std::size_t>(c.t_bucket / cols.group);
+      bytes[col] += static_cast<double>(c.bytes);
+      depth[col] = std::max(depth[col], static_cast<double>(c.depth_max));
+    }
+    char label[32];
+    std::snprintf(label, sizeof label, "s%02d MB/s", sv);
+    RenderSparkline(out, label, bytes, 1e3 / cols.col_ns, " MB/s");
+    std::snprintf(label, sizeof label, "s%02d queue depth", sv);
+    RenderSparkline(out, label, depth, 1.0, "");
+  }
   return out;
 }
 

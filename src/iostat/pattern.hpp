@@ -7,7 +7,8 @@
 // contiguity, read/write mix, independent-vs-collective split, and where the
 // bytes landed (per-server offset × virtual-time heatmap cells, aggregator
 // byte imbalance). The rule-based advisor (advise.hpp) consumes the summary
-// and turns it into concrete tuning recommendations.
+// and turns it into concrete tuning recommendations; the server × time cells
+// back both ASCII renderers, the heatmap and the rate timeline.
 //
 // The profiler is one sink of PNC_OBSERVE (observe.hpp). Cost discipline
 // mirrors the counter registry:
@@ -242,5 +243,10 @@ bool ParsePatternValue(jsoncur::Cursor& cur, PatternSummary* out);
 /// per server, `max_cols` time columns; glyph density = busy fraction of the
 /// column; right margin shows each server's byte share.
 std::string RenderHeatmap(const PatternSummary& s, int max_cols = 64);
+
+/// ASCII rate sparklines over the same cells (ncstat --timeline): per server,
+/// bytes begun per column as MB/s and the deepest queue seen, over at most
+/// `max_cols` columns. Each row scales to its own peak, printed at its end.
+std::string RenderTimeline(const PatternSummary& s, int max_cols = 64);
 
 }  // namespace iostat

@@ -50,7 +50,6 @@ Report BuildReport() {
       servers > 0 && horizon > 0 ? busy / (servers * horizon) : 0.0;
   rep.pfs_queue_wait_frac = (qwait + busy) > 0 ? qwait / (qwait + busy) : 0.0;
   rep.pattern = PatternRegistry::Get().Snapshot();
-  rep.timeline = TimelineRegistry::Get().Snapshot();
   return rep;
 }
 
@@ -79,12 +78,6 @@ std::string ToJson(const Report& rep) {
   if (rep.pattern.present) {
     out += ",\"pattern\":";
     out += PatternToJson(rep.pattern);
-  }
-  // Same contract for the timeline: absent unless PNC_IOSTAT_TIMELINE
-  // recorded something, so gated-off reports stay byte-identical.
-  if (rep.timeline.present) {
-    out += ",\"timeline\":";
-    out += TimelineToJson(rep.timeline);
   }
   out.push_back('}');
   return out;
@@ -183,9 +176,6 @@ pnc::Result<Report> ParseReportJson(std::string_view text) {
         }
       } else if (key == "pattern") {
         if (!ParsePatternValue(cur, &rep.pattern)) return fail("bad pattern");
-      } else if (key == "timeline") {
-        if (!ParseTimelineValue(cur, &rep.timeline))
-          return fail("bad timeline");
       } else {
         if (!cur.SkipValue()) return fail("bad value");
       }
@@ -252,16 +242,6 @@ std::string PrettyPrint(const Report& rep) {
     if (!rep.pattern.agg_bytes.empty())
       AppendF(out, "    agg imbalance            %.2fx across %d ranks\n",
               rep.pattern.AggImbalance(rep.nranks), rep.nranks);
-  }
-
-  if (rep.timeline.present) {
-    AppendF(out, "  [timeline]\n");
-    AppendF(out,
-            "    %-24s %.3f ms horizon, %.3f ms cells (%zu server / %zu "
-            "track cells)\n",
-            "buckets", rep.timeline.horizon_ns / 1e6,
-            rep.timeline.cell_ns / 1e6, rep.timeline.servers.size(),
-            rep.timeline.tracks.size());
   }
   return out;
 }

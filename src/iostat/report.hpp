@@ -10,7 +10,6 @@
 
 #include "iostat/iostat.hpp"
 #include "iostat/pattern.hpp"
-#include "iostat/timeline.hpp"
 #include "util/status.hpp"
 
 namespace iostat {
@@ -51,11 +50,6 @@ struct Report {
   /// byte-identical to pre-profiler reports.
   PatternSummary pattern;
 
-  /// Time-resolved telemetry (timeline.hpp), same presence contract as
-  /// `pattern`: absent from the JSON unless PNC_IOSTAT_TIMELINE recorded
-  /// something, so gated-off reports stay byte-identical.
-  TimelineSummary timeline;
-
   [[nodiscard]] const Agg& operator[](Ctr c) const {
     return counters[static_cast<std::size_t>(c)];
   }
@@ -71,8 +65,7 @@ Report BuildReport();
 ///    "counters":{"pfs.read_ops":{"min":..,"max":..,"sum":..,"mean":..},...},
 ///    "derived":{"sieve_amplification":..,"twophase_amplification":..,
 ///               "exchange_frac":..},
-///    "pattern":{"schema":"pnc-pattern-v1",...},   // only when present
-///    "timeline":{"schema":"pnc-timeline-v1",...}} // only when present
+///    "pattern":{"schema":"pnc-pattern-v1",...}}  // only when present
 std::string ToJson(const Report& rep);
 
 /// Parse a report previously produced by ToJson (or embedded as the

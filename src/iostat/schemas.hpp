@@ -13,8 +13,6 @@ namespace iostat::schemas {
 inline constexpr const char* kIostat = "pnc-iostat-v1";
 /// Access-pattern profiler section (PatternToJson / ParsePatternValue).
 inline constexpr const char* kPattern = "pnc-pattern-v1";
-/// Time-resolved telemetry section (TimelineToJson / ParseTimelineValue).
-inline constexpr const char* kTimeline = "pnc-timeline-v1";
 /// Flight-recorder dump (EventsToJson / ParseEventsJson).
 inline constexpr const char* kEvents = "pnc-events-v1";
 /// One benchmark record line (bench::Recorder / benchlib ParseRecordLine).

@@ -27,7 +27,7 @@ std::uint64_t FlowId(std::uint64_t src_rank, std::uint64_t window,
 
 }  // namespace
 
-std::string ToChromeTrace(const TimelineSummary* timeline) {
+std::string ToChromeTrace() {
   const int nranks = Registry::Get().nranks();
   const std::vector<std::vector<Event>> events =
       FlightRecorder::Get().Collect();
@@ -172,39 +172,12 @@ std::string ToChromeTrace(const TimelineSummary* timeline) {
     first = false;
   }
 
-  // Timeline buckets as counter tracks: unlike the edge-derived counters
-  // above (exact sample per grant), these are the bucketed rate series —
-  // one sample per cell, so a long run stays a bounded number of points.
-  if (timeline != nullptr && timeline->present && timeline->cell_ns > 0) {
-    const double cell_us = timeline->cell_ns / 1000.0;
-    for (const TlServerCell& c : timeline->servers) {
-      const double mbps =
-          static_cast<double>(c.bytes) * 1e3 / timeline->cell_ns;
-      AppendF(out,
-              "%s{\"name\":\"tl mbps s%d\",\"cat\":\"timeline\","
-              "\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,"
-              "\"args\":{\"mbps\":%.3f}}",
-              first ? "" : ",", c.server,
-              static_cast<double>(c.bucket) * cell_us, c.server, mbps);
-      first = false;
-    }
-    for (const TlTrackCell& c : timeline->tracks) {
-      AppendF(out, "%s{\"name\":\"tl ", first ? "" : ",");
-      pnc::json::AppendEscaped(out, TlTrackName(static_cast<TlTrack>(c.track)));
-      AppendF(out,
-              "\",\"cat\":\"timeline\",\"ph\":\"C\",\"ts\":%.3f,"
-              "\"pid\":1,\"tid\":0,\"args\":{\"value\":%.3f}}",
-              static_cast<double>(c.bucket) * cell_us, c.value);
-      first = false;
-    }
-  }
   out += "],\"displayTimeUnit\":\"ms\"}\n";
   return out;
 }
 
-pnc::Status WriteChromeTrace(const std::string& path,
-                             const TimelineSummary* timeline) {
-  const std::string json = ToChromeTrace(timeline);
+pnc::Status WriteChromeTrace(const std::string& path) {
+  const std::string json = ToChromeTrace();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr)
     return pnc::Status(pnc::Err::kIo, "cannot open trace file: " + path);

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "iostat/iostat.hpp"
-#include "iostat/timeline.hpp"
 #include "util/status.hpp"
 
 namespace iostat {
@@ -22,15 +21,9 @@ namespace iostat {
 /// gives each rank a named track ("rank 0", "rank 1", ...). Timestamps are
 /// microseconds (trace-event convention), converted from virtual
 /// nanoseconds.
-///
-/// When a timeline snapshot is supplied (and present), its buckets become
-/// additional Chrome counter ("ph":"C") tracks under the pfs process
-/// (pid 1): per-server bandwidth ("tl mbps s<N>") and the global rate
-/// tracks ("tl <track name>"). One sample per bucket, at the bucket's start time.
-std::string ToChromeTrace(const TimelineSummary* timeline = nullptr);
+std::string ToChromeTrace();
 
 /// ToChromeTrace() written to `path`. Fails only on file-system errors.
-pnc::Status WriteChromeTrace(const std::string& path,
-                             const TimelineSummary* timeline = nullptr);
+pnc::Status WriteChromeTrace(const std::string& path);
 
 }  // namespace iostat

@@ -554,19 +554,15 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
 
   // Collective error agreement: all ranks return the same status (most
   // severe code across the communicator), so no rank proceeds believing the
-  // collective succeeded while an aggregator failed. The jump this rank's
-  // clock takes as the clocks settle is exactly how long it idled waiting
-  // for the slowest rank — the straggler-wait timeline track.
-  double pre_sync_ns = 0.0;
+  // collective succeeded while an aggregator failed.
   st = comm.AgreeStatus(st, [&](const pnc::Status& agreed) {
     if (agreed.ok() && !is_write && !contig_mem && bytes > 0) {
       memtype.Unpack(staging.data(), count, static_cast<std::byte*>(buf));
       clk.Advance(cost.CopyCost(bytes));
     }
-    pre_sync_ns = clk.now();
   });
-  PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .wait_ns = clk.now() - pre_sync_ns,
-              .is_write = is_write, .flag = st.ok());
+  PNC_OBSERVE(kCollEnd, .t_ns = clk.now(), .is_write = is_write,
+              .flag = st.ok());
   return st;
 }
 

@@ -195,7 +195,7 @@ pnc::Status Dataset::Redef() {
   if (!im.writable) return pnc::Status(pnc::Err::kPermission);
   im.pre_redef = im.header;
   im.defining = true;
-  PNC_OBSERVE(kModeSwitch, .t_ns = im.clock.now());
+  PNC_OBSERVE(kModeSwitch);
   return pnc::Status::Ok();
 }
 
@@ -244,7 +244,7 @@ pnc::Status Dataset::EndDef() {
   im.defining = false;
   im.fresh = false;
   im.pre_redef.reset();
-  PNC_OBSERVE(kModeSwitch, .t_ns = im.clock.now());
+  PNC_OBSERVE(kModeSwitch);
   return pnc::Status::Ok();
 }
 

@@ -425,7 +425,7 @@ pnc::Status Dataset::Redef() {
   if (im.indep) return pnc::Status(pnc::Err::kInIndep);
   im.pre_redef = im.header;
   im.defining = true;
-  PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
+  PNC_OBSERVE(kModeSwitch);
   return Track(im, im.comm.TryBarrier());
 }
 
@@ -509,7 +509,7 @@ pnc::Status Dataset::EndDef() {
   im.defining = false;
   im.fresh = false;
   im.pre_redef.reset();
-  PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
+  PNC_OBSERVE(kModeSwitch);
   return pnc::Status::Ok();
 }
 
@@ -579,7 +579,7 @@ pnc::Status Dataset::BeginIndepData() {
   if (im.indep) return pnc::Status(pnc::Err::kInIndep);
   PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBarrier()));
   im.indep = true;
-  PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
+  PNC_OBSERVE(kModeSwitch);
   return pnc::Status::Ok();
 }
 
@@ -588,7 +588,7 @@ pnc::Status Dataset::EndIndepData() {
   auto& im = *impl_;
   if (!im.indep) return pnc::Status(pnc::Err::kNotIndep);
   im.indep = false;
-  PNC_OBSERVE(kModeSwitch, .t_ns = im.comm.clock().now());
+  PNC_OBSERVE(kModeSwitch);
   // Record counts may have diverged across ranks during independent writes;
   // converge on the maximum (Sync or Close persists it).
   return ConvergeNumrecs(im.header.numrecs, /*collective=*/true);

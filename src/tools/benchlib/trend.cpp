@@ -11,7 +11,7 @@
 namespace benchlib {
 namespace {
 
-/// Same glyph ramp as the iostat timeline/heatmap renderers: one character
+/// Same glyph ramp as the iostat heatmap/timeline renderers: one character
 /// per sample, scaled to the series' own [min, max].
 constexpr const char kGlyphs[] = " .:-=+*#%@";
 

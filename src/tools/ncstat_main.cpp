@@ -23,10 +23,10 @@
 //                          pnc-pattern-v1 section for pattern rules)
 //   ncstat --heatmap=FILE  render the pnc-pattern-v1 server x virtual-time
 //                          utilization grid of every report in FILE
-//   ncstat --timeline=FILE render the pnc-timeline-v1 bucketed rate
-//                          timelines (per-server bandwidth / queue depth,
-//                          global rate tracks) of every report in FILE as
-//                          sparklines
+//   ncstat --timeline=FILE render the same pnc-pattern-v1 cells of every
+//                          report in FILE as per-server bandwidth and
+//                          queue-depth sparklines (--advise, --heatmap and
+//                          --timeline combine when they name one FILE)
 //   ncstat --trend=FILE    cross-run trend over a bench history log
 //                          (`ncbench --history=PATH`): per-metric
 //                          trajectories across runs, drift beyond
@@ -52,8 +52,8 @@
 //   --advise                   print ranked tuning recommendations for the
 //                              workload just run
 //   --heatmap                  print the pfs server x time utilization grid
-//   --timeline                 record and print the bucketed rate timelines
-//                              (enables PNC_IOSTAT_TIMELINE for the run)
+//   --timeline                 print per-server bandwidth and queue-depth
+//                              sparklines from the same cells
 //
 // Exit status: 0 success, 1 --diff found differences, 2 usage/IO/parse
 // error. See src/tools/cli.hpp and docs/API.md for the contract shared with
@@ -61,6 +61,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <span>
 #include <sstream>
@@ -73,7 +74,6 @@
 #include "iostat/iostat.hpp"
 #include "iostat/pattern.hpp"
 #include "iostat/report.hpp"
-#include "iostat/timeline.hpp"
 #include "iostat/trace.hpp"
 #include "pnetcdf/dataset.hpp"
 #include "simmpi/runtime.hpp"
@@ -97,9 +97,8 @@ int Usage() {
                "       ncstat --diff A B [--tolerance=PCT]\n"
                "       ncstat --blackbox=FILE\n"
                "       ncstat --critpath=FILE\n"
-               "       ncstat --advise=FILE\n"
-               "       ncstat --heatmap=FILE\n"
-               "       ncstat --timeline=FILE\n"
+               "       ncstat [--advise=FILE] [--heatmap=FILE] "
+               "[--timeline=FILE]\n"
                "       ncstat --trend=FILE [--tolerance=PCT]\n");
   return nctools::kExitError;
 }
@@ -227,43 +226,14 @@ int DiffMode(const std::string& a, const std::string& b, double tolerance) {
   return res.ExitCode();
 }
 
-int ReportMode(const std::string& path) {
-  std::string text;
-  if (!ReadAll(path, &text)) return nctools::kExitError;
-
-  // One report per line (PNC_IOSTAT_REPORT dumps and bench records are both
-  // line-oriented); fall back to scanning the whole buffer once.
-  std::vector<iostat::Report> reports;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    auto r = iostat::ParseReportJson(line);
-    if (r.ok()) reports.push_back(r.value());
-  }
-  if (reports.empty()) {
-    auto r = iostat::ParseReportJson(text);
-    if (r.ok()) reports.push_back(r.value());
-  }
-  if (reports.empty()) {
-    std::fprintf(stderr, "ncstat: no pnc-iostat-v1 report found in %s\n",
-                 path.c_str());
-    return nctools::kExitError;
-  }
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    if (reports.size() > 1)
-      std::printf("%s--- record %zu of %zu ---\n", i ? "\n" : "", i + 1,
-                  reports.size());
-    std::fputs(iostat::PrettyPrint(reports[i]).c_str(), stdout);
-  }
-  return nctools::kExitOk;
-}
-
-/// `--advise=FILE` / `--heatmap=FILE`: run the tuning advisor and/or render
-/// the server x time heatmap over every iostat report found in FILE (same
-/// line-oriented discovery as --report). Reports without an embedded
-/// pnc-pattern-v1 section still get counter-based advice; the heatmap then
-/// reports that no pattern data was recorded.
-int AdviseFileMode(const std::string& path, bool do_advise, bool do_heatmap) {
+/// `--report`, `--advise`, `--heatmap`, `--timeline` on a FILE: print
+/// `render` of every pnc-iostat-v1 report in it, under a record banner when
+/// there are several. Reports are found one per line (PNC_IOSTAT_REPORT
+/// dumps and bench records are both line-oriented), else by parsing the
+/// whole buffer once.
+int ReportFileMode(
+    const std::string& path,
+    const std::function<std::string(const iostat::Report&)>& render) {
   std::string text;
   if (!ReadAll(path, &text)) return nctools::kExitError;
   std::vector<iostat::Report> reports;
@@ -286,41 +256,7 @@ int AdviseFileMode(const std::string& path, bool do_advise, bool do_heatmap) {
     if (reports.size() > 1)
       std::printf("%s--- record %zu of %zu ---\n", i ? "\n" : "", i + 1,
                   reports.size());
-    if (do_heatmap)
-      std::fputs(iostat::RenderHeatmap(reports[i].pattern).c_str(), stdout);
-    if (do_advise)
-      std::fputs(iostat::PrettyPrintAdvice(iostat::Advise(reports[i])).c_str(),
-                 stdout);
-  }
-  return nctools::kExitOk;
-}
-
-/// `--timeline=FILE`: render the embedded pnc-timeline-v1 section of every
-/// iostat report found in FILE as sparkline timelines.
-int TimelineFileMode(const std::string& path) {
-  std::string text;
-  if (!ReadAll(path, &text)) return nctools::kExitError;
-  std::vector<iostat::Report> reports;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    auto r = iostat::ParseReportJson(line);
-    if (r.ok()) reports.push_back(r.value());
-  }
-  if (reports.empty()) {
-    auto r = iostat::ParseReportJson(text);
-    if (r.ok()) reports.push_back(r.value());
-  }
-  if (reports.empty()) {
-    std::fprintf(stderr, "ncstat: no pnc-iostat-v1 report found in %s\n",
-                 path.c_str());
-    return nctools::kExitError;
-  }
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    if (reports.size() > 1)
-      std::printf("%s--- record %zu of %zu ---\n", i ? "\n" : "", i + 1,
-                  reports.size());
-    std::fputs(iostat::RenderTimeline(reports[i].timeline).c_str(), stdout);
+    std::fputs(render(reports[i]).c_str(), stdout);
   }
   return nctools::kExitOk;
 }
@@ -365,7 +301,6 @@ int RunMode(nctools::Cli& cli) {
       (op != "write" && op != "read"))
     return Usage();
   const bool indep = mode == "indep";
-  if (timeline) iostat::SetSink(iostat::kSinkTimeline, true);
 
   const std::uint64_t total_elems = (mb << 20) / 8;
   const std::uint64_t per =
@@ -474,8 +409,7 @@ int RunMode(nctools::Cli& cli) {
               static_cast<unsigned long long>(mb));
   std::fputs(iostat::PrettyPrint(rep).c_str(), stdout);
   if (heatmap) std::fputs(iostat::RenderHeatmap(rep.pattern).c_str(), stdout);
-  if (timeline)
-    std::fputs(iostat::RenderTimeline(rep.timeline).c_str(), stdout);
+  if (timeline) std::fputs(iostat::RenderTimeline(rep.pattern).c_str(), stdout);
   if (advise)
     std::fputs(iostat::PrettyPrintAdvice(iostat::Advise(rep)).c_str(), stdout);
 
@@ -492,7 +426,7 @@ int RunMode(nctools::Cli& cli) {
     }
   }
   if (!trace.empty()) {
-    const pnc::Status ts = iostat::WriteChromeTrace(trace, &rep.timeline);
+    const pnc::Status ts = iostat::WriteChromeTrace(trace);
     if (!ts.ok()) {
       std::fprintf(stderr, "ncstat: %s\n", ts.message().c_str());
       return nctools::kExitError;
@@ -567,22 +501,28 @@ int main(int argc, char** argv) {
   }
   const std::string advise = cli.Value("--advise", "");
   const std::string heatmap = cli.Value("--heatmap", "");
-  if (!advise.empty() || !heatmap.empty()) {
-    // --advise=FILE and --heatmap=FILE combine only when they name the
-    // same dump; each record then gets its heatmap above its advice.
-    if (!report.empty() || !cli.Unknown().empty() ||
-        !cli.positionals().empty() ||
-        (!advise.empty() && !heatmap.empty() && advise != heatmap))
-      return Usage();
-    return AdviseFileMode(advise.empty() ? heatmap : advise, !advise.empty(),
-                          !heatmap.empty());
-  }
   const std::string timeline = cli.Value("--timeline", "");
-  if (!timeline.empty()) {
+  if (!advise.empty() || !heatmap.empty() || !timeline.empty()) {
+    // --advise, --heatmap and --timeline on a FILE combine only when they
+    // name the same dump; each record then gets its heatmap, its timeline
+    // and its advice, in that order.
+    std::string path;
+    for (const std::string* p : {&advise, &heatmap, &timeline}) {
+      if (p->empty()) continue;
+      if (!path.empty() && *p != path) return Usage();
+      path = *p;
+    }
     if (!report.empty() || !cli.Unknown().empty() ||
         !cli.positionals().empty())
       return Usage();
-    return TimelineFileMode(timeline);
+    return ReportFileMode(path, [&](const iostat::Report& rep) {
+      std::string out;
+      if (!heatmap.empty()) out += iostat::RenderHeatmap(rep.pattern);
+      if (!timeline.empty()) out += iostat::RenderTimeline(rep.pattern);
+      if (!advise.empty())
+        out += iostat::PrettyPrintAdvice(iostat::Advise(rep));
+      return out;
+    });
   }
   const std::string trend = cli.Value("--trend", "");
   if (!trend.empty()) {
@@ -597,5 +537,5 @@ int main(int argc, char** argv) {
   }
   if (report.empty() || !cli.Unknown().empty() || !cli.positionals().empty())
     return Usage();
-  return ReportMode(report);
+  return ReportFileMode(report, iostat::PrettyPrint);
 }

@@ -128,18 +128,21 @@ TEST_F(IostatTest, FourRankTwoPhaseWriteExactCounters) {
   EXPECT_EQ(trace.find("\"dur\":-"), std::string::npos);
 }
 
-// ------------------------------------------- one observation, four sinks
+// ------------------------------------------- one observation, three sinks
 
 // A 4-rank two-phase write over 4 servers with every sink on. Each pfs
 // grant is one observation, so wherever two sinks keep the same grant total
-// (grants and bytes per server, queue wait) the totals agree exactly.
+// (grants and bytes per server, queue wait) the totals agree exactly. The
+// server x time cells that back `ncstat --timeline` and `--heatmap` are
+// checked against the ring too: per server, their grants and bytes sum to
+// the ring's and their busy time to the server total.
 TEST_F(IostatTest, SinksAgreeOnPfsGrantTotals) {
   constexpr std::uint64_t kBlock = 96 << 10;  // not stripe-aligned
   pfs::Config cfg;
   cfg.num_servers = 4;
   cfg.stripe_size = 64 << 10;
   pfs::FileSystem fs(cfg);
-  iostat::SetSink(iostat::kSinkPattern | iostat::kSinkTimeline, true);
+  iostat::SetSink(iostat::kSinkPattern, true);
   simmpi::Run(4, [&](Comm& c) {
     auto f = mpiio::File::Open(c, fs, "sinks.dat",
                                mpiio::kCreate | mpiio::kRdWr,
@@ -153,11 +156,10 @@ TEST_F(IostatTest, SinksAgreeOnPfsGrantTotals) {
     ASSERT_TRUE(f.Close().ok());
   });
   const iostat::Report rep = iostat::BuildReport();
-  iostat::SetSink(iostat::kSinkTimeline, false);
   ASSERT_EQ(rep.pattern.servers.size(), 4u);
 
-  // Per server: [0] grants, [1] bytes; ring, pattern, timeline.
-  std::map<int, std::uint64_t> ring[2], pattern[2], timeline[2];
+  // Per server: [0] grants, [1] bytes; ring, server totals, cells.
+  std::map<int, std::uint64_t> ring[2], pattern[2], cells[2];
   // Queue wait in whole ns, like the counter: grants and zero-length syncs.
   std::uint64_t ring_wait_ns = 0, ring_grant_wait_ns = 0, ring_grants = 0;
   for (int r = 0; r < rep.nranks; ++r) {
@@ -180,16 +182,25 @@ TEST_F(IostatTest, SinksAgreeOnPfsGrantTotals) {
     pattern[1][s] = sp.bytes;
     pattern_wait_ns += sp.queue_wait_ns;
   }
-  for (const iostat::TlServerCell& cell : rep.timeline.servers) {
-    timeline[0][cell.server] += cell.grants;
-    timeline[1][cell.server] += static_cast<std::uint64_t>(cell.bytes);
+  std::map<int, double> cell_busy_ns;
+  for (const iostat::HeatCell& cell : rep.pattern.cells) {
+    cells[0][cell.server] += cell.grants;
+    cells[1][cell.server] += cell.bytes;
+    cell_busy_ns[cell.server] += cell.busy_ns;
   }
 
   EXPECT_GT(pattern[0][3], 0u);
   for (int k = 0; k < 2; ++k) {
     EXPECT_EQ(ring[k], pattern[k]);
-    EXPECT_EQ(ring[k], timeline[k]);
+    EXPECT_EQ(ring[k], cells[k]);
   }
+  // A grant's busy time is split across the cells it overlaps; the split
+  // re-adds it in pieces, so allow 1 ns of rounding per grant.
+  for (int s = 0; s < 4; ++s)
+    EXPECT_NEAR(cell_busy_ns[s],
+                rep.pattern.servers[static_cast<std::size_t>(s)].busy_ns,
+                static_cast<double>(ring[0][s]))
+        << "server " << s;
   EXPECT_EQ(Sum(rep, Ctr::kPfsQueueWaitNs), ring_wait_ns);
   // The profiler sums each grant's exact wait; the ring (and the counter)
   // truncate each one to whole ns, so the two differ by under 1 ns a grant.

@@ -9,7 +9,8 @@
 //      embedded report member, and the gate-off guarantee that a disabled
 //      profiler leaves the report JSON without any "pattern" member.
 //   4. Heatmap cells: coarsening under pressure keeps the cell count
-//      bounded while conserving busy time; the ASCII renderer.
+//      bounded while conserving busy time; the two ASCII renderers over
+//      them, the utilization grid and the rate timeline.
 //   5. The advisor: a synthetic mistuned report fires the documented rules
 //      in score order with evidence and hints; a healthy report is quiet;
 //      and a real independent strided workload drives the whole pipeline
@@ -210,6 +211,54 @@ TEST_F(PatternTest, HeatmapCoarsensUnderPressureConservingBusyTime) {
 TEST_F(PatternTest, HeatmapEmptySaysSo) {
   const std::string grid = iostat::RenderHeatmap(PatternSummary{});
   EXPECT_NE(grid.find("no pattern data recorded"), std::string::npos);
+}
+
+// The rate timeline reads the same cells back out of a report: two servers,
+// several cells apart, one grant spanning three cells, rendered after a JSON
+// round trip as one MB/s row and one queue-depth row per server.
+TEST_F(PatternTest, TimelineRendersEachServersRateAndDepthFromTheCells) {
+  auto& pr = PatternRegistry::Get();
+  const double ms = 1e6;
+  pr.RecordPfsGrant(0, 0, 4096, 0.5 * ms, 0.9 * ms, 1, 0.0);
+  pr.RecordPfsGrant(1, 0, 65536, 0.2 * ms, 2.5 * ms, 3, 0.0);
+  pr.RecordPfsGrant(0, 8192, 1024, 5.1 * ms, 5.4 * ms, 2, 0.0);
+  auto back = iostat::ParseReportJson(iostat::ToJson(iostat::BuildReport()));
+  ASSERT_TRUE(back.ok()) << back.status().message();
+
+  const std::string tl = iostat::RenderTimeline(back.value().pattern);
+  EXPECT_NE(tl.find("virtual-time timeline"), std::string::npos);
+  EXPECT_NE(tl.find("s00 MB/s"), std::string::npos);
+  EXPECT_NE(tl.find("s00 queue depth"), std::string::npos);
+  EXPECT_NE(tl.find("s01 MB/s"), std::string::npos);
+  EXPECT_NE(tl.find("s01 queue depth"), std::string::npos);
+  EXPECT_NE(tl.find("| peak=3\n"), std::string::npos);  // s01's depth
+
+  EXPECT_NE(iostat::RenderTimeline(PatternSummary{}).find("no pfs grants"),
+            std::string::npos);
+}
+
+// Columns group the bucket span rather than give each bucket one: two cells
+// 2^40 buckets apart still render in at most max_cols columns.
+TEST_F(PatternTest, TimelineOverASparseSpanKeepsToMaxCols) {
+  PatternSummary s;
+  s.present = true;
+  s.cell_ns = 1 << 20;
+  s.servers.resize(1);
+  s.cells.push_back({.server = 0, .t_bucket = 0, .bytes = 10, .grants = 1});
+  s.cells.push_back(
+      {.server = 0, .t_bucket = std::uint64_t{1} << 40, .bytes = 20,
+       .grants = 1});
+  for (const int max_cols : {8, 64}) {
+    const std::string tl = iostat::RenderTimeline(s, max_cols);
+    const std::size_t row = tl.find("s00 MB/s");
+    ASSERT_NE(row, std::string::npos) << tl;
+    const std::size_t open = tl.find('|', row);
+    const std::size_t close = tl.find('|', open + 1);
+    ASSERT_NE(close, std::string::npos);
+    EXPECT_LE(close - open - 1, static_cast<std::size_t>(max_cols));
+    EXPECT_EQ(tl[open + 1], '+');  // 10 of a 20-byte peak
+    EXPECT_EQ(tl[close - 1], '@');
+  }
 }
 
 // -------------------------------------------------------------- 5. advisor

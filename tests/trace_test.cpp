@@ -31,7 +31,6 @@
 #include "iostat/events.hpp"
 #include "iostat/iostat.hpp"
 #include "iostat/observe.hpp"
-#include "iostat/timeline.hpp"
 #include "iostat/trace.hpp"
 #include "mpiio/file.hpp"
 #include "pnetcdf/dataset.hpp"
@@ -299,80 +298,11 @@ TEST_F(TraceTest, FourRankPipelinedReadTilesEveryRank) {
   CheckPipelinedOpTiles(/*is_write=*/false);
 }
 
-// ------------------------------------------ timeline counter tracks
-
-// The Chrome-trace exporter's timeline overlay, pinned byte-exactly on a
-// synthetic summary: one counter sample per bucket per series, pid 1,
-// ts = bucket * cell width in microseconds. "tl mbps sN" rides the server's
-// own tid (aligning with its "pfs server N" row); track counters share
-// tid 0.
-TEST_F(TraceTest, ChromeTraceRendersTimelineCounterTracksExactly) {
-  iostat::TimelineSummary s;
-  s.present = true;
-  s.cell_ns = 2e6;  // 2 ms cells -> bucket k samples at ts = k * 2000 us
-  s.horizon_ns = 6e6;
-  // 1 MB in bucket 0 of server 0: 1e6 bytes / 2e6 ns * 1e3 = 500 MB/s.
-  s.servers.push_back({0, 0, 1e6, 1.5e6, 3, 2});
-  s.servers.push_back({2, 1, 5e5, 1e6, 1, 1});
-  s.tracks.push_back(
-      {static_cast<int>(iostat::TlTrack::kExchangeMsgs), 2, 6.0});
-
-  const std::string trace = iostat::ToChromeTrace(&s);
-  EXPECT_NE(trace.find("{\"name\":\"tl mbps s0\",\"cat\":\"timeline\","
-                       "\"ph\":\"C\",\"ts\":0.000,\"pid\":1,\"tid\":0,"
-                       "\"args\":{\"mbps\":500.000}}"),
-            std::string::npos);
-  EXPECT_NE(trace.find("{\"name\":\"tl mbps s1\",\"cat\":\"timeline\","
-                       "\"ph\":\"C\",\"ts\":4000.000,\"pid\":1,\"tid\":1,"
-                       "\"args\":{\"mbps\":250.000}}"),
-            std::string::npos);
-  EXPECT_NE(trace.find("{\"name\":\"tl exchange_msgs\",\"cat\":\"timeline\","
-                       "\"ph\":\"C\",\"ts\":4000.000,\"pid\":1,\"tid\":0,"
-                       "\"args\":{\"value\":6.000}}"),
-            std::string::npos);
-
-  // Absent timeline (null, or present=false): no "tl " counters at all,
-  // so gated-off runs export the same trace they always did.
-  EXPECT_EQ(iostat::ToChromeTrace().find("\"tl "), std::string::npos);
-  s.present = false;
-  EXPECT_EQ(iostat::ToChromeTrace(&s).find("\"tl "), std::string::npos);
-}
-
-// End to end: the 4-rank two-phase write of the exact-events test, with the
-// timeline armed — the exported trace must carry one "tl mbps" track per
-// pfs server next to the per-grant serve spans.
-TEST_F(TraceTest, FourRankTwoPhaseTraceCarriesTimelineTracks) {
-  iostat::SetSink(iostat::kSinkTimeline, true);
-  constexpr std::uint64_t kBlock = 256 << 10;
-  pfs::Config cfg;
-  cfg.num_servers = 2;
-  cfg.stripe_size = kBlock;
-  pfs::FileSystem fs(cfg);
-  simmpi::Run(4, [&](Comm& c) {
-    auto f = mpiio::File::Open(c, fs, "tl.dat", mpiio::kCreate | mpiio::kRdWr,
-                               simmpi::NullInfo())
-                 .value();
-    PNC_IOSTAT_BIND_RANK(c.rank());
-    std::vector<std::byte> mine(kBlock, std::byte{0x5A});
-    ASSERT_TRUE(f.WriteAtAll(static_cast<std::uint64_t>(c.rank()) * kBlock,
-                             mine.data(), kBlock, simmpi::ByteType())
-                    .ok());
-    ASSERT_TRUE(f.Close().ok());
-  });
-  const iostat::TimelineSummary tl = iostat::TimelineRegistry::Get().Snapshot();
-  iostat::SetSink(iostat::kSinkTimeline, false);
-  ASSERT_TRUE(tl.present);
-  const std::string trace = iostat::ToChromeTrace(&tl);
-  EXPECT_NE(trace.find("\"tl mbps s0\""), std::string::npos);
-  EXPECT_NE(trace.find("\"tl mbps s1\""), std::string::npos);
-  // The bucketed exchange track observed both non-aggregators' sends.
-  EXPECT_NE(trace.find("\"tl exchange_msgs\""), std::string::npos);
-}
-
 // A write, a read and the sync round trips of open and close: every
 // pfs_server event's detail is exactly the one-letter op, "w", "r" or "s",
-// and the exported trace draws only per-server queue-depth counters for
-// them (no per-client in-flight tracks).
+// and the exported trace draws each grant as a pid-1 serve slice carrying
+// its bytes, with only per-server queue-depth counters beside them (no
+// per-client in-flight tracks, no bucketed rate tracks).
 TEST_F(TraceTest, PfsServerEventsCarryExactlyTheOpLetter) {
   pfs::FileSystem fs;
   simmpi::Run(1, [&](Comm& c) {
@@ -396,7 +326,11 @@ TEST_F(TraceTest, PfsServerEventsCarryExactlyTheOpLetter) {
 
   const std::string trace = iostat::ToChromeTrace();
   EXPECT_NE(trace.find("\"queue depth s0\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"serve\",\"cat\":\"pfs\""),
+            std::string::npos);
+  EXPECT_NE(trace.find(",\"bytes\":4096,"), std::string::npos);
   EXPECT_EQ(trace.find("inflight bytes"), std::string::npos);
+  EXPECT_EQ(trace.find("\"tl "), std::string::npos);
 }
 
 // ---------------------------------------------- pnc-events-v1 round trip
@@ -700,7 +634,7 @@ TEST(FlightRecorderEnv, CapacityIsParsedCheckedAndClamped) {
 }
 
 // One environment reader sets every sink gate: "0"/"off"/"false" turn a
-// sink off, PNC_IOSTAT=0 turns all off, and the timeline is opt-in.
+// sink off, and PNC_IOSTAT=0 turns all off.
 TEST(SinkGates, ComeFromTheEnvironment) {
   using namespace iostat;
   const unsigned kDefault = kSinkCounters | kSinkRing | kSinkPattern;
@@ -709,8 +643,6 @@ TEST(SinkGates, ComeFromTheEnvironment) {
   EXPECT_EQ(WithEnv("PNC_FLIGHT", "off", SinksFromEnv), kDefault & ~kSinkRing);
   EXPECT_EQ(WithEnv("PNC_IOSTAT_PATTERN", "false", SinksFromEnv),
             kDefault & ~kSinkPattern);
-  EXPECT_EQ(WithEnv("PNC_IOSTAT_TIMELINE", "1", SinksFromEnv),
-            kDefault | kSinkTimeline);
 }
 
 }  // namespace
