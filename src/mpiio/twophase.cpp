@@ -4,6 +4,10 @@
 // split into contiguous *file domains*, one per aggregator rank. Every rank
 // ships the parts of its request that fall inside each domain to the owning
 // aggregator (writes) or receives them from it (reads), window by window.
+// The exchange is sparse: the ranks' file ranges are gathered once, and a
+// rank messages an aggregator in a round only when its range meets that
+// aggregator's window, all sends posted before any receive (ROMIO's
+// ADIOI_Calc_others_req and Isend/Irecv/Waitall).
 //
 // Phase 2 (I/O): each aggregator services its domain with large contiguous
 // requests of up to cb_buffer_size bytes, using read-modify-write when the
@@ -37,6 +41,66 @@ namespace {
 
 std::uint64_t DivCeil(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;
+}
+
+/// Rounds [lo, hi): the windows of one domain that a range meets.
+struct Rounds {
+  std::uint64_t lo = 0, hi = 0;
+  [[nodiscard]] bool empty() const { return lo >= hi; }
+  [[nodiscard]] bool contains(std::uint64_t w) const {
+    return lo <= w && w < hi;
+  }
+};
+
+/// The collective's file domains and their windows, which every rank
+/// derives identically from the gathered ranges. Domain d is [start(d),
+/// end(d)); round w covers [start(d) + w*cb, start(d) + (w+1)*cb) of every
+/// domain. All cuts lie on one grid, origin + k*unit: absolute stripe
+/// boundaries, so two aggregators never touch one stripe and no window
+/// write cuts one, or, for a read that the attached chunk-sum map
+/// verifies, chunk boundaries, so no chunk is fetched and checked by two
+/// windows. Windows of a unit or more are rounded down to a unit multiple
+/// (as ROMIO's Lustre module does for stripes).
+struct Geometry {
+  std::uint64_t base = 0, dsize = 0, cb = 0, gmax = 0, rounds = 0;
+  std::size_t naggs = 0;
+
+  [[nodiscard]] std::uint64_t start(std::size_t d) const {
+    return base + d * dsize;
+  }
+  [[nodiscard]] std::uint64_t end(std::size_t d) const {
+    return std::min(gmax, start(d) + dsize);
+  }
+  /// The domain holding file offset `off` (base <= off < gmax).
+  [[nodiscard]] std::size_t DomainOf(std::uint64_t off) const {
+    return std::min<std::size_t>((off - base) / dsize, naggs - 1);
+  }
+  /// The round whose window of domain d holds `off`.
+  [[nodiscard]] std::uint64_t WindowOf(std::size_t d, std::uint64_t off) const {
+    return (off - start(d)) / cb;
+  }
+  /// The rounds whose window of domain d meets the file range `r`.
+  [[nodiscard]] Rounds Meets(std::size_t d, const pnc::Extent& r) const {
+    const std::uint64_t lo = std::max(r.offset, start(d));
+    const std::uint64_t hi = std::min(r.end(), end(d));
+    if (lo >= hi) return {};
+    return {WindowOf(d, lo), WindowOf(d, hi - 1) + 1};
+  }
+};
+
+/// `naggs` domains over [gmin, gmax), on the grid origin + k*unit, in
+/// windows of at most `cb` bytes.
+Geometry MakeGeometry(std::uint64_t gmin, std::uint64_t gmax,
+                      std::size_t naggs, std::uint64_t cb,
+                      std::uint64_t origin, std::uint64_t unit) {
+  Geometry g;
+  g.naggs = naggs;
+  g.gmax = gmax;
+  g.base = origin + (gmin - origin) / unit * unit;
+  g.dsize = std::max(DivCeil(DivCeil(gmax - g.base, naggs), unit) * unit, unit);
+  g.cb = cb >= unit ? cb / unit * unit : cb;
+  g.rounds = DivCeil(g.dsize, g.cb);
+  return g;
 }
 
 /// This rank's share of one window of one file domain: its extents there
@@ -211,15 +275,28 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   PNC_RETURN_IF_ERROR(comm.TryShrink(work));
   const int wp = work.size();
 
-  // Global extent of the collective. Empty ranks contribute the identity.
-  std::int64_t gmin_i =
-      segs.empty() ? std::numeric_limits<std::int64_t>::max()
-                   : static_cast<std::int64_t>(segs.front().offset);
-  std::int64_t gmax_i =
-      segs.empty() ? 0 : static_cast<std::int64_t>(segs.back().end());
-  const pnc::Status smin = work.TryAllreduceMin(gmin_i);
-  const pnc::Status smax = work.TryAllreduceMax(gmax_i);
-  if (!smin.ok() || !smax.ok() || gmin_i >= gmax_i) {
+  // Every rank's file range, from its first byte to its last, gathered
+  // once: the domains, the windows and who exchanges with whom in each
+  // round all follow from them. An empty range moves nothing.
+  pnc::Extent mine;
+  if (!segs.empty())
+    mine = {segs.front().offset, segs.back().end() - segs.front().offset};
+  std::vector<std::vector<std::byte>> gathered;
+  const pnc::Status gst = work.TryAllgather(
+      pnc::ConstByteSpan(reinterpret_cast<const std::byte*>(&mine),
+                         sizeof mine),
+      gathered);
+  std::vector<pnc::Extent> ranges(static_cast<std::size_t>(wp));
+  std::uint64_t gmin = std::numeric_limits<std::uint64_t>::max(), gmax = 0;
+  if (gst.ok()) {
+    for (std::size_t r = 0; r < ranges.size(); ++r) {
+      std::memcpy(&ranges[r], gathered[r].data(), sizeof(pnc::Extent));
+      if (ranges[r].len == 0) continue;
+      gmin = std::min(gmin, ranges[r].offset);
+      gmax = std::max(gmax, ranges[r].end());
+    }
+  }
+  if (!gst.ok() || gmin >= gmax) {
     // Nothing to do anywhere, or the group shrank while setting up: skip
     // the transfer and settle together, so every survivor returns the
     // identical status.
@@ -228,28 +305,22 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
                 .flag = st.ok());
     return st;
   }
-  const auto gmin = static_cast<std::uint64_t>(gmin_i);
-  const auto gmax = static_cast<std::uint64_t>(gmax_i);
 
-  // File domains: an even share per aggregator, with boundaries on absolute
-  // stripe boundaries so two aggregators never touch one stripe. Windows of
-  // a stripe or more are rounded down to a stripe multiple (as ROMIO's
-  // Lustre module does), so every window write but a domain's last starts
-  // and ends on a stripe boundary and pfs never read-modify-writes a stripe
-  // a window boundary cuts. ROMIO aligns its domains to file system
-  // lock/block boundaries for exactly this reason.
+  // File domains: an even share per aggregator, cut on the grid (see
+  // Geometry), as ROMIO aligns its domains to file system lock/block
+  // boundaries.
   const auto naggs = std::min(static_cast<std::size_t>(im.hints.cb_nodes),
                               static_cast<std::size_t>(wp));
-  const std::uint64_t stripe = im.fs->config().stripe_size;
-  const std::uint64_t gmin_aligned = gmin / stripe * stripe;
-  std::uint64_t domain_size =
-      DivCeil(DivCeil(gmax - gmin_aligned, naggs), stripe) * stripe;
-  domain_size = std::max(domain_size, stripe);
-  std::uint64_t cb = im.hints.cb_buffer_size;
-  if (cb >= stripe) cb = cb / stripe * stripe;
-  // Every rank iterates the same number of rounds; round w covers
-  // [dom_start + w*cb, dom_start + (w+1)*cb) of every domain.
-  const std::uint64_t rounds = DivCeil(domain_size, cb);
+  std::uint64_t origin = 0, unit = im.fs->config().stripe_size;
+  if (!is_write && im.sums != nullptr && im.sums_verify &&
+      im.sums->chunk_size() > 0 && gmin >= im.sums->data_begin()) {
+    origin = im.sums->data_begin();
+    unit = im.sums->chunk_size();
+  }
+  const Geometry geo = MakeGeometry(gmin, gmax, naggs,
+                                    im.hints.cb_buffer_size, origin, unit);
+  const std::uint64_t cb = geo.cb;
+  const std::uint64_t rounds = geo.rounds;
   // Aggregators are spread across the (surviving) communicator.
   auto agg_rank = [&](std::size_t d) {
     return static_cast<int>(d * static_cast<std::size_t>(wp) / naggs);
@@ -257,9 +328,31 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   std::size_t my_domain = naggs;  // "not an aggregator"
   for (std::size_t d = 0; d < naggs; ++d)
     if (agg_rank(d) == work.rank()) my_domain = d;
-  const std::uint64_t my_dom_start = gmin_aligned + my_domain * domain_size;
-  const std::uint64_t my_dom_end =
-      std::min(gmax, my_dom_start + domain_size);
+
+  // The sparse exchange's pairs, as ROMIO's ADIOI_Calc_others_req works
+  // them out: this rank exchanges with domain d's aggregator in round w iff
+  // its range meets window w of d, even where it holds no bytes there (an
+  // empty message), so both sides of every pair derive it alike.
+  std::vector<Rounds> my_rounds(naggs);  // per domain
+  for (std::size_t d = 0; d < naggs; ++d) my_rounds[d] = geo.Meets(d, mine);
+  std::vector<Rounds> peer_rounds;  // per rank, in my domain
+  if (my_domain < naggs)
+    for (const pnc::Extent& r : ranges)
+      peer_rounds.push_back(geo.Meets(my_domain, r));
+  // One exchange's pairs: my aggregators, and (as an aggregator) my
+  // requesters, whose rounds pass `meets`.
+  std::vector<int> aggs, requesters;
+  const auto pairs = [&](auto meets) {
+    aggs.clear();
+    requesters.clear();
+    for (std::size_t d = 0; d < naggs; ++d)
+      if (meets(my_rounds[d])) aggs.push_back(agg_rank(d));
+    for (std::size_t r = 0; r < peer_rounds.size(); ++r)
+      if (meets(peer_rounds[r])) requesters.push_back(static_cast<int>(r));
+  };
+  const auto in_round = [](std::uint64_t w) {
+    return [w](const Rounds& r) { return r.contains(w); };
+  };
 
   // Split this rank's segments at domain and window boundaries. Shares come
   // out ordered by (domain, window), each domain's extents contiguous in
@@ -272,14 +365,10 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       std::uint64_t off = sg.offset;
       const std::uint64_t end = sg.end();
       while (off < end) {
-        const std::size_t d = std::min<std::size_t>(
-            (off - gmin_aligned) / domain_size, naggs - 1);
-        const std::uint64_t dom_start = gmin_aligned + d * domain_size;
-        const std::uint64_t dom_end =
-            d + 1 == naggs ? end : dom_start + domain_size;
-        const std::uint64_t w = (off - dom_start) / cb;
+        const std::size_t d = geo.DomainOf(off);
+        const std::uint64_t w = geo.WindowOf(d, off);
         const std::uint64_t n =
-            std::min({end, dom_end, dom_start + (w + 1) * cb}) - off;
+            std::min({end, geo.end(d), geo.start(d) + (w + 1) * cb}) - off;
         if (shares.empty() || shares.back().domain != d ||
             shares.back().window != w)
           shares.push_back({d, w, ext.size(), 0, data_off, 0});
@@ -321,6 +410,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     for (std::uint64_t w = 0; w < rounds; ++w) {
       const double exchange_start = clk.now();
       PNC_OBSERVE(kXchgBegin, .t_ns = exchange_start, .off = w);
+      pairs(in_round(w));
       std::vector<std::vector<std::byte>> sendbufs(
           static_cast<std::size_t>(wp));
       for (std::size_t d = 0; d < naggs; ++d) {
@@ -331,16 +421,19 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
                     std::span(data + sh->data_off, sh->bytes));
         clk.Advance(cost.CopyCost(sh->bytes));
       }
-      for (int r = 0; r < wp; ++r) {
+      for (const int r : aggs) {
         if (r != work.rank() &&
             !sendbufs[static_cast<std::size_t>(r)].empty()) {
           PNC_OBSERVE(kXchgSend, .t_ns = exchange_start, .off = w, .peer = r);
         }
       }
       std::vector<std::vector<std::byte>> recvbufs;
-      const pnc::Status xst =
-          work.TryAlltoall(std::move(sendbufs), w, recvbufs);
+      const pnc::Status xst = work.TryExchange(std::move(sendbufs), aggs,
+                                               requesters, w, recvbufs);
       if (st.ok()) st = xst;
+      // pfs serves requests in host call order: no aggregator issues
+      // window w's write before every rank has issued window w-1's.
+      work.HostFence();
       PNC_OBSERVE(kXchgEnd, .t_ns = exchange_start, .end_ns = clk.now(),
                   .off = w);
 
@@ -348,24 +441,22 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       const double io_start = clk.now();
       PNC_OBSERVE(kIoBegin, .t_ns = io_start, .off = w);
       std::vector<Piece> pieces;
-      if (my_domain < naggs && my_dom_start + w * cb < my_dom_end) {
-        for (int r = 0; r < wp; ++r) {
-          const auto& msg = recvbufs[static_cast<std::size_t>(r)];
-          if (msg.empty()) continue;
-          ForEachExtent(msg, [&](std::uint64_t req, std::uint64_t e,
-                                 const pnc::Extent& x, std::uint64_t at) {
-            if (e == 0)
-              PNC_OBSERVE(kAggPiece, .t_ns = io_start, .off = w, .peer = r,
-                          .req = req);
-            pieces.push_back(
-                {.file_off = x.offset, .len = x.len, .src = msg.data() + at});
-          });
-        }
-        std::sort(pieces.begin(), pieces.end(),
-                  [](const Piece& a, const Piece& b) {
-                    return a.file_off < b.file_off;
-                  });
+      for (const int r : requesters) {
+        const auto& msg = recvbufs[static_cast<std::size_t>(r)];
+        if (msg.empty()) continue;
+        ForEachExtent(msg, [&](std::uint64_t req, std::uint64_t e,
+                               const pnc::Extent& x, std::uint64_t at) {
+          if (e == 0)
+            PNC_OBSERVE(kAggPiece, .t_ns = io_start, .off = w, .peer = r,
+                        .req = req);
+          pieces.push_back(
+              {.file_off = x.offset, .len = x.len, .src = msg.data() + at});
+        });
       }
+      std::sort(pieces.begin(), pieces.end(),
+                [](const Piece& a, const Piece& b) {
+                  return a.file_off < b.file_off;
+                });
       if (!pieces.empty() && st.ok()) {
         const Span sp = SpanOf(pieces);
         assert(sp.len <= cb);
@@ -405,6 +496,8 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     // ---- reads: one request exchange carries every window's extents ----
     const double exchange_start = clk.now();
     PNC_OBSERVE(kXchgBegin, .t_ns = exchange_start, .off = 0);
+    // The request's pairs: ranges that meet a domain in any window.
+    pairs([](const Rounds& r) { return !r.empty(); });
     std::vector<std::vector<std::byte>> sendbufs(static_cast<std::size_t>(wp));
     for (std::size_t d = 0; d < naggs; ++d) {
       // Domain d's shares are contiguous, and so are their extents.
@@ -417,13 +510,14 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
                   std::span(ext).subspan(shares[next[d]].first_ext, n_ext),
                   {});
     }
-    for (int r = 0; r < wp; ++r) {
+    for (const int r : aggs) {
       if (r != work.rank() && !sendbufs[static_cast<std::size_t>(r)].empty()) {
         PNC_OBSERVE(kXchgSend, .t_ns = exchange_start, .off = 0, .peer = r);
       }
     }
     std::vector<std::vector<std::byte>> recvbufs;
-    const pnc::Status xst = work.TryAlltoall(std::move(sendbufs), 0, recvbufs);
+    const pnc::Status xst = work.TryExchange(std::move(sendbufs), aggs,
+                                             requesters, 0, recvbufs);
     if (st.ok()) st = xst;
     PNC_OBSERVE(kXchgEnd, .t_ns = exchange_start, .end_ns = clk.now(),
                 .off = 0);
@@ -432,31 +526,28 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     // requester's reply for a window concatenates its extents there in
     // request order.
     std::vector<Piece> pieces;
-    if (my_domain < naggs) {
-      for (int r = 0; r < wp; ++r) {
-        const auto& msg = recvbufs[static_cast<std::size_t>(r)];
-        if (msg.empty()) continue;
-        std::uint64_t reply_off = 0;
-        ForEachExtent(msg, [&](std::uint64_t req, std::uint64_t e,
-                               const pnc::Extent& x, std::uint64_t) {
-          const std::uint64_t w = (x.offset - my_dom_start) / cb;
-          if (e == 0 || w != pieces.back().window) {
-            reply_off = 0;
-            PNC_OBSERVE(kAggPiece, .t_ns = clk.now(), .off = w, .peer = r,
-                        .req = req);
-          }
-          pieces.push_back({.file_off = x.offset, .len = x.len,
-                            .src_rank = r, .reply_off = reply_off,
-                            .window = w});
-          reply_off += x.len;
-        });
-      }
-      std::sort(pieces.begin(), pieces.end(),
-                [](const Piece& a, const Piece& b) {
-                  return a.window != b.window ? a.window < b.window
-                                              : a.file_off < b.file_off;
-                });
+    for (const int r : requesters) {
+      const auto& msg = recvbufs[static_cast<std::size_t>(r)];
+      if (msg.empty()) continue;
+      std::uint64_t reply_off = 0;
+      ForEachExtent(msg, [&](std::uint64_t req, std::uint64_t e,
+                             const pnc::Extent& x, std::uint64_t) {
+        const std::uint64_t w = geo.WindowOf(my_domain, x.offset);
+        if (e == 0 || w != pieces.back().window) {
+          reply_off = 0;
+          PNC_OBSERVE(kAggPiece, .t_ns = clk.now(), .off = w, .peer = r,
+                      .req = req);
+        }
+        pieces.push_back({.file_off = x.offset, .len = x.len, .src_rank = r,
+                          .reply_off = reply_off, .window = w});
+        reply_off += x.len;
+      });
     }
+    std::sort(pieces.begin(), pieces.end(),
+              [](const Piece& a, const Piece& b) {
+                return a.window != b.window ? a.window < b.window
+                                            : a.file_off < b.file_off;
+              });
 
     // The window in flight on the channel: its pieces [first, last), its
     // span and its read's status.
@@ -485,6 +576,7 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
     for (std::uint64_t w = 0; w < rounds; ++w) {
       const double io_start = clk.now();
       PNC_OBSERVE(kIoBegin, .t_ns = io_start, .off = w);
+      pairs(in_round(w));
       if (w == 0) issue_read(0, clk.now());
       // Replies are always sized to what each requester expects, even on
       // failure (zero-filled), so the reply exchange stays aligned and the
@@ -519,9 +611,10 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       const double reply_start = clk.now();
       PNC_OBSERVE(kXchgBegin, .t_ns = reply_start, .off = w);
       std::vector<std::vector<std::byte>> returned;
-      const pnc::Status rxst =
-          work.TryAlltoall(std::move(replies), w + 1, returned);
+      const pnc::Status rxst = work.TryExchange(std::move(replies), requesters,
+                                                aggs, w + 1, returned);
       if (st.ok()) st = rxst;
+      work.HostFence();
       for (std::size_t d = 0; d < naggs; ++d) {
         const Share* sh = share_at(d, w);
         if (sh == nullptr) continue;
@@ -536,13 +629,13 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
         if (blob.size() != sh->bytes && st.ok())
           st = pnc::Status(pnc::Err::kInternal, "collective reply truncated");
         const std::uint64_t n = std::min<std::uint64_t>(blob.size(), sh->bytes);
-        std::memcpy(data + sh->data_off, blob.data(), n);
+        if (n > 0) std::memcpy(data + sh->data_off, blob.data(), n);
         clk.Advance(cost.CopyCost(n));
       }
       PNC_OBSERVE(kXchgEnd, .t_ns = reply_start, .end_ns = clk.now(),
                   .off = w);
-      // The host makes that read only now, after the reply exchange, by
-      // which every aggregator has made its read of window w. pfs serves
+      // The host makes that read only now, past the round's host fence,
+      // by which every aggregator has made its read of window w. pfs serves
       // requests in call order, so this keeps each server's queue in window
       // order, as the virtual times have it; called earlier, one
       // aggregator's read-ahead could queue ahead of another's earlier read.

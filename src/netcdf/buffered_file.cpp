@@ -96,17 +96,24 @@ pnc::Status BufferedFile::Flush() {
 
 pnc::Status BufferedFile::ReadAt(std::uint64_t offset, pnc::ByteSpan out) {
   // Large requests bypass the buffer but are still issued at buffer-size
-  // granularity, like the reference library's user-space I/O layer.
+  // granularity, like the reference library's user-space I/O layer. When
+  // reads verify, each cut moves down to a chunk boundary, so no chunk is
+  // fetched and checked by the two pieces it would straddle.
   if (out.size() >= bufsize_) {
     PNC_RETURN_IF_ERROR(Flush());
     block_valid_ = false;
-    std::size_t done_bytes = 0;
-    while (done_bytes < out.size()) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(bufsize_, out.size() - done_bytes));
-      PNC_RETURN_IF_ERROR(RetryIo(/*is_write=*/false, offset + done_bytes,
-                                  out.data() + done_bytes, n));
-      done_bytes += n;
+    const std::uint64_t end = offset + out.size();
+    std::uint64_t pos = offset;
+    for (std::uint64_t k = 1; pos < end; ++k) {
+      std::uint64_t cut = std::min(end, offset + k * bufsize_);
+      if (cut < end && sums_verify_ && sums_->chunk_size() > 0 &&
+          cut > sums_->data_begin()) {
+        const std::uint64_t chunk_cut = sums_->ChunkStart(sums_->ChunkOf(cut));
+        if (chunk_cut > pos) cut = chunk_cut;
+      }
+      PNC_RETURN_IF_ERROR(RetryIo(/*is_write=*/false, pos,
+                                  out.data() + (pos - offset), cut - pos));
+      pos = cut;
     }
     return pnc::Status::Ok();
   }

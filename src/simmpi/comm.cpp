@@ -45,6 +45,12 @@ void SharedState::MarkRankDead(int world_rank) {
     std::lock_guard<std::mutex> lk(rfault.mu);
     for (auto& [ctx, slot] : rfault.slots) MaybeFinalizeAgreeLocked(slot);
   }
+  {
+    // A fence whose only missing members just died is now complete.
+    std::lock_guard<std::mutex> lk(fence_mu);
+    for (auto& [ctx, f] : fences) MaybeEndFenceLocked(f);
+  }
+  fence_cv.notify_all();
   // Wake every blocked receiver so dead-source predicates re-evaluate. The
   // empty critical section pairs with the predicate check under box.m: a
   // receiver is either before its check (it will see the flag) or parked in
@@ -98,11 +104,21 @@ void SharedState::MaybeFinalizeAgreeLocked(AgreeSlot& slot) {
   slot.cv.notify_all();
 }
 
+void SharedState::MaybeEndFenceLocked(FenceSlot& f) {
+  if (f.arrived == 0) return;
+  std::size_t live = 0;
+  for (const int m : f.members) live += RankDeadWorld(m) ? 0 : 1;
+  if (f.arrived < live) return;
+  f.arrived = 0;
+  ++f.gen;
+}
+
 void SharedState::DumpHangAndAbort(int world_rank) {
   std::lock_guard<std::mutex> lk(trace_mutex);
   std::fprintf(stderr,
                "simmpi: hang watchdog: rank %d received no matching message "
-               "for %.0f ms (PNC_HANG_TIMEOUT_MS); per-rank state:\n",
+               "(or passed no host fence) for %.0f ms (PNC_HANG_TIMEOUT_MS); "
+               "per-rank state:\n",
                world_rank, hang_timeout_ms);
   for (std::size_t r = 0; r < waits.size(); ++r) {
     const WaitRecord& w = waits[r];
@@ -111,7 +127,13 @@ void SharedState::DumpHangAndAbort(int world_rank) {
       std::lock_guard<std::mutex> blk(mailboxes[r]->m);
       pending = mailboxes[r]->q.size();
     }
-    if (w.waiting) {
+    if (w.fenced) {
+      std::fprintf(stderr,
+                   "  rank %zu: BLOCKED in HostFence(ctx=%d), %llu receives "
+                   "done, %zu unmatched messages queued\n",
+                   r, w.ctx, static_cast<unsigned long long>(w.recvs),
+                   pending);
+    } else if (w.waiting) {
       std::fprintf(stderr,
                    "  rank %zu: BLOCKED in Recv(src=%d, tag=%d, ctx=%d), "
                    "%llu receives done, %zu unmatched messages queued\n",
@@ -145,19 +167,55 @@ constexpr int kTagBcast = -10;
 constexpr int kTagReduce = -11;
 constexpr int kTagGather = -12;
 constexpr int kTagScatter = -13;
-constexpr int kTagAlltoall = -14;
-constexpr int kTagAgree = -15;
 constexpr int kTagTryBcast = -16;
 constexpr int kTagTryGather = -17;
 constexpr int kTagBarrierBase = -100;  ///< barrier phase k uses -100 - k
-/// TryAlltoall round r uses -1000 - r (mod 2^30), clear of the barrier tags.
-constexpr int kTagTryAlltoallBase = -1000;
+/// Exchange round r uses -1000 - r (mod 2^30), clear of the barrier tags.
+constexpr int kTagExchangeBase = -1000;
 
 pnc::Status SelfCrashed() {
   return pnc::Status(pnc::Err::kRankFailed, "this rank crashed");
 }
 pnc::Status PeerCrashed() {
   return pnc::Status(pnc::Err::kRankFailed, "a peer rank crashed");
+}
+
+/// Allgather's broadcast frame: u64 count, then per piece u64 len + bytes.
+std::vector<std::byte> FramePieces(
+    const std::vector<std::vector<std::byte>>& pieces) {
+  std::uint64_t total = 8;
+  for (const auto& g : pieces) total += 8 + g.size();
+  std::vector<std::byte> frame;
+  frame.reserve(total);
+  auto put_u64 = [&frame](std::uint64_t v) {
+    auto* b = reinterpret_cast<const std::byte*>(&v);
+    frame.insert(frame.end(), b, b + 8);
+  };
+  put_u64(pieces.size());
+  for (const auto& g : pieces) {
+    put_u64(g.size());
+    frame.insert(frame.end(), g.begin(), g.end());
+  }
+  return frame;
+}
+
+std::vector<std::vector<std::byte>> UnframePieces(
+    const std::vector<std::byte>& frame) {
+  std::size_t pos = 0;
+  auto get_u64 = [&frame, &pos]() {
+    std::uint64_t v;
+    std::memcpy(&v, frame.data() + pos, 8);
+    pos += 8;
+    return v;
+  };
+  std::vector<std::vector<std::byte>> pieces(get_u64());
+  for (auto& piece : pieces) {
+    const auto len = get_u64();
+    piece.assign(frame.begin() + static_cast<std::ptrdiff_t>(pos),
+                 frame.begin() + static_cast<std::ptrdiff_t>(pos + len));
+    pos += len;
+  }
+  return pieces;
 }
 
 /// 64-bit FNV-1a, shifted into the non-negative range so the max fold
@@ -448,43 +506,13 @@ std::vector<std::vector<std::byte>> Comm::Gather(pnc::ConstByteSpan mine,
 std::vector<std::vector<std::byte>> Comm::Allgather(pnc::ConstByteSpan mine) {
   if (state_->rfault.armed && SelfDead()) return {};
   PNC_OBSERVE(kCollective);
-  const int p = size();
   auto gathered = Gather(mine, 0);
   // Root frames all pieces into one buffer and broadcasts it.
   std::vector<std::byte> frame;
-  if (rank_ == 0) {
-    std::uint64_t total = 8;
-    for (const auto& g : gathered) total += 8 + g.size();
-    frame.reserve(total);
-    auto put_u64 = [&frame](std::uint64_t v) {
-      auto* b = reinterpret_cast<const std::byte*>(&v);
-      frame.insert(frame.end(), b, b + 8);
-    };
-    put_u64(static_cast<std::uint64_t>(p));
-    for (const auto& g : gathered) {
-      put_u64(g.size());
-      frame.insert(frame.end(), g.begin(), g.end());
-    }
-  }
+  if (rank_ == 0) frame = FramePieces(gathered);
   Bcast(frame, 0);
-
-  std::vector<std::vector<std::byte>> result(p);
-  std::size_t pos = 0;
-  auto get_u64 = [&frame, &pos]() {
-    std::uint64_t v;
-    std::memcpy(&v, frame.data() + pos, 8);
-    pos += 8;
-    return v;
-  };
-  const auto count = get_u64();
-  assert(count == static_cast<std::uint64_t>(p));
-  (void)count;
-  for (int r = 0; r < p; ++r) {
-    const auto len = get_u64();
-    result[r].assign(frame.begin() + static_cast<std::ptrdiff_t>(pos),
-                     frame.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    pos += len;
-  }
+  auto result = UnframePieces(frame);
+  assert(static_cast<int>(result.size()) == size());
   return result;
 }
 
@@ -504,22 +532,43 @@ std::vector<std::byte> Comm::Scatter(
   return RecvInternal(root, kTagScatter);
 }
 
-std::vector<std::vector<std::byte>> Comm::Alltoall(
-    std::vector<std::vector<std::byte>> send) {
-  if (state_->rfault.armed && SelfDead()) return {};
-  PNC_OBSERVE(kCollective);
-  const int p = size();
-  assert(static_cast<int>(send.size()) == p);
-  std::vector<std::vector<std::byte>> result(p);
-  result[rank_] = std::move(send[rank_]);
-  // Ring-offset pairwise exchange; buffered sends make this deadlock-free.
-  for (int i = 1; i < p; ++i) {
-    const int dst = (rank_ + i) % p;
-    const int src = (rank_ - i + p) % p;
-    SendInternal(dst, kTagAlltoall, send[dst]);
-    result[src] = RecvInternal(src, kTagAlltoall);
-  }
+std::vector<std::vector<std::byte>> Comm::Exchange(
+    std::vector<std::vector<std::byte>> send, std::span<const int> to,
+    std::span<const int> from, std::uint64_t round) {
+  std::vector<std::vector<std::byte>> result;
+  ExchangeImpl(send, to, from, round, /*ft=*/false, result);
   return result;
+}
+
+bool Comm::ExchangeImpl(std::vector<std::vector<std::byte>>& send,
+                        std::span<const int> to, std::span<const int> from,
+                        std::uint64_t round, bool ft,
+                        std::vector<std::vector<std::byte>>& out) {
+  out.assign(static_cast<std::size_t>(size()), {});
+  if (state_->rfault.armed && SelfDead()) return false;
+  PNC_OBSERVE(kCollective);
+  assert(static_cast<int>(send.size()) == size());
+  const int tag =
+      kTagExchangeBase - static_cast<int>(round % (std::uint64_t{1} << 30));
+  // Every send goes out before any receive (buffered sends make that
+  // legal): no pair waits on another pair's message, and under an armed
+  // policy a dead rank leaves holes, never a live peer blocked on a live
+  // peer.
+  for (const int dst : to) {
+    auto& msg = send[static_cast<std::size_t>(dst)];
+    if (dst == rank_) {
+      out[static_cast<std::size_t>(dst)] = std::move(msg);
+    } else {
+      SendInternal(dst, tag, msg);
+    }
+  }
+  bool ok = true;
+  for (const int src : from)
+    if (src != rank_)
+      ok = RecvImpl(src, tag, nullptr, nullptr, ft,
+                    out[static_cast<std::size_t>(src)]) &&
+           ok;
+  return ok;
 }
 
 void Comm::Reduce(pnc::ByteSpan inout, const ReduceFn& fn, int root) {
@@ -634,6 +683,38 @@ void Comm::SyncClocksToMax() {
   if (state_->rfault.armed && SelfDead()) return;
   const double t = AllreduceMax(clock().now());
   clock().AdvanceTo(t);
+}
+
+void Comm::HostFence() {
+  if (size() == 1 || (state_->rfault.armed && SelfDead())) return;
+  auto& st = *state_;
+  const auto set_fenced = [&](bool on) {  // for the hang watchdog's dump
+    std::lock_guard<std::mutex> tlk(st.trace_mutex);
+    st.waits[world_rank_].fenced = on;
+    st.waits[world_rank_].ctx = ctx_;
+  };
+  set_fenced(true);
+  std::unique_lock<std::mutex> lk(st.fence_mu);
+  detail::FenceSlot& f = st.fences[ctx_];
+  if (f.members.empty()) f.members = members_;
+  const std::uint64_t gen = f.gen;
+  ++f.arrived;
+  st.MaybeEndFenceLocked(f);
+  const auto done = [&] { return f.gen != gen; };
+  if (done()) {
+    st.fence_cv.notify_all();
+  } else if (st.hang_timeout_ms > 0) {
+    const auto timeout =
+        std::chrono::duration<double, std::milli>(st.hang_timeout_ms);
+    if (!st.fence_cv.wait_for(lk, timeout, done)) {
+      lk.unlock();
+      st.DumpHangAndAbort(world_rank_);
+    }
+  } else {
+    st.fence_cv.wait(lk, done);
+  }
+  lk.unlock();
+  set_fenced(false);
 }
 
 AgreeOutcome Comm::AgreeFT(std::int64_t value) {
@@ -792,36 +873,33 @@ pnc::Status Comm::TryAllAgree(pnc::ConstByteSpan bytes, bool& same) {
   return pnc::Status::Ok();
 }
 
-pnc::Status Comm::TryAlltoall(std::vector<std::vector<std::byte>> send,
-                              std::uint64_t round,
+pnc::Status Comm::TryAllgather(pnc::ConstByteSpan mine,
+                               std::vector<std::vector<std::byte>>& out) {
+  if (!FaultsArmed()) {
+    out = Allgather(mine);
+    return pnc::Status::Ok();
+  }
+  std::vector<std::vector<std::byte>> gathered;
+  PNC_RETURN_IF_ERROR(TryGather(mine, 0, gathered));
+  std::vector<std::byte> frame;
+  if (rank_ == 0) frame = FramePieces(gathered);
+  PNC_RETURN_IF_ERROR(TryBcast(frame, 0));
+  out = UnframePieces(frame);
+  return pnc::Status::Ok();
+}
+
+pnc::Status Comm::TryExchange(std::vector<std::vector<std::byte>> send,
+                              std::span<const int> to,
+                              std::span<const int> from, std::uint64_t round,
                               std::vector<std::vector<std::byte>>& out) {
   if (!FaultsArmed()) {
-    out = Alltoall(std::move(send));
+    out = Exchange(std::move(send), to, from, round);
     return pnc::Status::Ok();
   }
   if (SelfDead()) return SelfCrashed();
-  PNC_OBSERVE(kCollective);
-  const int tag =
-      kTagTryAlltoallBase - static_cast<int>(round % (std::uint64_t{1} << 30));
-  const int p = size();
-  out.assign(static_cast<std::size_t>(p), {});
-  out[static_cast<std::size_t>(rank_)] =
-      std::move(send[static_cast<std::size_t>(rank_)]);
-  // Every send goes out before any receive (buffered sends make that
-  // legal), so a dead rank leaves holes, never a live peer blocked on a
-  // live peer.
-  for (int i = 1; i < p; ++i) {
-    const int dst = (rank_ + i) % p;
-    SendInternal(dst, tag, send[static_cast<std::size_t>(dst)]);
-  }
-  bool ok = true;
-  for (int i = 1; i < p; ++i) {
-    const int src = (rank_ - i + p) % p;
-    ok = RecvImpl(src, tag, nullptr, nullptr, /*ft=*/true,
-                  out[static_cast<std::size_t>(src)]) &&
-         ok;
-  }
-  return ok ? pnc::Status::Ok() : PeerCrashed();
+  return ExchangeImpl(send, to, from, round, /*ft=*/true, out)
+             ? pnc::Status::Ok()
+             : PeerCrashed();
 }
 
 pnc::Status Comm::AgreeStatus(

@@ -55,6 +55,7 @@ struct Mailbox {
 /// What a rank is blocked on, for the hang watchdog's dump.
 struct WaitRecord {
   bool waiting = false;
+  bool fenced = false;            ///< waiting in HostFence, not in Recv
   int src = 0, tag = 0, ctx = 0;  ///< envelope being waited for
   std::uint64_t recvs = 0;        ///< receives completed so far
 };
@@ -82,6 +83,15 @@ struct AgreeSlot {
   std::vector<int> alive;  ///< comm-relative ranks
   double result_time = 0.0;
   int live_ctx = 0;
+};
+
+/// One host-time fence, keyed by communicator context (Comm::HostFence):
+/// generation `gen` ends once every live member has arrived. Guarded by
+/// SharedState::fence_mu.
+struct FenceSlot {
+  std::vector<int> members;  ///< world ranks (fixed per ctx)
+  std::size_t arrived = 0;
+  std::uint64_t gen = 0;
 };
 
 /// Rank-fault injection state (see rankfault.hpp). Armed once, before the
@@ -114,8 +124,16 @@ struct SharedState {
   std::vector<WaitRecord> waits;  ///< indexed by world rank
 
   /// Print every rank's wait state and the mailbox depths, then abort.
-  /// Called by the rank whose Recv timed out.
+  /// Called by the rank whose Recv (or host fence) timed out.
   [[noreturn]] void DumpHangAndAbort(int world_rank);
+
+  // Host-time fences (Comm::HostFence), all on one condition variable.
+  std::mutex fence_mu;
+  std::condition_variable fence_cv;
+  std::map<int, FenceSlot> fences;
+  /// End `f`'s generation if every live member has arrived. Caller holds
+  /// fence_mu.
+  void MaybeEndFenceLocked(FenceSlot& f);
 
   // --- rank-fault injection (inactive until armed) ---
   RankFaultState rfault;
@@ -180,10 +198,18 @@ class Comm {
   /// Scatter variable-size blobs from root; returns this rank's piece.
   std::vector<std::byte> Scatter(std::vector<std::vector<std::byte>> pieces,
                                  int root);
-  /// Personalized all-to-all of variable-size blobs. send[i] goes to rank i;
-  /// result[j] is what rank j sent to this rank.
-  std::vector<std::vector<std::byte>> Alltoall(
-      std::vector<std::vector<std::byte>> send);
+  /// Sparse personalized exchange of variable-size blobs, ROMIO's
+  /// Isend/Irecv/Waitall over the pairs that move bytes: send[r] goes to
+  /// every rank r in `to`, and result[r] is what rank r sent, for every r
+  /// in `from` (every other slot stays empty). Every send is posted before
+  /// any receive, and receives complete in `from` order. The members must
+  /// agree on the pairs: s lists r in `to` iff r lists s in `from`, and a
+  /// rank listing itself in both keeps send[self] with no message. Listing
+  /// every rank in both is a personalized all-to-all. Consecutive exchanges
+  /// pass distinct `round`s, which tag their messages.
+  std::vector<std::vector<std::byte>> Exchange(
+      std::vector<std::vector<std::byte>> send, std::span<const int> to,
+      std::span<const int> from, std::uint64_t round);
 
   /// Binomial-tree reduction of a byte buffer; result valid at root.
   void Reduce(pnc::ByteSpan inout, const ReduceFn& fn, int root);
@@ -226,7 +252,7 @@ class Comm {
   // returns Ok. With a policy armed it runs the fault-tolerant equivalent
   // over AgreeFT, and every survivor returns kRankFailed when a member has
   // died (a crashed rank's own call returns kRankFailed at once). The two
-  // exceptions say so: TryAlltoall's status is local, TryShrink tolerates
+  // exceptions say so: TryExchange's status is local, TryShrink tolerates
   // the death.
 
   /// Barrier() | AgreeFT(0).
@@ -255,6 +281,10 @@ class Comm {
   /// all. `out` is valid (size()==P) only at the root.
   pnc::Status TryGather(pnc::ConstByteSpan mine, int root,
                         std::vector<std::vector<std::byte>>& out);
+  /// Allgather(mine) into `out` | TryGather to rank 0, then TryBcast of the
+  /// framed pieces from rank 0.
+  pnc::Status TryAllgather(pnc::ConstByteSpan mine,
+                           std::vector<std::vector<std::byte>>& out);
   /// AllreduceMin(v) | AgreeFT(v). T must be an integer that fits int64.
   template <typename T>
   pnc::Status TryAllreduceMin(T& v) {
@@ -282,15 +312,16 @@ class Comm {
   /// AllAgree(bytes) | AgreeFT of the min, then the max, of a hash of
   /// `bytes`: the images agree iff the two folds coincide.
   pnc::Status TryAllAgree(pnc::ConstByteSpan bytes, bool& same);
-  /// Alltoall(send) | every send posted before any RecvFT, so a death only
-  /// leaves holes (the dead peers' slots of `out` stay empty). The status
-  /// is local: kRankFailed when this rank missed a dead peer's piece, Ok on
-  /// a survivor that got every piece before the death. Callers keep every
+  /// Exchange(send, to, from, round) into `out` | the same sends, then a
+  /// RecvFT from each rank in `from`, so a death only leaves holes (the
+  /// dead peers' slots of `out` stay empty). The status is local:
+  /// kRankFailed when this rank missed a dead peer's piece, Ok on a
+  /// survivor that got every piece before the death. Callers keep every
   /// member in step through all their exchanges and settle with
-  /// AgreeStatus. `round` picks the armed exchange's internal tag:
-  /// consecutive exchanges pass distinct rounds, so a dropped message is
-  /// never mistaken for the next exchange's.
-  pnc::Status TryAlltoall(std::vector<std::vector<std::byte>> send,
+  /// AgreeStatus. The round tag keeps a dropped message from being
+  /// mistaken for a later exchange's.
+  pnc::Status TryExchange(std::vector<std::vector<std::byte>> send,
+                          std::span<const int> to, std::span<const int> from,
                           std::uint64_t round,
                           std::vector<std::vector<std::byte>>& out);
   /// One status for a collective operation: the most severe (most
@@ -352,6 +383,14 @@ class Comm {
   /// boundaries where the slowest rank gates completion).
   void SyncClocksToMax();
 
+  /// Hold this rank's thread until every live member has called HostFence
+  /// the same number of times. It sends nothing and charges no virtual
+  /// time: it paces host threads only. pfs serves requests in host call
+  /// order, so two-phase I/O fences each exchange round to keep every
+  /// aggregator within one window of the others on the host, as the
+  /// virtual times have them. A member's death releases the fence.
+  void HostFence();
+
  private:
   friend Comm detail::MakeComm(std::shared_ptr<detail::SharedState>,
                                std::vector<int>, int);
@@ -384,6 +423,13 @@ class Comm {
   /// the min of `v` over the live members into `v`. kRankFailed when this
   /// rank or a peer has died.
   pnc::Status FoldMinFT(std::int64_t& v);
+
+  /// Exchange's body; `ft` picks RecvFT receives. False when a receive
+  /// found its source dead.
+  bool ExchangeImpl(std::vector<std::vector<std::byte>>& send,
+                    std::span<const int> to, std::span<const int> from,
+                    std::uint64_t round, bool ft,
+                    std::vector<std::vector<std::byte>>& out);
 
   /// Shared blocking-receive machinery. In FT mode a dead source (with no
   /// matching message queued) returns false; otherwise it aborts with a

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <tuple>
@@ -1574,6 +1575,7 @@ struct Range {
 /// file.
 struct CoverCost {
   std::uint64_t slack = 0, chunks = 0;
+  std::uint64_t head = 0, tail = 0;  ///< slack before / after the read
 };
 
 CoverCost CostOf(const ncformat::ChunkSumMap& m, std::uint64_t fsize,
@@ -1588,9 +1590,10 @@ CoverCost CostOf(const ncformat::ChunkSumMap& m, std::uint64_t fsize,
         start + sum.len <= r.off)
       continue;
     ++cc.chunks;
-    if (start < r.off) cc.slack += r.off - start;
-    if (start + sum.len > r.end) cc.slack += start + sum.len - r.end;
+    if (start < r.off) cc.head += r.off - start;
+    if (start + sum.len > r.end) cc.tail += start + sum.len - r.end;
   }
+  cc.slack = cc.head + cc.tail;
   return cc;
 }
 
@@ -1648,66 +1651,96 @@ std::uint64_t SievedCol(int rank) {
 }
 constexpr std::uint64_t kSievedColCount = 200;
 
-/// The physical reads each call makes with PNC_SUMS=0: buffer blocks (or
-/// bufsize pieces of a large request) serially; in parallel one read per
-/// independent request or sieve window, and one per two-phase window,
-/// following the file-domain rule of mpiio/twophase.cpp.
-std::vector<std::vector<Range>> UnsummedReads(int nprocs, std::uint64_t db,
-                                              std::uint64_t fsize,
-                                              std::uint64_t stripe) {
-  std::vector<std::vector<Range>> calls;
+/// The physical reads one call makes, and the ends of the ranges it reads:
+/// a verified read may fetch slack only beyond those.
+struct CallReads {
+  std::vector<Range> reads;
+  std::set<std::uint64_t> range_ends;
+};
+
+/// The physical reads each call makes: buffer blocks (or bufsize pieces of
+/// a large request) serially; in parallel one read per independent request
+/// or sieve window, and one per two-phase window, following the file-domain
+/// rule of mpiio/twophase.cpp. With `grid` (the verified session's sum
+/// map) the bypass pieces and two-phase windows are cut on its chunk grid;
+/// without (PNC_SUMS=0) at bufsize multiples and on the stripe grid.
+std::vector<CallReads> ModelReads(int nprocs, std::uint64_t db,
+                                  std::uint64_t fsize, std::uint64_t stripe,
+                                  const ncformat::ChunkSumMap* grid) {
+  std::vector<CallReads> calls;
+  // Each read its own range: slack may fall at either end.
+  const auto each_read_a_range = [](CallReads& c) {
+    for (const Range& r : c.reads) c.range_ends.insert({r.off, r.end});
+  };
   if (nprocs == 0) {
     std::uint64_t cached = ~0ull;  // block 0 holds the header read
     for (const auto& [name, r0, r1] : kSerialCalls) {
-      std::vector<Range> reads;
+      CallReads call;
       const std::uint64_t a = db + r0 * kVCols, e = db + r1 * kVCols;
       if (e - a >= kVBlock) {
-        for (std::uint64_t p = a; p < e; p += kVBlock)
-          reads.push_back({p, std::min(e, p + kVBlock)});
+        std::uint64_t p = a;
+        for (std::uint64_t k = 1; p < e; ++k) {
+          std::uint64_t cut = std::min(e, a + k * kVBlock);
+          if (grid != nullptr && cut < e)
+            cut = grid->ChunkStart(grid->ChunkOf(cut));
+          call.reads.push_back({p, cut});
+          p = cut;
+        }
+        call.range_ends = {a, e};
         cached = ~0ull;
       } else {
         for (std::uint64_t b = a / kVBlock; b <= (e - 1) / kVBlock; ++b) {
           if (b != cached)
-            reads.push_back({b * kVBlock, std::min(fsize, (b + 1) * kVBlock)});
+            call.reads.push_back(
+                {b * kVBlock, std::min(fsize, (b + 1) * kVBlock)});
           cached = b;
         }
+        each_read_a_range(call);
       }
-      calls.push_back(reads);
+      calls.push_back(call);
     }
     return calls;
   }
   const auto p = static_cast<std::uint64_t>(nprocs);
-  // Two-phase: contiguous [gmin, gmax) split into stripe-aligned domains.
-  std::vector<Range> coll;
+  // Two-phase: contiguous [gmin, gmax) split into domains and windows on
+  // the grid; windows of a grid unit or more are rounded down to a
+  // multiple of it.
+  CallReads coll;
   const std::uint64_t gmin = db + CollectiveRows(0, nprocs).first * kVCols;
   const std::uint64_t gmax =
       db + CollectiveRows(nprocs - 1, nprocs).second * kVCols;
+  coll.range_ends = {gmin, gmax};
   if (nprocs == 1) {
-    coll.push_back({gmin, gmax});  // a one-rank collective is independent
+    coll.reads.push_back({gmin, gmax});  // a one-rank collective is independent
   } else {
+    const std::uint64_t origin = grid != nullptr ? db : 0;
+    const std::uint64_t unit = grid != nullptr ? grid->chunk_size() : stripe;
+    const std::uint64_t win =
+        kVWindow >= unit ? kVWindow / unit * unit : kVWindow;
     const std::uint64_t naggs = std::min<std::uint64_t>(kVAggs, p);
-    const std::uint64_t base = gmin / stripe * stripe;
+    const std::uint64_t base = origin + (gmin - origin) / unit * unit;
     const std::uint64_t per = (gmax - base + naggs - 1) / naggs;
-    const std::uint64_t dsize =
-        std::max(stripe, (per + stripe - 1) / stripe * stripe);
+    const std::uint64_t dsize = std::max(unit, (per + unit - 1) / unit * unit);
     for (std::uint64_t d = 0; d < naggs; ++d) {
       const std::uint64_t ds = base + d * dsize;
-      const std::uint64_t de = d + 1 == naggs ? gmax : std::min(gmax, ds + dsize);
-      for (std::uint64_t w = ds; w < de; w += kVWindow) {
-        const Range r{std::max(gmin, w), std::min(de, w + kVWindow)};
-        if (r.off < r.end) coll.push_back(r);
+      const std::uint64_t de = std::min(gmax, ds + dsize);
+      for (std::uint64_t w = ds; w < de; w += win) {
+        const Range r{std::max(gmin, w), std::min(de, w + win)};
+        if (r.off < r.end) coll.reads.push_back(r);
       }
     }
   }
   calls.push_back(coll);
-  std::vector<Range> indep, sieved;
+  CallReads indep, sieved;
   for (int r = 0; r < nprocs; ++r) {
     const std::uint64_t a = db + IndependentRow(r) * kVCols;
-    indep.push_back({a, a + kIndependentRowCount * kVCols});
-    sieved.push_back({db + SievedCol(r),
-                      db + (kVRows - 1) * kVCols + SievedCol(r) +
-                          kSievedColCount});
+    indep.reads.push_back({a, a + kIndependentRowCount * kVCols});
+    sieved.reads.push_back({db + SievedCol(r),
+                            db + (kVRows - 1) * kVCols + SievedCol(r) +
+                                kSievedColCount});
   }
+  each_read_a_range(indep);
+  each_read_a_range(sieved);
   calls.push_back(indep);
   calls.push_back(sieved);
   return calls;
@@ -1820,29 +1853,43 @@ TEST_P(VerifiedReadP, OneRequestPerRange) {
   iostat::Registry::Get().Reset();
 #endif
 
-  const auto reads = UnsummedReads(nprocs, db, fsize, stripe);
-  ASSERT_EQ(on.size(), reads.size());
-  ASSERT_EQ(off.size(), reads.size());
-  for (std::size_t i = 0; i < reads.size(); ++i) {
+  const auto unsummed = ModelReads(nprocs, db, fsize, stripe, nullptr);
+  const auto summed = ModelReads(nprocs, db, fsize, stripe, &*sums);
+  ASSERT_EQ(off.size(), unsummed.size());
+  ASSERT_EQ(on.size(), summed.size());
+  for (std::size_t i = 0; i < summed.size(); ++i) {
     SCOPED_TRACE(nprocs == 0 ? kSerialCalls[i].name
                              : ModeName(kParallelCalls[i]));
     // The unsummed traffic is exactly the modelled reads.
     std::uint64_t bytes = 0;
+    for (const Range& r : unsummed[i].reads) bytes += r.end - r.off;
+    EXPECT_EQ(off[i].requests, unsummed[i].reads.size());
+    EXPECT_EQ(off[i].bytes, bytes);
+    EXPECT_EQ(off[i].verified, 0u);
+    // Verified: one request per modelled read, each fetching only the
+    // boundary chunks' slack, and that only at the outer ends of the
+    // ranges the call reads; every cut inside a range lies on the chunk
+    // grid, so no chunk is fetched twice.
+    bytes = 0;
     CoverCost cost;
-    for (const Range& r : reads[i]) {
+    for (const Range& r : summed[i].reads) {
+      SCOPED_TRACE("[" + std::to_string(r.off) + ", " + std::to_string(r.end) +
+                   ")");
       bytes += r.end - r.off;
       const CoverCost rc = CostOf(*sums, fsize, r);
-      EXPECT_LT(rc.slack, 2 * cs) << "[" << r.off << ", " << r.end << ")";
+      EXPECT_LT(rc.slack, 2 * cs);
+      if (rc.head > 0) {
+        EXPECT_EQ(summed[i].range_ends.count(r.off), 1u);
+      }
+      if (rc.tail > 0) {
+        EXPECT_EQ(summed[i].range_ends.count(r.end), 1u);
+      }
       cost.slack += rc.slack;
       cost.chunks += rc.chunks;
     }
-    EXPECT_EQ(off[i].requests, reads[i].size());
-    EXPECT_EQ(off[i].bytes, bytes);
-    EXPECT_EQ(off[i].verified, 0u);
-    EXPECT_GT(cost.slack, 0u) << "the call's reads end on chunk boundaries";
-    // Verified: not one request more, only the boundary chunks' slack.
-    EXPECT_EQ(on[i].requests, off[i].requests);
-    EXPECT_EQ(on[i].bytes, off[i].bytes + cost.slack);
+    EXPECT_GT(cost.slack, 0u) << "the call's ranges end on chunk boundaries";
+    EXPECT_EQ(on[i].requests, summed[i].reads.size());
+    EXPECT_EQ(on[i].bytes, bytes + cost.slack);
 #if PNC_IOSTAT_ENABLED
     EXPECT_EQ(on[i].verified, cost.chunks);
 #endif

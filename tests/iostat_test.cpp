@@ -72,6 +72,7 @@ TEST_F(IostatTest, FourRankTwoPhaseWriteExactCounters) {
   cfg.stripe_size = kBlock;
   pfs::FileSystem fs(cfg);
 
+  std::vector<std::uint64_t> write_msgs(4);  // each rank's sends in the write
   simmpi::Run(4, [&](Comm& c) {
     auto f = mpiio::File::Open(c, fs, "tp.dat", mpiio::kCreate | mpiio::kRdWr,
                                simmpi::NullInfo())
@@ -82,9 +83,12 @@ TEST_F(IostatTest, FourRankTwoPhaseWriteExactCounters) {
     c.Barrier();
     PNC_IOSTAT_BIND_RANK(c.rank());  // Reset dropped the bound-rank count
     std::vector<std::byte> mine(kBlock, std::byte{0x5A});
+    const std::uint64_t m0 = Registry::Get().Value(c.rank(), Ctr::kMpiMessages);
     ASSERT_TRUE(f.WriteAtAll(static_cast<std::uint64_t>(c.rank()) * kBlock,
                              mine.data(), kBlock, simmpi::ByteType())
                     .ok());
+    write_msgs[static_cast<std::size_t>(c.rank())] =
+        Registry::Get().Value(c.rank(), Ctr::kMpiMessages) - m0;
     ASSERT_TRUE(f.Close().ok());
   });
 
@@ -99,6 +103,13 @@ TEST_F(IostatTest, FourRankTwoPhaseWriteExactCounters) {
   // Ranks 1 and 3 each ship one message to a remote aggregator; ranks 0 and
   // 2 deliver to themselves (not counted).
   EXPECT_EQ(Sum(rep, Ctr::kMpiioExchangeMsgs), 2u);
+  // And those are the write's only exchange messages: each rank's range
+  // meets one domain, so nobody messages a rank it has no bytes for (the
+  // dense exchange sent all 12 pairs). The rest is the range allgather
+  // (Gather + Bcast, 6) and the closing AgreeStatus (AllreduceMin +
+  // SyncClocksToMax, 12). Per rank: the binomial trees rooted at rank 0
+  // send 0/1/2 from ranks 1/3/2, and rank 0 sends 2 per broadcast.
+  EXPECT_EQ(write_msgs, (std::vector<std::uint64_t>{6, 3 + 1, 6, 3 + 1}));
 
   // Each aggregator writes its full 512 KiB domain in one round with no
   // holes: exactly 1 MiB at the file, no read-modify-write amplification.

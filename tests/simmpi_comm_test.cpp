@@ -17,12 +17,37 @@ namespace {
 
 std::vector<std::byte> Bytes(const std::string& s) {
   std::vector<std::byte> b(s.size());
-  std::memcpy(b.data(), s.data(), s.size());
+  if (!s.empty()) std::memcpy(b.data(), s.data(), s.size());
   return b;
 }
 
 std::string Str(const std::vector<std::byte>& b) {
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+}
+
+std::vector<int> AllRanks(const Comm& c) {
+  std::vector<int> all(static_cast<std::size_t>(c.size()));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
+/// A sparse pattern: rank r sends to r, r+1 and r+3 (mod P), so it
+/// receives from r, r-1 and r-3; fewer distinct peers when P is small.
+bool SparsePair(int src, int dst, int p) {
+  const int d = (dst - src + p) % p;
+  return d == 0 || d == 1 % p || d == 3 % p;
+}
+std::vector<int> SparseTo(const Comm& c) {
+  std::vector<int> to;
+  for (int r = 0; r < c.size(); ++r)
+    if (SparsePair(c.rank(), r, c.size())) to.push_back(r);
+  return to;
+}
+std::vector<int> SparseFrom(const Comm& c) {
+  std::vector<int> from;
+  for (int r = 0; r < c.size(); ++r)
+    if (SparsePair(r, c.rank(), c.size())) from.push_back(r);
+  return from;
 }
 
 TEST(Runtime, RunsEveryRankExactlyOnce) {
@@ -186,15 +211,43 @@ TEST_P(CollectiveP, Allgather) {
   });
 }
 
+// A personalized all-to-all: an exchange that lists every pair.
 TEST_P(CollectiveP, AlltoallPersonalized) {
   simmpi::Run(GetParam(), [](Comm& c) {
     std::vector<std::vector<std::byte>> send;
     for (int r = 0; r < c.size(); ++r)
       send.push_back(Bytes(std::to_string(c.rank()) + "->" + std::to_string(r)));
-    auto recv = c.Alltoall(std::move(send));
+    const std::vector<int> all = AllRanks(c);
+    auto recv = c.Exchange(std::move(send), all, all, 0);
     for (int r = 0; r < c.size(); ++r)
       EXPECT_EQ(Str(recv[static_cast<std::size_t>(r)]),
                 std::to_string(r) + "->" + std::to_string(c.rank()));
+  });
+}
+
+// Only the listed pairs move a message; every other slot stays empty, and
+// rounds reusing a pair keep their messages apart.
+TEST_P(CollectiveP, ExchangeMovesOnlyListedPairs) {
+  simmpi::Run(GetParam(), [](Comm& c) {
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      std::vector<std::vector<std::byte>> send(
+          static_cast<std::size_t>(c.size()));
+      for (const int r : SparseTo(c))
+        send[static_cast<std::size_t>(r)] =
+            Bytes(std::to_string(c.rank()) + ">" + std::to_string(r) + "#" +
+                  std::to_string(round));
+      auto recv = c.Exchange(std::move(send), SparseTo(c), SparseFrom(c),
+                             round);
+      ASSERT_EQ(static_cast<int>(recv.size()), c.size());
+      for (int r = 0; r < c.size(); ++r) {
+        const std::string want =
+            SparsePair(r, c.rank(), c.size())
+                ? std::to_string(r) + ">" + std::to_string(c.rank()) + "#" +
+                      std::to_string(round)
+                : "";
+        EXPECT_EQ(Str(recv[static_cast<std::size_t>(r)]), want);
+      }
+    }
   });
 }
 
@@ -238,7 +291,39 @@ TEST_P(CollectiveP, BarrierSynchronizesClocks) {
   });
 }
 
+// A host fence holds every thread until all members have arrived, so no
+// rank runs more than one fence ahead, and it charges no virtual time.
+TEST_P(CollectiveP, HostFencePacesThreadsAtNoVirtualCost) {
+  std::atomic<int> arrived{0};
+  simmpi::Run(GetParam(), [&](Comm& c) {
+    c.clock().Advance(100.0 * c.rank());
+    for (int round = 1; round <= 20; ++round) {
+      arrived.fetch_add(1);
+      const double t = c.clock().now();
+      c.HostFence();
+      EXPECT_GE(arrived.load(), round * c.size());
+      EXPECT_LE(arrived.load(), (round + 1) * c.size());
+      EXPECT_EQ(c.clock().now(), t);
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveP, ::testing::Values(1, 2, 3, 4, 7, 8, 16));
+
+// A member that dies before it reaches a fence releases the survivors
+// waiting there, and the fences after it count only the living.
+TEST(HostFence, ADeathReleasesTheSurvivors) {
+  RankFaultPolicy faults;
+  faults.crashes.push_back({2, 0, -1.0});  // rank 2's first op
+  const RunResult run = simmpi::Run(
+      4,
+      [](Comm& c) {
+        if (c.rank() == 2) (void)c.TryBarrier();  // dies here
+        for (int i = 0; i < 3; ++i) c.HostFence();
+      },
+      CostModel{}, faults);
+  EXPECT_EQ(run.crashed_ranks, (std::vector<int>{2}));
+}
 
 TEST(CommManagement, DupIsolatesTraffic) {
   simmpi::Run(2, [](Comm& c) {
@@ -331,10 +416,47 @@ void PushBytes(const std::vector<std::byte>& b, std::vector<std::int64_t>& out) 
   for (const std::byte x : b) out.push_back(static_cast<std::int64_t>(x));
 }
 
-std::vector<std::byte> AlltoallPayload(const Comm& c, int dst, int round) {
+/// Rank `c`'s message to `dst` in `round`; some are empty.
+std::vector<std::byte> ExchangePayload(const Comm& c, int dst, int round) {
   return std::vector<std::byte>(
-      static_cast<std::size_t>((c.rank() + 1) * (dst + 1)),
+      static_cast<std::size_t>((c.rank() + dst + round) % 3 * (dst + 1)),
       static_cast<std::byte>(16 * c.rank() + dst + round));
+}
+
+std::vector<std::vector<std::byte>> ExchangeSend(const Comm& c, int round) {
+  std::vector<std::vector<std::byte>> send;
+  for (int r = 0; r < c.size(); ++r)
+    send.push_back(ExchangePayload(c, r, round));
+  return send;
+}
+
+void PlainExchangeRounds(Comm& c, const std::vector<int>& to,
+                         const std::vector<int>& from,
+                         std::vector<std::int64_t>& out) {
+  for (int round = 0; round < 2; ++round)
+    for (const auto& b :
+         c.Exchange(ExchangeSend(c, round), to, from,
+                    static_cast<std::uint64_t>(round)))
+      PushBytes(b, out);
+  out.push_back(c.AllreduceMin(0));
+  c.SyncClocksToMax();
+}
+
+pnc::Status TriedExchangeRounds(Comm& c, const std::vector<int>& to,
+                                const std::vector<int>& from,
+                                std::vector<std::int64_t>& out) {
+  pnc::Status xst;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::vector<std::byte>> recv;
+    const pnc::Status st =
+        c.TryExchange(ExchangeSend(c, round), to, from,
+                      static_cast<std::uint64_t>(round), recv);
+    if (xst.ok()) xst = st;
+    for (const auto& b : recv) PushBytes(b, out);
+  }
+  const pnc::Status st = c.AgreeStatus(xst);
+  out.push_back(st.raw());
+  return st;
 }
 
 const std::vector<StatusCase>& StatusCases() {
@@ -406,32 +528,14 @@ const std::vector<StatusCase>& StatusCases() {
        }},
       // The exchange's own status is local (a survivor that got every
       // piece before the death returns Ok), so, as in two-phase I/O, every
-      // round runs and one AgreeStatus settles the outcome.
+      // round runs and one AgreeStatus settles the outcome. This row lists
+      // every pair (an all-to-all); TryExchange's row below a sparse set.
       {"TryAlltoall",
        [](Comm& c, auto& out) {
-         for (int round = 0; round < 2; ++round) {
-           std::vector<std::vector<std::byte>> send;
-           for (int r = 0; r < c.size(); ++r)
-             send.push_back(AlltoallPayload(c, r, round));
-           for (const auto& b : c.Alltoall(std::move(send))) PushBytes(b, out);
-         }
-         out.push_back(c.AllreduceMin(0));
-         c.SyncClocksToMax();
+         PlainExchangeRounds(c, AllRanks(c), AllRanks(c), out);
        },
        [](Comm& c, auto& out) {
-         pnc::Status xst;
-         for (int round = 0; round < 2; ++round) {
-           std::vector<std::vector<std::byte>> send, recv;
-           for (int r = 0; r < c.size(); ++r)
-             send.push_back(AlltoallPayload(c, r, round));
-           const pnc::Status st = c.TryAlltoall(
-               std::move(send), static_cast<std::uint64_t>(round), recv);
-           if (xst.ok()) xst = st;
-           for (const auto& b : recv) PushBytes(b, out);
-         }
-         const pnc::Status st = c.AgreeStatus(xst);
-         out.push_back(st.raw());
-         return st;
+         return TriedExchangeRounds(c, AllRanks(c), AllRanks(c), out);
        }},
       {"AgreeStatus",
        [](Comm& c, auto& out) {
@@ -474,6 +578,25 @@ const std::vector<StatusCase>& StatusCases() {
          std::vector<std::vector<std::byte>> got;
          const pnc::Status st = c.TryGather(
              Bytes(std::string(c.rank() + 1, 'g')), c.size() - 1, got);
+         for (const auto& b : got) PushBytes(b, out);
+         return st;
+       }},
+      {"TryExchange",
+       [](Comm& c, auto& out) {
+         PlainExchangeRounds(c, SparseTo(c), SparseFrom(c), out);
+       },
+       [](Comm& c, auto& out) {
+         return TriedExchangeRounds(c, SparseTo(c), SparseFrom(c), out);
+       }},
+      {"TryAllgather",
+       [](Comm& c, auto& out) {
+         const auto mine = Bytes(std::string(c.rank() % 3, 'a'));
+         for (const auto& b : c.Allgather(mine)) PushBytes(b, out);
+       },
+       [](Comm& c, auto& out) {
+         std::vector<std::vector<std::byte>> got;
+         const pnc::Status st =
+             c.TryAllgather(Bytes(std::string(c.rank() % 3, 'a')), got);
          for (const auto& b : got) PushBytes(b, out);
          return st;
        }},

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <numeric>
 
 #include "simmpi/datatype.hpp"
 #include "simmpi/runtime.hpp"
@@ -94,7 +95,10 @@ TEST(Stress, MixedCollectiveSequences) {
           for (auto& s : send)
             s.assign(static_cast<std::size_t>(1 + rng.Below(64)),
                      static_cast<std::byte>(acc & 0xFF));
-          auto recv = c.Alltoall(std::move(send));
+          std::vector<int> all(static_cast<std::size_t>(c.size()));
+          std::iota(all.begin(), all.end(), 0);
+          auto recv = c.Exchange(std::move(send), all, all,
+                                 static_cast<std::uint64_t>(step));
           for (const auto& r : recv) acc += static_cast<long long>(r.size());
           break;
         }

@@ -132,6 +132,19 @@ TEST_F(TraceTest, FourRankTwoPhaseWriteExactEvents) {
       EXPECT_EQ(s->a0, 0u);                              // window 0
       EXPECT_EQ(s->a1, r == 1 ? 0u : 2u);                // dest aggregator
     }
+    // A non-aggregator's exchange phase is packing its block and posting
+    // that one send: it receives nothing, because no aggregator window
+    // lies in its range (the dense exchange also sent to and waited on
+    // both other peers).
+    const Event* xb = Find(ev, Ev::kXchgBegin);
+    const Event* xe = Find(ev, Ev::kXchgEnd);
+    ASSERT_NE(xb, nullptr);
+    ASSERT_NE(xe, nullptr);
+    const simmpi::CostModel cost;
+    if (!agg) {
+      EXPECT_NEAR(xe->t_ns - xb->t_ns,
+                  cost.CopyCost(kBlock) + cost.sw_overhead_ns, 1e-6);
+    }
     // Each aggregator adopts two pieces (itself + one remote) and issues
     // one write striped over both servers.
     EXPECT_EQ(Count(ev, Ev::kAggPiece), agg ? 2u : 0u);

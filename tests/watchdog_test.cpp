@@ -27,6 +27,24 @@ TEST(Watchdog, AbortsInsteadOfDeadlocking) {
       "hang watchdog");
 }
 
+// A rank held at a host fence its peer never reaches trips the same
+// watchdog, and the dump says where it waits.
+TEST(Watchdog, NamesARankHeldAtAHostFence) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  simmpi::CostModel cm;
+  cm.hang_timeout_ms = 200.0;
+  EXPECT_DEATH(
+      {
+        simmpi::Run(
+            2,
+            [](simmpi::Comm& c) {
+              if (c.rank() == 0) c.HostFence();
+            },
+            cm);
+      },
+      "rank 0: BLOCKED in HostFence");
+}
+
 TEST(Watchdog, EnvOverrideWins) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
