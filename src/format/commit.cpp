@@ -254,18 +254,25 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
   r.has_commit = true;
   r.committed = s;
 
-  // Does the primary already hold the committed image?
+  // Does the primary already hold the committed image? Its count may trail
+  // the slot's: a Sync commits the count to the slot alone.
   std::vector<std::byte> prim(s.header_len);
   PNC_RETURN_IF_ERROR(primary.Read(0, prim));
   const bool prim_crc_ok = HeaderCrc(prim) == s.header_crc;
-  const bool prim_numrecs_ok =
-      prim.size() >= 8 &&
-      GetU32(prim.data() + 4) == static_cast<std::uint32_t>(s.numrecs);
-  if (prim_crc_ok && prim_numrecs_ok) {
+  const std::uint32_t slot_numrecs = static_cast<std::uint32_t>(s.numrecs);
+  const std::uint32_t prim_numrecs =
+      prim.size() >= 8 ? GetU32(prim.data() + 4) : 0;
+  if (prim_crc_ok && prim.size() >= 8 && prim_numrecs <= slot_numrecs) {
+    r.numrecs_lag = prim_numrecs < slot_numrecs;
+    PatchNumrecs(prim, s.numrecs);
     r.committed_header = std::move(prim);
     r.state = FileState::kClean;
     r.detail = "primary matches committed state (seq " +
                std::to_string(s.seq) + ")";
+    if (r.numrecs_lag)
+      r.detail += "; its record count " + std::to_string(prim_numrecs) +
+                  " trails the slot's " + std::to_string(s.numrecs) +
+                  " until Close";
     return r;
   }
 
@@ -313,7 +320,9 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
 pnc::Status RepairFromReport(const VerifyReport& report, CommitIo& primary) {
   switch (report.state) {
     case FileState::kClean:
-      return pnc::Status::Ok();
+      return report.numrecs_lag
+                 ? WritePrimaryNumrecs(primary, report.committed.numrecs)
+                 : pnc::Status::Ok();
     case FileState::kTornRecoverable:
       PNC_RETURN_IF_ERROR(
           primary.Write(0, pnc::ConstByteSpan(report.committed_header)));
@@ -323,6 +332,14 @@ pnc::Status RepairFromReport(const VerifyReport& report, CommitIo& primary) {
       return pnc::Status(pnc::Err::kIo,
                          "unrecoverable: " + report.detail);
   }
+}
+
+pnc::Status WritePrimaryNumrecs(CommitIo& primary, std::uint64_t numrecs) {
+  std::byte buf[4];
+  PutU32(buf, static_cast<std::uint32_t>(numrecs));
+  PNC_RETURN_IF_ERROR(primary.Write(4, pnc::ConstByteSpan(buf, 4)));
+  PNC_OBSERVE(kHeaderWrite, .len = 4);
+  return primary.Sync();
 }
 
 }  // namespace ncformat

@@ -47,13 +47,20 @@
 //     offset 8 through the table end, [slot A | slot B | shadow | table]
 //     (no table for an OPEN commit: then just the slots and the shadow),
 //     with the new slot in the alternate position and every other byte as
-//     committed, then one sync; the caller then patches the primary
-//     numrecs. A tear inside the new slot leaves the old slot and its
-//     table intact (nothing after the tear was written, and the bytes
-//     before it are unchanged). A tear after the new slot leaves the new
-//     numrecs in force with a table that fails table_crc: unsummed, never
-//     wrong. The shadow bytes rewritten in between differ from the
-//     committed ones at most in the numrecs field, which header_crc skips.
+//     committed, then one sync. That is all a Sync writes: the slot is the
+//     only place its record count goes. A tear inside the new slot leaves
+//     the old slot and its table intact (nothing after the tear was
+//     written, and the bytes before it are unchanged). A tear after the
+//     new slot leaves the new numrecs in force with a table that fails
+//     table_crc: unsummed, never wrong. The shadow bytes rewritten in
+//     between differ from the committed ones at most in the numrecs field,
+//     which header_crc skips.
+//
+// The primary's own numrecs field is written only by a header commit (the
+// caller rewrites the whole primary header), by a closing commit (the
+// caller then patches the field, WritePrimaryNumrecs) and by a repair. So
+// between a Sync and the next Close or header commit the field trails the
+// slot's count, and a closed file is a plain netCDF file again.
 //
 // A commit that restates the commit in force (the same header_len,
 // header_crc, numrecs and flags, with no table on either side) writes
@@ -65,10 +72,14 @@
 // commit writes the bytes already there, which no tear can change.
 //
 // Recovery (open / ncverify): take the commit in force. If the primary's
-// header prefix matches `header_crc` and its numrecs field matches the
-// slot, the file is clean. Otherwise the committed header is reconstructed
-// from whichever of shadow/primary matches the CRC, with the slot's numrecs
-// patched in — all-old or all-new, never a hybrid.
+// header prefix matches `header_crc` and its numrecs field is at or below
+// the slot's, the file is clean: a trailing count is the normal state after
+// a Sync (or a crash inside the closing patch), and the committed header
+// carries the slot's count. A primary count above the slot's is a state the
+// protocol never produces, so it is treated as torn. Otherwise the
+// committed header is reconstructed from whichever of shadow/primary
+// matches the CRC, with the slot's numrecs patched in — all-old or all-new,
+// never a hybrid.
 #pragma once
 
 #include <optional>
@@ -173,8 +184,9 @@ constexpr std::uint64_t kJournalProbeBytes = 8 * 1024;
 
 /// Verification verdict for one dataset + journal pair.
 enum class FileState {
-  kClean,            ///< primary matches the committed state (or no journal
-                     ///< and the primary decodes)
+  kClean,            ///< primary matches the committed state, its count at
+                     ///< or below the slot's (or no journal and the
+                     ///< primary decodes)
   kTornRecoverable,  ///< primary torn/stale, committed state reconstructible
   kCorrupt,          ///< no committed state matches anything on disk
 };
@@ -192,6 +204,10 @@ struct VerifyReport {
   /// Torn only in numrecs (bytes [4, 8)): the primary's header body matches
   /// the committed image, so its data region and sums are exact.
   bool numrecs_only = false;
+  /// Clean, but the primary's numrecs field trails the slot's: the file was
+  /// Synced since its last header commit or Close. A writable session's
+  /// Close (or a repair) catches the field up.
+  bool numrecs_lag = false;
   /// The journal's first bytes as read (ReadCommitState), for
   /// ReadCommittedSums.
   std::vector<std::byte> journal_prefix;
@@ -205,9 +221,16 @@ struct VerifyReport {
                                                       CommitIo& primary);
 
 /// Roll the primary back/forward to the committed state in `report`
-/// (rewrites the header prefix and syncs). No-op for kClean; fails for
-/// kCorrupt.
+/// (rewrites the header prefix and syncs). For kClean, catches a trailing
+/// numrecs field up (WritePrimaryNumrecs) and is otherwise a no-op; fails
+/// for kCorrupt.
 [[nodiscard]] pnc::Status RepairFromReport(const VerifyReport& report,
                                            CommitIo& primary);
+
+/// Write `numrecs` into the primary's 4-byte numrecs field (offset 4) and
+/// sync it: the one primary write a closing commit makes after its journal
+/// commit, and the in-place update of a file without a journal.
+[[nodiscard]] pnc::Status WritePrimaryNumrecs(CommitIo& primary,
+                                              std::uint64_t numrecs);
 
 }  // namespace ncformat

@@ -59,8 +59,10 @@ struct Rounds {
 /// boundaries, so two aggregators never touch one stripe and no window
 /// write cuts one, or, for a read that the attached chunk-sum map
 /// verifies, chunk boundaries, so no chunk is fetched and checked by two
-/// windows. Windows of a unit or more are rounded down to a unit multiple
-/// (as ROMIO's Lustre module does for stripes).
+/// windows. Stripe windows of a stripe or more are rounded down to a stripe
+/// multiple (as ROMIO's Lustre module does); chunk windows are rounded up to
+/// a chunk multiple, overshooting the hint by less than one chunk rather
+/// than cutting more, smaller windows.
 struct Geometry {
   std::uint64_t base = 0, dsize = 0, cb = 0, gmax = 0, rounds = 0;
   std::size_t naggs = 0;
@@ -89,16 +91,20 @@ struct Geometry {
 };
 
 /// `naggs` domains over [gmin, gmax), on the grid origin + k*unit, in
-/// windows of at most `cb` bytes.
+/// windows of about `cb` bytes: at most `cb`, or, with `round_up` (the
+/// chunk grid), `cb` rounded up to a unit multiple.
 Geometry MakeGeometry(std::uint64_t gmin, std::uint64_t gmax,
                       std::size_t naggs, std::uint64_t cb,
-                      std::uint64_t origin, std::uint64_t unit) {
+                      std::uint64_t origin, std::uint64_t unit,
+                      bool round_up) {
   Geometry g;
   g.naggs = naggs;
   g.gmax = gmax;
   g.base = origin + (gmin - origin) / unit * unit;
   g.dsize = std::max(DivCeil(DivCeil(gmax - g.base, naggs), unit) * unit, unit);
-  g.cb = cb >= unit ? cb / unit * unit : cb;
+  g.cb = round_up      ? DivCeil(cb, unit) * unit
+         : cb >= unit ? cb / unit * unit
+                      : cb;
   g.rounds = DivCeil(g.dsize, g.cb);
   return g;
 }
@@ -312,13 +318,16 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   const auto naggs = std::min(static_cast<std::size_t>(im.hints.cb_nodes),
                               static_cast<std::size_t>(wp));
   std::uint64_t origin = 0, unit = im.fs->config().stripe_size;
-  if (!is_write && im.sums != nullptr && im.sums_verify &&
-      im.sums->chunk_size() > 0 && gmin >= im.sums->data_begin()) {
+  const bool chunk_grid = !is_write && im.sums != nullptr &&
+                          im.sums_verify && im.sums->chunk_size() > 0 &&
+                          gmin >= im.sums->data_begin();
+  if (chunk_grid) {
     origin = im.sums->data_begin();
     unit = im.sums->chunk_size();
   }
-  const Geometry geo = MakeGeometry(gmin, gmax, naggs,
-                                    im.hints.cb_buffer_size, origin, unit);
+  const Geometry geo =
+      MakeGeometry(gmin, gmax, naggs, im.hints.cb_buffer_size, origin, unit,
+                   /*round_up=*/chunk_grid);
   const std::uint64_t cb = geo.cb;
   const std::uint64_t rounds = geo.rounds;
   // Aggregators are spread across the (surviving) communicator.

@@ -1,7 +1,6 @@
 #include "netcdf/dataset.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "format/commit.hpp"
 #include "format/commit_pfs.hpp"
@@ -30,7 +29,11 @@ struct Dataset::Impl {
   Header header;
   bool defining = false;
   bool fresh = false;          ///< created this session, EndDef not yet run
-  bool numrecs_dirty = false;  ///< numrecs grew in data mode
+  bool numrecs_dirty = false;  ///< numrecs grew since the last commit
+  /// The primary's numrecs field trails the committed count: a Sync of a
+  /// journaled file commits the count to the journal slot alone, and only
+  /// Close (or a header write) catches the field up.
+  bool primary_lags = false;
   FillMode fill = FillMode::kNoFill;
   std::optional<Header> pre_redef;  ///< snapshot for Abort/relayout
 
@@ -60,6 +63,29 @@ struct Dataset::Impl {
                             sums_on ? &sums : nullptr, open, commit);
   }
 };
+
+namespace {
+
+/// The primary through the block cache, as the numrecs patch writes it:
+/// past the cache (loading block 0 would evict the tail block the next
+/// record append writes into), then a flush and sync.
+class PrimaryIo final : public ncformat::CommitIo {
+ public:
+  explicit PrimaryIo(BufferedFile& io) : io_(io) {}
+  pnc::Status Read(std::uint64_t offset, pnc::ByteSpan out) override {
+    return io_.ReadAt(offset, out);
+  }
+  pnc::Status Write(std::uint64_t offset, pnc::ConstByteSpan data) override {
+    return io_.PatchAt(offset, data);
+  }
+  pnc::Status Sync() override { return io_.Sync(); }
+  std::uint64_t Size() override { return io_.size(); }
+
+ private:
+  BufferedFile& io_;
+};
+
+}  // namespace
 
 /// Arm the integrity subsystem for an opened (not freshly created) dataset.
 /// Writable opens commit the session-OPEN flag *before* any data write can
@@ -157,6 +183,7 @@ pnc::Result<Dataset> Dataset::Open(pfs::FileSystem& fs, const std::string& path,
     if (!rep.ok()) return rep.status();
     ncformat::VerifyReport& r = rep.value();
     if (r.has_commit) im.commit = r.committed;
+    im.primary_lags = r.numrecs_lag;
     if (r.state == ncformat::FileState::kCorrupt && r.has_commit)
       return pnc::Status(pnc::Err::kNotNc, "unrecoverable: " + r.detail);
     if (r.state == ncformat::FileState::kTornRecoverable) {
@@ -556,33 +583,30 @@ pnc::Status Dataset::WriteHeader() {
   }
   PNC_OBSERVE(kHeaderWrite, .len = bytes.size());
   im.numrecs_dirty = false;
+  im.primary_lags = false;
   return pnc::Status::Ok();
 }
 
 pnc::Status Dataset::CommitData(bool closing) {
   auto& im = *impl_;
   const bool grew = im.numrecs_dirty;
-  const auto patch_numrecs = [&im] {
-    std::byte buf[4];
-    const auto v =
-        pnc::xdr::ToBig(static_cast<std::uint32_t>(im.header.numrecs));
-    std::memcpy(buf, &v, 4);
-    // Patched past the cache: loading block 0 here would evict the tail
-    // block the next record append writes into.
-    PNC_RETURN_IF_ERROR(im.io.PatchAt(4, pnc::ConstByteSpan(buf, 4)));
-    PNC_OBSERVE(kHeaderWrite, .len = 4);
+  PrimaryIo primary(im.io);
+  if (!im.journal) {  // a legacy file: numrecs in place, no sums
+    PNC_RETURN_IF_ERROR(closing ? im.io.Flush() : im.io.Sync());
+    if (!grew) return pnc::Status::Ok();
+    PNC_RETURN_IF_ERROR(
+        ncformat::WritePrimaryNumrecs(primary, im.header.numrecs));
     im.numrecs_dirty = false;
     return pnc::Status::Ok();
-  };
-  if (!im.journal) {  // a legacy file: numrecs in place, no sums
-    if (grew) PNC_RETURN_IF_ERROR(patch_numrecs());
-    return closing ? im.io.Flush() : im.io.Sync();
   }
   // Data durable first; then one journal commit of the record count and
-  // the sums describing that data (still session-OPEN unless closing);
-  // then the primary's numrecs field.
+  // the sums describing that data (still session-OPEN unless closing). The
+  // slot is where a Sync commits the count; Close then catches the
+  // primary's numrecs field up.
   PNC_RETURN_IF_ERROR(im.io.Sync());
-  if (!im.writable || (!im.sums_on && !grew)) return pnc::Status::Ok();
+  const bool patch = closing && (grew || im.primary_lags);
+  if (!im.writable || (!im.sums_on && !grew && !patch))
+    return pnc::Status::Ok();
   if (im.sums_on) {
     PNC_RETURN_IF_ERROR(im.sums.ResolveDirty(
         im.io.size(), [&im](std::uint64_t o, pnc::ByteSpan out) {
@@ -592,9 +616,13 @@ pnc::Status Dataset::CommitData(bool closing) {
   std::vector<std::byte> bytes;
   im.header.Encode(bytes);
   PNC_RETURN_IF_ERROR(im.CommitToJournal(bytes, /*open=*/!closing));
-  if (!grew) return pnc::Status::Ok();
-  PNC_RETURN_IF_ERROR(patch_numrecs());
-  return im.io.Sync();
+  im.numrecs_dirty = false;
+  im.primary_lags = im.primary_lags || grew;
+  if (!patch) return pnc::Status::Ok();
+  PNC_RETURN_IF_ERROR(
+      ncformat::WritePrimaryNumrecs(primary, im.header.numrecs));
+  im.primary_lags = false;
+  return pnc::Status::Ok();
 }
 
 // ------------------------------------------------------------- relayout

@@ -165,8 +165,9 @@ class Dataset {
                           pnc::ByteSpan external);
   pnc::Status WriteHeader();
   /// The Sync/Close commit: data durable, then one journal commit of the
-  /// record count and chunk-sum table (closed when `closing`), then the
-  /// primary's numrecs field when the records grew.
+  /// record count and chunk-sum table (closed when `closing`). Close then
+  /// patches the primary's numrecs field when it trails the committed count
+  /// (a file without a journal is patched at every commit that grew it).
   pnc::Status CommitData(bool closing);
   pnc::Status MoveDataForRelayout(const ncformat::Header& old_header);
   pnc::Status FillVariable(int varid, std::uint64_t rec_from,

@@ -69,14 +69,19 @@ struct Dataset::Impl {
 
   // The record count of the last commit (Open, a header write, Sync, Close),
   // the same on every rank. Collective writes converge `header.numrecs` in
-  // memory only; a commit that finds it past this count patches the primary.
+  // memory only; a commit that finds it past this count commits it.
   std::uint64_t committed_numrecs = 0;
+  // The primary's numrecs field trails `committed_numrecs`: a Sync of a
+  // journaled file commits the count to the journal slot alone. Only the
+  // closing commit (and a header write) catches the field up. The same on
+  // every rank.
+  bool primary_lags = false;
 
   pnc::Status SetupOpenSums(bool root_torn,
                             pnc::ConstByteSpan journal_prefix);
   pnc::Status CommitCollective(bool closing);
   pnc::Status RootCommit(const std::vector<std::vector<std::byte>>& dirty,
-                         bool resolve, bool grew, bool closing);
+                         bool resolve, bool patch, bool closing);
   /// Root only: commit the current header (as `header_bytes`), record
   /// count and, with sums on and `!open`, the root's table through the
   /// journal.
@@ -93,6 +98,27 @@ std::vector<std::byte> EncodeHeader(const Header& h) {
   h.Encode(bytes);
   return bytes;
 }
+
+/// The root's primary, through its MPI-IO handle, as the numrecs patch
+/// writes it: one independent write and a local sync.
+class PrimaryIo final : public ncformat::CommitIo {
+ public:
+  explicit PrimaryIo(mpiio::File& file) : file_(file) {}
+  pnc::Status Read(std::uint64_t offset, pnc::ByteSpan out) override {
+    return file_.ReadAt(offset, out.data(), out.size(), simmpi::ByteType());
+  }
+  pnc::Status Write(std::uint64_t offset, pnc::ConstByteSpan data) override {
+    return file_.WriteAt(offset, data.data(), data.size(), simmpi::ByteType());
+  }
+  pnc::Status Sync() override { return file_.SyncLocal(); }
+  std::uint64_t Size() override {
+    const auto size = file_.GetSize();
+    return size.ok() ? size.value() : 0;
+  }
+
+ private:
+  mpiio::File& file_;
+};
 
 /// Sticky degradation for statuses coming back from a collective: the
 /// simmpi status collectives and the mpiio layer's own failure agreement
@@ -190,22 +216,27 @@ pnc::Status Dataset::Impl::SetupOpenSums(bool root_torn,
 /// It makes every rank's data durable with one collective sync, gathers
 /// each rank's dirty chunks to the root, and the root resolves them and
 /// makes one journal commit: session-OPEN at Sync, closed and carrying the
-/// table at Close. The primary numrecs patch follows when the records grew
-/// since the last commit, and one status agreement ends it.
+/// table at Close. The journal slot is where a Sync commits the record
+/// count; Close then patches the primary's numrecs field when it trails (a
+/// file without a journal is patched at every commit that grew it). One
+/// status agreement ends it.
 pnc::Status Dataset::Impl::CommitCollective(bool closing) {
   std::uint64_t global = header.numrecs;
   PNC_RETURN_IF_ERROR(Track(*this, comm.TryAllreduceMax(global)));
   header.numrecs = global;
-  // Both counts are the same on every rank, so `grew` needs no agreement.
+  // The counts, `primary_lags` and `journaled` are the same on every rank,
+  // so no decision here needs an agreement.
   const bool grew = global != committed_numrecs;
   const bool resolve = sums_on && writable;
   const bool commit_now = writable && (grew || resolve);
+  const bool patch =
+      writable && (grew || primary_lags) && (closing || !journaled);
   // The record count grows, and sums are committed, only after the data
   // they describe is durable on every rank (all-old-or-all-new for a crash
   // between data and count). A Sync makes the data durable regardless.
   if (!closing || (commit_now && journaled))
     PNC_RETURN_IF_ERROR(Track(*this, file.Sync()));
-  if (!commit_now) return pnc::Status::Ok();
+  if (!commit_now && !patch) return pnc::Status::Ok();
   file.ClearView();
   std::vector<std::vector<std::byte>> dirty;
   if (resolve) {
@@ -215,21 +246,21 @@ pnc::Status Dataset::Impl::CommitCollective(bool closing) {
                               0, dirty)));
   }
   int err = 0;
-  if (comm.rank() == 0) err = RootCommit(dirty, resolve, grew, closing).raw();
+  if (comm.rank() == 0) err = RootCommit(dirty, resolve, patch, closing).raw();
   PNC_RETURN_IF_ERROR(AgreeRootStatus(*this, err, "commit failed"));
   if (resolve) sums.ClearDirty();
   committed_numrecs = global;
+  primary_lags = !patch && (primary_lags || grew);
   return pnc::Status::Ok();
 }
 
 /// The root's half of a collective commit: resolve the gathered dirty
 /// chunks (combining fragments that tile a chunk, reading back only the
-/// chunks they do not), commit through the journal, then patch and sync the
-/// primary's numrecs field when the records grew (the next commit may
-/// overwrite the shadow the patch relies on).
+/// chunks they do not), commit through the journal, then, with `patch`,
+/// write and sync the primary's numrecs field.
 pnc::Status Dataset::Impl::RootCommit(
-    const std::vector<std::vector<std::byte>>& dirty, bool resolve, bool grew,
-    bool closing) {
+    const std::vector<std::vector<std::byte>>& dirty, bool resolve,
+    bool patch, bool closing) {
   if (resolve) {
     sums.ClearDirty();  // the root's own chunks come back in dirty[0]
     for (const auto& blob : dirty) sums.MergeDirty(blob);
@@ -242,14 +273,9 @@ pnc::Status Dataset::Impl::RootCommit(
   }
   if (journal)
     PNC_RETURN_IF_ERROR(CommitToJournal(EncodeHeader(header), !closing));
-  if (!grew) return pnc::Status::Ok();
-  std::byte buf[4];
-  const auto v = pnc::xdr::ToBig(static_cast<std::uint32_t>(header.numrecs));
-  std::memcpy(buf, &v, 4);
-  PNC_RETURN_IF_ERROR(file.WriteAt(4, buf, 4, simmpi::ByteType()));
-  PNC_RETURN_IF_ERROR(file.SyncLocal());
-  PNC_OBSERVE(kHeaderWrite, .len = 4);
-  return pnc::Status::Ok();
+  if (!patch) return pnc::Status::Ok();
+  PrimaryIo primary(file);
+  return ncformat::WritePrimaryNumrecs(primary, header.numrecs);
 }
 
 // ------------------------------------------------------------- lifecycle
@@ -321,6 +347,9 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   // the metadata work, then the agreed outcome is broadcast.
   int err = 0;
   std::vector<std::byte> bytes;
+  // 0: no journal; 1: a journal; 2: a journal, and the primary's numrecs
+  // field trails the committed count (a clean file Synced since its last
+  // Close), which this session's Close catches up if it is writable.
   int journaled = 0;
   std::vector<std::byte> committed;  ///< the committed header image, if any
   bool root_torn = false;  ///< header body torn, recovered in memory only
@@ -343,6 +372,7 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
       } else {
         ncformat::VerifyReport& r = rep.value();
         if (r.has_commit) im.commit = r.committed;
+        if (r.numrecs_lag) journaled = 2;
         if (r.state == ncformat::FileState::kCorrupt && r.has_commit) {
           rst = pnc::Status(pnc::Err::kNotNc, "unrecoverable: " + r.detail);
         } else if (r.state == ncformat::FileState::kTornRecoverable) {
@@ -362,6 +392,7 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
   PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(journaled, 0)));
   im.journaled = journaled != 0;
+  im.primary_lags = journaled == 2;
 
   // §4.2.1: the root process fetches the file header and broadcasts it; all
   // processes then hold an identical local copy until close. The recovery
@@ -456,6 +487,7 @@ pnc::Status Dataset::WriteHeaderCollective() {
   }
   PNC_RETURN_IF_ERROR(AgreeRootStatus(im, err, "header write failed"));
   im.committed_numrecs = im.header.numrecs;
+  im.primary_lags = false;
   return pnc::Status::Ok();
 }
 

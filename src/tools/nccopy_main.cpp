@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "tools/compare.hpp"
+#include "tools/verify.hpp"
 
 int main(int argc, char** argv) {
   nctools::CopyOptions opts;
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
   }
 
   pfs::FileSystem fs;
-  if (!fs.AttachDisk(paths[0], paths[0]).ok() ||
+  if (!nctools::AttachDiskDataset(fs, paths[0]).ok() ||
       !fs.CreateOnDisk(paths[1], paths[1]).ok()) {
     std::fprintf(stderr, "nccopy: cannot open files\n");
     return 2;

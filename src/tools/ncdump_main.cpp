@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "tools/cdl.hpp"
+#include "tools/verify.hpp"
 
 int main(int argc, char** argv) {
   bool header_only = false;
@@ -26,10 +27,10 @@ int main(int argc, char** argv) {
   }
 
   pfs::FileSystem fs;
-  auto attach = fs.AttachDisk(path, path);
+  const pnc::Status attach = nctools::AttachDiskDataset(fs, path);
   if (!attach.ok()) {
     std::fprintf(stderr, "ncdump: cannot open %s: %s\n", path,
-                 attach.status().message().c_str());
+                 attach.message().c_str());
     return 1;
   }
   auto ds = netcdf::Dataset::Open(fs, path, /*writable=*/false);

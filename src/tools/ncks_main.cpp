@@ -7,6 +7,7 @@
 #include <string>
 
 #include "tools/subset.hpp"
+#include "tools/verify.hpp"
 
 int main(int argc, char** argv) {
   nctools::SubsetOptions opts;
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   }
 
   pfs::FileSystem fs;
-  if (!fs.AttachDisk(paths[0], paths[0]).ok() ||
+  if (!nctools::AttachDiskDataset(fs, paths[0]).ok() ||
       !fs.CreateOnDisk(paths[1], paths[1]).ok()) {
     std::fprintf(stderr, "ncks: cannot open files\n");
     return 2;

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "tools/compare.hpp"
+#include "tools/verify.hpp"
 
 int main(int argc, char** argv) {
   nctools::DiffOptions opts;
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
 
   pfs::FileSystem fs;
   for (const char* p : paths) {
-    if (!fs.AttachDisk(p, p).ok()) {
+    if (!nctools::AttachDiskDataset(fs, p).ok()) {
       std::fprintf(stderr, "ncmpidiff: cannot open %s\n", p);
       return 2;
     }

@@ -2,10 +2,11 @@
 // journal (<file>.nccommit sidecar).
 //
 // Usage: ncverify [--repair] [--data] [-q] file.nc
-//   --repair  roll a torn file back to its last committed state, in place;
-//             with --data, also commit a chunk-checksum table rebuilt from
-//             the current bytes (the new baseline; a file without a journal
-//             gets a fresh one)
+//   --repair  roll a torn file back to its last committed state, in place,
+//             and catch up a record count left trailing the journal's by a
+//             Sync without a Close; with --data, also commit a
+//             chunk-checksum table rebuilt from the current bytes (the new
+//             baseline; a file without a journal gets a fresh one)
 //   --data    scrub the data region against the chunk-checksum table the
 //             journal committed: every chunk is classified clean / corrupt
 //             / unsummed

@@ -1,6 +1,7 @@
 #include "tools/verify.hpp"
 
 #include <algorithm>
+#include <filesystem>
 
 #include "format/commit_pfs.hpp"
 #include "format/header.hpp"
@@ -61,6 +62,14 @@ void WalkExtents(const Header& h, std::uint64_t file_size,
 
 }  // namespace
 
+pnc::Status AttachDiskDataset(pfs::FileSystem& fs, const std::string& path) {
+  PNC_RETURN_IF_ERROR(fs.AttachDisk(path, path).status());
+  const std::string jpath = ncformat::JournalPath(path);
+  std::error_code ec;
+  if (!std::filesystem::exists(jpath, ec)) return pnc::Status::Ok();
+  return fs.AttachDisk(jpath, jpath).status();
+}
+
 pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
                                      const std::string& path,
                                      const VerifyOptions& opts) {
@@ -88,17 +97,20 @@ pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
   out.has_journal = rep.has_journal;
   out.detail = rep.detail;
 
-  if (opts.repair && rep.state == FileState::kTornRecoverable) {
+  // A torn primary is rolled to the committed state; a clean one whose
+  // record count trails the slot's (Synced since its last Close) has the
+  // count caught up.
+  if (opts.repair &&
+      (rep.state == FileState::kTornRecoverable || rep.numrecs_lag)) {
     PNC_RETURN_IF_ERROR(ncformat::RepairFromReport(rep, primary));
     out.repaired = true;
     out.state = FileState::kClean;
   }
 
-  // Extent walk over whichever header survives: the primary for clean (or
-  // just-repaired) files, the reconstructed committed image for torn ones.
+  // Extent walk over the header in force: the committed image (the slot's
+  // record count in it) when the journal holds one, else the primary's.
   std::optional<Header> h;
-  if (out.state == FileState::kTornRecoverable &&
-      !rep.committed_header.empty()) {
+  if (!rep.committed_header.empty()) {
     auto d = Header::Decode(rep.committed_header);
     if (d.ok()) h = std::move(d).value();
   } else if (out.state == FileState::kClean) {

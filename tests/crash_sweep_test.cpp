@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -938,6 +940,202 @@ INSTANTIATE_TEST_SUITE_P(Ranks, IdleSyncP, ::testing::Values(0, 1, 3, 4),
                            return i.param == 0 ? std::string("serial")
                                                : "p" + std::to_string(i.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Acknowledgment oracle for Sync-per-step appends. A Sync that returned 0
+// is a promise: a power loss at any later point keeps at least its
+// records, and no crash can keep a record whose append had not started.
+// Serial (nprocs 0) and at 1, 3 and 4 ranks, sums on and off: f.nc is
+// created and defined, then the crash is armed at every pfs op of the
+// session in turn (crash_op, counted from the arming), the in-flight write
+// vanishing or landing whole without its acknowledgment. The session
+// appends kAckSyncs records with a Sync after each (parallel ranks
+// alternate PutVaraAll and IputVara + WaitAll), then one more that only
+// the Close commits. After the reboot a reader opens read-only first,
+// before any repair; then a writable reopen and Close must leave the
+// primary's own numrecs field caught up with the journal's.
+constexpr std::uint64_t kAckSyncs = 3;
+
+/// What the session was told: `acked` records are promised (the last Sync
+/// or Close that returned 0), `in_flight` records had been started.
+struct AckOutcome {
+  std::uint64_t acked = 0;
+  std::uint64_t in_flight = 0;
+};
+
+/// Create f.nc, arm `crash` once it is defined, and run the appends. The
+/// parallel outcome is rank 0's (every call's status is agreed).
+AckOutcome AckSession(pfs::FileSystem& fs, int nprocs,
+                      const pfs::FaultPolicy& crash) {
+  AckOutcome out;
+  const auto appends = [&](auto& ds, int rank, auto&& arm) {
+    arm();
+    AckOutcome o;
+    for (std::uint64_t rec = 0; rec <= kAckSyncs; ++rec) {
+      o.in_flight = rec + 1;
+      const RecWrite how = rec % 2 == 0 ? RecWrite::kPutAll : RecWrite::kWaitAll;
+      if (!PutRecord(ds, rec, rank, nprocs, how).ok()) break;
+      if (rec == kAckSyncs) {
+        if (ds.Close().ok()) o.acked = rec + 1;
+        return o;
+      }
+      if (!ds.Sync().ok()) break;
+      o.acked = rec + 1;
+    }
+    (void)ds.Close();
+    return o;
+  };
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Create(fs, "f.nc").value();
+    const int time = ds.DefDim("time", 0).value();
+    const int x = ds.DefDim("x", kRecWidth).value();
+    (void)ds.DefVar("r", NcType::kInt, {time, x}).value();
+    EXPECT_TRUE(ds.EndDef().ok());
+    return appends(ds, 0, [&] { fs.SetFaultPolicy(crash); });
+  }
+  simmpi::Run(nprocs, [&](simmpi::Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Create(c, fs, "f.nc", simmpi::NullInfo()).value();
+    const int time = ds.DefDim("time", pnetcdf::kUnlimited).value();
+    const int x = ds.DefDim("x", kRecWidth).value();
+    (void)ds.DefVar("r", NcType::kInt, {time, x}).value();
+    EXPECT_TRUE(ds.EndDef().ok());
+    const AckOutcome o = appends(ds, c.rank(), [&] {
+      c.Barrier();
+      if (c.rank() == 0) fs.SetFaultPolicy(crash);
+      c.Barrier();
+    });
+    if (c.rank() == 0) out = o;
+  });
+  return out;
+}
+
+/// Records [0, n) of f.nc read back by `nprocs` ranks with a collective
+/// read (0: the serial library), each rank checking every value.
+void ExpectRecordsRead(pfs::FileSystem& fs, int nprocs, std::uint64_t n) {
+  const auto check = [n](const pnc::Status& st,
+                         const std::vector<std::int32_t>& got) {
+    ASSERT_TRUE(st.ok()) << st.message();  // never kDataCorrupt
+    for (std::uint64_t i = 0; i < n * kRecWidth; ++i)
+      ASSERT_EQ(got[i], RecValue(i / kRecWidth, i % kRecWidth)) << i;
+  };
+  const std::uint64_t st[] = {0, 0};
+  const std::uint64_t ct[] = {n, kRecWidth};
+  std::vector<std::int32_t> got(n * kRecWidth);
+  if (nprocs == 0) {
+    auto rd = netcdf::Dataset::Open(fs, "f.nc", false);
+    ASSERT_TRUE(rd.ok()) << rd.status().message();
+    ASSERT_EQ(rd.value().numrecs(), n);
+    if (n == 0) return;
+    check(rd.value().GetVara<std::int32_t>(rd.value().VarId("r").value(), st,
+                                          ct, got),
+          got);
+    return;
+  }
+  simmpi::Run(nprocs, [&](simmpi::Comm& c) {
+    auto rd = pnetcdf::Dataset::Open(c, fs, "f.nc", false, simmpi::NullInfo());
+    ASSERT_TRUE(rd.ok()) << rd.status().message();
+    auto ds = std::move(rd).value();
+    ASSERT_EQ(ds.numrecs(), n);
+    std::vector<std::int32_t> mine(n * kRecWidth);
+    if (n > 0)
+      check(ds.GetVaraAll<std::int32_t>(ds.VarId("r").value(), st, ct, mine),
+          mine);
+    EXPECT_TRUE(ds.Close().ok());
+  });
+}
+
+/// A writable reopen of f.nc that writes nothing, then Close.
+void ReopenWritableAndClose(pfs::FileSystem& fs, int nprocs) {
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Open(fs, "f.nc", true);
+    ASSERT_TRUE(ds.ok()) << ds.status().message();
+    EXPECT_TRUE(ds.value().Close().ok());
+    return;
+  }
+  simmpi::Run(nprocs, [&](simmpi::Comm& c) {
+    auto ds = pnetcdf::Dataset::Open(c, fs, "f.nc", true, simmpi::NullInfo());
+    ASSERT_TRUE(ds.ok()) << ds.status().message();
+    EXPECT_TRUE(ds.value().Close().ok());
+  });
+}
+
+class AckOracleP : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(AckOracleP, SyncPerStepCrashAtEveryOpKeepsEveryAcknowledgedRecord) {
+  const auto [nprocs, sums] = GetParam();
+  std::optional<pnc_test::EnvGuard> no_sums;
+  if (!sums) no_sums.emplace("PNC_SUMS", "0");
+  // Clamped to the write's size: it lands whole, unacknowledged.
+  constexpr std::uint64_t kWhole = pfs::FaultPolicy::kNever;
+  int lagging = 0, sessions = 0;
+  for (const std::uint64_t torn : {std::uint64_t{0}, kWhole}) {
+    std::uint64_t op = 0;
+    for (; op < kSweepCeiling; ++op) {
+      pfs::FileSystem fs;
+      pfs::FaultPolicy crash;
+      crash.crash_op = op;
+      crash.crash_write_bytes = torn;
+      SCOPED_TRACE("crash at op " + std::to_string(op) + " " +
+                   pnc_test::DescribePolicy(crash));
+      const AckOutcome o = AckSession(fs, nprocs, crash);
+      const bool crashed = fs.crashed();
+      fs.SetFaultPolicy({});  // reboot
+      ++sessions;
+
+      // A reader, before any repair: the count lies between the last
+      // acknowledgment and the append in flight, and every record it
+      // admits reads back as written.
+      std::uint64_t n = 0;
+      {
+        auto rd = netcdf::Dataset::Open(fs, "f.nc", false);
+        ASSERT_TRUE(rd.ok()) << rd.status().message();
+        n = rd.value().numrecs();
+      }
+      ASSERT_GE(n, o.acked) << "an acknowledged record was lost";
+      ASSERT_LE(n, o.in_flight) << "a record that was never appended";
+      ExpectRecordsRead(fs, 0, n);
+      if (nprocs != 0) ExpectRecordsRead(fs, nprocs, n);
+      auto v = nctools::VerifyFile(fs, "f.nc", {.repair = false, .data = true});
+      ASSERT_TRUE(v.ok()) << v.status().message();
+      ASSERT_NE(v.value().state, ncformat::FileState::kCorrupt)
+          << v.value().detail;
+      ASSERT_TRUE(v.value().scrub.has_value());
+      ASSERT_EQ(v.value().scrub->corrupt, 0u);
+      if (pnc_test::DiskNumrecs(fs, "f.nc") < n) ++lagging;
+
+      // A writable reopen and Close catch the primary's own count up.
+      ReopenWritableAndClose(fs, nprocs);
+      EXPECT_EQ(pnc_test::DiskNumrecs(fs, "f.nc"), n);
+      EXPECT_EQ(pnc_test::CommittedState(fs, "f.nc").numrecs, n);
+      auto after = nctools::VerifyFile(fs, "f.nc", {.repair = true});
+      ASSERT_TRUE(after.ok()) << after.status().message();
+      EXPECT_EQ(after.value().state, ncformat::FileState::kClean)
+          << after.value().detail;
+      EXPECT_FALSE(after.value().repaired) << after.value().detail;
+
+      if (!crashed) {
+        EXPECT_EQ(o.acked, kAckSyncs + 1);
+        EXPECT_EQ(n, kAckSyncs + 1);
+        break;  // the whole session ran: every op was a crash point
+      }
+    }
+    EXPECT_LT(op, kSweepCeiling);
+  }
+  // Some crash fell between a Sync and the Close: the reader took the
+  // journal's count over the primary's trailing one.
+  EXPECT_GT(lagging, 0);
+  EXPECT_GT(sessions, 2 * static_cast<int>(kAckSyncs));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ranks, AckOracleP,
+    ::testing::Combine(::testing::Values(0, 1, 3, 4), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& i) {
+      const int n = std::get<0>(i.param);
+      return (n == 0 ? std::string("serial") : "p" + std::to_string(n)) +
+             (std::get<1>(i.param) ? "_sums" : "_nosums");
+    });
 
 // ---------------------------------------------------------------------------
 // Fresh create through the first EndDef, serial (nprocs 0) and at 3 ranks.

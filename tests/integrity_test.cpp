@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -33,6 +34,7 @@
 #include "simmpi/runtime.hpp"
 #include "test_support.hpp"
 #include "tools/verify.hpp"
+#include "util/xdr.hpp"
 
 namespace {
 
@@ -293,6 +295,10 @@ TEST(Integrity, ParallelBitflipMatrixNeverSilent) {
   for (const ReadMode mode :
        {ReadMode::kCollective, ReadMode::kIndependent, ReadMode::kSieved}) {
     for (const double p : {1e-3, 0.05}) {
+      // Many aggregator windows: verified windows round up to the chunk
+      // grid, so the collective's chunk is smaller than its 8 KiB window.
+      std::optional<EnvGuard> chunk;
+      if (mode == ReadMode::kCollective) chunk.emplace("PNC_SUM_CHUNK", "4096");
       pfs::FileSystem fs;
       CreateGrid(fs);
       simmpi::Run(kRanks, [&](Comm& c) {
@@ -1110,6 +1116,95 @@ TEST(SidecarTraffic, FirstJournalCommitCarriesTheMagic) {
   EXPECT_EQ(ncformat::ReadCommitState(j).value()->numrecs, 5u);
 }
 
+/// A journal whose commit in force holds `header` with `slot_recs`
+/// records (a header commit, then a data commit), and a primary holding
+/// `header` with `primary_recs` in its numrecs field.
+struct CommittedPair {
+  CountingCommitIo journal, primary;
+};
+CommittedPair CommitPair(const std::vector<std::byte>& header,
+                         std::uint64_t slot_recs, std::uint32_t primary_recs) {
+  CommittedPair out;
+  std::optional<ncformat::CommitState> state;
+  EXPECT_TRUE(
+      ncformat::Commit(out.journal, header, 0, nullptr, true, state).ok());
+  EXPECT_TRUE(ncformat::Commit(out.journal, header, slot_recs, nullptr, true,
+                               state)
+                  .ok());
+  std::vector<std::byte> prim = header;
+  const std::uint32_t big = pnc::xdr::ToBig(primary_recs);
+  std::memcpy(prim.data() + 4, &big, 4);
+  EXPECT_TRUE(out.primary.Write(0, prim).ok());
+  out.primary.writes.clear();
+  return out;
+}
+
+/// The record count of a decoded committed header image.
+std::uint64_t NumrecsOf(const std::vector<std::byte>& image) {
+  return ncformat::Header::Decode(image).value().numrecs;
+}
+
+// A Sync commits the record count to the journal slot alone, so the
+// primary's field trails it until Close. Recovery reads that as clean, with
+// the slot's count in the header it returns, and a repair catches the
+// field up with the one 4-byte patch and its sync.
+TEST(CommitRecovery, TrailingPrimaryCountIsCleanWithTheSlotsCount) {
+  const std::vector<std::byte> header = EncodedHeader(1);
+  CommittedPair p = CommitPair(header, 5, 2);
+  auto rep = ncformat::AnalyzeCommit(&p.journal, p.primary);
+  ASSERT_TRUE(rep.ok()) << rep.status().message();
+  EXPECT_EQ(rep.value().state, ncformat::FileState::kClean)
+      << rep.value().detail;
+  EXPECT_TRUE(rep.value().numrecs_lag);
+  EXPECT_FALSE(rep.value().numrecs_only);
+  EXPECT_EQ(rep.value().committed.numrecs, 5u);
+  EXPECT_EQ(NumrecsOf(rep.value().committed_header), 5u);
+  EXPECT_EQ(ncformat::HeaderCrc(rep.value().committed_header),
+            ncformat::HeaderCrc(header));
+
+  ASSERT_TRUE(ncformat::RepairFromReport(rep.value(), p.primary).ok());
+  ASSERT_EQ(p.primary.writes.size(), 1u);
+  EXPECT_EQ(p.primary.writes[0].offset, 4u);
+  EXPECT_EQ(p.primary.writes[0].len, 4u);
+  EXPECT_EQ(p.primary.syncs, 1);
+  rep = ncformat::AnalyzeCommit(&p.journal, p.primary);
+  ASSERT_TRUE(rep.ok());
+  EXPECT_EQ(rep.value().state, ncformat::FileState::kClean);
+  EXPECT_FALSE(rep.value().numrecs_lag);
+  EXPECT_EQ(NumrecsOf(rep.value().committed_header), 5u);
+
+  // Nothing left to repair: no write, no sync.
+  ASSERT_TRUE(ncformat::RepairFromReport(rep.value(), p.primary).ok());
+  EXPECT_EQ(p.primary.writes.size(), 1u);
+  EXPECT_EQ(p.primary.syncs, 1);
+}
+
+// A primary count above the slot's is a state the protocol never produces
+// (the slot commits a count before any primary write carries it), so it
+// stays torn: the committed header carries the slot's count and a repair
+// rewrites the primary header.
+TEST(CommitRecovery, LeadingPrimaryCountIsTornAndRepairsToTheSlotsCount) {
+  const std::vector<std::byte> header = EncodedHeader(1);
+  CommittedPair p = CommitPair(header, 5, 7);
+  auto rep = ncformat::AnalyzeCommit(&p.journal, p.primary);
+  ASSERT_TRUE(rep.ok()) << rep.status().message();
+  EXPECT_EQ(rep.value().state, ncformat::FileState::kTornRecoverable)
+      << rep.value().detail;
+  EXPECT_TRUE(rep.value().numrecs_only);
+  EXPECT_FALSE(rep.value().numrecs_lag);
+  EXPECT_EQ(NumrecsOf(rep.value().committed_header), 5u);
+
+  ASSERT_TRUE(ncformat::RepairFromReport(rep.value(), p.primary).ok());
+  ASSERT_EQ(p.primary.writes.size(), 1u);
+  EXPECT_EQ(p.primary.writes[0].offset, 0u);
+  EXPECT_EQ(p.primary.writes[0].len, header.size());
+  rep = ncformat::AnalyzeCommit(&p.journal, p.primary);
+  ASSERT_TRUE(rep.ok());
+  EXPECT_EQ(rep.value().state, ncformat::FileState::kClean);
+  EXPECT_FALSE(rep.value().numrecs_lag);
+  EXPECT_EQ(NumrecsOf(p.primary.bytes), 5u);
+}
+
 // A commit that restates the commit in force (same header, record count and
 // flags, no table on either side) writes and syncs nothing and leaves the
 // state as it was. A change to any one of those, or a table on either side,
@@ -1281,6 +1376,7 @@ struct Lifecycle {
   Traffic step[kSteps];
   std::uint32_t disk_numrecs[kSteps] = {};  ///< primary bytes [4, 8) after
   std::uint64_t journal_seq[kSteps] = {};   ///< the commit in force after
+  std::uint64_t journal_numrecs[kSteps] = {};  ///< and its record count
   std::uint64_t header_len = 0;
   std::uint64_t journal_size = 0;
   std::uint64_t table_len = 0;  ///< the committed chunk-sum table's size
@@ -1304,7 +1400,9 @@ Lifecycle RunLifecycle(int nprocs) {
     out.step[s] = now() - t0;
     if (s == kCreate) return;
     out.disk_numrecs[s] = pnc_test::DiskNumrecs(fs, "t.nc");
-    out.journal_seq[s] = CommittedState(fs, "t.nc").seq;
+    const ncformat::CommitState committed = CommittedState(fs, "t.nc");
+    out.journal_seq[s] = committed.seq;
+    out.journal_numrecs[s] = committed.numrecs;
   };
   const std::vector<double> vals(kLen, 1.5);
   if (nprocs == 0) {
@@ -1478,8 +1576,8 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
   // A write that grows the records converges the count in memory only: a
   // collective put, or an IputVara + WaitAll, makes exactly the I/O of the
   // same write repeated without growth — no journal request, no data sync,
-  // no numrecs patch — and neither the journal nor the primary's count
-  // moves until the next Sync.
+  // no numrecs patch — and the journal's count does not move until the
+  // next Sync.
   for (const Lifecycle* l : {&on, static_cast<const Lifecycle*>(&off)}) {
     SCOPED_TRACE(l == &on ? "sums on" : "sums off");
     for (const auto& [grow, same, before, recs] :
@@ -1492,29 +1590,41 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
       EXPECT_EQ(l->step[grow].bytes, l->step[same].bytes);
       EXPECT_EQ(l->journal_seq[grow], l->journal_seq[before]);
       EXPECT_EQ(l->journal_seq[same], l->journal_seq[before]);
-      EXPECT_EQ(l->disk_numrecs[grow], recs);
-      EXPECT_EQ(l->disk_numrecs[same], recs);
+      EXPECT_EQ(l->journal_numrecs[grow], recs);
+      EXPECT_EQ(l->journal_numrecs[same], recs);
     }
-    // The Sync after each growth round commits the grown count: exactly the
-    // Sync after a put of as many bytes, plus one journal write of [slot A
-    // | slot B | shadow] from offset 8 and its sync (a session-OPEN commit
-    // carries no table), and the 4-byte numrecs patch and its sync.
-    for (const auto& [s, prev] : {std::pair{kSyncAfterGrowth, kSyncIdle},
-                                  std::pair{kSyncAfterWait, kSyncAfterGrowth}}) {
+    // The Sync after each growth round commits the grown count to the
+    // journal slot alone: exactly the Sync after a put of as many bytes,
+    // plus one journal write of [slot A | slot B | shadow] from offset 8
+    // and its sync (a session-OPEN commit carries no table). No numrecs
+    // patch, no second sync.
+    for (const auto& [s, prev, recs] :
+         {std::tuple{kSyncAfterGrowth, kSyncIdle, 1u},
+          std::tuple{kSyncAfterWait, kSyncAfterGrowth, 2u}}) {
       SCOPED_TRACE(s == kSyncAfterGrowth ? "Sync after a put"
                                          : "Sync after a WaitAll");
-      EXPECT_EQ(l->step[s].requests, l->step[kSyncAfterPut].requests + 4);
-      EXPECT_EQ(l->step[s].bytes,
-                l->step[kSyncAfterPut].bytes + commit_bytes + 4);
+      EXPECT_EQ(l->step[s].requests, l->step[kSyncAfterPut].requests + 2);
+      EXPECT_EQ(l->step[s].bytes, l->step[kSyncAfterPut].bytes + commit_bytes);
       EXPECT_EQ(l->journal_seq[s], l->journal_seq[prev] + 1);
+      EXPECT_EQ(l->journal_numrecs[s], recs);
       if (nprocs != 0) {
-        EXPECT_EQ(l->step[s].requests, data_syncs + 4);
+        EXPECT_EQ(l->step[s].requests, data_syncs + 2);
       }
     }
-    EXPECT_EQ(l->disk_numrecs[kSyncAfterGrowth], 1u);
-    EXPECT_EQ(l->disk_numrecs[kSyncAfterWait], 2u);
+    // The primary's count stays at EndDef's through every Sync, while the
+    // journal's advances; Close catches it up.
+    for (int s = kEndDef; s < kClose; ++s) {
+      SCOPED_TRACE(s);
+      EXPECT_EQ(l->disk_numrecs[s], 0u);
+    }
     EXPECT_EQ(l->disk_numrecs[kClose], 2u);
+    EXPECT_EQ(l->journal_numrecs[kClose], 2u);
   }
+  // The primary lags at Close: an unsummed Close that grew nothing since
+  // the last Sync makes the 4-byte patch and its sync. The serial Close
+  // syncs the data first; the parallel one leaves that to the file close.
+  EXPECT_EQ(off.step[kClose].requests, (nprocs == 0 ? 1u : 0u) + 2);
+  EXPECT_EQ(off.step[kClose].bytes, 4u);
 
   // A summed parallel Close first syncs the data on every rank, which an
   // unsummed one leaves to the file close; the serial Close syncs it either
@@ -1523,6 +1633,103 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
   const Traffic close = on.step[kClose] - off.step[kClose];
   EXPECT_EQ(close.requests, (nprocs == 0 ? 0 : data_syncs) + 2);
   EXPECT_EQ(close.bytes, commit_bytes + table);
+}
+
+/// Create t.nc with r(time, x), write record 0, Sync, and drop the handle
+/// without a Close, as a writer that dies would: the journal holds one
+/// record, the primary's count still EndDef's zero. Serial (nprocs 0) or
+/// parallel.
+void SyncAndAbandon(pfs::FileSystem& fs, int nprocs) {
+  constexpr std::uint64_t kLen = 64;
+  const std::vector<double> vals(kLen, 2.5);
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Create(fs, "t.nc").value();
+    const int time = ds.DefDim("time", netcdf::kUnlimited).value();
+    const int x = ds.DefDim("x", kLen).value();
+    const int r = ds.DefVar("r", NcType::kDouble, {time, x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    const std::uint64_t st[] = {0, 0};
+    const std::uint64_t ct[] = {1, kLen};
+    ASSERT_TRUE(ds.PutVara<double>(r, st, ct, vals).ok());
+    ASSERT_TRUE(ds.Sync().ok());
+    return;
+  }
+  simmpi::Run(nprocs, [&](Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Create(c, fs, "t.nc", simmpi::NullInfo()).value();
+    const int time = ds.DefDim("time", pnetcdf::kUnlimited).value();
+    const int x = ds.DefDim("x", kLen).value();
+    const int r = ds.DefVar("r", NcType::kDouble, {time, x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    const std::uint64_t share = kLen / static_cast<std::uint64_t>(c.size());
+    const std::uint64_t lo = share * static_cast<std::uint64_t>(c.rank());
+    const std::uint64_t n = c.rank() + 1 == c.size() ? kLen - lo : share;
+    const std::uint64_t st[] = {0, lo};
+    const std::uint64_t ct[] = {1, n};
+    ASSERT_TRUE(
+        ds.PutVaraAll<double>(r, st, ct, std::span(vals.data(), n)).ok());
+    ASSERT_TRUE(ds.Sync().ok());
+  });
+}
+
+/// The pfs write traffic of the Close of a writable reopen of t.nc that
+/// writes nothing.
+Traffic ReopenCloseTraffic(pfs::FileSystem& fs, int nprocs) {
+  const auto now = [&fs] {
+    const pfs::Stats s = fs.stats();
+    return Traffic{s.write_requests, s.bytes_written};
+  };
+  Traffic t0, out;
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Open(fs, "t.nc", true).value();
+    t0 = now();
+    EXPECT_TRUE(ds.Close().ok());
+    return now() - t0;
+  }
+  simmpi::Run(nprocs, [&](Comm& c) {
+    auto ds =
+        pnetcdf::Dataset::Open(c, fs, "t.nc", true, simmpi::NullInfo()).value();
+    c.Barrier();
+    if (c.rank() == 0) t0 = now();
+    c.Barrier();
+    EXPECT_TRUE(ds.Close().ok());
+    c.Barrier();
+    if (c.rank() == 0) out = now() - t0;
+  });
+  return out;
+}
+
+// A writable open of a file whose primary count trails the journal's (a
+// Sync with no Close) records the lag, and its Close catches the primary up
+// with the 4-byte patch and its sync, sums on or off, even though it grew
+// nothing. The Close of a caught-up file makes neither.
+TEST_P(SidecarTrafficP, CloseCatchesUpOnlyALaggingPrimary) {
+  const int nprocs = GetParam();
+  for (const bool sums : {true, false}) {
+    SCOPED_TRACE(sums ? "sums on" : "sums off");
+    std::optional<EnvGuard> no_sums;
+    if (!sums) no_sums.emplace("PNC_SUMS", "0");
+    pfs::FileSystem fs;
+    SyncAndAbandon(fs, nprocs);
+    EXPECT_EQ(pnc_test::DiskNumrecs(fs, "t.nc"), 0u);
+    EXPECT_EQ(CommittedState(fs, "t.nc").numrecs, 1u);
+    const auto vr = nctools::VerifyFile(fs, "t.nc");
+    ASSERT_TRUE(vr.ok()) << vr.status().message();
+    EXPECT_EQ(vr.value().state, ncformat::FileState::kClean)
+        << vr.value().detail;
+
+    const Traffic lagging = ReopenCloseTraffic(fs, nprocs);
+    EXPECT_EQ(pnc_test::DiskNumrecs(fs, "t.nc"), 1u);
+    EXPECT_EQ(CommittedState(fs, "t.nc").numrecs, 1u);
+    const Traffic caught_up = ReopenCloseTraffic(fs, nprocs);
+    EXPECT_EQ(lagging.requests, caught_up.requests + 2);
+    EXPECT_EQ(lagging.bytes, caught_up.bytes + 4);
+    if (!sums) {
+      // Unsummed, a caught-up Close writes nothing; the serial one syncs.
+      EXPECT_EQ(caught_up.requests, nprocs == 0 ? 1u : 0u);
+      EXPECT_EQ(caught_up.bytes, 0u);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, SidecarTrafficP, ::testing::Values(0, 3, 4),
@@ -1703,8 +1910,8 @@ std::vector<CallReads> ModelReads(int nprocs, std::uint64_t db,
   }
   const auto p = static_cast<std::uint64_t>(nprocs);
   // Two-phase: contiguous [gmin, gmax) split into domains and windows on
-  // the grid; windows of a grid unit or more are rounded down to a
-  // multiple of it.
+  // the grid. Stripe windows of a stripe or more are rounded down to a
+  // stripe multiple, chunk windows up to a chunk multiple.
   CallReads coll;
   const std::uint64_t gmin = db + CollectiveRows(0, nprocs).first * kVCols;
   const std::uint64_t gmax =
@@ -1715,8 +1922,9 @@ std::vector<CallReads> ModelReads(int nprocs, std::uint64_t db,
   } else {
     const std::uint64_t origin = grid != nullptr ? db : 0;
     const std::uint64_t unit = grid != nullptr ? grid->chunk_size() : stripe;
-    const std::uint64_t win =
-        kVWindow >= unit ? kVWindow / unit * unit : kVWindow;
+    const std::uint64_t win = grid != nullptr ? (kVWindow + unit - 1) / unit * unit
+                              : kVWindow >= unit ? kVWindow / unit * unit
+                                                 : kVWindow;
     const std::uint64_t naggs = std::min<std::uint64_t>(kVAggs, p);
     const std::uint64_t base = origin + (gmin - origin) / unit * unit;
     const std::uint64_t per = (gmax - base + naggs - 1) / naggs;
@@ -1893,6 +2101,14 @@ TEST_P(VerifiedReadP, OneRequestPerRange) {
 #if PNC_IOSTAT_ENABLED
     EXPECT_EQ(on[i].verified, cost.chunks);
 #endif
+  }
+  if (nprocs > 1) {
+    // The 100,000-byte windows round up to the chunk grid, so the verified
+    // two-phase read makes no more window reads than the unverified one
+    // and fetches at most 1% more bytes.
+    ASSERT_EQ(kParallelCalls[0], ReadMode::kCollective);
+    EXPECT_LE(on[0].requests, off[0].requests);
+    EXPECT_LE(on[0].bytes * 100, off[0].bytes * 101);
   }
 }
 

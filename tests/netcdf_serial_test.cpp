@@ -395,10 +395,12 @@ TEST_F(SerialDataset, SyncPersistsNumrecs) {
   EXPECT_EQ(rd.numrecs(), 1u);
 }
 
-// Sync after every record append: the numrecs patch at offset 4 must not
-// evict the cached tail block, so the appends read nothing back from pfs
-// (the committed sums combine with the committed prefix and read nothing
-// either), and the reopened file holds every record that was written.
+// Sync after every record append: each Sync commits the count to the
+// journal slot alone, and Close's one numrecs patch at offset 4 goes past
+// the cache, so it cannot evict the cached tail block. The appends read
+// nothing back from pfs (the committed sums combine with the committed
+// prefix and read nothing either), and the reopened file holds every
+// record that was written.
 TEST_F(SerialDataset, SyncPerStepAppendReadsNothing) {
   CreateOptions opts;
   opts.buffer_size = 4096;  // the file outgrows one block after 4 steps

@@ -1,9 +1,13 @@
-// Tests for dataset comparison (ncmpidiff) and copying (nccopy).
+// Tests for dataset comparison (ncmpidiff) and copying (nccopy), and for
+// how the command-line tools attach a dataset on disk.
 #include "tools/compare.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <numeric>
+
+#include "tools/verify.hpp"
 
 namespace nctools {
 namespace {
@@ -118,6 +122,56 @@ TEST(Copy, ConvertsBetweenCdfVersions) {
 TEST(Copy, MissingSourceFails) {
   pfs::FileSystem fs;
   EXPECT_FALSE(CopyDataset(fs, "nope.nc", "out.nc").ok());
+}
+
+// A dataset on disk that was synced but never closed: the primary's own
+// numrecs field still holds EndDef's count, the journal beside it the
+// synced one. AttachDiskDataset attaches both, so the tools read the synced
+// record; the primary alone shows the count of its last Close.
+TEST(AttachDiskDataset, ReadersSeeTheSyncedCountOfAnUnclosedFile) {
+  const std::filesystem::path dir =
+      std::filesystem::current_path() / "attach_disk_dataset";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "g.nc").string();
+  const std::string jpath = ncformat::JournalPath(path);
+  const std::vector<float> row = {1.5f, 2.5f, 3.5f, 4.5f};
+  {
+    pfs::FileSystem fs;
+    ASSERT_TRUE(fs.CreateOnDisk(path, path).ok());
+    ASSERT_TRUE(fs.CreateOnDisk(jpath, jpath).ok());
+    auto ds = netcdf::Dataset::Create(fs, path).value();
+    const int t = ds.DefDim("time", netcdf::kUnlimited).value();
+    const int x = ds.DefDim("x", 4).value();
+    const int v = ds.DefVar("series", NcType::kFloat, {t, x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    const std::uint64_t st[] = {0, 0};
+    const std::uint64_t ct[] = {1, 4};
+    ASSERT_TRUE(ds.PutVara<float>(v, st, ct, row).ok());
+    ASSERT_TRUE(ds.Sync().ok());
+  }  // dropped without a Close
+  {
+    pfs::FileSystem fs;
+    ASSERT_TRUE(AttachDiskDataset(fs, path).ok());
+    auto ds = netcdf::Dataset::Open(fs, path, false);
+    ASSERT_TRUE(ds.ok()) << ds.status().message();
+    ASSERT_EQ(ds.value().numrecs(), 1u);
+    std::vector<float> got(4);
+    ASSERT_TRUE(ds.value().GetVar<float>(0, got).ok());
+    EXPECT_EQ(got, row);
+  }
+  {
+    pfs::FileSystem fs;
+    ASSERT_TRUE(fs.AttachDisk(path, path).ok());
+    EXPECT_EQ(netcdf::Dataset::Open(fs, path, false).value().numrecs(), 0u);
+  }
+  // With no journal beside it, the primary alone is attached.
+  std::filesystem::remove(jpath);
+  pfs::FileSystem fs;
+  ASSERT_TRUE(AttachDiskDataset(fs, path).ok());
+  EXPECT_TRUE(fs.Exists(path));
+  EXPECT_FALSE(fs.Exists(jpath));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
