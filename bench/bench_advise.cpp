@@ -9,23 +9,14 @@
 // `advised_not_faster` (applying the advice must improve virtual time).
 // bench/baselines/advise.json freezes all of them at zero tolerance.
 //
-// Determinism: the pfs grants requests in real-time call order, so the
-// mistuned phase's concurrent independent writes are issued in rank order
-// behind an IssueToken — plain process-level synchronization, no simmpi
-// messages, so rank clocks are untouched and the requests still overlap in
-// *virtual* time, the axis the servers actually arbitrate. Racing the rank
-// threads instead would let host scheduling pick which rank eats which
-// queue slot: one logical write expands into several sequential pfs
-// requests (sieve read-modify-write windows, checksum chunks), and once
-// per-rank clocks diverge mid-batch the grant order is no longer a multiset
-// invariant. The advised phase is collective with cb_nodes pinned to 1 (the
-// smoke-suite single-writer rule); the advisor's cb_nodes hint, if any, is
-// deliberately not applied for that reason.
+// Determinism: simmpi grants pfs requests in virtual-time order, so the
+// mistuned phase's concurrent independent writes (each one several
+// sequential pfs requests: sieve read-modify-write windows, checksum
+// chunks) queue at the servers in the same order on every run, and the
+// advised phase applies every hint the advisor gives, cb_nodes included.
 //
 // Usage: advise [--procs=4] [--hints=k=v,...]
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -44,25 +35,6 @@ void Accumulate(int* errors, const pnc::Status& st) {
   if (!st.ok()) ++*errors;
 }
 
-/// Rank-order issuance for concurrent independent calls (see the
-/// determinism note at the top of this file).
-struct IssueToken {
-  std::mutex mu;
-  std::condition_variable cv;
-  int turn = 0;
-
-  template <typename Fn>
-  void InTurn(int me, Fn&& fn) {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return turn == me; });
-    lk.unlock();
-    fn();
-    lk.lock();
-    ++turn;
-    cv.notify_all();
-  }
-};
-
 struct PhaseResult {
   double ms = 0;  ///< virtual makespan of the measured write, rank-0 clock
   int errors = 0;
@@ -74,7 +46,6 @@ PhaseResult RunWorkload(int nprocs, bool collective,
                         const simmpi::Info& info) {
   pfs::FileSystem fs;
   PhaseResult out;
-  IssueToken token;
   simmpi::Run(nprocs, [&](simmpi::Comm& c) {
     auto r = pnetcdf::Dataset::Create(c, fs, "advise.nc", info);
     if (!r.ok()) {
@@ -98,10 +69,8 @@ PhaseResult RunWorkload(int nprocs, bool collective,
     } else {
       Accumulate(&out.errors, ds.BeginIndepData());
       c.Barrier();  // co-locate the batch in virtual time
-      token.InTurn(c.rank(), [&] {
-        Accumulate(&out.errors,
-                   ds.PutVara<double>(v.value(), start, count, mine));
-      });
+      Accumulate(&out.errors,
+                 ds.PutVara<double>(v.value(), start, count, mine));
       Accumulate(&out.errors, ds.EndIndepData());
     }
     c.SyncClocksToMax();
@@ -142,12 +111,8 @@ int Run(const bench::Args& args, bench::Recorder& rec) {
   bool use_collective = false;
   for (const iostat::Recommendation& r : recs) {
     if (r.rule == "use-collective") use_collective = true;
-    // cb_nodes stays pinned below: multi-aggregator runs are not
-    // deterministic under the real-time pfs grant order.
-    if (!r.hint_key.empty() && r.hint_key != "cb_nodes")
-      good.Set(r.hint_key, r.hint_value);
+    if (!r.hint_key.empty()) good.Set(r.hint_key, r.hint_value);
   }
-  good.Set("cb_nodes", "1");
   bench::ApplyHintOverrides(args, good);
   iostat::Registry::Get().Reset();
   rec.BeginConfig();

@@ -11,11 +11,12 @@
 // or checksum behavior that shifts an outcome trips
 // `ncbench --suite=chaos --check`.
 //
-// Determinism: cb_nodes=1 keeps file I/O single-writer (see the smoke
-// suite note in suites.cpp); crashes are scripted by op index or virtual
-// time, drops by send index, stragglers are pure virtual-cost multipliers,
-// and every probabilistic corruption draws from a fixed-seed pfs PRNG
-// keyed by operation order — nothing depends on thread scheduling.
+// Determinism: simmpi grants pfs requests in virtual-time order, so the
+// pfs operation order is fixed with any number of aggregators; crashes are
+// scripted by op index or virtual time, drops by send index, stragglers
+// are pure virtual-cost multipliers, and every probabilistic corruption
+// draws from a fixed-seed pfs PRNG keyed by that operation order — nothing
+// depends on thread scheduling.
 //
 // The bitflip/decay schedules exercise the integrity subsystem end to end:
 //   bitflip_writes_p20   flips bits in write payloads during the write run;
@@ -267,7 +268,6 @@ Outcome RunOne(const Schedule& sched, int nprocs, const simmpi::Info& info) {
 
 int Run(const bench::Args& args, bench::Recorder& rec) {
   simmpi::Info info;
-  info.Set("cb_nodes", "1");  // single-writer determinism (see suites.cpp)
   bench::ApplyHintOverrides(args, info);
   const int nprocs = bench::ProcsList(args, {4})[0];
 

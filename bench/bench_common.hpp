@@ -78,8 +78,8 @@ class Args {
 
 /// Merge `--hints=key=value[,key=value...]` into `info`. Benches call this
 /// after setting their own hints, so a suite- or CLI-level override (e.g.
-/// `--hints=cb_nodes=1` for deterministic single-aggregator runs, or a
-/// deliberately degraded `cb_buffer_size` to demo the regression gate) wins.
+/// `--hints=cb_nodes=1` for a single-aggregator run, or a deliberately
+/// degraded `cb_buffer_size` to demo the regression gate) wins.
 inline void ApplyHintOverrides(const Args& args, simmpi::Info& info) {
   const std::string s = args.Get("hints", "");
   std::size_t pos = 0;

@@ -44,11 +44,10 @@ struct SuiteEntry {
   std::vector<std::string> args;
 };
 
-/// A named suite ncbench can run as a whole. The `smoke` suite is
-/// deterministic by construction (every entry is single-writer: one rank,
-/// or cb_nodes=1 so only one aggregator touches the simulated file system)
-/// — its consolidated output is byte-stable run to run and backs the
-/// committed regression baseline (bench/baselines/smoke.json).
+/// A named suite ncbench can run as a whole. Every suite is deterministic
+/// by construction (simmpi grants pfs requests in virtual-time order), so
+/// the consolidated output of `smoke` is byte-stable run to run and backs
+/// the committed regression baseline (bench/baselines/smoke.json).
 struct Suite {
   const char* name;
   const char* summary;

@@ -1,56 +1,49 @@
 // Named suites for ncbench. Entry args are exactly what the standalone
 // drivers accept; the suite layer only adds orchestration.
 //
-// Determinism note (why `smoke` looks the way it does): the pfs cost model
-// serves concurrent requests FCFS in *real-time* arrival order, so any
-// config where more than one rank thread touches the file system
-// concurrently can shift virtual completion times by scheduling noise (see
-// EXPERIMENTS.md "Notes on variance"). The smoke suite therefore pins every
-// entry to a single-writer shape — one process, or `--hints=cb_nodes=1` so
-// exactly one two-phase aggregator performs file I/O — which makes every
-// recorded metric (bandwidths included) an exact, byte-stable function of
-// the virtual-time model. That is what lets the committed baseline be
-// compared at zero tolerance.
+// Determinism note: simmpi grants pfs requests in virtual-time order
+// (simmpi/sched.hpp), so every recorded metric (bandwidths included) is an
+// exact, byte-stable function of the virtual-time model, with as many
+// two-phase aggregators as the configuration asks for. That is what lets
+// the committed baselines be compared at zero tolerance.
 #include "bench/registry.hpp"
 
 namespace bench {
 
 namespace {
 
-const char* kDet = "--hints=cb_nodes=1";
-
 std::vector<Suite> BuildSuites() {
   std::vector<Suite> s;
   s.push_back(
       {"smoke",
-       "fast deterministic regression suite (single-writer configs; backs "
+       "fast deterministic regression suite (backs "
        "bench/baselines/smoke.json)",
        {
            {"fig6_scalability",
-            {"--size=64mb", "--op=write", "--procs=1,4", kDet}},
+            {"--size=64mb", "--op=write", "--procs=1,4"}},
            {"fig7_flashio",
-            {"--file=checkpoint", "--block=8", "--procs=4", "--lib=pnetcdf",
-             kDet}},
-           {"ablation_collective", {"--mode=collective", kDet}},
-           {"ablation_twophase", {"--cb=enable", kDet}},
+            {"--file=checkpoint", "--block=8", "--procs=4",
+             "--lib=pnetcdf"}},
+           {"ablation_collective", {"--mode=collective"}},
+           {"ablation_twophase", {"--cb=enable"}},
            {"ablation_sieving", {"--op=read"}},
            {"ablation_header", {"--lib=pnetcdf"}},
-           {"ablation_servers", {kDet}},
-           {"ablation_nonblocking", {kDet}},
+           {"ablation_servers", {}},
+           {"ablation_nonblocking", {}},
        }});
   s.push_back(
       {"chaos",
        "rank-fault schedules x pfs faults: failure-semantics invariants "
        "(backs bench/baselines/chaos.json)",
        {
-           {"chaos_matrix", {"--procs=4", kDet}},
+           {"chaos_matrix", {"--procs=4"}},
        }});
   s.push_back(
       {"advise",
        "I/O tuning advisor closed loop: mistuned workload -> recommendations "
        "-> advised rerun (backs bench/baselines/advise.json)",
        {
-           {"advise", {"--procs=4", kDet}},
+           {"advise", {"--procs=4"}},
        }});
   s.push_back({"fig6",
                "full Figure 6 serial-vs-parallel scalability sweep",

@@ -97,17 +97,8 @@ pnc::Status File::WriteAtAll(std::uint64_t offset, const void* buf,
 
 pnc::Status File::Sync() {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "sync");
-  // Collective: rendezvous first so every rank issues its flush from the
-  // same virtual instant, then flush, then agree on one status. The leading
-  // rendezvous also makes the flushes' completion times independent of the
-  // real-time order in which the rank threads reach the pfs server queue —
-  // with a shared arrival time the queue delay is a deterministic function
-  // of the request count, which is what lets single-writer benchmark
-  // configurations produce byte-identical virtual-time results run to run
-  // (see bench/suites.cpp). Under an armed rank-fault policy a death at the
-  // rendezvous still lets the survivors flush their own data first; the
-  // closing agreement reports it.
-  (void)impl_->comm.TrySyncClocks();
+  // Collective: each rank flushes from its own clock, then every rank
+  // agrees on one status (which also settles the clocks at the latest).
   return impl_->comm.AgreeStatus(impl_->RetrySync());
 }
 
@@ -334,7 +325,7 @@ pnc::Status File::SievedTransfer(const std::vector<pnc::Extent>& segments,
       // ROMIO takes a file lock around sieved writes: the read-modify-write
       // of the covering range must not interleave with another client's RMW
       // of an overlapping range, or updates are lost.
-      std::unique_lock<std::mutex> rmw_lock;
+      std::unique_lock<pfs::RmwMutex> rmw_lock;
       if (holes) {
         rmw_lock = im.file.LockForRmw();
         PNC_RETURN_IF_ERROR(

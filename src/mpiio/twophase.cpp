@@ -440,9 +440,6 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       const pnc::Status xst = work.TryExchange(std::move(sendbufs), aggs,
                                                requesters, w, recvbufs);
       if (st.ok()) st = xst;
-      // pfs serves requests in host call order: no aggregator issues
-      // window w's write before every rank has issued window w-1's.
-      work.HostFence();
       PNC_OBSERVE(kXchgEnd, .t_ns = exchange_start, .end_ns = clk.now(),
                   .off = w);
 
@@ -610,10 +607,10 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
           copied = true;
         }
       }
-      // The next window's read goes out at this virtual time, before this
-      // window's replies.
-      const double next_issue_ns = clk.now();
-      if (copied) clk.Advance(cost.CopyCost(pending.span.covered));
+      // The next window's read goes out now, before this window's replies.
+      const std::uint64_t covered = pending.span.covered;
+      if (w + 1 < rounds) issue_read(w + 1, clk.now());
+      if (copied) clk.Advance(cost.CopyCost(covered));
       PNC_OBSERVE(kIoEnd, .t_ns = io_start, .end_ns = clk.now(), .off = w);
 
       // ---- ship the bytes back into each requester's packed buffer ----
@@ -623,7 +620,6 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       const pnc::Status rxst = work.TryExchange(std::move(replies), requesters,
                                                 aggs, w + 1, returned);
       if (st.ok()) st = rxst;
-      work.HostFence();
       for (std::size_t d = 0; d < naggs; ++d) {
         const Share* sh = share_at(d, w);
         if (sh == nullptr) continue;
@@ -643,12 +639,6 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       }
       PNC_OBSERVE(kXchgEnd, .t_ns = reply_start, .end_ns = clk.now(),
                   .off = w);
-      // The host makes that read only now, past the round's host fence,
-      // by which every aggregator has made its read of window w. pfs serves
-      // requests in call order, so this keeps each server's queue in window
-      // order, as the virtual times have it; called earlier, one
-      // aggregator's read-ahead could queue ahead of another's earlier read.
-      if (w + 1 < rounds) issue_read(w + 1, next_issue_ns);
     }
   }
   if (chan.hidden_ns() > 0)

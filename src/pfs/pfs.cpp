@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "iostat/observe.hpp"
+#include "util/turn.hpp"
 
 namespace pfs {
 
@@ -124,7 +125,7 @@ void FileStore::Truncate(std::uint64_t new_size) {
 struct File::Node {
   std::string path;
   std::mutex mu;  ///< serializes data access on this file
-  std::mutex rmw_mu;  ///< advisory lock spanning read-modify-write sequences
+  RmwMutex rmw;   ///< advisory lock spanning read-modify-write sequences
   std::unique_ptr<ByteStore> store;  ///< always a FaultyByteStore decorator
   FaultyByteStore* faulty = nullptr;  ///< same object, decorated view
   std::uint64_t discarded_size = 0;  ///< logical size under discard_data
@@ -132,6 +133,7 @@ struct File::Node {
 
 double File::HarnessRead(std::uint64_t offset, pnc::ByteSpan out,
                          double start_ns) {
+  pnc::turn::Request(start_ns);
   {
     std::lock_guard<std::mutex> lk(node_->mu);
     node_->store->Read(offset, out);
@@ -142,6 +144,7 @@ double File::HarnessRead(std::uint64_t offset, pnc::ByteSpan out,
 
 double File::HarnessWrite(std::uint64_t offset, pnc::ConstByteSpan data,
                           double start_ns) {
+  pnc::turn::Request(start_ns);
   {
     std::lock_guard<std::mutex> lk(node_->mu);
     if (fs_->cfg_.discard_data) {
@@ -157,6 +160,7 @@ double File::HarnessWrite(std::uint64_t offset, pnc::ConstByteSpan data,
 
 IoResult File::TryRead(std::uint64_t offset, pnc::ByteSpan out,
                        double start_ns) {
+  pnc::turn::Request(start_ns);
   FaultyByteStore::Outcome oc;
   {
     std::lock_guard<std::mutex> lk(node_->mu);
@@ -180,6 +184,7 @@ IoResult File::TryRead(std::uint64_t offset, pnc::ByteSpan out,
 
 IoResult File::TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
                         double start_ns) {
+  pnc::turn::Request(start_ns);
   FaultyByteStore::Outcome oc;
   {
     std::lock_guard<std::mutex> lk(node_->mu);
@@ -224,6 +229,7 @@ IoResult File::TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
 }
 
 IoResult File::TrySync(double start_ns) {
+  pnc::turn::Request(start_ns);
   const FaultDecision d =
       fs_->injector_->Decide(/*is_write=*/true, 0, /*server=*/0, start_ns);
   const double done =
@@ -267,12 +273,34 @@ void File::Truncate(std::uint64_t new_size) {
 }
 
 double File::HarnessSync(double start_ns) {
+  pnc::turn::Request(start_ns);
   // A sync is a zero-payload round trip to the servers.
   return fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns);
 }
 
-std::unique_lock<std::mutex> File::LockForRmw() {
-  return std::unique_lock<std::mutex>(node_->rmw_mu);
+std::unique_lock<RmwMutex> File::LockForRmw() {
+  return std::unique_lock<RmwMutex>(node_->rmw);
+}
+
+// ---------------------------------------------------------------- RmwMutex
+
+void RmwMutex::lock() {
+  if (pnc::turn::t_hook != nullptr)
+    pnc::turn::t_hook->WaitUntil([this] {
+      std::lock_guard<std::mutex> lk(mu_);
+      return !held_;
+    });
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_.wait(lk, [this] { return !held_; });
+  held_ = true;
+}
+
+void RmwMutex::unlock() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    held_ = false;
+  }
+  cv_.notify_all();
 }
 
 const std::string& File::path() const { return node_->path; }
@@ -454,10 +482,8 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
     }
     if (len == 0) {
       // Zero-length flush: a metadata round-trip to server 0 that does not
-      // occupy the data pipeline. It observes the queue but must not extend
-      // it — collective flushes arrive concurrently from every rank, and a
-      // request that mutated the server timeline would make the makespan
-      // depend on real-time arrival order (nondeterministic virtual time).
+      // occupy the data pipeline. It waits behind the data queued before
+      // it but does not extend the queue for the data that follows.
       const double begin = std::max(arrival, servers_[0].next_free);
       const double done = begin + cfg_.server_request_ns;
       PNC_OBSERVE(kPfsSync, .t_ns = begin, .end_ns = done,

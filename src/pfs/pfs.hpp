@@ -19,6 +19,7 @@
 // so correctness tests read back real data; only *time* is simulated.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -176,6 +177,20 @@ class FaultyByteStore final : public ByteStore {
 
 class FileSystem;
 
+/// The lock File::LockForRmw takes. Its holder keeps it across pfs
+/// requests, so a simmpi rank waits for it at a scheduling point
+/// (pnc::turn::Hook::WaitUntil), never on the host while it holds the turn.
+class RmwMutex {
+ public:
+  void lock();
+  void unlock();
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;  ///< guarded by mu_
+};
+
 /// Outcome of a fault-aware I/O call on pfs::File.
 struct IoResult {
   pnc::Status status;             ///< kIoTransient: retry may succeed
@@ -228,7 +243,7 @@ class File {
   /// byte-range lock ROMIO takes around data-sieving writes). Concurrent
   /// independent RMW windows from different clients would otherwise lose
   /// updates.
-  [[nodiscard]] std::unique_lock<std::mutex> LockForRmw();
+  [[nodiscard]] std::unique_lock<RmwMutex> LockForRmw();
 
   [[nodiscard]] const std::string& path() const;
 

@@ -25,11 +25,12 @@ struct CostModel {
   // Local work.
   double mem_copy_ns_per_byte = 0.35; ///< pack/unpack, sieving copies
   double sw_overhead_ns = 2'000.0;    ///< per library call bookkeeping
-  // Hang watchdog (REAL time, not virtual): a blocking Recv that sees no
-  // matching message for this long dumps every rank's wait state to stderr
-  // and aborts, so a mismatched collective fails the suite instead of
-  // deadlocking it. 0 disables. The PNC_HANG_TIMEOUT_MS environment
-  // variable, when set, overrides this value.
+  // Hang watchdog: while on, a deadlock (no rank can run, e.g. a
+  // mismatched collective) dumps every rank's wait state to stderr and
+  // aborts at once, and so does a rank that keeps the turn this long (REAL
+  // time, not virtual) without reaching a scheduling point (sched.hpp). 0
+  // disables. The PNC_HANG_TIMEOUT_MS environment variable, when set,
+  // overrides this value.
   double hang_timeout_ms = 30'000.0;
 
   [[nodiscard]] double MessageCost(std::uint64_t bytes) const {

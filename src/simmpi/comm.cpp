@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -15,54 +14,41 @@ namespace simmpi {
 
 namespace detail {
 
-SharedState::SharedState(int world_size, CostModel cm) : cost(cm) {
-  mailboxes.reserve(world_size);
-  for (int i = 0; i < world_size; ++i)
-    mailboxes.push_back(std::make_unique<Mailbox>());
-  clocks.resize(world_size);
-  waits.resize(world_size);
-  // Checked parse: "PNC_HANG_TIMEOUT_MS=3O000" must not silently disable
-  // the watchdog the way atof's 0.0 fallback would.
-  hang_timeout_ms =
-      pnc::util::EnvDouble("PNC_HANG_TIMEOUT_MS", cm.hang_timeout_ms);
-}
+SharedState::SharedState(int world_size, CostModel cm)
+    : cost(cm),
+      mailboxes(static_cast<std::size_t>(world_size)),
+      clocks(static_cast<std::size_t>(world_size)),
+      // Checked parse: "PNC_HANG_TIMEOUT_MS=3O000" must not silently
+      // disable the watchdog the way atof's 0.0 fallback would.
+      hang_timeout_ms(
+          pnc::util::EnvDouble("PNC_HANG_TIMEOUT_MS", cm.hang_timeout_ms)),
+      waits(static_cast<std::size_t>(world_size)),
+      sched(world_size, clocks, hang_timeout_ms,
+            [this](const char* what, int running) {
+              DumpHangAndAbort(what, running);
+            }) {}
 
 void SharedState::ArmRankFaults(const RankFaultPolicy& policy) {
   const auto n = mailboxes.size();
   rfault.policy = policy;
-  rfault.dead = std::make_unique<std::atomic<bool>[]>(n);
-  for (std::size_t i = 0; i < n; ++i) rfault.dead[i].store(false);
+  rfault.dead.assign(n, 0);
   rfault.ops.assign(n, 0);
   rfault.sends.assign(n, 0);
   rfault.armed = true;
 }
 
 void SharedState::MarkRankDead(int world_rank) {
-  rfault.dead[world_rank].store(true, std::memory_order_release);
-  {
-    // A pending agreement round whose only missing participants just died
-    // is now complete; finalize so its waiters wake with the death folded.
-    std::lock_guard<std::mutex> lk(rfault.mu);
-    for (auto& [ctx, slot] : rfault.slots) MaybeFinalizeAgreeLocked(slot);
-  }
-  {
-    // A fence whose only missing members just died is now complete.
-    std::lock_guard<std::mutex> lk(fence_mu);
-    for (auto& [ctx, f] : fences) MaybeEndFenceLocked(f);
-  }
-  fence_cv.notify_all();
-  // Wake every blocked receiver so dead-source predicates re-evaluate. The
-  // empty critical section pairs with the predicate check under box.m: a
-  // receiver is either before its check (it will see the flag) or parked in
-  // wait (it gets this notify) — never between, losing both.
-  for (auto& box : mailboxes) {
-    { std::lock_guard<std::mutex> lk(box->m); }
-    box->cv.notify_all();
-  }
+  rfault.dead[world_rank] = 1;
+  // A pending agreement round whose only missing participants just died is
+  // now complete; finalize so its waiters wake with the death folded.
+  for (auto& [ctx, slot] : rfault.slots) MaybeFinalizeAgree(slot);
+  // Wake every blocked receiver so dead-source predicates re-evaluate.
+  for (std::size_t r = 0; r < waits.size(); ++r)
+    if (waits[r].waiting) sched.Wake(static_cast<int>(r), clocks[r].now());
 }
 
-void SharedState::MaybeFinalizeAgreeLocked(AgreeSlot& slot) {
-  if (slot.done || slot.members.empty()) return;
+void SharedState::MaybeFinalizeAgree(AgreeSlot& slot) {
+  if (slot.members.empty()) return;
   int arrivals = 0;
   for (std::size_t i = 0; i < slot.members.size(); ++i) {
     if (slot.arrived[i]) {
@@ -72,68 +58,49 @@ void SharedState::MaybeFinalizeAgreeLocked(AgreeSlot& slot) {
     if (!RankDeadWorld(slot.members[i])) return;  // still expected
   }
   if (arrivals == 0) return;  // idle slot poked by MarkRankDead
-  slot.any_dead = false;
-  slot.alive.clear();
+  auto round = std::make_shared<AgreeSlot::Round>();
+  AgreeOutcome& o = round->outcome;
   double tmax = 0.0;
   for (std::size_t i = 0; i < slot.members.size(); ++i) {
     if (RankDeadWorld(slot.members[i])) {
-      slot.any_dead = true;
+      o.any_dead = true;
     } else {
-      slot.alive.push_back(static_cast<int>(i));
+      o.alive.push_back(static_cast<int>(i));
       tmax = std::max(tmax, slot.times[i]);
     }
   }
-  slot.result = slot.fold;
+  o.min_value = slot.fold;
   // Charge what a dissemination allreduce over the survivors would cost.
   int rounds = 0;
-  for (std::size_t n = 1; n < slot.alive.size(); n <<= 1) ++rounds;
-  slot.result_time =
-      tmax + rounds * cost.MessageCost(8) + cost.sw_overhead_ns;
-  slot.live_ctx = 0;
-  if (slot.any_dead) {
-    // Survivors will re-form on a subset communicator; a fresh context
-    // keeps any pre-death traffic still queued under the old one from
-    // matching into the new group's collectives.
-    std::lock_guard<std::mutex> clk(ctx_mutex);
-    slot.live_ctx = next_ctx++;
-  }
+  for (std::size_t n = 1; n < o.alive.size(); n <<= 1) ++rounds;
+  round->time = tmax + rounds * cost.MessageCost(8) + cost.sw_overhead_ns;
+  // Survivors will re-form on a subset communicator; a fresh context keeps
+  // any pre-death traffic still queued under the old one from matching into
+  // the new group's collectives.
+  if (o.any_dead) o.live_ctx = next_ctx++;
   ++rfault.counters.agreements;
-  if (slot.any_dead) ++rfault.counters.agreements_failed;
-  slot.collected = 0;
-  slot.done = true;
-  slot.cv.notify_all();
+  if (o.any_dead) ++rfault.counters.agreements_failed;
+  for (const int i : o.alive) {
+    slot.outcome[static_cast<std::size_t>(i)] = round;
+    sched.Wake(slot.members[static_cast<std::size_t>(i)], round->time);
+  }
+  slot.arrived.assign(slot.members.size(), 0);
+  slot.times.assign(slot.members.size(), 0.0);
+  slot.fold = std::numeric_limits<std::int64_t>::max();
 }
 
-void SharedState::MaybeEndFenceLocked(FenceSlot& f) {
-  if (f.arrived == 0) return;
-  std::size_t live = 0;
-  for (const int m : f.members) live += RankDeadWorld(m) ? 0 : 1;
-  if (f.arrived < live) return;
-  f.arrived = 0;
-  ++f.gen;
-}
-
-void SharedState::DumpHangAndAbort(int world_rank) {
-  std::lock_guard<std::mutex> lk(trace_mutex);
-  std::fprintf(stderr,
-               "simmpi: hang watchdog: rank %d received no matching message "
-               "(or passed no host fence) for %.0f ms (PNC_HANG_TIMEOUT_MS); "
-               "per-rank state:\n",
-               world_rank, hang_timeout_ms);
-  for (std::size_t r = 0; r < waits.size(); ++r) {
+void SharedState::DumpHangAndAbort(const char* what, int running) {
+  std::fprintf(stderr, "simmpi: hang watchdog: %s (PNC_HANG_TIMEOUT_MS=%.0f)",
+               what, hang_timeout_ms);
+  if (running >= 0)
+    std::fprintf(stderr, ": rank %d has run for the whole timeout\n",
+                 running);
+  else
+    std::fprintf(stderr, "; per-rank state:\n");
+  for (std::size_t r = 0; running < 0 && r < waits.size(); ++r) {
     const WaitRecord& w = waits[r];
-    std::size_t pending = 0;
-    {
-      std::lock_guard<std::mutex> blk(mailboxes[r]->m);
-      pending = mailboxes[r]->q.size();
-    }
-    if (w.fenced) {
-      std::fprintf(stderr,
-                   "  rank %zu: BLOCKED in HostFence(ctx=%d), %llu receives "
-                   "done, %zu unmatched messages queued\n",
-                   r, w.ctx, static_cast<unsigned long long>(w.recvs),
-                   pending);
-    } else if (w.waiting) {
+    const std::size_t pending = mailboxes[r].size();
+    if (w.waiting) {
       std::fprintf(stderr,
                    "  rank %zu: BLOCKED in Recv(src=%d, tag=%d, ctx=%d), "
                    "%llu receives done, %zu unmatched messages queued\n",
@@ -253,10 +220,7 @@ void Comm::CrashSelf() {
   // dead rank's last act to the originating API call.
   PNC_OBSERVE(kRankCrash, .t_ns = clock().now(),
               .off = state_->rfault.ops[world_rank_]);
-  {
-    std::lock_guard<std::mutex> lk(state_->rfault.mu);
-    ++state_->rfault.counters.crashes;
-  }
+  ++state_->rfault.counters.crashes;
   state_->MarkRankDead(world_rank_);
   throw RankCrash{world_rank_};
 }
@@ -287,7 +251,6 @@ void Comm::SendInternal(int dst, int tag, pnc::ConstByteSpan data) {
     if (cost_factor != 1.0) {
       PNC_OBSERVE(kStraggle, .t_ns = clk.now(), .len = data.size(),
                   .peer = members_[dst]);
-      std::lock_guard<std::mutex> lk(rf.mu);
       ++rf.counters.straggled_sends;
     }
     const std::uint64_t send_index = rf.sends[world_rank_]++;
@@ -304,19 +267,19 @@ void Comm::SendInternal(int dst, int tag, pnc::ConstByteSpan data) {
     if (drop) {
       PNC_OBSERVE(kMsgDrop, .t_ns = clk.now(), .len = data.size(),
                   .peer = members_[dst]);
-      std::lock_guard<std::mutex> lk(rf.mu);
       ++rf.counters.dropped_messages;
       return;  // vanished in transit; the sender already paid its costs
     }
     if (state_->RankDeadWorld(members_[dst])) return;  // no one to deliver to
   }
 
-  auto& box = *state_->mailboxes[members_[dst]];
-  {
-    std::lock_guard<std::mutex> lk(box.m);
-    box.q.push_back(std::move(msg));
-  }
-  box.cv.notify_all();
+  // A receiver parked on this envelope resumes when the payload arrives.
+  const int to = members_[dst];
+  const detail::WaitRecord& w = state_->waits[to];
+  if (w.waiting && w.ctx == ctx_ && (w.src == kAnySource || w.src == rank_) &&
+      (w.tag == kAnyTag ? tag >= 0 : w.tag == tag))
+    state_->sched.Wake(to, std::max(state_->clocks[to].now(), msg.arrive_time));
+  state_->mailboxes[to].push_back(std::move(msg));
 }
 
 std::vector<std::byte> Comm::Recv(int src, int tag, int* actual_src,
@@ -340,56 +303,37 @@ bool Comm::RecvImpl(int src, int tag, int* actual_src, int* actual_tag,
     }
     MaybeCrashSelf();
   }
-  auto& box = *state_->mailboxes[world_rank_];
-  {
-    std::lock_guard<std::mutex> tlk(state_->trace_mutex);
-    auto& w = state_->waits[world_rank_];
-    w.waiting = true;
-    w.src = src;
-    w.tag = tag;
-    w.ctx = ctx_;
-  }
-  std::unique_lock<std::mutex> lk(box.m);
-  detail::Message msg;
+  auto& box = state_->mailboxes[world_rank_];
   auto matches = [&](const detail::Message& m) {
     return m.ctx == ctx_ && (src == kAnySource || m.world_src == src) &&
            (tag == kAnyTag ? m.tag >= 0 : m.tag == tag);
   };
   // Under an armed fault policy, a dead source also ends the wait: the
-  // queue is drained of anything it sent before dying first (the `matches`
-  // arm of the predicate), then its death becomes observable.
+  // queue is drained of anything it sent before dying first, then its death
+  // becomes observable.
   auto src_dead = [&] {
     return state_->rfault.armed && src != kAnySource &&
            state_->RankDeadWorld(members_[src]);
   };
-  auto ready = [&] {
-    return std::any_of(box.q.begin(), box.q.end(), matches) || src_dead();
-  };
-  if (state_->hang_timeout_ms > 0) {
-    // Watchdog: a receive that sees nothing for the timeout is a deadlock
-    // (a mismatched or dropped collective); dump and abort rather than hang
-    // the whole suite.
-    const auto timeout =
-        std::chrono::duration<double, std::milli>(state_->hang_timeout_ms);
-    while (!box.cv.wait_for(lk, timeout, ready)) {
-      lk.unlock();
-      state_->DumpHangAndAbort(world_rank_);
-    }
-  } else {
-    box.cv.wait(lk, ready);
+  auto it = std::find_if(box.begin(), box.end(), matches);
+  if (it == box.end() && !src_dead()) {
+    // Scheduling point: park until a matching send (or a death) wakes us.
+    auto& w = state_->waits[world_rank_];
+    w.waiting = true;
+    w.src = src;
+    w.tag = tag;
+    w.ctx = ctx_;
+    do {
+      state_->sched.Block(world_rank_);
+      it = std::find_if(box.begin(), box.end(), matches);
+    } while (it == box.end() && !src_dead());
+    w.waiting = false;
   }
-  auto it = std::find_if(box.q.begin(), box.q.end(), matches);
-  if (it == box.q.end()) {
+  if (it == box.end()) {
     // Woken by the source's death, nothing left to deliver.
-    lk.unlock();
-    {
-      std::lock_guard<std::mutex> tlk(state_->trace_mutex);
-      auto& w = state_->waits[world_rank_];
-      w.waiting = false;
-    }
     if (!ft) {
       // A non-FT wait on a crashed rank is a caller bug under an armed
-      // policy; fail fast with a diagnostic instead of a watchdog stall.
+      // policy; fail fast with a diagnostic.
       std::fprintf(stderr,
                    "simmpi: rank %d failed while rank %d waited in a "
                    "non-fault-tolerant Recv(src=%d, tag=%d, ctx=%d)\n",
@@ -401,15 +345,9 @@ bool Comm::RecvImpl(int src, int tag, int* actual_src, int* actual_tag,
     out.clear();
     return false;
   }
-  msg = std::move(*it);
-  box.q.erase(it);
-  lk.unlock();
-  {
-    std::lock_guard<std::mutex> tlk(state_->trace_mutex);
-    auto& w = state_->waits[world_rank_];
-    w.waiting = false;
-    ++w.recvs;
-  }
+  detail::Message msg = std::move(*it);
+  box.erase(it);
+  ++state_->waits[world_rank_].recvs;
 
   auto& clk = clock();
   clk.AdvanceTo(msg.arrive_time);
@@ -621,10 +559,7 @@ Comm Comm::Dup() {
   if (state_->rfault.armed && SelfDead())
     return Comm(state_, ctx_, members_, rank_);
   int new_ctx = 0;
-  if (rank_ == 0) {
-    std::lock_guard<std::mutex> lk(state_->ctx_mutex);
-    new_ctx = state_->next_ctx++;
-  }
+  if (rank_ == 0) new_ctx = state_->next_ctx++;
   BcastValue(new_ctx, 0);
   return Comm(state_, new_ctx, members_, rank_);
 }
@@ -662,7 +597,6 @@ Comm Comm::Split(int color, int key) {
   colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
   int ctx_base = 0;
   if (rank_ == 0) {
-    std::lock_guard<std::mutex> lk(state_->ctx_mutex);
     ctx_base = state_->next_ctx;
     state_->next_ctx += static_cast<int>(colors.size());
   }
@@ -685,38 +619,6 @@ void Comm::SyncClocksToMax() {
   clock().AdvanceTo(t);
 }
 
-void Comm::HostFence() {
-  if (size() == 1 || (state_->rfault.armed && SelfDead())) return;
-  auto& st = *state_;
-  const auto set_fenced = [&](bool on) {  // for the hang watchdog's dump
-    std::lock_guard<std::mutex> tlk(st.trace_mutex);
-    st.waits[world_rank_].fenced = on;
-    st.waits[world_rank_].ctx = ctx_;
-  };
-  set_fenced(true);
-  std::unique_lock<std::mutex> lk(st.fence_mu);
-  detail::FenceSlot& f = st.fences[ctx_];
-  if (f.members.empty()) f.members = members_;
-  const std::uint64_t gen = f.gen;
-  ++f.arrived;
-  st.MaybeEndFenceLocked(f);
-  const auto done = [&] { return f.gen != gen; };
-  if (done()) {
-    st.fence_cv.notify_all();
-  } else if (st.hang_timeout_ms > 0) {
-    const auto timeout =
-        std::chrono::duration<double, std::milli>(st.hang_timeout_ms);
-    if (!st.fence_cv.wait_for(lk, timeout, done)) {
-      lk.unlock();
-      st.DumpHangAndAbort(world_rank_);
-    }
-  } else {
-    st.fence_cv.wait(lk, done);
-  }
-  lk.unlock();
-  set_fenced(false);
-}
-
 AgreeOutcome Comm::AgreeFT(std::int64_t value) {
   assert(state_->rfault.armed && "AgreeFT requires an armed RankFaultPolicy");
   AgreeOutcome out;
@@ -727,41 +629,25 @@ AgreeOutcome Comm::AgreeFT(std::int64_t value) {
   }
   MaybeCrashSelf();
   PNC_OBSERVE(kCollective);
-  auto& rf = state_->rfault;
   const double t_arrive = clock().now();
-  std::unique_lock<std::mutex> lk(rf.mu);
-  detail::AgreeSlot& slot = rf.slots[ctx_];
+  detail::AgreeSlot& slot = state_->rfault.slots[ctx_];
   if (slot.members.empty()) {
-    slot.members.reserve(members_.size());
-    for (int m : members_) slot.members.push_back(m);
+    slot.members = members_;
     slot.arrived.assign(members_.size(), 0);
     slot.times.assign(members_.size(), 0.0);
     slot.fold = std::numeric_limits<std::int64_t>::max();
+    slot.outcome.resize(members_.size());
   }
-  // A fast rank can lap the round: wait until the previous outcome has been
-  // collected by every participant before contributing to the next.
-  slot.cv.wait(lk, [&] { return !slot.done; });
-  const int round = slot.round;
   slot.arrived[rank_] = 1;
   slot.times[rank_] = t_arrive;
   slot.fold = std::min(slot.fold, value);
-  state_->MaybeFinalizeAgreeLocked(slot);
-  slot.cv.wait(lk, [&] { return slot.done && slot.round == round; });
-  out.min_value = slot.result;
-  out.any_dead = slot.any_dead;
-  out.alive = slot.alive;
-  out.live_ctx = slot.live_ctx;
-  const double t_done = slot.result_time;
-  if (++slot.collected == static_cast<int>(slot.alive.size())) {
-    // Last collector resets the slot for this context's next round.
-    slot.arrived.assign(slot.members.size(), 0);
-    slot.times.assign(slot.members.size(), 0.0);
-    slot.fold = std::numeric_limits<std::int64_t>::max();
-    slot.done = false;
-    ++slot.round;
-    slot.cv.notify_all();
-  }
-  lk.unlock();
+  state_->MaybeFinalizeAgree(slot);
+  // Scheduling point: park until the round completes.
+  while (!slot.outcome[rank_]) state_->sched.Block(world_rank_);
+  const std::shared_ptr<const detail::AgreeSlot::Round> round =
+      std::move(slot.outcome[rank_]);
+  out = round->outcome;
+  const double t_done = round->time;
   clock().AdvanceTo(t_done);
   PNC_OBSERVE(kAgreement, .t_ns = clock().now(),
               .n = static_cast<std::uint64_t>(out.alive.size()),

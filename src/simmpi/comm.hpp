@@ -1,6 +1,8 @@
 // Thread-backed MPI communicator subset.
 //
-// Ranks are std::threads inside one process (see runtime.hpp). The message-
+// Ranks are std::threads inside one process (see runtime.hpp) that take
+// turns: one runs at a time, picked by virtual time (sched.hpp), so the
+// state below needs no locks of its own. The message-
 // passing semantics follow MPI: buffered point-to-point sends with
 // (source, tag, context) matching, and collectives implemented over
 // point-to-point with the classic binomial-tree / dissemination algorithms so
@@ -11,20 +13,18 @@
 // virtual clocks exactly where real ranks would block.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "simmpi/clock.hpp"
 #include "simmpi/rankfault.hpp"
+#include "simmpi/sched.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
 
@@ -46,16 +46,12 @@ struct Message {
   std::vector<std::byte> data;
 };
 
-struct Mailbox {
-  std::mutex m;
-  std::condition_variable cv;
-  std::deque<Message> q;
-};
+using Mailbox = std::deque<Message>;
 
-/// What a rank is blocked on, for the hang watchdog's dump.
+/// What a rank is blocked on: a send wakes it when the message matches, and
+/// the hang watchdog's dump prints it.
 struct WaitRecord {
   bool waiting = false;
-  bool fenced = false;            ///< waiting in HostFence, not in Recv
   int src = 0, tag = 0, ctx = 0;  ///< envelope being waited for
   std::uint64_t recvs = 0;        ///< receives completed so far
 };
@@ -65,75 +61,57 @@ struct WaitRecord {
 /// (some peers already consumed its contribution, others fold in a failure),
 /// so agreement runs through shared memory instead: a round completes when
 /// every live member has arrived, and its outcome — fold, survivor set,
-/// fresh context — is computed once, in one critical section, and handed to
-/// every waiter identically. Virtual cost is charged as if a dissemination
-/// allreduce had run. Guarded by RankFaultState::mu.
+/// fresh context — is computed once and handed to every waiter identically.
+/// Virtual cost is charged as if a dissemination allreduce had run.
 struct AgreeSlot {
-  std::condition_variable cv;
+  /// A completed round, shared by every survivor that took part.
+  struct Round {
+    AgreeOutcome outcome;
+    double time = 0.0;  ///< virtual completion time
+  };
   std::vector<int> members;           ///< world ranks (fixed per ctx)
   std::vector<std::uint8_t> arrived;  ///< per comm rank, this round
   std::vector<double> times;          ///< arrival clocks, this round
   std::int64_t fold = 0;              ///< running min of arrived values
-  int round = 0;
-  bool done = false;  ///< round finalized, waiters may collect
-  int collected = 0;  ///< waiters that consumed the outcome
-  // Finalized outcome (valid while done):
-  std::int64_t result = 0;
-  bool any_dead = false;
-  std::vector<int> alive;  ///< comm-relative ranks
-  double result_time = 0.0;
-  int live_ctx = 0;
-};
-
-/// One host-time fence, keyed by communicator context (Comm::HostFence):
-/// generation `gen` ends once every live member has arrived. Guarded by
-/// SharedState::fence_mu.
-struct FenceSlot {
-  std::vector<int> members;  ///< world ranks (fixed per ctx)
-  std::size_t arrived = 0;
-  std::uint64_t gen = 0;
+  /// Per comm rank: the finished round it has yet to collect. A fast rank
+  /// may join the next round before a slow one collects this one.
+  std::vector<std::shared_ptr<const Round>> outcome;
 };
 
 /// Rank-fault injection state (see rankfault.hpp). Armed once, before the
-/// rank threads start; `dead` flags are the only fields peers read hot.
+/// rank threads start.
 struct RankFaultState {
   bool armed = false;
   RankFaultPolicy policy;
-  std::unique_ptr<std::atomic<bool>[]> dead;  ///< indexed by world rank
-  std::vector<std::uint64_t> ops;    ///< per-rank op counter (owner thread)
-  std::vector<std::uint64_t> sends;  ///< per-rank send counter (owner thread)
-  std::mutex mu;  ///< guards counters and agree slots
+  std::vector<std::uint8_t> dead;    ///< indexed by world rank
+  std::vector<std::uint64_t> ops;    ///< per-rank op counter
+  std::vector<std::uint64_t> sends;  ///< per-rank send counter
   RankFaultCounters counters;
   std::map<int, AgreeSlot> slots;  ///< agreement monitors, keyed by ctx
 };
 
-/// State shared by all ranks of a Runtime instance.
+/// State shared by all ranks of a Runtime instance. Only the rank holding
+/// the turn touches it.
 struct SharedState {
   explicit SharedState(int world_size, CostModel cm);
 
   CostModel cost;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes;  ///< indexed by world rank
-  std::vector<VirtualClock> clocks;                 ///< indexed by world rank
-  std::mutex ctx_mutex;
+  std::vector<Mailbox> mailboxes;    ///< indexed by world rank
+  std::vector<VirtualClock> clocks;  ///< indexed by world rank
   int next_ctx = 1;  ///< context 0 is the world communicator
 
   // Hang watchdog: resolved timeout (CostModel value, PNC_HANG_TIMEOUT_MS
   // env override) and the per-rank wait trace it dumps before aborting.
   double hang_timeout_ms = 0.0;
-  std::mutex trace_mutex;
   std::vector<WaitRecord> waits;  ///< indexed by world rank
 
-  /// Print every rank's wait state and the mailbox depths, then abort.
-  /// Called by the rank whose Recv (or host fence) timed out.
-  [[noreturn]] void DumpHangAndAbort(int world_rank);
+  /// Print `what` and every rank's flight-recorder tail, then abort. The
+  /// scheduler calls it on a deadlock (`running` == -1: every rank is
+  /// parked, so their wait states and mailbox depths are printed too) or on
+  /// a turn stalled in rank `running`, whose state is still live.
+  [[noreturn]] void DumpHangAndAbort(const char* what, int running);
 
-  // Host-time fences (Comm::HostFence), all on one condition variable.
-  std::mutex fence_mu;
-  std::condition_variable fence_cv;
-  std::map<int, FenceSlot> fences;
-  /// End `f`'s generation if every live member has arrived. Caller holds
-  /// fence_mu.
-  void MaybeEndFenceLocked(FenceSlot& f);
+  Scheduler sched;
 
   // --- rank-fault injection (inactive until armed) ---
   RankFaultState rfault;
@@ -144,8 +122,7 @@ struct SharedState {
 
   /// True when `world_rank` has crashed.
   [[nodiscard]] bool RankDeadWorld(int world_rank) const {
-    return rfault.armed &&
-           rfault.dead[world_rank].load(std::memory_order_acquire);
+    return rfault.armed && rfault.dead[world_rank] != 0;
   }
 
   /// Flag `world_rank` dead, wake every blocked receiver, and re-evaluate
@@ -153,9 +130,9 @@ struct SharedState {
   /// just died is now complete). Called by the dying rank itself.
   void MarkRankDead(int world_rank);
 
-  /// Finalize `slot`'s current round if every live member has arrived.
-  /// Caller holds rfault.mu.
-  void MaybeFinalizeAgreeLocked(AgreeSlot& slot);
+  /// Finalize `slot`'s current round if every live member has arrived, and
+  /// wake its waiters.
+  void MaybeFinalizeAgree(AgreeSlot& slot);
 };
 
 Comm MakeComm(std::shared_ptr<SharedState> state, std::vector<int> members,
@@ -382,14 +359,6 @@ class Comm {
   /// Synchronize all member clocks to the maximum (used at collective I/O
   /// boundaries where the slowest rank gates completion).
   void SyncClocksToMax();
-
-  /// Hold this rank's thread until every live member has called HostFence
-  /// the same number of times. It sends nothing and charges no virtual
-  /// time: it paces host threads only. pfs serves requests in host call
-  /// order, so two-phase I/O fences each exchange round to keep every
-  /// aggregator within one window of the others on the host, as the
-  /// virtual times have them. A member's death releases the fence.
-  void HostFence();
 
  private:
   friend Comm detail::MakeComm(std::shared_ptr<detail::SharedState>,

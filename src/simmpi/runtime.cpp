@@ -7,8 +7,28 @@
 #include <thread>
 
 #include "iostat/observe.hpp"
+#include "util/turn.hpp"
 
 namespace simmpi {
+
+namespace {
+
+/// A rank thread's pnc::turn hook: its pfs requests and lock waits are
+/// scheduling points of the world's scheduler.
+class Turn final : public pnc::turn::Hook {
+ public:
+  Turn(detail::Scheduler& sched, int rank) : sched_(sched), rank_(rank) {}
+  void Request(double start_ns) override { sched_.Yield(rank_, start_ns); }
+  void WaitUntil(const std::function<bool()>& ready) override {
+    sched_.WaitUntil(rank_, ready);
+  }
+
+ private:
+  detail::Scheduler& sched_;
+  int rank_;
+};
+
+}  // namespace
 
 RunResult Run(int nprocs, const std::function<void(Comm&)>& body,
               const CostModel& cost) {
@@ -30,14 +50,21 @@ RunResult Run(int nprocs, const std::function<void(Comm&)>& body,
   for (int r = 0; r < nprocs; ++r) {
     threads.emplace_back([&, r] {
       PNC_IOSTAT_BIND_RANK(r);
-      Comm comm = detail::MakeComm(state, members, r);
-      try {
-        body(comm);
-      } catch (const RankCrash&) {
-        // Scripted death, already flagged in shared state; not an error.
-      } catch (...) {
-        errors[r] = std::current_exception();
+      Turn turn(state->sched, r);
+      pnc::turn::t_hook = &turn;
+      state->sched.Enter(r);
+      {
+        Comm comm = detail::MakeComm(state, members, r);
+        try {
+          body(comm);
+        } catch (const RankCrash&) {
+          // Scripted death, already flagged in shared state; not an error.
+        } catch (...) {
+          errors[r] = std::current_exception();
+        }
       }
+      state->sched.Exit(r);
+      pnc::turn::t_hook = nullptr;
     });
   }
   for (auto& t : threads) t.join();

@@ -22,9 +22,11 @@ struct RunResult {
 };
 
 /// Launch `nprocs` ranks, each executing `body(world_comm)` on its own
-/// thread, and join them. Exceptions thrown by any rank are re-thrown in the
-/// caller after all ranks have been joined. Each call creates a fresh world
-/// (fresh mailboxes and clocks); state does not leak between runs.
+/// thread, and join them. The threads take turns, least virtual time first
+/// (sched.hpp), so a run's virtual times do not depend on the host.
+/// Exceptions thrown by any rank are re-thrown in the caller after all
+/// ranks have been joined. Each call creates a fresh world (fresh mailboxes
+/// and clocks); state does not leak between runs.
 RunResult Run(int nprocs, const std::function<void(Comm&)>& body,
               const CostModel& cost = CostModel{});
 

@@ -291,39 +291,7 @@ TEST_P(CollectiveP, BarrierSynchronizesClocks) {
   });
 }
 
-// A host fence holds every thread until all members have arrived, so no
-// rank runs more than one fence ahead, and it charges no virtual time.
-TEST_P(CollectiveP, HostFencePacesThreadsAtNoVirtualCost) {
-  std::atomic<int> arrived{0};
-  simmpi::Run(GetParam(), [&](Comm& c) {
-    c.clock().Advance(100.0 * c.rank());
-    for (int round = 1; round <= 20; ++round) {
-      arrived.fetch_add(1);
-      const double t = c.clock().now();
-      c.HostFence();
-      EXPECT_GE(arrived.load(), round * c.size());
-      EXPECT_LE(arrived.load(), (round + 1) * c.size());
-      EXPECT_EQ(c.clock().now(), t);
-    }
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveP, ::testing::Values(1, 2, 3, 4, 7, 8, 16));
-
-// A member that dies before it reaches a fence releases the survivors
-// waiting there, and the fences after it count only the living.
-TEST(HostFence, ADeathReleasesTheSurvivors) {
-  RankFaultPolicy faults;
-  faults.crashes.push_back({2, 0, -1.0});  // rank 2's first op
-  const RunResult run = simmpi::Run(
-      4,
-      [](Comm& c) {
-        if (c.rank() == 2) (void)c.TryBarrier();  // dies here
-        for (int i = 0; i < 3; ++i) c.HostFence();
-      },
-      CostModel{}, faults);
-  EXPECT_EQ(run.crashed_ranks, (std::vector<int>{2}));
-}
 
 TEST(CommManagement, DupIsolatesTraffic) {
   simmpi::Run(2, [](Comm& c) {
