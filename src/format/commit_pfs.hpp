@@ -1,4 +1,5 @@
-// CommitIo adapter over a pfs::File (header-only; consumers link simpfs +
+// CommitIo adapter over a pfs::File, and the storage half of a CommitPath
+// for a dataset in a pfs::FileSystem (header-only; consumers link simpfs +
 // simmpi themselves).
 //
 // Routes every journal/primary access through the fault-injected Try* path
@@ -10,9 +11,12 @@
 // the data path — which is the whole point of committing through it.
 #pragma once
 
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "format/commit.hpp"
+#include "format/session.hpp"
 #include "pfs/pfs.hpp"
 #include "simmpi/clock.hpp"
 #include "util/retry.hpp"
@@ -60,6 +64,35 @@ class PfsCommitIo final : public CommitIo {
   pfs::File file_;
   simmpi::VirtualClock* clock_;
   pnc::util::RetryPolicy retry_;  ///< defaults + PNC_RETRY_* env + jitter
+};
+
+/// The journal and the raw primary of dataset `path` in `fs`, both through
+/// PfsCommitIo charged to `clock`.
+class PfsCommitPath : public CommitPath {
+ public:
+  PfsCommitPath(pfs::FileSystem* fs, std::string path,
+                simmpi::VirtualClock* clock)
+      : fs_(fs), path_(std::move(path)), clock_(clock) {}
+
+  bool JournalExists() override { return fs_->Exists(JournalPath(path_)); }
+  pnc::Result<std::unique_ptr<CommitIo>> OpenJournal(bool create) override {
+    return Wrap(create ? fs_->Create(JournalPath(path_), /*exclusive=*/false)
+                       : fs_->Open(JournalPath(path_)));
+  }
+  pnc::Result<std::unique_ptr<CommitIo>> OpenRawPrimary() override {
+    return Wrap(fs_->Open(path_));
+  }
+
+ private:
+  pnc::Result<std::unique_ptr<CommitIo>> Wrap(pnc::Result<pfs::File> f) {
+    if (!f.ok()) return f.status();
+    return std::unique_ptr<CommitIo>(
+        std::make_unique<PfsCommitIo>(std::move(f).value(), clock_));
+  }
+
+  pfs::FileSystem* fs_;
+  std::string path_;
+  simmpi::VirtualClock* clock_;
 };
 
 }  // namespace ncformat

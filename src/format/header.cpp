@@ -242,6 +242,116 @@ std::uint64_t Header::FileSize() const {
   return end;
 }
 
+// ------------------------------------------------------------------ edits
+
+pnc::Result<int> Header::DefDim(const std::string& name, std::uint64_t len) {
+  if (FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
+  if (len == kUnlimitedLen && unlimited_dimid() >= 0)
+    return pnc::Status(pnc::Err::kUnlimit, name);
+  if (dims.size() >= kMaxDims) return pnc::Status(pnc::Err::kMaxDims);
+  dims.push_back({name, len});
+  return static_cast<int>(dims.size()) - 1;
+}
+
+pnc::Result<int> Header::DefVar(const std::string& name, NcType type,
+                                std::vector<std::int32_t> dimids) {
+  if (FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
+  if (vars.size() >= kMaxVars) return pnc::Status(pnc::Err::kMaxVars);
+  if (!IsValidType(static_cast<std::int32_t>(type)))
+    return pnc::Status(pnc::Err::kBadType, name);
+  for (std::size_t i = 0; i < dimids.size(); ++i) {
+    const auto d = dimids[i];
+    if (d < 0 || static_cast<std::size_t>(d) >= dims.size())
+      return pnc::Status(pnc::Err::kBadDim, name);
+    if (dims[static_cast<std::size_t>(d)].is_unlimited() && i != 0)
+      return pnc::Status(pnc::Err::kUnlimPos, name);
+  }
+  Var v;
+  v.name = name;
+  v.type = type;
+  v.dimids = std::move(dimids);
+  vars.push_back(std::move(v));
+  return static_cast<int>(vars.size()) - 1;
+}
+
+pnc::Status Header::RenameDim(int dimid, const std::string& name) {
+  if (dimid < 0 || static_cast<std::size_t>(dimid) >= dims.size())
+    return pnc::Status(pnc::Err::kBadDim);
+  if (FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
+  dims[static_cast<std::size_t>(dimid)].name = name;
+  return pnc::Status::Ok();
+}
+
+pnc::Status Header::RenameVar(int varid, const std::string& name) {
+  if (varid < 0 || static_cast<std::size_t>(varid) >= vars.size())
+    return pnc::Status(pnc::Err::kNotVar);
+  if (FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
+  vars[static_cast<std::size_t>(varid)].name = name;
+  return pnc::Status::Ok();
+}
+
+namespace {
+template <typename H>
+auto AttrListOf(H& h, int varid)
+    -> pnc::Result<decltype(&h.gatts)> {
+  if (varid == kGlobalVarId) return &h.gatts;
+  if (varid < 0 || static_cast<std::size_t>(varid) >= h.vars.size())
+    return pnc::Status(pnc::Err::kNotVar);
+  return &h.vars[static_cast<std::size_t>(varid)].attrs;
+}
+
+template <typename List>
+auto FindAttrIn(List& attrs, std::string_view name) {
+  return std::find_if(attrs.begin(), attrs.end(),
+                      [&](const Attr& a) { return a.name == name; });
+}
+}  // namespace
+
+pnc::Status Header::PutAtt(int varid, Attr att, bool defining) {
+  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs, AttrListOf(*this, varid));
+  const auto it = FindAttrIn(*attrs, att.name);
+  if (!defining && (it == attrs->end() || att.type != it->type ||
+                    att.data.size() > it->data.size()))
+    return pnc::Status(pnc::Err::kNotInDefine, att.name);
+  if (it != attrs->end()) {
+    *it = std::move(att);
+    return pnc::Status::Ok();
+  }
+  if (attrs->size() >= kMaxAttrs) return pnc::Status(pnc::Err::kMaxAtts);
+  attrs->push_back(std::move(att));
+  return pnc::Status::Ok();
+}
+
+pnc::Result<Attr> Header::GetAtt(int varid, std::string_view name) const {
+  PNC_ASSIGN_OR_RETURN(const std::vector<Attr>* attrs,
+                       AttrListOf(*this, varid));
+  const auto it = FindAttrIn(*attrs, name);
+  if (it == attrs->end())
+    return pnc::Status(pnc::Err::kNotAtt, std::string(name));
+  return *it;
+}
+
+pnc::Status Header::DelAtt(int varid, std::string_view name) {
+  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs, AttrListOf(*this, varid));
+  const auto it = FindAttrIn(*attrs, name);
+  if (it == attrs->end())
+    return pnc::Status(pnc::Err::kNotAtt, std::string(name));
+  attrs->erase(it);
+  return pnc::Status::Ok();
+}
+
+pnc::Status Header::RenameAtt(int varid, std::string_view old_name,
+                              const std::string& new_name) {
+  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs, AttrListOf(*this, varid));
+  if (FindAttrIn(*attrs, new_name) != attrs->end())
+    return pnc::Status(pnc::Err::kNameInUse, new_name);
+  const auto it = FindAttrIn(*attrs, old_name);
+  if (it == attrs->end())
+    return pnc::Status(pnc::Err::kNotAtt, std::string(old_name));
+  it->name = new_name;
+  return pnc::Status::Ok();
+}
+
 pnc::Status Header::Validate() const {
   if (version != 1 && version != 2)
     return pnc::Status(pnc::Err::kNotNc, "bad version");

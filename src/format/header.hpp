@@ -30,6 +30,8 @@ namespace ncformat {
 
 /// Dimension length value marking the unlimited (record) dimension.
 constexpr std::uint64_t kUnlimitedLen = 0;
+/// Variable id naming the global attributes in the attribute edits.
+constexpr int kGlobalVarId = -1;
 
 /// Classic-format limits (from netcdf.h).
 constexpr std::size_t kMaxName = 256;
@@ -102,6 +104,24 @@ struct Header {
   [[nodiscard]] std::uint64_t data_begin() const;
   /// Total file bytes implied by the header (fixed part + numrecs records).
   [[nodiscard]] std::uint64_t FileSize() const;
+
+  // ---- define-mode and attribute edits ----
+  // The netCDF define-mode and attribute functions, with their error codes.
+  // Both libraries check their mode, then forward here.
+  pnc::Result<int> DefDim(const std::string& name, std::uint64_t len);
+  pnc::Result<int> DefVar(const std::string& name, NcType type,
+                          std::vector<std::int32_t> dimids);
+  [[nodiscard]] pnc::Status RenameDim(int dimid, const std::string& name);
+  [[nodiscard]] pnc::Status RenameVar(int varid, const std::string& name);
+  /// Add or replace attribute `att` of `varid` (kGlobalVarId: global). Out
+  /// of define mode only an existing attribute may be replaced, by one of
+  /// its type that is no larger: the header cannot grow without a relayout.
+  [[nodiscard]] pnc::Status PutAtt(int varid, Attr att, bool defining);
+  [[nodiscard]] pnc::Result<Attr> GetAtt(int varid,
+                                         std::string_view name) const;
+  [[nodiscard]] pnc::Status DelAtt(int varid, std::string_view name);
+  [[nodiscard]] pnc::Status RenameAtt(int varid, std::string_view old_name,
+                                      const std::string& new_name);
 
   // ---- validation & layout ----
   /// Check naming rules, dimension/variable constraints, and format limits.

@@ -14,10 +14,13 @@
 namespace ncformat {
 
 /// read_at(offset, out) must fill `out` from the file (zero-filling past
-/// EOF) or return the storage error. `file_size` bounds the growth.
+/// EOF) or return the storage error. `file_size` bounds the growth; a file
+/// shorter than the 4-byte magic is not netCDF (kNotNc).
 inline pnc::Result<Header> ReadHeader(
     std::uint64_t file_size,
     const std::function<pnc::Status(std::uint64_t, pnc::ByteSpan)>& read_at) {
+  if (file_size < 4)
+    return pnc::Status(pnc::Err::kNotNc, "shorter than the netCDF magic");
   std::uint64_t try_size = 8 * 1024;
   for (;;) {
     const std::uint64_t n = std::min(try_size, file_size);

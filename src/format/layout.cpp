@@ -1,5 +1,7 @@
 #include "format/layout.hpp"
 
+#include <algorithm>
+
 namespace ncformat {
 
 std::uint64_t AccessElems(std::span<const std::uint64_t> count) {
@@ -116,6 +118,32 @@ void AccessRegions(const Header& h, int varid,
       idx[d] = 0;
     }
   }
+}
+
+pnc::Result<std::vector<RelayoutMove>> RelayoutMoves(
+    const Header& old_header, const Header& new_header) {
+  std::vector<RelayoutMove> moves;
+  for (std::size_t i = 0; i < old_header.vars.size(); ++i) {
+    const auto& ov = old_header.vars[i];
+    const int nid = new_header.FindVar(ov.name);
+    if (nid < 0) continue;  // vars cannot be deleted, but be defensive
+    const auto& nv = new_header.vars[static_cast<std::size_t>(nid)];
+    if (!old_header.IsRecordVar(static_cast<int>(i))) {
+      moves.push_back({ov.begin, nv.begin, ov.vsize});
+      continue;
+    }
+    for (std::uint64_t r = 0; r < old_header.numrecs; ++r)
+      moves.push_back({ov.begin + r * old_header.recsize(),
+                       nv.begin + r * new_header.recsize(), ov.vsize});
+  }
+  std::sort(moves.begin(), moves.end(),
+            [](const RelayoutMove& a, const RelayoutMove& b) {
+              return a.to > b.to;
+            });
+  for (const auto& m : moves)
+    if (m.to < m.from)
+      return pnc::Status(pnc::Err::kInternal, "relayout moved data backwards");
+  return moves;
 }
 
 }  // namespace ncformat

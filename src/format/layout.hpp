@@ -44,4 +44,18 @@ void AccessRegions(const Header& h, int varid,
 /// Number of elements selected by `count` (product; 1 for scalars).
 std::uint64_t AccessElems(std::span<const std::uint64_t> count);
 
+/// One contiguous copy of a relayout: `len` bytes from `from` to `to`.
+struct RelayoutMove {
+  std::uint64_t from = 0, to = 0, len = 0;
+};
+
+/// The copies that move the data of `old_header` to where `new_header`
+/// places it after re-entering define mode grew the header: each fixed
+/// variable whole, each record variable record by record. Destinations
+/// never precede their sources (the header only grows), so the list comes
+/// highest destination first, the one order that never clobbers unmoved
+/// data. kInternal if some copy would move data backwards.
+pnc::Result<std::vector<RelayoutMove>> RelayoutMoves(
+    const Header& old_header, const Header& new_header);
+
 }  // namespace ncformat

@@ -28,7 +28,7 @@ namespace netcdf {
 /// Pass as the dimension length to DefDim for the unlimited dimension.
 constexpr std::uint64_t kUnlimited = 0;
 /// Pass as varid to the attribute functions for global attributes.
-constexpr int kGlobal = -1;
+constexpr int kGlobal = ncformat::kGlobalVarId;
 
 /// Fill behaviour (nc_set_fill). Default here is NoFill: unwritten regions
 /// read back as zero bytes. Fill mode writes the classic fill values.
@@ -67,7 +67,8 @@ class Dataset {
   pnc::Status EndDef();
   pnc::Status Sync();
   pnc::Status Close();
-  /// Discard changes made in define mode; a freshly created file is deleted.
+  /// Close, discarding changes made in define mode since the last Redef;
+  /// a freshly created file still in its first define mode is deleted.
   pnc::Status Abort();
   pnc::Status SetFill(FillMode m);
 
@@ -163,12 +164,6 @@ class Dataset {
                           std::span<const std::uint64_t> count,
                           std::span<const std::uint64_t> stride,
                           pnc::ByteSpan external);
-  pnc::Status WriteHeader();
-  /// The Sync/Close commit: data durable, then one journal commit of the
-  /// record count and chunk-sum table (closed when `closing`). Close then
-  /// patches the primary's numrecs field when it trails the committed count
-  /// (a file without a journal is patched at every commit that grew it).
-  pnc::Status CommitData(bool closing);
   pnc::Status MoveDataForRelayout(const ncformat::Header& old_header);
   pnc::Status FillVariable(int varid, std::uint64_t rec_from,
                            std::uint64_t rec_to);

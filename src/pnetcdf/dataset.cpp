@@ -3,22 +3,56 @@
 #include <algorithm>
 #include <cstring>
 
-#include "format/commit.hpp"
 #include "format/commit_pfs.hpp"
+#include "format/session.hpp"
 #include "format/sums.hpp"
 #include "iostat/observe.hpp"
 
 namespace pnetcdf {
 
 using ncformat::Attr;
+using ncformat::CommitPoint;
 using ncformat::Header;
 using ncformat::NcType;
+
+namespace {
+
+/// The parallel library's commit path, root-performed (§4.2.1 pattern: the
+/// root does the metadata I/O and shares the outcome). The root's primary
+/// goes through its MPI-IO handle: independent reads and writes, and a
+/// local sync. No write-back buffer: a Close that journals no grown count
+/// and no sums leaves the data to the file close.
+class CollectivePath final : public ncformat::PfsCommitPath {
+ public:
+  explicit CollectivePath(Dataset::Impl& im);
+  bool write_back() const override { return false; }
+  bool root() const override;
+  pnc::Status Read(std::uint64_t offset, pnc::ByteSpan out) override;
+  pnc::Status Write(std::uint64_t offset, pnc::ConstByteSpan data) override;
+  pnc::Status Sync() override;
+  std::uint64_t Size() override;
+  pnc::Status WriteHeader(pnc::ConstByteSpan bytes) override {
+    return Write(0, bytes);
+  }
+  pnc::Status SyncData() override;
+  pnc::Status MaxAcross(std::uint64_t& v) override;
+  pnc::Status ShareValue(int& v) override;
+  pnc::Status Share(std::vector<std::byte>& bytes) override;
+  pnc::Status Barrier() override;
+  pnc::Status GatherDirty(ncformat::ChunkSumMap& sums) override;
+
+ private:
+  Dataset::Impl& im_;
+};
+
+}  // namespace
 
 struct Dataset::Impl {
   Impl(simmpi::Comm c, pfs::FileSystem* filesystem, mpiio::File f,
        std::string p, bool w, simmpi::Info i)
       : comm(std::move(c)), fs(filesystem), file(std::move(f)),
-        path(std::move(p)), writable(w), info(std::move(i)) {}
+        path(std::move(p)), writable(w), info(std::move(i)),
+        commit_path(*this), session(commit_path, writable) {}
 
   simmpi::Comm comm;
   pfs::FileSystem* fs;
@@ -34,17 +68,6 @@ struct Dataset::Impl {
   std::optional<Header> pre_redef;
   std::uint64_t header_align = 0;  ///< nc_header_align_size hint
 
-  // Crash consistency (§4.2.1 pattern: the root performs the metadata I/O).
-  // `journaled` is agreed on all ranks so the collective syncs that order
-  // data before metadata stay aligned; the journal handle and committed
-  // state live on rank 0 only. Absent for a legacy file (one without a
-  // journal) opened read-only or with PNC_SUMS=0; such a session keeps the
-  // pre-journal in-place update behaviour. A writable open with sums on
-  // starts a journal (SetupOpenSums).
-  bool journaled = false;
-  std::optional<ncformat::PfsCommitIo> journal;
-  std::optional<ncformat::CommitState> commit;
-
   // Sticky degradation under an armed rank-fault schedule: once any
   // collective on this dataset observed a peer death, further data-mode
   // calls refuse with kRankFailed and Close skips the collective commit
@@ -52,73 +75,35 @@ struct Dataset::Impl {
   // no table to trust). Survivors shrink the communicator (Comm::AgreeFT +
   // LiveSubsetFT) and reopen.
   bool rank_failed = false;
-
-  // Data integrity (format/sums.hpp), committed through the journal, so it
-  // needs one. `sums_on` is agreed on all ranks; every rank holds the
-  // geometry and the chunks its own writes dirtied. The root also holds the
-  // committed entries: it alone resolves the gathered dirty chunks against
-  // them and commits the table. Verification is attached only for
-  // read-only opens, whose ranks all get the committed table: in a writable
-  // parallel session a peer's write invalidates chunks this rank cannot
-  // see, so inline verification would flag fresh peer data as corrupt.
-  // Writable sessions maintain the map only; scrub and later read-only
-  // opens get the protection.
-  bool sums_on = false;
-  ncformat::ChunkSumMap sums;
   bool data_corrupt = false;  ///< sticky: a read surfaced kDataCorrupt
 
-  // The record count of the last commit (Open, a header write, Sync, Close),
-  // the same on every rank. Collective writes converge `header.numrecs` in
-  // memory only; a commit that finds it past this count commits it.
-  std::uint64_t committed_numrecs = 0;
-  // The primary's numrecs field trails `committed_numrecs`: a Sync of a
-  // journaled file commits the count to the journal slot alone. Only the
-  // closing commit (and a header write) catches the field up. The same on
-  // every rank.
-  bool primary_lags = false;
+  // Crash consistency and data integrity (format/session.hpp): the journal
+  // and the commit in force live on the root; every rank keeps the sum
+  // geometry and the chunks its own writes dirtied. Verification is
+  // attached only for read-only opens, whose ranks all get the committed
+  // table: in a writable parallel session a peer's write invalidates chunks
+  // this rank cannot see, so inline verification would flag fresh peer data
+  // as corrupt. Writable sessions maintain the map only; scrub and later
+  // read-only opens get the protection.
+  CollectivePath commit_path;
+  ncformat::CommitSession session;
 
-  pnc::Status SetupOpenSums(bool root_torn,
-                            pnc::ConstByteSpan journal_prefix);
-  pnc::Status CommitCollective(bool closing);
-  pnc::Status RootCommit(const std::vector<std::vector<std::byte>>& dirty,
-                         bool resolve, bool patch, bool closing);
-  /// Root only: commit the current header (as `header_bytes`), record
-  /// count and, with sums on and `!open`, the root's table through the
-  /// journal.
-  pnc::Status CommitToJournal(pnc::ConstByteSpan header_bytes, bool open) {
-    return ncformat::Commit(*journal, header_bytes, header.numrecs,
-                            sums_on ? &sums : nullptr, open, commit);
+  void AttachSums() {
+    if (session.sums_on()) file.AttachSums(&session.sums(), !writable);
+  }
+  pnc::Status Commit(CommitPoint at) {
+    file.ClearView();
+    return session.Commit(at, header);
+  }
+  /// EndDef's, or a data-mode PutAtt's, header commit.
+  pnc::Status CommitHeader() {
+    PNC_IOSTAT_REQ_SCOPE("write_header", "", comm.clock().now(),
+                         std::uint64_t{0}, 1);
+    return Commit(CommitPoint::kHeader);
   }
 };
 
 namespace {
-
-std::vector<std::byte> EncodeHeader(const Header& h) {
-  std::vector<std::byte> bytes;
-  h.Encode(bytes);
-  return bytes;
-}
-
-/// The root's primary, through its MPI-IO handle, as the numrecs patch
-/// writes it: one independent write and a local sync.
-class PrimaryIo final : public ncformat::CommitIo {
- public:
-  explicit PrimaryIo(mpiio::File& file) : file_(file) {}
-  pnc::Status Read(std::uint64_t offset, pnc::ByteSpan out) override {
-    return file_.ReadAt(offset, out.data(), out.size(), simmpi::ByteType());
-  }
-  pnc::Status Write(std::uint64_t offset, pnc::ConstByteSpan data) override {
-    return file_.WriteAt(offset, data.data(), data.size(), simmpi::ByteType());
-  }
-  pnc::Status Sync() override { return file_.SyncLocal(); }
-  std::uint64_t Size() override {
-    const auto size = file_.GetSize();
-    return size.ok() ? size.value() : 0;
-  }
-
- private:
-  mpiio::File& file_;
-};
 
 /// Sticky degradation for statuses coming back from a collective: the
 /// simmpi status collectives and the mpiio layer's own failure agreement
@@ -127,6 +112,58 @@ pnc::Status Track(Dataset::Impl& im, pnc::Status st) {
   if (st.code() == pnc::Err::kRankFailed) im.rank_failed = true;
   if (st.code() == pnc::Err::kDataCorrupt) im.data_corrupt = true;
   return st;
+}
+
+CollectivePath::CollectivePath(Dataset::Impl& im)
+    : PfsCommitPath(im.fs, im.path, &im.comm.clock()), im_(im) {}
+
+bool CollectivePath::root() const { return im_.comm.rank() == 0; }
+
+pnc::Status CollectivePath::Read(std::uint64_t offset, pnc::ByteSpan out) {
+  return im_.file.ReadAt(offset, out.data(), out.size(), simmpi::ByteType());
+}
+
+pnc::Status CollectivePath::Write(std::uint64_t offset,
+                                  pnc::ConstByteSpan data) {
+  return im_.file.WriteAt(offset, data.data(), data.size(),
+                          simmpi::ByteType());
+}
+
+pnc::Status CollectivePath::Sync() { return im_.file.SyncLocal(); }
+
+std::uint64_t CollectivePath::Size() {
+  const auto size = im_.file.GetSize();
+  return size.ok() ? size.value() : 0;
+}
+
+pnc::Status CollectivePath::SyncData() { return Track(im_, im_.file.Sync()); }
+
+pnc::Status CollectivePath::MaxAcross(std::uint64_t& v) {
+  return Track(im_, im_.comm.TryAllreduceMax(v));
+}
+
+pnc::Status CollectivePath::ShareValue(int& v) {
+  return Track(im_, im_.comm.TryBcastValue(v, 0));
+}
+
+pnc::Status CollectivePath::Share(std::vector<std::byte>& bytes) {
+  return Track(im_, im_.comm.TryBcast(bytes, 0));
+}
+
+pnc::Status CollectivePath::Barrier() {
+  return Track(im_, im_.comm.TryBarrier());
+}
+
+pnc::Status CollectivePath::GatherDirty(ncformat::ChunkSumMap& sums) {
+  const std::vector<std::byte> local = sums.EncodeDirty();
+  std::vector<std::vector<std::byte>> dirty;
+  PNC_RETURN_IF_ERROR(Track(
+      im_, im_.comm.TryGather(pnc::ConstByteSpan(local.data(), local.size()),
+                              0, dirty)));
+  if (!root()) return pnc::Status::Ok();
+  sums.ClearDirty();  // the root's own chunks come back in dirty[0]
+  for (const auto& blob : dirty) sums.MergeDirty(blob);
+  return pnc::Status::Ok();
 }
 
 /// The root's status code, agreed, then a rendezvous: every rank returns
@@ -138,145 +175,6 @@ pnc::Status AgreeRootStatus(Dataset::Impl& im, int err, const char* what) {
 }
 
 }  // namespace
-
-/// Arm the integrity subsystem at Open. The root reads the committed table
-/// from the journal and decides trust; a writable session then commits the
-/// OPEN flag before any data write can land. The root broadcasts what the
-/// other ranks need: for a writable session only the geometry, for a
-/// read-only one, which verifies, the whole committed table. An empty
-/// broadcast means the subsystem stays off (read-only with nothing
-/// trustworthy, or a torn header body whose in-memory repair does not match
-/// the on-disk bytes). The table rides the journal, so a writable open of a
-/// file without one (a legacy file) starts one on the root; that OPEN
-/// commit is its first. `journal_prefix` holds the journal bytes the
-/// recovery check read; a table inside it is not read again.
-pnc::Status Dataset::Impl::SetupOpenSums(bool root_torn,
-                                         pnc::ConstByteSpan journal_prefix) {
-  if (!ncformat::SumsEnabled() || (!journaled && !writable))
-    return pnc::Status::Ok();
-  int err = 0;
-  std::vector<std::byte> table;
-  if (comm.rank() == 0 && !journal) {
-    auto jf = fs->Create(ncformat::JournalPath(path), /*exclusive=*/false);
-    if (jf.ok()) {
-      journal.emplace(std::move(jf).value(), &comm.clock());
-    } else {
-      err = jf.status().raw();
-    }
-  }
-  if (comm.rank() == 0 && err == 0 && !root_torn) {
-    std::optional<ncformat::ChunkSumMap> loaded;
-    if (commit) {
-      auto l = ncformat::ReadCommittedSums(*journal, *commit, journal_prefix);
-      if (l.ok()) {
-        loaded = std::move(l).value();
-      } else {
-        err = l.status().raw();
-      }
-    }
-    const std::uint64_t db = ncformat::SumsDataBegin(header);
-    // A table whose recorded geometry disagrees with the live header is
-    // discarded rather than risking false corruption verdicts.
-    const bool trusted = loaded && loaded->data_begin() == db;
-    if (err == 0 && (writable || trusted)) {
-      if (trusted) {
-        sums = *std::move(loaded);
-      } else {
-        sums.Clear();
-        sums.SetGeometry(ncformat::SumChunkSize(), db);
-      }
-      sums_on = true;
-      if (writable) {
-        err = CommitToJournal(EncodeHeader(header), /*open=*/true).raw();
-        ncformat::ChunkSumMap geometry;
-        geometry.SetGeometry(sums.chunk_size(), sums.data_begin());
-        table = geometry.EncodeTable();
-      } else {
-        table = sums.EncodeTable();
-      }
-    }
-  }
-  PNC_RETURN_IF_ERROR(Track(*this, comm.TryBcastValue(err, 0)));
-  if (err != 0)
-    return pnc::Status(static_cast<pnc::Err>(err), "chunk-sum table open");
-  journaled = true;
-  PNC_RETURN_IF_ERROR(Track(*this, comm.TryBcast(table, 0)));
-  if (table.empty()) return pnc::Status::Ok();
-  if (comm.rank() != 0) {
-    auto m = ncformat::ChunkSumMap::DecodeTable(table);
-    if (!m.ok()) return m.status();
-    sums = std::move(m).value();
-  }
-  sums_on = true;
-  file.AttachSums(&sums, /*verify=*/!writable);
-  return pnc::Status::Ok();
-}
-
-/// The collective commit of a Sync or Close. Record counts converge first.
-/// It makes every rank's data durable with one collective sync, gathers
-/// each rank's dirty chunks to the root, and the root resolves them and
-/// makes one journal commit: session-OPEN at Sync, closed and carrying the
-/// table at Close. The journal slot is where a Sync commits the record
-/// count; Close then patches the primary's numrecs field when it trails (a
-/// file without a journal is patched at every commit that grew it). One
-/// status agreement ends it.
-pnc::Status Dataset::Impl::CommitCollective(bool closing) {
-  std::uint64_t global = header.numrecs;
-  PNC_RETURN_IF_ERROR(Track(*this, comm.TryAllreduceMax(global)));
-  header.numrecs = global;
-  // The counts, `primary_lags` and `journaled` are the same on every rank,
-  // so no decision here needs an agreement.
-  const bool grew = global != committed_numrecs;
-  const bool resolve = sums_on && writable;
-  const bool commit_now = writable && (grew || resolve);
-  const bool patch =
-      writable && (grew || primary_lags) && (closing || !journaled);
-  // The record count grows, and sums are committed, only after the data
-  // they describe is durable on every rank (all-old-or-all-new for a crash
-  // between data and count). A Sync makes the data durable regardless.
-  if (!closing || (commit_now && journaled))
-    PNC_RETURN_IF_ERROR(Track(*this, file.Sync()));
-  if (!commit_now && !patch) return pnc::Status::Ok();
-  file.ClearView();
-  std::vector<std::vector<std::byte>> dirty;
-  if (resolve) {
-    const std::vector<std::byte> local = sums.EncodeDirty();
-    PNC_RETURN_IF_ERROR(Track(
-        *this, comm.TryGather(pnc::ConstByteSpan(local.data(), local.size()),
-                              0, dirty)));
-  }
-  int err = 0;
-  if (comm.rank() == 0) err = RootCommit(dirty, resolve, patch, closing).raw();
-  PNC_RETURN_IF_ERROR(AgreeRootStatus(*this, err, "commit failed"));
-  if (resolve) sums.ClearDirty();
-  committed_numrecs = global;
-  primary_lags = !patch && (primary_lags || grew);
-  return pnc::Status::Ok();
-}
-
-/// The root's half of a collective commit: resolve the gathered dirty
-/// chunks (combining fragments that tile a chunk, reading back only the
-/// chunks they do not), commit through the journal, then, with `patch`,
-/// write and sync the primary's numrecs field.
-pnc::Status Dataset::Impl::RootCommit(
-    const std::vector<std::vector<std::byte>>& dirty, bool resolve,
-    bool patch, bool closing) {
-  if (resolve) {
-    sums.ClearDirty();  // the root's own chunks come back in dirty[0]
-    for (const auto& blob : dirty) sums.MergeDirty(blob);
-    const std::uint64_t fsize =
-        file.GetSize().ok() ? file.GetSize().value() : 0;
-    PNC_RETURN_IF_ERROR(sums.ResolveDirty(
-        fsize, [this](std::uint64_t o, pnc::ByteSpan out) {
-          return file.ReadAt(o, out.data(), out.size(), simmpi::ByteType());
-        }));
-  }
-  if (journal)
-    PNC_RETURN_IF_ERROR(CommitToJournal(EncodeHeader(header), !closing));
-  if (!patch) return pnc::Status::Ok();
-  PrimaryIo primary(file);
-  return ncformat::WritePrimaryNumrecs(primary, header.numrecs);
-}
 
 // ------------------------------------------------------------- lifecycle
 
@@ -301,29 +199,12 @@ pnc::Result<Dataset> Dataset::Create(simmpi::Comm comm, pfs::FileSystem& fs,
   // are interpreted by the library, the rest pass through to MPI-IO).
   im.header_align =
       static_cast<std::uint64_t>(im.info.GetInt("nc_header_align_size", 0));
-  // Create the sidecar commit journal empty on the root (truncating any
-  // stale one left by a previous file at this path so its commits can never
-  // be replayed; the first EndDef's commit writes its magic); the result is
-  // agreed before anyone proceeds.
-  int jerr = 0;
-  if (im.comm.rank() == 0) {
-    auto jf = fs.Create(ncformat::JournalPath(path), /*exclusive=*/false);
-    if (!jf.ok()) {
-      jerr = jf.status().raw();
-    } else {
-      im.journal.emplace(std::move(jf).value(), &im.comm.clock());
-    }
-  }
-  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(jerr, 0)));
-  if (jerr != 0)
-    return pnc::Status(static_cast<pnc::Err>(jerr), "commit journal create");
-  im.journaled = true;
-  // The chunk-sum table rides the journal's commits. All ranks attach
+  // The root creates the journal empty, truncating any stale one left by a
+  // previous file at this path so its commits can never be replayed; the
+  // result is agreed before anyone proceeds. All ranks attach the sums
   // maintain-only; the geometry comes at EndDef.
-  if (ncformat::SumsEnabled()) {
-    im.sums_on = true;
-    im.file.AttachSums(&im.sums, /*verify=*/false);
-  }
+  PNC_RETURN_IF_ERROR(im.session.Create());
+  im.AttachSums();
   PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBarrier()));
   return ds;
 }
@@ -339,112 +220,12 @@ pnc::Result<Dataset> Dataset::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   ds.impl_ = std::make_shared<Impl>(std::move(comm), &fs, std::move(f).value(),
                                     path, writable, info);
   auto& im = *ds.impl_;
-
-  // Crash recovery before anything trusts the on-disk header: the root
-  // checks the sidecar journal and, when the primary does not match the
-  // committed state, rolls it back/forward (in place when writable; in
-  // memory only for a read-only open). §4.2.1 pattern: the root performs
-  // the metadata work, then the agreed outcome is broadcast.
-  int err = 0;
-  std::vector<std::byte> bytes;
-  // 0: no journal; 1: a journal; 2: a journal, and the primary's numrecs
-  // field trails the committed count (a clean file Synced since its last
-  // Close), which this session's Close catches up if it is writable.
-  int journaled = 0;
-  std::vector<std::byte> committed;  ///< the committed header image, if any
-  bool root_torn = false;  ///< header body torn, recovered in memory only
-  std::vector<std::byte> journal_prefix;
-  if (im.comm.rank() == 0 && fs.Exists(ncformat::JournalPath(path))) {
-    journaled = 1;
-    pnc::Status rst = pnc::Status::Ok();
-    auto jf = fs.Open(ncformat::JournalPath(path));
-    auto pf = fs.Open(path);
-    if (!jf.ok()) {
-      rst = jf.status();
-    } else if (!pf.ok()) {
-      rst = pf.status();
-    } else {
-      im.journal.emplace(std::move(jf).value(), &im.comm.clock());
-      ncformat::PfsCommitIo primary(std::move(pf).value(), &im.comm.clock());
-      auto rep = ncformat::AnalyzeCommit(&*im.journal, primary);
-      if (!rep.ok()) {
-        rst = rep.status();
-      } else {
-        ncformat::VerifyReport& r = rep.value();
-        if (r.has_commit) im.commit = r.committed;
-        if (r.numrecs_lag) journaled = 2;
-        if (r.state == ncformat::FileState::kCorrupt && r.has_commit) {
-          rst = pnc::Status(pnc::Err::kNotNc, "unrecoverable: " + r.detail);
-        } else if (r.state == ncformat::FileState::kTornRecoverable) {
-          if (writable) {
-            rst = ncformat::RepairFromReport(r, primary);
-          } else {
-            root_torn = !r.numrecs_only;
-          }
-        }
-        committed = std::move(r.committed_header);
-        journal_prefix = std::move(r.journal_prefix);
-      }
-    }
-    err = rst.raw();
-  }
-  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(err, 0)));
-  if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(journaled, 0)));
-  im.journaled = journaled != 0;
-  im.primary_lags = journaled == 2;
-
-  // §4.2.1: the root process fetches the file header and broadcasts it; all
-  // processes then hold an identical local copy until close. The recovery
-  // check above already read (or reconstructed) the committed header.
-  if (im.comm.rank() == 0 && !committed.empty()) {
-    auto hdr = Header::Decode(committed);
-    if (hdr.ok()) {
-      im.header = std::move(hdr).value();
-      bytes = EncodeHeader(im.header);
-    } else {
-      err = hdr.status().raw();
-    }
-  } else if (im.comm.rank() == 0) {
-    const std::uint64_t fsize = im.file.GetSize().ok()
-                                    ? im.file.GetSize().value()
-                                    : 0;
-    std::uint64_t try_size = 8 * 1024;
-    for (;;) {
-      const std::uint64_t n = std::min(try_size, std::max<std::uint64_t>(fsize, 4));
-      bytes.assign(n, std::byte{0});
-      pnc::Status rs =
-          im.file.ReadAt(0, bytes.data(), n, simmpi::ByteType());
-      PNC_OBSERVE(kHeaderRead, .len = n);
-      if (!rs.ok()) {
-        err = rs.raw();
-        break;
-      }
-      auto hdr = Header::Decode(bytes);
-      if (hdr.ok()) {
-        im.header = std::move(hdr).value();
-        bytes = EncodeHeader(im.header);
-        break;
-      }
-      if (hdr.status().code() != pnc::Err::kTrunc || n >= fsize) {
-        err = hdr.status().raw();
-        break;
-      }
-      try_size *= 4;
-    }
-  }
-  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcastValue(err, 0)));
-  if (err != 0) return pnc::Status(static_cast<pnc::Err>(err), path);
-  PNC_RETURN_IF_ERROR(Track(im, im.comm.TryBcast(bytes, 0)));
-  if (im.comm.rank() != 0) {
-    auto hdr = Header::Decode(bytes);
-    if (!hdr.ok()) return hdr.status();
-    im.header = std::move(hdr).value();
-  }
-  im.committed_numrecs = im.header.numrecs;
+  // §4.2.1: the root recovers and fetches the file header and broadcasts
+  // it; all processes then hold an identical local copy until close.
+  PNC_ASSIGN_OR_RETURN(im.header, im.session.Open(path));
   im.header_align =
       static_cast<std::uint64_t>(im.info.GetInt("nc_header_align_size", 0));
-  PNC_RETURN_IF_ERROR(im.SetupOpenSums(root_torn, journal_prefix));
+  im.AttachSums();
   return ds;
 }
 
@@ -458,37 +239,6 @@ pnc::Status Dataset::Redef() {
   im.defining = true;
   PNC_OBSERVE(kModeSwitch);
   return Track(im, im.comm.TryBarrier());
-}
-
-pnc::Status Dataset::WriteHeaderCollective() {
-  auto& im = *impl_;
-  PNC_IOSTAT_REQ_SCOPE("write_header", "", im.comm.clock().now(),
-                       std::uint64_t{0}, 1);
-  auto bytes = EncodeHeader(im.header);
-  im.file.ClearView();
-  // Data first, metadata last: every rank's outstanding data lands before
-  // the header that makes it reachable commits. The collective sync also
-  // upholds the journal invariant that the primary from the previous commit
-  // is durable before its shadow is overwritten.
-  if (im.journaled) PNC_RETURN_IF_ERROR(Track(im, im.file.Sync()));
-  // Rank 0 writes; its status is broadcast so every rank returns the same
-  // result (and nobody blocks in a barrier a failed root never reaches).
-  int err = 0;
-  if (im.comm.rank() == 0) {
-    // Journal commit, then the primary in place, then a local sync so the
-    // primary is durable before the next commit may reuse the shadow.
-    pnc::Status st = im.journal ? im.CommitToJournal(bytes, /*open=*/true)
-                                : pnc::Status::Ok();
-    if (st.ok())
-      st = im.file.WriteAt(0, bytes.data(), bytes.size(), simmpi::ByteType());
-    if (st.ok() && im.journal) st = im.file.SyncLocal();
-    if (st.ok()) PNC_OBSERVE(kHeaderWrite, .len = bytes.size());
-    err = st.raw();
-  }
-  PNC_RETURN_IF_ERROR(AgreeRootStatus(im, err, "header write failed"));
-  im.committed_numrecs = im.header.numrecs;
-  im.primary_lags = false;
-  return pnc::Status::Ok();
 }
 
 pnc::Status Dataset::EndDef() {
@@ -509,7 +259,8 @@ pnc::Status Dataset::EndDef() {
 
   // §4.2.1: all define mode functions are collective and require identical
   // arguments on every process; verify before committing anything to disk.
-  auto bytes = EncodeHeader(im.header);
+  std::vector<std::byte> bytes;
+  im.header.Encode(bytes);
   bool same = false;
   PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllAgree(bytes, same)));
   if (!same)
@@ -517,27 +268,11 @@ pnc::Status Dataset::EndDef() {
 
   // Sum geometry follows the (possibly moved) data region; set it before
   // the relayout below so its writes mark chunks dirty in the new geometry.
-  // When the region moved, every committed sum is stale: the root marks all
-  // existing data dirty so the next flush re-sums it.
-  if (im.sums_on) {
-    const std::uint64_t db = ncformat::SumsDataBegin(im.header);
-    if (im.sums.chunk_size() == 0 || im.sums.data_begin() != db) {
-      const std::uint64_t cs = im.sums.chunk_size() != 0
-                                   ? im.sums.chunk_size()
-                                   : ncformat::SumChunkSize();
-      im.sums.Clear();
-      im.sums.SetGeometry(cs, db);
-      if (!im.fresh && im.comm.rank() == 0) {
-        const std::uint64_t fsize =
-            im.file.GetSize().ok() ? im.file.GetSize().value() : 0;
-        if (fsize > db) im.sums.MarkDirtyRange(db, fsize - db);
-      }
-    }
-  }
+  im.session.LayoutSums(im.header, !im.fresh);
   if (im.pre_redef && !im.fresh) {
     PNC_RETURN_IF_ERROR(RelayoutParallel(*im.pre_redef));
   }
-  PNC_RETURN_IF_ERROR(WriteHeaderCollective());
+  PNC_RETURN_IF_ERROR(im.CommitHeader());
   im.defining = false;
   im.fresh = false;
   im.pre_redef.reset();
@@ -551,7 +286,7 @@ pnc::Status Dataset::Sync() {
   if (im.defining) return pnc::Status(pnc::Err::kInDefine);
   if (im.rank_failed)
     return pnc::Status(pnc::Err::kRankFailed, "dataset degraded by a failure");
-  return im.CommitCollective(/*closing=*/false);
+  return im.Commit(CommitPoint::kSync);
 }
 
 pnc::Status Dataset::Close() {
@@ -570,7 +305,7 @@ pnc::Status Dataset::Close() {
   if (im.defining) PNC_RETURN_IF_ERROR(EndDef());
   // Only a session that reaches this closing commit hands trustworthy sums
   // to the next open.
-  PNC_RETURN_IF_ERROR(im.CommitCollective(/*closing=*/true));
+  PNC_RETURN_IF_ERROR(im.Commit(CommitPoint::kClose));
   pnc::Status st = Track(im, im.file.Close());
   // The collective close barrier has passed: every rank's counters are
   // final, so the reduction in the report is well defined.
@@ -590,18 +325,20 @@ pnc::Status Dataset::Abort() {
     PNC_RETURN_IF_ERROR(im.file.Close());
     int err = 0;
     if (im.comm.rank() == 0) {
-      im.journal.reset();
+      im.session.Release();
       (void)im.fs->Remove(ncformat::JournalPath(im.path));
       err = im.fs->Remove(im.path).raw();
     }
     return AgreeRootStatus(im, err, im.path.c_str());
   }
+  // ncmpi_abort closes the dataset: define-mode changes are dropped, and
+  // the session ends by the close rule.
   if (im.defining && im.pre_redef) {
     im.header = *im.pre_redef;
     im.pre_redef.reset();
     im.defining = false;
   }
-  return pnc::Status::Ok();
+  return Close();
 }
 
 pnc::Status Dataset::BeginIndepData() {
@@ -643,107 +380,42 @@ pnc::Status CheckDefine(const Dataset::Impl& im) {
 
 pnc::Result<int> Dataset::DefDim(const std::string& name, std::uint64_t len) {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  auto& im = *impl_;
-  PNC_RETURN_IF_ERROR(CheckDefine(im));
-  auto& h = im.header;
-  if (h.FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  if (len == kUnlimited && h.unlimited_dimid() >= 0)
-    return pnc::Status(pnc::Err::kUnlimit, name);
-  if (h.dims.size() >= ncformat::kMaxDims)
-    return pnc::Status(pnc::Err::kMaxDims);
-  h.dims.push_back({name, len});
-  return static_cast<int>(h.dims.size()) - 1;
+  PNC_RETURN_IF_ERROR(CheckDefine(*impl_));
+  return impl_->header.DefDim(name, len);
 }
 
 pnc::Result<int> Dataset::DefVar(const std::string& name, NcType type,
                                  std::vector<std::int32_t> dimids) {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  auto& im = *impl_;
-  PNC_RETURN_IF_ERROR(CheckDefine(im));
-  auto& h = im.header;
-  if (h.FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  if (h.vars.size() >= ncformat::kMaxVars)
-    return pnc::Status(pnc::Err::kMaxVars);
-  if (!ncformat::IsValidType(static_cast<std::int32_t>(type)))
-    return pnc::Status(pnc::Err::kBadType, name);
-  ncformat::Var v;
-  v.name = name;
-  v.type = type;
-  v.dimids = std::move(dimids);
-  for (std::size_t i = 0; i < v.dimids.size(); ++i) {
-    const auto d = v.dimids[i];
-    if (d < 0 || static_cast<std::size_t>(d) >= h.dims.size())
-      return pnc::Status(pnc::Err::kBadDim, name);
-    if (h.dims[static_cast<std::size_t>(d)].is_unlimited() && i != 0)
-      return pnc::Status(pnc::Err::kUnlimPos, name);
-  }
-  h.vars.push_back(std::move(v));
-  return static_cast<int>(h.vars.size()) - 1;
+  PNC_RETURN_IF_ERROR(CheckDefine(*impl_));
+  return impl_->header.DefVar(name, type, std::move(dimids));
 }
 
 pnc::Status Dataset::RenameDim(int dimid, const std::string& name) {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
   PNC_RETURN_IF_ERROR(CheckDefine(*impl_));
-  auto& h = impl_->header;
-  if (dimid < 0 || static_cast<std::size_t>(dimid) >= h.dims.size())
-    return pnc::Status(pnc::Err::kBadDim);
-  if (h.FindDim(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  h.dims[static_cast<std::size_t>(dimid)].name = name;
-  return pnc::Status::Ok();
+  return impl_->header.RenameDim(dimid, name);
 }
 
 pnc::Status Dataset::RenameVar(int varid, const std::string& name) {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
   PNC_RETURN_IF_ERROR(CheckDefine(*impl_));
-  auto& h = impl_->header;
-  if (varid < 0 || static_cast<std::size_t>(varid) >= h.vars.size())
-    return pnc::Status(pnc::Err::kNotVar);
-  if (h.FindVar(name) >= 0) return pnc::Status(pnc::Err::kNameInUse, name);
-  h.vars[static_cast<std::size_t>(varid)].name = name;
-  return pnc::Status::Ok();
+  return impl_->header.RenameVar(varid, name);
 }
 
 // ------------------------------------------------------------ attributes
-
-namespace {
-pnc::Result<std::vector<Attr>*> AttrListOf(Header& h, int varid) {
-  if (varid == kGlobal) return &h.gatts;
-  if (varid < 0 || static_cast<std::size_t>(varid) >= h.vars.size())
-    return pnc::Status(pnc::Err::kNotVar);
-  return &h.vars[static_cast<std::size_t>(varid)].attrs;
-}
-}  // namespace
 
 pnc::Status Dataset::PutAtt(int varid, Attr att) {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
   auto& im = *impl_;
   if (!im.writable) return pnc::Status(pnc::Err::kPermission);
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs, AttrListOf(im.header, varid));
-  int existing = -1;
-  for (std::size_t i = 0; i < attrs->size(); ++i)
-    if ((*attrs)[i].name == att.name) existing = static_cast<int>(i);
-  if (!im.defining) {
-    // Data mode: in-place replacement only; the change is collective and the
-    // root rewrites the (same-size) header.
-    if (existing < 0) return pnc::Status(pnc::Err::kNotInDefine, att.name);
-    const auto& old = (*attrs)[static_cast<std::size_t>(existing)];
-    if (att.type != old.type || att.data.size() > old.data.size())
-      return pnc::Status(pnc::Err::kNotInDefine, att.name);
-    (*attrs)[static_cast<std::size_t>(existing)] = std::move(att);
-    // Independent writers may hold different record counts, and the header
-    // write commits one: converge first.
-    if (im.indep)
-      PNC_RETURN_IF_ERROR(ConvergeNumrecs(im.header.numrecs, true));
-    return WriteHeaderCollective();
-  }
-  if (existing >= 0) {
-    (*attrs)[static_cast<std::size_t>(existing)] = std::move(att);
-  } else {
-    if (attrs->size() >= ncformat::kMaxAttrs)
-      return pnc::Status(pnc::Err::kMaxAtts);
-    attrs->push_back(std::move(att));
-  }
-  return pnc::Status::Ok();
+  PNC_RETURN_IF_ERROR(im.header.PutAtt(varid, std::move(att), im.defining));
+  if (im.defining) return pnc::Status::Ok();
+  // Data mode: the change is collective and the root rewrites the
+  // (same-size) header. Independent writers may hold different record
+  // counts, and the header write commits one: converge first.
+  if (im.indep) PNC_RETURN_IF_ERROR(ConvergeNumrecs(im.header.numrecs, true));
+  return im.CommitHeader();
 }
 
 pnc::Status Dataset::PutAttText(int varid, const std::string& name,
@@ -753,23 +425,13 @@ pnc::Status Dataset::PutAttText(int varid, const std::string& name,
 
 pnc::Result<Attr> Dataset::GetAtt(int varid, const std::string& name) const {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs,
-                       AttrListOf(impl_->header, varid));
-  for (const auto& a : *attrs)
-    if (a.name == name) return a;
-  return pnc::Status(pnc::Err::kNotAtt, name);
+  return impl_->header.GetAtt(varid, name);
 }
 
 pnc::Status Dataset::DelAtt(int varid, const std::string& name) {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
   PNC_RETURN_IF_ERROR(CheckDefine(*impl_));
-  PNC_ASSIGN_OR_RETURN(std::vector<Attr>* attrs,
-                       AttrListOf(impl_->header, varid));
-  auto it = std::find_if(attrs->begin(), attrs->end(),
-                         [&](const Attr& a) { return a.name == name; });
-  if (it == attrs->end()) return pnc::Status(pnc::Err::kNotAtt, name);
-  attrs->erase(it);
-  return pnc::Status::Ok();
+  return impl_->header.DelAtt(varid, name);
 }
 
 // --------------------------------------------------------------- inquiry
@@ -1125,63 +787,33 @@ pnc::Status Dataset::BatchAccess(std::span<BatchItem> items, bool is_write) {
 
 pnc::Status Dataset::RelayoutParallel(const Header& old_header) {
   auto& im = *impl_;
-  const Header& nh = im.header;
-  const int p = im.comm.size();
-  const int r = im.comm.rank();
-
-  struct Move {
-    std::uint64_t from, to, len;
-  };
-  std::vector<Move> moves;
-  const std::uint64_t nrecs = old_header.numrecs;
-  for (std::size_t i = 0; i < old_header.vars.size(); ++i) {
-    const auto& ov = old_header.vars[i];
-    const int nid = nh.FindVar(ov.name);
-    if (nid < 0) continue;
-    const auto& nv = nh.vars[static_cast<std::size_t>(nid)];
-    if (old_header.IsRecordVar(static_cast<int>(i))) {
-      for (std::uint64_t rec = 0; rec < nrecs; ++rec)
-        moves.push_back({ov.begin + rec * old_header.recsize(),
-                         nv.begin + rec * nh.recsize(), ov.vsize});
-    } else {
-      moves.push_back({ov.begin, nv.begin, ov.vsize});
-    }
-  }
-  // Destinations strictly grow, so moving the highest destination first is
-  // clobber-free; within a chunk each rank moves a disjoint slice, and a
-  // barrier between chunks orders cross-chunk dependences. This is the
-  // "moving the existing data to the extended area is performed in parallel"
-  // of §4.3.
-  std::sort(moves.begin(), moves.end(),
-            [](const Move& a, const Move& b) { return a.to > b.to; });
-
+  PNC_ASSIGN_OR_RETURN(const auto moves,
+                       ncformat::RelayoutMoves(old_header, im.header));
+  const auto p = static_cast<std::uint64_t>(im.comm.size());
+  const auto r = static_cast<std::uint64_t>(im.comm.rank());
+  // Within a move each rank copies a disjoint slice: "moving the existing
+  // data to the extended area is performed in parallel" (§4.3).
   im.file.ClearView();
   std::vector<std::byte> buf;
   for (const auto& m : moves) {
-    // Each move ends in a status agreement (a collective, so it also orders
-    // cross-chunk dependences the way the old barrier did). A rank-local
-    // I/O failure therefore surfaces identically on all ranks instead of
-    // leaving peers stuck in a barrier the failed rank never reaches.
     pnc::Status st;
     if (m.to != m.from && m.len != 0) {
-      if (m.to < m.from) {
-        st = pnc::Status(pnc::Err::kInternal, "relayout moved data backwards");
-      } else {
-        const std::uint64_t per = (m.len + static_cast<std::uint64_t>(p) - 1) /
-                                  static_cast<std::uint64_t>(p);
-        const std::uint64_t lo =
-            std::min(m.len, per * static_cast<std::uint64_t>(r));
-        const std::uint64_t hi = std::min(m.len, lo + per);
-        if (hi > lo) {
-          buf.resize(hi - lo);
-          st = im.file.ReadAt(m.from + lo, buf.data(), hi - lo,
-                              simmpi::ByteType());
-          if (st.ok())
-            st = im.file.WriteAt(m.to + lo, buf.data(), hi - lo,
-                                 simmpi::ByteType());
-        }
+      const std::uint64_t per = (m.len + p - 1) / p;
+      const std::uint64_t lo = std::min(m.len, per * r);
+      const std::uint64_t hi = std::min(m.len, lo + per);
+      if (hi > lo) {
+        buf.resize(hi - lo);
+        st = im.file.ReadAt(m.from + lo, buf.data(), hi - lo,
+                            simmpi::ByteType());
+        if (st.ok())
+          st = im.file.WriteAt(m.to + lo, buf.data(), hi - lo,
+                               simmpi::ByteType());
       }
     }
+    // Each move ends in a status agreement, a collective, so it also orders
+    // cross-move dependences. A rank-local I/O failure therefore surfaces
+    // identically on all ranks instead of leaving peers stuck in a
+    // collective the failed rank never reaches.
     int agreed = st.raw();
     PNC_RETURN_IF_ERROR(Track(im, im.comm.TryAllreduceMin(agreed)));
     if (agreed != 0)
@@ -1194,4 +826,3 @@ pnc::Status Dataset::RelayoutParallel(const Header& old_header) {
 }
 
 }  // namespace pnetcdf
-

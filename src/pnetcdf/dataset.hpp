@@ -36,7 +36,7 @@
 namespace pnetcdf {
 
 constexpr std::uint64_t kUnlimited = 0;
-constexpr int kGlobal = -1;
+constexpr int kGlobal = ncformat::kGlobalVarId;
 
 struct CreateOptions {
   bool clobber = true;
@@ -305,7 +305,6 @@ class Dataset {
   /// failing rank cannot strand its peers inside collective I/O: if any rank
   /// failed, every rank returns an error (its own, or kMultiDefine).
   pnc::Status CollectiveCheck(pnc::Status st, bool collective);
-  pnc::Status WriteHeaderCollective();
   pnc::Status RelayoutParallel(const ncformat::Header& old_header);
 
   template <typename T>

@@ -759,6 +759,8 @@ TEST(Integrity, ChaosLifecycleWriteFlipsSurfaceUnlessCommitPathHit) {
     ++wrong_with_ok;
     // Attribute it: the header must decode with both records, and the
     // table must still load as trusted, for the data path to be at fault.
+    // The label names what was flipped, from the decoded primary and the
+    // verify report.
     const std::vector<std::byte> bytes = FileBytes(fs, "chaos.nc");
     const auto h = ncformat::Header::Decode(bytes);
     auto vr = nctools::VerifyFile(fs, "chaos.nc", {.data = true});
@@ -766,12 +768,22 @@ TEST(Integrity, ChaosLifecycleWriteFlipsSurfaceUnlessCommitPathHit) {
         !vr.ok() || vr.value().state != ncformat::FileState::kClean;
     const bool sums_trusted = vr.ok() && vr.value().scrub.has_value() &&
                               vr.value().scrub->trusted;
-    const bool header_hit = !h.ok() || h.value().numrecs != 2 ||
-                            h.value().vars.size() != 1;
-    const char* cause = header_hit ? "header/numrecs flip"
-                        : torn     ? "torn primary, sums off on reopen"
-                        : !sums_trusted ? "sums table flip, untrusted"
-                                        : nullptr;
+    // A torn primary's header body against the committed CRC, which skips
+    // the numrecs field.
+    const auto body_crc_ok = [&] {
+      const ncformat::CommitState cs = CommittedState(fs, "chaos.nc");
+      return bytes.size() >= cs.header_len &&
+             ncformat::HeaderCrc(pnc::ConstByteSpan(bytes).first(
+                 cs.header_len)) == cs.header_crc;
+    };
+    const char* cause =
+        !h.ok()                  ? "primary header body does not decode"
+        : !vr.ok()               ? "verify failed"
+        : torn && !body_crc_ok() ? "primary header body CRC mismatch"
+        : torn || h.value().numrecs != 2 ? "primary numrecs field differs"
+        : h.value().vars.size() != 1     ? "primary header body differs"
+        : !sums_trusted                  ? "table untrusted"
+                                         : nullptr;
     if (cause != nullptr) ++commit_path;
     EXPECT_NE(cause, nullptr) << "seed " << seed
                               << ": wrong values with status 0, header, "
@@ -1733,6 +1745,90 @@ TEST_P(SidecarTrafficP, CloseCatchesUpOnlyALaggingPrimary) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, SidecarTrafficP, ::testing::Values(0, 3, 4),
+                         [](const ::testing::TestParamInfo<int>& i) {
+                           return i.param == 0 ? std::string("serial")
+                                               : "p" + std::to_string(i.param);
+                         });
+
+// nc_abort closes the dataset. Outside a fresh create, an Abort ends the
+// session by the close rule: after Create, record 0, Sync, record 1 and
+// Abort, the journal slot is closed and carries the table, the primary's
+// numrecs field has caught up with the slot's 2, and a read-only reopen
+// verifies against the trusted table and reads both records.
+class AbortP : public ::testing::TestWithParam<int> {};
+
+TEST_P(AbortP, AbortEndsTheSessionByTheCloseRule) {
+  const int nprocs = GetParam();
+  constexpr std::uint64_t kLen = 64;
+  const auto value = [](std::uint64_t rec, std::uint64_t i) {
+    return static_cast<double>(100 * rec + i);
+  };
+  pfs::FileSystem fs;
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Create(fs, "t.nc").value();
+    const int time = ds.DefDim("time", netcdf::kUnlimited).value();
+    const int x = ds.DefDim("x", kLen).value();
+    const int r = ds.DefVar("r", NcType::kDouble, {time, x}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    for (std::uint64_t rec = 0; rec < 2; ++rec) {
+      std::vector<double> vals(kLen);
+      for (std::uint64_t i = 0; i < kLen; ++i) vals[i] = value(rec, i);
+      const std::uint64_t st[] = {rec, 0};
+      const std::uint64_t ct[] = {1, kLen};
+      ASSERT_TRUE(ds.PutVara<double>(r, st, ct, vals).ok());
+      if (rec == 0) {
+        ASSERT_TRUE(ds.Sync().ok());
+      }
+    }
+    ASSERT_TRUE(ds.Abort().ok());
+  } else {
+    simmpi::Run(nprocs, [&](Comm& c) {
+      auto ds =
+          pnetcdf::Dataset::Create(c, fs, "t.nc", simmpi::NullInfo()).value();
+      const int time = ds.DefDim("time", pnetcdf::kUnlimited).value();
+      const int x = ds.DefDim("x", kLen).value();
+      const int r = ds.DefVar("r", NcType::kDouble, {time, x}).value();
+      ASSERT_TRUE(ds.EndDef().ok());
+      const std::uint64_t share = kLen / static_cast<std::uint64_t>(c.size());
+      const std::uint64_t lo = share * static_cast<std::uint64_t>(c.rank());
+      const std::uint64_t n = c.rank() + 1 == c.size() ? kLen - lo : share;
+      for (std::uint64_t rec = 0; rec < 2; ++rec) {
+        std::vector<double> vals(n);
+        for (std::uint64_t i = 0; i < n; ++i) vals[i] = value(rec, lo + i);
+        const std::uint64_t st[] = {rec, lo};
+        const std::uint64_t ct[] = {1, n};
+        ASSERT_TRUE(ds.PutVaraAll<double>(r, st, ct, vals).ok());
+        if (rec == 0) {
+          ASSERT_TRUE(ds.Sync().ok());
+        }
+      }
+      ASSERT_TRUE(ds.Abort().ok());
+    });
+  }
+  const ncformat::CommitState s = CommittedState(fs, "t.nc");
+  EXPECT_EQ(s.flags & ncformat::kCommitFlagOpen, 0u);
+  EXPECT_GT(s.table_len, 0u);
+  EXPECT_EQ(s.numrecs, 2u);
+  EXPECT_EQ(pnc_test::DiskNumrecs(fs, "t.nc"), 2u);
+  const auto vr = nctools::VerifyFile(fs, "t.nc", {.data = true});
+  ASSERT_TRUE(vr.ok()) << vr.status().message();
+  EXPECT_EQ(vr.value().state, ncformat::FileState::kClean) << vr.value().detail;
+  ASSERT_TRUE(vr.value().scrub.has_value());
+  EXPECT_TRUE(vr.value().scrub->trusted);
+  EXPECT_EQ(vr.value().scrub->corrupt, 0u);
+  EXPECT_EQ(vr.value().scrub->unsummed, 0u);
+
+  auto ds = netcdf::Dataset::Open(fs, "t.nc", /*writable=*/false).value();
+  ASSERT_EQ(ds.numrecs(), 2u);
+  std::vector<double> got(2 * kLen);
+  ASSERT_TRUE(ds.GetVar<double>(ds.VarId("r").value(), got).ok());
+  for (std::uint64_t rec = 0; rec < 2; ++rec)
+    for (std::uint64_t i = 0; i < kLen; ++i)
+      EXPECT_EQ(got[rec * kLen + i], value(rec, i)) << rec << "," << i;
+  EXPECT_TRUE(ds.Close().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, AbortP, ::testing::Values(0, 3),
                          [](const ::testing::TestParamInfo<int>& i) {
                            return i.param == 0 ? std::string("serial")
                                                : "p" + std::to_string(i.param);

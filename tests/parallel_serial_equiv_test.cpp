@@ -8,6 +8,10 @@
 // is tested here literally, not structurally.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "format/commit.hpp"
 #include "netcdf/dataset.hpp"
 #include "pnetcdf/dataset.hpp"
 #include "simmpi/runtime.hpp"
@@ -77,6 +81,83 @@ std::vector<std::byte> Bytes(pfs::FileSystem& fs, const std::string& path) {
   return out;
 }
 
+/// [lo, hi) of `n` for `rank` of `size`: equal slabs, remainder to the last
+/// ranks; some ranks may hold nothing, and the collective still completes.
+std::pair<std::uint64_t, std::uint64_t> Slab(std::uint64_t n, int rank,
+                                             int size) {
+  const auto p = static_cast<std::uint64_t>(size);
+  const std::uint64_t per = (n + p - 1) / p;
+  const std::uint64_t lo = std::min(n, per * static_cast<std::uint64_t>(rank));
+  return {lo, std::min(n, lo + per)};
+}
+
+/// The two lifecycles both writers run: every variable whole, then Close;
+/// or the fixed variables whole, then the record variables one record at a
+/// time with a Sync after each record, then Close.
+enum class Lifecycle { kWholeVars, kSyncPerRecord };
+
+/// Put the [start, start + count) block of variable `v`, valued by its
+/// row-major element index, through `put`.
+template <typename Put>
+void PutBlock(const ncformat::Header& h, int v, std::vector<std::uint64_t> start,
+              std::vector<std::uint64_t> count, std::uint64_t nrecs, Put&& put) {
+  auto shape = h.VarShape(v);
+  if (h.IsRecordVar(v)) shape[0] = nrecs;
+  // Elements of `count` in row-major order, mapped to their index in the
+  // whole variable.
+  std::vector<double> vals(pnc::ShapeProduct(count));
+  std::vector<std::uint64_t> idx(count.size(), 0);
+  for (double& val : vals) {
+    std::uint64_t lin = 0;
+    for (std::size_t d = 0; d < shape.size(); ++d)
+      lin = lin * shape[d] + start[d] + idx[d];
+    val = ValueAt(v, lin);
+    for (std::size_t d = count.size(); d-- > 0;) {
+      if (++idx[d] < count[d]) break;
+      idx[d] = 0;
+    }
+  }
+  put(v, start, count, vals);
+}
+
+/// Write `s` through either library's dataset `ds`: this process's slab
+/// (rank `rank` of `size`) of dimension 0 of each whole variable, or of
+/// dimension 1 of each record.
+template <typename DS, typename Put>
+void WriteLifecycle(DS& ds, const Schema& s, Lifecycle life, int rank,
+                    int size, Put&& put) {
+  Define(ds, s);
+  const ncformat::Header& h = ds.header();
+  const int nvars = static_cast<int>(s.vars.size());
+  const bool by_record = life == Lifecycle::kSyncPerRecord;
+  for (int v = 0; v < nvars; ++v) {
+    if (by_record && h.IsRecordVar(v)) continue;
+    auto shape = h.VarShape(v);
+    if (h.IsRecordVar(v)) shape[0] = s.nrecs;
+    if (shape.empty()) continue;
+    std::vector<std::uint64_t> start(shape.size(), 0), count = shape;
+    const auto [lo, hi] = Slab(shape[0], rank, size);
+    start[0] = lo;
+    count[0] = hi - lo;
+    PutBlock(h, v, start, count, s.nrecs, put);
+  }
+  if (!by_record) return;
+  for (std::uint64_t rec = 0; rec < s.nrecs; ++rec) {
+    for (int v = 0; v < nvars; ++v) {
+      if (!h.IsRecordVar(v)) continue;
+      auto shape = h.VarShape(v);
+      std::vector<std::uint64_t> start(shape.size(), 0), count = shape;
+      const auto [lo, hi] = Slab(shape[1], rank, size);
+      start[0] = rec;
+      count[0] = 1;
+      start[1] = lo;
+      count[1] = hi - lo;
+      PutBlock(h, v, start, count, s.nrecs, put);
+    }
+    ASSERT_TRUE(ds.Sync().ok());
+  }
+}
+
 class EquivP : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EquivP, ParallelFileEqualsSerialFile) {
@@ -84,73 +165,55 @@ TEST_P(EquivP, ParallelFileEqualsSerialFile) {
   const Schema schema = RandomSchema(rng);
   const int nprocs = 1 << rng.Below(3);  // 1, 2, or 4
 
-  pfs::FileSystem fs;
+  for (const Lifecycle life :
+       {Lifecycle::kWholeVars, Lifecycle::kSyncPerRecord}) {
+    SCOPED_TRACE(life == Lifecycle::kWholeVars ? "whole variables"
+                                               : "a Sync per record");
+    pfs::FileSystem fs;
 
-  // ---- serial reference ----
-  {
-    auto ds = netcdf::Dataset::Create(fs, "serial.nc").value();
-    Define(ds, schema);
-    for (std::size_t v = 0; v < schema.vars.size(); ++v) {
-      auto shape = ds.header().VarShape(static_cast<int>(v));
-      if (ds.header().IsRecordVar(static_cast<int>(v)))
-        shape[0] = schema.nrecs;
-      const std::uint64_t n = pnc::ShapeProduct(shape);
-      std::vector<double> vals(n);
-      for (std::uint64_t i = 0; i < n; ++i)
-        vals[i] = ValueAt(static_cast<int>(v), i);
-      std::vector<std::uint64_t> start(shape.size(), 0);
-      ASSERT_TRUE(ds.PutVara<double>(static_cast<int>(v), start, shape, vals)
-                      .ok());
+    // ---- serial reference ----
+    {
+      auto ds = netcdf::Dataset::Create(fs, "serial.nc").value();
+      WriteLifecycle(ds, schema, life, 0, 1,
+                     [&](int v, std::span<const std::uint64_t> start,
+                         std::span<const std::uint64_t> count,
+                         std::span<const double> vals) {
+                       ASSERT_TRUE(
+                           ds.PutVara<double>(v, start, count, vals).ok());
+                     });
+      ASSERT_TRUE(ds.Close().ok());
     }
-    ASSERT_TRUE(ds.Close().ok());
+
+    // ---- parallel writer: the same schema and lifecycle, each write
+    //      partitioned over the ranks ----
+    simmpi::Run(nprocs, [&](simmpi::Comm& c) {
+      auto ds = pnetcdf::Dataset::Create(c, fs, "parallel.nc",
+                                         simmpi::NullInfo())
+                    .value();
+      WriteLifecycle(ds, schema, life, c.rank(), c.size(),
+                     [&](int v, std::span<const std::uint64_t> start,
+                         std::span<const std::uint64_t> count,
+                         std::span<const double> vals) {
+                       ASSERT_TRUE(
+                           ds.PutVaraAll<double>(v, start, count, vals).ok());
+                     });
+      ASSERT_TRUE(ds.Close().ok());
+    });
+
+    // ---- the property: the files and their commit journals ----
+    for (const auto& [a_path, b_path] :
+         {std::pair{std::string("serial.nc"), std::string("parallel.nc")},
+          std::pair{ncformat::JournalPath("serial.nc"),
+                    ncformat::JournalPath("parallel.nc")}}) {
+      const auto a = Bytes(fs, a_path);
+      const auto b = Bytes(fs, b_path);
+      ASSERT_EQ(a.size(), b.size())
+          << a_path << " and " << b_path << " sizes differ (seed "
+          << GetParam() << ", nprocs " << nprocs << ")";
+      EXPECT_EQ(a, b) << a_path << " and " << b_path << " bytes differ (seed "
+                      << GetParam() << ", nprocs " << nprocs << ")";
+    }
   }
-
-  // ---- parallel writer: same schema, writes partitioned over the first
-  //      dimension (block for fixed vars, record-by-record round-robin for
-  //      record vars) ----
-  simmpi::Run(nprocs, [&](simmpi::Comm& c) {
-    auto ds = pnetcdf::Dataset::Create(c, fs, "parallel.nc",
-                                       simmpi::NullInfo())
-                  .value();
-    Define(ds, schema);
-    for (std::size_t v = 0; v < schema.vars.size(); ++v) {
-      auto shape = ds.header().VarShape(static_cast<int>(v));
-      const bool rec = ds.header().IsRecordVar(static_cast<int>(v));
-      if (rec) shape[0] = schema.nrecs;
-      if (shape.empty()) continue;
-      std::uint64_t inner = 1;
-      for (std::size_t d = 1; d < shape.size(); ++d) inner *= shape[d];
-
-      // Slab partition of dimension 0, remainder to the last rank; some
-      // ranks may hold nothing — the collective still completes.
-      const std::uint64_t d0 = shape[0];
-      const std::uint64_t per =
-          (d0 + static_cast<std::uint64_t>(c.size()) - 1) /
-          static_cast<std::uint64_t>(c.size());
-      const std::uint64_t lo =
-          std::min(d0, per * static_cast<std::uint64_t>(c.rank()));
-      const std::uint64_t hi = std::min(d0, lo + per);
-
-      std::vector<std::uint64_t> start(shape.size(), 0), count = shape;
-      start[0] = lo;
-      count[0] = hi - lo;
-      std::vector<double> vals(count[0] * inner);
-      for (std::uint64_t i = 0; i < vals.size(); ++i)
-        vals[i] = ValueAt(static_cast<int>(v), lo * inner + i);
-      ASSERT_TRUE(ds.PutVaraAll<double>(static_cast<int>(v), start, count,
-                                        vals)
-                      .ok());
-    }
-    ASSERT_TRUE(ds.Close().ok());
-  });
-
-  // ---- the property ----
-  const auto a = Bytes(fs, "serial.nc");
-  const auto b = Bytes(fs, "parallel.nc");
-  ASSERT_EQ(a.size(), b.size()) << "file sizes differ (seed " << GetParam()
-                                << ", nprocs " << nprocs << ")";
-  EXPECT_EQ(a, b) << "file bytes differ (seed " << GetParam() << ", nprocs "
-                  << nprocs << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivP, ::testing::Range<std::uint64_t>(1, 41));

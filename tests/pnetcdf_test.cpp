@@ -525,6 +525,20 @@ TEST(OpenErrors, NotANetcdfFile) {
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), pnc::Err::kNotNc);
   });
+  // A file shorter than the 4-byte magic is not netCDF either, through
+  // both libraries' one header reader.
+  for (const std::string prefix : {"", "CD", "CDF"}) {
+    SCOPED_TRACE(std::to_string(prefix.size()) + "-byte file");
+    auto f = fs.Create("short.nc", false).value();
+    f.HarnessWrite(0, std::as_bytes(std::span(prefix)), 0.0);
+    ASSERT_EQ(f.size(), prefix.size());
+    auto serial = netcdf::Dataset::Open(fs, "short.nc", false);
+    EXPECT_EQ(serial.status().code(), pnc::Err::kNotNc);
+    simmpi::Run(2, [&](Comm& c) {
+      auto r = Dataset::Open(c, fs, "short.nc", false, simmpi::NullInfo());
+      EXPECT_EQ(r.status().code(), pnc::Err::kNotNc);
+    });
+  }
 }
 
 TEST(Abort, FreshCreateRemovesFile) {
