@@ -191,10 +191,15 @@ Outcome RunOne(const Schedule& sched, int nprocs, const simmpi::Info& info) {
     }
   }
 
+  // Each phase below starts its clocks at zero, so it starts on idle
+  // servers too (pfs::FileSystem::ResetTime), not queued behind the
+  // previous phase's requests.
+  //
   // Read-back phase: re-open read-only under transient read flips; the
   // verify-on-read path either heals every flip (status 0) or surfaces
   // kDataCorrupt — the baseline freezes which one this seed produces.
   if (sched.readback_bitflip_prob > 0 && fs.Exists("chaos.nc")) {
+    fs.ResetTime();
     pfs::FaultPolicy p;
     p.seed = kFlipSeed + 1;
     p.bitflip_read_prob = sched.readback_bitflip_prob;
@@ -237,6 +242,7 @@ Outcome RunOne(const Schedule& sched, int nprocs, const simmpi::Info& info) {
   // then let the scrub below prove it is found.
   if (sched.decay && fs.Exists("chaos.nc")) {
     fs.SetFaultPolicy({});
+    fs.ResetTime();
     const std::uint64_t target = DataStart(fs, "chaos.nc");
     pfs::FaultPolicy p;
     p.seed = kFlipSeed + 2;
@@ -252,6 +258,7 @@ Outcome RunOne(const Schedule& sched, int nprocs, const simmpi::Info& info) {
   // Verify + scrub run on a rebooted (fault-free) filesystem so they report
   // what is durably on disk, not fresh transient noise.
   fs.SetFaultPolicy({});
+  fs.ResetTime();
   if (fs.Exists("chaos.nc")) {
     auto vr = nctools::VerifyFile(fs, "chaos.nc", {.data = true});
     out.verify_state = vr.ok() ? static_cast<int>(vr.value().state) : -2;

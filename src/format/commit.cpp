@@ -72,6 +72,30 @@ void PatchNumrecs(std::vector<std::byte>& header, std::uint64_t numrecs) {
     PutU32(header.data() + 4, static_cast<std::uint32_t>(numrecs));
 }
 
+/// The primary's header, decoded from its first 64 KiB, or from the whole
+/// file when the header runs past them. Only an I/O error is a bad status.
+struct PrimaryHeader {
+  pnc::Status decoded;
+  std::vector<std::byte> bytes;  ///< exactly the header, when it decodes
+};
+
+pnc::Result<PrimaryHeader> ReadPrimaryHeader(CommitIo& primary) {
+  constexpr std::uint64_t kProbe = 64 * 1024;
+  PrimaryHeader out;
+  const std::uint64_t size = primary.Size();
+  out.bytes.resize(std::min(size, kProbe));
+  PNC_RETURN_IF_ERROR(primary.Read(0, out.bytes));
+  auto h = Header::Decode(out.bytes);
+  if (!h.ok() && h.status().code() == pnc::Err::kTrunc && size > kProbe) {
+    out.bytes.resize(size);
+    PNC_RETURN_IF_ERROR(primary.Read(0, out.bytes));
+    h = Header::Decode(out.bytes);
+  }
+  out.decoded = h.status();
+  out.bytes.resize(h.ok() ? h.value().EncodedSize() : 0);
+  return out;
+}
+
 }  // namespace
 
 std::string JournalPath(const std::string& path) { return path + ".nccommit"; }
@@ -121,18 +145,29 @@ pnc::Result<std::optional<CommitState>> ReadCommitState(
   return best;
 }
 
+CommitState PrimaryState(pnc::ConstByteSpan header, std::uint64_t numrecs,
+                         bool open) {
+  CommitState s;
+  s.header_len = header.size();
+  s.numrecs = numrecs;
+  s.header_crc = HeaderCrc(header);
+  s.flags = open ? kCommitFlagOpen : 0;
+  s.slot = 1;  // so the first journal commit lands in slot A
+  return s;
+}
+
 pnc::Status Commit(CommitIo& journal, pnc::ConstByteSpan header,
                    std::uint64_t numrecs, const ChunkSumMap* sums, bool open,
-                   std::optional<CommitState>& state) {
-  const std::optional<CommitState>& prev = state;
+                   CommitState& state) {
+  const CommitState prev = state;
   // Only a closing commit carries the table: an OPEN one is never trusted,
   // so it commits none (table_len 0).
   const std::vector<std::byte> table = sums != nullptr && !open
                                            ? sums->EncodeTable()
                                            : std::vector<std::byte>();
   CommitState next;
-  next.seq = prev ? prev->seq + 1 : 1;
-  next.slot = prev ? 1 - prev->slot : 0;
+  next.seq = prev.seq + 1;
+  next.slot = 1 - prev.slot;
   next.header_len = header.size();
   next.numrecs = numrecs;
   next.header_crc = HeaderCrc(header);
@@ -140,41 +175,44 @@ pnc::Status Commit(CommitIo& journal, pnc::ConstByteSpan header,
   next.table_crc = pnc::Crc32(table);
   next.flags = sums != nullptr && open ? kCommitFlagOpen : 0;
 
-  const bool data_commit = prev && prev->header_len == next.header_len &&
-                           prev->header_crc == next.header_crc;
+  const bool data_commit = prev.header_len == next.header_len &&
+                           prev.header_crc == next.header_crc;
   // A restatement of the commit in force writes nothing: that commit is
   // already durable, and with no table on either side there is nothing to
   // refresh (see the file comment).
-  if (data_commit && prev->numrecs == next.numrecs &&
-      prev->flags == next.flags && prev->table_len == 0 && table.empty())
+  if (data_commit && prev.numrecs == next.numrecs &&
+      prev.flags == next.flags && prev.table_len == 0 && table.empty())
     return pnc::Status::Ok();
 
-  // The image from `at` through the table end: the slots (data commits
-  // only), the shadow and the table.
-  const std::uint64_t at = data_commit ? kJournalSlotOffset[0]
-                           : prev      ? kJournalShadowOffset
-                                       : 0;
+  // The image from `at` through the table end: the magic (over the
+  // primary only), the slots (data commits only), the shadow and the
+  // table.
+  const bool over_primary = prev.seq == 0;
+  const std::uint64_t at = over_primary  ? 0
+                           : data_commit ? kJournalSlotOffset[0]
+                                         : kJournalShadowOffset;
   std::vector<std::byte> image(kJournalShadowOffset - at + header.size() +
                                table.size());
   std::byte* shadow = image.data() + (kJournalShadowOffset - at);
   std::memcpy(shadow, header.data(), header.size());
   if (!table.empty())
     std::memcpy(shadow + header.size(), table.data(), table.size());
-  if (!prev) std::memcpy(image.data(), kMagic, kJournalMagicLen);
+  if (over_primary) std::memcpy(image.data(), kMagic, kJournalMagicLen);
 
   if (data_commit) {
     // The commit point is the new slot inside this one write; the other
-    // slot, the shadow and everything before the tear point keep their
-    // committed meaning (see the file comment).
-    EncodeSlot(*prev, image.data() + (kJournalSlotOffset[prev->slot] - at));
+    // slot (zeroed over the primary), the shadow and everything before the
+    // tear point keep their committed meaning (see the file comment).
+    if (!over_primary)
+      EncodeSlot(prev, image.data() + (kJournalSlotOffset[prev.slot] - at));
     EncodeSlot(next, image.data() + (kJournalSlotOffset[next.slot] - at));
     PNC_RETURN_IF_ERROR(journal.Write(at, image));
     PNC_RETURN_IF_ERROR(journal.Sync());
   } else {
     // Shadow and table first; they are worthless until the slot commits,
-    // so tearing them is harmless. The first commit into a fresh journal
-    // carries the magic and both zeroed slots: a torn prefix still holds
-    // no valid slot.
+    // so tearing them is harmless. Over the primary the write also carries
+    // the magic and both zeroed slots: a torn prefix still holds no valid
+    // slot.
     PNC_RETURN_IF_ERROR(journal.Write(at, image));
     PNC_RETURN_IF_ERROR(journal.Sync());
     std::byte slot[kJournalSlotSize] = {};
@@ -215,40 +253,28 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
   pnc::Result<std::optional<CommitState>> state =
       pnc::Status(pnc::Err::kNotNc, "no commit journal");
   if (journal) state = ReadCommitState(*journal, &r.journal_prefix);
-  if (!state.ok()) {
-    // No journal at all: a legacy / externally produced file. Classify by
-    // whether the primary decodes.
-    r.has_journal = false;
-    std::vector<std::byte> probe(
-        std::min<std::uint64_t>(primary.Size(), 64 * 1024));
-    PNC_RETURN_IF_ERROR(primary.Read(0, probe));
-    auto h = Header::Decode(probe);
-    if (!h.ok() && h.status().code() == pnc::Err::kTrunc &&
-        probe.size() < primary.Size()) {
-      probe.resize(primary.Size());
-      PNC_RETURN_IF_ERROR(primary.Read(0, probe));
-      h = Header::Decode(probe);
+  // No valid slot, or no journal at all: the primary is in force, and the
+  // file is clean when its header decodes. A journal with nothing
+  // committed belongs to a dataset whose first EndDef is its only commit
+  // so far, or that crashed before that EndDef's header landed; a missing
+  // one, to a legacy or externally produced file.
+  if (!state.ok() || !state.value()) {
+    r.has_journal = state.ok();
+    PNC_ASSIGN_OR_RETURN(PrimaryHeader ph, ReadPrimaryHeader(primary));
+    const bool decodes = ph.decoded.ok();
+    r.state = decodes ? FileState::kClean : FileState::kCorrupt;
+    if (r.has_journal) {
+      r.detail = decodes ? "journal empty; header decodes"
+                         : "no committed state (crashed before first commit)";
+    } else {
+      r.detail = decodes ? "no journal; header decodes"
+                         : "no journal; header does not decode: " +
+                               ph.decoded.message();
     }
-    r.state = h.ok() ? FileState::kClean : FileState::kCorrupt;
-    r.detail = h.ok() ? "no journal; header decodes"
-                      : "no journal; header does not decode: " +
-                            h.status().message();
+    r.committed_header = std::move(ph.bytes);
     return r;
   }
   r.has_journal = true;
-
-  if (!state.value()) {
-    // Journal created but nothing ever committed: a file that crashed
-    // before its first enddef. There is no old state to return to.
-    std::vector<std::byte> probe(
-        std::min<std::uint64_t>(primary.Size(), 64 * 1024));
-    PNC_RETURN_IF_ERROR(primary.Read(0, probe));
-    const bool decodes = Header::Decode(probe).ok();
-    r.state = decodes ? FileState::kClean : FileState::kCorrupt;
-    r.detail = decodes ? "journal empty; header decodes"
-                       : "no committed state (crashed before first commit)";
-    return r;
-  }
 
   const CommitState s = *state.value();
   r.has_commit = true;

@@ -26,23 +26,26 @@
 // has table_len 0, so a session that crashes after its open leaves no
 // table to trust, only "unsummed".
 //
-// Dataset creation only creates (truncates) the journal; nothing is written
-// until the first commit, which writes the magic and two zeroed slots along
-// with the shadow. An empty or short journal therefore reads as "present,
-// nothing committed", exactly like one whose slots are zero.
+// The primary header is the first commit in force. Creating a dataset only
+// creates (truncates) the journal, and its first header commit (EndDef)
+// writes the primary header alone and syncs it: with no earlier state to
+// return to, there is nothing for a shadow to protect. From then on, and
+// after any open whose journal holds no valid slot, the commit in force is
+// the primary (PrimaryState: seq 0, no table). An empty or short journal,
+// like one whose slots are zero, reads as "present, nothing committed".
 //
 // A commit takes one of two shapes. pfs tears a write as a prefix, and the
 // tear argument for each shape is:
 //
-//   header commit (the header changed, or nothing is committed yet): write
-//     [shadow | table], sync, write the new slot in the alternate A/B
-//     position, sync; the caller then rewrites the primary header. A tear
-//     before the slot lands leaves the previous slot in force: its header
-//     body is still in the primary (every header commit syncs the primary
-//     before returning), and its table — overwritten — fails table_crc and
-//     reads as unsummed. With sums on, header commits only happen in
-//     writable sessions, whose previous slot is already OPEN and carries
-//     no table, so no trusted table is lost.
+//   header commit (the header changed): write [shadow | table], sync, write
+//     the new slot in the alternate A/B position, sync; the caller then
+//     rewrites the primary header. A tear before the slot lands leaves the
+//     previous commit in force: its header body is still in the primary
+//     (every header commit syncs the primary before returning), and its
+//     table — overwritten — fails table_crc and reads as unsummed. With
+//     sums on, header commits only happen in writable sessions, whose
+//     previous commit is already OPEN and carries no table, so no trusted
+//     table is lost.
 //   data commit (same header, new numrecs/table/flags): one write from
 //     offset 8 through the table end, [slot A | slot B | shadow | table]
 //     (no table for an OPEN commit: then just the slots and the shadow),
@@ -55,6 +58,12 @@
 //     table_crc: unsummed, never wrong. The shadow bytes rewritten in
 //     between differ from the committed ones at most in the numrecs field,
 //     which header_crc skips.
+//
+// A commit over the primary (seq 0) takes the same shapes, except that its
+// write starts at offset 0 and carries the magic, with both slots zeroed
+// but the new one (slot A) in a data commit. The journal held no valid
+// slot, so a torn prefix holds none either, or holds the new slot: the
+// primary or the new commit is in force, never a hybrid.
 //
 // The primary's own numrecs field is written only by a header commit (the
 // caller rewrites the whole primary header), by a closing commit (the
@@ -79,7 +88,9 @@
 // protocol never produces, so it is treated as torn. Otherwise the
 // committed header is reconstructed from whichever of shadow/primary
 // matches the CRC, with the slot's numrecs patched in — all-old or all-new,
-// never a hybrid.
+// never a hybrid. With no valid slot the primary is in force: the file is
+// clean when its header decodes, and otherwise crashed before its first
+// commit.
 #pragma once
 
 #include <optional>
@@ -140,6 +151,12 @@ struct CommitState {
   }
 };
 
+/// The primary as the commit in force: seq 0, `header` with `numrecs`
+/// records, no table, session-OPEN when `open`. It holds no slot; the
+/// first journal commit over it goes into slot A.
+[[nodiscard]] CommitState PrimaryState(pnc::ConstByteSpan header,
+                                       std::uint64_t numrecs, bool open);
+
 /// How much of the journal a reader fetches in its first request. The
 /// slots, the shadow and a small table all fit, so an open reads the
 /// journal once, not once per piece.
@@ -156,17 +173,17 @@ constexpr std::uint64_t kJournalProbeBytes = 8 * 1024;
 /// Durably commit `header` (its numrecs field is ignored) and the record
 /// count `numrecs`. With `sums` given, an `open` commit sets the
 /// session-OPEN flag and carries no table; a closing one (`!open`) carries
-/// the encoded table. `state` is the commit in force (empty:
-/// nothing committed yet) and becomes the new one once the commit point is
-/// durable. A data commit when `state` committed the same header, else a
-/// header commit (see the file comment); a header commit from nothing
-/// starts at offset 0 and lays down the magic and both zeroed slots too. A
-/// restatement of `state` with no table on either side writes nothing and
-/// leaves `state` as it was.
+/// the encoded table. `state` is the commit in force (PrimaryState when
+/// the journal holds no valid slot) and becomes the new one once the
+/// commit point is durable. A data commit when `state` committed the same
+/// header, else a header commit (see the file comment); a commit over the
+/// primary starts at offset 0 and lays down the magic too. A restatement
+/// of `state` with no table on either side writes nothing and leaves
+/// `state` as it was.
 [[nodiscard]] pnc::Status Commit(CommitIo& journal, pnc::ConstByteSpan header,
                                  std::uint64_t numrecs,
                                  const ChunkSumMap* sums, bool open,
-                                 std::optional<CommitState>& state);
+                                 CommitState& state);
 
 /// The trusted chunk-sum table committed with `s`, or nullopt when there
 /// is none to trust: the commit carries no table (sums off, or an OPEN
@@ -185,8 +202,8 @@ constexpr std::uint64_t kJournalProbeBytes = 8 * 1024;
 /// Verification verdict for one dataset + journal pair.
 enum class FileState {
   kClean,            ///< primary matches the committed state, its count at
-                     ///< or below the slot's (or no journal and the
-                     ///< primary decodes)
+                     ///< or below the slot's (or no valid slot, or no
+                     ///< journal, and the primary decodes)
   kTornRecoverable,  ///< primary torn/stale, committed state reconstructible
   kCorrupt,          ///< no committed state matches anything on disk
 };
@@ -198,8 +215,9 @@ struct VerifyReport {
   std::string detail;
   CommitState committed;
   /// The committed header bytes (slot numrecs patched in): reconstructed
-  /// when torn, the primary's own bytes when clean, so an open need not
-  /// read them again. Empty when nothing is committed, or kCorrupt.
+  /// when torn, the primary's own bytes when clean (with no valid slot, or
+  /// no journal, the primary's header as it decodes), so an open need not
+  /// read them again. Empty when kCorrupt.
   std::vector<std::byte> committed_header;
   /// Torn only in numrecs (bytes [4, 8)): the primary's header body matches
   /// the committed image, so its data region and sums are exact.

@@ -15,8 +15,9 @@ CommitPlan PlanCommit(CommitPoint at, const CommitFacts& f) {
       return p;
     case CommitPoint::kHeader:
       // Data first, metadata last: the data that the header makes
-      // reachable, then the journal commit, then the primary.
-      p.data_sync = p.journal = p.open = f.journaled;
+      // reachable, then the journal commit, then the primary. A fresh
+      // dataset's primary header is its first commit.
+      p.data_sync = p.journal = p.open = f.journaled && !f.fresh;
       p.header = true;
       return p;
     case CommitPoint::kSync:
@@ -32,14 +33,13 @@ CommitPlan PlanCommit(CommitPoint at, const CommitFacts& f) {
   // count goes, so every commit that grew it patches.
   p.patch = f.writable && (f.grew || f.primary_lags) &&
             (closing || !f.journaled);
-  // Data before the count and sums that describe it. A Sync makes the data
-  // durable regardless. A Close without a write-back buffer to empty syncs
-  // it only when it journals a grown count or sums, and otherwise leaves it
-  // to the file close.
-  p.data_sync = f.write_back || !closing || (commit && f.journaled);
   p.resolve = commit && f.sums;
   p.journal = f.journaled && (commit || p.patch);
   p.open = !closing;
+  // Data before the count and sums that describe it. A Sync makes the data
+  // durable regardless. A Close without a write-back buffer to empty syncs
+  // it when it writes anything, and otherwise leaves it to the file close.
+  p.data_sync = f.write_back || !closing || p.writes();
   return p;
 }
 
@@ -49,6 +49,7 @@ CommitFacts CommitSession::Facts(bool grew) const {
           .sums = sums_on_,
           .grew = grew,
           .primary_lags = primary_lags_,
+          .fresh = fresh_,
           .write_back = path_.write_back()};
 }
 
@@ -70,7 +71,7 @@ pnc::Status CommitSession::Create() {
     }
   }
   PNC_RETURN_IF_ERROR(Shared(st, "commit journal create"));
-  journaled_ = true;
+  journaled_ = fresh_ = true;
   sums_on_ = SumsEnabled();
   return pnc::Status::Ok();
 }
@@ -133,6 +134,9 @@ pnc::Result<Header> CommitSession::Open(const std::string& what) {
     if (r.ok()) {
       h = std::move(r).value();
       h.Encode(bytes);
+      // No valid slot, or no journal yet: the primary is the commit in
+      // force.
+      if (!state_) state_ = PrimaryState(bytes, h.numrecs, /*open=*/false);
     } else {
       st = r.status();
     }
@@ -173,11 +177,8 @@ pnc::Status CommitSession::OpenSums(const Header& h, bool torn,
     PNC_ASSIGN_OR_RETURN(journal_, path_.OpenJournal(/*create=*/true));
   }
   if (torn) return pnc::Status::Ok();
-  std::optional<ChunkSumMap> loaded;
-  if (state_) {
-    PNC_ASSIGN_OR_RETURN(loaded,
-                         ReadCommittedSums(*journal_, *state_, prefix));
-  }
+  PNC_ASSIGN_OR_RETURN(std::optional<ChunkSumMap> loaded,
+                       ReadCommittedSums(*journal_, *state_, prefix));
   const std::uint64_t db = SumsDataBegin(h);
   // A table whose recorded geometry disagrees with the live header is
   // discarded rather than risking false corruption verdicts.
@@ -230,6 +231,7 @@ pnc::Status CommitSession::Commit(CommitPoint at, Header& h) {
                                           : "commit failed"));
   PNC_RETURN_IF_ERROR(path_.Barrier());
   if (p.resolve) sums_.ClearDirty();
+  fresh_ = false;
   committed_numrecs_ = h.numrecs;
   primary_lags_ = !p.header && !p.patch && (primary_lags_ || grew);
   return pnc::Status::Ok();
@@ -251,12 +253,14 @@ pnc::Status CommitSession::RootCommit(const CommitPlan& p, const Header& h) {
   if (p.journal) {
     PNC_RETURN_IF_ERROR(ncformat::Commit(*journal_, bytes, h.numrecs,
                                          sums_on_ ? &sums_ : nullptr, p.open,
-                                         state_));
+                                         *state_));
   }
   if (p.header) {
     PNC_RETURN_IF_ERROR(path_.WriteHeader(bytes));
-    // Durable before the next commit may overwrite the shadow it relies on.
-    if (p.journal) PNC_RETURN_IF_ERROR(path_.Sync());
+    // Durable before the next commit may overwrite the shadow it relies
+    // on, or, with no journal commit, as the commit in force.
+    if (journaled_) PNC_RETURN_IF_ERROR(path_.Sync());
+    if (!p.journal) state_ = PrimaryState(bytes, h.numrecs, sums_on_);
     PNC_OBSERVE(kHeaderWrite, .len = bytes.size());
   }
   if (p.patch) PNC_RETURN_IF_ERROR(WritePrimaryNumrecs(path_, h.numrecs));

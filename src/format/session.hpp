@@ -20,6 +20,12 @@
 //   header      rewrite the primary header (synced when journaled);
 //   patch       write the primary's numrecs field (WritePrimaryNumrecs).
 //
+// A created dataset's first header commit is its header alone: there is no
+// earlier state for the journal to protect, so the primary becomes the
+// commit in force (PrimaryState), as it is after an open whose journal
+// holds no valid slot. The first journal commit then writes the journal
+// from offset 0.
+//
 // The parallel path is root-performed: every process takes the data sync,
 // the record-count agreement and the dirty-chunk gather; the root alone
 // resolves, commits and patches, and its status is agreed. The serial path
@@ -49,6 +55,10 @@ struct CommitFacts {
   bool sums = false;          ///< the chunk-sum map is armed
   bool grew = false;          ///< the record count moved since the last commit
   bool primary_lags = false;  ///< the primary's numrecs field trails it
+  /// A created dataset before its first header commit: no earlier state on
+  /// disk to protect. Its only data, the serial library's fill values,
+  /// shares the header's write-back and sync.
+  bool fresh = false;
   /// A property of the I/O path: data writes wait in a user-space
   /// write-back buffer, so every Sync and Close writes it back and syncs it,
   /// read-only sessions included, whether or not it commits anything.
@@ -116,8 +126,9 @@ class CommitSession {
       : path_(path), writable_(writable) {}
 
   /// A fresh dataset: the root creates the journal empty; the first header
-  /// commit writes its magic. Sums are armed per PNC_SUMS, geometry at
-  /// the first LayoutSums.
+  /// commit writes the primary header alone, and the first journal commit
+  /// the magic. Sums are armed per PNC_SUMS, geometry at the first
+  /// LayoutSums.
   pnc::Status Create();
   /// Open recovery, then the committed header (read by the root and shared,
   /// §4.2.1), then the sums: a read-only session verifies against a trusted
@@ -154,7 +165,10 @@ class CommitSession {
   bool writable_;
   bool journaled_ = false;  ///< the same on every process
   std::unique_ptr<CommitIo> journal_;  ///< root only
-  std::optional<CommitState> state_;   ///< root only: the commit in force
+  /// Root only: the commit in force, PrimaryState while the journal holds
+  /// no valid slot; empty before a created dataset's first header commit.
+  std::optional<CommitState> state_;
+  bool fresh_ = false;  ///< CommitFacts::fresh, the same on every process
   // The map every process keeps: the geometry and the chunks its own writes
   // dirtied; on the root also the committed entries, which it alone
   // resolves the gathered chunks against. A read-only parallel session

@@ -113,18 +113,6 @@ pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
   if (!rep.committed_header.empty()) {
     auto d = Header::Decode(rep.committed_header);
     if (d.ok()) h = std::move(d).value();
-  } else if (out.state == FileState::kClean) {
-    std::vector<std::byte> bytes(
-        std::min<std::uint64_t>(primary.Size(), 64 * 1024));
-    if (primary.Read(0, bytes).ok()) {
-      auto d = Header::Decode(bytes);
-      if (!d.ok() && d.status().code() == pnc::Err::kTrunc &&
-          bytes.size() < primary.Size()) {
-        bytes.resize(primary.Size());
-        if (primary.Read(0, bytes).ok()) d = Header::Decode(bytes);
-      }
-      if (d.ok()) h = std::move(d).value();
-    }
   }
   if (h) WalkExtents(*h, primary.Size(), out.notes);
 
@@ -176,11 +164,11 @@ pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
         if (!jf.ok()) return jf.status();
         journal.emplace(std::move(jf).value(), &clock);
       }
-      std::optional<ncformat::CommitState> state;
-      if (rep.has_commit) state = rep.committed;
-      std::vector<std::byte> header(
-          state ? state->header_len : h->EncodedSize());
-      PNC_RETURN_IF_ERROR(primary.Read(0, header));
+      const std::vector<std::byte>& header = rep.committed_header;
+      ncformat::CommitState state =
+          rep.has_commit
+              ? rep.committed
+              : ncformat::PrimaryState(header, h->numrecs, /*open=*/false);
       PNC_RETURN_IF_ERROR(ncformat::Commit(*journal, header, h->numrecs, &map,
                                            /*open=*/false, state));
       out.sums_rebuilt = true;

@@ -1222,6 +1222,234 @@ TEST(CrashSweep, FreshCreateThroughFirstEndDefThreeRanks) {
 }
 
 // ---------------------------------------------------------------------------
+// The primary as the first commit in force. A created dataset's first EndDef
+// writes its header alone; the first journal commit comes with the first
+// Sync that grows the records. The crash is armed before Create and bites at
+// every pfs op of Create, EndDef, one record put, Sync, Redef + EndDef (the
+// global attribute "stage" goes from "one" to "two", the header's size
+// unchanged) and Close, the crashing write vanishing, torn at 60 bytes
+// (inside slot A of a journal write from offset 0), torn at 120 bytes
+// (past both slots, inside the shadow) or landing whole. Serial (nprocs 0)
+// and at 1, 3 and 4 ranks, sums on and off, with a header below and one
+// above 64 KiB (a 100 KiB global attribute "note").
+//
+// After the reboot: a call that returned OK survives, with its header,
+// record count and bytes; a crash before EndDef's header landed classifies
+// "crashed before first commit"; and while the commit in force is the
+// primary or the first journal commit (torn or not), the file is clean —
+// no valid slot and the primary as EndDef committed it, or the slot, whose
+// header CRC matches the primary, with its count and an untrusted table.
+constexpr std::uint64_t kBigNote = 100 * 1024;
+constexpr int kGlobal = ncformat::kGlobalVarId;
+
+struct FirstCommitOutcome {
+  bool enddef = false;  ///< the first EndDef returned OK
+  bool put = false;     ///< the record put was started
+  bool synced = false;
+  bool redef = false;  ///< Redef + EndDef returned OK
+  bool closed = false;
+};
+
+template <typename Ds>
+FirstCommitOutcome FirstCommitSteps(Ds& ds, int rank, int nprocs, bool big,
+                                    std::uint64_t unlimited) {
+  FirstCommitOutcome o;
+  const int time = ds.DefDim("time", unlimited).value();
+  const int x = ds.DefDim("x", kRecWidth).value();
+  (void)ds.DefVar("r", NcType::kInt, {time, x}).value();
+  EXPECT_TRUE(ds.PutAttText(kGlobal, "stage", "one").ok());
+  if (big) {
+    EXPECT_TRUE(
+        ds.PutAttText(kGlobal, "note", std::string(kBigNote, 'n')).ok());
+  }
+  if ((o.enddef = ds.EndDef().ok())) {
+    o.put = true;
+    if (PutRecord(ds, 0, rank, nprocs, RecWrite::kPutAll).ok() &&
+        (o.synced = ds.Sync().ok()) && ds.Redef().ok() &&
+        ds.PutAttText(kGlobal, "stage", "two").ok())
+      o.redef = ds.EndDef().ok();
+  }
+  const bool closed = ds.Close().ok();
+  o.closed = o.redef && closed;
+  return o;
+}
+
+FirstCommitOutcome FirstCommitSession(pfs::FileSystem& fs, int nprocs,
+                                      bool big) {
+  if (nprocs == 0) {
+    auto ds = netcdf::Dataset::Create(fs, "f.nc");
+    if (!ds.ok()) return {};
+    return FirstCommitSteps(ds.value(), 0, 0, big, netcdf::kUnlimited);
+  }
+  FirstCommitOutcome out;
+  simmpi::Run(nprocs, [&](simmpi::Comm& c) {
+    auto r = pnetcdf::Dataset::Create(c, fs, "f.nc", simmpi::NullInfo());
+    if (!r.ok()) return;  // every rank sees the same verdict
+    const FirstCommitOutcome o = FirstCommitSteps(
+        r.value(), c.rank(), nprocs, big, pnetcdf::kUnlimited);
+    if (c.rank() == 0) out = o;
+  });
+  return out;
+}
+
+class FirstCommitP
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+
+TEST_P(FirstCommitP, CrashAtEveryOpKeepsEveryAcknowledgedCall) {
+  const auto [nprocs, sums, big] = GetParam();
+  std::optional<pnc_test::EnvGuard> no_sums;
+  if (!sums) no_sums.emplace("PNC_SUMS", "0");
+  constexpr std::uint64_t kWhole = pfs::FaultPolicy::kNever;
+  int before_first = 0, primary = 0, first_slot = 0, closed = 0;
+  for (const std::uint64_t torn : {std::uint64_t{0}, std::uint64_t{60},
+                                   std::uint64_t{120}, kWhole}) {
+    std::uint64_t op = 0;
+    for (; op < kSweepCeiling; ++op) {
+      pfs::FileSystem fs;
+      pfs::FaultPolicy crash;
+      crash.crash_op = op;
+      crash.crash_write_bytes = torn;
+      SCOPED_TRACE("crash at op " + std::to_string(op) + " " +
+                   pnc_test::DescribePolicy(crash));
+      fs.SetFaultPolicy(crash);
+      const FirstCommitOutcome o = FirstCommitSession(fs, nprocs, big);
+      const bool crashed = fs.crashed();
+      fs.SetFaultPolicy({});  // reboot
+      if (!crashed) {
+        EXPECT_TRUE(o.closed);
+      } else {
+        EXPECT_FALSE(o.closed);
+      }
+
+      if (!fs.Exists("f.nc")) {
+        ASSERT_FALSE(o.enddef);
+        continue;
+      }
+      auto vr = nctools::VerifyFile(fs, "f.nc");
+      ASSERT_TRUE(vr.ok()) << vr.status().message();
+      if (vr.value().state == ncformat::FileState::kCorrupt) {
+        // EndDef's header never landed whole: nothing was committed. (A
+        // crash inside the parallel Create can precede the journal.)
+        ASSERT_FALSE(o.enddef) << vr.value().detail;
+        if (vr.value().has_journal) {
+          EXPECT_EQ(vr.value().detail,
+                    "no committed state (crashed before first commit)");
+        }
+        EXPECT_FALSE(netcdf::Dataset::Open(fs, "f.nc", false).ok());
+        ++before_first;
+        continue;
+      }
+      // The primary is in force until the first journal commit lands, and
+      // that commit (seq 1) restates its header: either way, clean.
+      const ncformat::CommitState in_force =
+          pnc_test::CommittedState(fs, "f.nc");
+      if (in_force.seq <= 1) {
+        EXPECT_EQ(vr.value().state, ncformat::FileState::kClean)
+            << vr.value().detail;
+        EXPECT_EQ(in_force.numrecs, in_force.seq);
+        EXPECT_EQ(in_force.table_len, 0u);
+        (in_force.seq == 0 ? primary : first_slot)++;
+      }
+
+      // A reader, before any repair.
+      std::uint64_t n = 0;
+      {
+        auto rd = netcdf::Dataset::Open(fs, "f.nc", false);
+        ASSERT_TRUE(rd.ok()) << rd.status().message();
+        auto& d = rd.value();
+        n = d.numrecs();
+        const std::string stage = d.GetAtt(kGlobal, "stage").value().AsText();
+        ASSERT_TRUE(stage == "one" || stage == "two") << stage;
+        if (o.redef) {
+          EXPECT_EQ(stage, "two");
+        }
+        if (!o.synced) {
+          EXPECT_EQ(stage, "one");
+        }
+        if (big) {
+          EXPECT_EQ(d.GetAtt(kGlobal, "note").value().AsText(),
+                    std::string(kBigNote, 'n'));
+        }
+      }
+      ASSERT_LE(n, o.put ? 1u : 0u) << "a record that was never appended";
+      if (o.synced) {
+        ASSERT_EQ(n, 1u) << "an acknowledged record was lost";
+      }
+      ExpectRecordsRead(fs, 0, n);
+      if (nprocs != 0) ExpectRecordsRead(fs, nprocs, n);
+      auto v = nctools::VerifyFile(fs, "f.nc", {.repair = false, .data = true});
+      ASSERT_TRUE(v.ok()) << v.status().message();
+      ASSERT_TRUE(v.value().scrub.has_value());
+      ASSERT_EQ(v.value().scrub->corrupt, 0u);
+      if (o.closed) {
+        EXPECT_EQ(v.value().scrub->trusted, sums);
+        ++closed;
+      }
+
+      // A writable reopen and Close leave a caught-up, clean file.
+      ReopenWritableAndClose(fs, nprocs);
+      EXPECT_EQ(pnc_test::DiskNumrecs(fs, "f.nc"), n);
+      auto after = nctools::VerifyFile(fs, "f.nc", {.repair = true});
+      ASSERT_TRUE(after.ok()) << after.status().message();
+      EXPECT_EQ(after.value().state, ncformat::FileState::kClean)
+          << after.value().detail;
+      EXPECT_FALSE(after.value().repaired) << after.value().detail;
+      if (!crashed) break;  // the whole session ran: every op was a crash point
+    }
+    EXPECT_LT(op, kSweepCeiling);
+  }
+  EXPECT_GT(before_first, 0);
+  EXPECT_GT(primary, 0);
+  EXPECT_GT(first_slot, 0);
+  EXPECT_GT(closed, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ranks, FirstCommitP,
+    ::testing::Combine(::testing::Values(0, 1, 3, 4), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool, bool>>& i) {
+      const int n = std::get<0>(i.param);
+      return (n == 0 ? std::string("serial") : "p" + std::to_string(n)) +
+             (std::get<1>(i.param) ? "_sums" : "_nosums") +
+             (std::get<2>(i.param) ? "_big" : "_small");
+    });
+
+// A header over 64 KiB beside a blank journal: a dataset that crashed after
+// its first EndDef, before any journal commit. The primary is the commit in
+// force, so the file is clean, and the reopen reads its header whole.
+TEST(JournalPresence, LargeHeaderBesideABlankJournalIsClean) {
+  pfs::FileSystem fs;
+  {
+    auto ds = netcdf::Dataset::Create(fs, "f.nc").value();
+    const int x = ds.DefDim("x", 4).value();
+    const int v = ds.DefVar("v", NcType::kInt, {x}).value();
+    ASSERT_TRUE(
+        ds.PutAttText(kGlobal, "note", std::string(kBigNote, 'n')).ok());
+    ASSERT_TRUE(ds.EndDef().ok());
+    ArmCrash(fs, 0);
+    const std::vector<std::int32_t> vals = {1, 2, 3, 4};
+    (void)ds.PutVar<std::int32_t>(v, vals);
+    (void)ds.Close();
+  }
+  ASSERT_TRUE(fs.crashed());
+  fs.SetFaultPolicy({});  // reboot
+  EXPECT_EQ(fs.Open(ncformat::JournalPath("f.nc")).value().size(), 0u);
+  EXPECT_GT(fs.Open("f.nc").value().size(), 64u * 1024);
+
+  auto vr = nctools::VerifyFile(fs, "f.nc");
+  ASSERT_TRUE(vr.ok()) << vr.status().message();
+  EXPECT_TRUE(vr.value().has_journal);
+  EXPECT_EQ(vr.value().state, ncformat::FileState::kClean)
+      << vr.value().detail;
+  EXPECT_EQ(vr.value().detail, "journal empty; header decodes");
+  auto rd = netcdf::Dataset::Open(fs, "f.nc", false);
+  ASSERT_TRUE(rd.ok()) << rd.status().message();
+  EXPECT_EQ(rd.value().GetAtt(kGlobal, "note").value().AsText(),
+            std::string(kBigNote, 'n'));
+}
+
+// ---------------------------------------------------------------------------
 // A missing journal and an empty one are different things: the first is a
 // file written without the protocol (ncverify prints "(no commit journal)"),
 // the second a dataset whose first commit never happened.

@@ -1012,7 +1012,9 @@ TEST(Integrity, ParallelSumsOffIsBitIdenticalAndSidecarFree) {
 
 // The journal is the only sidecar, and every Sync/Close commit is one
 // journal write plus one sync: [slot A | slot B | shadow | table] from
-// offset 8. Create writes nothing. At the format level a counting store
+// offset 8, or from offset 0 with the magic over a blank journal. Create
+// writes nothing, and the first EndDef writes the primary header alone.
+// At the format level a counting store
 // sees each call; at the dataset level pfs::Stats deltas do (a sync is a
 // zero-length write request there), and the table's share is isolated by
 // running the same lifecycle with PNC_SUMS=0.
@@ -1061,28 +1063,30 @@ TEST(SidecarTraffic, SumsCommitIsOneSlotAndTableWrite) {
   ncformat::ChunkSumMap map;
   map.SetGeometry(4096, 128);
   map.Set(0, {4096, 0x1234u});
-  std::optional<ncformat::CommitState> state;
-  // The first commit lays the journal down: [magic | zero slots | shadow],
-  // sync, slot, sync. It is session-OPEN, so it carries no table: nothing
-  // to trust.
+  ncformat::CommitState state = ncformat::PrimaryState(header, 0, false);
+  // The first commit over the primary lays the journal down in one write,
+  // [magic | slot A | zero slot B | shadow], and one sync. It is
+  // session-OPEN, so it carries no table: nothing to trust.
   ASSERT_TRUE(ncformat::Commit(io, header, 0, &map, /*open=*/true, state).ok());
-  ASSERT_EQ(io.writes.size(), 2u);
-  EXPECT_EQ(io.syncs, 2);
+  ASSERT_EQ(io.writes.size(), 1u);
+  EXPECT_EQ(io.syncs, 1);
   EXPECT_EQ(io.writes[0].offset, 0u);
   EXPECT_EQ(io.writes[0].len, ncformat::kJournalShadowOffset + header.size());
-  EXPECT_EQ(state->table_len, 0u);
-  EXPECT_EQ(state->flags, ncformat::kCommitFlagOpen);
-  EXPECT_FALSE(ncformat::ReadCommittedSums(io, *state).value().has_value());
+  EXPECT_EQ(state.seq, 1u);
+  EXPECT_EQ(state.slot, 0);
+  EXPECT_EQ(state.table_len, 0u);
+  EXPECT_EQ(state.flags, ncformat::kCommitFlagOpen);
+  EXPECT_FALSE(ncformat::ReadCommittedSums(io, state).value().has_value());
 
   // A data commit with a grown table and record count, closed: one write
   // from offset 8 through the table end, one sync.
   map.Set(1, {100, 0x5678u});
   ASSERT_TRUE(
       ncformat::Commit(io, header, 3, &map, /*open=*/false, state).ok());
-  ASSERT_EQ(io.writes.size(), 3u);
-  EXPECT_EQ(io.syncs, 3);
-  EXPECT_EQ(io.writes[2].offset, ncformat::kJournalSlotOffset[0]);
-  EXPECT_EQ(io.writes[2].len, 2 * ncformat::kJournalSlotSize + header.size() +
+  ASSERT_EQ(io.writes.size(), 2u);
+  EXPECT_EQ(io.syncs, 2);
+  EXPECT_EQ(io.writes[1].offset, ncformat::kJournalSlotOffset[0]);
+  EXPECT_EQ(io.writes[1].len, 2 * ncformat::kJournalSlotSize + header.size() +
                                   map.EncodeTable().size());
   const auto read = ncformat::ReadCommitState(io).value();
   ASSERT_TRUE(read.has_value());
@@ -1102,30 +1106,53 @@ TEST(SidecarTraffic, FirstJournalCommitCarriesTheMagic) {
   ASSERT_TRUE(none.ok());
   EXPECT_FALSE(none.value().has_value());
 
+  // The header unchanged since the primary's (a Sync that grew the
+  // records): a data commit, one write from offset 0 — magic, the new slot
+  // A, a zeroed slot B and the shadow — and one sync.
   const std::vector<std::byte> header = EncodedHeader(1);
-  std::optional<ncformat::CommitState> state;
-  ASSERT_TRUE(ncformat::Commit(j, header, 0, nullptr, false, state).ok());
-  ASSERT_EQ(j.writes.size(), 2u);
-  EXPECT_EQ(j.syncs, 2);
-  EXPECT_EQ(j.writes[0].offset, 0u);  // magic + zero slots + shadow
+  ncformat::CommitState state = ncformat::PrimaryState(header, 0, false);
+  ASSERT_TRUE(ncformat::Commit(j, header, 3, nullptr, false, state).ok());
+  ASSERT_EQ(j.writes.size(), 1u);
+  EXPECT_EQ(j.syncs, 1);
+  EXPECT_EQ(j.writes[0].offset, 0u);
   EXPECT_EQ(j.writes[0].len, ncformat::kJournalShadowOffset + header.size());
-  EXPECT_EQ(j.writes[1].offset, ncformat::kJournalSlotOffset[0]);
-  EXPECT_EQ(j.writes[1].len, ncformat::kJournalSlotSize);
-  EXPECT_EQ(ncformat::ReadCommitState(j).value()->seq, 1u);
+  const auto first = ncformat::ReadCommitState(j).value();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->seq, 1u);
+  EXPECT_EQ(first->slot, 0);
+  EXPECT_EQ(first->numrecs, 3u);
+  for (std::uint64_t i = ncformat::kJournalSlotOffset[1];
+       i < ncformat::kJournalShadowOffset; ++i)
+    ASSERT_EQ(j.bytes[i], std::byte{0}) << i;
+
+  // A changed header over the primary (a Redef over a blank journal): a
+  // header commit, [magic | zero slots | shadow] from offset 0, sync, then
+  // slot A, sync.
+  CountingCommitIo r;
+  const std::vector<std::byte> grown = EncodedHeader(2);
+  state = ncformat::PrimaryState(header, 0, false);
+  ASSERT_TRUE(ncformat::Commit(r, grown, 0, nullptr, false, state).ok());
+  ASSERT_EQ(r.writes.size(), 2u);
+  EXPECT_EQ(r.syncs, 2);
+  EXPECT_EQ(r.writes[0].offset, 0u);
+  EXPECT_EQ(r.writes[0].len, ncformat::kJournalShadowOffset + grown.size());
+  EXPECT_EQ(r.writes[1].offset, ncformat::kJournalSlotOffset[0]);
+  EXPECT_EQ(r.writes[1].len, ncformat::kJournalSlotSize);
+  EXPECT_EQ(ncformat::ReadCommitState(r).value()->seq, 1u);
 
   // A later header commit: the shadow alone, then the other slot.
-  const std::vector<std::byte> grown = EncodedHeader(2);
-  ASSERT_TRUE(ncformat::Commit(j, grown, 0, nullptr, false, state).ok());
-  ASSERT_EQ(j.writes.size(), 4u);
-  EXPECT_EQ(j.syncs, 4);
-  EXPECT_EQ(j.writes[2].offset, ncformat::kJournalShadowOffset);
-  EXPECT_EQ(j.writes[2].len, grown.size());
-  EXPECT_EQ(j.writes[3].offset, ncformat::kJournalSlotOffset[1]);
+  ASSERT_TRUE(ncformat::Commit(r, header, 0, nullptr, false, state).ok());
+  ASSERT_EQ(r.writes.size(), 4u);
+  EXPECT_EQ(r.syncs, 4);
+  EXPECT_EQ(r.writes[2].offset, ncformat::kJournalShadowOffset);
+  EXPECT_EQ(r.writes[2].len, header.size());
+  EXPECT_EQ(r.writes[3].offset, ncformat::kJournalSlotOffset[1]);
   // Same header again: a data commit, one write and one sync.
-  ASSERT_TRUE(ncformat::Commit(j, grown, 5, nullptr, false, state).ok());
-  ASSERT_EQ(j.writes.size(), 5u);
-  EXPECT_EQ(j.syncs, 5);
-  EXPECT_EQ(ncformat::ReadCommitState(j).value()->numrecs, 5u);
+  ASSERT_TRUE(ncformat::Commit(r, header, 5, nullptr, false, state).ok());
+  ASSERT_EQ(r.writes.size(), 5u);
+  EXPECT_EQ(r.syncs, 5);
+  EXPECT_EQ(r.writes[4].offset, ncformat::kJournalSlotOffset[0]);
+  EXPECT_EQ(ncformat::ReadCommitState(r).value()->numrecs, 5u);
 }
 
 /// A journal whose commit in force holds `header` with `slot_recs`
@@ -1137,7 +1164,7 @@ struct CommittedPair {
 CommittedPair CommitPair(const std::vector<std::byte>& header,
                          std::uint64_t slot_recs, std::uint32_t primary_recs) {
   CommittedPair out;
-  std::optional<ncformat::CommitState> state;
+  ncformat::CommitState state = ncformat::PrimaryState(header, 0, false);
   EXPECT_TRUE(
       ncformat::Commit(out.journal, header, 0, nullptr, true, state).ok());
   EXPECT_TRUE(ncformat::Commit(out.journal, header, slot_recs, nullptr, true,
@@ -1248,22 +1275,22 @@ TEST(SidecarTraffic, RestatementWritesNothing) {
   };
   for (const bool open_base : {true, false}) {
     CountingCommitIo base;
-    std::optional<ncformat::CommitState> in_force;
+    ncformat::CommitState in_force = ncformat::PrimaryState(header, 0, false);
     // Records 1, then 2: seq 2 in slot B, which a skip must not flip.
     for (std::uint64_t recs = 1; recs <= 2; ++recs)
       ASSERT_TRUE(ncformat::Commit(base, header, recs,
                                    open_base ? &map : nullptr, open_base,
                                    in_force)
                       .ok());
-    ASSERT_EQ(in_force->seq, 2u);
-    ASSERT_EQ(in_force->table_len, 0u);
+    ASSERT_EQ(in_force.seq, 2u);
+    ASSERT_EQ(in_force.table_len, 0u);
     for (const Case& c : open_base ? std::span<const Case>(over_open)
                                    : std::span<const Case>(over_closed)) {
       SCOPED_TRACE(c.what);
       CountingCommitIo io = base;
       io.writes.clear();
       io.syncs = 0;
-      std::optional<ncformat::CommitState> state = in_force;
+      ncformat::CommitState state = in_force;
       ASSERT_TRUE(
           ncformat::Commit(io, c.header, c.numrecs, c.sums, c.open, state)
               .ok());
@@ -1271,52 +1298,70 @@ TEST(SidecarTraffic, RestatementWritesNothing) {
       EXPECT_EQ(io.syncs, static_cast<int>(c.writes));
       const auto read = ncformat::ReadCommitState(io).value();
       ASSERT_TRUE(read.has_value());
-      EXPECT_EQ(read->seq, state->seq);
+      EXPECT_EQ(read->seq, state.seq);
       if (c.writes == 0) {
         EXPECT_EQ(io.bytes, base.bytes);
-        EXPECT_EQ(state->seq, in_force->seq);
-        EXPECT_EQ(state->slot, in_force->slot);
+        EXPECT_EQ(state.seq, in_force.seq);
+        EXPECT_EQ(state.slot, in_force.slot);
       } else {
-        EXPECT_EQ(state->seq, in_force->seq + 1);
-        EXPECT_EQ(state->slot, 1 - in_force->slot);
+        EXPECT_EQ(state.seq, in_force.seq + 1);
+        EXPECT_EQ(state.slot, 1 - in_force.slot);
       }
     }
+  }
+
+  // The primary restated (an idle Sync after a fresh EndDef, sums on or
+  // off) writes nothing either: the journal stays blank.
+  for (const bool open : {true, false}) {
+    CountingCommitIo io;
+    ncformat::CommitState state = ncformat::PrimaryState(header, 2, open);
+    ASSERT_TRUE(ncformat::Commit(io, header, 2, open ? &map : nullptr, open,
+                                 state)
+                    .ok());
+    EXPECT_TRUE(io.writes.empty());
+    EXPECT_EQ(io.syncs, 0);
+    EXPECT_EQ(state.seq, 0u);
+    EXPECT_FALSE(ncformat::ReadCommitState(io).value().has_value());
   }
 
   // A closing commit that restates a table still writes it: only a commit
   // with no table on either side is a restatement.
   CountingCommitIo io;
-  std::optional<ncformat::CommitState> state;
+  ncformat::CommitState state = ncformat::PrimaryState(header, 2, false);
   ASSERT_TRUE(ncformat::Commit(io, header, 2, &map, false, state).ok());
-  ASSERT_GT(state->table_len, 0u);
+  ASSERT_GT(state.table_len, 0u);
   io.writes.clear();
   io.syncs = 0;
   ASSERT_TRUE(ncformat::Commit(io, header, 2, &map, false, state).ok());
   EXPECT_EQ(io.writes.size(), 1u);
   EXPECT_EQ(io.syncs, 1);
-  EXPECT_EQ(state->seq, 2u);
+  EXPECT_EQ(state.seq, 2u);
 }
 
 // The tear argument of a data commit, byte by byte: pfs tears a write as a
 // prefix, so land every prefix of the one write over a committed journal.
 // The journal must read as the old commit with its table intact, or the
 // new commit with its table intact or unsummed — whichever slot is new.
+// Over a blank journal (first_slot -1) the old commit is the primary: a
+// prefix holds no valid slot, or the new one.
 TEST(SidecarTraffic, DataCommitEveryPrefixIsOldOrNew) {
   const std::vector<std::byte> header = EncodedHeader(1);
-  for (int first_slot = 0; first_slot < 2; ++first_slot) {
+  for (int first_slot = -1; first_slot < 2; ++first_slot) {
     CountingCommitIo base;
     ncformat::ChunkSumMap map;
     map.SetGeometry(4096, 128);
     map.Set(0, {4096, 0x1111u});
-    std::optional<ncformat::CommitState> old;
+    ncformat::CommitState old = ncformat::PrimaryState(header, 1, false);
     for (int k = 0; k <= first_slot; ++k)  // the old commit sits in A or B
       ASSERT_TRUE(ncformat::Commit(base, header, 1, &map, false, old).ok());
-    ASSERT_EQ(old->slot, first_slot);
+    if (first_slot >= 0) {
+      ASSERT_EQ(old.slot, first_slot);
+    }
     const auto old_entries = map.entries();
     map.Set(1, {4096, 0x2222u});
     map.Set(2, {17, 0x3333u});
     CountingCommitIo full = base;
-    std::optional<ncformat::CommitState> next = old;
+    ncformat::CommitState next = old;
     ASSERT_TRUE(ncformat::Commit(full, header, 2, &map, false, next).ok());
     const CountingCommitIo::Call w = full.writes.back();
     int old_seen = 0, new_seen = 0, new_unsummed = 0;
@@ -1329,17 +1374,21 @@ TEST(SidecarTraffic, DataCommitEveryPrefixIsOldOrNew) {
       const auto at = static_cast<std::ptrdiff_t>(w.offset);
       std::copy_n(full.bytes.begin() + at, n, torn.bytes.begin() + at);
       const auto st = ncformat::ReadCommitState(torn).value();
-      ASSERT_TRUE(st.has_value());
+      if (!st) {
+        ASSERT_EQ(old.seq, 0u) << "a committed slot was lost";
+        ++old_seen;  // the primary stands
+        continue;
+      }
       ASSERT_EQ(ncformat::HeaderCrc(header), st->header_crc);
       const std::optional<ncformat::ChunkSumMap> sums =
           ncformat::ReadCommittedSums(torn, *st).value();
-      if (st->seq == old->seq) {
+      if (st->seq == old.seq) {
         EXPECT_EQ(st->numrecs, 1u);
         ASSERT_TRUE(sums.has_value());
         EXPECT_EQ(sums->entries(), old_entries);
         ++old_seen;
       } else {
-        ASSERT_EQ(st->seq, next->seq);
+        ASSERT_EQ(st->seq, next.seq);
         EXPECT_EQ(st->numrecs, 2u);
         if (sums) {
           EXPECT_EQ(sums->entries(), map.entries());
@@ -1543,21 +1592,16 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
   EXPECT_EQ(on.step[kCreate].bytes, 0u);
   EXPECT_EQ(off.step[kCreate].requests, open_trip);
 
-  // The first EndDef: the primary header (H bytes) plus a journal commit of
-  // two writes — [magic | zero slots | shadow] and one slot — and two
-  // syncs. With sums on it is session-OPEN and carries no table, so bytes
-  // and requests are the same with sums on or off.
-  EXPECT_EQ(on.step[kEndDef].bytes, off.step[kEndDef].bytes);
-  EXPECT_EQ(off.step[kEndDef].bytes,
-            h + (ncformat::kJournalShadowOffset + h) +
-                ncformat::kJournalSlotSize);
-  EXPECT_EQ(on.step[kEndDef].requests, off.step[kEndDef].requests);
-  // Serial: data sync; journal write, sync, slot write, sync; header write
-  // and sync. Parallel: one data sync per rank; the root's journal commit,
-  // header write and local sync.
+  // The first EndDef writes the primary header (H bytes) and syncs it, on
+  // the root alone: no data sync, no journal write. The primary is then the
+  // commit in force (seq 0), sums on or off.
+  for (const Lifecycle* l : {&on, static_cast<const Lifecycle*>(&off)}) {
+    EXPECT_EQ(l->step[kEndDef].bytes, h);
+    EXPECT_EQ(l->step[kEndDef].requests, 2u);
+    EXPECT_EQ(l->journal_seq[kEndDef], 0u);
+  }
   const std::uint64_t data_syncs =
       nprocs == 0 ? 1 : static_cast<std::uint64_t>(nprocs);
-  EXPECT_EQ(on.step[kEndDef].requests, data_syncs + 4 + 2);
 
   // A Sync that grows no records restates the commit in force (same
   // header, record count and session-OPEN flag, no table), so with sums it
@@ -1583,7 +1627,10 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
     EXPECT_EQ(on.step[s].bytes, 0u);
     EXPECT_EQ(off.step[s].bytes, 0u);
   }
+  // A data commit writes [slot A | slot B | shadow] from offset 8; the
+  // first one, over the primary, writes from offset 0 with the magic.
   const std::uint64_t commit_bytes = 2 * ncformat::kJournalSlotSize + h;
+  const std::uint64_t first_commit_bytes = ncformat::kJournalShadowOffset + h;
 
   // A write that grows the records converges the count in memory only: a
   // collective put, or an IputVara + WaitAll, makes exactly the I/O of the
@@ -1607,16 +1654,16 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
     }
     // The Sync after each growth round commits the grown count to the
     // journal slot alone: exactly the Sync after a put of as many bytes,
-    // plus one journal write of [slot A | slot B | shadow] from offset 8
-    // and its sync (a session-OPEN commit carries no table). No numrecs
-    // patch, no second sync.
-    for (const auto& [s, prev, recs] :
-         {std::tuple{kSyncAfterGrowth, kSyncIdle, 1u},
-          std::tuple{kSyncAfterWait, kSyncAfterGrowth, 2u}}) {
+    // plus one journal write and its sync (a session-OPEN commit carries no
+    // table). The first is the journal's first commit, from offset 0. No
+    // numrecs patch, no second sync.
+    for (const auto& [s, prev, recs, bytes] :
+         {std::tuple{kSyncAfterGrowth, kSyncIdle, 1u, first_commit_bytes},
+          std::tuple{kSyncAfterWait, kSyncAfterGrowth, 2u, commit_bytes}}) {
       SCOPED_TRACE(s == kSyncAfterGrowth ? "Sync after a put"
                                          : "Sync after a WaitAll");
       EXPECT_EQ(l->step[s].requests, l->step[kSyncAfterPut].requests + 2);
-      EXPECT_EQ(l->step[s].bytes, l->step[kSyncAfterPut].bytes + commit_bytes);
+      EXPECT_EQ(l->step[s].bytes, l->step[kSyncAfterPut].bytes + bytes);
       EXPECT_EQ(l->journal_seq[s], l->journal_seq[prev] + 1);
       EXPECT_EQ(l->journal_numrecs[s], recs);
       if (nprocs != 0) {
@@ -1633,17 +1680,15 @@ TEST_P(SidecarTrafficP, CreateWritesNothingAndEachCommitIsOneWrite) {
     EXPECT_EQ(l->journal_numrecs[kClose], 2u);
   }
   // The primary lags at Close: an unsummed Close that grew nothing since
-  // the last Sync makes the 4-byte patch and its sync. The serial Close
-  // syncs the data first; the parallel one leaves that to the file close.
-  EXPECT_EQ(off.step[kClose].requests, (nprocs == 0 ? 1u : 0u) + 2);
+  // the last Sync syncs the data, as every Close that writes does, then
+  // makes the 4-byte patch and its sync.
+  EXPECT_EQ(off.step[kClose].requests, data_syncs + 2);
   EXPECT_EQ(off.step[kClose].bytes, 4u);
 
-  // A summed parallel Close first syncs the data on every rank, which an
-  // unsummed one leaves to the file close; the serial Close syncs it either
-  // way. Then one journal write, now closed and carrying the table, and one
-  // sync.
+  // A summed Close adds one journal write, now closed and carrying the
+  // table, and one sync.
   const Traffic close = on.step[kClose] - off.step[kClose];
-  EXPECT_EQ(close.requests, (nprocs == 0 ? 0 : data_syncs) + 2);
+  EXPECT_EQ(close.requests, 2u);
   EXPECT_EQ(close.bytes, commit_bytes + table);
 }
 
@@ -1714,7 +1759,8 @@ Traffic ReopenCloseTraffic(pfs::FileSystem& fs, int nprocs) {
 // A writable open of a file whose primary count trails the journal's (a
 // Sync with no Close) records the lag, and its Close catches the primary up
 // with the 4-byte patch and its sync, sums on or off, even though it grew
-// nothing. The Close of a caught-up file makes neither.
+// nothing. The Close of a caught-up file makes neither. An unsummed
+// parallel Close syncs the data only when it writes: here, to patch.
 TEST_P(SidecarTrafficP, CloseCatchesUpOnlyALaggingPrimary) {
   const int nprocs = GetParam();
   for (const bool sums : {true, false}) {
@@ -1734,7 +1780,9 @@ TEST_P(SidecarTrafficP, CloseCatchesUpOnlyALaggingPrimary) {
     EXPECT_EQ(pnc_test::DiskNumrecs(fs, "t.nc"), 1u);
     EXPECT_EQ(CommittedState(fs, "t.nc").numrecs, 1u);
     const Traffic caught_up = ReopenCloseTraffic(fs, nprocs);
-    EXPECT_EQ(lagging.requests, caught_up.requests + 2);
+    const std::uint64_t data_syncs =
+        sums || nprocs == 0 ? 0 : static_cast<std::uint64_t>(nprocs);
+    EXPECT_EQ(lagging.requests, caught_up.requests + data_syncs + 2);
     EXPECT_EQ(lagging.bytes, caught_up.bytes + 4);
     if (!sums) {
       // Unsummed, a caught-up Close writes nothing; the serial one syncs.

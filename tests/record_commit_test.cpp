@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "format/session.hpp"
 #include "netcdf/dataset.hpp"
 #include "pnetcdf/dataset.hpp"
 #include "simmpi/runtime.hpp"
@@ -193,5 +194,69 @@ INSTANTIATE_TEST_SUITE_P(Sums, RecordCommit, ::testing::Bool(),
                            return i.param ? std::string("on")
                                           : std::string("off");
                          });
+
+// What each commit writes, decided once by ncformat::PlanCommit from the
+// session's facts. Each row names a state and the writes of its plan: d =
+// data sync, r = dirty resolve, j = journal commit, o = that commit is
+// session-OPEN, h = primary header rewrite, p = numrecs patch.
+TEST(CommitPlan, EveryPointAndFactHasOnePlan) {
+  using ncformat::CommitFacts;
+  using ncformat::CommitPoint;
+  struct Row {
+    const char* what;
+    CommitPoint at;
+    CommitFacts f;
+    const char* plan;
+  };
+  const CommitFacts summed{.writable = true, .journaled = true, .sums = true};
+  const CommitFacts unsummed{.writable = true, .journaled = true};
+  const CommitFacts legacy{.writable = true};
+  const auto with = [](CommitFacts f, auto&& edit) {
+    edit(f);
+    return f;
+  };
+  const Row rows[] = {
+      {"writable open, sums", CommitPoint::kOpen, summed, "jo"},
+      {"writable open, no sums", CommitPoint::kOpen, unsummed, ""},
+      {"read-only open", CommitPoint::kOpen,
+       with(summed, [](CommitFacts& f) { f.writable = false; }), ""},
+      {"fresh EndDef, sums", CommitPoint::kHeader,
+       with(summed, [](CommitFacts& f) { f.fresh = true; }), "h"},
+      {"fresh EndDef, no sums, write-back", CommitPoint::kHeader,
+       with(unsummed,
+            [](CommitFacts& f) { f.fresh = f.write_back = true; }),
+       "h"},
+      {"EndDef after Redef", CommitPoint::kHeader, summed, "djoh"},
+      {"EndDef without a journal", CommitPoint::kHeader, legacy, "h"},
+      {"idle Sync, sums", CommitPoint::kSync, summed, "drjo"},
+      {"idle Sync, no sums", CommitPoint::kSync, unsummed, "d"},
+      {"growing Sync, no sums", CommitPoint::kSync,
+       with(unsummed, [](CommitFacts& f) { f.grew = true; }), "djo"},
+      {"growing Sync without a journal", CommitPoint::kSync,
+       with(legacy, [](CommitFacts& f) { f.grew = true; }), "dp"},
+      {"Close, sums, primary lags", CommitPoint::kClose,
+       with(summed, [](CommitFacts& f) { f.primary_lags = true; }), "drjp"},
+      {"Close, no sums, primary lags", CommitPoint::kClose,
+       with(unsummed, [](CommitFacts& f) { f.primary_lags = true; }), "djp"},
+      {"Close, no sums, caught up", CommitPoint::kClose, unsummed, ""},
+      {"growing Close without a journal", CommitPoint::kClose,
+       with(legacy, [](CommitFacts& f) { f.grew = true; }), "dp"},
+      {"idle Close without a journal", CommitPoint::kClose, legacy, ""},
+      {"idle Close without a journal, write-back", CommitPoint::kClose,
+       with(legacy, [](CommitFacts& f) { f.write_back = true; }), "d"},
+      {"read-only Close", CommitPoint::kClose,
+       with(summed, [](CommitFacts& f) { f.writable = false; }), ""},
+  };
+  for (const Row& r : rows) {
+    const ncformat::CommitPlan p = ncformat::PlanCommit(r.at, r.f);
+    std::string got;
+    for (const auto& [on, c] :
+         {std::pair{p.data_sync, 'd'}, std::pair{p.resolve, 'r'},
+          std::pair{p.journal, 'j'}, std::pair{p.journal && p.open, 'o'},
+          std::pair{p.header, 'h'}, std::pair{p.patch, 'p'}})
+      if (on) got += c;
+    EXPECT_EQ(got, r.plan) << r.what;
+  }
+}
 
 }  // namespace

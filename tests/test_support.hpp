@@ -142,14 +142,23 @@ inline std::uint32_t DiskNumrecs(pfs::FileSystem& fs, const std::string& path) {
   return n;
 }
 
-/// The commit in force in `path`'s journal (the file must have one).
+/// The commit in force of `path` (the file must have a journal): the
+/// journal's slot, or, when the journal holds none, the primary (seq 0),
+/// session-OPEN when sums are on, as the session that wrote it holds it.
 inline ncformat::CommitState CommittedState(pfs::FileSystem& fs,
                                             const std::string& path) {
   simmpi::VirtualClock clk;
-  ncformat::PfsCommitIo io(fs.Open(ncformat::JournalPath(path)).value(), &clk);
-  const auto state = ncformat::ReadCommitState(io).value();
-  EXPECT_TRUE(state.has_value()) << path << ": nothing committed";
-  return state.value_or(ncformat::CommitState{});
+  ncformat::PfsCommitIo journal(fs.Open(ncformat::JournalPath(path)).value(),
+                                &clk);
+  const auto slot = ncformat::ReadCommitState(journal).value();
+  if (slot) return *slot;
+  ncformat::PfsCommitIo primary(fs.Open(path).value(), &clk);
+  const auto rep = ncformat::AnalyzeCommit(&journal, primary).value();
+  const auto h = ncformat::Header::Decode(rep.committed_header);
+  EXPECT_TRUE(h.ok()) << path << ": " << rep.detail;
+  return ncformat::PrimaryState(rep.committed_header,
+                                h.ok() ? h.value().numrecs : 0,
+                                ncformat::SumsEnabled());
 }
 
 /// The committed, trusted chunk-sum table of `path`, loaded from its
