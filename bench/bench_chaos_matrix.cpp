@@ -244,6 +244,10 @@ Outcome RunOne(const Schedule& sched, int nprocs, const simmpi::Info& info) {
     fs.SetFaultPolicy({});
     fs.ResetTime();
     const std::uint64_t target = DataStart(fs, "chaos.nc");
+    // DataStart's harness read and the flip below both start at clock 0;
+    // the flip must not queue behind that read, which is no part of the
+    // phase.
+    fs.ResetTime();
     pfs::FaultPolicy p;
     p.seed = kFlipSeed + 2;
     p.corrupt_at_rest = 1.0;

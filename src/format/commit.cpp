@@ -250,20 +250,36 @@ pnc::Result<std::optional<ChunkSumMap>> ReadCommittedSums(
 pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
   VerifyReport r;
 
-  pnc::Result<std::optional<CommitState>> state =
-      pnc::Status(pnc::Err::kNotNc, "no commit journal");
-  if (journal) state = ReadCommitState(*journal, &r.journal_prefix);
+  std::optional<CommitState> state;
+  bool damaged = false;  ///< a journal whose magic is damaged
+  if (journal) {
+    auto read = ReadCommitState(*journal, &r.journal_prefix);
+    if (read.ok()) {
+      state = std::move(read).value();
+    } else if (read.status().code() == pnc::Err::kNotNc) {
+      damaged = true;
+    } else {
+      return read.status();  // a read failure is not a verdict
+    }
+  }
+  r.has_journal = journal != nullptr;
   // No valid slot, or no journal at all: the primary is in force, and the
   // file is clean when its header decodes. A journal with nothing
   // committed belongs to a dataset whose first EndDef is its only commit
   // so far, or that crashed before that EndDef's header landed; a missing
-  // one, to a legacy or externally produced file.
-  if (!state.ok() || !state.value()) {
-    r.has_journal = state.ok();
+  // one, to a legacy or externally produced file. A damaged magic loses
+  // whatever the journal committed, so that file is torn, never clean: it
+  // opens from the primary with no trusted table, and a writable session's
+  // first commit lays the journal down again from offset 0.
+  if (!state) {
     PNC_ASSIGN_OR_RETURN(PrimaryHeader ph, ReadPrimaryHeader(primary));
     const bool decodes = ph.decoded.ok();
-    r.state = decodes ? FileState::kClean : FileState::kCorrupt;
-    if (r.has_journal) {
+    r.state = !decodes  ? FileState::kCorrupt
+              : damaged ? FileState::kTornRecoverable
+                        : FileState::kClean;
+    if (damaged) {
+      r.detail = "journal magic damaged";
+    } else if (r.has_journal) {
       r.detail = decodes ? "journal empty; header decodes"
                          : "no committed state (crashed before first commit)";
     } else {
@@ -274,9 +290,8 @@ pnc::Result<VerifyReport> AnalyzeCommit(CommitIo* journal, CommitIo& primary) {
     r.committed_header = std::move(ph.bytes);
     return r;
   }
-  r.has_journal = true;
 
-  const CommitState s = *state.value();
+  const CommitState s = *state;
   r.has_commit = true;
   r.committed = s;
 
@@ -350,6 +365,9 @@ pnc::Status RepairFromReport(const VerifyReport& report, CommitIo& primary) {
                  ? WritePrimaryNumrecs(primary, report.committed.numrecs)
                  : pnc::Status::Ok();
     case FileState::kTornRecoverable:
+      // Without a commit (a damaged journal) the primary is what is in
+      // force; there is nothing to roll it to.
+      if (!report.has_commit) return pnc::Status::Ok();
       PNC_RETURN_IF_ERROR(
           primary.Write(0, pnc::ConstByteSpan(report.committed_header)));
       return primary.Sync();

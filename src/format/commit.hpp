@@ -204,7 +204,9 @@ enum class FileState {
   kClean,            ///< primary matches the committed state, its count at
                      ///< or below the slot's (or no valid slot, or no
                      ///< journal, and the primary decodes)
-  kTornRecoverable,  ///< primary torn/stale, committed state reconstructible
+  kTornRecoverable,  ///< primary torn/stale, committed state reconstructible;
+                     ///< or the journal's magic is damaged, so what it
+                     ///< committed is lost and the primary is in force
   kCorrupt,          ///< no committed state matches anything on disk
 };
 
@@ -240,8 +242,8 @@ struct VerifyReport {
 
 /// Roll the primary back/forward to the committed state in `report`
 /// (rewrites the header prefix and syncs). For kClean, catches a trailing
-/// numrecs field up (WritePrimaryNumrecs) and is otherwise a no-op; fails
-/// for kCorrupt.
+/// numrecs field up (WritePrimaryNumrecs) and is otherwise a no-op; so is
+/// a damaged journal's report (no commit to roll to); fails for kCorrupt.
 [[nodiscard]] pnc::Status RepairFromReport(const VerifyReport& report,
                                            CommitIo& primary);
 

@@ -61,13 +61,14 @@ const char* EvName(Ev e) {
     case Ev::kMsgDrop: return "msg_drop";
     case Ev::kAgreement: return "agreement";
     case Ev::kDataCorrupt: return "data_corrupt";
+    case Ev::kRmwWait: return "rmw_wait";
   }
   return "unknown";
 }
 
 bool EvFromName(std::string_view name, Ev* out) {
   for (std::uint16_t k = 1;
-       k <= static_cast<std::uint16_t>(Ev::kDataCorrupt); ++k) {
+       k <= static_cast<std::uint16_t>(Ev::kRmwWait); ++k) {
     const Ev e = static_cast<Ev>(k);
     if (name == EvName(e)) {
       *out = e;

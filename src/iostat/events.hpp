@@ -75,6 +75,9 @@ enum class Ev : std::uint16_t {
   kDataCorrupt,   ///< chunk checksum mismatch survived heal retries:
                   ///< a0=chunk index, a1=heal attempts; req = the read
                   ///< that surfaced kDataCorrupt
+  kRmwWait,       ///< a sieved write took the file's read-modify-write
+                  ///< lock: t=asked, d=wait ns, a0=window offset,
+                  ///< a1=window bytes
 };
 
 /// Stable wire name for an event kind (e.g. "pfs_server").

@@ -39,6 +39,7 @@ const char* CtrName(Ctr c) {
     case Ctr::kPfsHorizonNs: return "pfs.horizon_ns";
     case Ctr::kPfsServers: return "pfs.servers";
     case Ctr::kPfsQueueDepthMax: return "pfs.queue_depth_max";
+    case Ctr::kPfsGrantInversions: return "pfs.grant_inversions";
     case Ctr::kMpiioIndepReads: return "mpiio.indep_reads";
     case Ctr::kMpiioIndepWrites: return "mpiio.indep_writes";
     case Ctr::kMpiioCollReads: return "mpiio.coll_reads";
@@ -54,6 +55,7 @@ const char* CtrName(Ctr c) {
     case Ctr::kMpiioIoPhaseNs: return "mpiio.io_phase_ns";
     case Ctr::kMpiioRetries: return "mpiio.retries";
     case Ctr::kMpiioIoOverlapNs: return "mpiio.io_overlap_ns";
+    case Ctr::kMpiioRmwWaitNs: return "mpiio.rmw_wait_ns";
     case Ctr::kNcDataCalls: return "nc.data_calls";
     case Ctr::kNcHeaderBytesRead: return "nc.header_bytes_read";
     case Ctr::kNcHeaderBytesWritten: return "nc.header_bytes_written";

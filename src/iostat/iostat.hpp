@@ -55,6 +55,8 @@ enum class Ctr : unsigned {
   kPfsHorizonNs,          ///< latest server-schedule completion (max gauge)
   kPfsServers,            ///< servers in the pool (max gauge)
   kPfsQueueDepthMax,      ///< deepest server queue observed (max gauge)
+  kPfsGrantInversions,    ///< grants whose arrival precedes one already
+                          ///< granted on the same server (0: exact order)
 
   // --- mpiio: the MPI-IO subset ---
   kMpiioIndepReads,       ///< ReadAt calls entering the independent path
@@ -73,6 +75,8 @@ enum class Ctr : unsigned {
   kMpiioRetries,          ///< transient-fault retries consumed by RetryIo
   kMpiioIoOverlapNs,      ///< two-phase I/O-channel time hidden behind
                           ///< the exchanges (channel busy, rank not waiting)
+  kMpiioRmwWaitNs,        ///< virtual time sieved writes waited for a
+                          ///< file's read-modify-write lock
 
   // --- netcdf/pnetcdf: the library layer (serial + parallel share keys) ---
   kNcDataCalls,           ///< data-access API calls reaching the I/O engine

@@ -36,14 +36,18 @@ enum class ObsKind : std::uint8_t {
   // pfs
   kPfsRequest,    ///< request reached the servers: len, is_write, n = servers
   kPfsGrant,      ///< a server served its share: t_ns..end_ns, off = request
-                  ///< offset, len, server, depth, wait_ns, is_write
-  kPfsSync,       ///< zero-length flush at server 0: t_ns..end_ns, wait_ns
+                  ///< offset, len, server, depth, wait_ns, is_write, flag =
+                  ///< it arrived before a request the server already served
+  kPfsSync,       ///< zero-length flush at server 0: t_ns..end_ns, wait_ns,
+                  ///< flag = as kPfsGrant's
   kPfsFault,      ///< injected fault: t_ns, is_write, detail = fault class
   kPfsRetry,      ///< a client layer retried a pfs request
   // mpiio
   kIndep,         ///< independent-path call: t_ns, len, is_write
   kSieve,         ///< sieve window or pass-through segment: off, len = wanted,
                   ///< n = bytes at the file, is_write, flag = sieved
+  kRmwWait,       ///< a sieved write took the file's read-modify-write lock:
+                  ///< t_ns = asked, end_ns = granted, off, len = window
   kXfer,          ///< a retried transfer moved bytes: len, is_write
   kIoRetry,       ///< data transfer retried: t_ns, n = attempt, wait_ns =
                   ///< backoff, is_write
@@ -121,8 +125,12 @@ inline std::uint64_t Ns(double ns) { return static_cast<std::uint64_t>(ns); }
       add(Ctr::kPfsBusyNs, Ns(o.end_ns - o.t_ns));
       max(Ctr::kPfsHorizonNs, Ns(o.end_ns));
       max(Ctr::kPfsQueueDepthMax, o.depth);
+      if (o.flag) add(Ctr::kPfsGrantInversions, 1);
       break;
-    case ObsKind::kPfsSync: add(Ctr::kPfsQueueWaitNs, Ns(o.wait_ns)); break;
+    case ObsKind::kPfsSync:
+      add(Ctr::kPfsQueueWaitNs, Ns(o.wait_ns));
+      if (o.flag) add(Ctr::kPfsGrantInversions, 1);
+      break;
     case ObsKind::kPfsFault: add(Ctr::kPfsFaultsInjected, 1); break;
     case ObsKind::kPfsRetry: add(Ctr::kPfsRetries, 1); break;
     case ObsKind::kIndep:
@@ -131,6 +139,9 @@ inline std::uint64_t Ns(double ns) { return static_cast<std::uint64_t>(ns); }
     case ObsKind::kSieve:
       add(Ctr::kMpiioSieveBytesWanted, o.len);
       add(Ctr::kMpiioSieveBytesFile, o.n);
+      break;
+    case ObsKind::kRmwWait:
+      add(Ctr::kMpiioRmwWaitNs, Ns(o.end_ns - o.t_ns));
       break;
     case ObsKind::kXfer:
       add(w ? Ctr::kMpiioBytesWritten : Ctr::kMpiioBytesRead, o.len);
@@ -192,6 +203,9 @@ inline std::uint64_t Ns(double ns) { return static_cast<std::uint64_t>(ns); }
       rec(Ev::kPfsFault, o.t_ns, 0, o.is_write, 0);
       break;
     case ObsKind::kIndep: rec(Ev::kIndep, o.t_ns, 0, o.len, o.is_write); break;
+    case ObsKind::kRmwWait:
+      rec(Ev::kRmwWait, o.t_ns, o.end_ns - o.t_ns, o.off, o.len);
+      break;
     case ObsKind::kIoRetry:
       rec(Ev::kRetry, o.t_ns, o.wait_ns, o.is_write, o.n);
       break;

@@ -122,6 +122,15 @@ std::string ToChromeTrace() {
                   e.a1);
           first = false;
           break;
+        case Ev::kRmwWait:
+          // The wait for a file's read-modify-write lock, as a slice.
+          AppendF(out,
+                  "%s{\"name\":\"rmw_wait\",\"cat\":\"mpiio\",\"ph\":\"X\","
+                  "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%zu,"
+                  "\"args\":{\"off\":%" PRIu64 ",\"bytes\":%" PRIu64 "}}",
+                  first ? "" : ",", ts_us, e.d_ns / 1000.0, r, e.a0, e.a1);
+          first = false;
+          break;
         case Ev::kPfsServer: {
           const int server = static_cast<int>(e.a0 & 0xff);
           if (server > max_server) max_server = server;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <mutex>
+#include <optional>
 
 #include "iostat/observe.hpp"
 #include "mpiio/file_impl.hpp"
@@ -325,9 +326,12 @@ pnc::Status File::SievedTransfer(const std::vector<pnc::Extent>& segments,
       // ROMIO takes a file lock around sieved writes: the read-modify-write
       // of the covering range must not interleave with another client's RMW
       // of an overlapping range, or updates are lost.
-      std::unique_lock<pfs::RmwMutex> rmw_lock;
+      std::optional<pfs::RmwLock> rmw_lock;
       if (holes) {
-        rmw_lock = im.file.LockForRmw();
+        const double asked = clk.now();
+        rmw_lock.emplace(im.file, clk);
+        PNC_OBSERVE(kRmwWait, .t_ns = asked, .end_ns = clk.now(),
+                    .off = span_start, .len = span_len);
         PNC_RETURN_IF_ERROR(
             im.RetryIo(/*is_write=*/false, span_start, window.data(), span_len));
       }

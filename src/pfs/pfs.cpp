@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cassert>
 #include <cstring>
+#include <deque>
 
 #include "iostat/observe.hpp"
 #include "util/turn.hpp"
@@ -122,10 +124,17 @@ void FileStore::Truncate(std::uint64_t new_size) {
 
 // -------------------------------------------------------------------- File
 
+/// RmwLock's state; only the rank holding the turn touches it.
+struct RmwMutex {
+  bool held = false;
+  double released_ns = 0.0;  ///< the last holder's clock at its release
+  std::deque<pnc::turn::Hook*> parked;  ///< in the order they asked
+};
+
 struct File::Node {
   std::string path;
   std::mutex mu;  ///< serializes data access on this file
-  RmwMutex rmw;   ///< advisory lock spanning read-modify-write sequences
+  RmwMutex rmw;   ///< RmwLock's state
   std::unique_ptr<ByteStore> store;  ///< always a FaultyByteStore decorator
   FaultyByteStore* faulty = nullptr;  ///< same object, decorated view
   std::uint64_t discarded_size = 0;  ///< logical size under discard_data
@@ -278,29 +287,25 @@ double File::HarnessSync(double start_ns) {
   return fs_->ServeRequest(0, 0, /*is_write=*/true, start_ns);
 }
 
-std::unique_lock<RmwMutex> File::LockForRmw() {
-  return std::unique_lock<RmwMutex>(node_->rmw);
-}
-
-// ---------------------------------------------------------------- RmwMutex
-
-void RmwMutex::lock() {
-  if (pnc::turn::t_hook != nullptr)
-    pnc::turn::t_hook->WaitUntil([this] {
-      std::lock_guard<std::mutex> lk(mu_);
-      return !held_;
-    });
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return !held_; });
-  held_ = true;
-}
-
-void RmwMutex::unlock() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    held_ = false;
+RmwLock::RmwLock(const File& file, simmpi::VirtualClock& clock)
+    : mu_(file.node_->rmw), clock_(clock) {
+  pnc::turn::Request(clock.now());
+  if (mu_.held) {
+    assert(pnc::turn::t_hook != nullptr && "contended outside a simmpi rank");
+    mu_.parked.push_back(pnc::turn::t_hook);
+    pnc::turn::t_hook->Park("the read-modify-write lock of " + file.path());
   }
-  cv_.notify_all();
+  mu_.held = true;
+  clock.AdvanceTo(mu_.released_ns);
+}
+
+RmwLock::~RmwLock() {
+  mu_.released_ns = clock_.now();
+  mu_.held = !mu_.parked.empty();
+  if (!mu_.held) return;
+  // Hand over to the earliest request (the lock stays held).
+  mu_.parked.front()->Wake(mu_.released_ns);
+  mu_.parked.pop_front();
 }
 
 const std::string& File::path() const { return node_->path; }
@@ -487,7 +492,8 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
       const double begin = std::max(arrival, servers_[0].next_free);
       const double done = begin + cfg_.server_request_ns;
       PNC_OBSERVE(kPfsSync, .t_ns = begin, .end_ns = done,
-                  .wait_ns = begin - arrival);
+                  .wait_ns = begin - arrival,
+                  .flag = arrival < servers_[0].latest_arrival);
       completion = std::max(completion, done);
     } else {
       for (std::size_t s = 0; s < bytes_per_server.size(); ++s) {
@@ -501,6 +507,8 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
         const double begin = std::max(arrival, q.next_free);
         const double done = begin + cfg_.server_request_ns +
                             per_byte * static_cast<double>(bytes_per_server[s]);
+        const bool inverted = arrival < q.latest_arrival;
+        q.latest_arrival = std::max(q.latest_arrival, arrival);
         q.next_free = done;
         if (q.outstanding.size() < kMaxOutstanding)
           q.outstanding.push_back(done);
@@ -510,7 +518,7 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
         PNC_OBSERVE(kPfsGrant, .t_ns = begin, .end_ns = done, .off = offset,
                     .len = bytes_per_server[s], .server = static_cast<int>(s),
                     .depth = depth, .wait_ns = begin - arrival,
-                    .is_write = is_write);
+                    .is_write = is_write, .flag = inverted);
       }
     }
   }

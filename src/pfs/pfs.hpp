@@ -19,7 +19,6 @@
 // so correctness tests read back real data; only *time* is simulated.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "pfs/fault.hpp"
+#include "simmpi/clock.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
 
@@ -177,20 +177,6 @@ class FaultyByteStore final : public ByteStore {
 
 class FileSystem;
 
-/// The lock File::LockForRmw takes. Its holder keeps it across pfs
-/// requests, so a simmpi rank waits for it at a scheduling point
-/// (pnc::turn::Hook::WaitUntil), never on the host while it holds the turn.
-class RmwMutex {
- public:
-  void lock();
-  void unlock();
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool held_ = false;  ///< guarded by mu_
-};
-
 /// Outcome of a fault-aware I/O call on pfs::File.
 struct IoResult {
   pnc::Status status;             ///< kIoTransient: retry may succeed
@@ -239,20 +225,36 @@ class File {
   /// Let a client layer account one retry of a faulted op in pfs::Stats.
   void RecordRetry(bool is_write);
 
-  /// Whole-file advisory lock for read-modify-write sequences (the fcntl
-  /// byte-range lock ROMIO takes around data-sieving writes). Concurrent
-  /// independent RMW windows from different clients would otherwise lose
-  /// updates.
-  [[nodiscard]] std::unique_lock<RmwMutex> LockForRmw();
-
   [[nodiscard]] const std::string& path() const;
 
  private:
   friend class FileSystem;
+  friend class RmwLock;
   struct Node;
   File(FileSystem* fs, std::shared_ptr<Node> node) : fs_(fs), node_(std::move(node)) {}
   FileSystem* fs_;
   std::shared_ptr<Node> node_;
+};
+
+struct RmwMutex;
+
+/// A file's read-modify-write lock, held for one rank: the fcntl lock ROMIO
+/// takes around sieved writes, so concurrent RMW windows lose no update.
+/// Taking it is a scheduling point at `clock` (pnc::turn): ranks get it in
+/// (virtual time, rank) order, a rank that finds it held parks, and `clock`
+/// moves up to the previous holder's release. Dropping it releases it at
+/// `clock`'s time to the earliest parked rank. No host lock: the ranks of
+/// one simmpi::Run take turns (outside one it must not be contended).
+class RmwLock {
+ public:
+  RmwLock(const File& file, simmpi::VirtualClock& clock);
+  RmwLock(const RmwLock&) = delete;
+  RmwLock& operator=(const RmwLock&) = delete;
+  ~RmwLock();
+
+ private:
+  RmwMutex& mu_;
+  simmpi::VirtualClock& clock_;
 };
 
 /// The cluster: a namespace of files plus the shared server timelines.
@@ -310,9 +312,11 @@ class FileSystem {
   /// One server's FCFS timeline. A data event begins at
   /// max(arrival, next_free) and pushes next_free to its completion;
   /// `outstanding` holds completion times no arrival has passed yet, for the
-  /// queue-depth gauge.
+  /// queue-depth gauge. An arrival before `latest_arrival` is a grant
+  /// inversion: the simulator served a later request first.
   struct ServerQueue {
     double next_free = 0.0;
+    double latest_arrival = 0.0;
     std::vector<double> outstanding;
   };
   /// Completion times kept per server for the queue-depth gauge.

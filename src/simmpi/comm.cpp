@@ -32,6 +32,7 @@ void SharedState::ArmRankFaults(const RankFaultPolicy& policy) {
   const auto n = mailboxes.size();
   rfault.policy = policy;
   rfault.dead.assign(n, 0);
+  rfault.death_ns.assign(n, 0.0);
   rfault.ops.assign(n, 0);
   rfault.sends.assign(n, 0);
   rfault.armed = true;
@@ -39,6 +40,7 @@ void SharedState::ArmRankFaults(const RankFaultPolicy& policy) {
 
 void SharedState::MarkRankDead(int world_rank) {
   rfault.dead[world_rank] = 1;
+  rfault.death_ns[world_rank] = clocks[world_rank].now();
   // A pending agreement round whose only missing participants just died is
   // now complete; finalize so its waiters wake with the death folded.
   for (auto& [ctx, slot] : rfault.slots) MaybeFinalizeAgree(slot);
@@ -60,10 +62,12 @@ void SharedState::MaybeFinalizeAgree(AgreeSlot& slot) {
   if (arrivals == 0) return;  // idle slot poked by MarkRankDead
   auto round = std::make_shared<AgreeSlot::Round>();
   AgreeOutcome& o = round->outcome;
+  // The round ends after the last arrival and the last death.
   double tmax = 0.0;
   for (std::size_t i = 0; i < slot.members.size(); ++i) {
     if (RankDeadWorld(slot.members[i])) {
       o.any_dead = true;
+      tmax = std::max(tmax, rfault.death_ns[slot.members[i]]);
     } else {
       o.alive.push_back(static_cast<int>(i));
       tmax = std::max(tmax, slot.times[i]);
@@ -105,6 +109,12 @@ void SharedState::DumpHangAndAbort(const char* what, int running) {
                    "  rank %zu: BLOCKED in Recv(src=%d, tag=%d, ctx=%d), "
                    "%llu receives done, %zu unmatched messages queued\n",
                    r, w.src, w.tag, w.ctx,
+                   static_cast<unsigned long long>(w.recvs), pending);
+    } else if (!w.parked_on.empty()) {
+      std::fprintf(stderr,
+                   "  rank %zu: PARKED waiting for %s, %llu receives done, "
+                   "%zu unmatched messages queued\n",
+                   r, w.parked_on.c_str(),
                    static_cast<unsigned long long>(w.recvs), pending);
     } else {
       std::fprintf(stderr,
@@ -342,6 +352,8 @@ bool Comm::RecvImpl(int src, int tag, int* actual_src, int* actual_tag,
       PNC_IOSTAT_EVENT_DUMP("recv-from-failed-rank");
       std::abort();
     }
+    // The death ends the wait when it happened, not before.
+    clock().AdvanceTo(state_->rfault.death_ns[members_[src]]);
     out.clear();
     return false;
   }

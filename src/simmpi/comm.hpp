@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "simmpi/clock.hpp"
@@ -54,6 +55,7 @@ struct WaitRecord {
   bool waiting = false;
   int src = 0, tag = 0, ctx = 0;  ///< envelope being waited for
   std::uint64_t recvs = 0;        ///< receives completed so far
+  std::string parked_on;  ///< a wait outside Recv (pnc::turn::Hook::Park)
 };
 
 /// One fault-tolerant agreement monitor, keyed by communicator context.
@@ -84,6 +86,7 @@ struct RankFaultState {
   bool armed = false;
   RankFaultPolicy policy;
   std::vector<std::uint8_t> dead;    ///< indexed by world rank
+  std::vector<double> death_ns;      ///< virtual time of each death
   std::vector<std::uint64_t> ops;    ///< per-rank op counter
   std::vector<std::uint64_t> sends;  ///< per-rank send counter
   RankFaultCounters counters;
@@ -125,9 +128,10 @@ struct SharedState {
     return rfault.armed && rfault.dead[world_rank] != 0;
   }
 
-  /// Flag `world_rank` dead, wake every blocked receiver, and re-evaluate
-  /// every pending agreement round (a round whose only missing participants
-  /// just died is now complete). Called by the dying rank itself.
+  /// Flag `world_rank` dead at its clock, wake every blocked receiver, and
+  /// re-evaluate every pending agreement round (a round whose only missing
+  /// participants just died is now complete). Called by the dying rank
+  /// itself.
   void MarkRankDead(int world_rank);
 
   /// Finalize `slot`'s current round if every live member has arrived, and

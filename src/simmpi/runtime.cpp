@@ -1,5 +1,6 @@
 #include "simmpi/runtime.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <numeric>
@@ -17,14 +18,19 @@ namespace {
 /// scheduling points of the world's scheduler.
 class Turn final : public pnc::turn::Hook {
  public:
-  Turn(detail::Scheduler& sched, int rank) : sched_(sched), rank_(rank) {}
-  void Request(double start_ns) override { sched_.Yield(rank_, start_ns); }
-  void WaitUntil(const std::function<bool()>& ready) override {
-    sched_.WaitUntil(rank_, ready);
+  Turn(detail::SharedState& state, int rank) : state_(state), rank_(rank) {}
+  void Request(double t) override { state_.sched.Yield(rank_, t); }
+  void Park(const std::string& what) override {
+    state_.waits[rank_].parked_on = what;
+    state_.sched.Block(rank_);
+    state_.waits[rank_].parked_on.clear();
+  }
+  void Wake(double t_ns) override {
+    state_.sched.Wake(rank_, std::max(t_ns, state_.clocks[rank_].now()));
   }
 
  private:
-  detail::Scheduler& sched_;
+  detail::SharedState& state_;
   int rank_;
 };
 
@@ -50,7 +56,7 @@ RunResult Run(int nprocs, const std::function<void(Comm&)>& body,
   for (int r = 0; r < nprocs; ++r) {
     threads.emplace_back([&, r] {
       PNC_IOSTAT_BIND_RANK(r);
-      Turn turn(state->sched, r);
+      Turn turn(*state, r);
       pnc::turn::t_hook = &turn;
       state->sched.Enter(r);
       {

@@ -24,15 +24,6 @@ void Scheduler::MakeReadyLocked(int rank, double key) {
 
 void Scheduler::PassLocked() {
   ++points_;
-  if (polling_ > 0) {
-    for (std::size_t r = 0; r < slots_.size(); ++r) {
-      Slot& s = slots_[r];
-      if (s.state != State::kPolling || !s.ready()) continue;
-      s.ready = nullptr;
-      --polling_;
-      MakeReadyLocked(static_cast<int>(r), clocks_[r].now());
-    }
-  }
   if (ready_.empty()) {
     running_ = -1;
     if (done_ < static_cast<int>(slots_.size()) && hang_timeout_ms_ > 0)
@@ -92,17 +83,6 @@ void Scheduler::Block(int rank) {
 void Scheduler::Wake(int rank, double key) {
   std::lock_guard<std::mutex> lk(mu_);
   if (slots_[rank].state == State::kBlocked) MakeReadyLocked(rank, key);
-}
-
-void Scheduler::WaitUntil(int rank, const std::function<bool()>& ready) {
-  while (!ready()) {
-    std::unique_lock<std::mutex> lk(mu_);
-    slots_[rank].state = State::kPolling;
-    slots_[rank].ready = ready;
-    ++polling_;
-    PassLocked();
-    AwaitTurnLocked(rank, lk);
-  }
 }
 
 }  // namespace simmpi::detail

@@ -46,16 +46,12 @@ class Scheduler {
   /// Make a parked rank ready to resume at `key`. Called by the running
   /// rank; a rank that is not parked is left as it is.
   void Wake(int rank, double key);
-  /// Park until `ready()` holds (evaluated whenever the turn moves).
-  void WaitUntil(int rank, const std::function<bool()>& ready);
 
  private:
-  enum class State : std::uint8_t { kReady, kRunning, kBlocked, kPolling,
-                                    kDone };
+  enum class State : std::uint8_t { kReady, kRunning, kBlocked, kDone };
   struct Slot {
     State state = State::kReady;
     std::condition_variable cv;
-    std::function<bool()> ready;  ///< kPolling only
   };
 
   /// Hand the turn to the least ready rank (the caller has already left
@@ -72,7 +68,6 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::set<std::pair<double, int>> ready_;  ///< (key, rank)
   int running_ = -1;
-  int polling_ = 0;
   int done_ = 0;
   std::uint64_t points_ = 0;  ///< scheduling points passed, for the stall check
 };

@@ -99,8 +99,9 @@ pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
 
   // A torn primary is rolled to the committed state; a clean one whose
   // record count trails the slot's (Synced since its last Close) has the
-  // count caught up.
-  if (opts.repair &&
+  // count caught up. A damaged journal has nothing to roll to: only the
+  // sums rebuild below lays it down again.
+  if (opts.repair && rep.has_commit &&
       (rep.state == FileState::kTornRecoverable || rep.numrecs_lag)) {
     PNC_RETURN_IF_ERROR(ncformat::RepairFromReport(rep, primary));
     out.repaired = true;
@@ -172,6 +173,10 @@ pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
       PNC_RETURN_IF_ERROR(ncformat::Commit(*journal, header, h->numrecs, &map,
                                            /*open=*/false, state));
       out.sums_rebuilt = true;
+      if (out.state == FileState::kTornRecoverable) {  // a damaged journal
+        out.state = FileState::kClean;
+        out.repaired = true;
+      }
     }
   }
   return out;

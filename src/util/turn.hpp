@@ -8,7 +8,7 @@
 // thread) sees a null hook and is never gated.
 #pragma once
 
-#include <functional>
+#include <string>
 
 namespace pnc::turn {
 
@@ -17,9 +17,14 @@ class Hook {
   /// A request issued at virtual time `start_ns` to a shared server:
   /// returns once no other rank can still issue an earlier one.
   virtual void Request(double start_ns) = 0;
-  /// Park the calling rank until `ready()` holds. `ready` must have no side
-  /// effects: the rank thread that hands the turn on evaluates it.
-  virtual void WaitUntil(const std::function<bool()>& ready) = 0;
+  /// Park the calling rank, the one this hook belongs to; returns once
+  /// another rank has called Wake. `what` names the wait for the hang
+  /// watchdog's dump.
+  virtual void Park(const std::string& what) = 0;
+  /// Make this hook's parked rank resume at max(its clock, `t_ns`). Called
+  /// by the rank holding the turn, with its own clock as `t_ns`, so the
+  /// woken rank never issues a request before its waker could.
+  virtual void Wake(double t_ns) = 0;
 
  protected:
   ~Hook() = default;

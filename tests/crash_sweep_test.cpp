@@ -1450,6 +1450,56 @@ TEST(JournalPresence, LargeHeaderBesideABlankJournalIsClean) {
 }
 
 // ---------------------------------------------------------------------------
+// A journal whose magic is damaged lost what it committed; it is not a
+// missing journal. The file is torn, never clean, and its table is not
+// trusted. A writable session opens it from the primary, and its first
+// commit lays the journal down again from offset 0, magic included. A read
+// failure on the journal is the open's failure.
+TEST(JournalPresence, DamagedMagicIsTornNotMissing) {
+  pfs::FileSystem fs;
+  MakeRecordRef(fs, "f.nc", 1);
+  const std::string jpath = ncformat::JournalPath("f.nc");
+  const std::byte magic0 = pnc_test::ByteAt(fs, jpath, 0);
+  pnc_test::CorruptByte(fs, jpath, 0, ~magic0);
+
+  auto vr = nctools::VerifyFile(fs, "f.nc", {.data = true});
+  ASSERT_TRUE(vr.ok()) << vr.status().message();
+  EXPECT_TRUE(vr.value().has_journal);
+  EXPECT_EQ(vr.value().state, ncformat::FileState::kTornRecoverable);
+  EXPECT_EQ(vr.value().detail, "journal magic damaged");
+  ASSERT_TRUE(vr.value().scrub.has_value());
+  EXPECT_FALSE(vr.value().scrub->trusted);
+
+  // A permanent fault on the open's first op, the journal read, fails the
+  // open with kIo instead of reading as "no journal".
+  pfs::FaultPolicy pol;
+  pol.permanent_ops = {0};
+  fs.SetFaultPolicy(pol);
+  auto faulted = netcdf::Dataset::Open(fs, "f.nc", /*writable=*/false);
+  EXPECT_EQ(fs.stats().permanent_faults, 1u);
+  ASSERT_FALSE(faulted.ok());
+  EXPECT_EQ(faulted.status().code(), pnc::Err::kIo)
+      << faulted.status().message();
+  fs.SetFaultPolicy({});
+
+  {
+    auto ds = netcdf::Dataset::Open(fs, "f.nc", /*writable=*/true);
+    ASSERT_TRUE(ds.ok()) << ds.status().message();
+    ASSERT_TRUE(ds.value().Close().ok());
+  }
+  EXPECT_EQ(pnc_test::ByteAt(fs, jpath, 0), magic0);
+  auto after = nctools::VerifyFile(fs, "f.nc", {.data = true});
+  ASSERT_TRUE(after.ok()) << after.status().message();
+  EXPECT_EQ(after.value().state, ncformat::FileState::kClean)
+      << after.value().detail;
+  EXPECT_TRUE(after.value().has_journal);
+  // The table is committed again; the chunks written before the damage
+  // stay unsummed, since nothing vouches for them.
+  EXPECT_TRUE(after.value().scrub->trusted);
+  EXPECT_EQ(after.value().scrub->corrupt, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // A missing journal and an empty one are different things: the first is a
 // file written without the protocol (ncverify prints "(no commit journal)"),
 // the second a dataset whose first commit never happened.

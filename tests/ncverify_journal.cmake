@@ -1,5 +1,5 @@
 # Integration script: ncverify tells a missing commit journal from an empty
-# one. ncgen writes no sidecar to disk, so its file has no journal and
+# one, and both from a damaged one. ncgen writes no sidecar to disk, so its file has no journal and
 # ncverify notes "(no commit journal)"; next to an empty <file>.nccommit the
 # same file reports a journal that never committed, its header decoding
 # even when it runs past 64 KiB.
@@ -43,4 +43,15 @@ execute_process(COMMAND ${NCVERIFY} big.nc OUTPUT_VARIABLE out
                 RESULT_VARIABLE rc WORKING_DIRECTORY ${WORK})
 if(NOT rc EQUAL 0 OR NOT out MATCHES "journal empty; header decodes")
   message(FATAL_ERROR "large header, empty journal: rc=${rc}, output:\n${out}")
+endif()
+
+# A journal long enough to hold slots but without the magic lost what it
+# committed: torn (exit 1), never "no journal".
+string(REPEAT "x" 256 junk)
+file(WRITE ${WORK}/j.nc.nccommit "${junk}")
+execute_process(COMMAND ${NCVERIFY} j.nc OUTPUT_VARIABLE out
+                RESULT_VARIABLE rc WORKING_DIRECTORY ${WORK})
+if(NOT rc EQUAL 1 OR out MATCHES "no commit journal"
+   OR NOT out MATCHES "journal magic damaged")
+  message(FATAL_ERROR "damaged journal: rc=${rc}, output:\n${out}")
 endif()

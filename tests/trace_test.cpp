@@ -346,6 +346,49 @@ TEST_F(TraceTest, PfsServerEventsCarryExactlyTheOpLetter) {
   EXPECT_EQ(trace.find("\"tl "), std::string::npos);
 }
 
+// Two ranks write interleaved columns independently, so each sieved window
+// has holes and takes the file's read-modify-write lock. The rank that
+// waits for it waits in mpiio, not at the servers: mpiio.rmw_wait_ns counts
+// the wait, the ring carries an rmw_wait event the trace draws as a slice,
+// and no server grant is out of arrival order.
+TEST_F(TraceTest, RmwLockWaitIsObservedInMpiio) {
+  pfs::FileSystem fs;
+  simmpi::Run(2, [&](Comm& c) {
+    PNC_IOSTAT_BIND_RANK(c.rank());
+    auto ds = pnetcdf::Dataset::Create(c, fs, "rmw.nc", simmpi::NullInfo()).value();
+    const int row = ds.DefDim("row", 64).value();
+    const int col = ds.DefDim("col", 2).value();
+    const int v = ds.DefVar("m", NcType::kDouble, {row, col}).value();
+    ASSERT_TRUE(ds.EndDef().ok());
+    ASSERT_TRUE(ds.BeginIndepData().ok());
+    const std::uint64_t start[] = {0, static_cast<std::uint64_t>(c.rank())};
+    const std::uint64_t count[] = {64, 1};
+    std::vector<double> mine(64, 1.0 + c.rank());
+    ASSERT_TRUE(ds.PutVara<double>(v, start, count, mine).ok());
+    ASSERT_TRUE(ds.EndIndepData().ok());
+    ASSERT_TRUE(ds.Close().ok());
+  });
+  const auto sum = [](iostat::Ctr ctr) {
+    return Registry::Get().Value(0, ctr) + Registry::Get().Value(1, ctr);
+  };
+  EXPECT_GT(sum(iostat::Ctr::kMpiioRmwWaitNs), 0u);
+  EXPECT_EQ(sum(iostat::Ctr::kPfsGrantInversions), 0u);
+  EXPECT_EQ(sum(iostat::Ctr::kPfsQueueWaitNs), 0u);
+  // The counter keeps whole ns per wait; the ring keeps the exact wait.
+  double waited = 0;
+  int waits = 0;
+  for (const auto& ev : FlightRecorder::Get().Collect())
+    for (const auto& e : ev)
+      if (e.kind == Ev::kRmwWait) {
+        waited += e.d_ns;
+        ++waits;
+      }
+  EXPECT_NEAR(waited, static_cast<double>(sum(iostat::Ctr::kMpiioRmwWaitNs)),
+              waits);
+  EXPECT_NE(iostat::ToChromeTrace().find("\"name\":\"rmw_wait\""),
+            std::string::npos);
+}
+
 // ---------------------------------------------- pnc-events-v1 round trip
 
 TEST_F(TraceTest, EventsJsonRoundTripPreservesFields) {

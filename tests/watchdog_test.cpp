@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
+#include "pfs/pfs.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace {
@@ -26,6 +28,30 @@ TEST(Watchdog, AbortsInsteadOfDeadlocking) {
             cm);
       },
       "hang watchdog");
+}
+
+// Rank 0 holds a file's read-modify-write lock and waits in a Recv no one
+// matches; rank 1 waits for the lock. The dump names both waits, the lock
+// by its file.
+TEST(Watchdog, DumpNamesLockWaiters) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  simmpi::CostModel cm;
+  cm.hang_timeout_ms = 200.0;
+  EXPECT_DEATH(
+      {
+        pfs::FileSystem fs;
+        auto f = fs.Create("held.nc", /*exclusive=*/true).value();
+        simmpi::Run(
+            2,
+            [&](simmpi::Comm& c) {
+              if (c.rank() == 1) c.clock().Advance(1e6);
+              const pfs::RmwLock lock(f, c.clock());
+              if (c.rank() == 0) (void)c.Recv(/*src=*/1, /*tag=*/7);
+            },
+            cm);
+      },
+      "rank 0: BLOCKED in Recv\\(src=1, tag=7.*\n"
+      ".*rank 1: PARKED waiting for the read-modify-write lock of held.nc");
 }
 
 TEST(Watchdog, EnvOverrideWins) {
