@@ -7,6 +7,7 @@
 // put_vara_all (collective) and once through begin_indep_data/put_vara
 // (independent), per process count.
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -74,18 +75,19 @@ int Run(const bench::Args& args, bench::Recorder& rec) {
           .Int("nprocs", static_cast<std::uint64_t>(np))
           .Str("mode", m);
     };
-    double c = 0.0, i = 0.0;
+    std::optional<double> c, i;
     if (mode == "collective" || mode == "both") {
       rec.BeginConfig();
       c = RunOne(np, true, info);
-      rec.EndConfig(config("collective"), bench::JsonObj().Num("mbps", c));
+      rec.EndConfig(config("collective"), bench::JsonObj().Num("mbps", *c));
     }
     if (mode == "independent" || mode == "both") {
       rec.BeginConfig();
       i = RunOne(np, false, info);
-      rec.EndConfig(config("independent"), bench::JsonObj().Num("mbps", i));
+      rec.EndConfig(config("independent"), bench::JsonObj().Num("mbps", *i));
     }
-    std::printf("%-8d %14.1f %14.1f %8.2fx\n", np, c, i, i > 0 ? c / i : 0.0);
+    std::printf("%-8d %14s %14s %9s\n", np, bench::Cell(c, 1).c_str(),
+                bench::Cell(i, 1).c_str(), bench::SpeedupCell(c, i).c_str());
   }
   return 0;
 }

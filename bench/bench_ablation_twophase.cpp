@@ -3,6 +3,7 @@
 // §4.1 optimization PnetCDF inherits from ROMIO; the win should grow with
 // how finely the ranks' file regions interleave (Z coarsest, X finest).
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -69,19 +70,20 @@ int Run(const bench::Args& args, bench::Recorder& rec) {
     const auto config = [&p](const char* mode) {
       return bench::JsonObj().Str("partition", p.name).Str("cb_write", mode);
     };
-    double on = 0.0, off = 0.0;
+    std::optional<double> on, off;
     if (cb == "enable" || cb == "both") {
       rec.BeginConfig();
       on = RunOne(p.mask, true, args);
-      rec.EndConfig(config("enable"), bench::JsonObj().Num("ms", on));
+      rec.EndConfig(config("enable"), bench::JsonObj().Num("ms", *on));
     }
     if (cb == "disable" || cb == "both") {
       rec.BeginConfig();
       off = RunOne(p.mask, false, args);
-      rec.EndConfig(config("disable"), bench::JsonObj().Num("ms", off));
+      rec.EndConfig(config("disable"), bench::JsonObj().Num("ms", *off));
     }
-    std::printf("%-10s %14.2f %14.2f %8.2fx\n", p.name, on, off,
-                on > 0 ? off / on : 0.0);
+    std::printf("%-10s %14s %14s %9s\n", p.name, bench::Cell(on, 2).c_str(),
+                bench::Cell(off, 2).c_str(),
+                bench::SpeedupCell(off, on).c_str());
   }
   std::printf("\nThe win grows with interleaving (X-heavy partitions), the "
               "paper's reason to\nfunnel netCDF access patterns into "

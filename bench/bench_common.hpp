@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,22 @@ inline double MBps(std::uint64_t bytes, double ns) {
   return ns <= 0 ? 0.0 : static_cast<double>(bytes) / ns * 1e3;
 }
 
+/// A table cell: `v` with `digits` decimals, or "-" for a side that a
+/// filter (--mode, --cb) skipped.
+inline std::string Cell(std::optional<double> v, int digits) {
+  if (!v) return "-";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.*f", digits, *v);
+  return buf;
+}
+
+/// The speedup cell "N.NNx" of `num` / `den`, or "-" unless both sides ran.
+inline std::string SpeedupCell(std::optional<double> num,
+                               std::optional<double> den) {
+  if (!num || !den || *den <= 0) return "-";
+  return Cell(*num / *den, 2) + "x";
+}
+
 /// Tiny JSON-object builder for the config/metrics halves of a bench record.
 class JsonObj {
  public:
@@ -181,8 +198,12 @@ class JsonObj {
 /// configuration (the registry is reset at BeginConfig), so `ncstat --report`
 /// can inspect any line of a BENCH_*.json file directly.
 ///
+/// A single bench run (the Args constructor) starts PATH empty, so the file
+/// holds that run's records only; a suite writes its header line first and
+/// its per-entry Recorders append after it.
+///
 /// The drivers construct the Recorder and pass it into the bench's Run()
-/// entry point; a failed append is sticky (io_failed()) and turned into a
+/// entry point; a failed write is sticky (io_failed()) and turned into a
 /// nonzero exit by bench::RunBench, so a suite run cannot "succeed" while
 /// silently dropping its output.
 ///
@@ -195,7 +216,14 @@ class Recorder {
   Recorder(const Args& args, const char* bench_name)
       : bench_(bench_name),
         path_(args.Get("json", "")),
-        trace_path_(args.Get("trace", "")) {}
+        trace_path_(args.Get("trace", "")) {
+    if (!enabled() || path_ == "-") return;
+    FILE* f = std::fopen(path_.c_str(), "w");
+    if (f == nullptr || std::fclose(f) != 0) {
+      std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());
+      io_failed_ = true;
+    }
+  }
   Recorder(std::string path, std::string bench_name,
            std::string trace_path = "")
       : bench_(std::move(bench_name)),

@@ -72,7 +72,7 @@ enum class Ctr : unsigned {
   kMpiioExchangeMsgs,     ///< two-phase exchange messages (excl. self)
   kMpiioExchangeNs,       ///< two-phase exchange-phase virtual time
   kMpiioIoPhaseNs,        ///< two-phase aggregator I/O-phase virtual time
-  kMpiioRetries,          ///< transient-fault retries consumed by RetryIo
+  kMpiioRetries,          ///< transient-fault retries of mpiio's transfers
   kMpiioIoOverlapNs,      ///< two-phase I/O-channel time hidden behind
                           ///< the exchanges (channel busy, rank not waiting)
   kMpiioRmwWaitNs,        ///< virtual time sieved writes waited for a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <mutex>
 #include <optional>
 
 #include "iostat/observe.hpp"
@@ -20,18 +19,18 @@ pnc::Result<File> File::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   // ranks agree before anyone touches the file (paper §4.2.1: dataset
   // functions manage interprocess communication and file synchronization).
   int err = 0;
-  std::optional<pfs::File> handle;
+  std::shared_ptr<Impl> impl;
   if (comm.rank() == 0) {
     pnc::Result<pfs::File> r =
         (mode & kCreate) ? fs.Create(path, (mode & kExcl) != 0)
                          : fs.Open(path);
     if (r.ok()) {
-      handle = std::move(r).value();
-      // Charge one request round trip for the open/create itself — and let a
-      // fault on it surface as an open failure instead of being swallowed.
-      const pfs::IoResult s = handle->TrySync(comm.clock().now());
-      comm.clock().AdvanceTo(s.done_ns);
-      if (!s.ok()) err = s.status.raw();
+      impl = std::make_shared<Impl>(comm, &fs, std::move(r).value(), mode,
+                                    hints);
+      // Charge one request round trip for the open/create itself, retried
+      // like any other request; a fault that outlasts the retries fails the
+      // open instead of being swallowed.
+      err = impl->io.Sync().raw();
     } else {
       err = r.status().raw();
     }
@@ -41,15 +40,15 @@ pnc::Result<File> File::Open(simmpi::Comm comm, pfs::FileSystem& fs,
   if (comm.rank() != 0) {
     auto r = fs.Open(path);
     if (!r.ok()) return r.status();
-    handle = std::move(r).value();
+    impl = std::make_shared<Impl>(comm, &fs, std::move(r).value(), mode,
+                                  hints);
   }
   // A comm with a dead member cannot produce a coherent collective handle:
   // callers reopen on a LiveSubsetFT comm instead.
   PNC_RETURN_IF_ERROR(comm.TryBarrier());
 
   File f;
-  f.impl_ = std::make_shared<Impl>(std::move(comm), &fs, std::move(*handle),
-                                   mode, hints);
+  f.impl_ = std::move(impl);
   return f;
 }
 
@@ -100,23 +99,23 @@ pnc::Status File::Sync() {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "sync");
   // Collective: each rank flushes from its own clock, then every rank
   // agrees on one status (which also settles the clocks at the latest).
-  return impl_->comm.AgreeStatus(impl_->RetrySync());
+  return impl_->comm.AgreeStatus(impl_->io.Sync());
 }
 
 pnc::Status File::SyncLocal() {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "sync");
-  return impl_->RetrySync();
+  return impl_->io.Sync();
 }
 
 pnc::Status File::SetSize(std::uint64_t size) {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "set_size");
-  if (impl_->comm.rank() == 0) impl_->file.Truncate(size);
+  if (impl_->comm.rank() == 0) impl_->io.file().Truncate(size);
   return impl_->comm.TryBarrier();
 }
 
 pnc::Result<std::uint64_t> File::GetSize() const {
   if (!impl_ || !impl_->open) return pnc::Status(pnc::Err::kBadId, "get_size");
-  return impl_->file.size();
+  return impl_->io.file().size();
 }
 
 pnc::Status File::Close() {
@@ -131,72 +130,7 @@ const Hints& File::hints() const { return impl_->hints; }
 simmpi::Comm& File::comm() { return impl_->comm; }
 
 void File::AttachSums(ncformat::ChunkSumMap* sums, bool verify) {
-  if (!impl_) return;
-  impl_->sums = sums;
-  impl_->sums_verify = verify && sums != nullptr;
-}
-
-// ------------------------------------------------------------ fault path
-
-pnc::Status File::Impl::RetryIo(bool is_write, std::uint64_t off,
-                                std::byte* data, std::uint64_t len,
-                                simmpi::VirtualClock* clk) {
-  if (clk == nullptr) clk = &comm.clock();
-  if (!is_write && sums_verify && len != 0)
-    return ncformat::VerifiedRead(
-        *sums, off, pnc::ByteSpan(data, len), file.size(),
-        [this, clk](std::uint64_t o, pnc::ByteSpan out) {
-          return RawIo(/*is_write=*/false, o, out.data(), out.size(), *clk);
-        },
-        std::max(1, retry.max_attempts), clk->now());
-  pnc::Status st = RawIo(is_write, off, data, len, *clk);
-  if (!is_write || sums == nullptr || len == 0) return st;
-  // Checksum the bytes while they are in memory; a write that did not land
-  // in full leaves its chunks to be read back at the flush.
-  if (st.ok())
-    sums->RecordWrite(off, pnc::ConstByteSpan(data, len),
-                      file.discards_data());
-  else
-    sums->MarkDirtyRange(off, len);
-  return st;
-}
-
-pnc::Status File::Impl::RawIo(bool is_write, std::uint64_t off,
-                              std::byte* data, std::uint64_t len,
-                              simmpi::VirtualClock& clk) {
-  return pnc::util::RetryWithBackoff(
-      retry, clk, len,
-      [&](std::uint64_t done) {
-        const pfs::IoResult r =
-            is_write
-                ? file.TryWrite(off + done,
-                                pnc::ConstByteSpan(data + done, len - done),
-                                clk.now())
-                : file.TryRead(off + done,
-                               pnc::ByteSpan(data + done, len - done),
-                               clk.now());
-        if (r.ok())
-          PNC_OBSERVE(kXfer, .len = r.transferred, .is_write = is_write);
-        return r;
-      },
-      [&](int attempt, double backoff) {
-        PNC_OBSERVE(kIoRetry, .t_ns = clk.now(),
-                    .n = static_cast<std::uint64_t>(attempt),
-                    .wait_ns = backoff, .is_write = is_write);
-        file.RecordRetry(is_write);
-      });
-}
-
-pnc::Status File::Impl::RetrySync() {
-  auto& clk = comm.clock();
-  return pnc::util::RetrySyncWithBackoff(
-      retry, clk, [&] { return file.TrySync(clk.now()); },
-      [&](int attempt, double backoff) {
-        PNC_OBSERVE(kSyncRetry, .t_ns = clk.now(),
-                    .n = static_cast<std::uint64_t>(attempt),
-                    .wait_ns = backoff);
-        file.RecordRetry(/*is_write=*/true);
-      });
+  if (impl_) impl_->io.AttachSums(sums, verify);
 }
 
 // ------------------------------------------------------- independent path
@@ -251,7 +185,7 @@ pnc::Status File::SievedTransfer(const std::vector<pnc::Extent>& segments,
     const auto& s = segments[0];
     PNC_OBSERVE(kSieve, .off = s.offset, .len = s.len, .n = s.len,
                 .is_write = is_write);
-    return im.RetryIo(is_write, s.offset, data, s.len);
+    return im.io.Transfer(is_write, s.offset, data, s.len);
   }
 
   const bool sieve = is_write ? im.hints.ds_write : im.hints.ds_read;
@@ -262,7 +196,8 @@ pnc::Status File::SievedTransfer(const std::vector<pnc::Extent>& segments,
     for (const auto& s : segments) {
       PNC_OBSERVE(kSieve, .off = s.offset, .len = s.len, .n = s.len,
                   .is_write = is_write);
-      PNC_RETURN_IF_ERROR(im.RetryIo(is_write, s.offset, data + dpos, s.len));
+      PNC_RETURN_IF_ERROR(
+          im.io.Transfer(is_write, s.offset, data + dpos, s.len));
       dpos += s.len;
     }
     return pnc::Status::Ok();
@@ -329,21 +264,21 @@ pnc::Status File::SievedTransfer(const std::vector<pnc::Extent>& segments,
       std::optional<pfs::RmwLock> rmw_lock;
       if (holes) {
         const double asked = clk.now();
-        rmw_lock.emplace(im.file, clk);
+        rmw_lock.emplace(im.io.file(), clk);
         PNC_OBSERVE(kRmwWait, .t_ns = asked, .end_ns = clk.now(),
                     .off = span_start, .len = span_len);
-        PNC_RETURN_IF_ERROR(
-            im.RetryIo(/*is_write=*/false, span_start, window.data(), span_len));
+        PNC_RETURN_IF_ERROR(im.io.Transfer(/*is_write=*/false, span_start,
+                                           window.data(), span_len));
       }
       for (const auto& p : pieces)
         std::memcpy(window.data() + (p.file_off - span_start), data + p.data_off,
                     p.len);
       clk.Advance(cost.CopyCost(covered));
-      PNC_RETURN_IF_ERROR(
-          im.RetryIo(/*is_write=*/true, span_start, window.data(), span_len));
+      PNC_RETURN_IF_ERROR(im.io.Transfer(/*is_write=*/true, span_start,
+                                         window.data(), span_len));
     } else {
-      PNC_RETURN_IF_ERROR(
-          im.RetryIo(/*is_write=*/false, span_start, window.data(), span_len));
+      PNC_RETURN_IF_ERROR(im.io.Transfer(/*is_write=*/false, span_start,
+                                         window.data(), span_len));
       for (const auto& p : pieces)
         std::memcpy(data + p.data_off, window.data() + (p.file_off - span_start),
                     p.len);

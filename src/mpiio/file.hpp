@@ -6,8 +6,9 @@
 //   * independent read_at/write_at with ROMIO-style data sieving for
 //     noncontiguous patterns,
 //   * collective read_at_all/write_at_all with ROMIO-style two-phase I/O
-//     (aggregators own contiguous file domains; data is exchanged with an
-//     all-to-all and flushed in large contiguous requests).
+//     (aggregators own contiguous file domains; each rank sends only to
+//     the aggregators whose domains its data meets, and they flush it in
+//     large contiguous requests).
 //
 // Offsets given to the data calls are in etype units relative to the current
 // view, exactly as in MPI-2. Memory buffers are described by a simmpi
@@ -92,8 +93,8 @@ class File {
   [[nodiscard]] simmpi::Comm& comm();
 
   /// Attach a chunk-sum map (format/sums.hpp) owned by the caller (the
-  /// dataset layer), which must outlive the file. Writes then mark their
-  /// chunks dirty in the map; with `verify` set, every physical read —
+  /// dataset layer), which must outlive the file. Writes then record their
+  /// fragments in the map; with `verify` set, every physical read —
   /// independent, sieving (including RMW pre-reads), and two-phase
   /// aggregator I/O — recomputes covered chunk CRCs, heals transient
   /// mismatches by re-reading, and returns kDataCorrupt for persistent
@@ -111,7 +112,8 @@ class File {
                            bool is_write);
   /// Move `segments` worth of bytes between the file and `data` (packed
   /// order), using data sieving when profitable. Advances the clock.
-  /// Transient storage faults are retried per the retry hints; a non-ok
+  /// Transient storage faults are retried per the retry hints (through the
+  /// handle's ncformat::PfsIo); a non-ok
   /// return means the transfer did not complete (kIo after retries are
   /// exhausted, or a permanent storage error).
   pnc::Status SievedTransfer(const std::vector<pnc::Extent>& segments,

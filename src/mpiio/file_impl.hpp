@@ -1,60 +1,54 @@
 // Shared state behind mpiio::File (internal header).
 #pragma once
 
-#include <optional>
-
-#include "format/sums.hpp"
+#include "format/pfs_io.hpp"
+#include "iostat/observe.hpp"
 #include "mpiio/file.hpp"
-#include "util/retry.hpp"
 
 namespace mpiio {
 
-struct File::Impl {
+struct File::Impl final : ncformat::PfsIoHooks {
   Impl(simmpi::Comm c, pfs::FileSystem* filesystem, pfs::File f, unsigned m,
        Hints h)
-      : comm(std::move(c)), fs(filesystem), file(std::move(f)), mode(m),
-        hints(h),
-        retry(pnc::util::ResolveRetryPolicy(comm.rank(), h.retry_max,
-                                            h.retry_backoff_ns)) {}
+      : comm(std::move(c)), fs(filesystem), mode(m), hints(h),
+        io(std::move(f), &comm.clock(),
+           pnc::util::ResolveRetryPolicy(comm.rank(), h.retry_max,
+                                         h.retry_backoff_ns),
+           this) {}
+  Impl(const Impl&) = delete;  // `io` holds this object's address
+  Impl& operator=(const Impl&) = delete;
 
   simmpi::Comm comm;
   pfs::FileSystem* fs;
-  pfs::File file;
   unsigned mode;
   Hints hints;
-  pnc::util::RetryPolicy retry;  ///< hints + env + per-rank jitter
+  /// Every transfer and sync of this handle: retried under the hints' policy
+  /// (+ env + per-rank jitter), charged to the rank clock or the clock a
+  /// transfer names (a two-phase aggregator's I/O channel), and checked
+  /// against the chunk-sum map the dataset layer attaches (writes record
+  /// their fragments; reads verify in read-only sessions — in a writable
+  /// parallel session a peer's writes change chunks this rank cannot see).
+  /// Every read path — independent, sieving windows, RMW pre-reads and
+  /// two-phase aggregator I/O — funnels here.
+  ncformat::PfsIo io;
   FileView view;
   bool open = true;
 
-  /// Attached chunk-sum map (format/sums.hpp), owned by the dataset layer.
-  /// Null = integrity machinery fully disarmed (PNC_SUMS=0 discipline).
-  /// When set, every successful physical write marks its chunks dirty;
-  /// reads additionally verify when `sums_verify` is set (read-only
-  /// sessions — a writable parallel session cannot verify, because peers'
-  /// writes dirty chunks this rank has no way to know about).
-  ncformat::ChunkSumMap* sums = nullptr;
-  bool sums_verify = false;
-
-  /// Move [off, off+len) between the file and `data` through the
-  /// fault-injected pfs path, absorbing short transfers by resuming from the
-  /// transferred count and transient errors by bounded retry-with-backoff
-  /// (charged to the virtual clock, counted in pfs::Stats). A transient
-  /// error that survives the retry budget is reported as kIo. On top of
-  /// RawIo this maintains the attached chunk-sum map: dirty marking on
-  /// writes; on reads a verified read (ncformat::VerifiedRead) that fetches
-  /// whole boundary chunks in the same request (every read path —
-  /// independent, sieving windows, RMW pre-reads, and two-phase aggregator
-  /// I/O — funnels here).
-  /// The transfer, its retries and their backoff advance `clk`: the rank
-  /// clock when null, or a two-phase aggregator's I/O channel.
-  pnc::Status RetryIo(bool is_write, std::uint64_t off, std::byte* data,
-                      std::uint64_t len, simmpi::VirtualClock* clk = nullptr);
-  /// The transfer itself, with no integrity hooks (the verified read
-  /// issues its cover and heal re-reads through this, avoiding recursion).
-  pnc::Status RawIo(bool is_write, std::uint64_t off, std::byte* data,
-                    std::uint64_t len, simmpi::VirtualClock& clk);
-  /// Same policy for a sync barrier (zero-length faultable op).
-  pnc::Status RetrySync();
+  // mpiio's own observations of its requests.
+  void Landed(bool is_write, std::uint64_t bytes) override {
+    PNC_OBSERVE(kXfer, .len = bytes, .is_write = is_write);
+  }
+  void Retrying(bool sync, bool is_write, int attempt, double backoff_ns,
+                double t_ns) override {
+    if (sync)
+      PNC_OBSERVE(kSyncRetry, .t_ns = t_ns,
+                  .n = static_cast<std::uint64_t>(attempt),
+                  .wait_ns = backoff_ns);
+    else
+      PNC_OBSERVE(kIoRetry, .t_ns = t_ns,
+                  .n = static_cast<std::uint64_t>(attempt),
+                  .wait_ns = backoff_ns, .is_write = is_write);
+  }
 };
 
 }  // namespace mpiio

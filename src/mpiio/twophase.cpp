@@ -32,6 +32,7 @@
 #include <limits>
 #include <span>
 
+#include "format/sums.hpp"
 #include "iostat/observe.hpp"
 #include "mpiio/file_impl.hpp"
 
@@ -318,12 +319,13 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
   const auto naggs = std::min(static_cast<std::size_t>(im.hints.cb_nodes),
                               static_cast<std::size_t>(wp));
   std::uint64_t origin = 0, unit = im.fs->config().stripe_size;
-  const bool chunk_grid = !is_write && im.sums != nullptr &&
-                          im.sums_verify && im.sums->chunk_size() > 0 &&
-                          gmin >= im.sums->data_begin();
+  const ncformat::ChunkSumMap* sums = im.io.sums();
+  const bool chunk_grid = !is_write && im.io.verifies() &&
+                          sums->chunk_size() > 0 &&
+                          gmin >= sums->data_begin();
   if (chunk_grid) {
-    origin = im.sums->data_begin();
-    unit = im.sums->chunk_size();
+    origin = sums->data_begin();
+    unit = sums->chunk_size();
   }
   const Geometry geo =
       MakeGeometry(gmin, gmax, naggs, im.hints.cb_buffer_size, origin, unit,
@@ -474,8 +476,8 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
           // waits for its bytes.
           PNC_OBSERVE(kAggWindow, .len = sp.len);
           wst = chan.Issue(clk.now(), [&](simmpi::VirtualClock& c) {
-            return im.RetryIo(/*is_write=*/false, sp.start, window.data(),
-                              sp.len, &c);
+            return im.io.Transfer(/*is_write=*/false, sp.start,
+                                  window.data(), sp.len, &c);
           });
           chan.Drain(clk);
         } else {
@@ -488,8 +490,8 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
           clk.Advance(cost.CopyCost(sp.covered));
           PNC_OBSERVE(kAggWindow, .len = sp.len);
           wst = chan.Issue(clk.now(), [&](simmpi::VirtualClock& c) {
-            return im.RetryIo(/*is_write=*/true, sp.start, window.data(),
-                              sp.len, &c);
+            return im.io.Transfer(/*is_write=*/true, sp.start,
+                                  window.data(), sp.len, &c);
           });
           buf = chan.idle_ns();
         }
@@ -574,8 +576,8 @@ pnc::Status File::CollectiveIo(std::uint64_t offset_etypes, void* buf,
       assert(pending.span.len <= cb);
       PNC_OBSERVE(kAggWindow, .len = pending.span.len);
       pending.st = chan.Issue(issue_ns, [&](simmpi::VirtualClock& c) {
-        return im.RetryIo(/*is_write=*/false, pending.span.start,
-                          window.data(), pending.span.len, &c);
+        return im.io.Transfer(/*is_write=*/false, pending.span.start,
+                              window.data(), pending.span.len, &c);
       });
     };
 

@@ -7,22 +7,20 @@
 // buffer size bypass it. All timing is charged to an internal virtual clock,
 // which is what the Figure 6 "serial netCDF" baseline reports.
 //
-// Failure model: all data calls go through the fault-injected pfs path
-// (pfs::File::TryRead/TryWrite). Transient storage errors are retried a
-// bounded number of times with exponential backoff (charged to the virtual
-// clock); short transfers resume from the transferred count. A Flush that
-// ultimately fails leaves the block dirty, so the data is not lost and a
-// later Flush/Sync retries the write-back.
+// Failure model: every physical transfer and sync goes through one
+// ncformat::PfsIo (format/pfs_io.hpp), which retries transient storage
+// errors with bounded backoff (charged to the virtual clock) and resumes
+// short transfers. A Flush that ultimately fails leaves the block dirty, so
+// the data is not lost and a later Flush/Sync retries the write-back.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "format/sums.hpp"
+#include "format/pfs_io.hpp"
 #include "pfs/pfs.hpp"
 #include "simmpi/clock.hpp"
 #include "util/bytes.hpp"
-#include "util/retry.hpp"
 #include "util/status.hpp"
 
 namespace netcdf {
@@ -49,7 +47,7 @@ class BufferedFile {
   [[nodiscard]] pnc::Status Sync();
 
   /// Attach a chunk-sum map (format/sums.hpp) owned by the caller, which
-  /// must outlive this file. Physical writes mark their chunks dirty;
+  /// must outlive this file. Physical writes record their fragments;
   /// with `verify` set, physical reads (block loads and large bypass
   /// reads) recompute covered chunk CRCs, healing transient flips by
   /// re-reading and returning kDataCorrupt for persistent damage. The
@@ -59,21 +57,11 @@ class BufferedFile {
 
  private:
   pnc::Status LoadBlock(std::uint64_t block_start);
-  /// Bounded retry over the fault-injected pfs path (see mpiio's RetryIo;
-  /// the serial library applies the same policy without MPI hints), plus
-  /// the integrity hooks of the attached chunk-sum map.
-  pnc::Status RetryIo(bool is_write, std::uint64_t offset, std::byte* data,
-                      std::uint64_t len);
-  /// The transfer alone, no integrity hooks (the verified read issues its
-  /// cover and heal re-reads through this, avoiding recursion).
-  pnc::Status RawIo(bool is_write, std::uint64_t offset, std::byte* data,
-                    std::uint64_t len);
 
-  pfs::File file_;
   simmpi::VirtualClock* clock_;
-  pnc::util::RetryPolicy retry_;  ///< defaults + PNC_RETRY_* env (rank 0)
-  ncformat::ChunkSumMap* sums_ = nullptr;
-  bool sums_verify_ = false;
+  /// Retried under the default policy + PNC_RETRY_* env (rank 0), with the
+  /// attached chunk-sum map's hooks.
+  ncformat::PfsIo io_;
   std::uint64_t bufsize_;
   double copy_ns_per_byte_;
 

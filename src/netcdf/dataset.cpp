@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "format/commit_pfs.hpp"
+#include "format/pfs_io.hpp"
 #include "format/session.hpp"
 #include "iostat/observe.hpp"
 

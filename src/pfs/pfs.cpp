@@ -68,6 +68,16 @@ void MemStore::Truncate(std::uint64_t new_size) {
   size_ = new_size;
 }
 
+// --------------------------------------------------------------- SizeStore
+
+void SizeStore::Write(std::uint64_t offset, pnc::ConstByteSpan data) {
+  size_ = std::max(size_, offset + data.size());
+}
+
+void SizeStore::Read(std::uint64_t, pnc::ByteSpan out) const {
+  std::memset(out.data(), 0, out.size());
+}
+
 // --------------------------------------------------------------- FileStore
 
 pnc::Result<std::unique_ptr<FileStore>> FileStore::Open(const std::string& path,
@@ -137,7 +147,6 @@ struct File::Node {
   RmwMutex rmw;   ///< RmwLock's state
   std::unique_ptr<ByteStore> store;  ///< always a FaultyByteStore decorator
   FaultyByteStore* faulty = nullptr;  ///< same object, decorated view
-  std::uint64_t discarded_size = 0;  ///< logical size under discard_data
 };
 
 double File::HarnessRead(std::uint64_t offset, pnc::ByteSpan out,
@@ -156,12 +165,7 @@ double File::HarnessWrite(std::uint64_t offset, pnc::ConstByteSpan data,
   pnc::turn::Request(start_ns);
   {
     std::lock_guard<std::mutex> lk(node_->mu);
-    if (fs_->cfg_.discard_data) {
-      node_->discarded_size =
-          std::max(node_->discarded_size, offset + data.size());
-    } else {
-      node_->store->Write(offset, data);
-    }
+    node_->store->Write(offset, data);
   }
   return fs_->ServeRequest(offset, data.size(), /*is_write=*/true,
                            start_ns);
@@ -197,32 +201,8 @@ IoResult File::TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
   FaultyByteStore::Outcome oc;
   {
     std::lock_guard<std::mutex> lk(node_->mu);
-    if (fs_->cfg_.discard_data) {
-      // No bytes stored in discard mode, but the fault schedule still
-      // applies so benchmarks can measure retry overhead at scale.
-      const FaultDecision d = fs_->injector_->Decide(
-          /*is_write=*/true, data.size(), fs_->PrimaryServer(offset),
-          start_ns);
-      if (d.kind == FaultDecision::Kind::kTransient) {
-        oc = {pnc::Status(pnc::Err::kIoTransient, "injected transient fault"),
-              0};
-      } else if (d.kind == FaultDecision::Kind::kPermanent) {
-        oc = {pnc::Status(pnc::Err::kIo, "injected permanent fault"), 0};
-      } else if (d.kind == FaultDecision::Kind::kCrash) {
-        node_->discarded_size =
-            std::max(node_->discarded_size, offset + d.torn_bytes);
-        oc = {pnc::Status(pnc::Err::kIo, "injected crash: image frozen"), 0};
-      } else {
-        const std::uint64_t n = d.kind == FaultDecision::Kind::kShort
-                                    ? d.short_bytes
-                                    : data.size();
-        node_->discarded_size = std::max(node_->discarded_size, offset + n);
-        oc = {pnc::Status::Ok(), n};
-      }
-    } else {
-      oc = node_->faulty->FaultedWrite(offset, data, fs_->PrimaryServer(offset),
-                                       start_ns);
-    }
+    oc = node_->faulty->FaultedWrite(offset, data, fs_->PrimaryServer(offset),
+                                     start_ns);
   }
   if (!oc.status.ok()) {
     const bool transient = oc.status.code() == pnc::Err::kIoTransient;
@@ -271,10 +251,10 @@ void File::RecordRetry(bool is_write) { fs_->RecordRetry(is_write); }
 
 std::uint64_t File::size() const {
   std::lock_guard<std::mutex> lk(node_->mu);
-  return std::max(node_->store->size(), node_->discarded_size);
+  return node_->store->size();
 }
 
-bool File::discards_data() const { return fs_->cfg_.discard_data; }
+bool File::discards_data() const { return !node_->store->keeps_bytes(); }
 
 void File::Truncate(std::uint64_t new_size) {
   std::lock_guard<std::mutex> lk(node_->mu);
@@ -341,7 +321,12 @@ pnc::Result<File> FileSystem::Create(const std::string& path, bool exclusive) {
     it->second->store->Truncate(0);
     return File(this, it->second);
   }
-  auto node = MakeNode(path, Decorate(std::make_unique<MemStore>()));
+  std::unique_ptr<ByteStore> store;
+  if (cfg_.discard_data)
+    store = std::make_unique<SizeStore>();
+  else
+    store = std::make_unique<MemStore>();
+  auto node = MakeNode(path, Decorate(std::move(store)));
   files_[path] = node;
   return File(this, node);
 }
@@ -442,7 +427,8 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
   // Decompose [offset, offset+len) into per-server byte totals according to
   // the round-robin stripe map; each involved server serves one event.
   // Writes that cover only part of a stripe are charged the whole stripe
-  // when write_partial_stripe_rmw is on (block read-modify-write).
+  // (block-based file systems read-modify-write whole blocks, which is why
+  // collective I/O aligns its file domains to stripe boundaries).
   std::vector<std::uint64_t> bytes_per_server(
       static_cast<std::size_t>(cfg_.num_servers), 0);
   std::uint64_t pos = offset;
@@ -455,11 +441,7 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
     const std::uint64_t in_stripe = pos % cfg_.stripe_size;
     const std::uint64_t n =
         std::min<std::uint64_t>(cfg_.stripe_size - in_stripe, remaining);
-    const bool partial = n < cfg_.stripe_size;
-    bytes_per_server[server] +=
-        (is_write && partial && cfg_.write_partial_stripe_rmw)
-            ? cfg_.stripe_size
-            : n;
+    bytes_per_server[server] += is_write ? cfg_.stripe_size : n;
     pos += n;
     remaining -= n;
   }

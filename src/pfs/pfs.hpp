@@ -52,15 +52,11 @@ struct Config {
   double server_write_ns_per_byte = 40.0;  ///< ~25 MB/s per server
   double server_request_ns = 800'000.0;    ///< per (request, server) overhead
 
-  /// Partial-stripe writes cost a full stripe at the server (block-based
-  /// file systems read-modify-write whole blocks). This is why collective
-  /// I/O implementations align their file domains to stripe boundaries.
-  bool write_partial_stripe_rmw = true;
-
-  /// Benchmark mode: account for writes (size, stats, virtual time) but do
-  /// not store the bytes. Reads then return zeros. Correctness runs (tests,
-  /// examples) keep this off; large-scale sweeps turn it on so a simulated
-  /// multi-gigabyte file costs no host memory.
+  /// Benchmark mode: files made by FileSystem::Create keep their size but
+  /// not their bytes (SizeStore), so reads return zeros; writes take the
+  /// same fault path and cost the same virtual time. Correctness runs
+  /// (tests, examples) keep this off; large-scale sweeps turn it on so a
+  /// simulated multi-gigabyte file costs no host memory.
   bool discard_data = false;
 
   /// Initial fault-injection schedule (see fault.hpp). Default: no faults.
@@ -70,8 +66,8 @@ struct Config {
 
 /// Aggregate traffic counters, useful for tests and the hints example.
 /// Fault/retry counters cover the fault-injectable path (File::TryRead/
-/// TryWrite/TrySync); retries are recorded by the client layers (MPI-IO,
-/// BufferedFile) via FileSystem::RecordRetry.
+/// TryWrite/TrySync); retries are recorded by the one client of that path,
+/// ncformat::PfsIo (format/pfs_io.hpp), via File::RecordRetry.
 struct Stats {
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
@@ -98,6 +94,8 @@ class ByteStore {
   virtual void Read(std::uint64_t offset, pnc::ByteSpan out) const = 0;
   [[nodiscard]] virtual std::uint64_t size() const = 0;
   virtual void Truncate(std::uint64_t new_size) = 0;
+  /// False for a store that keeps only the size (reads yield zeros).
+  [[nodiscard]] virtual bool keeps_bytes() const { return true; }
 };
 
 /// Sparse in-memory store (default). Allocates 4 MiB chunks on first write,
@@ -112,6 +110,20 @@ class MemStore final : public ByteStore {
  private:
   static constexpr std::uint64_t kChunk = 4ULL << 20;
   std::map<std::uint64_t, std::vector<std::byte>> chunks_;
+  std::uint64_t size_ = 0;
+};
+
+/// Size-only store (Config::discard_data): a write extends the size and
+/// keeps no bytes, so reads yield zeros.
+class SizeStore final : public ByteStore {
+ public:
+  void Write(std::uint64_t offset, pnc::ConstByteSpan data) override;
+  void Read(std::uint64_t offset, pnc::ByteSpan out) const override;
+  [[nodiscard]] std::uint64_t size() const override { return size_; }
+  void Truncate(std::uint64_t new_size) override { size_ = new_size; }
+  [[nodiscard]] bool keeps_bytes() const override { return false; }
+
+ private:
   std::uint64_t size_ = 0;
 };
 
@@ -155,6 +167,9 @@ class FaultyByteStore final : public ByteStore {
   }
   [[nodiscard]] std::uint64_t size() const override { return inner_->size(); }
   void Truncate(std::uint64_t new_size) override { inner_->Truncate(new_size); }
+  [[nodiscard]] bool keeps_bytes() const override {
+    return inner_->keeps_bytes();
+  }
 
   struct Outcome {
     pnc::Status status;
@@ -215,7 +230,7 @@ class File {
 
   [[nodiscard]] std::uint64_t size() const;
   void Truncate(std::uint64_t new_size);
-  /// Config::discard_data: writes are accounted but not stored, and reads
+  /// The file keeps no bytes (Create under Config::discard_data), and reads
   /// return zeros.
   [[nodiscard]] bool discards_data() const;
   /// Flush: charges one request round-trip per server. Harness variant of
@@ -265,8 +280,9 @@ class FileSystem {
   FileSystem(const FileSystem&) = delete;
   FileSystem& operator=(const FileSystem&) = delete;
 
-  /// Create a file (in-memory store). With `exclusive`, fails if it exists;
-  /// otherwise truncates any existing file.
+  /// Create a file (in-memory store; size-only under Config::discard_data).
+  /// With `exclusive`, fails if it exists; otherwise truncates any existing
+  /// file.
   pnc::Result<File> Create(const std::string& path, bool exclusive);
   /// Create a file whose bytes live in a real POSIX file at `disk_path`.
   pnc::Result<File> CreateOnDisk(const std::string& path,

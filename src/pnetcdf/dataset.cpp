@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "format/commit_pfs.hpp"
+#include "format/pfs_io.hpp"
 #include "format/session.hpp"
 #include "format/sums.hpp"
 #include "iostat/observe.hpp"

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "format/commit_pfs.hpp"
+#include "format/pfs_io.hpp"
 #include "format/header.hpp"
 #include "simmpi/clock.hpp"
 
@@ -78,11 +78,11 @@ pnc::Result<VerifyResult> VerifyFile(pfs::FileSystem& fs,
 
   auto pf = fs.Open(path);
   if (!pf.ok()) return pf.status();
-  ncformat::PfsCommitIo primary(std::move(pf).value(), &clock);
+  ncformat::PfsIo primary(std::move(pf).value(), &clock);
 
   // A missing journal takes AnalyzeCommit's no-journal path; an existing
   // one, even empty, is analyzed as a journal.
-  std::optional<ncformat::PfsCommitIo> journal;
+  std::optional<ncformat::PfsIo> journal;
   const std::string jpath = ncformat::JournalPath(path);
   if (fs.Exists(jpath)) {
     auto jf = fs.Open(jpath);

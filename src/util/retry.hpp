@@ -1,6 +1,6 @@
-// The one bounded retry-with-backoff loop shared by every layer that drives
-// the fault-injected pfs Try* path (mpiio transfers, the serial netCDF
-// BufferedFile, the commit-journal adapter).
+// The bounded retry-with-backoff loops of the fault-injected pfs Try* path.
+// Their one caller is ncformat::PfsIo (format/pfs_io.hpp), through which
+// mpiio, the serial netCDF BufferedFile and the commit journal move bytes.
 //
 // Policy (identical everywhere, per DESIGN.md §6):
 //   * short transfers resume from the reported count without consuming

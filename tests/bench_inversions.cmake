@@ -15,7 +15,6 @@ foreach(cmd IN LISTS commands)
   math(EXPR i "${i} + 1")
   separate_arguments(args UNIX_COMMAND "${cmd}")
   set(json "${OUT}/run${i}.json")
-  file(REMOVE "${json}")  # ncbench appends to an existing --json file
   execute_process(COMMAND "${NCBENCH}" ${args} "--json=${json}"
                   RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc EQUAL 0)

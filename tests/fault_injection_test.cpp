@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
+#include "hdf5lite/h5file.hpp"
 #include "mpiio/file.hpp"
 #include "netcdf/buffered_file.hpp"
 #include "netcdf/dataset.hpp"
@@ -236,6 +238,57 @@ TEST(FaultMatrix, PermanentIndependentWriteReportsError) {
     ASSERT_TRUE(ds.Close().ok());
   });
   ExpectAllElems(fs, 1);  // nothing was stored
+}
+
+// --- the open's round trip: retried like every other request ------------
+
+/// Arm a transient fault on the first faultable op, run `create` on `ranks`
+/// ranks, and expect it to succeed with exactly one write retry (the open's
+/// round trip, which is a sync).
+template <typename CreateFn>
+void ExpectOpenFaultRetried(int ranks, CreateFn create) {
+  pfs::FileSystem fs;
+  pfs::FaultPolicy pol;
+  pol.transient_ops = {0};
+  SCOPED_TRACE(pnc_test::DescribePolicy(pol));
+  fs.SetFaultPolicy(pol);
+  simmpi::Run(ranks, [&](Comm& c) {
+    const pnc::Status st = create(c, fs);
+    EXPECT_TRUE(st.ok()) << "rank " << c.rank() << ": " << st.raw() << " "
+                         << st.message();
+  });
+  const pfs::Stats st = fs.stats();
+  EXPECT_EQ(st.transient_faults, 1u);
+  EXPECT_EQ(st.write_retries, 1u);
+  EXPECT_EQ(st.read_retries, 0u);
+}
+
+TEST(FaultMatrix, TransientFaultOnTheOpenIsRetried) {
+  for (const int ranks : {1, 3}) {
+    SCOPED_TRACE("pnetcdf, ranks " + std::to_string(ranks));
+    ExpectOpenFaultRetried(ranks, [](Comm& c, pfs::FileSystem& fs) {
+      auto ds = pnetcdf::Dataset::Create(c, fs, "open.nc", simmpi::NullInfo());
+      if (!ds.ok()) return ds.status();
+      return ds.value().Close();
+    });
+  }
+  {
+    SCOPED_TRACE("hdf5lite, ranks 3");
+    ExpectOpenFaultRetried(3, [](Comm& c, pfs::FileSystem& fs) {
+      auto f = hdf5lite::File::Create(c, fs, "open.h5", simmpi::NullInfo());
+      if (!f.ok()) return f.status();
+      return f.value().Close();
+    });
+  }
+  {
+    SCOPED_TRACE("netcdf (serial)");
+    ExpectOpenFaultRetried(1, [](Comm&, pfs::FileSystem& fs) {
+      auto ds = netcdf::Dataset::Create(fs, "open.nc");
+      if (!ds.ok()) return ds.status();
+      PNC_RETURN_IF_ERROR(ds.value().EndDef());
+      return ds.value().Close();
+    });
+  }
 }
 
 // --- outage windows: backoff walks the clock past the outage -------------

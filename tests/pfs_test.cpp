@@ -95,6 +95,47 @@ TEST(FileSystem, CreateTruncatesExisting) {
   EXPECT_EQ(f2.size(), 0u);
 }
 
+TEST(FileSystem, DiscardedFileSizeShrinksLikeAStoredOne) {
+  // Under discard_data a file keeps its size but no bytes: Truncate and a
+  // clobbering Create shrink it exactly as they shrink a stored file.
+  for (const bool discard : {false, true}) {
+    SCOPED_TRACE(discard ? "discard_data" : "stored");
+    Config cfg;
+    cfg.discard_data = discard;
+    FileSystem fs(cfg);
+    auto f = fs.Create("d.nc", false).value();
+    const auto data = Pattern(1 << 20, 3);
+    const pfs::IoResult w = f.TryWrite(0, data, 0.0);
+    ASSERT_TRUE(w.ok());
+    EXPECT_EQ(f.size(), 1u << 20);
+    f.Truncate(100);
+    EXPECT_EQ(f.size(), 100u);
+    auto f2 = fs.Create("d.nc", false).value();
+    EXPECT_EQ(f2.size(), 0u);
+    EXPECT_EQ(f.size(), 0u);
+  }
+}
+
+TEST(FileSystem, DiscardedWritesTakeTheFaultPath) {
+  // A size-only store sits under the same fault decorator: a write flip is
+  // counted like a stored one's, and reads return zeros.
+  Config cfg;
+  cfg.discard_data = true;
+  FileSystem fs(cfg);
+  auto f = fs.Create("d.nc", false).value();
+  FaultPolicy pol;
+  pol.bitflip_write_prob = 1.0;
+  fs.SetFaultPolicy(pol);
+  const auto data = Pattern(4096, 5);
+  ASSERT_TRUE(f.TryWrite(0, data, 0.0).ok());
+  EXPECT_EQ(fs.stats().write_bitflips, 1u);
+  EXPECT_EQ(f.size(), 4096u);
+  fs.SetFaultPolicy(FaultPolicy{});
+  std::vector<std::byte> back(16, std::byte{9});
+  ASSERT_TRUE(f.TryRead(0, back, 0.0).ok());
+  for (const auto b : back) EXPECT_EQ(b, std::byte{0});
+}
+
 TEST(FileSystem, StatsAccumulate) {
   FileSystem fs;
   auto f = fs.Create("s.nc", false).value();

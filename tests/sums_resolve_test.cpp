@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "format/commit_pfs.hpp"
+#include "format/pfs_io.hpp"
 #include "format/header.hpp"
 #include "format/sums.hpp"
 #include "mpiio/file.hpp"

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "format/commit.hpp"
-#include "format/commit_pfs.hpp"
+#include "format/pfs_io.hpp"
 #include "netcdf/dataset.hpp"
 #include "pfs/pfs.hpp"
 
@@ -148,11 +148,11 @@ inline std::uint32_t DiskNumrecs(pfs::FileSystem& fs, const std::string& path) {
 inline ncformat::CommitState CommittedState(pfs::FileSystem& fs,
                                             const std::string& path) {
   simmpi::VirtualClock clk;
-  ncformat::PfsCommitIo journal(fs.Open(ncformat::JournalPath(path)).value(),
+  ncformat::PfsIo journal(fs.Open(ncformat::JournalPath(path)).value(),
                                 &clk);
   const auto slot = ncformat::ReadCommitState(journal).value();
   if (slot) return *slot;
-  ncformat::PfsCommitIo primary(fs.Open(path).value(), &clk);
+  ncformat::PfsIo primary(fs.Open(path).value(), &clk);
   const auto rep = ncformat::AnalyzeCommit(&journal, primary).value();
   const auto h = ncformat::Header::Decode(rep.committed_header);
   EXPECT_TRUE(h.ok()) << path << ": " << rep.detail;
@@ -166,7 +166,7 @@ inline ncformat::CommitState CommittedState(pfs::FileSystem& fs,
 inline std::optional<ncformat::ChunkSumMap> CommittedSums(
     pfs::FileSystem& fs, const std::string& path) {
   simmpi::VirtualClock clk;
-  ncformat::PfsCommitIo io(fs.Open(ncformat::JournalPath(path)).value(), &clk);
+  ncformat::PfsIo io(fs.Open(ncformat::JournalPath(path)).value(), &clk);
   const auto state = ncformat::ReadCommitState(io).value();
   EXPECT_TRUE(state.has_value()) << path << ": nothing committed";
   if (!state) return std::nullopt;
