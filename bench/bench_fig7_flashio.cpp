@@ -124,8 +124,8 @@ int Run(const Args& args, bench::Recorder& rec) {
   bench::ApplyHintOverrides(args, info);
 
   // The paper sweeps 16..512 processes on 1024-way hardware; the default
-  // here stops at 64 thread-backed ranks to keep host memory and wall time
-  // in check (--procs extends it; the virtual-time model is the same).
+  // here stops at 64 ranks to keep host memory (each rank holds its FLASH
+  // data) and wall time in check (--procs extends it; the virtual-time model is the same).
   const std::vector<int> procs = bench::ProcsList(
       args, quick ? std::vector<int>{4, 16}
                   : std::vector<int>{4, 8, 16, 32, 64});

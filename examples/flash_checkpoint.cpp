@@ -1,6 +1,6 @@
 // A miniature FLASH run writing a checkpoint through PnetCDF (§5.2).
 //
-// Sixteen thread-backed ranks each hold 8 AMR blocks of 8^3 cells with 4
+// Sixteen ranks each hold 8 AMR blocks of 8^3 cells with 4
 // guard cells; the checkpoint (all 24 unknowns + AMR tree metadata) is
 // written collectively to a single netCDF file, which is then validated
 // serially — the paper's FLASH I/O benchmark as an application example.

@@ -4,7 +4,7 @@
 //     array with ncmpi_put_vara_all, and close.
 // (b) READ: collectively open, inquire, read with ncmpi_get_vars_all, close.
 //
-// Eight thread-backed ranks cooperate on one netCDF file; afterwards the
+// Eight ranks cooperate on one netCDF file; afterwards the
 // main thread verifies the result through the *serial* library, proving the
 // format is the unchanged classic netCDF format.
 #include <cstdio>

@@ -218,10 +218,10 @@ pnc::Result<File> File::Create(simmpi::Comm comm, pfs::FileSystem& fs,
       std::move(comm), &fs, std::move(f).value(), /*writable=*/true,
       static_cast<double>(info.GetInt("h5l_descent_ns", 300)));
   auto& im = *file.impl_;
-  if (im.comm.rank() == 0) {
-    PNC_RETURN_IF_ERROR(im.FlushSuperblockAtRoot());
-  }
-  im.comm.Barrier();
+  pnc::Status flushed;
+  if (im.comm.rank() == 0) flushed = im.FlushSuperblockAtRoot();
+  // Every rank returns the root's status, so none is left in a collective.
+  PNC_RETURN_IF_ERROR(im.comm.BarrierStatus(flushed));
   return file;
 }
 
@@ -255,10 +255,12 @@ pnc::Result<File> File::Open(simmpi::Comm comm, pfs::FileSystem& fs,
 pnc::Status File::Close() {
   if (!impl_) return pnc::Status(pnc::Err::kBadId);
   auto& im = *impl_;
-  if (im.writable && im.comm.rank() == 0) {
-    PNC_RETURN_IF_ERROR(im.FlushSuperblockAtRoot());
-  }
-  PNC_RETURN_IF_ERROR(im.file.Sync());
+  // The root's superblock flush is folded into the sync's agreement, so
+  // every rank returns one status.
+  pnc::Status local;
+  if (im.writable && im.comm.rank() == 0) local = im.FlushSuperblockAtRoot();
+  if (local.ok()) local = im.file.SyncLocal();
+  PNC_RETURN_IF_ERROR(im.file.comm().AgreeStatus(local));
   return im.file.Close();
 }
 

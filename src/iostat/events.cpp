@@ -10,6 +10,7 @@
 #include "iostat/schemas.hpp"
 #include "util/env.hpp"
 #include "util/json.hpp"
+#include "util/turn.hpp"
 
 namespace iostat {
 
@@ -17,16 +18,16 @@ using pnc::json::AppendF;
 
 namespace {
 
-/// Request context bound to the calling thread (thread == rank in simmpi).
+/// Request context of the calling rank.
 struct ReqCtx {
   std::uint64_t id = 0;
   char detail[24] = {};
 };
-thread_local ReqCtx tl_req;
+const pnc::turn::RankLocal<ReqCtx> req_ctx;
 
-/// Per-rank monotonic request counters. Kept outside the thread so IDs stay
-/// monotonic per *rank* even across successive simmpi runs (each run spawns
-/// fresh rank threads).
+/// Per-rank monotonic request counters. Kept outside the rank's context so
+/// IDs stay monotonic per *rank* even across successive simmpi runs (each
+/// run makes fresh rank contexts).
 std::atomic<std::uint64_t> g_next_req[kMaxRanks];
 
 void CopyDetail(char (&dst)[24], const char* src) {
@@ -119,12 +120,13 @@ void FlightRecorder::Record(Ev kind, double t_ns, double d_ns,
   rec.seq.store(0, std::memory_order_relaxed);
   rec.t_ns = t_ns;
   rec.d_ns = d_ns;
-  rec.req = tl_req.id;
+  const ReqCtx& req = *req_ctx;
+  rec.req = req.id;
   rec.a0 = a0;
   rec.a1 = a1;
   rec.kind = kind;
   rec.rank = static_cast<std::uint16_t>(rank);
-  CopyDetail(rec.detail, detail == nullptr ? tl_req.detail : detail);
+  CopyDetail(rec.detail, detail == nullptr ? req.detail : detail);
   rec.seq.store(seq, std::memory_order_release);
 }
 
@@ -182,15 +184,16 @@ void FlightRecorder::Reset() {
   }
 }
 
-std::uint64_t CurrentRequestId() { return tl_req.id; }
+std::uint64_t CurrentRequestId() { return req_ctx->id; }
 
 ReqScope::ReqScope(const char* api, std::string_view var, double t_ns,
                    std::uint64_t bytes, std::uint64_t is_write) {
-  saved_id_ = tl_req.id;
-  std::memcpy(saved_detail_, tl_req.detail, sizeof(saved_detail_));
+  ReqCtx& req = *req_ctx;
+  saved_id_ = req.id;
+  std::memcpy(saved_detail_, req.detail, sizeof(saved_detail_));
   if (!SinkOn(kSinkRing)) return;
   const int rank = Registry::rank();
-  tl_req.id = g_next_req[rank].fetch_add(1, std::memory_order_relaxed) + 1;
+  req.id = g_next_req[rank].fetch_add(1, std::memory_order_relaxed) + 1;
   // detail = "api:var", truncated to the fixed record width.
   char buf[24];
   std::size_t i = 0;
@@ -201,14 +204,15 @@ ReqScope::ReqScope(const char* api, std::string_view var, double t_ns,
       buf[i++] = var[j];
   }
   buf[i] = '\0';
-  std::memcpy(tl_req.detail, buf, sizeof(buf));
+  std::memcpy(req.detail, buf, sizeof(buf));
   FlightRecorder::Get().Record(Ev::kApiBegin, t_ns, 0.0, bytes, is_write,
-                               tl_req.detail);
+                               req.detail);
 }
 
 ReqScope::~ReqScope() {
-  tl_req.id = saved_id_;
-  std::memcpy(tl_req.detail, saved_detail_, sizeof(saved_detail_));
+  ReqCtx& req = *req_ctx;
+  req.id = saved_id_;
+  std::memcpy(req.detail, saved_detail_, sizeof(saved_detail_));
 }
 
 // ------------------------------------------------------------- dump / parse

@@ -5,7 +5,8 @@
 //  * Request context: a per-rank monotonic request ID is minted at the
 //    netCDF / PnetCDF API boundary (ReqScope, installed via the
 //    PNC_IOSTAT_REQ_SCOPE macro) together with a short "api:variable"
-//    detail string. Both live in thread-local storage, so every event any
+//    detail string. Both live in the rank's context (util/turn.hpp), so
+//    they follow the rank across the others' turns and every event any
 //    lower layer records while that API call is on the stack — mpiio
 //    two-phase exchange and aggregator I/O, pfs per-server service, faults,
 //    retries — attributes back to the originating call without any
@@ -100,7 +101,7 @@ struct Event {
 };
 
 /// The per-rank ring buffers. One process-wide instance (like Registry);
-/// rank slots are addressed through the same thread-local binding.
+/// rank slots are addressed through the same rank binding.
 class FlightRecorder {
  public:
   static FlightRecorder& Get();
@@ -108,7 +109,7 @@ class FlightRecorder {
   /// Events each rank's ring retains (PNC_FLIGHT_EVENTS, default 4096).
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
-  /// Record one event on the calling thread's rank. `detail` may be
+  /// Record one event on the calling rank's ring. `detail` may be
   /// nullptr to inherit the current request's detail string. Lock-free.
   void Record(Ev kind, double t_ns, double d_ns, std::uint64_t a0,
               std::uint64_t a1, const char* detail);
@@ -154,13 +155,13 @@ class FlightRecorder {
 /// malformed value warns once), clamped into [64, 2^20].
 std::size_t FlightCapacityFromEnv();
 
-// ---- request context (thread-local; rank == thread under simmpi) ----
+// ---- request context (one per rank, pnc::turn::RankLocal) ----
 
-/// The request ID bound to the calling thread, 0 if none.
+/// The request ID bound to the calling rank, 0 if none.
 std::uint64_t CurrentRequestId();
 
 /// RAII request scope: mints the next request ID for this rank, binds it
-/// (and an "api:variable" detail) to the thread, and records an ApiBegin
+/// (and an "api:variable" detail) to the rank, and records an ApiBegin
 /// event. Restores the previous binding on destruction, so nested API
 /// calls (e.g. a header commit inside a data call) attribute correctly.
 class ReqScope {
@@ -217,13 +218,13 @@ pnc::Result<EventDump> ParseEventsJson(std::string_view text);
 #if PNC_IOSTAT_ENABLED
 
 /// Mint a request ID for this API call and bind it (plus "api:var" detail)
-/// to the calling thread for the lifetime of the enclosing scope.
+/// to the calling rank for the lifetime of the enclosing scope.
 #define PNC_IOSTAT_REQ_SCOPE(api, var, t_ns, bytes, is_write)       \
   ::iostat::ReqScope pnc_iostat_req_scope_(                         \
       (api), (var), (t_ns), static_cast<std::uint64_t>(bytes),      \
       static_cast<std::uint64_t>(is_write))
 
-/// The request ID bound to the calling thread (0 when none / disabled).
+/// The request ID bound to the calling rank (0 when none / disabled).
 #define PNC_IOSTAT_CURRENT_REQ() ::iostat::CurrentRequestId()
 
 /// Dump the flight-recorder tail (stderr + PNC_FLIGHT_DUMP). Watchdog use.

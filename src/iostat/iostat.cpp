@@ -9,13 +9,14 @@
 #include "iostat/pattern.hpp"
 #include "iostat/report.hpp"
 #include "util/env.hpp"
+#include "util/turn.hpp"
 
 namespace iostat {
 
 namespace {
 
-/// Rank slot bound to the calling thread (0 for unbound/serial threads).
-thread_local int tl_rank = 0;
+/// Rank slot bound to the calling rank (0 for unbound/serial threads).
+const pnc::turn::RankLocal<int> bound_rank;
 
 }  // namespace
 
@@ -83,7 +84,7 @@ Registry& Registry::Get() {
 
 void Registry::BindRank(int rank) {
   rank = std::clamp(rank, 0, kMaxRanks - 1);
-  tl_rank = rank;
+  *bound_rank = rank;
   auto& reg = Get();
   int seen = reg.max_rank_.load(std::memory_order_relaxed);
   while (rank > seen &&
@@ -92,15 +93,15 @@ void Registry::BindRank(int rank) {
   }
 }
 
-int Registry::rank() { return tl_rank; }
+int Registry::rank() { return *bound_rank; }
 
 void Registry::Add(Ctr c, std::uint64_t n) {
-  slots_[tl_rank].c[static_cast<std::size_t>(c)].fetch_add(
+  slots_[*bound_rank].c[static_cast<std::size_t>(c)].fetch_add(
       n, std::memory_order_relaxed);
 }
 
 void Registry::Max(Ctr c, std::uint64_t n) {
-  auto& slot = slots_[tl_rank].c[static_cast<std::size_t>(c)];
+  auto& slot = slots_[*bound_rank].c[static_cast<std::size_t>(c)];
   std::uint64_t seen = slot.load(std::memory_order_relaxed);
   while (n > seen &&
          !slot.compare_exchange_weak(seen, n, std::memory_order_relaxed)) {

@@ -10,9 +10,10 @@
 //
 // Layering: iostat sits at the very bottom of the dependency graph (it links
 // only pnc_util), so every other layer can record into it without cycles.
-// Ranks are threads inside one process (simmpi), so "per rank" is a
-// thread-local slot index bound by the simmpi runtime when it spawns rank
-// threads; serial code records as rank 0.
+// Ranks are fibers on one thread (simmpi), so "per rank" is a slot index
+// held in the rank's context (pnc::turn::RankLocal, util/turn.hpp) and
+// bound by the simmpi runtime when each rank starts; serial code records as
+// rank 0.
 //
 // Cost discipline:
 //   * Compile-time: building with -DPNC_IOSTAT_DISABLED (CMake option
@@ -90,7 +91,7 @@ enum class Ctr : unsigned {
   kNcSumMismatch,         ///< chunk CRC mismatches observed (pre-heal)
   kNcSumHealedRetries,    ///< chunk re-reads that healed a mismatch
 
-  // --- simmpi: the thread-backed message layer ---
+  // --- simmpi: the in-process message layer ---
   kMpiMessages,           ///< point-to-point messages delivered
   kMpiMessageBytes,       ///< point-to-point payload bytes
   kMpiCollectives,        ///< collective entry calls (composites count parts)
@@ -140,9 +141,9 @@ class Registry {
   /// The process-wide registry.
   static Registry& Get();
 
-  // ---- per-thread rank binding ----
-  /// Bind the calling thread to a rank slot. The simmpi runtime binds every
-  /// rank thread it spawns; unbound threads (serial code, main) are rank 0.
+  // ---- per-rank binding ----
+  /// Bind the calling rank to a rank slot. The simmpi runtime binds every
+  /// rank it starts; unbound threads (serial code, main) are rank 0.
   static void BindRank(int rank);
   [[nodiscard]] static int rank();
 
@@ -187,7 +188,7 @@ class Registry {
 // emit the report.
 #if PNC_IOSTAT_ENABLED
 
-/// Bind the calling thread to rank `r` (simmpi runtime only).
+/// Bind the calling rank to counter slot `r` (simmpi runtime only).
 #define PNC_IOSTAT_BIND_RANK(r) ::iostat::Registry::BindRank(r)
 
 /// Emit the JSON report if PNC_IOSTAT_REPORT requests one (Close hook).

@@ -21,8 +21,8 @@
 //
 // Determinism: every accumulator is order-independent (sums, maxes, log2
 // histogram buckets, fixed-key cells), and recording NEVER advances virtual
-// clocks — timestamps are sampled by the caller. Concurrent rank threads
-// therefore produce the same snapshot regardless of thread interleaving,
+// clocks — timestamps are sampled by the caller. Ranks therefore produce
+// the same snapshot whatever the order of their turns,
 // which is what lets bench baselines freeze pattern-derived verdicts at zero
 // tolerance.
 #pragma once

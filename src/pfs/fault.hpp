@@ -148,7 +148,7 @@ struct FaultDecision {
 /// Seeded, thread-safe decision engine shared by all files of a FileSystem.
 /// One global op counter orders all fault-injectable operations, so a
 /// schedule written as op indices is exact even under concurrent ranks
-/// (simmpi rank threads serialize through the FileSystem anyway).
+/// (simmpi ranks take turns, so they reach it one at a time anyway).
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPolicy policy = {});

@@ -271,9 +271,10 @@ RmwLock::RmwLock(const File& file, simmpi::VirtualClock& clock)
     : mu_(file.node_->rmw), clock_(clock) {
   pnc::turn::Request(clock.now());
   if (mu_.held) {
-    assert(pnc::turn::t_hook != nullptr && "contended outside a simmpi rank");
-    mu_.parked.push_back(pnc::turn::t_hook);
-    pnc::turn::t_hook->Park("the read-modify-write lock of " + file.path());
+    pnc::turn::Hook* const self = pnc::turn::CurrentHook();
+    assert(self != nullptr && "contended outside a simmpi rank");
+    mu_.parked.push_back(self);
+    self->Park("the read-modify-write lock of " + file.path());
   }
   mu_.held = true;
   clock.AdvanceTo(mu_.released_ns);

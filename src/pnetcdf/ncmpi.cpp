@@ -6,33 +6,40 @@
 #include <memory>
 
 #include "pnetcdf/nonblocking.hpp"
+#include "util/turn.hpp"
 
 namespace pnetcdf::capi {
 
 namespace {
 
-// One handle table per rank thread — the analogue of per-process tables
-// under real MPI.
-thread_local std::map<int, Dataset> g_handles;
-thread_local std::map<int, std::unique_ptr<NonblockingQueue>> g_queues;
-thread_local int g_next_ncid = 0;
+// One handle table per rank — the analogue of per-process tables under
+// real MPI. The queues go first when a rank's tables are destroyed: each
+// refers to its dataset.
+struct Tables {
+  std::map<int, Dataset> handles;
+  std::map<int, std::unique_ptr<NonblockingQueue>> queues;
+  int next_ncid = 0;
+};
+const pnc::turn::RankLocal<Tables> g_tables;
 
 Dataset* Find(int ncid) {
-  auto it = g_handles.find(ncid);
-  return it == g_handles.end() ? nullptr : &it->second;
+  auto& handles = g_tables->handles;
+  auto it = handles.find(ncid);
+  return it == handles.end() ? nullptr : &it->second;
 }
 
 NonblockingQueue* Queue(int ncid) {
   auto* ds = Find(ncid);
   if (!ds) return nullptr;
-  auto& q = g_queues[ncid];
+  auto& q = g_tables->queues[ncid];
   if (!q) q = std::make_unique<NonblockingQueue>(*ds);
   return q.get();
 }
 
 int Install(Dataset ds, int* ncidp) {
-  const int id = g_next_ncid++;
-  g_handles.emplace(id, std::move(ds));
+  Tables& t = *g_tables;
+  const int id = t.next_ncid++;
+  t.handles.emplace(id, std::move(ds));
   *ncidp = id;
   return NC_NOERR;
 }
@@ -96,16 +103,16 @@ int ncmpi_abort(int ncid) {
   auto* ds = Find(ncid);
   if (!ds) return kBadId;
   const int rc = ds->Abort().raw();
-  g_queues.erase(ncid);
-  g_handles.erase(ncid);
+  g_tables->queues.erase(ncid);
+  g_tables->handles.erase(ncid);
   return rc;
 }
 int ncmpi_close(int ncid) {
   auto* ds = Find(ncid);
   if (!ds) return kBadId;
   const int rc = ds->Close().raw();
-  g_queues.erase(ncid);
-  g_handles.erase(ncid);
+  g_tables->queues.erase(ncid);
+  g_tables->handles.erase(ncid);
   return rc;
 }
 int ncmpi_begin_indep_data(int ncid) {

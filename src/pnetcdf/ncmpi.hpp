@@ -10,8 +10,9 @@
 //
 // Environment adaptations: the first arguments of ncmpi_create/open take the
 // simmpi communicator and the simulated file system instead of MPI_Comm and
-// a path-resolved mount. Handle tables are per rank (thread), as they would
-// be per process under real MPI.
+// a path-resolved mount. Handle tables are per rank (a pnc::turn::RankLocal,
+// since every rank of a run shares one thread), as they would be per process
+// under real MPI.
 #pragma once
 
 #include "pnetcdf/dataset.hpp"

@@ -110,11 +110,13 @@ void SharedState::DumpHangAndAbort(const char* what, int running) {
                    "%llu receives done, %zu unmatched messages queued\n",
                    r, w.src, w.tag, w.ctx,
                    static_cast<unsigned long long>(w.recvs), pending);
-    } else if (!w.parked_on.empty()) {
+    } else if (const std::string& parked =
+                   sched.parked_on(static_cast<int>(r));
+               !parked.empty()) {
       std::fprintf(stderr,
                    "  rank %zu: PARKED waiting for %s, %llu receives done, "
                    "%zu unmatched messages queued\n",
-                   r, w.parked_on.c_str(),
+                   r, parked.c_str(),
                    static_cast<unsigned long long>(w.recvs), pending);
     } else {
       std::fprintf(stderr,
@@ -204,6 +206,13 @@ std::int64_t HashBytes(pnc::ConstByteSpan b) {
     h *= 1099511628211ULL;
   }
   return static_cast<std::int64_t>(h >> 1);
+}
+
+/// The agreed status for the least `code` across the members: `local` if
+/// this rank's own code won, else a peer failure with that code.
+pnc::Status Agreed(const pnc::Status& local, std::int64_t code) {
+  if (code == local.raw()) return local;
+  return pnc::Status(static_cast<pnc::Err>(code), "I/O failed on a peer rank");
 }
 }  // namespace
 
@@ -374,18 +383,33 @@ std::vector<std::byte> Comm::RecvInternal(int src, int tag) {
   return Recv(src, tag, nullptr, nullptr);
 }
 
-void Comm::Barrier() {
-  if (state_->rfault.armed && SelfDead()) return;
+void Comm::Barrier() { (void)BarrierStatus(pnc::Status::Ok()); }
+
+pnc::Status Comm::BarrierStatus(const pnc::Status& local) {
+  if (state_->rfault.armed && SelfDead()) return local;
   PNC_OBSERVE(kCollective);
   const int p = size();
-  if (p == 1) return;
   // Dissemination barrier: log2(P) rounds of ring-distance exchanges. Clock
-  // synchronization falls out of message arrival times.
+  // synchronization falls out of message arrival times. Each message
+  // carries the least code its sender has seen, which after the last round
+  // is the least of all.
+  std::int64_t code = local.raw();
   int phase = 0;
   for (int dist = 1; dist < p; dist <<= 1, ++phase) {
-    SendInternal((rank_ + dist) % p, kTagBarrierBase - phase, {});
-    (void)RecvInternal((rank_ - dist + p) % p, kTagBarrierBase - phase);
+    SendInternal((rank_ + dist) % p, kTagBarrierBase - phase,
+                 code == 0 ? pnc::ConstByteSpan{}
+                           : pnc::ConstByteSpan(
+                                 reinterpret_cast<const std::byte*>(&code),
+                                 sizeof(code)));
+    const std::vector<std::byte> got =
+        RecvInternal((rank_ - dist + p) % p, kTagBarrierBase - phase);
+    if (got.size() == sizeof(code)) {
+      std::int64_t peer = 0;
+      std::memcpy(&peer, got.data(), sizeof(peer));
+      code = std::min(code, peer);
+    }
   }
+  return Agreed(local, code);
 }
 
 void Comm::Bcast(pnc::ByteSpan buf, int root) {
@@ -812,10 +836,7 @@ pnc::Status Comm::AgreeStatus(
   } else {
     code = AllreduceMin(local.raw());
   }
-  if (st.ok() && code != 0)
-    st = code == local.raw() ? local
-                             : pnc::Status(static_cast<pnc::Err>(code),
-                                           "I/O failed on a peer rank");
+  if (st.ok()) st = Agreed(local, code);
   if (before_sync) before_sync(st);
   if (!FaultsArmed()) SyncClocksToMax();
   return st;

@@ -1,9 +1,9 @@
-// Thread-backed MPI communicator subset.
+// In-process MPI communicator subset.
 //
-// Ranks are std::threads inside one process (see runtime.hpp) that take
-// turns: one runs at a time, picked by virtual time (sched.hpp), so the
-// state below needs no locks of its own. The message-
-// passing semantics follow MPI: buffered point-to-point sends with
+// Ranks are fibers on one host thread (see runtime.hpp) that take turns:
+// one runs at a time, picked by virtual time (sched.hpp), so the state
+// below needs no locks of its own. The message-passing semantics follow
+// MPI: buffered point-to-point sends with
 // (source, tag, context) matching, and collectives implemented over
 // point-to-point with the classic binomial-tree / dissemination algorithms so
 // that virtual-time costs accumulate the way a real MPI library's would.
@@ -55,7 +55,6 @@ struct WaitRecord {
   bool waiting = false;
   int src = 0, tag = 0, ctx = 0;  ///< envelope being waited for
   std::uint64_t recvs = 0;        ///< receives completed so far
-  std::string parked_on;  ///< a wait outside Recv (pnc::turn::Hook::Park)
 };
 
 /// One fault-tolerant agreement monitor, keyed by communicator context.
@@ -81,7 +80,7 @@ struct AgreeSlot {
 };
 
 /// Rank-fault injection state (see rankfault.hpp). Armed once, before the
-/// rank threads start.
+/// ranks start.
 struct RankFaultState {
   bool armed = false;
   RankFaultPolicy policy;
@@ -119,8 +118,8 @@ struct SharedState {
   // --- rank-fault injection (inactive until armed) ---
   RankFaultState rfault;
 
-  /// Install a rank-fault schedule. Must be called before the rank threads
-  /// start (the runtime does this); arming mid-run is not supported.
+  /// Install a rank-fault schedule. Must be called before the ranks start
+  /// (the runtime does this); arming mid-run is not supported.
   void ArmRankFaults(const RankFaultPolicy& policy);
 
   /// True when `world_rank` has crashed.
@@ -167,6 +166,11 @@ class Comm {
 
   // --- collectives ---
   void Barrier();
+  /// Barrier() that also agrees on one status, as AgreeStatus does: the
+  /// most severe code across the members. A rank with nothing to report
+  /// sends empty messages, so when every member is ok it costs exactly
+  /// what Barrier() does.
+  pnc::Status BarrierStatus(const pnc::Status& local);
   /// Byte-buffer broadcast; non-root buffers are resized to fit.
   void Bcast(std::vector<std::byte>& buf, int root);
   /// In-place fixed-size broadcast.

@@ -1,4 +1,4 @@
-// Deterministic rank-fault injection for the thread-backed MPI.
+// Deterministic rank-fault injection for the in-process MPI.
 //
 // pfs/fault.hpp scripts *storage* failures; this module scripts *process*
 // failures — the other half of the failure model a parallel netCDF library
@@ -21,9 +21,9 @@
 //     sender's crash to model "died mid-send".
 //
 // All schedules are deterministic: scripted indices are exact (per-rank op
-// and send counters are touched only by the owning thread), probabilistic
+// and send counters are touched only by the owning rank), probabilistic
 // drops derive from (seed, rank, send index) — never from a global RNG that
-// thread interleaving could perturb. Armed vs. not armed is the master
+// the order of the ranks' turns could perturb. Armed vs. not armed is the master
 // switch: with no policy armed, the fault paths in comm.cpp are never
 // entered and behavior is bit-identical to a fault-free build.
 #pragma once
@@ -66,7 +66,7 @@ struct RankFaultPolicy {
   };
   std::vector<Drop> drops;
   /// Seeded per-send drop probability (derived from seed, rank, and send
-  /// index, so it is exact run-to-run regardless of thread interleaving).
+  /// index, so it is exact run-to-run regardless of the order of turns).
   double drop_prob = 0.0;
 
   [[nodiscard]] bool Any() const {

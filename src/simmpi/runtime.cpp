@@ -5,36 +5,10 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
 #include "iostat/observe.hpp"
-#include "util/turn.hpp"
 
 namespace simmpi {
-
-namespace {
-
-/// A rank thread's pnc::turn hook: its pfs requests and lock waits are
-/// scheduling points of the world's scheduler.
-class Turn final : public pnc::turn::Hook {
- public:
-  Turn(detail::SharedState& state, int rank) : state_(state), rank_(rank) {}
-  void Request(double t) override { state_.sched.Yield(rank_, t); }
-  void Park(const std::string& what) override {
-    state_.waits[rank_].parked_on = what;
-    state_.sched.Block(rank_);
-    state_.waits[rank_].parked_on.clear();
-  }
-  void Wake(double t_ns) override {
-    state_.sched.Wake(rank_, std::max(t_ns, state_.clocks[rank_].now()));
-  }
-
- private:
-  detail::SharedState& state_;
-  int rank_;
-};
-
-}  // namespace
 
 RunResult Run(int nprocs, const std::function<void(Comm&)>& body,
               const CostModel& cost) {
@@ -51,29 +25,19 @@ RunResult Run(int nprocs, const std::function<void(Comm&)>& body,
   std::iota(members.begin(), members.end(), 0);
 
   std::vector<std::exception_ptr> errors(nprocs);
-  std::vector<std::thread> threads;
-  threads.reserve(nprocs);
-  for (int r = 0; r < nprocs; ++r) {
-    threads.emplace_back([&, r] {
-      PNC_IOSTAT_BIND_RANK(r);
-      Turn turn(*state, r);
-      pnc::turn::t_hook = &turn;
-      state->sched.Enter(r);
-      {
-        Comm comm = detail::MakeComm(state, members, r);
-        try {
-          body(comm);
-        } catch (const RankCrash&) {
-          // Scripted death, already flagged in shared state; not an error.
-        } catch (...) {
-          errors[r] = std::current_exception();
-        }
-      }
-      state->sched.Exit(r);
-      pnc::turn::t_hook = nullptr;
-    });
-  }
-  for (auto& t : threads) t.join();
+  state->sched.Run([&](int r) {
+    PNC_IOSTAT_BIND_RANK(r);
+    Comm comm = detail::MakeComm(state, members, r);
+    // Every exception stops here, on the rank's own fiber: none may unwind
+    // across a fiber switch.
+    try {
+      body(comm);
+    } catch (const RankCrash&) {
+      // Scripted death, already flagged in shared state; not an error.
+    } catch (...) {
+      errors[r] = std::current_exception();
+    }
+  });
   for (auto& e : errors)
     if (e) std::rethrow_exception(e);
 

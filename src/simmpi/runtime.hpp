@@ -1,4 +1,5 @@
-// SPMD launcher: runs an MPI-style program body on N thread-backed ranks.
+// SPMD launcher: runs an MPI-style program body on N ranks, each a fiber on
+// the calling thread.
 #pragma once
 
 #include <functional>
@@ -22,10 +23,11 @@ struct RunResult {
 };
 
 /// Launch `nprocs` ranks, each executing `body(world_comm)` on its own
-/// thread, and join them. The threads take turns, least virtual time first
-/// (sched.hpp), so a run's virtual times do not depend on the host.
-/// Exceptions thrown by any rank are re-thrown in the caller after all
-/// ranks have been joined. Each call creates a fresh world (fresh mailboxes
+/// fiber of the calling thread, and return once all have finished. The
+/// ranks take turns, least virtual time first (sched.hpp), so a run's
+/// virtual times do not depend on the host. An exception thrown by a rank
+/// ends that rank only; the first one, by rank, is re-thrown in the caller
+/// after all ranks have finished. Each call creates a fresh world (fresh mailboxes
 /// and clocks); state does not leak between runs.
 RunResult Run(int nprocs, const std::function<void(Comm&)>& body,
               const CostModel& cost = CostModel{});

@@ -5,7 +5,7 @@
 // goes through these helpers instead: the whole value must parse (trailing
 // junk is malformed), a malformed value falls back to the supplied default,
 // and the first malformed read of each variable warns once on stderr so a
-// typo'd environment is visible without spamming every rank thread.
+// typo'd environment is visible without spamming every rank.
 #pragma once
 
 #include <cstdint>

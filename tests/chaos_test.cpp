@@ -1,5 +1,5 @@
 // Rank-fault chaos suite: deterministic rank crashes, stragglers, and
-// message drops injected into the thread-backed MPI, and the collective
+// message drops injected into the in-process MPI, and the collective
 // failure-agreement machinery that must keep every survivor consistent.
 //
 // The contract under test (DESIGN.md §6):

@@ -291,6 +291,48 @@ TEST(FaultMatrix, TransientFaultOnTheOpenIsRetried) {
   }
 }
 
+// --- hdf5lite: the root's superblock write fails on every rank ------------
+
+// The root writes the superblock alone, after the open's round trip (op 0);
+// when that write (op 1) fails for good, every rank returns kIo instead of
+// waiting in a collective the root has left.
+TEST(FaultMatrix, FailedSuperblockWriteFailsCreateOnEveryRank) {
+  pfs::FileSystem fs;
+  pfs::FaultPolicy pol;
+  pol.permanent_ops = {1};
+  SCOPED_TRACE(pnc_test::DescribePolicy(pol));
+  fs.SetFaultPolicy(pol);
+  std::vector<pnc::Err> got(3, pnc::Err::kNoErr);
+  simmpi::Run(3, [&](Comm& c) {
+    auto f = hdf5lite::File::Create(c, fs, "sb.h5", simmpi::NullInfo());
+    got[static_cast<std::size_t>(c.rank())] = f.status().code();
+  });
+  EXPECT_EQ(fs.stats().permanent_faults, 1u);
+  for (const pnc::Err e : got) EXPECT_EQ(e, pnc::Err::kIo);
+}
+
+// The same at Close: armed once the file exists, op 0 is the root's
+// superblock flush, the earliest request (the other ranks close 1 ms later).
+TEST(FaultMatrix, FailedSuperblockWriteFailsCloseOnEveryRank) {
+  pfs::FileSystem fs;
+  std::vector<pnc::Err> got(3, pnc::Err::kNoErr);
+  simmpi::Run(3, [&](Comm& c) {
+    auto f = hdf5lite::File::Create(c, fs, "sb.h5", simmpi::NullInfo());
+    ASSERT_TRUE(f.ok());
+    c.Barrier();
+    if (c.rank() == 0) {
+      pfs::FaultPolicy pol;
+      pol.permanent_ops = {0};
+      fs.SetFaultPolicy(pol);
+    } else {
+      c.clock().Advance(1e6);
+    }
+    got[static_cast<std::size_t>(c.rank())] = f.value().Close().code();
+  });
+  EXPECT_EQ(fs.stats().permanent_faults, 1u);
+  for (const pnc::Err e : got) EXPECT_EQ(e, pnc::Err::kIo);
+}
+
 // --- outage windows: backoff walks the clock past the outage -------------
 
 TEST(FaultMatrix, OutageWindowCrossedByBackoff) {

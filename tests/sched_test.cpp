@@ -1,5 +1,5 @@
 // The turn scheduler (simmpi/sched.hpp): pfs requests are granted in
-// virtual-time order, (start_ns, rank), whatever order the rank threads
+// virtual-time order, (start_ns, rank), whatever order the ranks
 // reach the file system in on the host.
 #include <gtest/gtest.h>
 
@@ -109,7 +109,7 @@ TEST(Sched, GrantsFollowVirtualTimeAndRepeatExactly) {
   }
 }
 
-// One rank thread runs at a time: no two ranks are ever between scheduling
+// One rank runs at a time: no two ranks are ever between scheduling
 // points together, even with host work in between.
 TEST(Sched, OneRankRunsAtATime) {
   std::atomic<int> inside{0};

@@ -1,4 +1,4 @@
-// Tests for the thread-backed MPI subset: point-to-point matching,
+// Tests for the in-process MPI subset: point-to-point matching,
 // collectives, communicator management, and virtual-clock behaviour.
 #include "simmpi/comm.hpp"
 
