@@ -18,6 +18,7 @@
 // writes a Chrome trace-event timeline (chrome://tracing / Perfetto) of the
 // most recent configuration.
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "bench/bench_common.hpp"
@@ -98,19 +99,23 @@ void RunChart(FileKind kind, int block, const std::vector<int>& procs,
         .Str("lib", lib);
   };
   for (int np : procs) {
-    double pnc_bw = 0.0, h5_bw = 0.0;
+    std::optional<double> pnc_bw, h5_bw;
     if (run_pnetcdf) {
       rec.BeginConfig();
       pnc_bw = RunOne(cfg, kind, np, /*use_pnetcdf=*/true, info);
-      rec.EndConfig(config(np, "pnetcdf"), bench::JsonObj().Num("mbps", pnc_bw));
+      rec.EndConfig(config(np, "pnetcdf"),
+                    bench::JsonObj().Num("mbps", *pnc_bw));
     }
     if (run_hdf5lite) {
       rec.BeginConfig();
       h5_bw = RunOne(cfg, kind, np, /*use_pnetcdf=*/false, info);
-      rec.EndConfig(config(np, "hdf5lite"), bench::JsonObj().Num("mbps", h5_bw));
+      rec.EndConfig(config(np, "hdf5lite"),
+                    bench::JsonObj().Num("mbps", *h5_bw));
     }
-    std::printf("%-8d %12.1f %12.1f %7.2fx\n", np, pnc_bw, h5_bw,
-                h5_bw > 0 ? pnc_bw / h5_bw : 0.0);
+    // A side that --lib skipped prints "-", not a measured zero.
+    std::printf("%-8d %12s %12s %8s\n", np, bench::Cell(pnc_bw, 1).c_str(),
+                bench::Cell(h5_bw, 1).c_str(),
+                bench::SpeedupCell(pnc_bw, h5_bw).c_str());
     std::fflush(stdout);
   }
 }
@@ -145,9 +150,12 @@ int Run(const Args& args, bench::Recorder& rec) {
 
   for (int b : blocks)
     for (auto k : kinds) {
-      // 16^3 checkpoints are ~60 MB/proc; cap the sweep to bound host RAM.
+      // 16^3 checkpoints write ~60 MB/proc; the default sweep stops at 32
+      // procs to bound host RAM and wall time. An explicit --procs=N list
+      // runs as given.
       std::vector<int> p = procs;
-      if (b == 16 && k == FileKind::kCheckpoint && !args.Has("procs")) {
+      if (b == 16 && k == FileKind::kCheckpoint &&
+          args.Get("procs", "").empty()) {
         while (!p.empty() && p.back() > 32) p.pop_back();
       }
       RunChart(k, b, p, rec, lib != "hdf5lite", lib != "pnetcdf", info);

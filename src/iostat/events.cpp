@@ -28,7 +28,7 @@ const pnc::turn::RankLocal<ReqCtx> req_ctx;
 /// Per-rank monotonic request counters. Kept outside the rank's context so
 /// IDs stay monotonic per *rank* even across successive simmpi runs (each
 /// run makes fresh rank contexts).
-std::atomic<std::uint64_t> g_next_req[kMaxRanks];
+std::uint64_t g_next_req[kMaxRanks];
 
 void CopyDetail(char (&dst)[24], const char* src) {
   if (src == nullptr) {
@@ -93,17 +93,14 @@ FlightRecorder& FlightRecorder::Get() {
 }
 
 FlightRecorder::Rec* FlightRecorder::RingOf(RankRing& slot) {
-  Rec* ring = slot.ring.load(std::memory_order_acquire);
+  Rec* ring = slot.ring.load(std::memory_order_relaxed);
   if (ring != nullptr) return ring;
   // Rings are lazily allocated so idle rank slots cost nothing (kMaxRanks
-  // eager rings would be hundreds of MB). Losing the CAS race is fine.
-  Rec* fresh = new Rec[cap_];
-  Rec* expected = nullptr;
-  if (slot.ring.compare_exchange_strong(expected, fresh,
-                                        std::memory_order_acq_rel))
-    return fresh;
-  delete[] fresh;
-  return expected;
+  // eager rings would be hundreds of MB). Published with release ordering
+  // for the stall watchdog's dump.
+  ring = new Rec[cap_];
+  slot.ring.store(ring, std::memory_order_release);
+  return ring;
 }
 
 void FlightRecorder::Record(Ev kind, double t_ns, double d_ns,
@@ -193,7 +190,7 @@ ReqScope::ReqScope(const char* api, std::string_view var, double t_ns,
   std::memcpy(saved_detail_, req.detail, sizeof(saved_detail_));
   if (!SinkOn(kSinkRing)) return;
   const int rank = Registry::rank();
-  req.id = g_next_req[rank].fetch_add(1, std::memory_order_relaxed) + 1;
+  req.id = ++g_next_req[rank];
   // detail = "api:var", truncated to the fixed record width.
   char buf[24];
   std::size_t i = 0;

@@ -16,10 +16,13 @@
 //    source rank's request.
 //
 //  * Flight recorder: a bounded, always-on, per-rank ring of fixed-size
-//    event records. Writers are lock-free (one relaxed fetch_add to claim a
-//    slot, plain stores, one release store of the sequence number); the
-//    ring keeps the most recent `capacity` events per rank and counts what
-//    it overwrote. The tail is dumped in the stable `pnc-events-v1` JSON
+//    event records. Ranks write it in turn from one host thread; the stall
+//    watchdog's dump may read it from another while the stalled rank still
+//    writes, so a writer claims a slot with one atomic bump of `head`, fills
+//    it with plain stores and publishes it with one release store of the
+//    sequence number (the dump skips a record caught mid-write). The ring
+//    keeps the most recent `capacity` events per rank and counts what it
+//    overwrote. The tail is dumped in the stable `pnc-events-v1` JSON
 //    schema by the simmpi hang watchdog, by pfs hard-fault paths and
 //    crash-point recovery (both gated on PNC_FLIGHT_DUMP so routine
 //    fault-injection tests stay quiet), and on demand via ncstat
@@ -28,8 +31,8 @@
 // The ring is one sink of PNC_OBSERVE: observe.hpp turns each observation
 // into the event kind and a0/a1 payload documented below.
 // Cost discipline matches iostat.hpp: -DPNC_IOSTAT=OFF compiles every macro
-// to nothing; at runtime a disabled ring is one relaxed atomic load and a
-// branch, an enabled event is ~a slot claim plus a few stores (~10 ns).
+// to nothing; at runtime a disabled ring is one load and a branch, an
+// enabled event is ~a slot claim plus a few stores (~10 ns).
 // Events never advance any virtual clock — timestamps are sampled by the
 // caller and passed in, so enabling/disabling tracing cannot change
 // simulated results.
@@ -110,12 +113,12 @@ class FlightRecorder {
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
   /// Record one event on the calling rank's ring. `detail` may be
-  /// nullptr to inherit the current request's detail string. Lock-free.
+  /// nullptr to inherit the current request's detail string.
   void Record(Ev kind, double t_ns, double d_ns, std::uint64_t a0,
               std::uint64_t a1, const char* detail);
 
-  /// Snapshot one rank's retained tail, oldest first. Best-effort while
-  /// writers are live: records seen mid-write are dropped, not torn.
+  /// Snapshot one rank's retained tail, oldest first. Best-effort from the
+  /// stall watchdog's thread: records seen mid-write are dropped, not torn.
   [[nodiscard]] std::vector<Event> CollectRank(int rank) const;
   /// Snapshot every rank seen by the registry (index = rank).
   [[nodiscard]] std::vector<std::vector<Event>> Collect() const;

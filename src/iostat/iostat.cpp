@@ -15,7 +15,7 @@ namespace iostat {
 
 namespace {
 
-/// Rank slot bound to the calling rank (0 for unbound/serial threads).
+/// Rank slot bound to the calling rank (0 for serial code).
 const pnc::turn::RankLocal<int> bound_rank;
 
 }  // namespace
@@ -78,7 +78,8 @@ const char* CtrName(Ctr c) {
 Registry::Registry() : slots_(new RankSlot[kMaxRanks]) {}
 
 Registry& Registry::Get() {
-  static Registry* g = new Registry();  // leaked: outlives rank threads
+  // Leaked, so a record made during static destruction still finds it.
+  static Registry* g = new Registry();
   return *g;
 }
 
@@ -86,26 +87,19 @@ void Registry::BindRank(int rank) {
   rank = std::clamp(rank, 0, kMaxRanks - 1);
   *bound_rank = rank;
   auto& reg = Get();
-  int seen = reg.max_rank_.load(std::memory_order_relaxed);
-  while (rank > seen &&
-         !reg.max_rank_.compare_exchange_weak(seen, rank,
-                                              std::memory_order_relaxed)) {
-  }
+  if (rank > reg.max_rank_.load(std::memory_order_relaxed))
+    reg.max_rank_.store(rank, std::memory_order_relaxed);
 }
 
 int Registry::rank() { return *bound_rank; }
 
 void Registry::Add(Ctr c, std::uint64_t n) {
-  slots_[*bound_rank].c[static_cast<std::size_t>(c)].fetch_add(
-      n, std::memory_order_relaxed);
+  slots_[*bound_rank].c[static_cast<std::size_t>(c)] += n;
 }
 
 void Registry::Max(Ctr c, std::uint64_t n) {
-  auto& slot = slots_[*bound_rank].c[static_cast<std::size_t>(c)];
-  std::uint64_t seen = slot.load(std::memory_order_relaxed);
-  while (n > seen &&
-         !slot.compare_exchange_weak(seen, n, std::memory_order_relaxed)) {
-  }
+  std::uint64_t& slot = slots_[*bound_rank].c[static_cast<std::size_t>(c)];
+  slot = std::max(slot, n);
 }
 
 int Registry::nranks() const {
@@ -114,14 +108,13 @@ int Registry::nranks() const {
 
 std::uint64_t Registry::Value(int rank, Ctr c) const {
   if (rank < 0 || rank >= kMaxRanks) return 0;
-  return slots_[rank].c[static_cast<std::size_t>(c)].load(
-      std::memory_order_relaxed);
+  return slots_[rank].c[static_cast<std::size_t>(c)];
 }
 
 void Registry::Reset() {
   const int n = nranks();
   for (int r = 0; r < n; ++r)
-    for (auto& a : slots_[r].c) a.store(0, std::memory_order_relaxed);
+    slots_[r] = RankSlot{};
   max_rank_.store(0, std::memory_order_relaxed);
   FlightRecorder::Get().Reset();
   PatternRegistry::Get().Reset();
@@ -133,7 +126,6 @@ void Registry::AutoReportAtClose() {
   if (!SinkOn(kSinkCounters)) return;
   const Report rep = BuildReport();
   const std::string json = ToJson(rep) + "\n";
-  std::lock_guard<std::mutex> lk(report_mu_);
   if (std::strcmp(path, "-") == 0) {
     std::fwrite(json.data(), 1, json.size(), stdout);
     std::fflush(stdout);

@@ -20,8 +20,13 @@
 //     PNC_IOSTAT=OFF) expands every PNC_* instrumentation macro to nothing.
 //   * Runtime: the counter sink is ON by default and disabled with
 //     PNC_IOSTAT=0 in the environment. One mask (SinkMask) holds the gate of
-//     every sink; a disabled observation is one relaxed atomic load and a
-//     branch.
+//     every sink; a disabled observation is one load and a branch.
+//
+// Threading: the registries are not thread-safe. The simulator runs every
+// rank on one host thread (simmpi), so they are used from one thread at a
+// time and need no lock. The stall watchdog's dump is the one reader on
+// another thread; it reads only nranks() (max_rank_, atomic) and the flight
+// ring (events.hpp).
 //
 // Production layers include only iostat/observe.hpp and use only its macros
 // — a grep lint (tests/CMakeLists.txt) rejects any other reference to this
@@ -31,7 +36,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 
 #if defined(PNC_IOSTAT_DISABLED)
 #define PNC_IOSTAT_ENABLED 0
@@ -122,18 +126,16 @@ unsigned SinksFromEnv();
 
 /// The one runtime gate of all instrumentation: the mask of enabled sinks,
 /// read from the environment on first use. SetSink flips sinks at runtime.
-inline std::atomic<unsigned>& SinkMask() {
-  static std::atomic<unsigned> mask{SinksFromEnv()};
+inline unsigned& SinkMask() {
+  static unsigned mask = SinksFromEnv();
   return mask;
 }
-inline bool SinkOn(unsigned sink) {
-  return (SinkMask().load(std::memory_order_relaxed) & sink) != 0;
-}
+inline bool SinkOn(unsigned sink) { return (SinkMask() & sink) != 0; }
 inline void SetSink(unsigned sink, bool on) {
   if (on)
-    SinkMask().fetch_or(sink, std::memory_order_relaxed);
+    SinkMask() |= sink;
   else
-    SinkMask().fetch_and(~sink, std::memory_order_relaxed);
+    SinkMask() &= ~sink;
 }
 
 class Registry {
@@ -150,7 +152,7 @@ class Registry {
   // ---- recording (the counter sink of observe.hpp) ----
   void Add(Ctr c, std::uint64_t n);
   /// Raise counter `c` to at least `n` (a high-water gauge, e.g. the deepest
-  /// server queue seen). CAS loop; still relaxed.
+  /// server queue seen).
   void Max(Ctr c, std::uint64_t n);
 
   // ---- inspection ----
@@ -173,12 +175,13 @@ class Registry {
   Registry();
 
   struct RankSlot {
-    std::atomic<std::uint64_t> c[kNumCounters] = {};
+    std::uint64_t c[kNumCounters] = {};
   };
 
   std::unique_ptr<RankSlot[]> slots_;
+  /// Atomic because the stall watchdog's dump reads nranks() from its own
+  /// thread while the stalled rank may still bind.
   std::atomic<int> max_rank_{0};
-  std::mutex report_mu_;  ///< serializes AutoReportAtClose writers
 };
 
 }  // namespace iostat

@@ -10,7 +10,7 @@
 //
 // Cost: -DPNC_IOSTAT=OFF expands PNC_OBSERVE to an unevaluated sizeof. At
 // runtime the one gate is SinkMask (iostat.hpp): with every sink off an
-// observation is one relaxed load and a branch. The sinks are forced inline,
+// observation is one load and a branch. The sinks are forced inline,
 // so in optimized builds, with the kind a constant at each call site, their
 // switches fold to the calls that kind needs, a sink that is off costs one
 // bit test, and the record is never built in memory. Recording never
@@ -279,8 +279,7 @@ inline std::uint64_t Ns(double ns) { return static_cast<std::uint64_t>(ns); }
 ///   PNC_OBSERVE(kHeaderWrite, .len = bytes.size());
 #define PNC_OBSERVE(what, ...)                                            \
   do {                                                                    \
-    if (const unsigned pnc_obs_sinks_ =                                   \
-            ::iostat::SinkMask().load(std::memory_order_relaxed))         \
+    if (const unsigned pnc_obs_sinks_ = ::iostat::SinkMask())             \
       ::iostat::Observe(pnc_obs_sinks_,                                   \
                         ::iostat::Obs{.kind = ::iostat::ObsKind::what,    \
                                       __VA_ARGS__});                      \

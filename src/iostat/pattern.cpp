@@ -35,8 +35,8 @@ void PatternHist::Add(std::uint64_t v) {
 // --------------------------------------------------------- PatternRegistry
 
 PatternRegistry& PatternRegistry::Get() {
-  // Leaked like the counter registry: rank threads may record during static
-  // destruction of the main thread.
+  // Leaked like the counter registry, so a record made during static
+  // destruction still finds it.
   static PatternRegistry* g = new PatternRegistry();
   return *g;
 }
@@ -59,7 +59,6 @@ void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
                                    std::span<const pnc::Extent> extents) {
   if (extents.empty()) return;
   const int rank = Registry::rank();
-  std::lock_guard<std::mutex> lk(mu_);
   VarAcc& acc = VarSlot(var.empty() ? std::string_view("*unnamed") : var);
   VarPattern& p = acc.pat;
   ++p.calls;
@@ -124,13 +123,11 @@ void PatternRegistry::RecordAccess(std::string_view var, bool is_write,
 }
 
 void PatternRegistry::RecordTwophasePre(std::span<const pnc::Extent> segs) {
-  std::lock_guard<std::mutex> lk(mu_);
   for (const auto& s : segs) twophase_pre_.Add(s.len);
 }
 
 void PatternRegistry::RecordAggWindow(std::uint64_t bytes) {
   const int rank = Registry::rank();
-  std::lock_guard<std::mutex> lk(mu_);
   twophase_post_.Add(bytes);
   if (static_cast<std::size_t>(rank) >= agg_bytes_.size())
     agg_bytes_.resize(static_cast<std::size_t>(rank) + 1, 0);
@@ -141,7 +138,6 @@ void PatternRegistry::RecordSieveWindow(bool is_write, std::uint64_t wanted,
                                         std::uint64_t file_bytes,
                                         std::uint64_t span_start,
                                         bool sieved) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (is_write) {
     ++sieve_wr_windows_;
     sieve_wr_wanted_ += wanted;
@@ -160,7 +156,7 @@ void PatternRegistry::RecordSieveWindow(bool is_write, std::uint64_t wanted,
   }
 }
 
-void PatternRegistry::CoarsenCellsLocked() {
+void PatternRegistry::CoarsenCells() {
   // Double the cell width and re-bin. Accumulators are sums/maxes, so the
   // merged map equals what direct binning at the coarser width would have
   // produced — coarsening keeps the heatmap order-independent.
@@ -183,7 +179,6 @@ void PatternRegistry::RecordPfsGrant(int server, std::uint64_t offset,
                                      double done_ns, std::uint64_t depth,
                                      double wait_ns) {
   if (server < 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
   if (static_cast<std::size_t>(server) >= servers_.size())
     servers_.resize(static_cast<std::size_t>(server) + 1);
   ServerPattern& sp = servers_[static_cast<std::size_t>(server)];
@@ -214,11 +209,10 @@ void PatternRegistry::RecordPfsGrant(int server, std::uint64_t offset,
     t = cell_end;
     ++b;
   }
-  CoarsenCellsLocked();
+  CoarsenCells();
 }
 
 PatternSummary PatternRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lk(mu_);
   PatternSummary s;
   for (const auto& [name, acc] : vars_) s.vars.push_back(acc.pat);
   s.servers = servers_;
@@ -252,7 +246,6 @@ PatternSummary PatternRegistry::Snapshot() const {
 }
 
 void PatternRegistry::Reset() {
-  std::lock_guard<std::mutex> lk(mu_);
   vars_.clear();
   servers_.clear();
   cell_ns_ = kBaseCellNs;

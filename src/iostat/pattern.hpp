@@ -14,10 +14,10 @@
 // mirrors the counter registry:
 //   * Compile-time: -DPNC_IOSTAT_DISABLED expands PNC_OBSERVE to nothing.
 //   * Runtime: recording is ON by default and gated off with PNC_IOSTAT=0 or
-//     PNC_IOSTAT_PATTERN=0. A disabled record is one relaxed atomic load and
-//     a branch. Enabled records take one short mutex-protected accumulate —
-//     capture points sit on request boundaries (API calls, sieve windows,
-//     pfs grants), never inside per-byte loops.
+//     PNC_IOSTAT_PATTERN=0. A disabled record is one load and a branch.
+//     Enabled records take one short accumulate — capture points sit on
+//     request boundaries (API calls, sieve windows, pfs grants), never
+//     inside per-byte loops.
 //
 // Determinism: every accumulator is order-independent (sums, maxes, log2
 // histogram buckets, fixed-key cells), and recording NEVER advances virtual
@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <span>
 #include <string>
@@ -152,8 +151,9 @@ struct PatternSummary {
 
 /// Process-wide pattern accumulator, a sibling of iostat::Registry with the
 /// same lifetime rules (leaked singleton, Reset between bench configs via
-/// Registry::Reset). All Record* methods are thread-safe and attribute to
-/// the calling thread's bound rank where ranks matter.
+/// Registry::Reset), and like it used from one host thread at a time (not
+/// thread-safe). Record* methods attribute to the calling rank's bound slot
+/// where ranks matter.
 class PatternRegistry {
  public:
   static PatternRegistry& Get();
@@ -214,9 +214,8 @@ class PatternRegistry {
   };
 
   VarAcc& VarSlot(std::string_view var);
-  void CoarsenCellsLocked();
+  void CoarsenCells();
 
-  mutable std::mutex mu_;
   std::map<std::string, VarAcc, std::less<>> vars_;
   std::vector<ServerPattern> servers_;
   double cell_ns_ = kBaseCellNs;

@@ -11,7 +11,6 @@ FaultInjector::FaultInjector(FaultPolicy policy)
 
 FaultDecision FaultInjector::Decide(bool is_write, std::uint64_t len,
                                     int server, double now_ns) {
-  std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t op = next_op_++;
   ++counters_.faultable_ops;
   FaultDecision d;
@@ -124,22 +123,18 @@ FaultDecision FaultInjector::Decide(bool is_write, std::uint64_t len,
 }
 
 void FaultInjector::CountBitflip() {
-  std::lock_guard<std::mutex> lk(mu_);
   ++counters_.bitflips;
 }
 
 void FaultInjector::CountWriteBitflip() {
-  std::lock_guard<std::mutex> lk(mu_);
   ++counters_.write_bitflips;
 }
 
 void FaultInjector::CountAtRestCorruption() {
-  std::lock_guard<std::mutex> lk(mu_);
   ++counters_.at_rest_corruptions;
 }
 
 void FaultInjector::SetPolicy(const FaultPolicy& policy) {
-  std::lock_guard<std::mutex> lk(mu_);
   policy_ = policy;
   rng_ = pnc::SplitMix64(policy.seed);
   // Op indices in a policy (transient_ops, permanent_from, ...) are relative
@@ -153,22 +148,18 @@ void FaultInjector::SetPolicy(const FaultPolicy& policy) {
 }
 
 bool FaultInjector::crashed() const {
-  std::lock_guard<std::mutex> lk(mu_);
   return crashed_;
 }
 
 FaultPolicy FaultInjector::policy() const {
-  std::lock_guard<std::mutex> lk(mu_);
   return policy_;
 }
 
 FaultCounters FaultInjector::counters() const {
-  std::lock_guard<std::mutex> lk(mu_);
   return counters_;
 }
 
 void FaultInjector::ResetCounters() {
-  std::lock_guard<std::mutex> lk(mu_);
   counters_ = FaultCounters{};
 }
 

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -145,10 +144,10 @@ struct FaultDecision {
   std::uint64_t torn_bytes = 0;   ///< kCrash on a write: prefix that lands
 };
 
-/// Seeded, thread-safe decision engine shared by all files of a FileSystem.
-/// One global op counter orders all fault-injectable operations, so a
-/// schedule written as op indices is exact even under concurrent ranks
-/// (simmpi ranks take turns, so they reach it one at a time anyway).
+/// Seeded decision engine shared by all files of a FileSystem, used from
+/// one host thread (simmpi ranks take turns on it). One global op counter
+/// orders all fault-injectable operations, so a schedule written as op
+/// indices is exact whichever rank reaches it.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPolicy policy = {});
@@ -158,8 +157,8 @@ class FaultInjector {
   FaultDecision Decide(bool is_write, std::uint64_t len, int server,
                        double now_ns);
 
-  /// Record a bit flip actually applied (kept separate from Decide so the
-  /// decision and the data mutation stay in one critical section each).
+  /// Record a bit flip actually applied (kept separate from Decide: the
+  /// store applies the flip after the decision).
   void CountBitflip();
   /// Record a persisted write-side flip actually applied.
   void CountWriteBitflip();
@@ -177,7 +176,6 @@ class FaultInjector {
   [[nodiscard]] bool crashed() const;
 
  private:
-  mutable std::mutex mu_;
   FaultPolicy policy_;
   pnc::SplitMix64 rng_;
   std::uint64_t next_op_ = 0;

@@ -143,7 +143,6 @@ struct RmwMutex {
 
 struct File::Node {
   std::string path;
-  std::mutex mu;  ///< serializes data access on this file
   RmwMutex rmw;   ///< RmwLock's state
   std::unique_ptr<ByteStore> store;  ///< always a FaultyByteStore decorator
   FaultyByteStore* faulty = nullptr;  ///< same object, decorated view
@@ -152,10 +151,7 @@ struct File::Node {
 double File::HarnessRead(std::uint64_t offset, pnc::ByteSpan out,
                          double start_ns) {
   pnc::turn::Request(start_ns);
-  {
-    std::lock_guard<std::mutex> lk(node_->mu);
-    node_->store->Read(offset, out);
-  }
+  node_->store->Read(offset, out);
   return fs_->ServeRequest(offset, out.size(), /*is_write=*/false,
                            start_ns);
 }
@@ -163,10 +159,7 @@ double File::HarnessRead(std::uint64_t offset, pnc::ByteSpan out,
 double File::HarnessWrite(std::uint64_t offset, pnc::ConstByteSpan data,
                           double start_ns) {
   pnc::turn::Request(start_ns);
-  {
-    std::lock_guard<std::mutex> lk(node_->mu);
-    node_->store->Write(offset, data);
-  }
+  node_->store->Write(offset, data);
   return fs_->ServeRequest(offset, data.size(), /*is_write=*/true,
                            start_ns);
 }
@@ -174,12 +167,8 @@ double File::HarnessWrite(std::uint64_t offset, pnc::ConstByteSpan data,
 IoResult File::TryRead(std::uint64_t offset, pnc::ByteSpan out,
                        double start_ns) {
   pnc::turn::Request(start_ns);
-  FaultyByteStore::Outcome oc;
-  {
-    std::lock_guard<std::mutex> lk(node_->mu);
-    oc = node_->faulty->FaultedRead(offset, out, fs_->PrimaryServer(offset),
-                                    start_ns);
-  }
+  const FaultyByteStore::Outcome oc = node_->faulty->FaultedRead(
+      offset, out, fs_->PrimaryServer(offset), start_ns);
   if (!oc.status.ok()) {
     const bool transient = oc.status.code() == pnc::Err::kIoTransient;
     PNC_OBSERVE(kPfsFault, .t_ns = start_ns, .is_write = false,
@@ -198,12 +187,8 @@ IoResult File::TryRead(std::uint64_t offset, pnc::ByteSpan out,
 IoResult File::TryWrite(std::uint64_t offset, pnc::ConstByteSpan data,
                         double start_ns) {
   pnc::turn::Request(start_ns);
-  FaultyByteStore::Outcome oc;
-  {
-    std::lock_guard<std::mutex> lk(node_->mu);
-    oc = node_->faulty->FaultedWrite(offset, data, fs_->PrimaryServer(offset),
-                                     start_ns);
-  }
+  const FaultyByteStore::Outcome oc = node_->faulty->FaultedWrite(
+      offset, data, fs_->PrimaryServer(offset), start_ns);
   if (!oc.status.ok()) {
     const bool transient = oc.status.code() == pnc::Err::kIoTransient;
     PNC_OBSERVE(kPfsFault, .t_ns = start_ns, .is_write = true,
@@ -250,14 +235,12 @@ IoResult File::TrySync(double start_ns) {
 void File::RecordRetry(bool is_write) { fs_->RecordRetry(is_write); }
 
 std::uint64_t File::size() const {
-  std::lock_guard<std::mutex> lk(node_->mu);
   return node_->store->size();
 }
 
 bool File::discards_data() const { return !node_->store->keeps_bytes(); }
 
 void File::Truncate(std::uint64_t new_size) {
-  std::lock_guard<std::mutex> lk(node_->mu);
   node_->store->Truncate(new_size);
 }
 
@@ -315,7 +298,6 @@ std::shared_ptr<File::Node> FileSystem::MakeNode(
 }
 
 pnc::Result<File> FileSystem::Create(const std::string& path, bool exclusive) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = files_.find(path);
   if (it != files_.end()) {
     if (exclusive) return pnc::Status(pnc::Err::kExists, path);
@@ -336,7 +318,6 @@ pnc::Result<File> FileSystem::CreateOnDisk(const std::string& path,
                                            const std::string& disk_path) {
   auto store = FileStore::Open(disk_path, /*truncate=*/true);
   if (!store.ok()) return store.status();
-  std::lock_guard<std::mutex> lk(mu_);
   auto node = MakeNode(path, Decorate(std::move(store).value()));
   files_[path] = node;
   return File(this, node);
@@ -346,36 +327,28 @@ pnc::Result<File> FileSystem::AttachDisk(const std::string& path,
                                          const std::string& disk_path) {
   auto store = FileStore::Open(disk_path, /*truncate=*/false);
   if (!store.ok()) return store.status();
-  std::lock_guard<std::mutex> lk(mu_);
   auto node = MakeNode(path, Decorate(std::move(store).value()));
   files_[path] = node;
   return File(this, node);
 }
 
 pnc::Result<File> FileSystem::Open(const std::string& path) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return pnc::Status(pnc::Err::kNotNc, path);
   return File(this, it->second);
 }
 
 bool FileSystem::Exists(const std::string& path) const {
-  std::lock_guard<std::mutex> lk(mu_);
   return files_.count(path) > 0;
 }
 
 pnc::Status FileSystem::Remove(const std::string& path) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (files_.erase(path) == 0) return pnc::Status(pnc::Err::kNotNc, path);
   return pnc::Status::Ok();
 }
 
 Stats FileSystem::stats() const {
-  Stats s;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    s = stats_;
-  }
+  Stats s = stats_;
   const FaultCounters fc = injector_->counters();
   s.transient_faults = fc.transient_faults;
   s.permanent_faults = fc.permanent_faults;
@@ -389,10 +362,7 @@ Stats FileSystem::stats() const {
 }
 
 void FileSystem::ResetStats() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_ = Stats{};
-  }
+  stats_ = Stats{};
   injector_->ResetCounters();
 }
 
@@ -411,12 +381,10 @@ int FileSystem::PrimaryServer(std::uint64_t offset) const {
 
 void FileSystem::RecordRetry(bool is_write) {
   PNC_OBSERVE(kPfsRetry);
-  std::lock_guard<std::mutex> lk(mu_);
   (is_write ? stats_.write_retries : stats_.read_retries) += 1;
 }
 
 void FileSystem::ResetTime() {
-  std::lock_guard<std::mutex> lk(mu_);
   for (ServerQueue& q : servers_) q = ServerQueue{};
 }
 
@@ -459,50 +427,47 @@ double FileSystem::ServeRequest(std::uint64_t offset, std::uint64_t len,
               .is_write = is_write);
 
   double completion = client_done;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (is_write) {
-      stats_.bytes_written += len;
-      stats_.write_requests += 1;
-    } else {
-      stats_.bytes_read += len;
-      stats_.read_requests += 1;
-    }
-    if (len == 0) {
-      // Zero-length flush: a metadata round-trip to server 0 that does not
-      // occupy the data pipeline. It waits behind the data queued before
-      // it but does not extend the queue for the data that follows.
-      const double begin = std::max(arrival, servers_[0].next_free);
-      const double done = begin + cfg_.server_request_ns;
-      PNC_OBSERVE(kPfsSync, .t_ns = begin, .end_ns = done,
-                  .wait_ns = begin - arrival,
-                  .flag = arrival < servers_[0].latest_arrival);
+  if (is_write) {
+    stats_.bytes_written += len;
+    stats_.write_requests += 1;
+  } else {
+    stats_.bytes_read += len;
+    stats_.read_requests += 1;
+  }
+  if (len == 0) {
+    // Zero-length flush: a metadata round-trip to server 0 that does not
+    // occupy the data pipeline. It waits behind the data queued before
+    // it but does not extend the queue for the data that follows.
+    const double begin = std::max(arrival, servers_[0].next_free);
+    const double done = begin + cfg_.server_request_ns;
+    PNC_OBSERVE(kPfsSync, .t_ns = begin, .end_ns = done,
+                .wait_ns = begin - arrival,
+                .flag = arrival < servers_[0].latest_arrival);
+    completion = std::max(completion, done);
+  } else {
+    for (std::size_t s = 0; s < bytes_per_server.size(); ++s) {
+      if (bytes_per_server[s] == 0) continue;
+      ServerQueue& q = servers_[s];
+      // Completions the arrival has already passed leave the queue; what
+      // remains, plus this event, is the depth it observed.
+      std::erase_if(q.outstanding,
+                    [arrival](double d) { return d <= arrival; });
+      const auto depth = static_cast<std::uint64_t>(q.outstanding.size()) + 1;
+      const double begin = std::max(arrival, q.next_free);
+      const double done = begin + cfg_.server_request_ns +
+                          per_byte * static_cast<double>(bytes_per_server[s]);
+      const bool inverted = arrival < q.latest_arrival;
+      q.latest_arrival = std::max(q.latest_arrival, arrival);
+      q.next_free = done;
+      if (q.outstanding.size() < kMaxOutstanding)
+        q.outstanding.push_back(done);
       completion = std::max(completion, done);
-    } else {
-      for (std::size_t s = 0; s < bytes_per_server.size(); ++s) {
-        if (bytes_per_server[s] == 0) continue;
-        ServerQueue& q = servers_[s];
-        // Completions the arrival has already passed leave the queue; what
-        // remains, plus this event, is the depth it observed.
-        std::erase_if(q.outstanding,
-                      [arrival](double d) { return d <= arrival; });
-        const auto depth = static_cast<std::uint64_t>(q.outstanding.size()) + 1;
-        const double begin = std::max(arrival, q.next_free);
-        const double done = begin + cfg_.server_request_ns +
-                            per_byte * static_cast<double>(bytes_per_server[s]);
-        const bool inverted = arrival < q.latest_arrival;
-        q.latest_arrival = std::max(q.latest_arrival, arrival);
-        q.next_free = done;
-        if (q.outstanding.size() < kMaxOutstanding)
-          q.outstanding.push_back(done);
-        completion = std::max(completion, done);
-        // Every server of a striped request records the request's offset
-        // ("which region was hot").
-        PNC_OBSERVE(kPfsGrant, .t_ns = begin, .end_ns = done, .off = offset,
-                    .len = bytes_per_server[s], .server = static_cast<int>(s),
-                    .depth = depth, .wait_ns = begin - arrival,
-                    .is_write = is_write, .flag = inverted);
-      }
+      // Every server of a striped request records the request's offset
+      // ("which region was hot").
+      PNC_OBSERVE(kPfsGrant, .t_ns = begin, .end_ns = done, .off = offset,
+                  .len = bytes_per_server[s], .server = static_cast<int>(s),
+                  .depth = depth, .wait_ns = begin - arrival,
+                  .is_write = is_write, .flag = inverted);
     }
   }
   return completion;

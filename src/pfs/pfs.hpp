@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -200,9 +199,8 @@ struct IoResult {
   [[nodiscard]] bool ok() const { return status.ok(); }
 };
 
-/// An open file handle. Thread-safe: concurrent rank threads may access the
-/// same handle (data is mutex-protected; timing goes through the server
-/// timelines).
+/// An open file handle. Ranks may share one handle: they take turns on one
+/// host thread, and timing goes through the server timelines.
 class File {
  public:
   /// Perform a contiguous read/write issued at virtual time `start_ns`;
@@ -339,7 +337,6 @@ class FileSystem {
   static constexpr std::size_t kMaxOutstanding = 4096;
 
   Config cfg_;
-  mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<File::Node>> files_;
   std::vector<ServerQueue> servers_;  ///< one FCFS timeline per server
   Stats stats_;

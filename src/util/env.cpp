@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <set>
 #include <string>
 
@@ -12,13 +11,10 @@ namespace pnc::util {
 
 namespace {
 
-std::mutex g_warned_mu;
-
 /// Warn once per variable name per process. Malformed values are a config
 /// mistake, not an I/O failure, so diagnostics must never throw or abort.
 void WarnOnce(const char* name, const char* value) {
   static std::set<std::string>* warned = new std::set<std::string>();
-  std::lock_guard<std::mutex> lk(g_warned_mu);
   if (!warned->insert(name).second) return;
   std::fprintf(stderr,
                "pnc: ignoring malformed %s=\"%s\" (not a number); "

@@ -13,7 +13,6 @@
 // each RankLocal per thread, as a thread_local would give.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -74,8 +73,8 @@ class RankContext {
 namespace detail {
 inline thread_local RankContext* t_installed = nullptr;
 inline std::size_t NextRankLocalId() {
-  static std::atomic<std::size_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed);
+  static std::size_t next = 0;
+  return next++;
 }
 }  // namespace detail
 

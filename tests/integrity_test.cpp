@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <span>
@@ -2328,7 +2327,6 @@ struct SweepTally {
 /// the open; every rank's outcome lands in `tally`.
 void SweepOnce(pfs::FileSystem& fs, int nprocs, ReadMode mode,
                const pfs::FaultPolicy& pol, SweepTally& tally) {
-  std::mutex mu;
   if (nprocs == 0) {
     auto ds = netcdf::Dataset::Open(fs, "s.nc", false, kSBlock).value();
     fs.SetFaultPolicy(pol);
@@ -2360,10 +2358,7 @@ void SweepOnce(pfs::FileSystem& fs, int nprocs, ReadMode mode,
     c.Barrier();
     if (c.rank() == 0) fs.SetFaultPolicy({});
     c.Barrier();
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      tally.Add(rs, r.Matches());
-    }
+    tally.Add(rs, r.Matches());
     const pnc::Status cs = ds.Close();
     EXPECT_EQ(cs.code(), rs.ok() ? pnc::Err::kNoErr : pnc::Err::kDataCorrupt)
         << "rank " << c.rank();

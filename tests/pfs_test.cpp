@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <thread>
 
 #include "util/rng.hpp"
 
@@ -291,24 +290,6 @@ TEST(TimeModel, FcfsTimelineMatchesHandComputedTimes) {
       f.HarnessWrite(0, pnc::ConstByteSpan(buf.data(), 4096), r);
   EXPECT_EQ(w4, w3_done + srv + cfg.server_write_ns_per_byte * stripe);
   EXPECT_LT(w4, s2 + srv + cfg.server_write_ns_per_byte * stripe);
-}
-
-TEST(TimeModel, DataIntegrityUnderConcurrentDisjointWrites) {
-  FileSystem fs(FastConfig());
-  auto f = fs.Create("t", false).value();
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 8; ++i) {
-    threads.emplace_back([&f, i] {
-      auto data = Pattern(10000, 100 + static_cast<std::uint64_t>(i));
-      f.HarnessWrite(static_cast<std::uint64_t>(i) * 10000, data, 0.0);
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int i = 0; i < 8; ++i) {
-    std::vector<std::byte> out(10000);
-    f.HarnessRead(static_cast<std::uint64_t>(i) * 10000, out, 0.0);
-    EXPECT_EQ(out, Pattern(10000, 100 + static_cast<std::uint64_t>(i))) << i;
-  }
 }
 
 }  // namespace
